@@ -15,6 +15,8 @@ from repro.distance.euclidean import (
     batch_squared_euclidean,
     early_abandon_squared,
 )
+from repro.core.config import HerculesConfig
+from repro.core.index import HerculesIndex
 from repro.distance.lower_bounds import lb_eapca
 from repro.summarization.eapca import Segmentation, SeriesSketch, segment_stats
 from repro.summarization.paa import paa
@@ -75,6 +77,18 @@ def test_lb_eapca_per_node(benchmark, corpus, query):
     sketch = SeriesSketch(query)
     q_means, q_stds = sketch.stats(seg)
     benchmark(lb_eapca, q_means, q_stds, synopsis, seg.lengths)
+
+
+def test_lb_eapca_table(benchmark, corpus, query):
+    """Every node's bound plus the per-leaf effective max in one array
+    pass — compare with ``test_lb_eapca_per_node`` × the node count."""
+    config = HerculesConfig(leaf_capacity=100, num_build_threads=1, flush_threshold=1)
+    with HerculesIndex.build(corpus, config) as index:
+        table = index._table
+        sketch = SeriesSketch(query)
+        benchmark.extra_info["nodes"] = len(table.nodes)
+        benchmark.extra_info["segments"] = int(table.seg_ends.shape[0])
+        benchmark(table.leaf_bounds_squared, sketch.cumsum, sketch.cumsq)
 
 
 def test_series_sketch_stats(benchmark, query):

@@ -5,12 +5,15 @@ reads the same hot leaves, and runs Q independent (1×n) kernel passes.
 This engine plans and executes the whole query set together so every
 expensive touch is amortized across the queries that need it:
 
-* **Phase 0 — one-pass screening.**  After the per-query descents have
+* **One bound pass.**  A single (Q × nodes) call on the index's
+  :class:`~repro.core.leaf_table.LeafTable` gives every query its row of
+  effective per-leaf LB_EAPCA²; phases 1-2 are array operations on it.
+* **Phase 0 — one-pass screening.**  After the per-query phase 1 has
   seeded finite BSFs, ONE vectorized (Q×N) LB_SAX screen runs over the
   in-RAM signature array against the per-query BSF² vector
   (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`: one gather
   + one matmul over tables cached on the array, instead of Q passes).
-* **Shared-leaf refinement.**  Descent produces a leaf→{query set}
+* **Shared-leaf refinement.**  The LCLists form a leaf→{query set}
   access plan; each surviving leaf is read from ``SeriesFile``/
   ``LeafCache`` exactly once and refined with a single blocked
   (Q_leaf × rows) matrix kernel
@@ -48,6 +51,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import HerculesConfig
+from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
 from repro.core.query import (
     _REFINE_BATCH,
@@ -62,6 +66,7 @@ from repro.distance.euclidean import (
     early_abandon_squared_multi,
 )
 from repro.storage.files import SeriesFile
+from repro.summarization.eapca import BatchSketch
 from repro.summarization.sax import SaxSpace
 from repro.types import DISTANCE_DTYPE
 
@@ -210,17 +215,16 @@ class _RefineSpec:
     #: candidate rows surviving LB_SAX (the full four-phase path);
     #: "none" — phase 1 already answered the query.
     kind: str = "none"
-    #: (leaf, phase-2 bound) pairs for "leaves".
-    leaves: list = field(default_factory=list)
-    #: (leaf, rows-within-leaf, ε-scaled squared LB_SAX) for "series".
+    #: LCList (table indices, file order) for "leaves".
+    leaves: Optional[np.ndarray] = None
+    #: (leaf index, rows-within-leaf, ε-scaled squared LB_SAX) for "series".
     series: list = field(default_factory=list)
 
 
 def _plan_refinement(
     state: _BatchSearchState,
-    lclist: list,
+    lclist: np.ndarray,
     config: HerculesConfig,
-    num_leaves: int,
     num_series: int,
 ) -> _RefineSpec:
     """The serial pipeline's access-path decision, emitted as a plan.
@@ -232,7 +236,7 @@ def _plan_refinement(
     """
     spec = _RefineSpec()
     state.profile.candidate_leaves = len(lclist)
-    if not lclist:
+    if not len(lclist):
         state.profile.path = "approx-only"
         return spec
     if (
@@ -241,12 +245,12 @@ def _plan_refinement(
     ):
         state.profile.path = "eapca-skipseq"
         spec.kind = "leaves"
-        spec.leaves = list(lclist)
+        spec.leaves = lclist
         return spec
     if not config.use_sax:
         state.profile.path = "nosax-leaves"
         spec.kind = "leaves"
-        spec.leaves = list(lclist)
+        spec.leaves = lclist
         return spec
 
     # Phase 3 (FindCandidateSeries), canonical single-thread order:
@@ -255,7 +259,8 @@ def _plan_refinement(
     length = state.query.shape[0]
     series: list = []
     total = 0
-    for leaf, _bound in lclist:
+    for index in lclist.tolist():
+        leaf = state.table.leaves[index]
         words = state.lsd_words[
             leaf.file_position : leaf.file_position + leaf.size
         ]
@@ -269,7 +274,7 @@ def _plan_refinement(
             ]
         if mask.any():
             rows = np.nonzero(mask)[0]
-            series.append((leaf, rows, scaled_sq[rows]))
+            series.append((index, rows, scaled_sq[rows]))
             total += rows.shape[0]
     sax_pr = 1.0 - (total / num_series if num_series else 0.0)
     state.profile.candidate_series = total
@@ -277,7 +282,7 @@ def _plan_refinement(
     if config.adaptive_thresholds and sax_pr < config.sax_th:
         state.profile.path = "sax-skipseq"
         spec.kind = "leaves"
-        spec.leaves = list(lclist)
+        spec.leaves = lclist
         return spec
     state.profile.path = "full-four-phase"
     spec.kind = "series"
@@ -304,25 +309,22 @@ def _refine_shared(
     tasks: dict = {}
     for qi, spec in enumerate(specs):
         if spec.kind == "leaves":
-            for leaf, bound in spec.leaves:
-                tasks.setdefault(leaf.file_position, (leaf, []))[1].append(
-                    (qi, bound, None, None)
-                )
+            for index in spec.leaves.tolist():
+                tasks.setdefault(index, []).append((qi, None, None))
         elif spec.kind == "series":
-            for leaf, rows, bounds_sq in spec.series:
-                tasks.setdefault(leaf.file_position, (leaf, []))[1].append(
-                    (qi, None, rows, bounds_sq)
-                )
+            for index, rows, bounds_sq in spec.series:
+                tasks.setdefault(index, []).append((qi, rows, bounds_sq))
 
-    for file_position in sorted(tasks):
-        leaf, users = tasks[file_position]
+    # Table indices ascend with file position.
+    for index in sorted(tasks):
+        leaf = states[0].table.leaves[index]
         active = []
-        for qi, bound, rows, bounds_sq in users:
+        for qi, rows, bounds_sq in tasks[index]:
             state = states[qi]
             bsf_squared = state.results.bsf_squared
             if rows is None:
                 # Whole-leaf user: the serial skip-sequential re-check.
-                if state.scaled_squared(bound) >= bsf_squared:
+                if state.bounds[index] >= bsf_squared:
                     continue
                 active.append((qi, None))
             else:
@@ -392,9 +394,10 @@ def _refine_serial_cadence(
     """
     length = state.query.shape[0]
     if spec.kind == "leaves":
-        for leaf, bound in spec.leaves:
-            if state.scaled_squared(bound) >= state.results.bsf_squared:
+        for index in spec.leaves.tolist():
+            if state.bounds[index] >= state.results.bsf_squared:
                 continue
+            leaf = state.table.leaves[index]
             # scan_leaf is the serial per-leaf refinement verbatim; its
             # read flows through the overridden read_leaf → the store.
             state.scan_leaf(leaf)
@@ -407,8 +410,8 @@ def _refine_serial_cadence(
     leaf_index: list = []
     row_arrays: list = []
     bound_arrays: list = []
-    for leaf, rows, bounds_sq in spec.series:
-        leaf_index.extend([leaf] * rows.shape[0])
+    for index, rows, bounds_sq in spec.series:
+        leaf_index.extend([state.table.leaves[index]] * rows.shape[0])
         row_arrays.append(rows)
         bound_arrays.append(bounds_sq)
     if not row_arrays:
@@ -459,11 +462,10 @@ def exact_knn_batch(
     queries: np.ndarray,
     k: int,
     config: HerculesConfig,
-    root: Node,
+    table: LeafTable,
     lrd: SeriesFile,
     lsd_words: np.ndarray,
     sax_space: SaxSpace,
-    num_leaves: int,
     num_series: int,
     results: Optional[List[ResultSet]] = None,
     signatures=None,
@@ -501,10 +503,15 @@ def exact_knn_batch(
     store = _BlockStore(lrd)
     states: List[_BatchSearchState] = []
     lclists: list = []
+    num_leaves = len(table.leaves)
 
     with obs.span("query.batch", queries=num_queries, k=k) as batch_span:
-        # -- per-query descent (phases 1 + 2); reads memoized ------------
+        # -- one bound pass, then per-query phases 1 + 2; reads memoized -
         with obs.span("query.batch.descend"):
+            sketch = BatchSketch(arr)
+            bounds = table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
+            # Amortized into every query's phase-1 time.
+            bounds_share = (time.perf_counter() - started) / num_queries
             for qi in range(num_queries):
                 phase_started = time.perf_counter()
                 state = _BatchSearchState(
@@ -512,16 +519,17 @@ def exact_knn_batch(
                     arr[qi],
                     k,
                     config,
+                    table,
                     lrd,
                     lsd_words,
                     sax_space,
-                    num_leaves,
                     num_series,
                     results=results[qi] if results is not None else None,
+                    bounds=bounds[qi],
                 )
-                _approx_knn(state, root)
+                _approx_knn(state)
                 state.profile.time_approx = (
-                    time.perf_counter() - phase_started
+                    time.perf_counter() - phase_started + bounds_share
                 )
                 phase_started = time.perf_counter()
                 lclist = _find_candidate_leaves(state)
@@ -549,6 +557,8 @@ def exact_knn_batch(
                     arr.shape[1],
                     prune_factor=states[0].prune_factor,
                 )
+                # A leaf with no surviving rows is never descended.
+                leaf_alive = np.logical_or.reduceat(masks, table.positions, axis=1)
                 survivors_total = 0
                 for qi, state in enumerate(states):
                     state.sig_mask = masks[qi]
@@ -556,13 +566,7 @@ def exact_knn_batch(
                     survivors = int(np.count_nonzero(masks[qi]))
                     state.profile.prefilter_survivors = survivors
                     survivors_total += survivors
-                    lclists[qi] = [
-                        (leaf, bound)
-                        for leaf, bound in lclists[qi]
-                        if masks[qi][
-                            leaf.file_position : leaf.file_position + leaf.size
-                        ].any()
-                    ]
+                    lclists[qi] = lclists[qi][leaf_alive[qi, lclists[qi]]]
                 sp.set_attrs(
                     screened=signatures.num_series * num_queries,
                     survivors=survivors_total,
@@ -572,9 +576,7 @@ def exact_knn_batch(
         # -- access-path planning (phase 3 where the path needs it) ------
         refine_started = time.perf_counter()
         specs = [
-            _plan_refinement(
-                states[qi], lclists[qi], config, num_leaves, num_series
-            )
+            _plan_refinement(states[qi], lclists[qi], config, num_series)
             for qi in range(num_queries)
         ]
 

@@ -34,6 +34,7 @@ from repro import obs
 from repro.core.batch_query import BatchAnswer, exact_knn_batch
 from repro.core.config import HerculesConfig
 from repro.core.construction import build_tree, new_build_context
+from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
 from repro.core.prefilter import (
     SIGNATURES_FILENAME,
@@ -129,7 +130,10 @@ class HerculesIndex:
         self._owns_directory = owns_directory
         self._closed = False
         self.sax_space = SaxSpace(config.sax_segments, config.sax_alphabet)
-        self._leaves = list(root.iter_leaves_inorder())
+        # Every query path reads its LB_EAPCA bounds from this one table;
+        # building it checks the leaf extents at every verify level.
+        self._table = LeafTable(root, num_series)
+        self._leaves = self._table.leaves
 
     # -- construction ---------------------------------------------------------
 
@@ -342,7 +346,7 @@ class HerculesIndex:
                 f"HTree settings record {num_series}: mixed generations"
             )
         if verify == "full":
-            _check_cross_invariants(root, num_series, lrd, lsd_words)
+            _check_cross_invariants(num_series, lrd, lsd_words)
         return cls(
             root=root,
             config=config,
@@ -378,11 +382,10 @@ class HerculesIndex:
             query,
             k,
             effective,
-            self.root,
+            self._table,
             self._lrd,
             self._lsd_words,
             self.sax_space,
-            num_leaves=len(self._leaves),
             num_series=self.num_series,
             results=results,
             signatures=self._signatures if effective.prefilter else None,
@@ -418,11 +421,10 @@ class HerculesIndex:
             queries,
             k,
             effective,
-            self.root,
+            self._table,
             self._lrd,
             self._lsd_words,
             self.sax_space,
-            num_leaves=len(self._leaves),
             num_series=self.num_series,
             results=results,
             signatures=self._signatures if effective.prefilter else None,
@@ -449,11 +451,10 @@ class HerculesIndex:
             query,
             k,
             config,
-            self.root,
+            self._table,
             self._lrd,
             self._lsd_words,
             self.sax_space,
-            num_leaves=len(self._leaves),
             num_series=self.num_series,
             results=results,
         )
@@ -478,11 +479,10 @@ class HerculesIndex:
             query,
             k,
             effective,
-            self.root,
+            self._table,
             self._lrd,
             self._lsd_words,
             self.sax_space,
-            num_leaves=len(self._leaves),
             num_series=self.num_series,
         )
 
@@ -562,13 +562,14 @@ def _make_cache(cache_bytes: int) -> Optional[LeafCache]:
 
 
 def _check_cross_invariants(
-    root: Node, num_series: int, lrd: SeriesFile, lsd_words: np.ndarray
+    num_series: int, lrd: SeriesFile, lsd_words: np.ndarray
 ) -> None:
     """Cross-file consistency of a full verification pass.
 
     The three artifacts describe one dataset three ways; any count that
     disagrees means the directory holds a torn or mixed-generation index
-    even though each file is individually well-formed.
+    even though each file is individually well-formed.  (Leaf extents
+    are checked at every level, by :class:`LeafTable`.)
     """
     if lrd.num_series != num_series:
         raise StorageError(
@@ -580,21 +581,6 @@ def _check_cross_invariants(
             f"lsd.bin holds {lsd_words.shape[0]} words but the index "
             f"records {num_series} series"
         )
-    leaves = list(root.iter_leaves_inorder())
-    total = sum(leaf.size for leaf in leaves)
-    if total != num_series:
-        raise StorageError(
-            f"htree.bin leaf sizes sum to {total} but the index records "
-            f"{num_series} series"
-        )
-    for leaf in leaves:
-        position = leaf.file_position
-        if position < 0 or position + leaf.size > num_series:
-            raise StorageError(
-                f"htree.bin leaf {leaf.node_id}: extent "
-                f"[{position}, {position + leaf.size}) outside LRDFile "
-                f"with {num_series} series"
-            )
 
 
 def _load_signatures(

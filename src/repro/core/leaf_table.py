@@ -1,0 +1,95 @@
+"""Flat synopsis table: every LB_EAPCA of a query in one array pass.
+
+Instead of one Python call per tree node threaded through a priority
+queue (Algorithms 11-12), the tree is flattened once per
+:class:`~repro.core.index.HerculesIndex` — derived from the loaded tree,
+nothing persisted: every node's segmentation and synopsis laid out
+CSR-style in preorder, so one
+:func:`~repro.distance.lower_bounds.lb_eapca_table_squared` call bounds
+all nodes, for one query or a whole batch.
+
+LB_EAPCA is *not* monotone down the tree (a V-split child re-segments
+and its bound can drop below its parent's), while a descent only reaches
+a leaf through nodes it could not prune.  A leaf's *effective* bound is
+therefore the largest bound on its root path, propagated as a running
+max down the per-depth row groups; a leaf-only table would admit leaves
+the descent prunes at an ancestor.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.node import Node
+from repro.distance.lower_bounds import lb_eapca_table_squared
+from repro.errors import StorageError
+
+
+class LeafTable:
+    """Preorder-flattened tree: ``nodes`` rows, ``leaves`` in LRDFile order."""
+
+    def __init__(self, root: Node, num_series: int) -> None:
+        self.nodes = list(root.iter_nodes_preorder())
+        #: Leaves left to right — preorder keeps them in LRDFile order.
+        self.leaves = [node for node in self.nodes if node.is_leaf]
+        self._check_extents(num_series)
+        self.positions = np.array(
+            [leaf.file_position for leaf in self.leaves], dtype=np.int64
+        )
+
+        segmentations = [node.segmentation for node in self.nodes]
+        self.seg_starts = np.concatenate([s.starts_array for s in segmentations])
+        self.seg_ends = np.concatenate([s.ends_array for s in segmentations])
+        self.seg_lengths = np.concatenate([s.lengths for s in segmentations])
+        #: ``(4, segments)``: mu_min / mu_max / sd_min / sd_max, contiguous.
+        self.synopses = np.ascontiguousarray(
+            np.concatenate([node.synopsis for node in self.nodes]).T
+        )
+        counts = [s.num_segments for s in segmentations]
+        self.row_starts = np.cumsum([0] + counts[:-1])
+        self.leaf_rows = np.flatnonzero([node.is_leaf for node in self.nodes])
+
+        rows = {node: row for row, node in enumerate(self.nodes)}
+        self.parent = np.array([rows.get(node.parent, 0) for node in self.nodes])
+        depth = np.zeros(len(self.nodes), dtype=np.int64)
+        for row in range(1, len(self.nodes)):  # parents precede children
+            depth[row] = depth[self.parent[row]] + 1
+        #: (rows, their parents' rows) per depth below the root, top down.
+        self.levels = []
+        for d in range(1, int(depth.max()) + 1):
+            level = np.flatnonzero(depth == d)
+            self.levels.append((level, self.parent[level]))
+
+    def _check_extents(self, num_series: int) -> None:
+        """The leaves must tile ``[0, num_series)`` in order, none empty:
+        ``reduceat`` over row masks and the file-order LCList rely on it,
+        and a damaged HTree would otherwise prune silently wrong."""
+        expected = 0
+        for leaf in self.leaves:
+            if leaf.size <= 0 or leaf.file_position != expected:
+                raise StorageError(
+                    f"htree.bin leaf {leaf.node_id}: extent "
+                    f"[{leaf.file_position}, {leaf.file_position + leaf.size}) "
+                    f"where a non-empty one starting at {expected} is required "
+                    f"(leaves must tile LRDFile in order)"
+                )
+            expected += leaf.size
+        if expected != num_series:
+            raise StorageError(
+                f"htree.bin leaf sizes sum to {expected} but the index "
+                f"records {num_series} series"
+            )
+
+    def node_bounds_squared(self, cumsum: np.ndarray, cumsq: np.ndarray) -> np.ndarray:
+        """Raw squared LB_EAPCA per node (preorder), ``(nodes,)`` or ``(Q, nodes)``."""
+        return lb_eapca_table_squared(
+            cumsum, cumsq, self.seg_starts, self.seg_ends, self.seg_lengths,
+            self.synopses, self.row_starts,
+        )
+
+    def leaf_bounds_squared(self, cumsum: np.ndarray, cumsq: np.ndarray) -> np.ndarray:
+        """Effective squared bound per leaf (file order): max over its root path."""
+        bounds = self.node_bounds_squared(cumsum, cumsq)
+        for rows, parents in self.levels:
+            bounds[..., rows] = np.maximum(bounds[..., rows], bounds[..., parents])
+        return bounds[..., self.leaf_rows]

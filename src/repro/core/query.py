@@ -2,17 +2,23 @@
 
 The four phases:
 
-1. **Approx-kNN** (Algorithm 11) — a best-first descent of the tree by
-   LB_EAPCA visiting at most ``L_max`` leaves, computing real distances in
-   each, to seed ``BSF_k``.
-2. **FindCandidateLeaves** (Algorithm 12) — resume the same priority
-   queue without touching disk, collecting the leaves that survive
-   LB_EAPCA pruning into LCList, sorted by LRDFile position.
+1. **Approx-kNN** (Algorithm 11) — a best-first visit of at most
+   ``L_max`` leaves by LB_EAPCA, computing real distances in each, to
+   seed ``BSF_k``.
+2. **FindCandidateLeaves** (Algorithm 12) — without touching disk,
+   collect the unvisited leaves that survive LB_EAPCA pruning into
+   LCList, in LRDFile position order.
 3. **FindCandidateSeries** (Algorithm 13) — multi-threaded LB_SAX pass
    over the in-memory iSAX words of the candidate leaves, producing
    per-thread candidate series lists (SCList).
 4. **ComputeResults** (Algorithm 14) — multi-threaded refinement: load
    surviving series from LRDFile and compute real distances.
+
+Phases 1-2 never walk the tree: one array pass over the index's flat
+synopsis table (:class:`~repro.core.leaf_table.LeafTable`) yields every
+leaf's *effective* squared bound — the largest LB_EAPCA on its root
+path, which is what a priority-queue descent enforces implicitly — so
+best-first order is an ``argsort`` and LCList an index array.
 
 Adaptive access-path selection: when EAPCA pruning is weak
 (``eapca_pr < EAPCA_TH``) phases 3-4 are replaced by a single-thread
@@ -35,7 +41,6 @@ I/O counts, plus leaf-cache hits, so harnesses can report the paper's
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 import time
@@ -46,6 +51,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import HerculesConfig
+from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
 from repro.core.results import ResultSet
 from repro.distance.euclidean import early_abandon_squared
@@ -182,21 +188,21 @@ class _SearchState:
         query: np.ndarray,
         k: int,
         config: HerculesConfig,
+        table: LeafTable,
         lrd: SeriesFile,
         lsd_words: np.ndarray,
         sax_space: SaxSpace,
-        num_leaves: int,
         num_series: int,
         results: Optional[ResultSet] = None,
+        bounds: Optional[np.ndarray] = None,
     ) -> None:
         self.query = as_series(query).astype(DISTANCE_DTYPE)
-        self.sketch = SeriesSketch(self.query)
         self.k = k
         self.config = config
+        self.table = table
         self.lrd = lrd
         self.lsd_words = lsd_words
         self.sax_space = sax_space
-        self.num_leaves = num_leaves
         self.num_series = num_series
         self._cache_before = (
             lrd.cache.snapshot() if lrd.cache is not None else None
@@ -209,34 +215,21 @@ class _SearchState:
         # ε-approximate search tightens every pruning comparison by this
         # factor; 1.0 keeps the search exact (Algorithm 10 as published).
         # All comparisons against BSF happen in squared-distance space, so
-        # the factor is applied to the (linear) lower bound and the product
-        # squared once — never squared twice.
+        # squared bounds are scaled by the factor squared, exactly once.
         self.prune_factor = 1.0 + config.epsilon
-        self.pq: list[tuple[float, int, Node]] = []
-        self._tiebreak = itertools.count()
+        # ``bounds`` carries this query's row of a batch-wide table pass.
+        if bounds is None:
+            sketch = SeriesSketch(self.query)
+            bounds = table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
+        #: Effective LB_EAPCA² per leaf in file order, ε-scaled: every
+        #: pruning site compares these straight against the live BSF².
+        self.bounds = bounds * (self.prune_factor * self.prune_factor)
+        #: Leaves (table indices) scanned by phase 1, in visit order.
+        self.visited: list[int] = []
         self.query_paa = paa(self.query, sax_space.segments)
         #: Survivor mask of the signature screen (None: tier off); phase
         #: 3 intersects per-leaf row masks with slices of it.
         self.sig_mask: Optional[np.ndarray] = None
-
-    def scaled_squared(self, bound: float) -> float:
-        """A linear-space lower bound, ε-scaled and squared for pruning.
-
-        Comparing this against ``results.bsf_squared`` is the squared-space
-        equivalent of comparing ``bound * prune_factor`` against ``bsf``
-        (both sides are non-negative, so squaring preserves the order).
-        """
-        scaled = bound * self.prune_factor
-        return scaled * scaled
-
-    # -- priority queue helpers ---------------------------------------------
-
-    def push(self, node: Node, bound: float) -> None:
-        heapq.heappush(self.pq, (bound, next(self._tiebreak), node))
-
-    def pop(self) -> tuple[float, Node]:
-        bound, _, node = heapq.heappop(self.pq)
-        return bound, node
 
     # -- leaf access ----------------------------------------------------------
 
@@ -282,11 +275,10 @@ def exact_knn(
     query: np.ndarray,
     k: int,
     config: HerculesConfig,
-    root: Node,
+    table: LeafTable,
     lrd: SeriesFile,
     lsd_words: np.ndarray,
     sax_space: SaxSpace,
-    num_leaves: int,
     num_series: int,
     results: Optional[ResultSet] = None,
     signatures=None,
@@ -309,14 +301,17 @@ def exact_knn(
     """
     started = time.perf_counter()
     io_before = lrd.stats.snapshot()
-    state = _SearchState(
-        query, k, config, lrd, lsd_words, sax_space, num_leaves, num_series,
-        results=results,
-    )
+    num_leaves = len(table.leaves)
 
     with obs.span("query", k=k) as query_span:
+        # Phase 1 opens with the bound pass (sketch + one table kernel
+        # call, inside the state's constructor).
         with obs.span("query.phase1.approx") as sp:
-            _approx_knn(state, root)
+            state = _SearchState(
+                query, k, config, table, lrd, lsd_words, sax_space,
+                num_series, results=results,
+            )
+            _approx_knn(state)
             sp.set("leaves_visited", state.profile.approx_leaves)
         state.profile.time_approx = time.perf_counter() - started
 
@@ -350,12 +345,8 @@ def exact_knn(
                     np.count_nonzero(state.sig_mask)
                 )
                 # A leaf with no surviving rows is never descended.
-                lclist = [
-                    (leaf, bound)
-                    for leaf, bound in lclist
-                    if state.sig_mask[
-                        leaf.file_position : leaf.file_position + leaf.size
-                    ].any()
+                lclist = lclist[
+                    np.logical_or.reduceat(state.sig_mask, table.positions)[lclist]
                 ]
                 sp.set_attrs(
                     screened=state.profile.prefilter_screened,
@@ -366,7 +357,7 @@ def exact_knn(
         state.profile.candidate_leaves = len(lclist)
 
         refine_started = time.perf_counter()
-        if not lclist:
+        if not len(lclist):
             state.profile.path = "approx-only"
         elif config.adaptive_thresholds and eapca_pr < config.eapca_th:
             with obs.span("query.refine.skipseq", reason="eapca"):
@@ -423,31 +414,30 @@ def approximate_knn(
     query: np.ndarray,
     k: int,
     config: HerculesConfig,
-    root: Node,
+    table: LeafTable,
     lrd: SeriesFile,
     lsd_words: np.ndarray,
     sax_space: SaxSpace,
-    num_leaves: int,
     num_series: int,
     results: Optional[ResultSet] = None,
 ) -> QueryAnswer:
     """Approximate k-NN: Algorithm 11 alone (phase 1, then stop).
 
     This is the approximate-answering mode the paper's conclusion points
-    to: the best-first descent visits at most ``L_max`` leaves and the
+    to: the best-first search visits at most ``L_max`` leaves and the
     best-so-far answers become the result.  Answers are not guaranteed
     exact; recall grows with ``L_max`` (measured in the benchmark suite).
     ``results`` plays the same role as in :func:`exact_knn`.
     """
     started = time.perf_counter()
     io_before = lrd.stats.snapshot()
-    state = _SearchState(
-        query, k, config, lrd, lsd_words, sax_space, num_leaves, num_series,
-        results=results,
-    )
     with obs.span("query", k=k, mode="approximate") as sp:
         with obs.span("query.phase1.approx"):
-            _approx_knn(state, root)
+            state = _SearchState(
+                query, k, config, table, lrd, lsd_words, sax_space,
+                num_series, results=results,
+            )
+            _approx_knn(state)
         distances, positions = state.results.items()
         state.profile.path = "approximate"
         state.profile.time_total = time.perf_counter() - started
@@ -466,11 +456,10 @@ def progressive_knn(
     query: np.ndarray,
     k: int,
     config: HerculesConfig,
-    root: Node,
+    table: LeafTable,
     lrd: SeriesFile,
     lsd_words: np.ndarray,
     sax_space: SaxSpace,
-    num_leaves: int,
     num_series: int,
 ):
     """Progressive k-NN: yield improving answers until the exact result.
@@ -479,7 +468,7 @@ def progressive_knn(
     asynchronous workloads; its refs [27, 28] study progressive answers
     explicitly).  This generator exposes that interaction model: it
     yields a :class:`QueryAnswer` snapshot after every leaf visited by
-    the best-first descent (each strictly refining the last), and a
+    the best-first search (each strictly refining the last), and a
     final *exact* answer produced by the standard pipeline.  The
     consumer may stop iterating at any point and keep the best answer
     seen so far.
@@ -490,39 +479,24 @@ def progressive_knn(
     started = time.perf_counter()
     io_before = lrd.stats.snapshot()
     state = _SearchState(
-        query, k, config, lrd, lsd_words, sax_space, num_leaves, num_series
+        query, k, config, table, lrd, lsd_words, sax_space, num_series
     )
-    state.push(root, root.lower_bound(state.sketch))
-    visited = 0
-    while state.pq:
-        bound, node = state.pop()
-        if state.scaled_squared(bound) > state.results.bsf_squared:
-            state.push(node, bound)
-            break
-        if node.is_leaf:
-            state.scan_leaf(node)
-            visited += 1
-            distances, positions = state.results.items()
-            snapshot = QueryProfile(
-                path="progressive-partial",
-                approx_leaves=visited,
-                series_accessed=state.profile.series_accessed,
-                distance_computations=state.profile.distance_computations,
-                points_compared=state.profile.points_compared,
-                points_total=state.profile.points_total,
-                time_total=time.perf_counter() - started,
-            )
-            yield QueryAnswer(distances, positions, snapshot)
-        else:
-            for child in (node.left, node.right):
-                child_bound = child.lower_bound(state.sketch)
-                if state.scaled_squared(child_bound) < state.results.bsf_squared:
-                    state.push(child, child_bound)
-    state.profile.approx_leaves = visited
+    for visited in _best_first(state, limit=None):
+        distances, positions = state.results.items()
+        snapshot = QueryProfile(
+            path="progressive-partial",
+            approx_leaves=visited,
+            series_accessed=state.profile.series_accessed,
+            distance_computations=state.profile.distance_computations,
+            points_compared=state.profile.points_compared,
+            points_total=state.profile.points_total,
+            time_total=time.perf_counter() - started,
+        )
+        yield QueryAnswer(distances, positions, snapshot)
 
-    # The descent above ran to pruning-exhaustion, which already makes
+    # The search above ran to pruning-exhaustion, which already makes
     # the current answers exact: the remaining phases would find nothing
-    # (every queue entry was pruned).  Emit the final answer with the
+    # (every unvisited leaf is pruned).  Emit the final answer with the
     # exact-path profile for uniformity.
     distances, positions = state.results.items()
     state.profile.path = "progressive-final"
@@ -537,24 +511,29 @@ def progressive_knn(
 # ---------------------------------------------------------------------------
 
 
-def _approx_knn(state: _SearchState, root: Node) -> None:
-    state.push(root, root.lower_bound(state.sketch))
-    visited = 0
-    while visited < state.config.l_max and state.pq:
-        bound, node = state.pop()
-        if state.scaled_squared(bound) > state.results.bsf_squared:
-            # Everything else in the queue is at least this far: stop.
-            state.push(node, bound)  # keep it for phase 2's termination
-            break
-        if node.is_leaf:
-            state.scan_leaf(node)
-            visited += 1
-        else:
-            for child in (node.left, node.right):
-                child_bound = child.lower_bound(state.sketch)
-                if state.scaled_squared(child_bound) < state.results.bsf_squared:
-                    state.push(child, child_bound)
-    state.profile.approx_leaves = visited
+def _best_first(state: _SearchState, limit: Optional[int]):
+    """Scan leaves by ascending effective bound; yield the count so far.
+
+    This is the priority-queue descent's visit order: a leaf is reached
+    only after every node on its root path, i.e. at the largest bound on
+    that path.  The stable sort sends ties to the leftmost leaf, as the
+    queue's left-child-first tie-break did.  Stops at ``limit`` leaves
+    or at the first bound the live BSF² prunes — every later one is at
+    least as far.
+    """
+    order = np.argsort(state.bounds, kind="stable")[:limit]
+    for leaf, bound in zip(order.tolist(), state.bounds[order].tolist()):
+        if bound > state.results.bsf_squared:
+            return
+        state.visited.append(leaf)
+        state.scan_leaf(state.table.leaves[leaf])
+        state.profile.approx_leaves = len(state.visited)
+        yield state.profile.approx_leaves
+
+
+def _approx_knn(state: _SearchState) -> None:
+    for _ in _best_first(state, limit=state.config.l_max):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -562,23 +541,14 @@ def _approx_knn(state: _SearchState, root: Node) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _find_candidate_leaves(state: _SearchState) -> list[tuple[Node, float]]:
-    # BSF² is fixed for this phase; no distances are computed here.
-    bsf_squared = state.results.bsf_squared
-    lclist: list[tuple[Node, float]] = []
-    while state.pq:
-        bound, node = state.pop()
-        if state.scaled_squared(bound) > bsf_squared:
-            break  # priority order: all remaining nodes prune too
-        if node.is_leaf:
-            lclist.append((node, bound))
-        else:
-            for child in (node.left, node.right):
-                child_bound = child.lower_bound(state.sketch)
-                if state.scaled_squared(child_bound) < bsf_squared:
-                    state.push(child, child_bound)
-    lclist.sort(key=lambda pair: pair[0].file_position)
-    return lclist
+def _find_candidate_leaves(state: _SearchState) -> np.ndarray:
+    """LCList: table indices of the candidate leaves, in file order.
+
+    BSF² is fixed for this phase; no distances are computed here.
+    """
+    mask = state.bounds < state.results.bsf_squared
+    mask[state.visited] = False
+    return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -586,19 +556,17 @@ def _find_candidate_leaves(state: _SearchState) -> list[tuple[Node, float]]:
 # ---------------------------------------------------------------------------
 
 
-def _skip_sequential(
-    state: _SearchState, lclist: list[tuple[Node, float]]
-) -> None:
+def _skip_sequential(state: _SearchState, lclist: np.ndarray) -> None:
     """Single-thread scan of candidate leaves in file order.
 
     Leaves are visited in increasing LRDFile position (sequential-friendly)
     and re-checked against the *current* BSF before each read, so the scan
     tightens as it progresses.
     """
-    for leaf, bound in lclist:
-        if state.scaled_squared(bound) >= state.results.bsf_squared:
+    for leaf in lclist.tolist():
+        if state.bounds[leaf] >= state.results.bsf_squared:
             continue
-        state.scan_leaf(leaf)
+        state.scan_leaf(state.table.leaves[leaf])
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +575,7 @@ def _skip_sequential(
 
 
 def _find_candidate_series(
-    state: _SearchState, lclist: list[tuple[Node, float]]
+    state: _SearchState, lclist: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-thread (positions, scaled-squared lb_sax) candidate lists.
 
@@ -616,6 +584,7 @@ def _find_candidate_series(
     straight against the live BSF² — no per-batch sqrt or re-scaling.
     """
     bsf_squared = state.results.bsf_squared  # Algorithm 13: BSF_k by value
+    leaves = [state.table.leaves[i] for i in lclist.tolist()]
     num_threads = state.config.num_query_threads
     counter = itertools.count()
     counter_lock = threading.Lock()
@@ -632,9 +601,9 @@ def _find_candidate_series(
         try:
             while True:
                 j = fetch_add()
-                if j >= len(lclist):
+                if j >= len(leaves):
                     return
-                leaf, _ = lclist[j]
+                leaf = leaves[j]
                 words = state.lsd_words[
                     leaf.file_position : leaf.file_position + leaf.size
                 ]
@@ -728,7 +697,7 @@ def _compute_results(
 
 
 def _compute_results_from_leaves(
-    state: _SearchState, lclist: list[tuple[Node, float]]
+    state: _SearchState, lclist: np.ndarray
 ) -> None:
     """NoSAX ablation: refine whole candidate leaves with real distances.
 
@@ -751,9 +720,9 @@ def _compute_results_from_leaves(
                     j = next(counter)
                 if j >= len(lclist):
                     break
-                leaf, bound = lclist[j]
-                if state.scaled_squared(bound) >= state.results.bsf_squared:
+                if state.bounds[lclist[j]] >= state.results.bsf_squared:
                     continue
+                leaf = state.table.leaves[lclist[j]]
                 data = state.lrd.read_range(leaf.file_position, leaf.size)
                 read += leaf.size
                 squared, compared = early_abandon_squared(

@@ -92,8 +92,7 @@ class LeafStats:
         self, segmentation: Segmentation
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-series per-segment (means, stds) under ``segmentation``."""
-        ends = np.asarray(segmentation.ends, dtype=np.int64)
-        starts = np.asarray(segmentation.starts, dtype=np.int64)
+        ends, starts = segmentation.ends_array, segmentation.starts_array
         sums = self._cumsum[:, ends] - self._cumsum[:, starts]
         sq_sums = self._cumsq[:, ends] - self._cumsq[:, starts]
         lengths = segmentation.lengths

@@ -20,7 +20,7 @@ from repro.distance.euclidean import (
 )
 from repro.distance.lower_bounds import (
     lb_eapca,
-    lb_eapca_batch,
+    lb_eapca_table_squared,
     lb_paa,
     series_synopsis,
     va_cell_bounds,
@@ -39,7 +39,7 @@ __all__ = [
     "early_abandon_squared",
     "knn_from_distances",
     "lb_eapca",
-    "lb_eapca_batch",
+    "lb_eapca_table_squared",
     "lb_paa",
     "series_synopsis",
     "va_cell_bounds",

@@ -68,27 +68,34 @@ def lb_eapca(
     return float(np.sqrt(total))
 
 
-def lb_eapca_batch(
-    query_means: np.ndarray,
-    query_stds: np.ndarray,
+def lb_eapca_table_squared(
+    cumsum: np.ndarray,
+    cumsq: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    lengths: np.ndarray,
     synopses: np.ndarray,
-    segment_lengths: np.ndarray,
+    row_starts: np.ndarray,
 ) -> np.ndarray:
-    """LB_EAPCA against many synopses sharing one segmentation.
+    """Squared LB_EAPCA of one query or a batch against many nodes at once.
 
-    ``synopses`` has shape ``(count, m, 4)``; returns ``(count,)`` bounds.
-    Used to evaluate both children of a split in one call and to bound all
-    series of a leaf during tests.
+    The nodes' segmentations are concatenated CSR-style: ``starts`` /
+    ``ends`` / ``lengths`` have shape ``(S,)``, node ``i`` owns the
+    segments from ``row_starts[i]`` on, and ``synopses`` is the matching
+    ``(4, S)`` stack of synopsis columns.  ``cumsum`` / ``cumsq`` are the
+    query prefix sums a ``SeriesSketch`` / ``BatchSketch`` keeps,
+    ``(n + 1,)`` or ``(Q, n + 1)``.  Per segment the arithmetic is that
+    of ``SeriesSketch.stats`` + :func:`lb_eapca` element for element;
+    only the per-node summation order differs, and no root is taken.
+    Returns ``(nodes,)`` or ``(Q, nodes)``.
     """
-    syn = np.asarray(synopses, dtype=DISTANCE_DTYPE)
-    if syn.ndim != 3 or syn.shape[2] != 4:
-        raise ValueError(f"expected (count, m, 4) synopses, got {syn.shape}")
-    mu_gap = _interval_gap(query_means, syn[:, :, MU_MIN], syn[:, :, MU_MAX])
-    sd_gap = _interval_gap(query_stds, syn[:, :, SD_MIN], syn[:, :, SD_MAX])
-    totals = (mu_gap * mu_gap + sd_gap * sd_gap) @ np.asarray(
-        segment_lengths, dtype=DISTANCE_DTYPE
-    )
-    return np.sqrt(totals)
+    means = (cumsum[..., ends] - cumsum[..., starts]) / lengths
+    variances = (cumsq[..., ends] - cumsq[..., starts]) / lengths - means * means
+    np.maximum(variances, 0.0, out=variances)
+    mu_gap = _interval_gap(means, synopses[MU_MIN], synopses[MU_MAX])
+    sd_gap = _interval_gap(np.sqrt(variances), synopses[SD_MIN], synopses[SD_MAX])
+    terms = lengths * (mu_gap * mu_gap + sd_gap * sd_gap)
+    return np.add.reduceat(terms, row_starts, axis=-1)
 
 
 def series_synopsis(means: np.ndarray, stds: np.ndarray) -> np.ndarray:

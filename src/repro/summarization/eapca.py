@@ -31,7 +31,7 @@ class Segmentation:
     Instances are immutable and hashable (they key the query sketch cache).
     """
 
-    __slots__ = ("_ends", "_hash")
+    __slots__ = ("_ends", "_hash", "ends_array", "starts_array", "lengths")
 
     def __init__(self, ends: Iterable[int]):
         ends_tuple = tuple(int(e) for e in ends)
@@ -44,6 +44,13 @@ class Segmentation:
             prev = e
         self._ends = ends_tuple
         self._hash = hash(ends_tuple)
+        # Index vectors and float64 ℓ_i weights: built once, read-only,
+        # shared by every statistics and lower-bound call.
+        self.ends_array = np.array(ends_tuple, dtype=np.int64)
+        self.starts_array = np.concatenate(([0], self.ends_array[:-1]))
+        self.lengths = (self.ends_array - self.starts_array).astype(DISTANCE_DTYPE)
+        for array in (self.ends_array, self.starts_array, self.lengths):
+            array.setflags(write=False)
 
     @classmethod
     def uniform(cls, length: int, segments: int) -> "Segmentation":
@@ -69,13 +76,6 @@ class Segmentation:
     @property
     def num_segments(self) -> int:
         return len(self._ends)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Segment lengths as a float64 vector (used as ℓ_i weights)."""
-        ends = np.asarray(self._ends, dtype=np.int64)
-        starts = np.asarray(self.starts, dtype=np.int64)
-        return (ends - starts).astype(DISTANCE_DTYPE)
 
     def segment_range(self, index: int) -> tuple[int, int]:
         """The (start, end) point range of segment ``index``."""
@@ -135,9 +135,8 @@ def segment_stats(
             f"series length {arr.shape[1]} does not match segmentation "
             f"length {segmentation.length}"
         )
-    ends = np.asarray(segmentation.ends, dtype=np.int64)
-    starts = np.asarray(segmentation.starts, dtype=np.int64)
-    lengths = (ends - starts).astype(DISTANCE_DTYPE)
+    ends, starts = segmentation.ends_array, segmentation.starts_array
+    lengths = segmentation.lengths
 
     cumsum = np.zeros((arr.shape[0], arr.shape[1] + 1), dtype=DISTANCE_DTYPE)
     cumsum[:, 1:] = arr
@@ -165,7 +164,7 @@ class SeriesSketch:
     segmentation) are free.
     """
 
-    __slots__ = ("series", "_cumsum", "_cumsq", "_memo")
+    __slots__ = ("series", "cumsum", "cumsq", "_memo")
 
     def __init__(self, series: np.ndarray):
         arr = np.asarray(series, dtype=DISTANCE_DTYPE)
@@ -175,12 +174,12 @@ class SeriesSketch:
         # In-place construction: the squares are written straight into the
         # cumsq buffer and both running sums accumulate in place, so the
         # only allocations are the two sketch vectors themselves.
-        self._cumsum = np.zeros(arr.shape[0] + 1, dtype=DISTANCE_DTYPE)
-        self._cumsum[1:] = arr
-        self._cumsq = np.zeros_like(self._cumsum)
-        np.square(self._cumsum[1:], out=self._cumsq[1:])
-        np.cumsum(self._cumsq[1:], out=self._cumsq[1:])
-        np.cumsum(self._cumsum[1:], out=self._cumsum[1:])
+        self.cumsum = np.zeros(arr.shape[0] + 1, dtype=DISTANCE_DTYPE)
+        self.cumsum[1:] = arr
+        self.cumsq = np.zeros_like(self.cumsum)
+        np.square(self.cumsum[1:], out=self.cumsq[1:])
+        np.cumsum(self.cumsq[1:], out=self.cumsq[1:])
+        np.cumsum(self.cumsum[1:], out=self.cumsum[1:])
         self._memo: dict[Segmentation, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -192,8 +191,8 @@ class SeriesSketch:
         if not 0 <= start < end <= self.length:
             raise ValueError(f"invalid range [{start}, {end})")
         count = end - start
-        total = self._cumsum[end] - self._cumsum[start]
-        total_sq = self._cumsq[end] - self._cumsq[start]
+        total = self.cumsum[end] - self.cumsum[start]
+        total_sq = self.cumsq[end] - self.cumsq[start]
         mean = total / count
         variance = max(total_sq / count - mean * mean, 0.0)
         return float(mean), float(np.sqrt(variance))
@@ -208,11 +207,10 @@ class SeriesSketch:
                 f"segmentation length {segmentation.length} does not match "
                 f"series length {self.length}"
             )
-        ends = np.asarray(segmentation.ends, dtype=np.int64)
-        starts = np.asarray(segmentation.starts, dtype=np.int64)
-        lengths = (ends - starts).astype(DISTANCE_DTYPE)
-        sums = self._cumsum[ends] - self._cumsum[starts]
-        sq_sums = self._cumsq[ends] - self._cumsq[starts]
+        ends, starts = segmentation.ends_array, segmentation.starts_array
+        lengths = segmentation.lengths
+        sums = self.cumsum[ends] - self.cumsum[starts]
+        sq_sums = self.cumsq[ends] - self.cumsq[starts]
         means = sums / lengths
         variances = sq_sums / lengths - means * means
         np.maximum(variances, 0.0, out=variances)
@@ -239,7 +237,7 @@ class BatchSketch:
     identical to the per-row reference path.
     """
 
-    __slots__ = ("rows", "_cumsum", "_cumsq")
+    __slots__ = ("rows", "cumsum", "cumsq")
 
     def __init__(self, rows: np.ndarray):
         arr = np.asarray(rows)
@@ -247,14 +245,14 @@ class BatchSketch:
             raise ValueError(f"expected a 2-D batch, got ndim={arr.ndim}")
         #: The raw batch (original dtype), for bulk stores into HBuffer.
         self.rows = arr
-        self._cumsum = np.zeros(
+        self.cumsum = np.zeros(
             (arr.shape[0], arr.shape[1] + 1), dtype=DISTANCE_DTYPE
         )
-        self._cumsum[:, 1:] = arr
-        self._cumsq = np.zeros_like(self._cumsum)
-        np.square(self._cumsum[:, 1:], out=self._cumsq[:, 1:])
-        np.cumsum(self._cumsq[:, 1:], axis=1, out=self._cumsq[:, 1:])
-        np.cumsum(self._cumsum[:, 1:], axis=1, out=self._cumsum[:, 1:])
+        self.cumsum[:, 1:] = arr
+        self.cumsq = np.zeros_like(self.cumsum)
+        np.square(self.cumsum[:, 1:], out=self.cumsq[:, 1:])
+        np.cumsum(self.cumsq[:, 1:], axis=1, out=self.cumsq[:, 1:])
+        np.cumsum(self.cumsum[:, 1:], axis=1, out=self.cumsum[:, 1:])
 
     @property
     def count(self) -> int:
@@ -276,11 +274,11 @@ class BatchSketch:
             raise ValueError(f"invalid range [{start}, {end})")
         count = end - start
         if rows is None:
-            totals = self._cumsum[:, end] - self._cumsum[:, start]
-            totals_sq = self._cumsq[:, end] - self._cumsq[:, start]
+            totals = self.cumsum[:, end] - self.cumsum[:, start]
+            totals_sq = self.cumsq[:, end] - self.cumsq[:, start]
         else:
-            totals = self._cumsum[rows, end] - self._cumsum[rows, start]
-            totals_sq = self._cumsq[rows, end] - self._cumsq[rows, start]
+            totals = self.cumsum[rows, end] - self.cumsum[rows, start]
+            totals_sq = self.cumsq[rows, end] - self.cumsq[rows, start]
         means = totals / count
         variances = totals_sq / count - means * means
         np.maximum(variances, 0.0, out=variances)
@@ -295,16 +293,15 @@ class BatchSketch:
                 f"segmentation length {segmentation.length} does not match "
                 f"series length {self.length}"
             )
-        ends = np.asarray(segmentation.ends, dtype=np.int64)
-        starts = np.asarray(segmentation.starts, dtype=np.int64)
-        lengths = (ends - starts).astype(DISTANCE_DTYPE)
+        ends, starts = segmentation.ends_array, segmentation.starts_array
+        lengths = segmentation.lengths
         if rows is None:
-            sums = self._cumsum[:, ends] - self._cumsum[:, starts]
-            sq_sums = self._cumsq[:, ends] - self._cumsq[:, starts]
+            sums = self.cumsum[:, ends] - self.cumsum[:, starts]
+            sq_sums = self.cumsq[:, ends] - self.cumsq[:, starts]
         else:
             idx = np.asarray(rows, dtype=np.int64)[:, None]
-            sums = self._cumsum[idx, ends] - self._cumsum[idx, starts]
-            sq_sums = self._cumsq[idx, ends] - self._cumsq[idx, starts]
+            sums = self.cumsum[idx, ends] - self.cumsum[idx, starts]
+            sq_sums = self.cumsq[idx, ends] - self.cumsq[idx, starts]
         means = sums / lengths
         variances = sq_sums / lengths - means * means
         np.maximum(variances, 0.0, out=variances)

@@ -39,10 +39,10 @@ def make_state(index, query, k=3, **config_overrides):
         query,
         k,
         config,
+        index._table,
         index._lrd,
         index._lsd_words,
         index.sax_space,
-        index.num_leaves,
         index.num_series,
     )
 
@@ -52,39 +52,48 @@ class TestApproxPhase:
         query = make_random_walks(1, 32, seed=191)[0]
         for l_max in (1, 2, 5):
             state = make_state(index, query, l_max=l_max)
-            _approx_knn(state, index.root)
+            _approx_knn(state)
             assert state.profile.approx_leaves <= l_max
 
     def test_first_leaf_is_the_query_route_leaf(self, index, corpus):
         """For a dataset member, phase 1 must reach distance zero."""
         state = make_state(index, corpus[10], k=1, l_max=1)
-        _approx_knn(state, index.root)
+        _approx_knn(state)
         distances, _ = state.results.items()
         assert distances[0] == pytest.approx(0.0, abs=1e-5)
 
     def test_terminates_early_when_pq_prunes(self, index, corpus):
-        """With an exact self-match, BSF=0 prunes the whole queue before
-        the leaf budget is exhausted."""
+        """With an exact self-match, BSF=0 prunes every remaining bound
+        before the leaf budget is exhausted."""
         state = make_state(index, corpus[10], k=1, l_max=1000)
-        _approx_knn(state, index.root)
+        _approx_knn(state)
         assert state.profile.approx_leaves < index.num_leaves
 
     def test_results_populated_with_k_answers(self, index):
         query = make_random_walks(1, 32, seed=192)[0]
         state = make_state(index, query, k=5, l_max=3)
-        _approx_knn(state, index.root)
+        _approx_knn(state)
         distances, positions = state.results.items()
         assert distances.shape == (5,)
         assert np.all(np.diff(distances) >= 0)
+
+    def test_visits_in_ascending_bound_order_leftmost_first(self, index):
+        query = make_random_walks(1, 32, seed=192)[0]
+        state = make_state(index, query, l_max=6)
+        _approx_knn(state)
+        keys = [(state.bounds[leaf], leaf) for leaf in state.visited]
+        assert keys == sorted(keys)
+        assert state.profile.approx_leaves == len(state.visited)
 
 
 class TestCandidateLeafPhase:
     def test_lclist_sorted_by_file_position(self, index):
         query = make_random_walks(1, 32, seed=193)[0]
         state = make_state(index, query, l_max=1)
-        _approx_knn(state, index.root)
+        _approx_knn(state)
         lclist = _find_candidate_leaves(state)
-        positions = [leaf.file_position for leaf, _ in lclist]
+        assert lclist.dtype.kind == "i" and lclist.size > 0
+        positions = index._table.positions[lclist].tolist()
         assert positions == sorted(positions)
 
     def test_candidates_exclude_approx_visited_leaves(self, index):
@@ -102,18 +111,23 @@ class TestCandidateLeafPhase:
             original(leaf)
 
         state.scan_leaf = tracking
-        _approx_knn(state, index.root)
+        _approx_knn(state)
         lclist = _find_candidate_leaves(state)
-        candidate_ids = {leaf.node_id for leaf, _ in lclist}
-        assert not candidate_ids & {leaf.node_id for leaf in visited}
+        candidate_ids = {index._table.leaves[i].node_id for i in lclist}
+        assert visited and not candidate_ids & {leaf.node_id for leaf in visited}
+        assert [index._table.leaves[i] for i in state.visited] == visited
 
     def test_bounds_below_bsf(self, index):
         query = make_random_walks(1, 32, seed=195)[0]
         state = make_state(index, query, l_max=2)
-        _approx_knn(state, index.root)
-        bsf = state.results.bsf
+        _approx_knn(state)
+        bsf_squared = state.results.bsf_squared
         lclist = _find_candidate_leaves(state)
-        assert all(bound <= bsf for _, bound in lclist)
+        assert np.all(state.bounds[lclist] < bsf_squared)
+        # ... and nothing below BSF² was left out, bar the visited leaves.
+        rest = np.setdiff1d(np.arange(index.num_leaves), lclist)
+        pruned = np.setdiff1d(rest, state.visited)
+        assert np.all(state.bounds[pruned] >= bsf_squared)
 
 
 class TestPathSelectionBoundaries:

@@ -146,23 +146,28 @@ class TestEpsilonParity:
             np.testing.assert_array_equal(first.positions, second.positions)
 
     def test_prune_factor_squared_once(self, index):
-        # ((1 + ε) · bound)², never ((1 + ε)² · bound²)² or any double
-        # application: the scaled-squared helper squares exactly once.
+        # bound² · (1 + ε)², never a double application: the state scales
+        # the table's squared bounds exactly once, when it is created.
         query = make_random_walks(1, 32, seed=240)[0]
-        config = index.config.with_options(epsilon=0.05)
-        state = _SearchState(
-            query,
-            1,
-            config,
-            index._lrd,
-            index._lsd_words,
-            index.sax_space,
-            index.num_leaves,
-            index.num_series,
+
+        def state_for(epsilon):
+            return _SearchState(
+                query,
+                1,
+                index.config.with_options(epsilon=epsilon),
+                index._table,
+                index._lrd,
+                index._lsd_words,
+                index.sax_space,
+                index.num_series,
+            )
+
+        scaled = state_for(0.05)
+        assert scaled.prune_factor == 1.05
+        assert scaled.bounds.max() > 0.0
+        np.testing.assert_array_equal(
+            scaled.bounds, state_for(0.0).bounds * (1.05 * 1.05)
         )
-        assert state.prune_factor == 1.05
-        bound = 2.0
-        assert state.scaled_squared(bound) == (bound * 1.05) ** 2
 
 
 class TestPointsAccounting:

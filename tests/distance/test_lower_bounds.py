@@ -12,7 +12,7 @@ from repro.distance.lower_bounds import (
     SD_MAX,
     SD_MIN,
     lb_eapca,
-    lb_eapca_batch,
+    lb_eapca_table_squared,
     lb_paa,
     series_synopsis,
     va_cell_bounds,
@@ -66,17 +66,31 @@ class TestLbEapca:
             assert bound <= euclidean(query, data[i]) + 1e-9
 
     def test_batch_matches_loop(self):
+        """The ragged table kernel equals per-synopsis ``lb_eapca``, for
+        one query's prefix sums and for a (Q, n + 1) batch of them."""
         data = make_random_walks(30, 64, seed=36)
-        query = make_random_walks(1, 64, seed=37)[0]
-        seg = Segmentation([20, 64])
-        q_means, q_stds = segment_stats(query.reshape(1, -1), seg)
-        synopses = np.stack(
-            [build_synopsis(data[i : i + 10], seg) for i in range(0, 30, 10)]
+        queries = make_random_walks(3, 64, seed=37).astype(np.float64)
+        segs = [Segmentation([20, 64]), Segmentation([64]), Segmentation([8, 9, 64])]
+        synopses = [build_synopsis(data[10 * i : 10 * i + 10], seg) for i, seg in enumerate(segs)]
+        zeros = np.zeros((3, 1))
+        cumsum = np.hstack([zeros, np.cumsum(queries, axis=1)])
+        cumsq = np.hstack([zeros, np.cumsum(queries * queries, axis=1)])
+        args = (
+            np.concatenate([seg.starts_array for seg in segs]),
+            np.concatenate([seg.ends_array for seg in segs]),
+            np.concatenate([seg.lengths for seg in segs]),
+            np.concatenate(synopses).T,
+            np.array([0, 2, 3]),
         )
-        batch = lb_eapca_batch(q_means[0], q_stds[0], synopses, seg.lengths)
-        for i in range(3):
-            single = lb_eapca(q_means[0], q_stds[0], synopses[i], seg.lengths)
-            assert batch[i] == pytest.approx(single)
+        batch = lb_eapca_table_squared(cumsum, cumsq, *args)
+        assert batch.shape == (3, 3)
+        for q, query in enumerate(queries):
+            single = lb_eapca_table_squared(cumsum[q], cumsq[q], *args)
+            np.testing.assert_array_equal(single, batch[q])
+            for i, seg in enumerate(segs):
+                q_means, q_stds = segment_stats(query.reshape(1, -1), seg)
+                expected = lb_eapca(q_means[0], q_stds[0], synopses[i], seg.lengths)
+                assert np.sqrt(batch[q, i]) == pytest.approx(expected)
 
     def test_finer_segmentation_tightens_the_bound(self):
         data = make_random_walks(40, 64, seed=38)
