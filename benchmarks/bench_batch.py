@@ -2,7 +2,7 @@
 
 Not a paper figure: this pins the perf properties of
 ``repro.core.batch_query`` — answering a Q-query workload as one plan
-(shared leaf reads, a single (Q x N) signature screen, matrix-shaped
+(shared leaf reads, one (Q x nodes) bound pass, matrix-shaped
 refinement kernels) instead of Q independent searches —
 
 * at Q = 64 the batched workload completes at >= 2x the serial loop's

@@ -17,6 +17,7 @@ from repro.distance.euclidean import (
 )
 from repro.core.config import HerculesConfig
 from repro.core.index import HerculesIndex
+from repro.core.prefilter import SignatureArray
 from repro.distance.lower_bounds import lb_eapca
 from repro.summarization.eapca import Segmentation, SeriesSketch, segment_stats
 from repro.summarization.paa import paa
@@ -89,6 +90,19 @@ def test_lb_eapca_table(benchmark, corpus, query):
         benchmark.extra_info["nodes"] = len(table.nodes)
         benchmark.extra_info["segments"] = int(table.seg_ends.shape[0])
         benchmark(table.leaf_bounds_squared, sketch.cumsum, sketch.cumsq)
+
+
+@pytest.mark.parametrize("num_rows", [128, 10_000, None], ids=["128", "10K", "all"])
+def test_lb_sax_rows(benchmark, corpus, query, num_rows):
+    """The one LB_SAX kernel over a row subset (two leaves' worth, a hard
+    query's LCList) and over the whole array — compare with
+    ``test_sax_mindist_batch``, the linear-space reference on all rows."""
+    space = SaxSpace(16, 256)
+    words = space.symbolize(paa(corpus, 16))
+    tier = SignatureArray.from_full_symbols(words, space, 8)
+    q_paa = paa(query, 16)
+    rows = None if num_rows is None else np.arange(num_rows)
+    benchmark(tier.screen, q_paa, 40.0, 128, rows=rows)
 
 
 def test_series_sketch_stats(benchmark, query):

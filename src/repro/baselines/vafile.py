@@ -52,7 +52,7 @@ class VAFileConfig:
     refine_block: int = 64
     #: Filter-file flavour: ``"dft"`` is the classic VA+ filter (DFT
     #: features, equi-depth bins); ``"sax"`` is the fair-contender mode
-    #: that reuses Hercules' vectorized whole-array signature screen
+    #: that runs Hercules' LB_SAX kernel over the whole array
     #: (SAX words over ``num_features`` PAA segments at ``sax_bits``
     #: cardinality), so baseline comparisons reflect equal kernel
     #: quality.
@@ -102,8 +102,8 @@ class VAFileIndex:
         self.edges = edges
         #: ``cells[i, d]``: bin index of series i in dimension d.
         self.cells = cells
-        #: Fair-contender filter (``filter_kind="sax"``): the same
-        #: whole-array signature screen Hercules' pre-filter tier runs.
+        #: Fair-contender filter (``filter_kind="sax"``): Hercules' LB_SAX
+        #: kernel, here over the whole array.
         self.signatures = signatures
         self.num_series = dataset.num_series
         self.build_seconds = build_seconds
@@ -260,7 +260,7 @@ class VAFileIndex:
             profile, path=path, io_stats=self.dataset.stats, k=k
         ):
             if self.signatures is not None:
-                # Fair-contender mode: the whole-array signature screen.
+                # Fair-contender mode: LB_SAX over the whole array.
                 bounds = self.signatures.lower_bounds(
                     paa(query64, self.config.num_features), query64.shape[0]
                 )

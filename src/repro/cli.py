@@ -877,14 +877,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: min(shards, cpu_count); 0/1: build "
                             "shards sequentially in-process)")
     build.add_argument("--prefilter", action="store_true",
-                       help="materialize the in-RAM signature pre-filter "
-                            "tier (signatures.bin): exact queries screen "
-                            "the whole array with one vectorized lower-"
-                            "bound pass before any tree descent")
-    build.add_argument("--prefilter-bits", type=int, default=4,
-                       help="iSAX bits per segment kept in each signature "
-                            "(1-8, default 4; more bits prune more but "
-                            "cost segments*bits/8 bytes per series)")
+                       help="run the LB_SAX pass over the candidate "
+                            "leaves' series ahead of the access-path "
+                            "decision (it then trims skip-sequential "
+                            "scans too) instead of after it")
+    build.add_argument("--prefilter-bits", type=int, default=8,
+                       help="ablation: iSAX bits per segment the in-RAM "
+                            "words are reduced to under --prefilter (1-8, "
+                            "default 8 = full resolution; fewer bits "
+                            "prune less and save nothing)")
     build.add_argument("--max-worker-restarts", type=int, default=None,
                        help="replacement build workers the supervisor may "
                             "spawn after dead-worker detection (default: 2)")
@@ -908,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="approximate-only search (phase 1)")
     query.add_argument("--batch", action="store_true",
                        help="answer the whole query set with the batched "
-                            "engine (shared-leaf scans, one-pass screening); "
+                            "engine (shared-leaf scans, matrix kernels); "
                             "answers are identical to serial execution")
     query.add_argument("--cache-mb", type=float, default=0.0,
                        help="leaf-block LRU cache budget in MiB (0: disabled; "
@@ -1004,11 +1005,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for the sharded Hercules "
                               "build (default: min(shards, cpu_count))")
     compare.add_argument("--prefilter", action="store_true",
-                         help="enable the signature pre-filter tier on the "
-                              "methods that have one (Hercules whole-array "
-                              "screen; VA+file fair-contender SAX filter)")
-    compare.add_argument("--prefilter-bits", type=int, default=4,
-                         help="signature bits per segment (1-8, default 4)")
+                         help="enable the early SAX filter on the methods "
+                              "that have one (Hercules LB_SAX pass ahead "
+                              "of the access-path decision; VA+file "
+                              "fair-contender SAX filter)")
+    compare.add_argument("--prefilter-bits", type=int, default=8,
+                         help="iSAX bits per segment of that filter "
+                              "(1-8, default 8)")
     compare.add_argument("--batch", action="store_true",
                          help="run each method's workload through its batched "
                               "engine where it has one (knn_batch); answers "

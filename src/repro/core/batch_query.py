@@ -8,11 +8,12 @@ expensive touch is amortized across the queries that need it:
 * **One bound pass.**  A single (Q × nodes) call on the index's
   :class:`~repro.core.leaf_table.LeafTable` gives every query its row of
   effective per-leaf LB_EAPCA²; phases 1-2 are array operations on it.
-* **Phase 0 — one-pass screening.**  After the per-query phase 1 has
-  seeded finite BSFs, ONE vectorized (Q×N) LB_SAX screen runs over the
-  in-RAM signature array against the per-query BSF² vector
-  (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`: one gather
-  + one matmul over tables cached on the array, instead of Q passes).
+* **The serial LB_SAX pass.**  Phase 3 is the serial pipeline's kernel
+  over each query's own LCList rows and BSF²
+  (:meth:`~repro.core.prefilter.SignatureArray.screen_batch` ahead of
+  the access-path decision with ``prefilter``, the serial routine at
+  the paper's position otherwise), so the candidates are the serial
+  ones by construction.
 * **Shared-leaf refinement.**  The LCLists form a leaf→{query set}
   access plan; each surviving leaf is read from ``SeriesFile``/
   ``LeafCache`` exactly once and refined with a single blocked
@@ -44,7 +45,7 @@ single-query path bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -53,12 +54,15 @@ from repro import obs
 from repro.core.config import HerculesConfig
 from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
+from repro.core.prefilter import SignatureArray
 from repro.core.query import (
     _REFINE_BATCH,
     QueryAnswer,
     _approx_knn,
     _find_candidate_leaves,
+    _find_candidate_series,
     _SearchState,
+    _trim_to_candidates,
 )
 from repro.core.results import ResultSet
 from repro.distance.euclidean import (
@@ -67,7 +71,6 @@ from repro.distance.euclidean import (
 )
 from repro.storage.files import SeriesFile
 from repro.summarization.eapca import BatchSketch
-from repro.summarization.sax import SaxSpace
 from repro.types import DISTANCE_DTYPE
 
 __all__ = ["BatchAnswer", "BatchStats", "exact_knn_batch"]
@@ -88,8 +91,8 @@ class BatchStats:
     #: Candidate rows the refinement kernels evaluated, summed over
     #: queries (each shared read serves ``kernel_rows_per_read`` rows).
     kernel_rows: int = 0
-    #: Wall seconds of the one-pass signature screen (0 with the
-    #: pre-filter tier off).
+    #: Wall seconds of the pre-decision LB_SAX pass (0 with ``prefilter``
+    #: off, where the pass runs inside refinement planning).
     screen_seconds: float = 0.0
     #: Wall seconds of the whole batch call.
     total_seconds: float = 0.0
@@ -217,22 +220,23 @@ class _RefineSpec:
     kind: str = "none"
     #: LCList (table indices, file order) for "leaves".
     leaves: Optional[np.ndarray] = None
-    #: (leaf index, rows-within-leaf, ε-scaled squared LB_SAX) for "series".
-    series: list = field(default_factory=list)
+    #: SCList (file positions, ε-scaled squared LB_SAX) for "series".
+    series: Optional[tuple] = None
 
 
 def _plan_refinement(
     state: _BatchSearchState,
     lclist: np.ndarray,
+    candidates: Optional[tuple],
     config: HerculesConfig,
     num_series: int,
 ) -> _RefineSpec:
     """The serial pipeline's access-path decision, emitted as a plan.
 
     Mirrors :func:`repro.core.query.exact_knn` exactly: the same path is
-    chosen from the same pre-screen pruning ratios, and phase 3 produces
-    the same candidate rows in the same (file-position) order the
-    single-threaded serial pass would.
+    chosen from the same pruning ratios, and phase 3 is the serial
+    routine (``candidates`` carries its result where ``prefilter``
+    already ran it).
     """
     spec = _RefineSpec()
     state.profile.candidate_leaves = len(lclist)
@@ -253,29 +257,9 @@ def _plan_refinement(
         spec.leaves = lclist
         return spec
 
-    # Phase 3 (FindCandidateSeries), canonical single-thread order:
-    # BSF² is fixed for the whole pass, leaves visited in file order.
-    bsf_squared = state.results.bsf_squared
-    length = state.query.shape[0]
-    series: list = []
-    total = 0
-    for index in lclist.tolist():
-        leaf = state.table.leaves[index]
-        words = state.lsd_words[
-            leaf.file_position : leaf.file_position + leaf.size
-        ]
-        bounds = state.sax_space.mindist(state.query_paa, words, length)
-        scaled = bounds * state.prune_factor
-        scaled_sq = scaled * scaled
-        mask = scaled_sq < bsf_squared
-        if state.sig_mask is not None:
-            mask &= state.sig_mask[
-                leaf.file_position : leaf.file_position + leaf.size
-            ]
-        if mask.any():
-            rows = np.nonzero(mask)[0]
-            series.append((index, rows, scaled_sq[rows]))
-            total += rows.shape[0]
+    if candidates is None:
+        candidates = _find_candidate_series(state, lclist)
+    total = len(candidates[0])
     sax_pr = 1.0 - (total / num_series if num_series else 0.0)
     state.profile.candidate_series = total
     state.profile.sax_pruning = sax_pr
@@ -286,8 +270,20 @@ def _plan_refinement(
         return spec
     state.profile.path = "full-four-phase"
     spec.kind = "series"
-    spec.series = series
+    spec.series = candidates
     return spec
+
+
+def _leaf_runs(table: LeafTable, positions: np.ndarray):
+    """``(leaf index, start, end)`` of each same-leaf run of a
+    file-ordered position list."""
+    if not len(positions):
+        return []
+    leaf_of = table.leaf_of(positions)
+    cuts = np.flatnonzero(np.diff(leaf_of)) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [len(positions)]))
+    return zip(leaf_of[starts].tolist(), starts.tolist(), ends.tolist())
 
 
 def _refine_shared(
@@ -306,18 +302,23 @@ def _refine_shared(
     LB ≥ BSF ≥ its final value, so it could never have entered a result
     set.
     """
+    table = states[0].table
     tasks: dict = {}
     for qi, spec in enumerate(specs):
         if spec.kind == "leaves":
             for index in spec.leaves.tolist():
                 tasks.setdefault(index, []).append((qi, None, None))
         elif spec.kind == "series":
-            for index, rows, bounds_sq in spec.series:
-                tasks.setdefault(index, []).append((qi, rows, bounds_sq))
+            positions, bounds_sq = spec.series
+            for index, start, end in _leaf_runs(table, positions):
+                rows = positions[start:end] - table.positions[index]
+                tasks.setdefault(index, []).append(
+                    (qi, rows, bounds_sq[start:end])
+                )
 
     # Table indices ascend with file position.
     for index in sorted(tasks):
-        leaf = states[0].table.leaves[index]
+        leaf = table.leaves[index]
         active = []
         for qi, rows, bounds_sq in tasks[index]:
             state = states[qi]
@@ -364,7 +365,7 @@ def _refine_shared(
                 row_distances = distances[i]
             else:
                 row_count = rows.shape[0]
-                positions = leaf.file_position + rows.astype(np.int64)
+                positions = leaf.file_position + rows
                 row_distances = distances[i, rows]
             state.results.update_batch_squared(row_distances, positions)
             state.profile.series_accessed += row_count
@@ -406,47 +407,27 @@ def _refine_serial_cadence(
     if spec.kind != "series":
         return
 
-    # Flatten to the serial pipeline's concatenated candidate arrays.
-    leaf_index: list = []
-    row_arrays: list = []
-    bound_arrays: list = []
-    for index, rows, bounds_sq in spec.series:
-        leaf_index.extend([state.table.leaves[index]] * rows.shape[0])
-        row_arrays.append(rows)
-        bound_arrays.append(bounds_sq)
-    if not row_arrays:
-        return
-    rows_flat = np.concatenate(row_arrays)
-    bounds_flat = np.concatenate(bound_arrays)
-    for start in range(0, rows_flat.shape[0], _REFINE_BATCH):
-        chunk_rows = rows_flat[start : start + _REFINE_BATCH]
-        chunk_lb_sq = bounds_flat[start : start + _REFINE_BATCH]
-        chunk_leaves = leaf_index[start : start + _REFINE_BATCH]
+    positions, bounds_sq = spec.series
+    for start in range(0, positions.shape[0], _REFINE_BATCH):
+        chunk_pos = positions[start : start + _REFINE_BATCH]
+        chunk_lb_sq = bounds_sq[start : start + _REFINE_BATCH]
         alive = chunk_lb_sq < state.results.bsf_squared
         if not alive.any():
             continue
-        keep = np.nonzero(alive)[0]
-        # Gather the kept rows from store-memoized blocks, grouped by
-        # leaf in order — the same values (and the same row order) the
-        # serial pipeline's coalesced read_positions would produce.
-        data_parts: list = []
-        position_parts: list = []
-        j = 0
-        kept = keep.tolist()
-        while j < len(kept):
-            leaf = chunk_leaves[kept[j]]
-            end = j
-            while end < len(kept) and chunk_leaves[kept[end]] is leaf:
-                end += 1
-            rows_in_leaf = np.array(
-                [int(chunk_rows[kept[m]]) for m in range(j, end)],
-                dtype=np.int64,
-            )
-            data_parts.append(state.leaf_rows(leaf, rows_in_leaf))
-            position_parts.append(leaf.file_position + rows_in_leaf)
-            j = end
-        data = np.concatenate(data_parts, axis=0)
-        positions = np.concatenate(position_parts)
+        keep = chunk_pos[alive]
+        # Gather the kept rows from store-memoized blocks, leaf by leaf —
+        # the same values (and the same row order) the serial pipeline's
+        # coalesced read_positions would produce.
+        data = np.concatenate(
+            [
+                state.leaf_rows(
+                    state.table.leaves[index],
+                    keep[lo:hi] - state.table.positions[index],
+                )
+                for index, lo, hi in _leaf_runs(state.table, keep)
+            ],
+            axis=0,
+        )
         squared, compared = early_abandon_squared(
             state.query, data, state.results.bsf_squared
         )
@@ -454,7 +435,7 @@ def _refine_serial_cadence(
         state.profile.distance_computations += keep.shape[0]
         state.profile.points_compared += compared
         state.profile.points_total += keep.shape[0] * length
-        state.results.update_batch_squared(squared, positions)
+        state.results.update_batch_squared(squared, keep)
         stats.kernel_rows += keep.shape[0]
 
 
@@ -464,11 +445,9 @@ def exact_knn_batch(
     config: HerculesConfig,
     table: LeafTable,
     lrd: SeriesFile,
-    lsd_words: np.ndarray,
-    sax_space: SaxSpace,
+    sax: SignatureArray,
     num_series: int,
     results: Optional[List[ResultSet]] = None,
-    signatures=None,
 ) -> BatchAnswer:
     """Plan and execute a whole query set together.
 
@@ -521,8 +500,7 @@ def exact_knn_batch(
                     config,
                     table,
                     lrd,
-                    lsd_words,
-                    sax_space,
+                    sax,
                     num_series,
                     results=results[qi] if results is not None else None,
                     bounds=bounds[qi],
@@ -542,41 +520,41 @@ def exact_knn_batch(
                 states.append(state)
                 lclists.append(lclist)
 
-        # -- phase 0: ONE whole-workload signature screen ----------------
-        if signatures is not None:
+        # -- prefilter: every query's LB_SAX pass, ahead of the decision --
+        candidates: list = [None] * num_queries
+        if config.prefilter:
             screen_started = time.perf_counter()
             with obs.span("query.batch.screen") as sp:
-                paa_block = np.stack([s.query_paa for s in states])
-                bsf_vector = np.array(
-                    [s.results.bsf_squared for s in states],
-                    dtype=DISTANCE_DTYPE,
-                )
-                masks = signatures.screen_batch(
-                    paa_block,
-                    bsf_vector,
+                candidates = sax.screen_batch(
+                    np.stack([s.query_paa for s in states]),
+                    np.array(
+                        [s.results.bsf_squared for s in states],
+                        dtype=DISTANCE_DTYPE,
+                    ),
                     arr.shape[1],
                     prune_factor=states[0].prune_factor,
+                    rows=[table.rows(lclist) for lclist in lclists],
                 )
-                # A leaf with no surviving rows is never descended.
-                leaf_alive = np.logical_or.reduceat(masks, table.positions, axis=1)
-                survivors_total = 0
                 for qi, state in enumerate(states):
-                    state.sig_mask = masks[qi]
-                    state.profile.prefilter_screened = signatures.num_series
-                    survivors = int(np.count_nonzero(masks[qi]))
-                    state.profile.prefilter_survivors = survivors
-                    survivors_total += survivors
-                    lclists[qi] = lclists[qi][leaf_alive[qi, lclists[qi]]]
+                    lclists[qi] = _trim_to_candidates(
+                        state, lclists[qi], candidates[qi][0]
+                    )
                 sp.set_attrs(
-                    screened=signatures.num_series * num_queries,
-                    survivors=survivors_total,
+                    screened=sum(
+                        s.profile.prefilter_screened for s in states
+                    ),
+                    survivors=sum(
+                        s.profile.prefilter_survivors for s in states
+                    ),
                 )
             stats.screen_seconds = time.perf_counter() - screen_started
 
-        # -- access-path planning (phase 3 where the path needs it) ------
+        # -- access-path planning (phase 3 where it has not run yet) -----
         refine_started = time.perf_counter()
         specs = [
-            _plan_refinement(states[qi], lclists[qi], config, num_series)
+            _plan_refinement(
+                states[qi], lclists[qi], candidates[qi], config, num_series
+            )
             for qi in range(num_queries)
         ]
 

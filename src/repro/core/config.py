@@ -12,7 +12,7 @@ of comparable depth on datasets three orders of magnitude smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigError
 from repro.retry import RetryPolicy
@@ -138,17 +138,17 @@ class HerculesConfig:
     #: exact answers.  0.0 (default) keeps search exact.
     epsilon: float = 0.0
 
-    # -- in-RAM signature pre-filter -----------------------------------------
-    #: Build (and at query time use) the bit-packed iSAX signature array:
-    #: a memory-resident whole-array LB_SAX screen that gates which
-    #: leaves are descended and which rows are refined.  Answers stay
-    #: bit-for-bit identical to the unfiltered pipeline.
+    # -- position of the LB_SAX pass -----------------------------------------
+    #: Run the phase-3 LB_SAX pass ahead of the access-path decision
+    #: instead of after it (the paper's position), so the leaves that
+    #: kept no row leave LCList before a skip-sequential scan too.
+    #: Answers stay bit-for-bit identical either way.
     prefilter: bool = False
-    #: Per-segment cardinality of the signatures, in bits.  More bits
-    #: prune harder but cost ``segments·bits/8`` bytes of RAM per series.
-    prefilter_bits: int = 4
-    #: Run the cheap Hamming pre-screen before the exact table gather.
-    prefilter_hamming: bool = True
+    #: Ablation only: with ``prefilter``, the per-segment cardinality (in
+    #: bits) the in-RAM iSAX words are reduced to when the index is
+    #: opened.  Fewer bits prune less and save nothing — the default is
+    #: the full resolution of a 256-symbol alphabet.
+    prefilter_bits: int = 8
 
     def __post_init__(self) -> None:
         if self.leaf_capacity < 2:
@@ -274,6 +274,17 @@ class HerculesConfig:
             shard_timeout=self.shard_timeout,
             deadline=self.query_deadline,
         )
+
+    @classmethod
+    def from_settings(cls, persisted: dict) -> "HerculesConfig":
+        """The configuration an index directory was built with.
+
+        ``persisted`` is the field dict stored in its HTree settings.
+        Knobs a later release retired are dropped, so directories
+        written before the retirement keep opening.
+        """
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in persisted.items() if k in known})
 
     def with_options(self, **changes) -> "HerculesConfig":
         """A copy of this configuration with the given fields replaced."""

@@ -36,11 +36,7 @@ from repro.core.config import HerculesConfig
 from repro.core.construction import build_tree, new_build_context
 from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
-from repro.core.prefilter import (
-    SIGNATURES_FILENAME,
-    SIGNATURES_FORMAT_VERSION,
-    SignatureArray,
-)
+from repro.core.prefilter import SignatureArray
 from repro.core.query import (
     QueryAnswer,
     approximate_knn,
@@ -113,23 +109,21 @@ class HerculesIndex:
         config: HerculesConfig,
         directory: Path,
         lrd: SeriesFile,
-        lsd_words: np.ndarray,
+        sax: SignatureArray,
         num_series: int,
         build_report: Optional[BuildReport] = None,
         owns_directory: bool = False,
-        signatures: Optional[SignatureArray] = None,
     ) -> None:
         self.root = root
         self.config = config
         self.directory = directory
         self._lrd = lrd
-        self._lsd_words = lsd_words
-        self._signatures = signatures
+        self._sax = sax
         self.num_series = num_series
         self.build_report = build_report
         self._owns_directory = owns_directory
         self._closed = False
-        self.sax_space = SaxSpace(config.sax_segments, config.sax_alphabet)
+        self.sax_space = sax.space
         # Every query path reads its LB_EAPCA bounds from this one table;
         # building it checks the leaf extents at every verify level.
         self._table = LeafTable(root, num_series)
@@ -253,19 +247,15 @@ class HerculesIndex:
             read_only=True,
             cache=_make_cache(cache_bytes),
         )
-        lsd_words = _load_lsd(directory, sax_space)
         return cls(
             root=ctx.root,
             config=config,
             directory=directory,
             lrd=lrd,
-            lsd_words=lsd_words,
+            sax=_load_sax(directory, sax_space, config, result.num_series),
             num_series=result.num_series,
             build_report=report,
             owns_directory=owns_directory,
-            signatures=_load_signatures(
-                directory, sax_space, config, result.num_series
-            ),
         )
 
     @classmethod
@@ -288,10 +278,14 @@ class HerculesIndex:
           its own integrity checksum, and every artifact must exist with
           the committed byte size and a supported format version;
         * ``"full"`` — additionally recomputes each artifact's CRC32 and
-          checks cross-file invariants (record counts agree across
-          LRDFile, LSDFile, and the tree; every leaf extent in bounds);
+          checks cross-file invariants (LRDFile's record count agrees
+          with the tree's);
         * ``"off"`` — the legacy permissive behaviour: only the HTree
           header is validated.
+
+        What the query pipeline indexes by row is checked at every
+        level: the leaf extents tile LRDFile, and LSDFile holds one word
+        per series.
 
         Damage raises :class:`~repro.errors.ManifestError` or
         :class:`~repro.errors.ChecksumError` naming the broken artifact.
@@ -321,14 +315,13 @@ class HerculesIndex:
                         LRD_FILENAME: manifest_mod.LRD_FORMAT_VERSION,
                         LSD_FILENAME: manifest_mod.LSD_FORMAT_VERSION,
                         HTREE_FILENAME: htree.FORMAT_VERSION,
-                        SIGNATURES_FILENAME: SIGNATURES_FORMAT_VERSION,
                     },
                 )
         htree_path = directory / HTREE_FILENAME
         if not htree_path.exists():
             raise StorageError(f"no HTree file at {htree_path}")
         root, settings = htree.load_tree(htree_path)
-        config = HerculesConfig(**settings[_SETTINGS_KEY_CONFIG])
+        config = HerculesConfig.from_settings(settings[_SETTINGS_KEY_CONFIG])
         sax_space = SaxSpace(config.sax_segments, config.sax_alphabet)
         query_stats = IOStats()
         lrd = SeriesFile(
@@ -338,25 +331,28 @@ class HerculesIndex:
             read_only=True,
             cache=_make_cache(cache_bytes),
         )
-        lsd_words = _load_lsd(directory, sax_space)
         num_series = settings["num_series"]
         if manifest is not None and manifest.num_series != num_series:
             raise ManifestError(
                 f"manifest records {manifest.num_series} series but the "
                 f"HTree settings record {num_series}: mixed generations"
             )
-        if verify == "full":
-            _check_cross_invariants(num_series, lrd, lsd_words)
+        if verify == "full" and lrd.num_series != num_series:
+            # Each file can be well-formed on its own and the directory
+            # still be torn or mixed-generation.  (Leaf extents and
+            # LSDFile's row count are checked at every level, by
+            # LeafTable and _load_sax.)
+            raise StorageError(
+                f"lrd.bin holds {lrd.num_series} series but the index "
+                f"records {num_series}"
+            )
         return cls(
             root=root,
             config=config,
             directory=directory,
             lrd=lrd,
-            lsd_words=lsd_words,
+            sax=_load_sax(directory, sax_space, config, num_series),
             num_series=num_series,
-            signatures=_load_signatures(
-                directory, sax_space, config, num_series
-            ),
         )
 
     # -- querying --------------------------------------------------------------
@@ -384,11 +380,9 @@ class HerculesIndex:
             effective,
             self._table,
             self._lrd,
-            self._lsd_words,
-            self.sax_space,
+            self._sax,
             num_series=self.num_series,
             results=results,
-            signatures=self._signatures if effective.prefilter else None,
         )
 
     def knn_batch(
@@ -400,12 +394,11 @@ class HerculesIndex:
     ) -> BatchAnswer:
         """Answer a whole query set together (batched execution engine).
 
-        Plans the workload as one unit: a single (Q×N) signature screen
-        against the per-query BSF² vector, a leaf→{query set} access
-        plan reading every surviving leaf once, and multi-query matrix
-        kernels sharing each leaf's rows across the queries that need
-        it.  Per-query answers are value-identical to calling
-        :meth:`knn` once per query; the returned
+        Plans the workload as one unit: one (Q × nodes) bound pass, a
+        leaf→{query set} access plan reading every surviving leaf once,
+        and multi-query matrix kernels sharing each leaf's rows across
+        the queries that need it.  Per-query answers are value-identical
+        to calling :meth:`knn` once per query; the returned
         :class:`~repro.core.batch_query.BatchAnswer` iterates like the
         per-query answer list and carries batch-level
         :class:`~repro.core.batch_query.BatchStats` (leaf-share factor,
@@ -423,11 +416,9 @@ class HerculesIndex:
             effective,
             self._table,
             self._lrd,
-            self._lsd_words,
-            self.sax_space,
+            self._sax,
             num_series=self.num_series,
             results=results,
-            signatures=self._signatures if effective.prefilter else None,
         )
 
     def knn_approx(
@@ -453,8 +444,7 @@ class HerculesIndex:
             config,
             self._table,
             self._lrd,
-            self._lsd_words,
-            self.sax_space,
+            self._sax,
             num_series=self.num_series,
             results=results,
         )
@@ -481,8 +471,7 @@ class HerculesIndex:
             effective,
             self._table,
             self._lrd,
-            self._lsd_words,
-            self.sax_space,
+            self._sax,
             num_series=self.num_series,
         )
 
@@ -517,14 +506,9 @@ class HerculesIndex:
         return list(self._leaves)
 
     @property
-    def signatures(self) -> Optional[SignatureArray]:
-        """The in-RAM signature array (None when the tier is off)."""
-        return self._signatures
-
-    @property
-    def prefilter_active(self) -> bool:
-        """Whether queries will run the whole-array signature screen."""
-        return self.config.prefilter and self._signatures is not None
+    def signatures(self) -> SignatureArray:
+        """The in-RAM iSAX array every LB_SAX pass reads."""
+        return self._sax
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -561,67 +545,30 @@ def _make_cache(cache_bytes: int) -> Optional[LeafCache]:
     return LeafCache(cache_bytes) if cache_bytes else None
 
 
-def _check_cross_invariants(
-    num_series: int, lrd: SeriesFile, lsd_words: np.ndarray
-) -> None:
-    """Cross-file consistency of a full verification pass.
-
-    The three artifacts describe one dataset three ways; any count that
-    disagrees means the directory holds a torn or mixed-generation index
-    even though each file is individually well-formed.  (Leaf extents
-    are checked at every level, by :class:`LeafTable`.)
-    """
-    if lrd.num_series != num_series:
-        raise StorageError(
-            f"lrd.bin holds {lrd.num_series} series but the index records "
-            f"{num_series}"
-        )
-    if lsd_words.shape[0] != num_series:
-        raise StorageError(
-            f"lsd.bin holds {lsd_words.shape[0]} words but the index "
-            f"records {num_series} series"
-        )
-
-
-def _load_signatures(
+def _load_sax(
     directory: Path,
     sax_space: SaxSpace,
     config: HerculesConfig,
     num_series: int,
-) -> Optional[SignatureArray]:
-    """The signature array of a prefiltered index, if one can serve.
+) -> SignatureArray:
+    """Pre-load LSDFile into memory (kept there during query answering).
 
-    Returns None (and the query pipeline falls back to the unfiltered
-    path, answers unchanged) when the configuration has the tier off or
-    when a legacy directory predates the artifact.
+    The words are the SAX tier as they are; only a ``prefilter_bits``
+    ablation below full resolution derives a reduced copy.  Phase 3
+    indexes the array by LRDFile position, so a row count that disagrees
+    with the tree is rejected at every verify level — a short file would
+    otherwise drop a leaf's last series from SCList without an error.
     """
-    if not config.prefilter:
-        return None
-    path = directory / SIGNATURES_FILENAME
-    if not path.exists():
-        logger.warning(
-            "index at %s is configured with the signature pre-filter but "
-            "has no %s (legacy pre-prefilter directory): opening with the "
-            "pre-filter disabled, queries take the unfiltered path",
-            directory,
-            SIGNATURES_FILENAME,
-        )
-        return None
-    signatures = SignatureArray.load(path, sax_space)
-    if signatures.num_series != num_series:
-        raise StorageError(
-            f"{path} holds {signatures.num_series} signatures but the "
-            f"index records {num_series} series: mixed generations"
-        )
-    return signatures
-
-
-def _load_lsd(directory: Path, sax_space: SaxSpace) -> np.ndarray:
-    """Pre-load LSDFile into memory (kept there during query answering)."""
-    lsd = SymbolFile(
+    with SymbolFile(
         directory / LSD_FILENAME, sax_space.segments, read_only=True
-    )
-    try:
-        return lsd.read_all()
-    finally:
-        lsd.close()
+    ) as lsd:
+        words = lsd.read_all()
+    if words.shape[0] != num_series:
+        raise StorageError(
+            f"{directory / LSD_FILENAME} holds {words.shape[0]} words but "
+            f"the index records {num_series} series: mixed generations"
+        )
+    bits = sax_space.bits_per_symbol
+    if config.prefilter:
+        bits = min(config.prefilter_bits, bits)
+    return SignatureArray.from_full_symbols(words, sax_space, bits)

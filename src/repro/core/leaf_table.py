@@ -36,6 +36,7 @@ class LeafTable:
         self.positions = np.array(
             [leaf.file_position for leaf in self.leaves], dtype=np.int64
         )
+        self.sizes = np.diff(self.positions, append=num_series)
 
         segmentations = [node.segmentation for node in self.nodes]
         self.seg_starts = np.concatenate([s.starts_array for s in segmentations])
@@ -79,6 +80,19 @@ class LeafTable:
                 f"htree.bin leaf sizes sum to {expected} but the index "
                 f"records {num_series} series"
             )
+
+    def rows(self, leaves: np.ndarray) -> np.ndarray:
+        """File positions of every series of the given leaves (table
+        indices), leaf after leaf."""
+        sizes = self.sizes[leaves]
+        # Each leaf's run is its start plus 0..size-1: subtract the run's
+        # offset in the output from one global arange.
+        run_starts = self.positions[leaves] - (np.cumsum(sizes) - sizes)
+        return np.repeat(run_starts, sizes) + np.arange(sizes.sum())
+
+    def leaf_of(self, positions: np.ndarray) -> np.ndarray:
+        """Table index of the leaf holding each file position."""
+        return np.searchsorted(self.positions, positions, side="right") - 1
 
     def node_bounds_squared(self, cumsum: np.ndarray, cumsq: np.ndarray) -> np.ndarray:
         """Raw squared LB_EAPCA per node (preorder), ``(nodes,)`` or ``(Q, nodes)``."""

@@ -1,58 +1,33 @@
-"""In-RAM iSAX fingerprint pre-filter: whole-array screening before descent.
+"""The SAX tier: one in-RAM iSAX array and one LB_SAX kernel.
 
-Filter-and-refine designs (VA+file, the in-memory SIMD summary scans of
-ParIS+) show that a cheap, memory-resident first stage can prune the
-vast majority of candidates before any tree descent or disk touch.  This
-module adds that tier to Hercules: a bit-packed **signature array** of
-per-series iSAX words — every series' full-resolution SAX symbols
-reduced to a small uniform cardinality (``prefilter_bits`` per segment)
-— materialized at build time as a checksummed manifest artifact
-(``signatures.bin``) and loaded whole into memory on ``open``.
-
-A query runs one vectorized LB_SAX (mindist) pass over the *entire*
-array against the live BSF², using the VA-file lookup-table trick: per
+The paper keeps LSDFile — every series' iSAX word — in memory while
+queries run and filters the series of the candidate leaves against it
+(Algorithm 13).  ParIS+ shows that such a tier is one vectorised
+lower-bound kernel over a resident summary array, and this module is
+that: :class:`SignatureArray` holds the words (the LSD array itself at
+full resolution, or a ``>>``-reduced copy of it for a cardinality
+ablation) and evaluates LB_SAX with the VA-file lookup-table trick: per
 segment a ``2^bits``-entry table of squared gaps from the query's PAA
-value to each reduced-symbol region is built once (O(2^bits)), then the
-N signatures index into it, keeping the scan at O(N·segments) regardless
-of cardinality.  An optional Hamming pre-screen lower-bounds that table
-sum with one uint8 mismatch matmul and restricts the exact gather to its
-survivors.
+value to each symbol region is built once (O(2^bits)), then the rows
+index into it, keeping the pass at O(rows·segments) regardless of
+cardinality.
 
 Soundness: a reduced-cardinality region contains the full-resolution
-region, so the screen's bound is ≤ the full-resolution LB_SAX ≤ the true
+region, so the reduced bound is ≤ the full-resolution LB_SAX ≤ the true
 Euclidean distance.  Pruning with any valid lower bound against the
-monotonically decreasing BSF never changes exact answers — the screened
-pipeline is parity-gated bit-for-bit against the unfiltered one.
+monotonically decreasing BSF never changes exact answers.
 """
 
 from __future__ import annotations
 
-import os
-import struct
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import StorageError
 from repro.summarization.sax import SaxSpace
 from repro.types import DISTANCE_DTYPE, SYMBOL_DTYPE
 
-__all__ = [
-    "SIGNATURES_FILENAME",
-    "SIGNATURES_FORMAT_VERSION",
-    "SignatureArray",
-    "pack_signatures",
-    "reduce_symbols",
-    "unpack_signatures",
-]
-
-SIGNATURES_FILENAME = "signatures.bin"
-SIGNATURES_FORMAT_VERSION = 1
-
-_MAGIC = b"HSIG"
-#: magic + (format_version, bits, segments, alphabet, num_series) as u32.
-_HEADER = struct.Struct("<4sIIIII")
+__all__ = ["SignatureArray", "reduce_symbols"]
 
 
 def reduce_symbols(
@@ -62,7 +37,8 @@ def reduce_symbols(
 
     The reduced value is the top ``bits`` bits of each symbol — exactly
     the iSAX prefix an :class:`~repro.summarization.isax.IsaxWord` at
-    uniform cardinality ``bits`` would carry.
+    uniform cardinality ``bits`` would carry.  At full width the input
+    is returned as is, not copied.
     """
     if not 1 <= bits <= space.bits_per_symbol:
         raise ValueError(
@@ -70,40 +46,16 @@ def reduce_symbols(
         )
     sym = np.asarray(full_symbols)
     shift = space.bits_per_symbol - bits
-    return (sym >> shift).astype(SYMBOL_DTYPE)
-
-
-def pack_signatures(reduced: np.ndarray, bits: int) -> np.ndarray:
-    """Bit-pack reduced symbols row-major, MSB-first, padded per row.
-
-    Each row packs ``segments * bits`` bits into ``ceil(.../8)`` bytes,
-    so rows stay byte-aligned and the file is seekable by row.
-    """
-    reduced = np.asarray(reduced, dtype=np.uint8)
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint8)
-    # (rows, segments, bits) of 0/1, MSB of each symbol first.
-    expanded = (reduced[:, :, None] >> shifts[None, None, :]) & 1
-    flat = expanded.reshape(reduced.shape[0], -1)
-    return np.packbits(flat, axis=1)
-
-
-def unpack_signatures(
-    packed: np.ndarray, segments: int, bits: int
-) -> np.ndarray:
-    """Invert :func:`pack_signatures` back to a reduced-symbol matrix."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    flat = np.unpackbits(packed, axis=1)[:, : segments * bits]
-    expanded = flat.reshape(packed.shape[0], segments, bits)
-    weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.uint16))
-    return (expanded * weights[None, None, :]).sum(axis=2).astype(SYMBOL_DTYPE)
+    reduced = sym >> shift if shift else sym
+    return reduced.astype(SYMBOL_DTYPE, copy=False)
 
 
 class SignatureArray:
-    """The memory-resident signature array of one index (or shard).
+    """The memory-resident iSAX array of one index (or shard).
 
-    Holds the N×segments reduced-symbol matrix plus the precomputed
-    breakpoint-edge indices of each reduced symbol's region, so a query
-    pays only the per-segment table build and the gathers.
+    Holds the N×segments symbol matrix plus the precomputed value-region
+    edges of each symbol, so a query pays only the per-segment table
+    build and the gathers.
     """
 
     def __init__(self, reduced: np.ndarray, space: SaxSpace, bits: int) -> None:
@@ -117,107 +69,33 @@ class SignatureArray:
         self.space = space
         self.bits = bits
         self.num_series = reduced.shape[0]
-        cardinality = 1 << bits
         full = space.alphabet_size
         # Region of reduced symbol v: full symbols [v*w, (v+1)*w) with
         # w = 2^(B-bits); the value region is bounded by the extended
         # breakpoints at those indices (clamped for non-power-of-two
         # alphabets, where the last region is narrower).
         width = 1 << (space.bits_per_symbol - bits)
-        values = np.arange(cardinality, dtype=np.int64)
-        self._lower_idx = np.minimum(values * width, full)
-        self._upper_idx = np.minimum((values + 1) * width, full)
-        self._edges = np.concatenate(
+        values = np.arange(1 << bits, dtype=np.int64)
+        edges = np.concatenate(
             ([-np.inf], space.breakpoints, [np.inf])
         ).astype(DISTANCE_DTYPE)
-        # Cached per-(bits, space) table machinery: the region edge
-        # values every gap table is built from, and the flattened
-        # (segment, symbol) gather index of the signature matrix.  Both
-        # depend only on the array itself, so they are materialized once
-        # at load instead of once per ``screen()`` call.
-        self._lower_edges = self._edges[self._lower_idx]  # (2^bits,)
-        self._upper_edges = self._edges[self._upper_idx]
-        segment_base = (
-            np.arange(space.segments, dtype=np.int64) * cardinality
-        )
-        self._flat_index = (
-            segment_base[None, :] + reduced.astype(np.int64)
-        )  # (N, segments): row i gathers tables.ravel()[flat_index[i]]
-
-    # -- construction ---------------------------------------------------------
+        self._lower_edges = edges[np.minimum(values * width, full)]
+        self._upper_edges = edges[np.minimum((values + 1) * width, full)]
 
     @classmethod
     def from_full_symbols(
         cls, full_symbols: np.ndarray, space: SaxSpace, bits: int
     ) -> "SignatureArray":
-        """Build from a full-resolution LSD symbol matrix."""
-        return cls(reduce_symbols(full_symbols, space, bits), space, bits)
+        """Build from a full-resolution LSD symbol matrix.
 
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the checksummable ``signatures.bin`` artifact (fsynced)."""
-        path = Path(path)
-        header = _HEADER.pack(
-            _MAGIC,
-            SIGNATURES_FORMAT_VERSION,
-            self.bits,
-            self.space.segments,
-            self.space.alphabet_size,
-            self.num_series,
-        )
-        payload = pack_signatures(self.reduced, self.bits)
-        with open(path, "wb") as handle:
-            handle.write(header)
-            handle.write(payload.tobytes())
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    @classmethod
-    def load(cls, path: Union[str, Path], space: SaxSpace) -> "SignatureArray":
-        """Load and decode an artifact written by :meth:`save`.
-
-        The packed payload is memory-mapped and decoded once into the
-        resident reduced-symbol matrix; validation errors raise
-        :class:`~repro.errors.StorageError` naming the file.
+        At full width the array is shared, not copied: the LSD words
+        *are* the tier.
         """
-        path = Path(path)
-        try:
-            raw = np.memmap(path, dtype=np.uint8, mode="r")
-        except (OSError, ValueError) as exc:
-            raise StorageError(f"cannot read signatures at {path}: {exc}") from exc
-        if raw.shape[0] < _HEADER.size:
-            raise StorageError(f"{path}: truncated signature header")
-        magic, version, bits, segments, alphabet, num_series = _HEADER.unpack(
-            raw[: _HEADER.size].tobytes()
-        )
-        if magic != _MAGIC:
-            raise StorageError(f"{path}: bad magic {magic!r}")
-        if version != SIGNATURES_FORMAT_VERSION:
-            raise StorageError(
-                f"{path}: unsupported signature format version {version}"
-            )
-        if segments != space.segments or alphabet != space.alphabet_size:
-            raise StorageError(
-                f"{path}: signatures for a {segments}-segment/{alphabet}-symbol "
-                f"space, index uses {space.segments}/{space.alphabet_size}"
-            )
-        row_bytes = (segments * bits + 7) // 8
-        expected = _HEADER.size + num_series * row_bytes
-        if raw.shape[0] != expected:
-            raise StorageError(
-                f"{path}: payload holds {raw.shape[0] - _HEADER.size} bytes, "
-                f"expected {num_series * row_bytes}"
-            )
-        packed = np.asarray(raw[_HEADER.size :]).reshape(num_series, row_bytes)
-        reduced = unpack_signatures(packed, segments, bits)
-        return cls(reduced, space, bits)
-
-    # -- screening ------------------------------------------------------------
+        return cls(reduce_symbols(full_symbols, space, bits), space, bits)
 
     @property
     def memory_bytes(self) -> int:
-        """Resident size of the decoded signature matrix."""
+        """Resident size of the symbol matrix."""
         return self.reduced.nbytes
 
     def _gap_tables(self, query_paa: np.ndarray) -> np.ndarray:
@@ -233,30 +111,11 @@ class SignatureArray:
                 f"query PAA must have shape ({self.space.segments},), "
                 f"got {q.shape}"
             )
-        lower = self._lower_edges  # cached at load, (2^bits,)
+        lower = self._lower_edges
         upper = self._upper_edges
         gap = np.maximum(
             np.maximum(lower[None, :] - q[:, None], q[:, None] - upper[None, :]),
             0.0,
-        )
-        return gap * gap
-
-    def _gap_tables_batch(self, queries_paa: np.ndarray) -> np.ndarray:
-        """Gap tables for a whole query block, shape (Q, segments, 2^bits).
-
-        One vectorized build over the cached region edges — the batched
-        analog of :meth:`_gap_tables`, bit-identical per query.
-        """
-        qs = np.asarray(queries_paa, dtype=DISTANCE_DTYPE)
-        if qs.ndim != 2 or qs.shape[1] != self.space.segments:
-            raise ValueError(
-                f"queries PAA must have shape (Q, {self.space.segments}), "
-                f"got {qs.shape}"
-            )
-        lower = self._lower_edges[None, None, :]
-        upper = self._upper_edges[None, None, :]
-        gap = np.maximum(
-            np.maximum(lower - qs[:, :, None], qs[:, :, None] - upper), 0.0
         )
         return gap * gap
 
@@ -273,14 +132,35 @@ class SignatureArray:
     def lower_bounds(
         self, query_paa: np.ndarray, series_length: int
     ) -> np.ndarray:
-        """LB_SAX at reduced cardinality for every series (linear space).
+        """LB_SAX for every series (linear space).
 
-        Matches ``SaxSpace.mindist`` evaluated on the reduced regions:
+        Matches ``SaxSpace.mindist`` evaluated on the (reduced) regions:
         always ≤ the full-resolution mindist ≤ the true distance.
         """
         tables = self._gap_tables(query_paa)
         scale = series_length / self.space.segments
         return np.sqrt(scale * self._gap_sq_sums(tables))
+
+    def _lb_sax_pass(
+        self,
+        query_paa: np.ndarray,
+        bsf_squared: float,
+        series_length: int,
+        prune_factor: float,
+        rows: Optional[np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one LB_SAX kernel, documented at :meth:`screen`.
+
+        Private so that :meth:`screen` and :meth:`screen_batch` never
+        call each other: a tracer wrapping either public name then times
+        exactly the pipeline that called it.
+        """
+        tables = self._gap_tables(query_paa)
+        scale = series_length / self.space.segments
+        factor_sq = scale * prune_factor * prune_factor
+        bounds_sq = factor_sq * self._gap_sq_sums(tables, rows)
+        keep = np.flatnonzero(bounds_sq < bsf_squared)
+        return (keep if rows is None else rows[keep]), bounds_sq[keep]
 
     def screen(
         self,
@@ -288,101 +168,42 @@ class SignatureArray:
         bsf_squared: float,
         series_length: int,
         prune_factor: float = 1.0,
-        hamming: bool = True,
-    ) -> np.ndarray:
-        """Survivor mask: True where the series may still beat the BSF.
+        rows: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Algorithm 13 as one vectorised pass: the rows that may still
+        beat the BSF.
 
-        A row survives iff ``scale·gap²·prune_factor² < bsf_squared`` —
-        entirely in squared space, no square roots.  With ``hamming`` a
-        cheaper sound pre-screen runs first: per segment the weight
-        ``w_j = min over v ≠ query-symbol of tables[j, v]`` (the squared
-        distance from the query's PAA value to the nearest edge of its
-        own reduced cell) lower-bounds every mismatching table entry, so
-        ``Σ_j w_j·mismatch`` lower-bounds the exact table sum and the
-        exact gather runs only over its survivors.
+        Examines ``rows`` (file positions; default: the whole array) and
+        returns ``(positions, bounds_sq)`` of the survivors, in the
+        order given.  ``bounds_sq`` is the ε-scaled squared bound
+        ``scale·prune_factor²·Σgap²`` and a row survives iff it is
+        ``< bsf_squared`` — entirely in squared space, no square roots —
+        so later re-checks compare the stored value straight against the
+        live BSF².
         """
-        if not np.isfinite(bsf_squared):
-            return np.ones(self.num_series, dtype=bool)
-        tables = self._gap_tables(query_paa)
-        scale = series_length / self.space.segments
-        factor_sq = scale * prune_factor * prune_factor
-        # survive ⇔ factor_sq · total < bsf² ⇔ total < cutoff
-        cutoff = bsf_squared / factor_sq
-        mask = np.zeros(self.num_series, dtype=bool)
-        if hamming and tables.shape[1] > 1:
-            q_reduced = reduce_symbols(
-                self.space.symbolize(np.asarray(query_paa)), self.space, self.bits
-            ).astype(np.uint8)
-            others = np.ma.masked_array(tables, mask=np.zeros_like(tables, bool))
-            others.mask[np.arange(self.space.segments), q_reduced] = True
-            weights = others.min(axis=1).filled(0.0).astype(DISTANCE_DTYPE)
-            mismatch = self.reduced != q_reduced[None, :]
-            lb_ham = mismatch @ weights
-            alive = np.nonzero(lb_ham < cutoff)[0]
-        else:
-            alive = np.arange(self.num_series)
-        if alive.shape[0]:
-            totals = self._gap_sq_sums(tables, rows=alive)
-            mask[alive[totals < cutoff]] = True
-        return mask
+        return self._lb_sax_pass(
+            query_paa, bsf_squared, series_length, prune_factor, rows
+        )
 
     def screen_batch(
         self,
         queries_paa: np.ndarray,
         bsf_squared: np.ndarray,
         series_length: int,
-        prune_factor: float = 1.0,
-        chunk_rows: int = 0,
-    ) -> np.ndarray:
-        """One whole-workload screen: a (Q, N) survivor mask in one pass.
-
-        The batched analog of :meth:`screen`: all Q gap tables are built
-        in one vectorized op over the cached region edges, then the
-        cached flat gather index pulls every (query, series, segment)
-        entry in one fancy-indexing gather per row chunk and a matmul
-        with the all-ones segment vector reduces it to the (Q, N) exact
-        table sums — one gather + one matmul instead of Q independent
-        passes.  ``bsf_squared`` is the per-query BSF² vector; rows with
-        an infinite BSF survive wholesale without being screened.
-
-        The bound computed per (query, series) pair is the same sound
-        LB_SAX the serial screen uses, so batch answers stay value-
-        identical to serial ones; ``chunk_rows`` (0 = auto) bounds the
-        transient gather to a fixed memory budget.
-        """
+        prune_factor: float,
+        rows: Sequence[np.ndarray],
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`screen` for each query of a block, against its own BSF²
+        and its own ``rows[i]`` — the same kernel, so batch answers stay
+        bit-identical to serial ones."""
         qs = np.asarray(queries_paa, dtype=DISTANCE_DTYPE)
         bsf = np.asarray(bsf_squared, dtype=DISTANCE_DTYPE)
-        if qs.ndim != 2 or bsf.shape != (qs.shape[0],):
+        if qs.ndim != 2 or bsf.shape != (qs.shape[0],) or len(rows) != len(qs):
             raise ValueError(
-                f"expected (Q, segments) PAA block and (Q,) BSF² vector, "
-                f"got {qs.shape} and {bsf.shape}"
+                f"expected a (Q, segments) PAA block, a (Q,) BSF² vector and "
+                f"Q row arrays, got {qs.shape}, {bsf.shape} and {len(rows)}"
             )
-        num_queries = qs.shape[0]
-        mask = np.ones((num_queries, self.num_series), dtype=bool)
-        active = np.nonzero(np.isfinite(bsf))[0]
-        if active.shape[0] == 0 or self.num_series == 0:
-            return mask
-        tables = self._gap_tables_batch(qs[active])
-        flat_tables = np.ascontiguousarray(
-            tables.reshape(active.shape[0], -1)
-        )
-        scale = series_length / self.space.segments
-        factor_sq = scale * prune_factor * prune_factor
-        cutoffs = bsf[active] / factor_sq  # (A,)
-        segments = self.space.segments
-        if chunk_rows <= 0:
-            # Bound the transient (A, rows, segments) gather to ~32 MB.
-            budget = 4 * 1024 * 1024
-            chunk_rows = max(256, budget // max(1, active.shape[0] * segments))
-        ones = np.ones(segments, dtype=DISTANCE_DTYPE)
-        survive = np.empty((active.shape[0], self.num_series), dtype=bool)
-        for start in range(0, self.num_series, chunk_rows):
-            end = min(start + chunk_rows, self.num_series)
-            idx = self._flat_index[start:end].ravel()
-            gathered = flat_tables[:, idx].reshape(
-                active.shape[0], end - start, segments
-            )
-            totals = gathered @ ones  # (A, rows)
-            survive[:, start:end] = totals < cutoffs[:, None]
-        mask[active] = survive
-        return mask
+        return [
+            self._lb_sax_pass(q, b, series_length, prune_factor, r)
+            for q, b, r in zip(qs, bsf, rows)
+        ]

@@ -8,9 +8,9 @@ The four phases:
 2. **FindCandidateLeaves** (Algorithm 12) — without touching disk,
    collect the unvisited leaves that survive LB_EAPCA pruning into
    LCList, in LRDFile position order.
-3. **FindCandidateSeries** (Algorithm 13) — multi-threaded LB_SAX pass
-   over the in-memory iSAX words of the candidate leaves, producing
-   per-thread candidate series lists (SCList).
+3. **FindCandidateSeries** (Algorithm 13) — one vectorised LB_SAX pass
+   over the in-memory iSAX words of the candidate leaves' series,
+   producing the candidate series list (SCList).
 4. **ComputeResults** (Algorithm 14) — multi-threaded refinement: load
    surviving series from LRDFile and compute real distances.
 
@@ -26,6 +26,8 @@ skip-sequential scan of LRDFile over LCList, and when SAX pruning is weak
 (``sax_pr < SAX_TH``) phase 4 is.  A skip-sequential scan pays one random
 seek per surviving *leaf* (contiguous in LRDFile) instead of one per
 surviving *series*, which is exactly why it wins on hard queries.
+``config.prefilter`` moves the phase-3 pass in front of that decision,
+so the skip-sequential paths too only visit leaves that kept a row.
 
 Distance kernels operate on whole leaf matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
@@ -53,13 +55,13 @@ from repro import obs
 from repro.core.config import HerculesConfig
 from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
+from repro.core.prefilter import SignatureArray
 from repro.core.results import ResultSet
 from repro.distance.euclidean import early_abandon_squared
 from repro.storage.files import SeriesFile
 from repro.storage.iostats import IOSnapshot
 from repro.summarization.eapca import SeriesSketch
 from repro.summarization.paa import paa
-from repro.summarization.sax import SaxSpace
 from repro.types import DISTANCE_DTYPE, as_series
 
 
@@ -93,8 +95,9 @@ class QueryProfile:
     #: Their ratio is the UCR-suite early-abandoning savings.
     points_compared: int = 0
     points_total: int = 0
-    #: Whole-array signature screen (zero/zero when the pre-filter tier
-    #: is off): series screened and series surviving the LB_SAX pass.
+    #: The LB_SAX pass when ``prefilter`` runs it ahead of the access-
+    #: path decision (zero/zero otherwise): series of the LCList leaves
+    #: it examined, and how many of them it kept.
     prefilter_screened: int = 0
     prefilter_survivors: int = 0
     #: Raw series read from LRDFile (drives "% of data accessed").
@@ -126,8 +129,8 @@ class QueryProfile:
 
     @property
     def prefilter_pruned_fraction(self) -> Optional[float]:
-        """Fraction of series the signature screen pruned; None if it
-        did not run."""
+        """Fraction of the candidate leaves' series the pre-decision
+        LB_SAX pass pruned; None if it did not run (or had no rows)."""
         if self.prefilter_screened <= 0:
             return None
         return 1.0 - self.prefilter_survivors / self.prefilter_screened
@@ -190,8 +193,7 @@ class _SearchState:
         config: HerculesConfig,
         table: LeafTable,
         lrd: SeriesFile,
-        lsd_words: np.ndarray,
-        sax_space: SaxSpace,
+        sax: SignatureArray,
         num_series: int,
         results: Optional[ResultSet] = None,
         bounds: Optional[np.ndarray] = None,
@@ -201,8 +203,7 @@ class _SearchState:
         self.config = config
         self.table = table
         self.lrd = lrd
-        self.lsd_words = lsd_words
-        self.sax_space = sax_space
+        self.sax = sax
         self.num_series = num_series
         self._cache_before = (
             lrd.cache.snapshot() if lrd.cache is not None else None
@@ -226,10 +227,7 @@ class _SearchState:
         self.bounds = bounds * (self.prune_factor * self.prune_factor)
         #: Leaves (table indices) scanned by phase 1, in visit order.
         self.visited: list[int] = []
-        self.query_paa = paa(self.query, sax_space.segments)
-        #: Survivor mask of the signature screen (None: tier off); phase
-        #: 3 intersects per-leaf row masks with slices of it.
-        self.sig_mask: Optional[np.ndarray] = None
+        self.query_paa = paa(self.query, sax.space.segments)
 
     # -- leaf access ----------------------------------------------------------
 
@@ -277,11 +275,9 @@ def exact_knn(
     config: HerculesConfig,
     table: LeafTable,
     lrd: SeriesFile,
-    lsd_words: np.ndarray,
-    sax_space: SaxSpace,
+    sax: SignatureArray,
     num_series: int,
     results: Optional[ResultSet] = None,
-    signatures=None,
 ) -> QueryAnswer:
     """Algorithm 10: Exact-kNN.
 
@@ -290,14 +286,13 @@ def exact_knn(
     the global best-so-far, tightening every pruning site here without
     any other change to the pipeline.
 
-    ``signatures`` optionally supplies the in-RAM
-    :class:`~repro.core.prefilter.SignatureArray`: after phase 1 has
-    established a finite BSF, one vectorized whole-array LB_SAX screen
-    prunes rows whose ε-scaled bound cannot beat it, dropping leaves
-    with no surviving rows from LCList and intersecting phase 3's
-    per-leaf masks.  Screening with a valid lower bound never changes
-    exact answers — they stay bit-for-bit identical to the unfiltered
-    pipeline.
+    ``sax`` is the index's in-RAM iSAX array.  The LB_SAX pass over it
+    (phase 3) runs once per query, over the series of the LCList leaves
+    only: where the paper has it, after the EAPCA access-path decision,
+    or with ``config.prefilter`` ahead of that decision, where it also
+    drops the leaves that kept no row from LCList.  Nothing refines in
+    between, so both positions see the same BSF² and keep the same
+    rows; pruning with a valid lower bound never changes exact answers.
     """
     started = time.perf_counter()
     io_before = lrd.stats.snapshot()
@@ -308,8 +303,8 @@ def exact_knn(
         # call, inside the state's constructor).
         with obs.span("query.phase1.approx") as sp:
             state = _SearchState(
-                query, k, config, table, lrd, lsd_words, sax_space,
-                num_series, results=results,
+                query, k, config, table, lrd, sax, num_series,
+                results=results,
             )
             _approx_knn(state)
             sp.set("leaves_visited", state.profile.approx_leaves)
@@ -322,32 +317,17 @@ def exact_knn(
         state.profile.time_candidates = time.perf_counter() - phase2_started
 
         # The adaptive path decision below keys off the *tree's* pruning
-        # quality, so it is taken from the pre-screen LCList: both the
-        # filtered and unfiltered pipeline choose the same refine path,
-        # and the screen can only subtract work from it.
+        # quality, so it is taken from the untrimmed LCList: the pass's
+        # position never changes the refine path, and running it early
+        # can only subtract work from that path.
         eapca_pr = 1.0 - (len(lclist) / num_leaves if num_leaves else 0.0)
         state.profile.eapca_pruning = eapca_pr
 
-        # Runs even when phase 2 already emptied LCList: the pass is one
-        # cheap vectorized sweep, and recording screened/survivors for
-        # every filtered query keeps the pruned-fraction metric honest.
-        if signatures is not None:
+        candidates = None
+        if config.prefilter:
             with obs.span("query.prefilter") as sp:
-                state.sig_mask = signatures.screen(
-                    state.query_paa,
-                    state.results.bsf_squared,
-                    state.query.shape[0],
-                    prune_factor=state.prune_factor,
-                    hamming=config.prefilter_hamming,
-                )
-                state.profile.prefilter_screened = signatures.num_series
-                state.profile.prefilter_survivors = int(
-                    np.count_nonzero(state.sig_mask)
-                )
-                # A leaf with no surviving rows is never descended.
-                lclist = lclist[
-                    np.logical_or.reduceat(state.sig_mask, table.positions)[lclist]
-                ]
+                candidates = _find_candidate_series(state, lclist)
+                lclist = _trim_to_candidates(state, lclist, candidates[0])
                 sp.set_attrs(
                     screened=state.profile.prefilter_screened,
                     survivors=state.profile.prefilter_survivors,
@@ -369,8 +349,9 @@ def exact_knn(
             state.profile.path = "nosax-leaves"
         else:
             with obs.span("query.phase3.filter") as sp:
-                sclists = _find_candidate_series(state, lclist)
-                total_candidates = sum(len(chunk[0]) for chunk in sclists)
+                if candidates is None:
+                    candidates = _find_candidate_series(state, lclist)
+                total_candidates = len(candidates[0])
                 sp.set("candidate_series", total_candidates)
             sax_pr = 1.0 - (
                 total_candidates / num_series if num_series else 0.0
@@ -383,7 +364,7 @@ def exact_knn(
                 state.profile.path = "sax-skipseq"
             else:
                 with obs.span("query.phase4.refine", mode="series"):
-                    _compute_results(state, sclists)
+                    _compute_results(state, candidates)
                 state.profile.path = "full-four-phase"
 
         state.profile.time_refine = time.perf_counter() - refine_started
@@ -416,8 +397,7 @@ def approximate_knn(
     config: HerculesConfig,
     table: LeafTable,
     lrd: SeriesFile,
-    lsd_words: np.ndarray,
-    sax_space: SaxSpace,
+    sax: SignatureArray,
     num_series: int,
     results: Optional[ResultSet] = None,
 ) -> QueryAnswer:
@@ -434,8 +414,8 @@ def approximate_knn(
     with obs.span("query", k=k, mode="approximate") as sp:
         with obs.span("query.phase1.approx"):
             state = _SearchState(
-                query, k, config, table, lrd, lsd_words, sax_space,
-                num_series, results=results,
+                query, k, config, table, lrd, sax, num_series,
+                results=results,
             )
             _approx_knn(state)
         distances, positions = state.results.items()
@@ -458,8 +438,7 @@ def progressive_knn(
     config: HerculesConfig,
     table: LeafTable,
     lrd: SeriesFile,
-    lsd_words: np.ndarray,
-    sax_space: SaxSpace,
+    sax: SignatureArray,
     num_series: int,
 ):
     """Progressive k-NN: yield improving answers until the exact result.
@@ -478,9 +457,7 @@ def progressive_knn(
     """
     started = time.perf_counter()
     io_before = lrd.stats.snapshot()
-    state = _SearchState(
-        query, k, config, table, lrd, lsd_words, sax_space, num_series
-    )
+    state = _SearchState(query, k, config, table, lrd, sax, num_series)
     for visited in _best_first(state, limit=None):
         distances, positions = state.results.items()
         snapshot = QueryProfile(
@@ -570,77 +547,41 @@ def _skip_sequential(state: _SearchState, lclist: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase 3: Algorithm 13 (FindCandidateSeries / CSWorker)
+# Phase 3: Algorithm 13 (FindCandidateSeries)
 # ---------------------------------------------------------------------------
 
 
 def _find_candidate_series(
     state: _SearchState, lclist: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-thread (positions, scaled-squared lb_sax) candidate lists.
+) -> tuple[np.ndarray, np.ndarray]:
+    """SCList: (positions, ε-scaled squared LB_SAX) in file order.
 
-    LB_SAX comes out of ``mindist`` in linear space; it is ε-scaled and
-    squared *once* here, so phase 4's re-checks compare the stored value
-    straight against the live BSF² — no per-batch sqrt or re-scaling.
+    One vectorised pass over the series of the LCList leaves against
+    BSF² by value (Algorithm 13 without the CSWorkers: the kernel is a
+    handful of NumPy gathers, which threads under the GIL only slow
+    down).  The bounds come out ε-scaled and squared, so phase 4's
+    re-checks compare them straight against the live BSF².
     """
-    bsf_squared = state.results.bsf_squared  # Algorithm 13: BSF_k by value
-    leaves = [state.table.leaves[i] for i in lclist.tolist()]
-    num_threads = state.config.num_query_threads
-    counter = itertools.count()
-    counter_lock = threading.Lock()
-    locals_: list[list[tuple[np.ndarray, np.ndarray]]] = [
-        [] for _ in range(num_threads)
-    ]
-    errors: list[BaseException] = []
-
-    def fetch_add() -> int:
-        with counter_lock:
-            return next(counter)
-
-    def cs_worker(thread_id: int) -> None:
-        try:
-            while True:
-                j = fetch_add()
-                if j >= len(leaves):
-                    return
-                leaf = leaves[j]
-                words = state.lsd_words[
-                    leaf.file_position : leaf.file_position + leaf.size
-                ]
-                bounds = state.sax_space.mindist(
-                    state.query_paa, words, state.query.shape[0]
-                )
-                scaled = bounds * state.prune_factor
-                scaled_sq = scaled * scaled
-                mask = scaled_sq < bsf_squared
-                if state.sig_mask is not None:
-                    mask &= state.sig_mask[
-                        leaf.file_position : leaf.file_position + leaf.size
-                    ]
-                if mask.any():
-                    positions = leaf.file_position + np.nonzero(mask)[0]
-                    locals_[thread_id].append((positions, scaled_sq[mask]))
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    _run_workers(
-        cs_worker, num_threads, errors, span_name="query.phase3.worker"
+    return state.sax.screen(
+        state.query_paa,
+        state.results.bsf_squared,
+        state.query.shape[0],
+        prune_factor=state.prune_factor,
+        rows=state.table.rows(lclist),
     )
 
-    merged: list[tuple[np.ndarray, np.ndarray]] = []
-    for chunks in locals_:
-        if chunks:
-            merged.append(
-                (
-                    np.concatenate([c[0] for c in chunks]),
-                    np.concatenate([c[1] for c in chunks]),
-                )
-            )
-        else:
-            merged.append(
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=DISTANCE_DTYPE))
-            )
-    return merged
+
+def _trim_to_candidates(
+    state: _SearchState, lclist: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """LCList without the leaves that kept no candidate series.
+
+    Used where the pass runs ahead of the access-path decision; records
+    what it examined and kept in the profile's ``prefilter_*`` counters.
+    """
+    state.profile.prefilter_screened = int(state.table.sizes[lclist].sum())
+    state.profile.prefilter_survivors = len(positions)
+    return np.unique(state.table.leaf_of(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +594,16 @@ _REFINE_BATCH = 64
 
 
 def _compute_results(
-    state: _SearchState, sclists: list[tuple[np.ndarray, np.ndarray]]
+    state: _SearchState, candidates: tuple[np.ndarray, np.ndarray]
 ) -> None:
-    """Each CRWorker refines its own SCList[id] (Algorithm 14)."""
+    """Each CRWorker refines its own chunk of SCList (Algorithm 14)."""
+    num_threads = state.config.num_query_threads
+    sclists = list(
+        zip(
+            np.array_split(candidates[0], num_threads),
+            np.array_split(candidates[1], num_threads),
+        )
+    )
     errors: list[BaseException] = []
     profile_lock = threading.Lock()
 
@@ -692,7 +640,7 @@ def _compute_results(
             errors.append(exc)
 
     _run_workers(
-        cr_worker, len(sclists), errors, span_name="query.phase4.worker"
+        cr_worker, num_threads, errors, span_name="query.phase4.worker"
     )
 
 

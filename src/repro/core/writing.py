@@ -37,11 +37,6 @@ from repro import obs
 from repro.core.atomic import FetchAdd
 from repro.core.construction import BuildContext, leaf_data
 from repro.core.node import Node, segment_correspondence
-from repro.core.prefilter import (
-    SIGNATURES_FILENAME,
-    SIGNATURES_FORMAT_VERSION,
-    SignatureArray,
-)
 from repro.errors import IndexStateError
 from repro.storage import htree
 from repro.storage import manifest as manifest_mod
@@ -100,9 +95,7 @@ def write_index(
         else "sequential",
     )
 
-    manifest_mod.clear_staging(
-        directory, list(ARTIFACT_NAMES) + [SIGNATURES_FILENAME]
-    )
+    manifest_mod.clear_staging(directory, list(ARTIFACT_NAMES))
     lrd_staged = manifest_mod.staging_path(directory / LRD_FILENAME)
     lsd_staged = manifest_mod.staging_path(directory / LSD_FILENAME)
     htree_staged = manifest_mod.staging_path(directory / HTREE_FILENAME)
@@ -124,33 +117,6 @@ def write_index(
     num_series = sum(leaf.size for leaf in leaves)
     htree.write_tree_file(htree_staged, ctx.root, settings, stats=stats)
 
-    artifact_names = list(ARTIFACT_NAMES)
-    extra_artifacts = {}
-    if config.prefilter:
-        # Signatures derive from the LSD words as staged: reading the
-        # artifact back (rather than re-symbolizing) guarantees the
-        # screen and phase 3 prune from the very same symbols.
-        signatures_staged = manifest_mod.staging_path(
-            directory / SIGNATURES_FILENAME
-        )
-        lsd_read = SymbolFile(lsd_staged, sax_space.segments, read_only=True)
-        try:
-            full_symbols = lsd_read.read_all()
-        finally:
-            lsd_read.close()
-        bits = min(config.prefilter_bits, sax_space.bits_per_symbol)
-        SignatureArray.from_full_symbols(full_symbols, sax_space, bits).save(
-            signatures_staged
-        )
-        extra_artifacts[SIGNATURES_FILENAME] = manifest_mod.record_artifact(
-            signatures_staged, SIGNATURES_FORMAT_VERSION
-        )
-        artifact_names.append(SIGNATURES_FILENAME)
-    else:
-        # A stale signature file from a previous prefiltered build would
-        # outlive this generation's manifest; drop it.
-        (directory / SIGNATURES_FILENAME).unlink(missing_ok=True)
-
     manifest = manifest_mod.Manifest(
         num_series=num_series,
         series_length=ctx.hbuffer.series_length,
@@ -168,14 +134,16 @@ def write_index(
             HTREE_FILENAME: manifest_mod.record_artifact(
                 htree_staged, htree.FORMAT_VERSION
             ),
-            **extra_artifacts,
         },
     )
-    for name in artifact_names:
+    for name in ARTIFACT_NAMES:
         manifest_mod.publish(
             manifest_mod.staging_path(directory / name), directory / name
         )
     manifest_mod.save_manifest(directory, manifest)
+    # Older builds persisted the SAX tier a second time; the manifest
+    # just committed no longer lists that file, so drop a stale one.
+    (directory / "signatures.bin").unlink(missing_ok=True)
     return WriteResult(
         directory=directory,
         num_series=num_series,

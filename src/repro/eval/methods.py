@@ -102,7 +102,7 @@ def build_method(
     num_shards: int = 1,
     shard_workers: Optional[int] = None,
     prefilter: bool = False,
-    prefilter_bits: int = 4,
+    prefilter_bits: int = 8,
     **overrides,
 ) -> BuiltMethod:
     """Build one method by display name with scaled defaults.
@@ -112,10 +112,10 @@ def build_method(
     (currently Hercules); 0 disables caching.  ``num_shards`` > 1 builds
     Hercules as a shard-parallel index (scatter-gather queries; other
     methods are unaffected), with ``shard_workers`` build processes.
-    ``prefilter`` turns on the in-RAM signature screen for the methods
-    that have one: Hercules' whole-array pre-filter tier, and VA+file's
-    "fair contender" SAX filter (same screen kernel, so the baseline
-    comparison reflects equal kernel quality).
+    ``prefilter`` turns on the early SAX filter for the methods that
+    have one: Hercules' LB_SAX pass moved ahead of its access-path
+    decision, and VA+file's "fair contender" SAX filter (same LB_SAX
+    kernel, so the baseline comparison reflects equal kernel quality).
     """
     num_series = (
         dataset.num_series if isinstance(dataset, Dataset) else dataset.shape[0]

@@ -73,9 +73,10 @@ class WorkloadResult:
 
     @property
     def avg_prefilter_pruned_fraction(self) -> float | None:
-        """Mean fraction of series pruned by the whole-array signature
-        screen, over queries where it ran; ``None`` when the pre-filter
-        tier never engaged (tier off, or every BSF stayed infinite).
+        """Mean fraction of the examined series the early LB_SAX pass
+        pruned, over queries where it examined any; ``None`` when it
+        never engaged (``prefilter`` off, or no query had candidate
+        leaves left after phase 2).
         """
         fractions = [
             p.prefilter_pruned_fraction
@@ -196,7 +197,7 @@ def run_workload(
 
     ``batched=True`` instead hands the whole workload to
     ``method.knn_batch`` at once — the batched engine's shared-leaf
-    scans and one-pass screening amortize work across queries, and its
+    scans and matrix kernels amortize work across queries, and its
     per-query answers are value-identical to the serial loop.  Per-query
     profiles are collected the same way; when the batch reports
     execution stats (a :class:`~repro.core.batch_query.BatchAnswer`)

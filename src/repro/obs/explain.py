@@ -41,7 +41,7 @@ def explain_profile(
     if getattr(profile, "prefilter_screened", 0):
         lines.append(
             f"  prefilter screen    {profile.prefilter_survivors} of "
-            f"{profile.prefilter_screened} series survive "
+            f"{profile.prefilter_screened} candidate-leaf series survive "
             f"(pruned {_pct(profile.prefilter_pruned_fraction)})"
         )
     refine = f"  phase 3+4 refine    {_ms(profile.time_refine)}"

@@ -117,6 +117,37 @@ class TestEpsilonParity:
         _assert_batch_matches_serial(index, queries[:8], k=5, config=config)
 
 
+class TestRefinementPaths:
+    """The default L_max covers this whole small tree, so the queries
+    above are answered by phase 1 alone; a short phase 1 sends them
+    through the LB_SAX pass, phase 4 and the skip-sequential scans."""
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("prefilter", [True, False])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.15])
+    def test_bit_for_bit(self, index, data, queries, epsilon, prefilter, adaptive):
+        config = index.config.with_options(
+            l_max=2,
+            num_query_threads=1,  # ε > 0 answers depend on check order
+            epsilon=epsilon,
+            prefilter=prefilter,
+            adaptive_thresholds=adaptive,
+        )
+        hard = np.random.default_rng(8).standard_normal((6, _LENGTH))
+        mixed = np.vstack([queries[:6], hard, data[100:104]]).astype(np.float32)
+        batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
+        paths = {answer.profile.path for answer in batch}
+        assert "full-four-phase" in paths
+        if adaptive:
+            assert "eapca-skipseq" in paths
+        for qi, answer in enumerate(batch):
+            serial = index.knn(mixed[qi], k=5, config=config).profile
+            assert answer.profile.path == serial.path
+            assert answer.profile.candidate_series == serial.candidate_series
+            assert answer.profile.prefilter_screened == serial.prefilter_screened
+            assert answer.profile.prefilter_survivors == serial.prefilter_survivors
+
+
 class TestDegenerateBatches:
     def test_singleton_batch(self, index, queries):
         _assert_batch_matches_serial(index, queries[:1], k=5)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import HerculesConfig, HerculesIndex
 from repro.errors import ChecksumError, ManifestError, StorageError
+from repro.storage import htree
 from repro.storage import manifest as manifest_mod
 
 from ..conftest import make_random_walks
@@ -90,8 +91,33 @@ class TestLegacyDirectories:
         lsd.write_bytes(lsd.read_bytes()[:-16])
         with pytest.raises(StorageError, match="lsd.bin"):
             HerculesIndex.open(legacy, verify="full")
-        # The permissive level preserves the old behaviour.
-        HerculesIndex.open(legacy, verify="off").close()
+        # Phase 3 indexes the words by row, so no level lets this through.
+        with pytest.raises(StorageError, match="lsd.bin"):
+            HerculesIndex.open(legacy, verify="off")
+
+    @pytest.mark.parametrize(
+        "level,manifest",
+        [("off", True), ("off", False), ("quick", False), ("full", False)],
+    )
+    def test_short_lsd_rejected(
+        self, built, tmp_path, level, manifest
+    ):
+        """A short lsd.bin used to open at these levels and make phase 3
+        slice a leaf's words short, silently dropping its last series
+        from SCList."""
+        import shutil
+
+        directory, _, _ = built
+        torn = tmp_path / "short-lsd"
+        shutil.copytree(directory, torn)
+        if not manifest:
+            (torn / manifest_mod.MANIFEST_FILENAME).unlink()
+        lsd = torn / "lsd.bin"
+        lsd.write_bytes(lsd.read_bytes()[:-16])
+        with pytest.raises(
+            StorageError, match="lsd.bin holds 99 words.*mixed generations"
+        ):
+            HerculesIndex.open(torn, verify=level)
 
 
 class TestDamageDetection:
@@ -141,46 +167,84 @@ class TestDamageDetection:
 
 
 @pytest.fixture(scope="module")
-def built_prefiltered(tmp_path_factory):
+def built_by_older_release(tmp_path_factory):
+    """A ``--prefilter`` directory as releases before the single SAX tier
+    wrote it: a ``signatures.bin`` beside the three artifacts, listed in
+    the manifest (its content is junk on purpose — nothing may parse
+    it), and the since-retired ``prefilter_hamming`` knob among the
+    persisted settings.
+    """
     data = make_random_walks(100, 32, seed=29)
     directory = tmp_path_factory.mktemp("verify-prefilter") / "index"
     config = HerculesConfig(
         leaf_capacity=20,
         num_build_threads=1,
         flush_threshold=1,
+        l_max=2,
         prefilter=True,
         prefilter_bits=4,
     )
     index = HerculesIndex.build(data, config, directory=directory)
-    answer = index.knn(data[0], k=2)
+    answers = [index.knn(query, k=2) for query in data[:5]]
     index.close()
-    return directory, data, answer
+    (directory / "signatures.bin").write_bytes(b"HSIG" + bytes(800))
+    root, settings = htree.load_tree(directory / "htree.bin")
+    settings["config"]["prefilter_hamming"] = True
+    htree.save_tree(directory / "htree.bin", root, settings)
+    manifest = manifest_mod.load_manifest(directory)
+    for name in ("signatures.bin", "htree.bin"):
+        manifest.artifacts[name] = manifest_mod.record_artifact(
+            directory / name, format_version=1
+        )
+    manifest_mod.save_manifest(directory, manifest)
+    return directory, data, config, answers
 
 
 class TestPrefilterDirectories:
-    """signatures.bin is a first-class artifact: manifested, checksummed,
-    and — uniquely — allowed to be absent in legacy directories."""
+    """``signatures.bin`` is no longer written or read; a directory that
+    still has one opens and answers as before, and the manifest that
+    lists it keeps verifying it like any other file."""
 
-    def test_build_commits_the_signatures_artifact(self, built_prefiltered):
-        directory, data, ref = built_prefiltered
-        manifest = manifest_mod.load_manifest(directory)
-        assert set(manifest.artifacts) == {
-            "lrd.bin",
-            "lsd.bin",
-            "htree.bin",
-            "signatures.bin",
-        }
-        with HerculesIndex.open(directory, verify="full") as index:
-            assert index.prefilter_active
-            answer = index.knn(data[0], k=2)
-            np.testing.assert_allclose(answer.distances, ref.distances)
+    @pytest.mark.parametrize("level", ["off", "quick", "full"])
+    def test_older_directory_still_answers(
+        self, built_by_older_release, level
+    ):
+        directory, data, _, ref = built_by_older_release
+        with HerculesIndex.open(directory, verify=level) as index:
+            assert index.signatures.bits == 4
+            for query, expected in zip(data[:5], ref):
+                answer = index.knn(query, k=2)
+                np.testing.assert_array_equal(
+                    answer.distances, expected.distances
+                )
+                np.testing.assert_array_equal(
+                    answer.positions, expected.positions
+                )
+        assert (directory / "signatures.bin").exists()
 
-    def test_flipped_signature_byte_detected_at_full(
-        self, built_prefiltered, tmp_path
+    def test_rebuild_drops_the_stale_file(
+        self, built_by_older_release, tmp_path
     ):
         import shutil
 
-        directory, _, _ = built_prefiltered
+        directory, data, config, _ = built_by_older_release
+        copy = tmp_path / "rebuilt"
+        shutil.copytree(directory, copy)
+        HerculesIndex.build(data, config, directory=copy).close()
+        assert not (copy / "signatures.bin").exists()
+        assert set(manifest_mod.load_manifest(copy).artifacts) == {
+            "lrd.bin",
+            "lsd.bin",
+            "htree.bin",
+        }
+        HerculesIndex.open(copy, verify="full").close()
+
+    def test_flipped_signature_byte_detected_at_full(
+        self, built_by_older_release, tmp_path
+    ):
+        import shutil
+
+        directory = built_by_older_release[0]
         copy = tmp_path / "flip-signatures"
         shutil.copytree(directory, copy)
         _flip(copy / "signatures.bin")
@@ -188,66 +252,15 @@ class TestPrefilterDirectories:
             HerculesIndex.open(copy, verify="full")
 
     def test_manifested_but_missing_signatures_is_loud(
-        self, built_prefiltered, tmp_path
+        self, built_by_older_release, tmp_path
     ):
         import shutil
 
-        directory, _, _ = built_prefiltered
+        directory = built_by_older_release[0]
         copy = tmp_path / "torn"
         shutil.copytree(directory, copy)
         (copy / "signatures.bin").unlink()
-        # The manifest still lists the artifact: this is a torn or
-        # tampered directory, not a legacy one — refuse, don't fall back.
+        # The manifest still lists the file: this is a torn or tampered
+        # directory, whoever reads the file or not.
         with pytest.raises(StorageError, match="signatures.bin"):
             HerculesIndex.open(copy)
-
-    def test_legacy_pre_prefilter_directory_falls_back(
-        self, built_prefiltered, tmp_path, caplog
-    ):
-        import shutil
-
-        directory, data, ref = built_prefiltered
-        legacy = tmp_path / "legacy-prefilter"
-        shutil.copytree(directory, legacy)
-        # A directory written before the tier existed: no manifest entry
-        # and no signature file, but a config that now asks for them.
-        (legacy / manifest_mod.MANIFEST_FILENAME).unlink()
-        (legacy / "signatures.bin").unlink()
-        with caplog.at_level(logging.WARNING, logger="repro.core.index"):
-            index = HerculesIndex.open(legacy)
-        assert any("pre-manifest" in r.message for r in caplog.records)
-        assert any("pre-filter disabled" in r.message for r in caplog.records)
-        assert not index.prefilter_active
-        assert index.signatures is None
-        # Queries take the unfiltered path and still answer exactly.
-        answer = index.knn(data[0], k=2)
-        np.testing.assert_allclose(answer.distances, ref.distances)
-        assert answer.profile.prefilter_screened == 0
-        index.close()
-
-    def test_mixed_generation_signatures_rejected(
-        self, built_prefiltered, tmp_path
-    ):
-        import shutil
-
-        directory, _, _ = built_prefiltered
-        other_data = make_random_walks(60, 32, seed=31)
-        other_dir = tmp_path / "other"
-        HerculesIndex.build(
-            other_data,
-            HerculesConfig(
-                leaf_capacity=20,
-                num_build_threads=1,
-                flush_threshold=1,
-                prefilter=True,
-                prefilter_bits=4,
-            ),
-            directory=other_dir,
-        ).close()
-        mixed = tmp_path / "mixed"
-        shutil.copytree(directory, mixed)
-        shutil.copy(other_dir / "signatures.bin", mixed / "signatures.bin")
-        # verify="off" skips the manifest, so the signature loader's own
-        # row-count cross-check is the last line of defence.
-        with pytest.raises(StorageError, match="mixed generations"):
-            HerculesIndex.open(mixed, verify="off")

@@ -1,18 +1,14 @@
-"""Unit tests for the in-RAM signature pre-filter tier (prefilter.py)."""
+"""Unit tests for the SAX tier: the in-RAM iSAX array and its LB_SAX
+kernel (prefilter.py)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.prefilter import (
-    SIGNATURES_FILENAME,
-    SignatureArray,
-    _HEADER,
-    _MAGIC,
-    pack_signatures,
-    reduce_symbols,
-    unpack_signatures,
-)
-from repro.errors import StorageError
+from repro.core import HerculesConfig, HerculesIndex
+from repro.core.prefilter import SignatureArray, reduce_symbols
+from repro.storage.files import SymbolFile
 from repro.summarization.paa import paa
 from repro.summarization.sax import SaxSpace
 
@@ -63,27 +59,6 @@ class TestReduceSymbols:
             reduce_symbols(symbols, space, bits)
 
 
-class TestPackUnpack:
-    @pytest.mark.parametrize("bits", [1, 3, 4, 5, 8])
-    def test_roundtrip(self, bits):
-        rng = np.random.default_rng(bits)
-        reduced = rng.integers(
-            0, 1 << bits, size=(37, 11), dtype=np.uint8
-        )
-        packed = pack_signatures(reduced, bits)
-        assert packed.dtype == np.uint8
-        assert packed.shape == (37, (11 * bits + 7) // 8)
-        np.testing.assert_array_equal(
-            unpack_signatures(packed, 11, bits), reduced
-        )
-
-    def test_rows_are_byte_aligned(self):
-        reduced = np.zeros((4, 3), dtype=np.uint8)
-        packed = pack_signatures(reduced, 3)
-        # 9 bits -> 2 bytes per row, independently addressable.
-        assert packed.shape == (4, 2)
-
-
 class TestSignatureArray:
     def test_rejects_wrong_shape(self, space):
         with pytest.raises(ValueError, match="reduced-symbol matrix"):
@@ -99,82 +74,38 @@ class TestSignatureArray:
         )
         assert sig.memory_bytes == sig.reduced.nbytes
 
+    def test_full_width_shares_the_lsd_words(
+        self, space, symbols, tmp_path, monkeypatch
+    ):
+        sig = SignatureArray.from_full_symbols(symbols, space, 8)
+        assert np.shares_memory(sig.reduced, symbols)
+        assert not np.shares_memory(
+            SignatureArray.from_full_symbols(symbols, space, 4).reduced,
+            symbols,
+        )
+        # The index's tier is the array LSDFile was read into, not a copy.
+        loaded = []
+        read_all = SymbolFile.read_all
+        monkeypatch.setattr(
+            SymbolFile,
+            "read_all",
+            lambda self: loaded.append(read_all(self)) or loaded[-1],
+        )
+        config = HerculesConfig(
+            leaf_capacity=20,
+            num_build_threads=1,
+            flush_threshold=1,
+            sax_segments=_SEGMENTS,
+        )
+        data = make_random_walks(60, _LENGTH, seed=93)
+        with HerculesIndex.build(data, config, directory=tmp_path) as index:
+            assert index.signatures.bits == 8
+            assert np.shares_memory(index.signatures.reduced, loaded[-1])
+
     def test_query_paa_shape_validated(self, space, symbols):
         sig = SignatureArray.from_full_symbols(symbols, space, 4)
         with pytest.raises(ValueError, match="query PAA"):
             sig.lower_bounds(np.zeros(_SEGMENTS + 1), _LENGTH)
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path, space, symbols):
-        sig = SignatureArray.from_full_symbols(symbols, space, 5)
-        path = tmp_path / SIGNATURES_FILENAME
-        sig.save(path)
-        loaded = SignatureArray.load(path, space)
-        assert loaded.bits == 5
-        assert loaded.num_series == sig.num_series
-        np.testing.assert_array_equal(loaded.reduced, sig.reduced)
-
-    def _saved(self, tmp_path, space, symbols, bits=4):
-        sig = SignatureArray.from_full_symbols(symbols, space, bits)
-        path = tmp_path / SIGNATURES_FILENAME
-        sig.save(path)
-        return path
-
-    def test_missing_file(self, tmp_path, space):
-        with pytest.raises(StorageError, match="cannot read"):
-            SignatureArray.load(tmp_path / "nope.bin", space)
-
-    def test_truncated_header(self, tmp_path, space, symbols):
-        path = self._saved(tmp_path, space, symbols)
-        path.write_bytes(path.read_bytes()[: _HEADER.size - 3])
-        with pytest.raises(StorageError, match="truncated signature header"):
-            SignatureArray.load(path, space)
-
-    def test_bad_magic(self, tmp_path, space, symbols):
-        path = self._saved(tmp_path, space, symbols)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"NOPE"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(StorageError, match="bad magic"):
-            SignatureArray.load(path, space)
-
-    def test_unsupported_version(self, tmp_path, space, symbols):
-        path = self._saved(tmp_path, space, symbols)
-        raw = bytearray(path.read_bytes())
-        raw[4] = 99
-        path.write_bytes(bytes(raw))
-        with pytest.raises(StorageError, match="version"):
-            SignatureArray.load(path, space)
-
-    def test_space_mismatch(self, tmp_path, space, symbols):
-        path = self._saved(tmp_path, space, symbols)
-        with pytest.raises(StorageError, match="segment"):
-            SignatureArray.load(path, SaxSpace(segments=_SEGMENTS * 2))
-
-    def test_truncated_payload(self, tmp_path, space, symbols):
-        path = self._saved(tmp_path, space, symbols)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(StorageError, match="payload"):
-            SignatureArray.load(path, space)
-
-    def test_errors_name_the_file(self, tmp_path, space, symbols):
-        path = self._saved(tmp_path, space, symbols)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"NOPE"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(StorageError, match=SIGNATURES_FILENAME):
-            SignatureArray.load(path, space)
-
-    def test_header_matches_documented_layout(self, tmp_path, space, symbols):
-        path = self._saved(tmp_path, space, symbols, bits=4)
-        magic, version, bits, segments, alphabet, count = _HEADER.unpack(
-            path.read_bytes()[: _HEADER.size]
-        )
-        assert magic == _MAGIC
-        assert (version, bits) == (1, 4)
-        assert (segments, alphabet) == (_SEGMENTS, space.alphabet_size)
-        assert count == symbols.shape[0]
 
 
 class TestLowerBounds:
@@ -207,50 +138,103 @@ class TestLowerBounds:
         )
 
 
+def _whole_array_mask(sig, q_paa, bsf_squared, prune_factor=1.0):
+    """The screen's decision, re-derived from the linear-space bounds."""
+    positions, bounds_sq = sig.screen(
+        q_paa, bsf_squared, _LENGTH, prune_factor=prune_factor
+    )
+    mask = np.zeros(sig.num_series, dtype=bool)
+    mask[positions] = True
+    return mask, positions, bounds_sq
+
+
 class TestScreen:
     @pytest.fixture(scope="class")
     def sig(self, space, symbols):
         return SignatureArray.from_full_symbols(symbols, space, 4)
 
     def test_infinite_bsf_keeps_everything(self, sig, query):
-        mask = sig.screen(paa(query, _SEGMENTS), np.inf, _LENGTH)
-        assert mask.all()
+        positions, bounds_sq = sig.screen(paa(query, _SEGMENTS), np.inf, _LENGTH)
+        np.testing.assert_array_equal(positions, np.arange(sig.num_series))
+        np.testing.assert_allclose(
+            np.sqrt(bounds_sq),
+            sig.lower_bounds(paa(query, _SEGMENTS), _LENGTH),
+        )
 
     def test_zero_bsf_prunes_everything(self, sig, query):
-        mask = sig.screen(paa(query, _SEGMENTS), 0.0, _LENGTH)
-        assert not mask.any()
+        positions, bounds_sq = sig.screen(paa(query, _SEGMENTS), 0.0, _LENGTH)
+        assert positions.shape == bounds_sq.shape == (0,)
 
     def test_never_prunes_a_beating_series(self, sig, data, query):
         diff = data.astype(np.float64) - query.astype(np.float64)
         true = np.sqrt((diff * diff).sum(axis=1))
         bsf = float(np.median(true))
-        mask = sig.screen(paa(query, _SEGMENTS), bsf * bsf, _LENGTH)
+        mask, _, _ = _whole_array_mask(sig, paa(query, _SEGMENTS), bsf * bsf)
         # Soundness: any series strictly inside the BSF must survive.
         assert mask[true < bsf].all()
 
-    def test_hamming_prescreen_is_exact(self, sig, data):
-        for seed in range(5):
-            query = make_random_walks(1, _LENGTH, seed=1000 + seed)[0]
-            q_paa = paa(query, _SEGMENTS)
-            for bsf_sq in (0.5, 2.0, 25.0):
-                np.testing.assert_array_equal(
-                    sig.screen(q_paa, bsf_sq, _LENGTH, hamming=True),
-                    sig.screen(q_paa, bsf_sq, _LENGTH, hamming=False),
-                )
-
     def test_prune_factor_only_tightens(self, sig, query):
         q_paa = paa(query, _SEGMENTS)
-        plain = sig.screen(q_paa, 4.0, _LENGTH, prune_factor=1.0)
-        eager = sig.screen(q_paa, 4.0, _LENGTH, prune_factor=1.3)
+        plain, _, _ = _whole_array_mask(sig, q_paa, 4.0)
+        eager, _, _ = _whole_array_mask(sig, q_paa, 4.0, prune_factor=1.3)
         # epsilon-scaled screening may only remove survivors.
         assert not (eager & ~plain).any()
 
     def test_survivors_match_bound_cutoff(self, sig, query):
         q_paa = paa(query, _SEGMENTS)
         bsf = 1.7
-        mask = sig.screen(q_paa, bsf * bsf, _LENGTH)
+        mask, _, bounds_sq = _whole_array_mask(sig, q_paa, bsf * bsf)
         bounds = sig.lower_bounds(q_paa, _LENGTH)
         # The squared-space screen is the linear-space comparison
-        # bounds < bsf (modulo the one rounding ulp of the sqrt).
+        # bounds < bsf (modulo the one rounding ulp of the sqrt), and the
+        # returned values are those bounds, squared.
         assert (bounds[mask] < bsf + 1e-9).all()
         assert (bounds[~mask] >= bsf - 1e-9).all()
+        np.testing.assert_allclose(np.sqrt(bounds_sq), bounds[mask])
+
+    def test_screen_batch_is_screen_per_query(self, sig, data):
+        queries = make_random_walks(4, _LENGTH, seed=1000)
+        block = np.stack([paa(q, _SEGMENTS) for q in queries])
+        bsf = np.array([0.5, 2.0, 25.0, np.inf])
+        rng = np.random.default_rng(5)
+        rows = [
+            np.sort(rng.choice(sig.num_series, size=n, replace=False))
+            for n in (0, 17, 120, sig.num_series)
+        ]
+        batch = sig.screen_batch(block, bsf, _LENGTH, prune_factor=1.1, rows=rows)
+        for i, (positions, bounds_sq) in enumerate(batch):
+            single = sig.screen(
+                block[i], bsf[i], _LENGTH, prune_factor=1.1, rows=rows[i]
+            )
+            np.testing.assert_array_equal(positions, single[0])
+            np.testing.assert_array_equal(bounds_sq, single[1])
+        with pytest.raises(ValueError, match="BSF"):
+            sig.screen_batch(block, bsf[:2], _LENGTH, 1.0, rows)
+        with pytest.raises(ValueError, match="row arrays"):
+            sig.screen_batch(block, bsf, _LENGTH, 1.0, rows[:3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+        bsf_squared=st.sampled_from([0.0, 0.5, 4.0, 60.0, np.inf]),
+        epsilon=st.sampled_from([0.0, 0.1]),
+        subset=st.lists(st.integers(0, 299), unique=True, max_size=300),
+    )
+    def test_row_subset_is_whole_array_screen_restricted(
+        self, space, symbols, bits, seed, bsf_squared, epsilon, subset
+    ):
+        """screen(rows=R) == whole-array screen ∩ R, bounds included."""
+        sig = SignatureArray.from_full_symbols(symbols, space, bits)
+        q_paa = paa(make_random_walks(1, _LENGTH, seed=seed)[0], _SEGMENTS)
+        rows = np.array(sorted(subset), dtype=np.int64)
+        mask, whole_positions, whole_bounds = _whole_array_mask(
+            sig, q_paa, bsf_squared, prune_factor=1.0 + epsilon
+        )
+        positions, bounds_sq = sig.screen(
+            q_paa, bsf_squared, _LENGTH, prune_factor=1.0 + epsilon, rows=rows
+        )
+        np.testing.assert_array_equal(positions, rows[mask[rows]])
+        np.testing.assert_array_equal(
+            bounds_sq, whole_bounds[np.isin(whole_positions, rows)]
+        )

@@ -1,6 +1,6 @@
-"""Parity gates for the signature pre-filter: answers never change.
+"""Parity gates for the position of the LB_SAX pass: answers never change.
 
-Every test queries the *same* materialized index with the pre-filter
+Every test queries the *same* materialized index with ``prefilter``
 toggled through the query-time config, so distances AND positions must
 match bit-for-bit (positions are LRD file positions — comparing across
 independent builds would be confounded by layout).
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import HerculesConfig, HerculesIndex, ShardedIndex
+from repro.core.query import _approx_knn, _find_candidate_leaves, _SearchState
 
 from ..conftest import make_random_walks
 
@@ -55,6 +56,16 @@ def unfiltered(index):
     return index.config.with_options(prefilter=False)
 
 
+def _lclist(index, query, k, config):
+    """Phase 2's LCList for one query, from the pipeline's own phases."""
+    state = _SearchState(
+        query, k, config, index._table, index._lrd,
+        index.signatures, index.num_series,
+    )
+    _approx_knn(state)
+    return _find_candidate_leaves(state)
+
+
 class TestExactParity:
     @pytest.mark.parametrize("k", [1, 5, 25])
     def test_bit_for_bit(self, index, unfiltered, queries, k):
@@ -68,19 +79,69 @@ class TestExactParity:
                 filtered.positions, plain.positions
             )
 
-    def test_screen_engages_only_when_enabled(self, index, unfiltered, queries):
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_bit_for_bit_through_refinement(self, index, queries, adaptive):
+        # The default L_max covers this whole small tree; a short phase 1
+        # leaves work for the LB_SAX pass, phase 4 and the scans.
+        # One thread: with more, how much phase 4 reads depends on how
+        # the CRWorkers' BSF updates interleave.
+        config = index.config.with_options(
+            l_max=2, adaptive_thresholds=adaptive, num_query_threads=1
+        )
+        paths = set()
         for query in queries:
-            filtered = index.knn(query, k=5)
-            plain = index.knn(query, k=5, config=unfiltered)
-            assert filtered.profile.prefilter_screened == index.num_series
+            filtered = index.knn(query, k=5, config=config)
+            plain = index.knn(
+                query, k=5, config=config.with_options(prefilter=False)
+            )
+            np.testing.assert_array_equal(
+                filtered.distances, plain.distances
+            )
+            np.testing.assert_array_equal(
+                filtered.positions, plain.positions
+            )
+            assert (
+                filtered.profile.series_accessed
+                <= plain.profile.series_accessed
+            )
+            paths.add(plain.profile.path)
+        assert "full-four-phase" in paths
+        if adaptive:
+            assert "eapca-skipseq" in paths
+
+    def test_screen_engages_only_when_enabled(self, index, queries):
+        # A short phase 1, so that phase 2 leaves candidate leaves (the
+        # default L_max covers this whole small tree).
+        config = index.config.with_options(l_max=2)
+        engaged = 0
+        for query in queries:
+            filtered = index.knn(query, k=5, config=config).profile
+            plain = index.knn(
+                query, k=5, config=config.with_options(prefilter=False)
+            ).profile
+            # The early pass examines the series of the LCList leaves —
+            # exactly what phase 2 left, which `plain` reports untrimmed.
+            leaves = [
+                index.leaves[i] for i in _lclist(index, query, 5, config)
+            ]
+            assert len(leaves) == plain.candidate_leaves
+            assert filtered.prefilter_screened == sum(
+                leaf.size for leaf in leaves
+            )
             assert (
                 0
-                <= filtered.profile.prefilter_survivors
-                <= index.num_series
+                <= filtered.prefilter_survivors
+                <= filtered.prefilter_screened
             )
-            assert filtered.profile.prefilter_pruned_fraction is not None
-            assert plain.profile.prefilter_screened == 0
-            assert plain.profile.prefilter_pruned_fraction is None
+            if filtered.prefilter_screened:
+                engaged += 1
+                assert filtered.prefilter_pruned_fraction is not None
+            if plain.sax_pruning is not None:
+                # Same pass, same BSF², same rows: same survivors.
+                assert plain.candidate_series == filtered.prefilter_survivors
+            assert plain.prefilter_screened == 0
+            assert plain.prefilter_pruned_fraction is None
+        assert engaged
 
     def test_screen_only_subtracts_work(self, index, unfiltered, queries):
         for query in queries:
@@ -112,7 +173,7 @@ class TestOtherModes:
             np.testing.assert_array_equal(final.positions, exact.positions)
 
     def test_approximate_unaffected(self, index, queries):
-        # The approximate phase never consults signatures; its answers
+        # The approximate phase never consults the SAX tier; its answers
         # are real distances of really-stored rows either way.
         for query in queries[:4]:
             answer = index.knn_approx(query, k=3)
@@ -164,15 +225,26 @@ class TestShardedParity:
             )
 
     def test_counters_merge_across_shards(self, sharded, data, queries):
-        answer = sharded.knn(queries[0], k=5)
-        # Every shard screens its whole partition; the merged profile
-        # sums to the full dataset.
-        assert answer.profile.prefilter_screened == data.shape[0]
+        # A hard query after a short phase 1: phase 2 leaves candidate
+        # leaves for the early pass to examine.
+        answer = sharded.knn(
+            queries[6], k=5, config=sharded.config.with_options(l_max=1)
+        )
+        assert 0 < answer.profile.prefilter_screened <= data.shape[0]
+        assert (
+            answer.profile.prefilter_survivors
+            <= answer.profile.prefilter_screened
+        )
         assert answer.profile.prefilter_pruned_fraction is not None
         # num_shards=1 builds a plain index; only the truly sharded
-        # answers carry per-shard breakdowns to sum over.
-        for _, shard_answer in getattr(answer, "shard_answers", ()):
-            assert shard_answer.profile.prefilter_screened > 0
+        # answers carry per-shard breakdowns, and the merged profile is
+        # their sum.
+        shard_answers = getattr(answer, "shard_answers", ())
+        if shard_answers:
+            for field in ("prefilter_screened", "prefilter_survivors"):
+                assert getattr(answer.profile, field) == sum(
+                    getattr(shard.profile, field) for _, shard in shard_answers
+                )
 
     def test_matches_single_index_distances(self, sharded, index, queries):
         # Layout differs between a sharded and a single build, so compare

@@ -1,9 +1,10 @@
-"""Error propagation from multi-threaded query phases."""
+"""Error propagation from the query phases."""
 
 import numpy as np
 import pytest
 
 from repro import HerculesConfig, HerculesIndex
+from repro.core.prefilter import SignatureArray
 
 from ..conftest import make_random_walks
 
@@ -27,15 +28,12 @@ def index(tmp_path):
 
 class TestQueryWorkerErrors:
     def test_phase3_worker_error_propagates(self, index, monkeypatch):
-        # SaxSpace is a frozen dataclass: patch at class level.
-        def broken_mindist(self, query_paa, words, length):
-            raise RuntimeError("injected mindist failure")
+        def broken_screen(self, *args, **kwargs):
+            raise RuntimeError("injected LB_SAX failure")
 
-        monkeypatch.setattr(
-            index.sax_space.__class__, "mindist", broken_mindist
-        )
+        monkeypatch.setattr(SignatureArray, "screen", broken_screen)
         query = make_random_walks(1, 32, seed=291)[0]
-        with pytest.raises(RuntimeError, match="injected mindist failure"):
+        with pytest.raises(RuntimeError, match="injected LB_SAX failure"):
             index.knn(query, k=1)
 
     def test_phase4_read_error_propagates(self, index, monkeypatch):
@@ -54,15 +52,15 @@ class TestQueryWorkerErrors:
     def test_queries_work_after_a_failed_query(self, index, monkeypatch):
         """A failed query must not poison the index for later ones."""
         query = make_random_walks(1, 32, seed=293)[0]
-        original_mindist = index.sax_space.__class__.mindist
+        original_screen = SignatureArray.screen
 
-        def broken(self, query_paa, words, length):
+        def broken(self, *args, **kwargs):
             raise RuntimeError("one-off failure")
 
-        monkeypatch.setattr(index.sax_space.__class__, "mindist", broken)
+        monkeypatch.setattr(SignatureArray, "screen", broken)
         with pytest.raises(RuntimeError):
             index.knn(query, k=1)
-        monkeypatch.setattr(index.sax_space.__class__, "mindist", original_mindist)
+        monkeypatch.setattr(SignatureArray, "screen", original_screen)
 
         answer = index.knn(query, k=1)
         assert np.isfinite(answer.distances[0])

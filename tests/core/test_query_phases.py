@@ -41,8 +41,7 @@ def make_state(index, query, k=3, **config_overrides):
         config,
         index._table,
         index._lrd,
-        index._lsd_words,
-        index.sax_space,
+        index.signatures,
         index.num_series,
     )
 

@@ -157,8 +157,7 @@ class TestEpsilonParity:
                 index.config.with_options(epsilon=epsilon),
                 index._table,
                 index._lrd,
-                index._lsd_words,
-                index.sax_space,
+                index.signatures,
                 index.num_series,
             )
 

@@ -760,3 +760,59 @@ class TestShardedCLI:
         out = capsys.readouterr().out
         assert "leaf cache shard 0:" in out
         assert "leaf cache shard 1:" in out
+
+
+class TestPrefilterCLI:
+    """``--prefilter`` moves the LB_SAX pass, never the answers."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--prefilter"], ["--prefilter", "--prefilter-bits", "4"]],
+        ids=["full-resolution", "4-bits"],
+    )
+    def test_filtered_answers_match_plain_and_explain_shows_the_screen(
+        self, dataset_file, tmp_path, capsys, flags
+    ):
+        queries = tmp_path / "queries.bin"
+        assert main(
+            ["generate", "--kind", "synth", "--count", "6", "--length", "32",
+             "--seed", "42", "--output", str(queries)]
+        ) == 0
+        outputs = {}
+        for name, extra in (("plain", []), ("filtered", flags)):
+            index_dir = tmp_path / name
+            # A short phase 1 leaves candidate leaves for the pass.
+            assert main(
+                ["build", "--dataset", str(dataset_file), "--length", "32",
+                 "--output", str(index_dir), "--leaf-capacity", "20",
+                 "--threads", "1", "--l-max", "1"] + extra
+            ) == 0
+            # The SAX tier is lsd.bin, read at open: no file of its own.
+            assert not (index_dir / "signatures.bin").exists()
+            capsys.readouterr()
+            assert main(
+                ["query", "--index", str(index_dir), "--queries", str(queries),
+                 "--k", "3"]
+            ) == 0
+            outputs[name] = capsys.readouterr().out
+
+        # Distances only: positions are storage order, and the two
+        # builds are independent.
+        def distances(out):
+            return [
+                line.split("] pos")[0]
+                for line in out.splitlines()
+                if "d=[" in line
+            ]
+
+        assert len(distances(outputs["plain"])) == 6
+        assert distances(outputs["filtered"]) == distances(outputs["plain"])
+
+        assert main(
+            ["explain", "--index", str(tmp_path / "filtered"), "--queries",
+             str(queries), "--k", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "prefilter screen" in out
+        assert "candidate-leaf series survive" in out
+        assert "prefilter pruning" in out
