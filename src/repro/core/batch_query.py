@@ -36,15 +36,16 @@ order-independent, and the shared matrix kernel re-evaluates survivors
 with the same whole-row arithmetic as the single-query kernel — batch
 answers are value-identical to serial ones.  For ε-approximate search,
 where pruning decisions depend on the BSF at each check, the engine
-falls back to a per-query refinement that replicates the serial check
-cadence operation-for-operation (the leaf reads still flow through the
-shared store, so the I/O sharing survives); answers again match the
-single-query path bit for bit.
+falls back to refining each query with the serial pipeline's own routine
+(:func:`repro.core.query._refine_runs`; its reads are cut from the
+shared store's blocks, so the I/O sharing survives); answers and work
+counters then match the single-query path bit for bit by construction.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -56,20 +57,24 @@ from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
 from repro.core.prefilter import SignatureArray
 from repro.core.query import (
-    _REFINE_BATCH,
     QueryAnswer,
     _approx_knn,
     _find_candidate_leaves,
     _find_candidate_series,
+    _refine_leaves,
+    _refine_series,
     _SearchState,
     _trim_to_candidates,
 )
 from repro.core.results import ResultSet
 from repro.distance.euclidean import (
-    early_abandon_squared,
+    # Not called here any more (the ε > 0 fallback refines through
+    # core.query); the end-to-end benchmark's tracer still patches the
+    # name in this module, so it stays bound.
+    early_abandon_squared,  # noqa: F401
     early_abandon_squared_multi,
 )
-from repro.storage.files import SeriesFile
+from repro.storage.files import SeriesFile, adjacent_runs
 from repro.summarization.eapca import BatchSketch
 from repro.types import DISTANCE_DTYPE
 
@@ -147,8 +152,11 @@ class _BlockStore:
     the batch is served from the memo, whatever the cache budget is.
     """
 
-    def __init__(self, lrd: SeriesFile) -> None:
+    def __init__(self, lrd: SeriesFile, table: LeafTable) -> None:
         self._lrd = lrd
+        #: First file position of each leaf, for bisecting a read onto
+        #: the leaf blocks that serve it.
+        self.leaf_starts = table.positions.tolist()
         self._blocks: dict = {}
         self.loads = 0
         self.shared_hits = 0
@@ -191,13 +199,17 @@ class _BatchSearchState(_SearchState):
         self.store_hits = 0
         self.store_misses = 0
 
-    def read_leaf(self, leaf: Node) -> np.ndarray:
-        self.profile.series_accessed += leaf.size
-        return self._leaf_block(leaf)
-
-    def leaf_rows(self, leaf: Node, rows: np.ndarray) -> np.ndarray:
-        """Rows of one leaf block (accounting left to the caller)."""
-        return self._leaf_block(leaf)[rows]
+    def read_rows(self, position: int, count: int) -> np.ndarray:
+        """The serial read, cut from the store's memoized leaf blocks."""
+        starts, leaves = self._store.leaf_starts, self.table.leaves
+        end = position + count
+        index = bisect_right(starts, position) - 1
+        pieces = []
+        while index < len(starts) and starts[index] < end:
+            block = self._leaf_block(leaves[index])
+            pieces.append(block[max(position - starts[index], 0) : end - starts[index]])
+            index += 1
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def _leaf_block(self, leaf: Node) -> np.ndarray:
         before = self._store.loads
@@ -280,9 +292,7 @@ def _leaf_runs(table: LeafTable, positions: np.ndarray):
     if not len(positions):
         return []
     leaf_of = table.leaf_of(positions)
-    cuts = np.flatnonzero(np.diff(leaf_of)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [len(positions)]))
+    starts, ends = adjacent_runs(leaf_of, step=0)
     return zip(leaf_of[starts].tolist(), starts.tolist(), ends.tolist())
 
 
@@ -322,6 +332,7 @@ def _refine_shared(
         active = []
         for qi, rows, bounds_sq in tasks[index]:
             state = states[qi]
+            state.results.refresh()
             bsf_squared = state.results.bsf_squared
             if rows is None:
                 # Whole-leaf user: the serial skip-sequential re-check.
@@ -380,63 +391,23 @@ def _refine_shared(
 
 
 def _refine_serial_cadence(
-    state: _BatchSearchState, spec: _RefineSpec, store: _BlockStore,
-    stats: BatchStats,
+    state: _BatchSearchState, spec: _RefineSpec, stats: BatchStats
 ) -> None:
-    """ε-approximate refinement: the serial pipeline, operation for
-    operation, with reads served from the shared store.
+    """ε-approximate refinement: the serial pipeline's own routine, with
+    its reads served from the shared store.
 
     With ε > 0 a pruning decision depends on the BSF at the moment of
-    the check, so the batch must replicate the single-query check
-    cadence exactly — per-leaf re-checks for the leaf-scan paths,
-    :data:`_REFINE_BATCH`-chunked re-checks for the four-phase path —
-    to keep answers bit-identical.  Leaf sharing survives through the
+    the check, so the batch must re-check at exactly the single-query
+    cadence to keep answers bit-identical — which calling the serial
+    routine gives by construction.  Leaf sharing survives through the
     store: the first query touching a leaf loads it, the rest hit.
     """
-    length = state.query.shape[0]
+    refined_before = state.profile.distance_computations
     if spec.kind == "leaves":
-        for index in spec.leaves.tolist():
-            if state.bounds[index] >= state.results.bsf_squared:
-                continue
-            leaf = state.table.leaves[index]
-            # scan_leaf is the serial per-leaf refinement verbatim; its
-            # read flows through the overridden read_leaf → the store.
-            state.scan_leaf(leaf)
-            stats.kernel_rows += leaf.size
-        return
-    if spec.kind != "series":
-        return
-
-    positions, bounds_sq = spec.series
-    for start in range(0, positions.shape[0], _REFINE_BATCH):
-        chunk_pos = positions[start : start + _REFINE_BATCH]
-        chunk_lb_sq = bounds_sq[start : start + _REFINE_BATCH]
-        alive = chunk_lb_sq < state.results.bsf_squared
-        if not alive.any():
-            continue
-        keep = chunk_pos[alive]
-        # Gather the kept rows from store-memoized blocks, leaf by leaf —
-        # the same values (and the same row order) the serial pipeline's
-        # coalesced read_positions would produce.
-        data = np.concatenate(
-            [
-                state.leaf_rows(
-                    state.table.leaves[index],
-                    keep[lo:hi] - state.table.positions[index],
-                )
-                for index, lo, hi in _leaf_runs(state.table, keep)
-            ],
-            axis=0,
-        )
-        squared, compared = early_abandon_squared(
-            state.query, data, state.results.bsf_squared
-        )
-        state.profile.series_accessed += keep.shape[0]
-        state.profile.distance_computations += keep.shape[0]
-        state.profile.points_compared += compared
-        state.profile.points_total += keep.shape[0] * length
-        state.results.update_batch_squared(squared, keep)
-        stats.kernel_rows += keep.shape[0]
+        _refine_leaves(state, spec.leaves)
+    elif spec.kind == "series":
+        _refine_series(state, spec.series)
+    stats.kernel_rows += state.profile.distance_computations - refined_before
 
 
 def exact_knn_batch(
@@ -479,7 +450,7 @@ def exact_knn_batch(
         )
 
     started = time.perf_counter()
-    store = _BlockStore(lrd)
+    store = _BlockStore(lrd, table)
     states: List[_BatchSearchState] = []
     lclists: list = []
     num_leaves = len(table.leaves)
@@ -565,9 +536,7 @@ def exact_knn_batch(
                 _refine_shared(states, specs, store, stats)
             else:
                 for qi in range(num_queries):
-                    _refine_serial_cadence(
-                        states[qi], specs[qi], store, stats
-                    )
+                    _refine_serial_cadence(states[qi], specs[qi], stats)
             sp.set_attrs(
                 unique_leaf_reads=store.loads - loads_before,
                 leaf_uses=store.uses,

@@ -25,6 +25,15 @@ from repro.distance.lower_bounds import lb_eapca_table_squared
 from repro.errors import StorageError
 
 
+def extent_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Every file position of the extents ``[start, start + size)``,
+    extent after extent."""
+    # Each extent's run is its start plus 0..size-1: subtract the run's
+    # offset in the output from one global arange.
+    run_starts = starts - (np.cumsum(sizes) - sizes)
+    return np.repeat(run_starts, sizes) + np.arange(sizes.sum())
+
+
 class LeafTable:
     """Preorder-flattened tree: ``nodes`` rows, ``leaves`` in LRDFile order."""
 
@@ -84,11 +93,7 @@ class LeafTable:
     def rows(self, leaves: np.ndarray) -> np.ndarray:
         """File positions of every series of the given leaves (table
         indices), leaf after leaf."""
-        sizes = self.sizes[leaves]
-        # Each leaf's run is its start plus 0..size-1: subtract the run's
-        # offset in the output from one global arange.
-        run_starts = self.positions[leaves] - (np.cumsum(sizes) - sizes)
-        return np.repeat(run_starts, sizes) + np.arange(sizes.sum())
+        return extent_rows(self.positions[leaves], self.sizes[leaves])
 
     def leaf_of(self, positions: np.ndarray) -> np.ndarray:
         """Table index of the leaf holding each file position."""

@@ -24,16 +24,25 @@ Adaptive access-path selection: when EAPCA pruning is weak
 (``eapca_pr < EAPCA_TH``) phases 3-4 are replaced by a single-thread
 skip-sequential scan of LRDFile over LCList, and when SAX pruning is weak
 (``sax_pr < SAX_TH``) phase 4 is.  A skip-sequential scan pays one random
-seek per surviving *leaf* (contiguous in LRDFile) instead of one per
-surviving *series*, which is exactly why it wins on hard queries.
+seek per run of adjacent surviving *leaves* (contiguous in LRDFile)
+instead of one per surviving *series*, which is exactly why it wins on
+hard queries.
 ``config.prefilter`` moves the phase-3 pass in front of that decision,
 so the skip-sequential paths too only visit leaves that kept a row.
 
-Distance kernels operate on whole leaf matrices (the SIMD analog) and the
+Refinement is written once (:func:`_refine_runs`): phase 1's leaf
+visits, both skip-sequential scans and phase 4 hand it file-ordered read
+extents with their bounds, and it walks them in chunks of a few hundred
+rows — one re-check against the live BSF², one read per run of adjacent
+extents, one kernel call and one result-set merge per chunk — because at
+a leaf's worth of rows per call the kernel is NumPy dispatch, not
+arithmetic.
+
+Distance kernels operate on whole row matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
 optimization): lower bounds are ε-scaled and squared once, every pruning
-comparison is against ``BSF²`` (:attr:`ResultSet.bsf_squared`), every
-refinement site runs the blocked early-abandoning kernel with the live
+comparison is against ``BSF²`` (:attr:`ResultSet.bsf_squared`),
+refinement runs the blocked early-abandoning kernel with the live
 ``BSF²`` cutoff, and the one square root per answer happens in
 ``ResultSet.items()``.  The per-query :class:`QueryProfile` records the
 path taken, pruning ratios, distance-computation / point-comparison and
@@ -43,22 +52,22 @@ I/O counts, plus leaf-cache hits, so harnesses can report the paper's
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from repro import obs
 from repro.core.config import HerculesConfig
-from repro.core.leaf_table import LeafTable
-from repro.core.node import Node
+from repro.core.leaf_table import LeafTable, extent_rows
 from repro.core.prefilter import SignatureArray
 from repro.core.results import ResultSet
 from repro.distance.euclidean import early_abandon_squared
-from repro.storage.files import SeriesFile
+from repro.storage.files import SeriesFile, adjacent_runs
 from repro.storage.iostats import IOSnapshot
 from repro.summarization.eapca import SeriesSketch
 from repro.summarization.paa import paa
@@ -86,7 +95,7 @@ class QueryProfile:
     #: did not run).
     candidate_series: int = 0
     sax_pruning: Optional[float] = None
-    #: Full Euclidean distance computations (series compared).  A series
+    #: Rows *refined*: series handed to a real-distance kernel.  A series
     #: counts even when the early-abandoning kernel dropped it part-way
     #: through; the point-level savings show up in ``points_compared``.
     distance_computations: int = 0
@@ -100,7 +109,9 @@ class QueryProfile:
     #: it examined, and how many of them it kept.
     prefilter_screened: int = 0
     prefilter_survivors: int = 0
-    #: Raw series read from LRDFile (drives "% of data accessed").
+    #: Rows *read*: raw series fetched from LRDFile (drives "% of data
+    #: accessed").  Refinement reads exactly the rows it refines, so on
+    #: every Hercules path this equals ``distance_computations``.
     series_accessed: int = 0
     #: Leaf-cache lookups served with / without a disk read (zero when no
     #: cache is attached to LRDFile).
@@ -229,36 +240,10 @@ class _SearchState:
         self.visited: list[int] = []
         self.query_paa = paa(self.query, sax.space.segments)
 
-    # -- leaf access ----------------------------------------------------------
-
-    def read_leaf(self, leaf: Node) -> np.ndarray:
-        """Raw series of a leaf from LRDFile (counted)."""
-        data = self.lrd.read_range(leaf.file_position, leaf.size)
-        self.profile.series_accessed += leaf.size
-        return data
-
-    def scan_leaf(self, leaf: Node) -> None:
-        """Read one leaf and refine the result set with real distances.
-
-        Refinement runs the blocked early-abandoning kernel against the
-        live BSF²: a candidate abandoned here has distance ≥ the BSF at
-        scan time ≥ the final BSF (it decreases monotonically), so it
-        could never have entered the top-k — results are identical to a
-        full evaluation, only the point comparisons are saved.  The ε
-        factor never applies here: it tightens lower-bound pruning, not
-        real-distance refinement.
-        """
-        data = self.read_leaf(leaf)
-        squared, compared = early_abandon_squared(
-            self.query, data, self.results.bsf_squared
-        )
-        self.profile.distance_computations += leaf.size
-        self.profile.points_compared += compared
-        self.profile.points_total += leaf.size * self.query.shape[0]
-        positions = leaf.file_position + np.arange(leaf.size, dtype=np.int64)
-        # Abandoned rows report inf; the batch update's pre-filter drops
-        # them without ever taking the result-set lock.
-        self.results.update_batch_squared(squared, positions)
+    def read_rows(self, position: int, count: int) -> np.ndarray:
+        """``count`` consecutive raw series of LRDFile: the one read
+        refinement performs (the batch engine serves it from its store)."""
+        return self.lrd.read_range(position, count)
 
     def finish_profile(self) -> None:
         """Fill the per-query cache counters from LRDFile's leaf cache."""
@@ -341,11 +326,13 @@ def exact_knn(
             state.profile.path = "approx-only"
         elif config.adaptive_thresholds and eapca_pr < config.eapca_th:
             with obs.span("query.refine.skipseq", reason="eapca"):
-                _skip_sequential(state, lclist)
+                _refine_leaves(state, lclist)
             state.profile.path = "eapca-skipseq"
         elif not config.use_sax:
             with obs.span("query.phase4.refine", mode="leaves"):
-                _compute_results_from_leaves(state, lclist)
+                _refine_leaves(
+                    state, lclist, workers=config.num_query_threads
+                )
             state.profile.path = "nosax-leaves"
         else:
             with obs.span("query.phase3.filter") as sp:
@@ -360,11 +347,13 @@ def exact_knn(
             state.profile.sax_pruning = sax_pr
             if config.adaptive_thresholds and sax_pr < config.sax_th:
                 with obs.span("query.refine.skipseq", reason="sax"):
-                    _skip_sequential(state, lclist)
+                    _refine_leaves(state, lclist)
                 state.profile.path = "sax-skipseq"
             else:
                 with obs.span("query.phase4.refine", mode="series"):
-                    _compute_results(state, candidates)
+                    _refine_series(
+                        state, candidates, workers=config.num_query_threads
+                    )
                 state.profile.path = "full-four-phase"
 
         state.profile.time_refine = time.perf_counter() - refine_started
@@ -499,11 +488,18 @@ def _best_first(state: _SearchState, limit: Optional[int]):
     least as far.
     """
     order = np.argsort(state.bounds, kind="stable")[:limit]
-    for leaf, bound in zip(order.tolist(), state.bounds[order].tolist()):
+    starts, sizes = state.table.positions[order], state.table.sizes[order]
+    # The test below is the whole visit decision (a leaf tied with BSF² is
+    # still visited): refinement's own re-check must not repeat it.
+    unconditional = np.array([-np.inf])
+    for visit, (leaf, bound) in enumerate(
+        zip(order.tolist(), state.bounds[order].tolist())
+    ):
         if bound > state.results.bsf_squared:
             return
         state.visited.append(leaf)
-        state.scan_leaf(state.table.leaves[leaf])
+        one = slice(visit, visit + 1)
+        _refine_runs(state, starts[one], sizes[one], unconditional)
         state.profile.approx_leaves = len(state.visited)
         yield state.profile.approx_leaves
 
@@ -526,24 +522,6 @@ def _find_candidate_leaves(state: _SearchState) -> np.ndarray:
     mask = state.bounds < state.results.bsf_squared
     mask[state.visited] = False
     return np.flatnonzero(mask)
-
-
-# ---------------------------------------------------------------------------
-# Skip-sequential scan over LRDFile (the adaptive fallback)
-# ---------------------------------------------------------------------------
-
-
-def _skip_sequential(state: _SearchState, lclist: np.ndarray) -> None:
-    """Single-thread scan of candidate leaves in file order.
-
-    Leaves are visited in increasing LRDFile position (sequential-friendly)
-    and re-checked against the *current* BSF before each read, so the scan
-    tightens as it progresses.
-    """
-    for leaf in lclist.tolist():
-        if state.bounds[leaf] >= state.results.bsf_squared:
-            continue
-        state.scan_leaf(state.table.leaves[leaf])
 
 
 # ---------------------------------------------------------------------------
@@ -585,140 +563,152 @@ def _trim_to_candidates(
 
 
 # ---------------------------------------------------------------------------
-# Phase 4: Algorithm 14 (ComputeResults / CRWorker)
+# Refinement: phase 1's leaf visits, the skip-sequential scans and phase 4
+# (Algorithm 14: ComputeResults / CRWorker) are one routine
 # ---------------------------------------------------------------------------
 
-#: Candidates refined per batch by each CRWorker; adjacent file positions
-#: inside a batch are coalesced into single reads.
-_REFINE_BATCH = 64
+#: Candidate rows per refinement chunk.  NumPy dispatch, not arithmetic,
+#: bounds the kernel below ~256 rows per call; above it throughput is
+#: flat while the kernel's transient memory keeps growing linearly.
+_CHUNK_ROWS = 256
 
 
-def _compute_results(
-    state: _SearchState, candidates: tuple[np.ndarray, np.ndarray]
+def _refine_leaves(
+    state: _SearchState, leaves: np.ndarray, workers: Optional[int] = None
 ) -> None:
-    """Each CRWorker refines its own chunk of SCList (Algorithm 14)."""
-    num_threads = state.config.num_query_threads
-    sclists = list(
-        zip(
-            np.array_split(candidates[0], num_threads),
-            np.array_split(candidates[1], num_threads),
-        )
-    )
-    errors: list[BaseException] = []
-    profile_lock = threading.Lock()
-
-    def cr_worker(thread_id: int) -> None:
-        try:
-            # bounds arrive ε-scaled and squared from phase 3: each
-            # re-check against the live BSF² is one vector compare.
-            positions, bounds_sq = sclists[thread_id]
-            length = state.query.shape[0]
-            read = 0
-            computed = 0
-            points = 0
-            for start in range(0, positions.shape[0], _REFINE_BATCH):
-                chunk_pos = positions[start : start + _REFINE_BATCH]
-                chunk_lb_sq = bounds_sq[start : start + _REFINE_BATCH]
-                alive = chunk_lb_sq < state.results.bsf_squared
-                if not alive.any():
-                    continue
-                keep = chunk_pos[alive]
-                data = state.lrd.read_positions(keep)
-                read += keep.shape[0]
-                squared, compared = early_abandon_squared(
-                    state.query, data, state.results.bsf_squared
-                )
-                computed += keep.shape[0]
-                points += compared
-                state.results.update_batch_squared(squared, keep)
-            with profile_lock:
-                state.profile.series_accessed += read
-                state.profile.distance_computations += computed
-                state.profile.points_compared += points
-                state.profile.points_total += computed * length
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    _run_workers(
-        cr_worker, num_threads, errors, span_name="query.phase4.worker"
+    """Refine every series of the given leaves (table indices, file
+    order), each leaf under its own bound: a phase-1 visit, a
+    skip-sequential scan of LCList, the NoSAX ablation's phase 4."""
+    table = state.table
+    _refine_runs(
+        state, table.positions[leaves], table.sizes[leaves], state.bounds[leaves], workers
     )
 
 
-def _compute_results_from_leaves(
-    state: _SearchState, lclist: np.ndarray
+def _refine_series(
+    state: _SearchState,
+    candidates: tuple[np.ndarray, np.ndarray],
+    workers: Optional[int] = None,
 ) -> None:
-    """NoSAX ablation: refine whole candidate leaves with real distances.
+    """Phase 4 (Algorithm 14): refine SCList, each series read by itself
+    under its own LB_SAX bound."""
+    positions, bounds_sq = candidates
+    _refine_runs(state, positions, np.ones_like(positions), bounds_sq, workers)
 
-    Without iSAX words there is no per-series filter; threads claim
-    leaves (in file order) and compute real distances over each.
+
+def _refine_runs(
+    state: _SearchState,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    bounds_sq: np.ndarray,
+    workers: Optional[int] = None,
+) -> None:
+    """Refine file-ordered candidates with real distances, chunk by chunk.
+
+    The candidates are every series of the extents ``[start, start +
+    size)`` — whole leaves, or the single rows of SCList — given in file
+    order with one ε-scaled squared lower bound per extent.  They are
+    walked in chunks of whole extents, at most :data:`_CHUNK_ROWS` rows
+    each unless one extent alone holds more, and per chunk there is one
+    re-check of the bounds against the live BSF² (an extent it prunes is
+    not read), one read per run of file-adjacent extents, one blocked
+    early-abandoning kernel call and one result-set merge.
+
+    A candidate dropped by a re-check has bound ≥ BSF² ≥ the final BSF²,
+    and one abandoned by the kernel has distance ≥ the BSF at that time,
+    so neither could have entered the top-k: answers equal a full
+    evaluation.  The ε factor is in the bounds only — it tightens
+    lower-bound pruning, not real-distance refinement.
+
+    With a leaf cache attached every extent is read on its own: cache
+    blocks are keyed ``(position, count)`` and only an extent's own block
+    repeats across queries, a merged run never does.
+
+    ``workers`` fans the chunk list out over that many CRWorker threads,
+    a contiguous slice each; ``None`` refines on the calling thread.
     """
-    counter = itertools.count()
-    counter_lock = threading.Lock()
-    errors: list[BaseException] = []
+    results, profile = state.results, state.profile
+    ends = starts + sizes
+    # Cut where the running row count would pass the cap: a chunk is the
+    # extents cuts[i]:cuts[i + 1].
+    sized = list(accumulate(sizes.tolist(), initial=0))
+    cuts = [0]
+    while cuts[-1] < len(starts):
+        fits = bisect_right(sized, sized[cuts[-1]] + _CHUNK_ROWS) - 1
+        cuts.append(max(fits, cuts[-1] + 1))
+    chunks = list(zip(cuts, cuts[1:]))
+    merge = state.lrd.cache is None
+    length = state.query.shape[0]
     profile_lock = threading.Lock()
 
-    def worker(thread_id: int) -> None:
-        try:
-            length = state.query.shape[0]
-            read = 0
-            computed = 0
-            points = 0
-            while True:
-                with counter_lock:
-                    j = next(counter)
-                if j >= len(lclist):
-                    break
-                if state.bounds[lclist[j]] >= state.results.bsf_squared:
-                    continue
-                leaf = state.table.leaves[lclist[j]]
-                data = state.lrd.read_range(leaf.file_position, leaf.size)
-                read += leaf.size
-                squared, compared = early_abandon_squared(
-                    state.query, data, state.results.bsf_squared
+    def refine(part: list) -> None:
+        refined = points = 0
+        for lo, hi in part:
+            results.refresh()
+            bsf_squared = results.bsf_squared
+            read_starts, read_ends = starts[lo:hi], ends[lo:hi]
+            alive = bounds_sq[lo:hi] < bsf_squared
+            kept = np.count_nonzero(alive)
+            if not kept:
+                continue
+            if kept < hi - lo:
+                read_starts, read_ends = read_starts[alive], read_ends[alive]
+            if merge and read_starts.shape[0] > 1:
+                run_lo, run_hi = adjacent_runs(
+                    read_starts, (read_ends - read_starts)[:-1]
                 )
-                computed += leaf.size
-                points += compared
-                positions = leaf.file_position + np.arange(
-                    leaf.size, dtype=np.int64
-                )
-                state.results.update_batch_squared(squared, positions)
-            with profile_lock:
-                state.profile.series_accessed += read
-                state.profile.distance_computations += computed
-                state.profile.points_compared += points
-                state.profile.points_total += computed * length
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
+                read_starts, read_ends = read_starts[run_lo], read_ends[run_hi - 1]
+            runs = list(zip(read_starts.tolist(), read_ends.tolist()))
+            data = [state.read_rows(position, end - position) for position, end in runs]
+            # Rebinding drops the block list, so a stacked copy never
+            # outlives its sources.
+            data = data[0] if len(data) == 1 else np.concatenate(data)
+            squared, compared = early_abandon_squared(state.query, data, bsf_squared)
+            positions = (
+                np.arange(*runs[0])
+                if len(runs) == 1
+                else extent_rows(read_starts, read_ends - read_starts)
+            )
+            # Abandoned rows report inf; the batch update's pre-filter drops
+            # them without ever taking the result-set lock.
+            results.update_batch_squared(squared, positions)
+            refined += positions.shape[0]
+            points += compared
+        with profile_lock:
+            profile.series_accessed += refined
+            profile.distance_computations += refined
+            profile.points_compared += points
+            profile.points_total += refined * length
 
-    _run_workers(
-        worker,
-        state.config.num_query_threads,
-        errors,
-        span_name="query.phase4.worker",
-    )
+    if workers is None:
+        refine(chunks)
+    else:
+        share = [len(chunks) * worker // workers for worker in range(workers + 1)]
+        _run_workers(
+            lambda worker: refine(chunks[share[worker] : share[worker + 1]]),
+            workers,
+            span_name="query.phase4.worker",
+        )
 
 
-def _run_workers(
-    target,
-    num_threads: int,
-    errors: list[BaseException],
-    span_name: Optional[str] = None,
-) -> None:
+def _run_workers(target, num_threads: int, span_name: str) -> None:
     """Run ``target(thread_id)`` on N threads (inline when N == 1).
 
-    With ``span_name`` each worker's run is recorded as a trace span
-    parented to the phase span that launched the fan-out — worker
-    threads have no ambient span stack of their own, so the parent is
-    captured here, on the calling thread, and attached explicitly.
+    Each worker's run is recorded as a trace span parented to the phase
+    span that launched the fan-out — worker threads have no ambient span
+    stack of their own, so the parent is captured here, on the calling
+    thread, and attached explicitly.  The first exception a worker raised
+    is re-raised once all have finished.
     """
     parent = obs.current_span()
+    errors: list[BaseException] = []
 
     def run(thread_id: int) -> None:
-        if span_name is None:
-            target(thread_id)
-        else:
+        try:
             with obs.span(span_name, parent=parent, worker=thread_id):
                 target(thread_id)
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
 
     if num_threads == 1:
         run(0)

@@ -27,7 +27,19 @@ from repro.types import DISTANCE_DTYPE
 
 
 class ResultSet:
-    """Thread-safe container of the k smallest (distance, position) pairs."""
+    """Thread-safe container of the k smallest (distance, position) pairs.
+
+    Ties: a candidate enters only while strictly below the k-th best and
+    a batch is merged in stable distance order, so among equal distances
+    the earliest-offered candidate wins the last place — one offered
+    later never displaces it.  The query pipeline offers phase-1 visits
+    first and everything after in file order.  When a closer candidate
+    pushes out one of several members tied at the k-th distance, the
+    smallest position leaves; which of a set of exact duplicates is
+    reported can therefore depend on how refinement chunked its
+    candidates and on worker interleaving.  Every such answer is correct
+    and the distances are the same in all of them.
+    """
 
     def __init__(self, k: int) -> None:
         if k < 1:
@@ -55,6 +67,10 @@ class ResultSet:
     def bsf(self) -> float:
         """The k-th smallest distance so far, in linear space."""
         return float(np.sqrt(self._bsf_squared))
+
+    def refresh(self) -> None:
+        """Take in bounds found elsewhere; refinement calls this at every
+        chunk boundary.  A private set has nothing to take in."""
 
     def update_squared(self, distance_squared: float, position: int) -> bool:
         """Offer one squared-distance candidate; True if it entered."""
@@ -104,11 +120,12 @@ class ResultSet:
         # monotonically), so the pre-filter can admit extras but never
         # drop a candidate the locked merge would have accepted.
         mask = dist < self._bsf_squared
-        if not mask.all():
+        kept = np.count_nonzero(mask)
+        if not kept:
+            return 0
+        if kept < dist.shape[0]:
             dist = dist[mask]
             pos = pos[mask]
-        if dist.shape[0] == 0:
-            return 0
         order = np.argsort(dist, kind="stable")
         dist_list = dist[order].tolist()
         pos_list = pos[order].tolist()
@@ -164,9 +181,10 @@ class SharedBsf:
 
     Each shard search holds a :class:`LinkedResultSet` pointing at one of
     these; a shard that tightens its local k-th best publishes the new
-    bound here, and every other shard's next (throttled) refresh picks it
-    up.  The value only ever decreases, so readers can act on a stale
-    copy safely — stale means conservative pruning, never a wrong answer.
+    bound here, and every other shard's next refresh (one per refinement
+    chunk) picks it up.  The value only ever decreases, so readers can
+    act on a stale copy safely — stale means conservative pruning, never
+    a wrong answer.
     """
 
     __slots__ = ("_lock", "_value")
@@ -197,10 +215,12 @@ class LinkedResultSet(ResultSet):
     all linked to the same bound cell (:class:`SharedBsf` for threads, a
     process-shared equivalent for worker processes).  Reads of
     :attr:`bsf_squared` — the hot pruning path — return
-    ``min(local k-th best, cached global bound)`` and refresh the cached
-    global bound only every ``_REFRESH_READS`` reads, so the per-read
-    cost stays one comparison instead of a lock (or semaphore) acquire.
-    Local improvements are published to the link immediately.
+    ``min(local k-th best, cached global bound)``: one comparison, never
+    a lock (or semaphore) acquire.  The cached global bound is re-read
+    from the link by :meth:`refresh`, which refinement calls at every
+    chunk boundary — a bound another shard publishes between two chunks
+    is the cutoff the next chunk uses.  Local improvements are published
+    to the link immediately.
 
     Correctness does not depend on freshness: the global bound is an
     upper bound on the final global k-th distance at all times (it is the
@@ -211,22 +231,18 @@ class LinkedResultSet(ResultSet):
     does.
     """
 
-    _REFRESH_READS = 32
-
     def __init__(self, k: int, link) -> None:
         super().__init__(k)
         self._link = link
-        self._reads = 0
         self._link_bsf = float(link.get())
 
     @property
     def bsf_squared(self) -> float:
-        self._reads += 1
-        if self._reads >= self._REFRESH_READS:
-            self._reads = 0
-            self._link_bsf = float(self._link.get())
         local = self._bsf_squared
         return local if local < self._link_bsf else self._link_bsf
+
+    def refresh(self) -> None:
+        self._link_bsf = float(self._link.get())
 
     def _publish_if_better(self) -> None:
         local = self._bsf_squared

@@ -18,8 +18,8 @@ picklable under every ``multiprocessing`` start method:
   answers ``("query", ...)`` requests over a pipe.  They prune against
   the coordinator's global BSF² through :class:`ProcessBsf` — a raw
   shared double guarded by a process-shared lock, read through the same
-  throttled :class:`~repro.core.results.LinkedResultSet` the thread path
-  uses — and reply with shard answers whose positions are already
+  :class:`~repro.core.results.LinkedResultSet` the thread path uses
+  (refreshed once per refinement chunk) — and reply with shard answers whose positions are already
   globalized (``row_base`` added).
 
 Both coordinators *supervise* their workers (ParIS+/MESSI treat worker
@@ -156,9 +156,9 @@ class ProcessBsf:
     raw shared ``double`` plus a process-shared lock.  A raw value (not
     the synchronized ``multiprocessing.Value`` wrapper) keeps reads from
     paying a semaphore acquire *twice*; the explicit lock on both sides
-    rules out torn reads of the 8-byte cell on exotic platforms.  The
-    :class:`~repro.core.results.LinkedResultSet` read throttle keeps the
-    lock off the hot path.
+    rules out torn reads of the 8-byte cell on exotic platforms.
+    :class:`~repro.core.results.LinkedResultSet` re-reads the cell only at
+    refinement chunk boundaries, which keeps the lock off the hot path.
     """
 
     __slots__ = ("_value", "_lock")

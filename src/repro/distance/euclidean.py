@@ -20,10 +20,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.types import DISTANCE_DTYPE
+from repro.types import DISTANCE_DTYPE, SERIES_DTYPE
 
 #: Column-block width used by the blocked early-abandoning kernel.
 DEFAULT_ABANDON_BLOCK = 32
+
+#: Rows per whole-row pass of the early-abandoning kernel.
+_EXACT_ROWS = 64
+
+
+def _as_candidates(candidates: np.ndarray) -> np.ndarray:
+    """``candidates`` as a 2-D matrix the kernels subtract a float64 query
+    from.  A float32 block is kept as read: float32 - float64 promotes
+    each element exactly, so the differences are the ones a float64 copy
+    would give, without the copy."""
+    cands = np.asarray(candidates)
+    if cands.dtype != SERIES_DTYPE:
+        cands = np.asarray(cands, dtype=DISTANCE_DTYPE)
+    return cands.reshape(1, -1) if cands.ndim == 1 else cands
 
 
 def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
@@ -47,9 +61,7 @@ def batch_squared_euclidean(query: np.ndarray, candidates: np.ndarray) -> np.nda
     Returns a float64 vector of length ``candidates.shape[0]``.
     """
     q = np.asarray(query, dtype=DISTANCE_DTYPE)
-    cands = np.asarray(candidates, dtype=DISTANCE_DTYPE)
-    if cands.ndim == 1:
-        cands = cands.reshape(1, -1)
+    cands = _as_candidates(candidates)
     if q.ndim != 1 or cands.shape[1] != q.shape[0]:
         raise ValueError(
             f"query shape {q.shape} incompatible with candidates {cands.shape}"
@@ -72,6 +84,9 @@ def early_abandon_squared(
     :func:`batch_squared_euclidean` would compute for them, so callers can
     mix the two kernels without rounding drift.
 
+    Nothing is copied on the way in: a float32 block is used as read, and
+    until a row is abandoned each column block is a plain slice of it.
+
     Returns
     -------
     (distances, points_compared):
@@ -80,9 +95,7 @@ def early_abandon_squared(
         point comparisons performed (the early-abandoning savings metric).
     """
     q = np.asarray(query, dtype=DISTANCE_DTYPE)
-    cands = np.asarray(candidates, dtype=DISTANCE_DTYPE)
-    if cands.ndim == 1:
-        cands = cands.reshape(1, -1)
+    cands = _as_candidates(candidates)
     count, n = cands.shape
     if q.shape != (n,):
         raise ValueError(
@@ -90,35 +103,40 @@ def early_abandon_squared(
         )
     if block <= 0:
         raise ValueError(f"block must be positive, got {block}")
-    if count == 0:
-        return np.empty(0, dtype=DISTANCE_DTYPE), 0
-    if not cutoff_squared < np.inf:
-        # Nothing can be abandoned (this also covers a NaN cutoff): one
-        # full evaluation, identical to the plain batch kernel.
-        return batch_squared_euclidean(q, cands), count * n
+    distances = np.empty(count, dtype=DISTANCE_DTYPE)
+    distances.fill(np.inf)
+    #: Rows still in the race (None: all of them).
+    alive = None
+    points_compared = count * n
+    # A cutoff that abandons nothing (this also covers NaN) goes straight
+    # to the whole-row pass: identical to the plain batch kernel.
+    if cutoff_squared < np.inf:
+        partial = np.zeros(count, dtype=DISTANCE_DTYPE)
+        points_compared = 0
+        for start in range(0, n, block):
+            end = min(start + block, n)
+            columns = cands[:, start:end] if alive is None else cands[alive, start:end]
+            diff = columns - q[start:end]
+            partial += np.einsum("ij,ij->i", diff, diff)
+            points_compared += partial.shape[0] * (end - start)
+            keep = partial <= cutoff_squared
+            kept = np.count_nonzero(keep)
+            if kept < partial.shape[0]:
+                if not kept:
+                    return distances, points_compared
+                alive = keep.nonzero()[0] if alive is None else alive[keep]
+                partial = partial[keep]
 
-    partial = np.zeros(count, dtype=DISTANCE_DTYPE)
-    alive = np.arange(count)
-    points_compared = 0
-    for start in range(0, n, block):
-        end = min(start + block, n)
-        diff = cands[alive, start:end] - q[start:end]
-        partial[alive] += np.einsum("ij,ij->i", diff, diff)
-        points_compared += alive.shape[0] * (end - start)
-        keep = partial[alive] <= cutoff_squared
-        if not keep.all():
-            alive = alive[keep]
-            if alive.shape[0] == 0:
-                break
-
-    distances = np.full(count, np.inf, dtype=DISTANCE_DTYPE)
-    if alive.shape[0]:
-        # Survivors are re-evaluated in one whole-row pass so their values
-        # agree bit-for-bit with ``batch_squared_euclidean`` (blocked
-        # partial sums round differently); abandoning decided who pays
-        # full price, the row kernel decides the exact value.
-        diff = cands[alive] - q
-        distances[alive] = np.einsum("ij,ij->i", diff, diff)
+    # Survivors are re-evaluated whole-row so their values agree
+    # bit-for-bit with ``batch_squared_euclidean`` (blocked partial sums
+    # round differently); abandoning decided who pays full price, the row
+    # kernel decides the exact value.  A few rows at a time: the float64
+    # difference matrix is the kernel's largest temporary.
+    survivors = count if alive is None else alive.shape[0]
+    for lo in range(0, survivors, _EXACT_ROWS):
+        slab = slice(lo, lo + _EXACT_ROWS) if alive is None else alive[lo : lo + _EXACT_ROWS]
+        diff = cands[slab] - q
+        distances[slab] = np.einsum("ij,ij->i", diff, diff)
     return distances, points_compared
 
 

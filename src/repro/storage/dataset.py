@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.files import PathLike, SeriesFile
+from repro.storage.files import PathLike, SeriesFile, read_runs
 from repro.storage.iostats import IOStats
 from repro.types import SERIES_DTYPE, as_series_matrix
 
@@ -120,18 +120,7 @@ class Dataset:
         VA+file rely on.
         """
         pos = np.asarray(positions, dtype=np.int64)
-        rows: list[np.ndarray] = []
-        start = 0
-        total = pos.shape[0]
-        while start < total:
-            end = start + 1
-            while end < total and pos[end] == pos[end - 1] + 1:
-                end += 1
-            rows.append(self.read_batch(int(pos[start]), end - start))
-            start = end
-        if not rows:
-            return np.empty((0, self.series_length), dtype=SERIES_DTYPE)
-        return np.concatenate(rows, axis=0)
+        return read_runs(self.read_batch, pos, self.series_length)
 
     def iter_batches(self, batch_size: int) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(start_position, batch)`` pairs covering the dataset."""

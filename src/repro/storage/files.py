@@ -45,6 +45,38 @@ _RETRY_BACKOFF_SECONDS = 0.002
 _RETRY_JITTER_FRACTION = 0.5
 
 
+def adjacent_runs(values: np.ndarray, step=1) -> tuple[np.ndarray, np.ndarray]:
+    """Index bounds ``(starts, ends)`` of the maximal runs of ``values``
+    in which every element is its predecessor plus ``step``.
+
+    Run ``i`` is ``values[starts[i]:ends[i]]``.  With the default step the
+    runs of a sorted position list are the stretches one contiguous read
+    covers; ``step=0`` gives the runs of equal values; an array (one step
+    per element but the last) takes extent sizes and gives the runs of
+    file-adjacent extents.
+    """
+    breaks = np.empty(len(values) + 1, dtype=bool)
+    breaks[0] = breaks[-1] = True
+    np.not_equal(values[1:], values[:-1] + step, out=breaks[1:-1])
+    edges = breaks.nonzero()[0]
+    return edges[:-1], edges[1:]
+
+
+def read_runs(read, positions: np.ndarray, series_length: int) -> np.ndarray:
+    """The series at ``positions``, fetched with one ``read(position,
+    count)`` call per run of adjacent positions."""
+    if not positions.shape[0]:
+        return np.empty((0, series_length), dtype=SERIES_DTYPE)
+    starts, ends = adjacent_runs(positions)
+    return np.concatenate(
+        [
+            read(position, count)
+            for position, count in zip(positions[starts].tolist(), (ends - starts).tolist())
+        ],
+        axis=0,
+    )
+
+
 def _retry_delay(path, attempt: int) -> float:
     """The jittered backoff before read retry ``attempt`` (0-based)."""
     jitter = deterministic_jitter(str(path), attempt)
@@ -290,18 +322,7 @@ class SeriesFile:
                 "positions must be strictly increasing (sorted, unique); "
                 "got an unsorted or duplicated sequence"
             )
-        rows: list[np.ndarray] = []
-        start = 0
-        total = pos.shape[0]
-        while start < total:
-            end = start + 1
-            while end < total and pos[end] == pos[end - 1] + 1:
-                end += 1
-            rows.append(self.read_range(int(pos[start]), end - start))
-            start = end
-        if not rows:
-            return np.empty((0, self.series_length), dtype=SERIES_DTYPE)
-        return np.concatenate(rows, axis=0)
+        return read_runs(self.read_range, pos, self.series_length)
 
     def append_batch(self, data: np.ndarray) -> int:
         """Append a batch, returning the position of its first series."""

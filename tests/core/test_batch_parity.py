@@ -67,13 +67,36 @@ def index(data, tmp_path_factory):
     built.close()
 
 
-def _assert_batch_matches_serial(index, queries, k, config=None):
+@pytest.fixture(scope="module")
+def wide_data():
+    return make_random_walks(2000, _LENGTH, seed=19)
+
+
+@pytest.fixture(scope="module")
+def wide_index(wide_data, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("batch-parity-wide") / "index"
+    built = HerculesIndex.build(wide_data, _config(), directory=directory)
+    yield built
+    built.close()
+
+
+#: The work counters a drifted re-check cadence moves first: with ε > 0
+#: the answers can still agree when these no longer do.
+_WORK_COUNTERS = ("distance_computations", "points_compared", "series_accessed")
+
+
+def _assert_batch_matches_serial(index, queries, k, config=None, counters=False):
     batch = index.knn_batch(queries, k=k, config=config)
     assert len(batch) == queries.shape[0]
     for qi, answer in enumerate(batch):
         serial = index.knn(queries[qi], k=k, config=config)
         np.testing.assert_array_equal(serial.distances, answer.distances)
         np.testing.assert_array_equal(serial.positions, answer.positions)
+        if counters:
+            for name in _WORK_COUNTERS:
+                assert getattr(answer.profile, name) == getattr(serial.profile, name), (
+                    f"query {qi} ({serial.profile.path}): {name}"
+                )
     return batch
 
 
@@ -102,19 +125,24 @@ class TestPlainExactParity:
 
 class TestEpsilonParity:
     """ε > 0 pruning depends on the BSF at each check: the batch engine
-    must replicate the serial check cadence operation for operation."""
+    must re-check at exactly the serial cadence (it calls the serial
+    routine), which the work counters see before the answers do."""
 
     @pytest.mark.parametrize("prefilter", [True, False])
     @pytest.mark.parametrize("k", [1, 10])
     def test_bit_for_bit(self, index, queries, prefilter, k):
         config = index.config.with_options(
-            epsilon=0.15, prefilter=prefilter
+            epsilon=0.15, prefilter=prefilter, num_query_threads=1
         )
-        _assert_batch_matches_serial(index, queries[:16], k, config=config)
+        _assert_batch_matches_serial(
+            index, queries[:16], k, config=config, counters=True
+        )
 
     def test_large_epsilon(self, index, queries):
-        config = index.config.with_options(epsilon=1.0)
-        _assert_batch_matches_serial(index, queries[:8], k=5, config=config)
+        config = index.config.with_options(epsilon=1.0, num_query_threads=1)
+        _assert_batch_matches_serial(
+            index, queries[:8], k=5, config=config, counters=True
+        )
 
 
 class TestRefinementPaths:
@@ -135,7 +163,9 @@ class TestRefinementPaths:
         )
         hard = np.random.default_rng(8).standard_normal((6, _LENGTH))
         mixed = np.vstack([queries[:6], hard, data[100:104]]).astype(np.float32)
-        batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
+        batch = _assert_batch_matches_serial(
+            index, mixed, k=5, config=config, counters=epsilon > 0
+        )
         paths = {answer.profile.path for answer in batch}
         assert "full-four-phase" in paths
         if adaptive:
@@ -146,6 +176,38 @@ class TestRefinementPaths:
             assert answer.profile.candidate_series == serial.candidate_series
             assert answer.profile.prefilter_screened == serial.prefilter_screened
             assert answer.profile.prefilter_survivors == serial.prefilter_survivors
+
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_epsilon_counters_over_many_chunks(
+        self, wide_index, wide_data, prefilter, adaptive
+    ):
+        """On 2 000 series a skip-sequential scan covers runs of many
+        20-row leaves in several refinement chunks and phase 4 several
+        chunks of SCList: a batch cadence one re-check off the serial one
+        shows in the work counters of most of these queries."""
+        config = wide_index.config.with_options(
+            l_max=2,
+            num_query_threads=1,
+            epsilon=0.15,
+            prefilter=prefilter,
+            adaptive_thresholds=adaptive,
+        )
+        rng = np.random.default_rng(9)
+        noisy = wide_data[:8] + 0.5 * rng.standard_normal((8, _LENGTH))
+        hard = rng.standard_normal((8, _LENGTH))
+        mixed = np.vstack([noisy, hard]).astype(np.float32)
+        batch = _assert_batch_matches_serial(
+            wide_index, mixed, k=5, config=config, counters=True
+        )
+        paths = {answer.profile.path for answer in batch}
+        assert "full-four-phase" in paths
+        if adaptive:
+            assert "eapca-skipseq" in paths
+        # The fixture is only worth its build time if scans really span
+        # several chunks (256 rows each).
+        assert max(a.profile.distance_computations for a in batch) > 4 * 256
 
 
 class TestDegenerateBatches:

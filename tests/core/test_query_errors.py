@@ -1,5 +1,7 @@
 """Error propagation from the query phases."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -39,12 +41,16 @@ class TestQueryWorkerErrors:
     def test_phase4_read_error_propagates(self, index, monkeypatch):
         from repro.errors import StorageError
 
-        def broken(positions):
+        read_range = index._lrd.read_range
+
+        def broken(position, count):
+            # Every refinement read is a read_range; only the CRWorker
+            # threads of phase 4 fail, phase 1 (calling thread) reads on.
+            if threading.current_thread() is threading.main_thread():
+                return read_range(position, count)
             raise StorageError("injected read failure")
 
-        # Phase 4 (CRWorkers) is the only consumer of read_positions;
-        # the approximate phase reads whole leaves via read_range.
-        monkeypatch.setattr(index._lrd, "read_positions", broken)
+        monkeypatch.setattr(index._lrd, "read_range", broken)
         query = make_random_walks(1, 32, seed=292)[0]
         with pytest.raises(StorageError, match="injected read failure"):
             index.knn(query, k=1)

@@ -102,19 +102,22 @@ class TestCandidateLeafPhase:
         query = make_random_walks(1, 32, seed=194)[0]
         state = make_state(index, query, l_max=4)
 
-        visited = []
-        original = state.scan_leaf
+        read = []
+        original = state.read_rows
 
-        def tracking(leaf):
-            visited.append(leaf)
-            original(leaf)
+        def tracking(position, count):
+            read.append((position, count))
+            return original(position, count)
 
-        state.scan_leaf = tracking
+        state.read_rows = tracking
         _approx_knn(state)
         lclist = _find_candidate_leaves(state)
-        candidate_ids = {index._table.leaves[i].node_id for i in lclist}
-        assert visited and not candidate_ids & {leaf.node_id for leaf in visited}
-        assert [index._table.leaves[i] for i in state.visited] == visited
+        assert state.visited and not set(lclist.tolist()) & set(state.visited)
+        # Phase 1 read exactly the leaves it recorded as visited, whole.
+        table = index._table
+        assert read == [
+            (int(table.positions[i]), int(table.sizes[i])) for i in state.visited
+        ]
 
     def test_bounds_below_bsf(self, index):
         query = make_random_walks(1, 32, seed=195)[0]
@@ -241,3 +244,161 @@ class TestEdgeCases:
         answer = index.knn(data[0], k=1)
         assert answer.distances[0] == pytest.approx(0.0, abs=1e-6)
         index.close()
+
+
+class TestDuplicateTies:
+    """Every series stored twice and k odd: the k-th and (k+1)-th
+    neighbours are exact duplicates, so each query ends on a tie at the
+    k-th distance, and with a 7-row refinement chunk the twins keep
+    landing on either side of a chunk boundary.  Which twin is reported
+    may differ between engines (see ``ResultSet``); the distances may
+    not, and every reported position must hold a series at exactly its
+    reported distance."""
+
+    K = 5
+
+    @pytest.fixture(scope="class")
+    def twins(self):
+        return np.repeat(make_random_walks(300, 32, seed=197), 2, axis=0)
+
+    @pytest.fixture(scope="class")
+    def queries(self, twins):
+        rng = np.random.default_rng(198)
+        near = twins[::75] + 0.3 * rng.standard_normal((8, 32))
+        return np.vstack([near, rng.standard_normal((4, 32))]).astype(np.float32)
+
+    @pytest.fixture(scope="class")
+    def engines(self, twins, tmp_path_factory):
+        from repro import ShardedIndex
+
+        config = HerculesConfig(
+            leaf_capacity=20, num_build_threads=1, flush_threshold=1, l_max=1,
+            sax_segments=8,
+        )
+        root = tmp_path_factory.mktemp("twins")
+        plain = HerculesIndex.build(twins, config, directory=root / "plain")
+        sharded = ShardedIndex.build(
+            twins,
+            config.with_options(num_shards=2, shard_workers=0),
+            directory=root / "sharded",
+        )
+        yield plain, sharded
+        plain.close()
+        sharded.close()
+
+    @staticmethod
+    def _check(index, query, answer, twins, k):
+        truth = np.sort(
+            np.sqrt(np.square(twins.astype(np.float64) - query).sum(axis=1))
+        )[:k]
+        np.testing.assert_allclose(answer.distances, truth, rtol=1e-9)
+        assert len(set(answer.positions.tolist())) == k
+        for distance, position in zip(answer.distances, answer.positions):
+            stored = index.get_series(int(position)).astype(np.float64)
+            actual = np.sqrt(np.square(stored - query).sum())
+            np.testing.assert_allclose(actual, distance, rtol=1e-9)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["phase4", "skipseq"])
+    def test_every_engine_agrees_with_the_oracle(
+        self, engines, twins, queries, adaptive, monkeypatch
+    ):
+        from repro.core import query as query_module
+        from repro.core.results import ResultSet
+
+        monkeypatch.setattr(query_module, "_CHUNK_ROWS", 7)
+        plain, sharded = engines
+        k = self.K
+        # eapca_th=1 sends every adaptive query down the leaf scan.
+        options = dict(adaptive_thresholds=adaptive, eapca_th=1.0)
+        serial = plain.config.with_options(num_query_threads=1, **options)
+        threaded = plain.config.with_options(num_query_threads=2, **options)
+
+        merges = []
+        update = ResultSet.update_batch_squared
+
+        def recording(self, distances_squared, positions):
+            merges.append((np.array(distances_squared), np.array(positions)))
+            return update(self, distances_squared, positions)
+
+        monkeypatch.setattr(ResultSet, "update_batch_squared", recording)
+        answers = [plain.knn(q, k=k, config=serial) for q in queries]
+        monkeypatch.setattr(ResultSet, "update_batch_squared", update)
+        # The premise, where chunks can cut between rows (a leaf scan's
+        # chunks are whole leaves and twins share a leaf): some twin pair
+        # was offered in two merges, consecutive chunks, at one distance.
+        assert adaptive or any(
+            before_p[-1] + 1 == after_p[0]
+            and before_d[-1] == after_d[0]
+            and np.isfinite(after_d[0])
+            for (before_d, before_p), (after_d, after_p) in zip(merges, merges[1:])
+        )
+
+        for query, answer in zip(queries, answers):
+            assert answer.profile.path == (
+                "eapca-skipseq" if adaptive else "full-four-phase"
+            )
+            self._check(plain, query, answer, twins, k)
+            self._check(plain, query, plain.knn(query, k=k, config=threaded), twins, k)
+            sharded_config = sharded.config.with_options(**options)
+            self._check(
+                sharded, query, sharded.knn(query, k=k, config=sharded_config), twins, k
+            )
+        for query, answer in zip(queries, plain.knn_batch(queries, k=k, config=serial)):
+            self._check(plain, query, answer, twins, k)
+
+
+class TestRefineRuns:
+    """What the one refinement routine promises its four callers."""
+
+    @staticmethod
+    def _hard_query():
+        return np.random.default_rng(199).standard_normal(32).astype(np.float32)
+
+    def test_chunks_are_capped_and_reads_coalesced(self, index, monkeypatch):
+        from repro.core import query as query_module
+
+        kernel = query_module.early_abandon_squared
+        blocks = []
+
+        def recording(query, data, cutoff_squared):
+            blocks.append(data.shape[0])
+            return kernel(query, data, cutoff_squared)
+
+        monkeypatch.setattr(query_module, "early_abandon_squared", recording)
+        config = index.config.with_options(l_max=1, eapca_th=1.0)
+        answer = index.knn(self._hard_query(), k=3, config=config)
+        profile = answer.profile
+        assert profile.path == "eapca-skipseq"
+        # Whole leaves (<= 45 rows here) packed up to the cap, never past it.
+        assert max(blocks) <= query_module._CHUNK_ROWS
+        assert len(blocks) < profile.candidate_leaves + profile.approx_leaves
+        assert sum(blocks) == profile.distance_computations == profile.series_accessed
+        # One read per run of adjacent leaves: fewer reads than leaves, and
+        # not a byte more than the rows refined.
+        assert profile.io.read_calls < profile.candidate_leaves + profile.approx_leaves
+        assert profile.io.bytes_read == profile.series_accessed * 32 * 4
+
+    def test_reads_stay_leaf_granular_under_a_cache(self, index, monkeypatch):
+        from repro.storage.cache import LeafCache
+
+        extents = set(
+            zip(index._table.positions.tolist(), index._table.sizes.tolist())
+        )
+        keys = []
+        cache = LeafCache(1 << 20)
+        get_or_load = cache.get_or_load
+
+        def recording(key, loader):
+            keys.append(key)
+            return get_or_load(key, loader)
+
+        monkeypatch.setattr(cache, "get_or_load", recording)
+        monkeypatch.setattr(index._lrd, "cache", cache)
+        config = index.config.with_options(l_max=1, eapca_th=1.0)
+        first = index.knn(self._hard_query(), k=3, config=config)
+        again = index.knn(self._hard_query(), k=3, config=config)
+        assert first.profile.path == "eapca-skipseq" and keys
+        assert set(keys) <= extents  # a merged run would be no leaf's block
+        assert again.profile.cache_hits == len(keys) // 2
+        assert again.profile.io.read_calls == 0
+        np.testing.assert_array_equal(first.distances, again.distances)

@@ -7,6 +7,7 @@ from repro.core import (
     HerculesConfig,
     HerculesIndex,
     LinkedResultSet,
+    ResultSet,
     ShardedIndex,
     ShardedQueryAnswer,
     SharedBsf,
@@ -118,14 +119,58 @@ class TestLinkedResultSet:
         results.update_squared(9.0, 0)  # local k-th best is now 9
         assert results.bsf_squared == 4.0  # link is tighter
 
-    def test_refresh_is_throttled(self):
+    def test_refresh_is_explicit(self):
         link = SharedBsf()
         results = LinkedResultSet(1, link)
         link.publish(2.0)  # published after the creation snapshot
-        refresh = LinkedResultSet._REFRESH_READS
-        stale = [results.bsf_squared for _ in range(refresh - 1)]
-        assert all(value == np.inf for value in stale)
-        assert results.bsf_squared == 2.0  # refresh-th read picks it up
+        # Reads never touch the link (it sits behind a lock) ...
+        assert all(results.bsf_squared == np.inf for _ in range(100))
+        results.refresh()  # ... refinement's chunk boundary does.
+        assert results.bsf_squared == 2.0
+
+    def test_plain_result_set_refresh_is_a_noop(self):
+        results = ResultSet(1)
+        results.update_squared(4.0, 0)
+        results.refresh()
+        assert results.bsf_squared == 4.0
+
+    def test_bound_published_between_chunks_cuts_the_next_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        """Another shard's bound that lands on the link while chunk i
+        refines is chunk i + 1's cutoff, however few times refinement
+        reads the bound.  k exceeds the dataset, so the local k-th best
+        stays inf and every cutoff seen is the link's."""
+        from repro.core import query as query_module
+
+        index = HerculesIndex.build(
+            make_random_walks(900, 32, seed=13), _config(), directory=tmp_path / "index"
+        )
+        link = SharedBsf()
+        results = LinkedResultSet(index.num_series + 1, link)
+        kernel = query_module.early_abandon_squared
+        cutoffs, published = [], []
+
+        def publishing_kernel(query, data, cutoff_squared):
+            cutoffs.append(cutoff_squared)
+            published.append(min(cutoff_squared, 1e9) * 0.999)
+            link.publish(published[-1])  # "another shard" got closer
+            return kernel(query, data, cutoff_squared)
+
+        monkeypatch.setattr(query_module, "early_abandon_squared", publishing_kernel)
+        query = np.random.default_rng(12).standard_normal(32).astype(np.float32)
+        config = index.config.with_options(l_max=1, eapca_th=1.0, num_query_threads=1)
+        try:
+            answer = query_module.exact_knn(
+                query, results.k, config, index._table, index._lrd, index.signatures,
+                index.num_series, results=results,
+            )
+        finally:
+            index.close()
+        assert answer.profile.path == "eapca-skipseq"
+        assert len(cutoffs) >= 4, "the scan must span several chunks"
+        assert cutoffs[0] == np.inf
+        assert cutoffs[1:] == published[:-1]
 
     def test_batch_updates_publish(self):
         link = SharedBsf()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distance.euclidean import (
     batch_squared_euclidean,
@@ -168,3 +170,72 @@ class TestKnnSelection:
         dist = np.array([np.inf, 2.0, np.inf, 1.0])
         idx, values = knn_from_distances(dist, 2)
         assert list(idx) == [3, 1]
+
+
+def _reference_early_abandon(query, candidates, cutoff_squared, block=32):
+    """The kernel as first written: a float64 copy of the block, a fancy
+    gather of the live rows per column block, scatter-adds into one
+    partial vector.  The copy-free kernel must report exactly this."""
+    q = np.asarray(query, dtype=np.float64)
+    cands = np.asarray(candidates, dtype=np.float64)
+    count, n = cands.shape
+    if not cutoff_squared < np.inf:
+        return batch_squared_euclidean(q, cands), count * n
+    partial = np.zeros(count)
+    alive = np.arange(count)
+    points_compared = 0
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        diff = cands[alive, start:end] - q[start:end]
+        partial[alive] += np.einsum("ij,ij->i", diff, diff)
+        points_compared += alive.shape[0] * (end - start)
+        alive = alive[partial[alive] <= cutoff_squared]
+        if alive.shape[0] == 0:
+            break
+    distances = np.full(count, np.inf)
+    if alive.shape[0]:
+        diff = cands[alive] - q
+        distances[alive] = np.einsum("ij,ij->i", diff, diff)
+    return distances, points_compared
+
+
+class TestEarlyAbandonProperty:
+    """The copy-free kernel against the loop it replaced, on the block
+    dtypes refinement feeds it (float32 as read, float64 from callers
+    that converted) and at every kind of cutoff."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 150),  # spans several 64-row whole-row passes
+        length=st.sampled_from([1, 31, 32, 33, 96, 100]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        quantile=st.one_of(
+            st.floats(0.0, 1.0), st.sampled_from([np.inf, np.nan, -1.0])
+        ),
+    )
+    def test_matches_reference(self, seed, rows, length, dtype, quantile):
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((rows, length)).astype(dtype)
+        # Duplicate rows land exactly on the cutoff when it is one of them.
+        block[rng.integers(rows)] = block[0]
+        query = rng.standard_normal(length)
+        truth = batch_squared_euclidean(query, block)
+        cutoff = (
+            float(np.quantile(truth, quantile)) if 0.0 <= quantile <= 1.0 else quantile
+        )
+        distances, compared = early_abandon_squared(query, block, cutoff)
+        expected, expected_compared = _reference_early_abandon(query, block, cutoff)
+
+        np.testing.assert_array_equal(distances, expected)
+        assert compared == expected_compared
+        survivors = np.isfinite(distances)
+        # Survivors carry the unblocked kernel's value bit for bit, and
+        # only a row at or beyond the cutoff may report inf.  "At": blocked
+        # partial sums round differently from the whole-row sum, so a row
+        # tied with the cutoff to the last ulps can fall either way (as in
+        # the reference); one clearly inside never does.
+        np.testing.assert_array_equal(distances[survivors], truth[survivors])
+        assert np.all(truth[~survivors] >= cutoff * (1.0 - 1e-12))
+        if not cutoff < np.inf:  # the inf / NaN cutoff path abandons nothing
+            assert survivors.all() and compared == block.size

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.dataset import Dataset
-from repro.storage.files import SeriesFile
+from repro.storage.files import SeriesFile, adjacent_runs
 from repro.storage.iostats import IOStats
 
 from ..conftest import make_random_walks
@@ -69,3 +69,37 @@ def test_read_positions_property(on_disk, positions):
     with Dataset.open(path, 8) as ds:
         rows = ds.read_positions(sorted_positions)
     np.testing.assert_array_equal(rows, data[sorted_positions])
+
+
+class TestAdjacentRuns:
+    """The one run detector behind both ``read_positions``, the batch
+    engine's per-leaf grouping and refinement's read coalescing."""
+
+    @staticmethod
+    def _runs(values, step=1):
+        starts, ends = adjacent_runs(np.asarray(values), step)
+        return list(zip(starts.tolist(), ends.tolist()))
+
+    def test_runs_of_adjacent_positions(self):
+        assert self._runs([3, 4, 5, 9, 20, 21]) == [(0, 3), (3, 4), (4, 6)]
+
+    def test_runs_of_equal_values(self):
+        assert self._runs([7, 7, 8, 8, 8, 2], step=0) == [(0, 2), (2, 5), (5, 6)]
+
+    def test_runs_of_file_adjacent_extents(self):
+        starts, sizes = np.array([0, 10, 15, 40, 42]), np.array([10, 5, 3, 2, 9])
+        assert self._runs(starts, sizes[:-1]) == [(0, 3), (3, 5)]
+
+    def test_single_value_and_empty(self):
+        assert self._runs([5]) == [(0, 1)]
+        assert self._runs(np.empty(0, dtype=np.int64)) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(0, 40), min_size=1, max_size=40))
+    def test_matches_the_per_element_loop(self, values):
+        expected, start = [], 0
+        for end in range(1, len(values) + 1):
+            if end == len(values) or values[end] != values[end - 1] + 1:
+                expected.append((start, end))
+                start = end
+        assert self._runs(values) == expected
