@@ -5,8 +5,9 @@ Not a paper figure: this pins the perf properties of
 (shared leaf reads, one (Q x nodes) bound pass, matrix-shaped
 refinement kernels) instead of Q independent searches —
 
-* at Q = 64 the batched workload completes at >= 2x the serial loop's
-  throughput on the same index,
+* at Q = 64 the batched workload completes at >= 1.15x the serial loop's
+  throughput on the same index (2x until the serial loop got the
+  screening kernel too; 1.29-1.34x measured since),
 * the batch physically loads far fewer leaf blocks than the serial
   runs touch in total (the leaf-share factor), and
 * every per-query answer is bit-for-bit the serial answer.
@@ -66,29 +67,35 @@ def index_dir(tmp_path_factory, data):
     return directory
 
 
-def _timed_workload(method, queries, k, num_series, batched, repeats=3):
-    """(best wall seconds, last WorkloadResult) over ``repeats`` runs."""
-    best = float("inf")
-    result = None
+def _timed_workloads(method, queries, k, num_series, repeats=7):
+    """``{batched: (best wall seconds, last WorkloadResult)}`` for the
+    serial and the batched arm, run alternately ``repeats`` times.
+
+    Alternating gives both arms the same host state, and seven rounds
+    outlast the one thing that differs between them: the batched arm's
+    gemm is the process's first multi-threaded BLAS call, and on a
+    two-vCPU host whose second core sat idle every such call costs a
+    scheduler tick (8 ms) for about a second before it runs at speed.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    result = {}
     for _ in range(repeats):
-        started = time.perf_counter()
-        result = run_workload(
-            method, queries, k=k, num_series=num_series, batched=batched
-        )
-        best = min(best, time.perf_counter() - started)
-    return best, result
+        for batched in (False, True):
+            started = time.perf_counter()
+            result[batched] = run_workload(
+                method, queries, k=k, num_series=num_series, batched=batched
+            )
+            best[batched] = min(best[batched], time.perf_counter() - started)
+    return {batched: (best[batched], result[batched]) for batched in best}
 
 
 def test_batched_workload(index_dir, data, queries):
     index = HerculesIndex.open(index_dir)
     try:
         num_series = data.shape[0]
-        serial_seconds, serial = _timed_workload(
-            index, queries, _K, num_series, batched=False
-        )
-        batch_seconds, batched = _timed_workload(
-            index, queries, _K, num_series, batched=True
-        )
+        timed = _timed_workloads(index, queries, _K, num_series)
+        serial_seconds, serial = timed[False]
+        batch_seconds, batched = timed[True]
         speedup = serial_seconds / batch_seconds
 
         # One more batch for the sharing stats and the parity gate.
@@ -159,7 +166,11 @@ def test_batched_workload(index_dir, data, queries):
             "batched profiles report more work than serial "
             f"({batch_reads} vs {serial_reads} series)"
         )
-        assert speedup >= 2.0, (
+        # Both arms run the same screening kernel, so what batching adds is
+        # the shared reads and the one bound pass: 1.29-1.34x measured
+        # (serial 2.3, batched 1.75 ms per query); the floor is that less a
+        # noise margin.
+        assert speedup >= 1.15, (
             f"batched workload only {speedup:.2f}x the serial loop "
             f"at Q={_NUM_QUERIES}"
         )

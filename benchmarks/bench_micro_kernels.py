@@ -39,10 +39,20 @@ def test_batch_squared_euclidean(benchmark, corpus, query):
     benchmark(batch_squared_euclidean, query, corpus)
 
 
-def test_early_abandon_squared(benchmark, corpus, query):
+@pytest.mark.parametrize("rows_per_call", [64, 256, 1024])
+@pytest.mark.parametrize("kernel", ["whole-row", "screen"])
+def test_early_abandon_squared(benchmark, corpus, query, kernel, rows_per_call):
+    """The corpus in calls of a leaf's, a quarter-chunk's and a refinement
+    chunk's worth of rows (``repro.core.query._CHUNK_ROWS`` = 1 024): the
+    evidence behind the cap.  Compare the two kernels at equal rows."""
     full = batch_squared_euclidean(query, corpus)
-    cutoff = float(np.quantile(full, 0.01))
-    benchmark(early_abandon_squared, query, corpus, cutoff)
+    cutoff = float(np.quantile(full, 0.01)) if kernel == "screen" else np.inf
+    blocks = [
+        corpus[lo : lo + rows_per_call]
+        for lo in range(0, corpus.shape[0], rows_per_call)
+    ]
+    benchmark.extra_info["points"] = int(corpus.size)
+    benchmark(lambda: [early_abandon_squared(query, block, cutoff) for block in blocks])
 
 
 def test_paa_16_segments(benchmark, corpus):

@@ -6,7 +6,7 @@ and a *double buffer* overlapping disk reads with distance computation.
 The structure here mirrors that: a dedicated reader thread streams the
 dataset sequentially into a small bounded queue (the double buffer —
 the reader fills the next chunk while workers drain previous ones), and
-compute threads run the blocked early-abandoning batch kernel (the SIMD
+compute threads run the screening early-abandoning batch kernel (the SIMD
 analog) against the global best-so-far.  Keeping all reads on one
 thread also keeps the I/O pattern what a scan's should be: one long
 sequential pass.

@@ -16,7 +16,7 @@ expensive touch is amortized across the queries that need it:
   ones by construction.
 * **Shared-leaf refinement.**  The LCLists form a leaf→{query set}
   access plan; each surviving leaf is read from ``SeriesFile``/
-  ``LeafCache`` exactly once and refined with a single blocked
+  ``LeafCache`` exactly once and refined with a single screening
   (Q_leaf × rows) matrix kernel
   (:func:`~repro.distance.euclidean.early_abandon_squared_multi`)
   sharing the row load across queries, with per-query live BSF²
@@ -199,7 +199,9 @@ class _BatchSearchState(_SearchState):
         self.store_hits = 0
         self.store_misses = 0
 
-    def read_rows(self, position: int, count: int) -> np.ndarray:
+    def read_rows(
+        self, position: int, count: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """The serial read, cut from the store's memoized leaf blocks."""
         starts, leaves = self._store.leaf_starts, self.table.leaves
         end = position + count
@@ -209,7 +211,9 @@ class _BatchSearchState(_SearchState):
             block = self._leaf_block(leaves[index])
             pieces.append(block[max(position - starts[index], 0) : end - starts[index]])
             index += 1
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        if out is None and len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces, out=out)
 
     def _leaf_block(self, leaf: Node) -> np.ndarray:
         before = self._store.loads

@@ -32,18 +32,19 @@ so the skip-sequential paths too only visit leaves that kept a row.
 
 Refinement is written once (:func:`_refine_runs`): phase 1's leaf
 visits, both skip-sequential scans and phase 4 hand it file-ordered read
-extents with their bounds, and it walks them in chunks of a few hundred
-rows — one re-check against the live BSF², one read per run of adjacent
-extents, one kernel call and one result-set merge per chunk — because at
-a leaf's worth of rows per call the kernel is NumPy dispatch, not
-arithmetic.
+extents with their bounds, and it walks them in chunks of up to a
+thousand rows — one re-check against the live BSF², one read per run of
+adjacent extents straight into one reused buffer, one kernel call and
+one result-set merge per chunk — because at a leaf's worth of rows per
+call the kernel is NumPy dispatch, not arithmetic.
 
 Distance kernels operate on whole row matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
 optimization): lower bounds are ε-scaled and squared once, every pruning
 comparison is against ``BSF²`` (:attr:`ResultSet.bsf_squared`),
-refinement runs the blocked early-abandoning kernel with the live
-``BSF²`` cutoff, and the one square root per answer happens in
+refinement runs the screening early-abandoning kernel (one float32 BLAS
+pass as a gate, exact float64 only for the rows it lets through) with
+the live ``BSF²`` cutoff, and the one square root per answer happens in
 ``ResultSet.items()``.  The per-query :class:`QueryProfile` records the
 path taken, pruning ratios, distance-computation / point-comparison and
 I/O counts, plus leaf-cache hits, so harnesses can report the paper's
@@ -71,7 +72,7 @@ from repro.storage.files import SeriesFile, adjacent_runs
 from repro.storage.iostats import IOSnapshot
 from repro.summarization.eapca import SeriesSketch
 from repro.summarization.paa import paa
-from repro.types import DISTANCE_DTYPE, as_series
+from repro.types import DISTANCE_DTYPE, SERIES_DTYPE, as_series
 
 
 #: Disk parameters of the paper's testbed (Section 4.1): 10K RPM SAS
@@ -96,12 +97,13 @@ class QueryProfile:
     candidate_series: int = 0
     sax_pruning: Optional[float] = None
     #: Rows *refined*: series handed to a real-distance kernel.  A series
-    #: counts even when the early-abandoning kernel dropped it part-way
-    #: through; the point-level savings show up in ``points_compared``.
+    #: counts even when the kernel's screen abandoned it.
     distance_computations: int = 0
-    #: Individual point comparisons actually performed by the refinement
-    #: kernels, and the number a no-abandon kernel would have performed.
-    #: Their ratio is the UCR-suite early-abandoning savings.
+    #: Individual point comparisons performed by the refinement kernels,
+    #: and the number a no-abandon kernel would have performed.  The
+    #: screening kernel touches every point once, so the two are equal on
+    #: every Hercules path; a method whose kernel stops part-way through a
+    #: series reports fewer compared.
     points_compared: int = 0
     points_total: int = 0
     #: The LB_SAX pass when ``prefilter`` runs it ahead of the access-
@@ -133,7 +135,8 @@ class QueryProfile:
 
     @property
     def abandoned_fraction(self) -> float:
-        """Fraction of point comparisons skipped by early abandoning."""
+        """Fraction of point comparisons skipped by early abandoning
+        (0 under the screening kernel, see ``points_compared``)."""
         if self.points_total <= 0:
             return 0.0
         return 1.0 - self.points_compared / self.points_total
@@ -240,10 +243,13 @@ class _SearchState:
         self.visited: list[int] = []
         self.query_paa = paa(self.query, sax.space.segments)
 
-    def read_rows(self, position: int, count: int) -> np.ndarray:
-        """``count`` consecutive raw series of LRDFile: the one read
-        refinement performs (the batch engine serves it from its store)."""
-        return self.lrd.read_range(position, count)
+    def read_rows(
+        self, position: int, count: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``count`` consecutive raw series of LRDFile, written to ``out``
+        when given: the one read refinement performs (the batch engine
+        serves it from its store)."""
+        return self.lrd.read_range(position, count, out=out)
 
     def finish_profile(self) -> None:
         """Fill the per-query cache counters from LRDFile's leaf cache."""
@@ -567,10 +573,11 @@ def _trim_to_candidates(
 # (Algorithm 14: ComputeResults / CRWorker) are one routine
 # ---------------------------------------------------------------------------
 
-#: Candidate rows per refinement chunk.  NumPy dispatch, not arithmetic,
-#: bounds the kernel below ~256 rows per call; above it throughput is
-#: flat while the kernel's transient memory keeps growing linearly.
-_CHUNK_ROWS = 256
+#: Candidate rows per refinement chunk, and the rows of the one buffer a
+#: refinement pass reads its chunks into.  Per chunk the kernel keeps only
+#: a few values per row, so the buffer is what the cap costs in memory:
+#: 1 MB at length 256.  The sweep behind the value is in docs/tuning.md.
+_CHUNK_ROWS = 1024
 
 
 def _refine_leaves(
@@ -611,11 +618,16 @@ def _refine_runs(
     walked in chunks of whole extents, at most :data:`_CHUNK_ROWS` rows
     each unless one extent alone holds more, and per chunk there is one
     re-check of the bounds against the live BSF² (an extent it prunes is
-    not read), one read per run of file-adjacent extents, one blocked
-    early-abandoning kernel call and one result-set merge.
+    not read), one read per run of file-adjacent extents, one screening
+    kernel call and one result-set merge.
+
+    Every run of a chunk is read straight into one ``(_CHUNK_ROWS,
+    length)`` buffer that lives as long as the pass (one per CRWorker), so
+    a chunk allocates nothing of its own size.  A chunk of one extent — a
+    phase-1 leaf visit, or a leaf above the cap — is a plain read.
 
     A candidate dropped by a re-check has bound ≥ BSF² ≥ the final BSF²,
-    and one abandoned by the kernel has distance ≥ the BSF at that time,
+    and one abandoned by the kernel has distance > the BSF at that time,
     so neither could have entered the top-k: answers equal a full
     evaluation.  The ε factor is in the bounds only — it tightens
     lower-bound pruning, not real-distance refinement.
@@ -629,46 +641,62 @@ def _refine_runs(
     """
     results, profile = state.results, state.profile
     ends = starts + sizes
-    # Cut where the running row count would pass the cap: a chunk is the
-    # extents cuts[i]:cuts[i + 1].
-    sized = list(accumulate(sizes.tolist(), initial=0))
-    cuts = [0]
-    while cuts[-1] < len(starts):
-        fits = bisect_right(sized, sized[cuts[-1]] + _CHUNK_ROWS) - 1
-        cuts.append(max(fits, cuts[-1] + 1))
-    chunks = list(zip(cuts, cuts[1:]))
+    if len(starts) == 1:  # a phase-1 leaf visit: nothing to cut
+        chunks = [(0, 1)]
+    else:
+        # Cut where the running row count would pass the cap: a chunk is
+        # the extents cuts[i]:cuts[i + 1].
+        sized = list(accumulate(sizes.tolist(), initial=0))
+        cuts = [0]
+        while cuts[-1] < len(starts):
+            fits = bisect_right(sized, sized[cuts[-1]] + _CHUNK_ROWS) - 1
+            cuts.append(max(fits, cuts[-1] + 1))
+        chunks = list(zip(cuts, cuts[1:]))
     merge = state.lrd.cache is None
     length = state.query.shape[0]
     profile_lock = threading.Lock()
 
     def refine(part: list) -> None:
         refined = points = 0
+        buffer = None
         for lo, hi in part:
             results.refresh()
             bsf_squared = results.bsf_squared
-            read_starts, read_ends = starts[lo:hi], ends[lo:hi]
-            alive = bounds_sq[lo:hi] < bsf_squared
-            kept = np.count_nonzero(alive)
-            if not kept:
-                continue
-            if kept < hi - lo:
-                read_starts, read_ends = read_starts[alive], read_ends[alive]
-            if merge and read_starts.shape[0] > 1:
-                run_lo, run_hi = adjacent_runs(
-                    read_starts, (read_ends - read_starts)[:-1]
+            if hi - lo == 1:
+                # One extent (a phase-1 leaf visit, a leaf above the cap):
+                # a plain read, and none of the run bookkeeping.
+                if not bounds_sq[lo] < bsf_squared:
+                    continue
+                position, end = int(starts[lo]), int(ends[lo])
+                data = state.read_rows(position, end - position)
+                positions = np.arange(position, end)
+            else:
+                read_starts, read_ends = starts[lo:hi], ends[lo:hi]
+                alive = bounds_sq[lo:hi] < bsf_squared
+                kept = np.count_nonzero(alive)
+                if not kept:
+                    continue
+                if kept < hi - lo:
+                    read_starts, read_ends = read_starts[alive], read_ends[alive]
+                if merge and kept > 1:
+                    run_lo, run_hi = adjacent_runs(
+                        read_starts, (read_ends - read_starts)[:-1]
+                    )
+                    read_starts, read_ends = read_starts[run_lo], read_ends[run_hi - 1]
+                if buffer is None:
+                    buffer = np.empty((_CHUNK_ROWS, length), dtype=SERIES_DTYPE)
+                filled = 0
+                for position, end in zip(read_starts.tolist(), read_ends.tolist()):
+                    rows = buffer[filled : filled + end - position]
+                    state.read_rows(position, end - position, out=rows)
+                    filled += end - position
+                data = buffer[:filled]
+                positions = (
+                    np.arange(read_starts[0], read_ends[0])
+                    if len(read_starts) == 1
+                    else extent_rows(read_starts, read_ends - read_starts)
                 )
-                read_starts, read_ends = read_starts[run_lo], read_ends[run_hi - 1]
-            runs = list(zip(read_starts.tolist(), read_ends.tolist()))
-            data = [state.read_rows(position, end - position) for position, end in runs]
-            # Rebinding drops the block list, so a stacked copy never
-            # outlives its sources.
-            data = data[0] if len(data) == 1 else np.concatenate(data)
             squared, compared = early_abandon_squared(state.query, data, bsf_squared)
-            positions = (
-                np.arange(*runs[0])
-                if len(runs) == 1
-                else extent_rows(read_starts, read_ends - read_starts)
-            )
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.
             results.update_batch_squared(squared, positions)

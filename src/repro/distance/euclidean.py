@@ -5,15 +5,19 @@ used throughout (Section 2, "The UCR Suite"):
 
 * **squared distances** — comparisons happen on squared values and the
   square root is taken once at the end;
-* **early abandoning** — a running sum that exceeds the best-so-far bound
-  stops the accumulation.
+* **early abandoning** — a candidate that cannot beat the best-so-far
+  bound is dropped before its exact distance is paid for.
 
 The batch kernels are the SIMD analog: they evaluate a whole candidate
-matrix at once.  ``early_abandon_squared`` implements early abandoning in
-*column blocks* so it stays vectorized: after each block of points the rows
-whose partial sum already exceeds the cutoff are dropped from the rest of
-the computation.  The number of point comparisons actually performed is
-returned so harnesses can report work done, not just wall-clock.
+matrix at once.  ``early_abandon_squared`` (one query) and
+``early_abandon_squared_multi`` (a query block) abandon by *screening*:
+one BLAS product in the candidates' own dtype gives ``|c|² + |q|² −
+2 c·q`` for every row, a slack derived from the dtype's rounding bound
+keeps that gate conservative (:func:`_screen`), and only the rows it
+lets through pay the exact float64 whole-row pass — so every reported
+value is :func:`batch_squared_euclidean`'s, bit for bit.  The screen
+touches each point once, so the point-comparison count the kernels
+return is always ``rows × length``.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ import numpy as np
 
 from repro.types import DISTANCE_DTYPE, SERIES_DTYPE
 
-#: Column-block width used by the blocked early-abandoning kernel.
-DEFAULT_ABANDON_BLOCK = 32
-
-#: Rows per whole-row pass of the early-abandoning kernel.
+#: Rows per whole-row pass of the early-abandoning kernels: the float64
+#: difference matrix is their largest temporary.
 _EXACT_ROWS = 64
 
 
@@ -70,29 +72,84 @@ def batch_squared_euclidean(query: np.ndarray, candidates: np.ndarray) -> np.nda
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``|row|²`` of every row of a matrix, in its own dtype: a stacked
+    ``(1 × n) @ (n × 1)`` matmul, i.e. one BLAS dot per row (on float32
+    two to three times an ``einsum``'s throughput)."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _screen(queries: np.ndarray, cands: np.ndarray, cutoffs) -> np.ndarray:
+    """The gate of the early-abandoning kernels: a ``(rows, Q)`` bool
+    matrix, False only for a (candidate, query) pair whose squared
+    distance certainly exceeds the query's cutoff.
+
+    ``queries`` is ``(Q, n)`` float64, ``cands`` ``(rows, n)`` float32 or
+    float64, ``cutoffs`` a float64 scalar or ``(Q,)``.
+
+    Everything runs in the candidates' dtype (a float32 block is never
+    upcast): row norms and dots by BLAS products, and ``screened = |c|² +
+    |q|² − 2 c·q``.  With ``u = eps / 2`` the dtype's unit round-off and
+    ``S = |c|² + |q|²``, the screened value differs from the true ``d²``
+    by at most, to first order,
+
+    * ``3u·S`` for rounding the query to the dtype,
+    * ``2n·u·S`` for the three length-``n`` inner products (any summation
+      order, with or without FMA: ``γ_n·Σ|a_i b_i|`` each),
+    * ``3u·S`` for the two additions that combine them and ``2u·S`` for
+      forming ``cutoff + slack``,
+
+    i.e. ``(n + 4)·eps·S``; and the float64 whole-row pass, whose value
+    is the one callers compare with the cutoff, is itself within
+    ``(n + 2)·u64·d² ≤ (n + 2)·eps64·S`` of ``d²``.  The slack is
+    ``g / (1 − g)·S`` with ``g = (n + 8)·eps + (n + 2)·eps64``: the
+    extra ``4·eps`` covers the second-order terms and ``1 / (1 − g)`` the
+    rounding of the computed norms the slack itself is made from;
+    ``n·tiny`` on top covers products that underflow.  At ``g ≥ ½``
+    (series of millions of points) no bound holds and the slack is
+    infinite.  The comparison is written ``~(screened > cutoff +
+    slack)``: a norm that overflowed (``inf − inf`` is NaN) or a NaN
+    cutoff compares False and the pair passes on to the exact pass — the
+    screen never drops what it could not bound.
+    """
+    n = cands.shape[1]
+    info = np.finfo(cands.dtype)
+    g = (n + 8) * float(info.eps) + (n + 2) * float(np.finfo(DISTANCE_DTYPE).eps)
+    factor = g / (1.0 - g) if g < 0.5 else np.inf
+    # Overflow and inf - inf are expected at huge magnitudes; the comparison
+    # below is what handles them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = queries.astype(cands.dtype, copy=False)
+        total = _row_norms(cands)[:, None] + _row_norms(low)
+        screened = total - 2 * (cands @ low.T)
+        bound = np.add(cutoffs + n * float(info.tiny), total * factor, dtype=DISTANCE_DTYPE)
+        return ~(screened > bound)
+
+
 def early_abandon_squared(
     query: np.ndarray,
     candidates: np.ndarray,
     cutoff_squared: float,
-    block: int = DEFAULT_ABANDON_BLOCK,
 ) -> tuple[np.ndarray, int]:
-    """Blocked early-abandoning squared ED.
+    """Early-abandoning squared ED of one query against a row matrix.
 
-    Accumulates squared differences ``block`` columns at a time and removes
-    rows whose partial sum already exceeds ``cutoff_squared``.  Abandoned
-    rows report ``inf``; surviving rows carry exactly the value
-    :func:`batch_squared_euclidean` would compute for them, so callers can
-    mix the two kernels without rounding drift.
+    The rows are screened once (:func:`_screen`) and only those that may
+    be within ``cutoff_squared`` are evaluated exactly.  Abandoned rows
+    report ``inf`` and each of them truly exceeds the cutoff; every row at
+    or below it — and any other the screen could not rule out — carries
+    exactly the value :func:`batch_squared_euclidean` would compute for
+    it, so callers can mix the two kernels without rounding drift.
 
-    Nothing is copied on the way in: a float32 block is used as read, and
-    until a row is abandoned each column block is a plain slice of it.
+    Nothing is copied on the way in: a float32 block is used as read.
+    This is the single-query case of
+    :func:`early_abandon_squared_multi`.
 
     Returns
     -------
     (distances, points_compared):
         ``distances`` is float64 of length ``count`` with ``inf`` for
-        abandoned candidates; ``points_compared`` counts the individual
-        point comparisons performed (the early-abandoning savings metric).
+        abandoned candidates; ``points_compared`` is ``count × n`` — the
+        screen touches every point once.
     """
     q = np.asarray(query, dtype=DISTANCE_DTYPE)
     cands = _as_candidates(candidates)
@@ -101,71 +158,53 @@ def early_abandon_squared(
         raise ValueError(
             f"query shape {q.shape} incompatible with candidates {cands.shape}"
         )
-    if block <= 0:
-        raise ValueError(f"block must be positive, got {block}")
     distances = np.empty(count, dtype=DISTANCE_DTYPE)
-    distances.fill(np.inf)
-    #: Rows still in the race (None: all of them).
-    alive = None
-    points_compared = count * n
-    # A cutoff that abandons nothing (this also covers NaN) goes straight
-    # to the whole-row pass: identical to the plain batch kernel.
+    #: Rows the screen let through (None: all of them, in place).  A cutoff
+    #: that abandons nothing (this also covers NaN) skips the screen:
+    #: identical to the plain batch kernel.
+    rows = None
     if cutoff_squared < np.inf:
-        partial = np.zeros(count, dtype=DISTANCE_DTYPE)
-        points_compared = 0
-        for start in range(0, n, block):
-            end = min(start + block, n)
-            columns = cands[:, start:end] if alive is None else cands[alive, start:end]
-            diff = columns - q[start:end]
-            partial += np.einsum("ij,ij->i", diff, diff)
-            points_compared += partial.shape[0] * (end - start)
-            keep = partial <= cutoff_squared
-            kept = np.count_nonzero(keep)
-            if kept < partial.shape[0]:
-                if not kept:
-                    return distances, points_compared
-                alive = keep.nonzero()[0] if alive is None else alive[keep]
-                partial = partial[keep]
+        rows = _screen(q[None], cands, cutoff_squared)[:, 0].nonzero()[0]
+        if rows.shape[0] < count:
+            distances.fill(np.inf)
+        else:
+            rows = None
+    _exact_rows(q, cands, rows, distances)
+    return distances, count * n
 
-    # Survivors are re-evaluated whole-row so their values agree
-    # bit-for-bit with ``batch_squared_euclidean`` (blocked partial sums
-    # round differently); abandoning decided who pays full price, the row
-    # kernel decides the exact value.  A few rows at a time: the float64
-    # difference matrix is the kernel's largest temporary.
-    survivors = count if alive is None else alive.shape[0]
-    for lo in range(0, survivors, _EXACT_ROWS):
-        slab = slice(lo, lo + _EXACT_ROWS) if alive is None else alive[lo : lo + _EXACT_ROWS]
+
+def _exact_rows(q: np.ndarray, cands: np.ndarray, rows, out: np.ndarray) -> None:
+    """``out[rows] = d²(q, cands[rows])`` by the whole-row float64 pass of
+    :func:`batch_squared_euclidean` (``rows`` None: every row, sliced not
+    gathered), a few rows at a time.  The screen decides who pays full
+    price, this decides the exact value."""
+    total = cands.shape[0] if rows is None else rows.shape[0]
+    for lo in range(0, total, _EXACT_ROWS):
+        slab = slice(lo, lo + _EXACT_ROWS) if rows is None else rows[lo : lo + _EXACT_ROWS]
         diff = cands[slab] - q
-        distances[slab] = np.einsum("ij,ij->i", diff, diff)
-    return distances, points_compared
+        out[slab] = np.einsum("ij,ij->i", diff, diff)
 
 
 def early_abandon_squared_multi(
     queries: np.ndarray,
     candidates: np.ndarray,
     cutoffs_squared: np.ndarray,
-    block: int = DEFAULT_ABANDON_BLOCK,
     row_masks: np.ndarray = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix-screened squared ED for a whole query block.
+    """Early-abandoning squared ED for a whole query block.
 
-    The multi-query analog of :func:`early_abandon_squared`: one pass
-    over the candidate matrix serves every query, so each candidate row
-    is loaded once and shared across the query dimension.  Instead of
-    per-point abandoning (a Python-level block loop per query), the
-    whole (num_queries x count) distance matrix is *screened* with one
-    BLAS matmul via ``|q|² + |c|² - 2 q·c``, and only the pairs whose
-    screened value beats that query's cutoff (plus a rounding-slack
-    margin, so the matmul's float error can never drop a true survivor)
-    are re-evaluated whole-row — the identical summation order the
-    single-query kernel uses, so every reported value is bit-for-bit
-    the one :func:`early_abandon_squared` would report.  Each query
-    carries its own cutoff; ``row_masks`` (shape
+    The multi-query form of :func:`early_abandon_squared`: one pass over
+    the candidate matrix serves every query, so each candidate row is
+    loaded once and shared across the query dimension.  The whole
+    (num_queries x count) distance matrix is screened with one BLAS
+    matmul (:func:`_screen`, the same gate and slack as the single-query
+    kernel) and only the pairs it lets through are re-evaluated
+    whole-row — the identical summation order, so every reported value
+    is bit-for-bit the one :func:`early_abandon_squared` would report.
+    Each query carries its own cutoff; ``row_masks`` (shape
     ``(num_queries, count)``; False rows are never evaluated for that
     query and report ``inf``) optionally restricts the candidate set up
-    front.  ``block`` is accepted for signature compatibility with the
-    single-query kernel and ignored — the matmul screen touches every
-    point once instead of abandoning column blocks.
+    front.
 
     Returns
     -------
@@ -173,13 +212,10 @@ def early_abandon_squared_multi(
         ``distances`` is float64 of shape ``(num_queries, count)`` with
         ``inf`` for screened-out or masked-out (query, candidate)
         pairs; ``points_compared`` is an int64 vector of per-query
-        point comparison counts (every masked-in point — the matmul
-        screen has no abandoning savings to report).
+        point comparison counts (every masked-in point).
     """
     qs = np.asarray(queries, dtype=DISTANCE_DTYPE)
-    cands = np.asarray(candidates, dtype=DISTANCE_DTYPE)
-    if cands.ndim == 1:
-        cands = cands.reshape(1, -1)
+    cands = _as_candidates(candidates)
     if qs.ndim != 2 or cands.shape[1] != qs.shape[1]:
         raise ValueError(
             f"queries shape {qs.shape} incompatible with candidates {cands.shape}"
@@ -196,40 +232,21 @@ def early_abandon_squared_multi(
             f"row_masks shape {row_masks.shape} incompatible with "
             f"({num_queries}, {count})"
         )
-    if block <= 0:
-        raise ValueError(f"block must be positive, got {block}")
     distances = np.full((num_queries, count), np.inf, dtype=DISTANCE_DTYPE)
     points_compared = np.zeros(num_queries, dtype=np.int64)
     if count == 0 or num_queries == 0:
         return distances, points_compared
 
-    # A NaN cutoff means "nothing can be screened out", matching the
-    # single-query kernel's non-finite-cutoff path.
-    cutoffs = np.where(np.isnan(cutoffs), np.inf, cutoffs)
-    qs_norms = np.einsum("ij,ij->i", qs, qs)
-    cand_norms = np.einsum("ij,ij->i", cands, cands)
-    # One matmul screens every (query, candidate) pair.  The screen is
-    # only a gate — a pair may pass with a slightly-off value, never
-    # the reported one.  The slack keeps the gate conservative: the
-    # matmul form's rounding error is bounded orders of magnitude below
-    # 1e-7 of the operand norms at any realistic series length, so a
-    # pair whose true distance beats the cutoff always passes.
-    screened = qs_norms[:, None] + cand_norms[None, :] - 2.0 * (qs @ cands.T)
-    slack = 1e-7 * (qs_norms[:, None] + cand_norms[None, :]) + 1e-12
-    keep = screened <= cutoffs[:, None] + slack
+    keep = _screen(qs, cands, cutoffs).T
     if row_masks is not None:
         keep &= row_masks
         points_compared[:] = row_masks.sum(axis=1) * n
     else:
         points_compared[:] = count * n
     for qi in range(num_queries):
-        rows = np.nonzero(keep[qi])[0]
+        rows = keep[qi].nonzero()[0]
         if rows.shape[0]:
-            # Same whole-row re-evaluation as the single-query kernel:
-            # the screen decided who pays full price, the row kernel
-            # decides the exact value.
-            diff = cands[rows] - qs[qi]
-            distances[qi, rows] = np.einsum("ij,ij->i", diff, diff)
+            _exact_rows(qs[qi], cands, rows, distances[qi])
     return distances, points_compared
 
 

@@ -66,7 +66,8 @@ def explain_profile(
         lines.append(
             f"  early abandoning    {profile.points_compared} of "
             f"{profile.points_total} points compared "
-            f"(abandoned {_pct(profile.abandoned_fraction)})"
+            f"(abandoned {_pct(profile.abandoned_fraction)}; the Euclidean "
+            "screen drops whole rows, never points, so 0% is its normal)"
         )
     if profile.cache_hits or profile.cache_misses:
         lines.append(

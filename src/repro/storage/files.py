@@ -126,8 +126,10 @@ class BinaryFile:
     def _active_injector(self) -> Optional[faults.FaultInjector]:
         return self._injector if self._injector is not None else faults.active_injector()
 
-    def read(self, offset: int, nbytes: int) -> bytes:
-        """Read ``nbytes`` starting at ``offset``, recording the access.
+    def read(self, offset: int, nbytes: int, into=None) -> Optional[bytes]:
+        """Read ``nbytes`` starting at ``offset``, recording the access:
+        as a new ``bytes`` object, or into the writable contiguous buffer
+        ``into`` (of exactly ``nbytes``) when given, returning None.
 
         Transient :class:`OSError`s (flaky NFS, an injected
         :class:`~repro.storage.faults.TransientFault`) are retried up to
@@ -144,8 +146,13 @@ class BinaryFile:
                 with self._lock:
                     sequential = offset == self._next_offset
                     self._handle.seek(offset)
-                    data = self._handle.read(nbytes)
-                    self._next_offset = offset + len(data)
+                    if into is None:
+                        data = self._handle.read(nbytes)
+                        got = len(data)
+                    else:
+                        data = None
+                        got = self._handle.readinto(into)
+                    self._next_offset = offset + got
                 break
             except faults.CrashFault:
                 raise
@@ -159,10 +166,10 @@ class BinaryFile:
                     self.path, attempt + 1, READ_RETRIES, delay * 1e3, exc,
                 )
                 time.sleep(delay)
-        if len(data) != nbytes:
+        if got != nbytes:
             raise StorageError(
                 f"short read from {self.path}: wanted {nbytes} bytes at "
-                f"{offset}, got {len(data)}"
+                f"{offset}, got {got}"
             )
         self.stats.record_read(nbytes, sequential)
         return data
@@ -273,33 +280,57 @@ class SeriesFile:
     def num_series(self) -> int:
         return self._file.size // self.record_size
 
-    def read_range(self, position: int, count: int) -> np.ndarray:
+    def read_range(
+        self, position: int, count: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Read ``count`` consecutive series starting at ``position``.
+
+        ``out``, a writable C-contiguous ``(count, series_length)``
+        float32 array, receives the rows and is returned in place of a
+        new array: the file is read straight into it, so a caller that
+        reuses one buffer allocates nothing per read.
 
         With a :class:`~repro.storage.cache.LeafCache` attached, repeat
         reads of the same block are served from memory — no file I/O is
         performed (and none is recorded in :attr:`stats`), which is what
-        warm-workload IOStats assertions rely on.
+        warm-workload IOStats assertions rely on; ``out`` then receives a
+        copy of the cached block.
         """
         if position < 0 or count < 0 or position + count > self.num_series:
             raise StorageError(
                 f"read_range({position}, {count}) outside file with "
                 f"{self.num_series} series"
             )
+        shape = (count, self.series_length)
+        if out is not None and not (
+            out.shape == shape
+            and out.dtype == SERIES_DTYPE
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise ValueError(
+                f"out must be a writable C-contiguous {SERIES_DTYPE} array of "
+                f"shape {shape}"
+            )
+        offset, nbytes = position * self.record_size, count * self.record_size
+
         def load() -> np.ndarray:
-            raw = self._file.read(
-                position * self.record_size, count * self.record_size
-            )
-            return np.frombuffer(raw, dtype=SERIES_DTYPE).reshape(
-                count, self.series_length
-            )
+            raw = self._file.read(offset, nbytes)
+            return np.frombuffer(raw, dtype=SERIES_DTYPE).reshape(shape)
 
         cache = self.cache
         if cache is None:
-            return load()
+            if out is None:
+                return load()
+            self._file.read(offset, nbytes, into=out)
+            return out
         # Singleflight: concurrent misses of the same block run one disk
         # read; the other threads wait on it and take the hit.
-        return cache.get_or_load((position, count), load)
+        block = cache.get_or_load((position, count), load)
+        if out is None:
+            return block
+        np.copyto(out, block)
+        return out
 
     def read_series(self, position: int) -> np.ndarray:
         """Read one series (a single random access in the worst case)."""

@@ -227,10 +227,14 @@ class TestScans:
         answer = scan.knn(queries[0], k=1)
         assert answer.profile.series_accessed == corpus.shape[0]
 
-    def test_early_abandoning_saves_point_comparisons(self, corpus):
+    def test_scan_counts_every_point_compared(self, corpus):
+        # The screening kernel touches each point once, whatever the BSF:
+        # even a self-query (bsf hits 0 in the first chunk) compares all.
         scan = SerialScan(corpus, chunk_size=200)
-        answer = scan.knn(corpus[0], k=1)  # self-query: bsf hits 0 early
-        assert answer.profile.distance_computations < corpus.shape[0]
+        profile = scan.knn(corpus[0], k=1).profile
+        assert profile.points_compared == profile.points_total == corpus.size
+        assert profile.distance_computations == corpus.shape[0]
+        assert profile.abandoned_fraction == 0.0
 
 
 class TestCrossMethodAgreement:

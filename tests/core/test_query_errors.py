@@ -43,11 +43,11 @@ class TestQueryWorkerErrors:
 
         read_range = index._lrd.read_range
 
-        def broken(position, count):
+        def broken(position, count, out=None):
             # Every refinement read is a read_range; only the CRWorker
             # threads of phase 4 fail, phase 1 (calling thread) reads on.
             if threading.current_thread() is threading.main_thread():
-                return read_range(position, count)
+                return read_range(position, count, out=out)
             raise StorageError("injected read failure")
 
         monkeypatch.setattr(index._lrd, "read_range", broken)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.distance.euclidean import (
     batch_squared_euclidean,
     early_abandon_squared,
+    early_abandon_squared_multi,
     euclidean,
     knn_from_distances,
     squared_euclidean,
@@ -66,9 +67,13 @@ class TestEarlyAbandon:
         cutoff = float(np.median(full))
         result, compared = early_abandon_squared(query, small_dataset, cutoff)
         surviving = np.isfinite(result)
-        np.testing.assert_allclose(result[surviving], full[surviving], rtol=1e-10)
+        np.testing.assert_array_equal(result[surviving], full[surviving])
         assert np.all(full[~surviving] > cutoff)
-        assert compared < small_dataset.size  # abandoning saved work
+        assert surviving[full <= cutoff].all()
+        # The screen saves exact evaluations, not point comparisons: it
+        # touches every point once.
+        assert np.count_nonzero(~surviving) > small_dataset.shape[0] // 4
+        assert compared == small_dataset.size
 
     def test_tight_cutoff_prunes_everything_but_self(self, small_dataset):
         query = small_dataset[3]
@@ -76,23 +81,26 @@ class TestEarlyAbandon:
         assert np.isfinite(result[3])
         assert result[3] == pytest.approx(0.0, abs=1e-12)
 
-    def test_block_size_does_not_change_results(self, small_dataset):
+    def test_rows_per_call_do_not_change_values(self, small_dataset):
+        # Refinement chunks its candidates freely: a row's reported value
+        # may not depend on which other rows share its kernel call.
         query = small_dataset[0]
-        cutoff = 50.0
-        r1, _ = early_abandon_squared(query, small_dataset, cutoff, block=8)
-        r2, _ = early_abandon_squared(query, small_dataset, cutoff, block=64)
-        finite1 = np.isfinite(r1)
-        finite2 = np.isfinite(r2)
-        np.testing.assert_array_equal(finite1, finite2)
-        np.testing.assert_allclose(r1[finite1], r2[finite2], rtol=1e-10)
-
-    def test_rejects_bad_block(self):
-        with pytest.raises(ValueError):
-            early_abandon_squared(np.zeros(4), np.zeros((1, 4)), 1.0, block=0)
+        full = batch_squared_euclidean(query, small_dataset)
+        cutoff = float(np.quantile(full, 0.3))
+        whole, _ = early_abandon_squared(query, small_dataset, cutoff)
+        for step in (1, 7, 64):
+            parts = [
+                early_abandon_squared(query, small_dataset[lo : lo + step], cutoff)[0]
+                for lo in range(0, small_dataset.shape[0], step)
+            ]
+            pieces = np.concatenate(parts)
+            both = np.isfinite(whole) & np.isfinite(pieces)
+            np.testing.assert_array_equal(whole[both], pieces[both])
+            assert both[full <= cutoff].all()
 
 
 class TestEarlyAbandonEdges:
-    """Edge cases of the blocked kernel the squared pipeline leans on."""
+    """Edge cases of the screening kernel the squared pipeline leans on."""
 
     def test_empty_candidate_matrix(self):
         distances, compared = early_abandon_squared(
@@ -110,15 +118,6 @@ class TestEarlyAbandonEdges:
         assert distances[0] == pytest.approx(1.0)
         assert compared == 3
 
-    def test_block_larger_than_length(self, small_dataset):
-        query = small_dataset[0]
-        full = batch_squared_euclidean(query, small_dataset)
-        distances, compared = early_abandon_squared(
-            query, small_dataset, np.inf, block=10_000
-        )
-        np.testing.assert_array_equal(distances, full)
-        assert compared == small_dataset.size
-
     def test_nan_cutoff_behaves_like_infinite(self, small_dataset):
         query = small_dataset[0]
         full = batch_squared_euclidean(query, small_dataset)
@@ -130,24 +129,69 @@ class TestEarlyAbandonEdges:
 
     def test_survivors_agree_with_batch_exactly(self, small_dataset):
         # Bit-for-bit, not approximately: the squared pipeline depends
-        # on surviving rows matching the unblocked kernel so answers are
-        # identical whichever code path computed them.
+        # on surviving rows matching the plain batch kernel so answers
+        # are identical whichever code path computed them.
         query = small_dataset[0]
         full = batch_squared_euclidean(query, small_dataset)
-        cutoff = float(np.quantile(full, 0.4))
-        for block in (1, 7, 32, 200):
-            distances, _ = early_abandon_squared(
-                query, small_dataset, cutoff, block=block
-            )
+        for quantile in (0.0, 0.1, 0.4, 0.9, 1.0):
+            cutoff = float(np.quantile(full, quantile))
+            distances, _ = early_abandon_squared(query, small_dataset, cutoff)
             alive = np.isfinite(distances)
+            assert alive[full <= cutoff].all()
             np.testing.assert_array_equal(distances[alive], full[alive])
 
     def test_compared_counts_bounded_by_total(self, small_dataset):
+        # ... and reaches the bound: the count is rows x length whatever
+        # the cutoff, for one query and per query of a block.
         query = small_dataset[0]
         full = batch_squared_euclidean(query, small_dataset)
         cutoff = float(np.quantile(full, 0.1))
         _, compared = early_abandon_squared(query, small_dataset, cutoff)
-        assert 0 < compared < small_dataset.size
+        assert compared == small_dataset.size
+        _, per_query = early_abandon_squared_multi(
+            small_dataset[:3], small_dataset, [cutoff, np.inf, 0.0]
+        )
+        assert per_query.tolist() == [small_dataset.size] * 3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "name", ["huge", "tiny", "constant", "duplicates", "mixed-scale"]
+    )
+    def test_unboundable_rows_are_never_dropped(self, name, dtype):
+        """Where the screen's own arithmetic breaks down — float32 norms
+        overflow to inf near 1e19 (inf - inf is NaN), squares underflow
+        below 1e-19, constant and duplicate series cancel exactly — the
+        row goes to the exact pass, and the k nearest are the float64
+        brute force's."""
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((40, 48))
+        if name == "huge":
+            block *= 1e20
+        elif name == "tiny":
+            block *= 1e-20
+        elif name == "constant":
+            block = np.repeat(rng.standard_normal((40, 1)) * 3.0, 48, axis=1)
+        elif name == "mixed-scale":
+            block[::2] *= 1e20
+        block = block.astype(dtype)
+        queries = block[:4].astype(np.float64)  # q == c duplicates
+        if name == "duplicates":
+            block[10:20] = block[0]
+        # Brute force sharing no code with the kernels, and the plain
+        # kernel's own values (what a live BSF² is made of) for the cutoffs.
+        brute = ((block.astype(np.float64)[None] - queries[:, None]) ** 2).sum(axis=2)
+        plain = np.stack([batch_squared_euclidean(query, block) for query in queries])
+        for k in (1, 5):
+            cutoffs = np.sort(plain, axis=1)[:, k - 1]
+            many, _ = early_abandon_squared_multi(queries, block, cutoffs)
+            for qi, query in enumerate(queries):
+                one, _ = early_abandon_squared(query, block, cutoffs[qi])
+                nearest = plain[qi] <= cutoffs[qi]
+                for distances in (one, many[qi]):
+                    np.testing.assert_array_equal(distances[nearest], plain[qi][nearest])
+                    np.testing.assert_allclose(
+                        np.sort(distances)[:k], np.sort(brute[qi])[:k], rtol=1e-12
+                    )
 
 
 class TestKnnSelection:
@@ -172,70 +216,80 @@ class TestKnnSelection:
         assert list(idx) == [3, 1]
 
 
-def _reference_early_abandon(query, candidates, cutoff_squared, block=32):
-    """The kernel as first written: a float64 copy of the block, a fancy
-    gather of the live rows per column block, scatter-adds into one
-    partial vector.  The copy-free kernel must report exactly this."""
-    q = np.asarray(query, dtype=np.float64)
-    cands = np.asarray(candidates, dtype=np.float64)
-    count, n = cands.shape
-    if not cutoff_squared < np.inf:
-        return batch_squared_euclidean(q, cands), count * n
-    partial = np.zeros(count)
-    alive = np.arange(count)
-    points_compared = 0
-    for start in range(0, n, block):
-        end = min(start + block, n)
-        diff = cands[alive, start:end] - q[start:end]
-        partial[alive] += np.einsum("ij,ij->i", diff, diff)
-        points_compared += alive.shape[0] * (end - start)
-        alive = alive[partial[alive] <= cutoff_squared]
-        if alive.shape[0] == 0:
-            break
-    distances = np.full(count, np.inf)
-    if alive.shape[0]:
-        diff = cands[alive] - q
-        distances[alive] = np.einsum("ij,ij->i", diff, diff)
-    return distances, points_compared
+def _pairs(rng, kind, rows, length, num_queries, magnitude):
+    """A float64 query block and candidate matrix of one of the shapes
+    that stress ``|c|² + |q|² − 2 c·q``."""
+    queries = rng.standard_normal((num_queries, length)) * magnitude
+    block = rng.standard_normal((rows, length)) * magnitude
+    if kind == "near-duplicate":
+        # d² is ~1e-10 of the norms: the screen's value is all rounding.
+        block = queries[rng.integers(num_queries, size=rows)] * (
+            1.0 + 1e-5 * rng.standard_normal((rows, length))
+        )
+    elif kind == "offset":
+        # A common level far above the spread: huge norms, small distances.
+        queries = magnitude * (1.0 + 1e-4 * rng.standard_normal((num_queries, length)))
+        block = magnitude * (1.0 + 1e-4 * rng.standard_normal((rows, length)))
+    elif kind == "cancelling":
+        # Alternating signs: the dot product cancels to ~0 of |c||q|.
+        signs = np.where(np.arange(length) % 2, -1.0, 1.0)
+        block = np.abs(block) * signs
+        queries = np.abs(queries)
+    return queries, block
 
 
 class TestEarlyAbandonProperty:
-    """The copy-free kernel against the loop it replaced, on the block
-    dtypes refinement feeds it (float32 as read, float64 from callers
-    that converted) and at every kind of cutoff."""
+    """The screen's rounding slack against the plain float64 kernel: on
+    the dtypes refinement feeds it (float32 as read, float64 from callers
+    that converted), for one query and for a block, at every kind of
+    cutoff, under large norms, near-duplicates and cancellation."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         rows=st.integers(1, 150),  # spans several 64-row whole-row passes
-        length=st.sampled_from([1, 31, 32, 33, 96, 100]),
+        length=st.one_of(st.integers(1, 512), st.sampled_from([1, 2, 256, 512])),
+        exponent=st.floats(-3.0, 15.0),
+        kind=st.sampled_from(["random", "near-duplicate", "offset", "cancelling"]),
         dtype=st.sampled_from([np.float32, np.float64]),
+        num_queries=st.integers(1, 4),
         quantile=st.one_of(
             st.floats(0.0, 1.0), st.sampled_from([np.inf, np.nan, -1.0])
         ),
     )
-    def test_matches_reference(self, seed, rows, length, dtype, quantile):
+    def test_matches_reference(
+        self, seed, rows, length, exponent, kind, dtype, num_queries, quantile
+    ):
         rng = np.random.default_rng(seed)
-        block = rng.standard_normal((rows, length)).astype(dtype)
+        queries, block = _pairs(rng, kind, rows, length, num_queries, 10.0**exponent)
+        block = block.astype(dtype)
         # Duplicate rows land exactly on the cutoff when it is one of them.
         block[rng.integers(rows)] = block[0]
-        query = rng.standard_normal(length)
-        truth = batch_squared_euclidean(query, block)
-        cutoff = (
-            float(np.quantile(truth, quantile)) if 0.0 <= quantile <= 1.0 else quantile
+        truth = np.stack([batch_squared_euclidean(query, block) for query in queries])
+        cutoffs = (
+            np.quantile(truth, quantile, axis=1)
+            if 0.0 <= quantile <= 1.0
+            else np.full(num_queries, quantile)
         )
-        distances, compared = early_abandon_squared(query, block, cutoff)
-        expected, expected_compared = _reference_early_abandon(query, block, cutoff)
+        # A cutoff that is one of the values: ties must survive.
+        cutoffs[0] = truth[0, rng.integers(rows)] if quantile == quantile else cutoffs[0]
 
-        np.testing.assert_array_equal(distances, expected)
-        assert compared == expected_compared
-        survivors = np.isfinite(distances)
-        # Survivors carry the unblocked kernel's value bit for bit, and
-        # only a row at or beyond the cutoff may report inf.  "At": blocked
-        # partial sums round differently from the whole-row sum, so a row
-        # tied with the cutoff to the last ulps can fall either way (as in
-        # the reference); one clearly inside never does.
-        np.testing.assert_array_equal(distances[survivors], truth[survivors])
-        assert np.all(truth[~survivors] >= cutoff * (1.0 - 1e-12))
-        if not cutoff < np.inf:  # the inf / NaN cutoff path abandons nothing
-            assert survivors.all() and compared == block.size
+        many, compared = early_abandon_squared_multi(queries, block, cutoffs)
+        assert compared.tolist() == [block.size] * num_queries
+        for qi in range(num_queries):
+            one, points = early_abandon_squared(queries[qi], block, cutoffs[qi])
+            assert points == block.size
+            for distances in (one, many[qi]):
+                survivors = np.isfinite(distances)
+                # Survivors carry the plain kernel's value bit for bit;
+                # every row at or inside the cutoff is one; only a row
+                # truly beyond it may report inf.
+                np.testing.assert_array_equal(distances[survivors], truth[qi][survivors])
+                assert survivors[truth[qi] <= cutoffs[qi]].all()
+                assert np.all(truth[qi][~survivors] > cutoffs[qi])
+            if not cutoffs[qi] < np.inf:  # the inf / NaN cutoff path abandons nothing
+                assert np.isfinite(one).all()
+        # The single-query kernel is the Q = 1 case of the block kernel.
+        alone, _ = early_abandon_squared_multi(queries[:1], block, cutoffs[:1])
+        first, _ = early_abandon_squared(queries[0], block, cutoffs[0])
+        np.testing.assert_array_equal(first, alone[0])

@@ -1,9 +1,14 @@
 """Unit tests for counted binary/series/symbol files."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
+from repro.storage import faults
+from repro.storage.cache import LeafCache
 from repro.storage.files import BinaryFile, SeriesFile, SymbolFile
 from repro.storage.iostats import IOStats
 
@@ -142,6 +147,121 @@ class TestSeriesFile:
             f.append_batch(np.zeros((5, 2), dtype=np.float32))
             rows = f.read_positions(np.array([], dtype=np.int64))
             assert rows.shape == (0, 2)
+
+
+class TestReadRangeOut:
+    """``read_range(out=)``: the allocating read, minus the allocation."""
+
+    ROWS, LENGTH = 64, 8
+
+    @pytest.fixture
+    def data(self):
+        return np.arange(self.ROWS * self.LENGTH, dtype=np.float32).reshape(
+            self.ROWS, self.LENGTH
+        )
+
+    def _file(self, tmp_path, data, **kwargs):
+        path = tmp_path / "s.bin"
+        data.tofile(path)
+        return SeriesFile(path, series_length=self.LENGTH, read_only=True, **kwargs)
+
+    def test_rows_equal_the_allocating_read(self, tmp_path, data):
+        buffer = np.full((16, self.LENGTH), -1.0, dtype=np.float32)
+        with self._file(tmp_path, data) as f:
+            got = f.read_range(5, 7, out=buffer[2:9])
+            assert got.base is buffer  # the caller's rows, not a new array
+            np.testing.assert_array_equal(got, f.read_range(5, 7))
+            np.testing.assert_array_equal(buffer[2:9], data[5:12])
+            assert (buffer[:2] == -1.0).all() and (buffer[9:] == -1.0).all()
+            assert f.read_range(3, 0, out=buffer[:0]).shape == (0, self.LENGTH)
+
+    def test_iostats_identical_to_the_allocating_path(self, tmp_path, data):
+        reads = [(0, 4), (4, 8), (30, 2), (32, 1), (0, 64), (10, 0)]
+        snapshots = []
+        for into in (False, True):
+            stats = IOStats()
+            with self._file(tmp_path, data, stats=stats) as f:
+                for position, count in reads:
+                    out = np.empty((count, self.LENGTH), np.float32) if into else None
+                    f.read_range(position, count, out=out)
+            snapshots.append(stats.snapshot())
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[1].sequential_reads == 3 and snapshots[1].random_seeks == 3
+
+    def test_short_read_raises(self, tmp_path, data):
+        with self._file(tmp_path, data) as f:
+            os.truncate(f.path, (self.ROWS - 2) * self.LENGTH * 4)
+            out = np.empty((4, self.LENGTH), dtype=np.float32)
+            with pytest.raises(StorageError, match="short read"):
+                f.read_range(self.ROWS - 4, 4, out=out)
+
+    def test_transient_fault_is_retried_and_crash_propagates(self, tmp_path, data):
+        stats = IOStats()
+        out = np.empty((3, self.LENGTH), dtype=np.float32)
+        with self._file(tmp_path, data, stats=stats) as f:
+            plan = faults.FaultPlan(op="read", at=1, mode="transient", failures=2)
+            with faults.inject(plan) as injector:
+                np.testing.assert_array_equal(f.read_range(7, 3, out=out), data[7:10])
+            assert injector.counts["read"] == 3  # 2 failures + 1 success
+            assert stats.snapshot().read_calls == 1  # only the success is recorded
+            with faults.inject(faults.FaultPlan(op="read", at=1, mode="crash")) as injector:
+                with pytest.raises(faults.CrashFault):
+                    f.read_range(7, 3, out=out)
+            assert injector.counts["read"] == 1  # one attempt, no retries
+
+    def test_rejects_an_out_it_cannot_fill(self, tmp_path, data):
+        read_only = np.empty((4, self.LENGTH), dtype=np.float32)
+        read_only.flags.writeable = False
+        bad = [
+            np.empty((3, self.LENGTH), dtype=np.float32),  # wrong rows
+            np.empty((4, self.LENGTH + 1), dtype=np.float32),  # wrong length
+            np.empty((4, self.LENGTH), dtype=np.float64),  # wrong dtype
+            np.empty((8, self.LENGTH), dtype=np.float32)[::2],  # not contiguous
+            read_only,
+        ]
+        stats = IOStats()
+        with self._file(tmp_path, data, stats=stats) as f:
+            for out in bad:
+                with pytest.raises(ValueError, match="out must be"):
+                    f.read_range(0, 4, out=out)
+        assert stats.snapshot().read_calls == 0
+
+    def test_threads_with_their_own_buffers(self, tmp_path, data):
+        errors = []
+
+        def reader(worker, f):
+            buffer = np.empty((8, self.LENGTH), dtype=np.float32)
+            rng = np.random.default_rng(worker)
+            try:
+                for _ in range(300):
+                    count = int(rng.integers(1, 9))
+                    position = int(rng.integers(0, self.ROWS - count + 1))
+                    rows = f.read_range(position, count, out=buffer[:count])
+                    if not np.array_equal(rows, data[position : position + count]):
+                        errors.append((worker, position, count))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        with self._file(tmp_path, data) as f:
+            threads = [
+                threading.Thread(target=reader, args=(worker, f)) for worker in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+
+    def test_cached_block_is_copied_out(self, tmp_path, data):
+        stats = IOStats()
+        out = np.empty((4, self.LENGTH), dtype=np.float32)
+        with self._file(tmp_path, data, stats=stats, cache=LeafCache(1 << 16)) as f:
+            f.read_range(8, 4)
+            np.testing.assert_array_equal(f.read_range(8, 4, out=out), data[8:12])
+            out[:] = 0.0  # the caller's rows are its own, not the cache's
+            np.testing.assert_array_equal(f.read_range(8, 4), data[8:12])
+        assert stats.snapshot().read_calls == 1
 
 
 class TestSymbolFile:
