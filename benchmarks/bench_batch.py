@@ -5,9 +5,10 @@ Not a paper figure: this pins the perf properties of
 (shared leaf reads, one (Q x nodes) bound pass, matrix-shaped
 refinement kernels) instead of Q independent searches —
 
-* at Q = 64 the batched workload completes at >= 1.15x the serial loop's
-  throughput on the same index (2x until the serial loop got the
-  screening kernel too; 1.29-1.34x measured since),
+* at Q = 64 the batched workload completes at >= 1.5x the serial loop's
+  throughput on the same index (1.29-1.34x while the batch refined one
+  leaf at a time; 1.78-1.84x measured since it refines the serial
+  loop's chunks),
 * the batch physically loads far fewer leaf blocks than the serial
   runs touch in total (the leaf-share factor), and
 * every per-query answer is bit-for-bit the serial answer.
@@ -67,15 +68,17 @@ def index_dir(tmp_path_factory, data):
     return directory
 
 
-def _timed_workloads(method, queries, k, num_series, repeats=7):
+def _timed_workloads(method, queries, k, num_series, repeats=14):
     """``{batched: (best wall seconds, last WorkloadResult)}`` for the
     serial and the batched arm, run alternately ``repeats`` times.
 
-    Alternating gives both arms the same host state, and seven rounds
+    Alternating gives both arms the same host state, and fourteen rounds
     outlast the one thing that differs between them: the batched arm's
     gemm is the process's first multi-threaded BLAS call, and on a
     two-vCPU host whose second core sat idle every such call costs a
-    scheduler tick (8 ms) for about a second before it runs at speed.
+    scheduler tick (8 ms) until the core is awake — seven to eight of
+    these 0.3 s rounds after a 30 s pause (3 of 3: rounds 0-7 read
+    serial 2.9 / batched 2.0 ms per query, rounds 8-13 2.2 / 1.23).
     """
     best = {False: float("inf"), True: float("inf")}
     result = {}
@@ -166,11 +169,13 @@ def test_batched_workload(index_dir, data, queries):
             "batched profiles report more work than serial "
             f"({batch_reads} vs {serial_reads} series)"
         )
-        # Both arms run the same screening kernel, so what batching adds is
-        # the shared reads and the one bound pass: 1.29-1.34x measured
-        # (serial 2.3, batched 1.75 ms per query); the floor is that less a
-        # noise margin.
-        assert speedup >= 1.15, (
+        # Both arms run the same screening kernel on the same 1 024-row
+        # chunks, so what batching adds is the shared reads, the one bound
+        # pass and one kernel call per chunk for all its queries:
+        # 1.78-1.84x measured (serial 2.12-2.27, batched 1.19-1.25 ms per
+        # query; six runs, three of them after a 30 s pause).  The floor
+        # is that less a noise margin.
+        assert speedup >= 1.5, (
             f"batched workload only {speedup:.2f}x the serial loop "
             f"at Q={_NUM_QUERIES}"
         )

@@ -14,23 +14,25 @@ expensive touch is amortized across the queries that need it:
   the access-path decision with ``prefilter``, the serial routine at
   the paper's position otherwise), so the candidates are the serial
   ones by construction.
-* **Shared-leaf refinement.**  The LCLists form a leaf→{query set}
-  access plan; each surviving leaf is read from ``SeriesFile``/
-  ``LeafCache`` exactly once and refined with a single screening
-  (Q_leaf × rows) matrix kernel
+* **Shared-chunk refinement.**  The union of the LCLists, in file
+  order, is cut into the serial pipeline's refinement chunks (up to a
+  thousand rows of whole leaves each).  Per chunk every query re-checks
+  its own extents against its live BSF², the leaves still needed are
+  packed into one reused buffer — each read from ``SeriesFile``/
+  ``LeafCache`` at most once per batch, file-adjacent ones in one read
+  — and a single screening (Q_chunk × rows) matrix kernel
   (:func:`~repro.distance.euclidean.early_abandon_squared_multi`)
-  sharing the row load across queries, with per-query live BSF²
-  cutoffs.  Per-query result sets update from the shared distance
-  block.
-* **Batch-scoped read memoization.**  All leaf reads of the batch —
-  including the approximate-descent scans — go through one
-  :class:`_BlockStore`, so a leaf touched by many queries is loaded
-  once per batch regardless of cache configuration.
+  evaluates them under per-query cutoffs and row masks; each query
+  merges its rows of the shared distance block once.
+* **Batch-scoped read memoization.**  The approximate-descent scans go
+  through one :class:`_BlockStore`, and refinement takes the blocks they
+  left there instead of reading them again, so a leaf touched by many
+  queries is loaded once per batch regardless of cache configuration.
 
 **Parity.**  Queries are independent search problems: each keeps its own
 :class:`~repro.core.results.ResultSet`, BSF², and profile, and the
 engine only re-orders *when* each query's work runs, never the per-query
-order itself (leaves are processed in file-position order, exactly as
+order itself (chunks are processed in file-position order, exactly as
 the serial pipeline does).  For exact search (ε = 0) answers are
 order-independent, and the shared matrix kernel re-evaluates survivors
 with the same whole-row arithmetic as the single-query kernel — batch
@@ -53,12 +55,14 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import HerculesConfig
-from repro.core.leaf_table import LeafTable
+from repro.core.leaf_table import LeafTable, extent_rows
 from repro.core.node import Node
 from repro.core.prefilter import SignatureArray
 from repro.core.query import (
+    _CHUNK_ROWS,
     QueryAnswer,
     _approx_knn,
+    _chunk_cuts,
     _find_candidate_leaves,
     _find_candidate_series,
     _refine_leaves,
@@ -76,7 +80,7 @@ from repro.distance.euclidean import (
 )
 from repro.storage.files import SeriesFile, adjacent_runs
 from repro.summarization.eapca import BatchSketch
-from repro.types import DISTANCE_DTYPE
+from repro.types import DISTANCE_DTYPE, SERIES_DTYPE
 
 __all__ = ["BatchAnswer", "BatchStats", "exact_knn_batch"]
 
@@ -157,33 +161,48 @@ class _BlockStore:
         #: First file position of each leaf, for bisecting a read onto
         #: the leaf blocks that serve it.
         self.leaf_starts = table.positions.tolist()
+        #: Memoized blocks by their leaf's first file position.
         self._blocks: dict = {}
+        #: Leaf blocks physically loaded, and per-query leaf-block
+        #: touches served (one per query per leaf it refines from) — the
+        #: two sides of the batch leaf-share factor.
         self.loads = 0
-        self.shared_hits = 0
-        #: Per-query block touches served (every :meth:`leaf_block`
-        #: call, plus the extra users of one multi-query kernel pass
-        #: via :meth:`count_shared_uses`) — the numerator of the batch
-        #: leaf-share factor.
         self.uses = 0
 
     def leaf_block(self, leaf: Node) -> np.ndarray:
-        key = (leaf.file_position, leaf.size)
         self.uses += 1
-        block = self._blocks.get(key)
+        block = self._blocks.get(leaf.file_position)
         if block is None:
             block = self._lrd.read_range(leaf.file_position, leaf.size)
-            self._blocks[key] = block
+            self._blocks[leaf.file_position] = block
             self.loads += 1
-        else:
-            self.shared_hits += 1
         return block
 
-    def count_shared_uses(self, extra: int) -> None:
-        """Credit ``extra`` additional queries served by the last read."""
-        self.uses += extra
+    def fill(
+        self, buffer: np.ndarray, offsets: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Put the leaves ``[start, start + size)`` (file order) at the
+        given rows of ``buffer``, packed in that order; returns which of
+        them had to be loaded.
 
-    def resident(self, leaf: Node) -> bool:
-        return (leaf.file_position, leaf.size) in self._blocks
+        A memoized block is copied in; the others are read straight into
+        place, one read per run of file-adjacent leaves (per leaf with a
+        leaf cache attached, whose blocks are keyed by leaf).  They are
+        not memoized: the chunk walk needs every leaf once.
+        """
+        held = np.array([start in self._blocks for start in starts.tolist()])
+        for i in held.nonzero()[0].tolist():
+            buffer[offsets[i] : offsets[i] + sizes[i]] = self._blocks[int(starts[i])]
+        loaded = ~held
+        offsets, starts, counts = offsets[loaded], starts[loaded], sizes[loaded]
+        self.loads += len(starts)
+        if self._lrd.cache is None and len(starts) > 1:
+            run_lo, _ = adjacent_runs(starts, counts[:-1])
+            counts = np.add.reduceat(counts, run_lo)
+            offsets, starts = offsets[run_lo], starts[run_lo]
+        for row, position, count in zip(offsets.tolist(), starts.tolist(), counts.tolist()):
+            self._lrd.read_range(position, count, out=buffer[row : row + count])
+        return loaded
 
 
 class _BatchSearchState(_SearchState):
@@ -234,7 +253,7 @@ class _RefineSpec:
     #: candidate rows surviving LB_SAX (the full four-phase path);
     #: "none" — phase 1 already answered the query.
     kind: str = "none"
-    #: LCList (table indices, file order) for "leaves".
+    #: LCList (table indices, file order): the leaves refined from.
     leaves: Optional[np.ndarray] = None
     #: SCList (file positions, ε-scaled squared LB_SAX) for "series".
     series: Optional[tuple] = None
@@ -286,18 +305,9 @@ def _plan_refinement(
         return spec
     state.profile.path = "full-four-phase"
     spec.kind = "series"
+    spec.leaves = lclist
     spec.series = candidates
     return spec
-
-
-def _leaf_runs(table: LeafTable, positions: np.ndarray):
-    """``(leaf index, start, end)`` of each same-leaf run of a
-    file-ordered position list."""
-    if not len(positions):
-        return []
-    leaf_of = table.leaf_of(positions)
-    starts, ends = adjacent_runs(leaf_of, step=0)
-    return zip(leaf_of[starts].tolist(), starts.tolist(), ends.tolist())
 
 
 def _refine_shared(
@@ -306,92 +316,113 @@ def _refine_shared(
     store: _BlockStore,
     stats: BatchStats,
 ) -> None:
-    """Exact-search refinement over the leaf→{query set} plan.
+    """Exact-search refinement: the serial chunk walk, for Q queries.
 
-    Leaves are visited once each, in file-position order; all queries
-    needing a leaf are refined from one block with a single multi-query
-    kernel call under per-query live BSF² cutoffs.  Sound for exact
-    search: a per-candidate live re-check can only *skip more* than the
-    serial per-chunk re-check, and any skipped candidate has
-    LB ≥ BSF ≥ its final value, so it could never have entered a result
-    set.
+    The union of the batch's candidate leaves is walked in file order in
+    the chunks :func:`repro.core.query._refine_runs` would cut from it.
+    Per chunk every query re-checks the bounds of its own extents there
+    (LCList leaves, or SCList rows) against its live BSF²; the leaves
+    some query still needs are packed into one reused buffer, each
+    loaded at most once per batch; one multi-query kernel call under
+    per-query cutoffs and row masks evaluates them, and each query
+    merges its rows once.
+
+    Sound as the serial walk is: an extent is dropped only when its
+    bound ≥ the live BSF² ≥ the final one, the kernel abandons only
+    rows above the cutoff, and every query meets its candidates in file
+    order — so distances and positions equal the single-query answer.
     """
     table = states[0].table
-    tasks: dict = {}
-    for qi, spec in enumerate(specs):
+    wanted = np.zeros(len(table.leaves), dtype=bool)
+    for spec in specs:
+        if spec.kind != "none":
+            wanted[spec.leaves] = True
+    leaves = wanted.nonzero()[0]
+    starts, sizes = table.positions[leaves], table.sizes[leaves]
+    cuts = _chunk_cuts(sizes)
+    number = np.cumsum(wanted) - 1  # table index -> index into ``leaves``
+    # Per user: its extents' bounds and leaves (as indices into ``leaves``),
+    # SCList positions (None: whole leaves), and the slice of its extents
+    # that falls into chunk i, edges[i]:edges[i + 1].
+    users = []
+    for state, spec in zip(states, specs):
         if spec.kind == "leaves":
-            for index in spec.leaves.tolist():
-                tasks.setdefault(index, []).append((qi, None, None))
+            bounds_sq, leaf_of, positions = state.bounds[spec.leaves], number[spec.leaves], None
         elif spec.kind == "series":
             positions, bounds_sq = spec.series
-            for index, start, end in _leaf_runs(table, positions):
-                rows = positions[start:end] - table.positions[index]
-                tasks.setdefault(index, []).append(
-                    (qi, rows, bounds_sq[start:end])
-                )
+            leaf_of = number[table.leaf_of(positions)]
+        else:
+            continue
+        edges = np.searchsorted(leaf_of, cuts).tolist()
+        users.append((state, bounds_sq, leaf_of, positions, edges))
+    if not users:
+        return
+    queries = np.stack([user[0].query for user in users])
+    length = queries.shape[1]
+    buffer = np.empty((_CHUNK_ROWS, length), dtype=SERIES_DTYPE)
 
-    # Table indices ascend with file position.
-    for index in sorted(tasks):
-        leaf = table.leaves[index]
-        active = []
-        for qi, rows, bounds_sq in tasks[index]:
-            state = states[qi]
+    for chunk, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        # -- who still needs which of the chunk's leaves ----------------
+        used = np.zeros((len(users), hi - lo), dtype=bool)
+        active, cutoffs, alive = [], [], []
+        for ui, (state, bounds_sq, leaf_of, _positions, edges) in enumerate(users):
+            first, last = edges[chunk], edges[chunk + 1]
+            if first == last:
+                continue
             state.results.refresh()
             bsf_squared = state.results.bsf_squared
-            if rows is None:
-                # Whole-leaf user: the serial skip-sequential re-check.
-                if state.bounds[index] >= bsf_squared:
-                    continue
-                active.append((qi, None))
-            else:
-                alive = bounds_sq < bsf_squared
-                if not alive.any():
-                    continue
-                active.append((qi, rows[alive]))
+            keep = (bounds_sq[first:last] < bsf_squared).nonzero()[0] + first
+            if len(keep):
+                used[ui, leaf_of[keep] - lo] = True
+                active.append(ui)
+                cutoffs.append(bsf_squared)
+                alive.append(keep)
         if not active:
             continue
+        needed = used.any(axis=0)
+        used = used[active][:, needed]
 
-        was_resident = store.resident(leaf)
-        block = store.leaf_block(leaf)
-        store.count_shared_uses(len(active) - 1)
-        length = block.shape[1]
-        queries = np.stack([states[qi].query for qi, _rows in active])
-        cutoffs = np.array(
-            [states[qi].results.bsf_squared for qi, _rows in active],
-            dtype=DISTANCE_DTYPE,
-        )
-        row_masks = np.zeros((len(active), leaf.size), dtype=bool)
-        for i, (_qi, rows) in enumerate(active):
-            if rows is None:
-                row_masks[i] = True
+        # -- one buffer, one kernel call --------------------------------
+        chunk_starts = starts[lo:hi]
+        held_sizes = np.where(needed, sizes[lo:hi], 0)
+        filled = int(held_sizes.sum())
+        if filled > buffer.shape[0]:  # one leaf above the cap
+            buffer = np.empty((filled, length), dtype=SERIES_DTYPE)
+        # Buffer row of each leaf's first series, and the file position
+        # of every buffer row.
+        offsets = np.cumsum(held_sizes) - held_sizes
+        loaded = store.fill(buffer, offsets[needed], chunk_starts[needed], held_sizes[needed])
+        row_positions = extent_rows(chunk_starts, held_sizes)
+        row_masks = np.zeros((len(active), filled), dtype=bool)
+        rows_of = []
+        for i, (ui, keep) in enumerate(zip(active, alive)):
+            _state, _bounds_sq, leaf_of, positions, _edges = users[ui]
+            local = leaf_of[keep] - lo
+            if positions is None:
+                rows = extent_rows(offsets[local], held_sizes[local])
             else:
-                row_masks[i, rows] = True
+                rows = positions[keep] - chunk_starts[local] + offsets[local]
+            row_masks[i, rows] = True
+            rows_of.append(rows)
         distances, points = early_abandon_squared_multi(
-            queries, block, cutoffs, row_masks=row_masks
+            queries[active], buffer[:filled], np.array(cutoffs), row_masks=row_masks
         )
 
-        for i, (qi, rows) in enumerate(active):
-            state = states[qi]
-            if rows is None:
-                row_count = leaf.size
-                positions = leaf.file_position + np.arange(
-                    leaf.size, dtype=np.int64
-                )
-                row_distances = distances[i]
-            else:
-                row_count = rows.shape[0]
-                positions = leaf.file_position + rows
-                row_distances = distances[i, rows]
-            state.results.update_batch_squared(row_distances, positions)
-            state.profile.series_accessed += row_count
-            state.profile.distance_computations += row_count
+        # -- per-query merge; accounting per leaf block -----------------
+        # A leaf's load is the miss of the first query that uses it.
+        misses = np.bincount(used.argmax(axis=0)[loaded], minlength=len(active))
+        leaf_uses = used.sum(axis=1)
+        store.uses += int(leaf_uses.sum())
+        for i, (ui, rows) in enumerate(zip(active, rows_of)):
+            state = users[ui][0]
+            state.results.update_batch_squared(distances[i, rows], row_positions[rows])
+            state.profile.series_accessed += len(rows)
+            state.profile.distance_computations += len(rows)
             state.profile.points_compared += int(points[i])
-            state.profile.points_total += row_count * length
-            if i == 0 and not was_resident:
-                state.store_misses += 1
-            else:
-                state.store_hits += 1
-            stats.kernel_rows += row_count
+            state.profile.points_total += len(rows) * length
+            state.store_misses += int(misses[i])
+            state.store_hits += int(leaf_uses[i] - misses[i])
+            stats.kernel_rows += len(rows)
 
 
 def _refine_serial_cadence(

@@ -553,8 +553,9 @@ def _load_sax(
 ) -> SignatureArray:
     """Pre-load LSDFile into memory (kept there during query answering).
 
-    The words are the SAX tier as they are; only a ``prefilter_bits``
-    ablation below full resolution derives a reduced copy.  Phase 3
+    The words are the SAX tier (``>>``-reduced under a ``prefilter_bits``
+    ablation); it keeps them transposed, and the row-major array read
+    here is dropped.  Phase 3
     indexes the array by LRDFile position, so a row count that disagrees
     with the tree is rejected at every verify level — a short file would
     otherwise drop a leaf's last series from SCList without an error.

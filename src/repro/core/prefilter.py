@@ -4,9 +4,9 @@ The paper keeps LSDFile — every series' iSAX word — in memory while
 queries run and filters the series of the candidate leaves against it
 (Algorithm 13).  ParIS+ shows that such a tier is one vectorised
 lower-bound kernel over a resident summary array, and this module is
-that: :class:`SignatureArray` holds the words (the LSD array itself at
-full resolution, or a ``>>``-reduced copy of it for a cardinality
-ablation) and evaluates LB_SAX with the VA-file lookup-table trick: per
+that: :class:`SignatureArray` holds the words once, segment-major (at
+full resolution, or ``>>``-reduced for a cardinality ablation), and
+evaluates LB_SAX with the VA-file lookup-table trick: per
 segment a ``2^bits``-entry table of squared gaps from the query's PAA
 value to each symbol region is built once (O(2^bits)), then the rows
 index into it, keeping the pass at O(rows·segments) regardless of
@@ -53,19 +53,21 @@ def reduce_symbols(
 class SignatureArray:
     """The memory-resident iSAX array of one index (or shard).
 
-    Holds the N×segments symbol matrix plus the precomputed value-region
-    edges of each symbol, so a query pays only the per-segment table
-    build and the gathers.
+    Holds the symbol matrix segment-major — ``(segments, N)``, each
+    segment's symbols contiguous, which is how the LB_SAX pass gathers
+    them — plus the precomputed value-region edges of each symbol, so a
+    query pays only the per-segment table build and the gathers.
     """
 
     def __init__(self, reduced: np.ndarray, space: SaxSpace, bits: int) -> None:
-        reduced = np.ascontiguousarray(reduced, dtype=np.uint8)
+        reduced = np.asarray(reduced, dtype=np.uint8)
         if reduced.ndim != 2 or reduced.shape[1] != space.segments:
             raise ValueError(
                 f"expected a (N, {space.segments}) reduced-symbol matrix, "
                 f"got shape {reduced.shape}"
             )
-        self.reduced = reduced
+        #: The one resident copy of the words, transposed once here.
+        self._by_segment = np.ascontiguousarray(reduced.T)
         self.space = space
         self.bits = bits
         self.num_series = reduced.shape[0]
@@ -86,17 +88,19 @@ class SignatureArray:
     def from_full_symbols(
         cls, full_symbols: np.ndarray, space: SaxSpace, bits: int
     ) -> "SignatureArray":
-        """Build from a full-resolution LSD symbol matrix.
-
-        At full width the array is shared, not copied: the LSD words
-        *are* the tier.
-        """
+        """Build from a full-resolution LSD symbol matrix (row-major, as
+        LSDFile stores it; the tier keeps its own segment-major copy)."""
         return cls(reduce_symbols(full_symbols, space, bits), space, bits)
+
+    @property
+    def reduced(self) -> np.ndarray:
+        """The ``(N, segments)`` symbol matrix: a view, nothing copied."""
+        return self._by_segment.T
 
     @property
     def memory_bytes(self) -> int:
         """Resident size of the symbol matrix."""
-        return self.reduced.nbytes
+        return self._by_segment.nbytes
 
     def _gap_tables(self, query_paa: np.ndarray) -> np.ndarray:
         """Per-segment squared-gap lookup tables, shape (segments, 2^bits).
@@ -122,11 +126,12 @@ class SignatureArray:
     def _gap_sq_sums(
         self, tables: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Σ_j tables[j, reduced[i, j]] for every row (or the given rows)."""
-        reduced = self.reduced if rows is None else self.reduced[rows]
-        total = np.zeros(reduced.shape[0], dtype=DISTANCE_DTYPE)
-        for j in range(self.space.segments):
-            total += tables[j, reduced[:, j]]
+        """Σ_j tables[j, reduced[i, j]] for every row (or the given rows),
+        summed in segment order."""
+        count = self.num_series if rows is None else len(rows)
+        total = np.zeros(count, dtype=DISTANCE_DTYPE)
+        for table, symbols in zip(tables, self._by_segment):
+            total += table.take(symbols if rows is None else symbols.take(rows))
         return total
 
     def lower_bounds(

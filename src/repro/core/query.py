@@ -580,6 +580,20 @@ def _trim_to_candidates(
 _CHUNK_ROWS = 1024
 
 
+def _chunk_cuts(sizes: np.ndarray) -> list:
+    """Where a file-ordered extent list is cut into refinement chunks:
+    chunk ``i`` is the extents ``cuts[i]:cuts[i + 1]``, as many whole
+    extents as hold at most :data:`_CHUNK_ROWS` rows — or one extent alone
+    that holds more.  Serial and batch refinement both walk these."""
+    sized = list(accumulate(sizes.tolist(), initial=0))
+    cuts = [0]
+    while cuts[-1] < len(sizes):
+        # Cut where the running row count would pass the cap.
+        fits = bisect_right(sized, sized[cuts[-1]] + _CHUNK_ROWS) - 1
+        cuts.append(max(fits, cuts[-1] + 1))
+    return cuts
+
+
 def _refine_leaves(
     state: _SearchState, leaves: np.ndarray, workers: Optional[int] = None
 ) -> None:
@@ -644,13 +658,7 @@ def _refine_runs(
     if len(starts) == 1:  # a phase-1 leaf visit: nothing to cut
         chunks = [(0, 1)]
     else:
-        # Cut where the running row count would pass the cap: a chunk is
-        # the extents cuts[i]:cuts[i + 1].
-        sized = list(accumulate(sizes.tolist(), initial=0))
-        cuts = [0]
-        while cuts[-1] < len(starts):
-            fits = bisect_right(sized, sized[cuts[-1]] + _CHUNK_ROWS) - 1
-            cuts.append(max(fits, cuts[-1] + 1))
+        cuts = _chunk_cuts(sizes)
         chunks = list(zip(cuts, cuts[1:]))
     merge = state.lrd.cache is None
     length = state.query.shape[0]

@@ -100,6 +100,58 @@ def _assert_batch_matches_serial(index, queries, k, config=None, counters=False)
     return batch
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Refinement chunks of at most 32 rows — one to three of these
+    20-row leaves — in both pipelines, so a batch walks hundreds of
+    chunks: "leaves" and "series" users meet in one chunk, cuts fall
+    mid-plan, and late chunks find every query pruned."""
+    from repro.core import batch_query, query
+
+    monkeypatch.setattr(query, "_CHUNK_ROWS", 32)
+    monkeypatch.setattr(batch_query, "_CHUNK_ROWS", 32)
+
+
+def _assert_read_once(index, queries, k, config, monkeypatch):
+    """One ``knn_batch`` call reads whole leaf blocks, none of them
+    twice, and counts loads and uses per leaf block, not per chunk."""
+    from repro.storage.files import SeriesFile
+
+    reads = []
+    read_range = SeriesFile.read_range
+
+    def recording(self, position, count, out=None):
+        reads.append((position, count))
+        return read_range(self, position, count, out=out)
+
+    before = index.query_io.snapshot()
+    with monkeypatch.context() as patch:
+        patch.setattr(SeriesFile, "read_range", recording)
+        batch = index.knn_batch(queries, k=k, config=config)
+    stats = batch.stats
+    bytes_read = (index.query_io.snapshot() - before).bytes_read
+
+    times_read = np.zeros(index.num_series, dtype=np.int64)
+    for position, count in reads:
+        times_read[position : position + count] += 1
+    assert times_read.max() == 1
+    loaded = [
+        leaf
+        for leaf in index.leaves
+        if times_read[leaf.file_position : leaf.file_position + leaf.size].any()
+    ]
+    assert sum(leaf.size for leaf in loaded) == times_read.sum()  # whole leaves
+    assert stats.unique_leaf_reads == len(loaded) <= index.num_leaves
+    assert bytes_read == times_read.sum() * index.series_length * 4
+    # The per-query counters are per leaf block too: a load is the miss of
+    # the one query it was made for, every other use of the leaf a hit.
+    misses = sum(answer.profile.cache_misses for answer in batch)
+    hits = sum(answer.profile.cache_hits for answer in batch)
+    assert misses == stats.unique_leaf_reads
+    assert hits + misses == stats.leaf_uses
+    return stats
+
+
 class TestPlainExactParity:
     @pytest.mark.parametrize("num_queries", [1, 2, 64])
     @pytest.mark.parametrize("k", [1, 10, 100])
@@ -150,6 +202,11 @@ class TestRefinementPaths:
     above are answered by phase 1 alone; a short phase 1 sends them
     through the LB_SAX pass, phase 4 and the skip-sequential scans."""
 
+    @staticmethod
+    def _mixed(data, queries):
+        hard = np.random.default_rng(8).standard_normal((6, _LENGTH))
+        return np.vstack([queries[:6], hard, data[100:104]]).astype(np.float32)
+
     @pytest.mark.parametrize("adaptive", [True, False])
     @pytest.mark.parametrize("prefilter", [True, False])
     @pytest.mark.parametrize("epsilon", [0.0, 0.15])
@@ -161,8 +218,7 @@ class TestRefinementPaths:
             prefilter=prefilter,
             adaptive_thresholds=adaptive,
         )
-        hard = np.random.default_rng(8).standard_normal((6, _LENGTH))
-        mixed = np.vstack([queries[:6], hard, data[100:104]]).astype(np.float32)
+        mixed = self._mixed(data, queries)
         batch = _assert_batch_matches_serial(
             index, mixed, k=5, config=config, counters=epsilon > 0
         )
@@ -177,6 +233,83 @@ class TestRefinementPaths:
             assert answer.profile.prefilter_screened == serial.prefilter_screened
             assert answer.profile.prefilter_survivors == serial.prefilter_survivors
 
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_exact_small_chunks(
+        self, index, data, queries, small_chunks, monkeypatch, prefilter, adaptive
+    ):
+        config = index.config.with_options(
+            l_max=2, prefilter=prefilter, adaptive_thresholds=adaptive
+        )
+        mixed = self._mixed(data, queries)
+        batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
+        paths = {answer.profile.path for answer in batch}
+        assert "full-four-phase" in paths
+        if adaptive:
+            assert "eapca-skipseq" in paths
+        _assert_read_once(index, mixed, 5, config, monkeypatch)
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_exact_small_chunks_wide(
+        self, wide_index, wide_data, small_chunks, monkeypatch, prefilter, adaptive
+    ):
+        """2 000 series in chunks of 32 rows: most chunks serve whole-leaf
+        and per-row users together, and an easy batch leaves chunks in
+        which every query is pruned (no kernel call)."""
+        from repro.core import batch_query
+
+        config = wide_index.config.with_options(
+            l_max=2, prefilter=prefilter, adaptive_thresholds=adaptive
+        )
+        rng = np.random.default_rng(9)
+        noisy = wide_data[:8] + 0.5 * rng.standard_normal((8, _LENGTH))
+        mixed = np.vstack([noisy, rng.standard_normal((8, _LENGTH))]).astype(np.float32)
+        easy = (wide_data[:2] + 0.3 * rng.standard_normal((2, _LENGTH))).astype(np.float32)
+
+        chunks, calls = [], []
+        cut, kernel = batch_query._chunk_cuts, batch_query.early_abandon_squared_multi
+
+        def cutting(sizes):
+            cuts = cut(sizes)
+            chunks.append(len(cuts) - 1)
+            return cuts
+
+        def counting(queries, candidates, cutoffs, row_masks):
+            whole = int(row_masks.all(axis=1).sum())
+            calls.append(0 < whole < len(queries))
+            return kernel(queries, candidates, cutoffs, row_masks=row_masks)
+
+        monkeypatch.setattr(batch_query, "_chunk_cuts", cutting)
+        monkeypatch.setattr(batch_query, "early_abandon_squared_multi", counting)
+
+        batch = _assert_batch_matches_serial(wide_index, mixed, k=5, config=config)
+        paths = {answer.profile.path for answer in batch}
+        assert "full-four-phase" in paths
+        assert chunks[0] > 60
+        if adaptive:
+            assert "eapca-skipseq" in paths
+            assert sum(calls) > 60  # both kinds of user in one kernel call
+        stats = _assert_read_once(wide_index, mixed, 5, config, monkeypatch)
+        assert stats.leaf_share_factor > 1.0
+
+        del chunks[:], calls[:]
+        _assert_batch_matches_serial(wide_index, easy, k=5, config=config)
+        assert 0 < len(calls) < chunks[0]
+        _assert_read_once(wide_index, easy, 5, config, monkeypatch)
+
+    def test_leaf_above_the_chunk_cap(self, index, data, queries, monkeypatch):
+        """A leaf holding more rows than a chunk may is a chunk of its own
+        and the shared buffer grows to take it."""
+        from repro.core import batch_query, query
+
+        monkeypatch.setattr(query, "_CHUNK_ROWS", 8)
+        monkeypatch.setattr(batch_query, "_CHUNK_ROWS", 8)
+        assert max(leaf.size for leaf in index.leaves) > 8
+        config = index.config.with_options(l_max=2)
+        mixed = self._mixed(data, queries)
+        _assert_batch_matches_serial(index, mixed, k=5, config=config)
+        _assert_read_once(index, mixed, 5, config, monkeypatch)
 
     @pytest.mark.parametrize("adaptive", [True, False])
     @pytest.mark.parametrize("prefilter", [True, False])

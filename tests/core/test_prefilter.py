@@ -77,13 +77,17 @@ class TestSignatureArray:
     def test_full_width_shares_the_lsd_words(
         self, space, symbols, tmp_path, monkeypatch
     ):
-        sig = SignatureArray.from_full_symbols(symbols, space, 8)
-        assert np.shares_memory(sig.reduced, symbols)
-        assert not np.shares_memory(
-            SignatureArray.from_full_symbols(symbols, space, 4).reduced,
-            symbols,
-        )
-        # The index's tier is the array LSDFile was read into, not a copy.
+        """Since the words are held segment-major the tier no longer
+        shares LSDFile's row-major array: it holds the one resident copy,
+        and ``reduced`` is a view of it."""
+        for bits in (8, 4):
+            sig = SignatureArray.from_full_symbols(symbols, space, bits)
+            assert not np.shares_memory(sig.reduced, symbols)
+            assert not sig.reduced.flags.owndata
+            assert sig.reduced.T.flags.c_contiguous
+            assert sig.memory_bytes == symbols.shape[0] * _SEGMENTS
+        # The index's tier is the words of LSDFile, once: the array they
+        # were read into is not kept.
         loaded = []
         read_all = SymbolFile.read_all
         monkeypatch.setattr(
@@ -100,7 +104,10 @@ class TestSignatureArray:
         data = make_random_walks(60, _LENGTH, seed=93)
         with HerculesIndex.build(data, config, directory=tmp_path) as index:
             assert index.signatures.bits == 8
-            assert np.shares_memory(index.signatures.reduced, loaded[-1])
+            words = loaded.pop()
+            np.testing.assert_array_equal(index.signatures.reduced, words)
+            assert index.signatures.memory_bytes == words.nbytes
+            assert not np.shares_memory(index.signatures.reduced, words)
 
     def test_query_paa_shape_validated(self, space, symbols):
         sig = SignatureArray.from_full_symbols(symbols, space, 4)
@@ -136,6 +143,23 @@ class TestLowerBounds:
             space.mindist(q_paa, symbols, _LENGTH),
             atol=1e-9,
         )
+
+    @pytest.mark.parametrize("bits", [3, 8])
+    def test_segment_major_gather_is_the_row_major_sum(
+        self, space, symbols, query, bits
+    ):
+        """The gather over the segment-major words adds the same terms in
+        the same order as the row-major expression it replaced: bit-equal
+        sums for the whole array, a subset and an empty subset."""
+        sig = SignatureArray.from_full_symbols(symbols, space, bits)
+        tables = sig._gap_tables(paa(query, _SEGMENTS))
+        subset = np.sort(np.random.default_rng(4).choice(300, 120, replace=False))
+        for rows in (None, subset, subset[:0]):
+            reduced = sig.reduced if rows is None else sig.reduced[rows]
+            expected = np.zeros(reduced.shape[0])
+            for j in range(_SEGMENTS):
+                expected += tables[j, reduced[:, j]]
+            np.testing.assert_array_equal(sig._gap_sq_sums(tables, rows), expected)
 
 
 def _whole_array_mask(sig, q_paa, bsf_squared, prune_factor=1.0):
