@@ -19,7 +19,7 @@ from repro.core.config import HerculesConfig
 from repro.core.index import HerculesIndex
 from repro.core.prefilter import SignatureArray
 from repro.distance.lower_bounds import lb_eapca
-from repro.summarization.eapca import Segmentation, SeriesSketch, segment_stats
+from repro.summarization.eapca import BatchSketch, Segmentation, SeriesSketch, segment_stats
 from repro.summarization.paa import paa
 from repro.summarization.sax import SaxSpace
 from repro.workloads.generators import random_walks
@@ -90,16 +90,23 @@ def test_lb_eapca_per_node(benchmark, corpus, query):
     benchmark(lb_eapca, q_means, q_stds, synopsis, seg.lengths)
 
 
-def test_lb_eapca_table(benchmark, corpus, query):
+@pytest.mark.parametrize("num_queries", [1, 64])
+def test_lb_eapca_table(benchmark, corpus, num_queries):
     """Every node's bound plus the per-leaf effective max in one array
-    pass — compare with ``test_lb_eapca_per_node`` × the node count."""
+    pass — compare with ``test_lb_eapca_per_node`` × the node count.  The
+    Q = 64 row is the ``knn_batch`` form: divide by 64 and compare with
+    the Q = 1 row for its per-query cost."""
     config = HerculesConfig(leaf_capacity=100, num_build_threads=1, flush_threshold=1)
     with HerculesIndex.build(corpus, config) as index:
         table = index._table
-        sketch = SeriesSketch(query)
+        sketch = BatchSketch(random_walks(num_queries, 128, seed=2))
+        cumsum, cumsq = sketch.cumsum, sketch.cumsq
+        if num_queries == 1:
+            cumsum, cumsq = cumsum[0], cumsq[0]
         benchmark.extra_info["nodes"] = len(table.nodes)
-        benchmark.extra_info["segments"] = int(table.seg_ends.shape[0])
-        benchmark(table.leaf_bounds_squared, sketch.cumsum, sketch.cumsq)
+        benchmark.extra_info["node_segments"] = int(table.segment_ids.shape[0])
+        benchmark.extra_info["distinct_segments"] = int(table.seg_ends.shape[0])
+        benchmark(table.leaf_bounds_squared, cumsum, cumsq)
 
 
 @pytest.mark.parametrize("num_rows", [128, 10_000, None], ids=["128", "10K", "all"])

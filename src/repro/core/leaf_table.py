@@ -8,12 +8,16 @@ CSR-style in preorder, so one
 :func:`~repro.distance.lower_bounds.lb_eapca_table_squared` call bounds
 all nodes, for one query or a whole batch.
 
+Nodes share most of their segments (a child keeps all of its parent's
+but the one it split), so the query's statistics are taken once per
+distinct ``(start, end)`` segment and gathered to the node segments.
+
 LB_EAPCA is *not* monotone down the tree (a V-split child re-segments
 and its bound can drop below its parent's), while a descent only reaches
 a leaf through nodes it could not prune.  A leaf's *effective* bound is
-therefore the largest bound on its root path, propagated as a running
-max down the per-depth row groups; a leaf-only table would admit leaves
-the descent prunes at an ancestor.
+therefore the largest bound on its root path — one gather over a
+``(depth × leaves)`` matrix of root paths and one max; a leaf-only table
+would admit leaves the descent prunes at an ancestor.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 from repro.core.node import Node
 from repro.distance.lower_bounds import lb_eapca_table_squared
 from repro.errors import StorageError
+from repro.types import DISTANCE_DTYPE
 
 
 def extent_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -48,10 +53,16 @@ class LeafTable:
         self.sizes = np.diff(self.positions, append=num_series)
 
         segmentations = [node.segmentation for node in self.nodes]
-        self.seg_starts = np.concatenate([s.starts_array for s in segmentations])
-        self.seg_ends = np.concatenate([s.ends_array for s in segmentations])
-        self.seg_lengths = np.concatenate([s.lengths for s in segmentations])
-        #: ``(4, segments)``: mu_min / mu_max / sd_min / sd_max, contiguous.
+        # Every node segment as one (start, end) key; children inherit all
+        # but one of their parent's segments, so few keys are distinct.
+        ends = np.concatenate([s.ends_array for s in segmentations])
+        width = int(ends.max()) + 1
+        keys = np.concatenate([s.starts_array for s in segmentations]) * width + ends
+        distinct, self.segment_ids = np.unique(keys, return_inverse=True)
+        #: The distinct segments; ``segment_ids`` maps node segments to them.
+        self.seg_starts, self.seg_ends = np.divmod(distinct, width)
+        self.seg_lengths = (self.seg_ends - self.seg_starts).astype(DISTANCE_DTYPE)
+        #: ``(4, node segments)``: mu_min / mu_max / sd_min / sd_max, contiguous.
         self.synopses = np.ascontiguousarray(
             np.concatenate([node.synopsis for node in self.nodes]).T
         )
@@ -61,14 +72,14 @@ class LeafTable:
 
         rows = {node: row for row, node in enumerate(self.nodes)}
         self.parent = np.array([rows.get(node.parent, 0) for node in self.nodes])
-        depth = np.zeros(len(self.nodes), dtype=np.int64)
-        for row in range(1, len(self.nodes)):  # parents precede children
-            depth[row] = depth[self.parent[row]] + 1
-        #: (rows, their parents' rows) per depth below the root, top down.
-        self.levels = []
-        for d in range(1, int(depth.max()) + 1):
-            level = np.flatnonzero(depth == d)
-            self.levels.append((level, self.parent[level]))
+        #: ``(depth + 1, leaves)``: column ``i`` is leaf ``i``'s root path,
+        #: leaf first.  The root is its own parent, so shorter paths end
+        #: in repeats of it.  Depth-major, because a max over the long
+        #: axis runs several times faster than over the short one.
+        paths = [self.leaf_rows]
+        while paths[-1].any():
+            paths.append(self.parent[paths[-1]])
+        self.paths = np.stack(paths)
 
     def _check_extents(self, num_series: int) -> None:
         """The leaves must tile ``[0, num_series)`` in order, none empty:
@@ -103,12 +114,10 @@ class LeafTable:
         """Raw squared LB_EAPCA per node (preorder), ``(nodes,)`` or ``(Q, nodes)``."""
         return lb_eapca_table_squared(
             cumsum, cumsq, self.seg_starts, self.seg_ends, self.seg_lengths,
-            self.synopses, self.row_starts,
+            self.segment_ids, self.synopses, self.row_starts,
         )
 
     def leaf_bounds_squared(self, cumsum: np.ndarray, cumsq: np.ndarray) -> np.ndarray:
         """Effective squared bound per leaf (file order): max over its root path."""
         bounds = self.node_bounds_squared(cumsum, cumsq)
-        for rows, parents in self.levels:
-            bounds[..., rows] = np.maximum(bounds[..., rows], bounds[..., parents])
-        return bounds[..., self.leaf_rows]
+        return np.take(bounds, self.paths, axis=-1).max(axis=-2)

@@ -160,6 +160,8 @@ class SignatureArray:
         call each other: a tracer wrapping either public name then times
         exactly the pipeline that called it.
         """
+        if rows is not None and not len(rows):  # e.g. an empty LCList
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=DISTANCE_DTYPE)
         tables = self._gap_tables(query_paa)
         scale = series_length / self.space.segments
         factor_sq = scale * prune_factor * prune_factor

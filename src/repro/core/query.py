@@ -30,13 +30,16 @@ hard queries.
 ``config.prefilter`` moves the phase-3 pass in front of that decision,
 so the skip-sequential paths too only visit leaves that kept a row.
 
-Refinement is written once (:func:`_refine_runs`): phase 1's leaf
-visits, both skip-sequential scans and phase 4 hand it file-ordered read
-extents with their bounds, and it walks them in chunks of up to a
-thousand rows — one re-check against the live BSF², one read per run of
-adjacent extents straight into one reused buffer, one kernel call and
-one result-set merge per chunk — because at a leaf's worth of rows per
-call the kernel is NumPy dispatch, not arithmetic.
+Refinement is written once (:func:`_refine_runs`): both skip-sequential
+scans and phase 4 hand it file-ordered read extents with their bounds,
+and it walks them in chunks of up to a thousand rows — one re-check
+against the live BSF², one read per run of adjacent extents straight
+into one reused buffer, one kernel call and one result-set merge per
+chunk — because at a leaf's worth of rows per call the kernel is NumPy
+dispatch, not arithmetic.  Phase 1 evaluates its visits the same way, a
+group of leaves per read and kernel call (:func:`_best_first`), but
+merges them one leaf at a time so its visits and stop test stay the
+paper's.
 
 Distance kernels operate on whole row matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
@@ -490,24 +493,72 @@ def _best_first(state: _SearchState, limit: Optional[int]):
     only after every node on its root path, i.e. at the largest bound on
     that path.  The stable sort sends ties to the leftmost leaf, as the
     queue's left-child-first tie-break did.  Stops at ``limit`` leaves
-    or at the first bound the live BSF² prunes — every later one is at
-    least as far.
+    or at the first bound the live BSF² prunes (a leaf tied with BSF² is
+    still visited) — every later one is at least as far.
+
+    Leaves are evaluated in groups but merged one at a time.  While BSF²
+    is infinite a group is one leaf; after that it is every following
+    leaf whose bound is ≤ the current BSF², up to :data:`_CHUNK_ROWS`
+    rows of whole leaves: one read per run of file-adjacent leaves, one
+    kernel call at that BSF².  Each leaf is then merged in visit order
+    after the same stop test and refresh as a leaf-at-a-time walk, so
+    the visits, their order and every merge are that walk's: BSF² only
+    falls, so the group's cutoff is ≥ the BSF² of each merge, and a row
+    the kernel abandoned exceeds both.  A group's tail that the stop
+    test then cuts was read and evaluated for nothing; it counts as
+    accessed and computed, not as visited.
     """
+    results, profile = state.results, state.profile
     order = np.argsort(state.bounds, kind="stable")[:limit]
+    bounds = state.bounds[order]
     starts, sizes = state.table.positions[order], state.table.sizes[order]
-    # The test below is the whole visit decision (a leaf tied with BSF² is
-    # still visited): refinement's own re-check must not repeat it.
-    unconditional = np.array([-np.inf])
-    for visit, (leaf, bound) in enumerate(
-        zip(order.tolist(), state.bounds[order].tolist())
-    ):
-        if bound > state.results.bsf_squared:
+    leaves, bound_list = order.tolist(), bounds.tolist()
+    start_list, size_list = starts.tolist(), sizes.tolist()
+    # Rows of the visits before each one: where a group reaches the cap.
+    sized = list(accumulate(size_list, initial=0))
+    length = state.query.shape[0]
+    visit = 0
+    while visit < len(leaves):
+        bsf_squared = results.bsf_squared
+        if bound_list[visit] > bsf_squared:
             return
-        state.visited.append(leaf)
-        one = slice(visit, visit + 1)
-        _refine_runs(state, starts[one], sizes[one], unconditional)
-        state.profile.approx_leaves = len(state.visited)
-        yield state.profile.approx_leaves
+        end = visit + 1
+        if bsf_squared < np.inf:
+            reachable = int(np.searchsorted(bounds, bsf_squared, side="right"))
+            end = max(min(_chunk_end(sized, visit), reachable), end)
+        if end - visit == 1:  # every first visit: a plain read, no packing
+            data = state.read_rows(start_list[visit], size_list[visit])
+            offsets = [0]
+        else:
+            # Packed in file order into a buffer of the group's size;
+            # offsets[i] is the first row of the group's i-th visit.
+            in_file = np.argsort(starts[visit:end])
+            first, packed = starts[visit:end][in_file], sizes[visit:end][in_file]
+            offsets = np.empty_like(in_file)
+            offsets[in_file] = np.cumsum(packed) - packed
+            offsets = offsets.tolist()
+            buffer = np.empty((sized[end] - sized[visit], length), dtype=SERIES_DTYPE)
+            data = _read_extents(state, first, first + packed, buffer)
+        squared, compared = early_abandon_squared(state.query, data, bsf_squared)
+        profile.series_accessed += data.shape[0]
+        profile.distance_computations += data.shape[0]
+        profile.points_compared += compared
+        profile.points_total += data.shape[0] * length
+
+        for offset, i in zip(offsets, range(visit, end)):
+            if bound_list[i] > results.bsf_squared:
+                return
+            state.visited.append(leaves[i])
+            results.refresh()
+            position, size = start_list[i], size_list[i]
+            # Abandoned rows report inf; the batch update's pre-filter drops
+            # them without ever taking the result-set lock.
+            results.update_batch_squared(
+                squared[offset : offset + size], np.arange(position, position + size)
+            )
+            profile.approx_leaves = len(state.visited)
+            yield profile.approx_leaves
+        visit = end
 
 
 def _approx_knn(state: _SearchState) -> None:
@@ -565,12 +616,14 @@ def _trim_to_candidates(
     """
     state.profile.prefilter_screened = int(state.table.sizes[lclist].sum())
     state.profile.prefilter_survivors = len(positions)
-    return np.unique(state.table.leaf_of(positions))
+    # Positions come in file order, so their leaves are sorted: one per run.
+    leaves = state.table.leaf_of(positions)
+    return leaves[adjacent_runs(leaves, step=0)[0]]
 
 
 # ---------------------------------------------------------------------------
-# Refinement: phase 1's leaf visits, the skip-sequential scans and phase 4
-# (Algorithm 14: ComputeResults / CRWorker) are one routine
+# Refinement: the skip-sequential scans and phase 4 (Algorithm 14:
+# ComputeResults / CRWorker) are one routine; phase 1 shares its reads
 # ---------------------------------------------------------------------------
 
 #: Candidate rows per refinement chunk, and the rows of the one buffer a
@@ -580,26 +633,52 @@ def _trim_to_candidates(
 _CHUNK_ROWS = 1024
 
 
+def _chunk_end(sized: list, first: int) -> int:
+    """Where a chunk starting at extent ``first`` ends: as many whole
+    extents as hold at most :data:`_CHUNK_ROWS` rows — or that extent
+    alone if it holds more.  ``sized[i]`` is the rows before extent
+    ``i``."""
+    return max(bisect_right(sized, sized[first] + _CHUNK_ROWS) - 1, first + 1)
+
+
 def _chunk_cuts(sizes: np.ndarray) -> list:
     """Where a file-ordered extent list is cut into refinement chunks:
-    chunk ``i`` is the extents ``cuts[i]:cuts[i + 1]``, as many whole
-    extents as hold at most :data:`_CHUNK_ROWS` rows — or one extent alone
-    that holds more.  Serial and batch refinement both walk these."""
+    chunk ``i`` is the extents ``cuts[i]:cuts[i + 1]`` (:func:`_chunk_end`).
+    Serial and batch refinement both walk these."""
     sized = list(accumulate(sizes.tolist(), initial=0))
     cuts = [0]
     while cuts[-1] < len(sizes):
-        # Cut where the running row count would pass the cap.
-        fits = bisect_right(sized, sized[cuts[-1]] + _CHUNK_ROWS) - 1
-        cuts.append(max(fits, cuts[-1] + 1))
+        cuts.append(_chunk_end(sized, cuts[-1]))
     return cuts
+
+
+def _read_extents(
+    state: _SearchState, starts: np.ndarray, ends: np.ndarray, buffer: np.ndarray
+) -> np.ndarray:
+    """Read the extents ``[start, end)`` into the leading rows of
+    ``buffer``, packed in the order given, and return those rows.
+
+    One read per run of file-adjacent extents.  With a leaf cache
+    attached every extent is read on its own: cache blocks are keyed
+    ``(position, count)`` and only an extent's own block repeats across
+    queries, a merged run never does.
+    """
+    if state.lrd.cache is None and len(starts) > 1:
+        run_lo, run_hi = adjacent_runs(starts, (ends - starts)[:-1])
+        starts, ends = starts[run_lo], ends[run_hi - 1]
+    filled = 0
+    for position, end in zip(starts.tolist(), ends.tolist()):
+        state.read_rows(position, end - position, out=buffer[filled : filled + end - position])
+        filled += end - position
+    return buffer[:filled]
 
 
 def _refine_leaves(
     state: _SearchState, leaves: np.ndarray, workers: Optional[int] = None
 ) -> None:
     """Refine every series of the given leaves (table indices, file
-    order), each leaf under its own bound: a phase-1 visit, a
-    skip-sequential scan of LCList, the NoSAX ablation's phase 4."""
+    order), each leaf under its own bound: a skip-sequential scan of
+    LCList, the NoSAX ablation's phase 4."""
     table = state.table
     _refine_runs(
         state, table.positions[leaves], table.sizes[leaves], state.bounds[leaves], workers
@@ -637,8 +716,9 @@ def _refine_runs(
 
     Every run of a chunk is read straight into one ``(_CHUNK_ROWS,
     length)`` buffer that lives as long as the pass (one per CRWorker), so
-    a chunk allocates nothing of its own size.  A chunk of one extent — a
-    phase-1 leaf visit, or a leaf above the cap — is a plain read.
+    a chunk allocates nothing of its own size (:func:`_read_extents`).  A
+    chunk of one extent — a leaf above the cap, or a lone candidate — is
+    a plain read.
 
     A candidate dropped by a re-check has bound ≥ BSF² ≥ the final BSF²,
     and one abandoned by the kernel has distance > the BSF at that time,
@@ -646,21 +726,13 @@ def _refine_runs(
     evaluation.  The ε factor is in the bounds only — it tightens
     lower-bound pruning, not real-distance refinement.
 
-    With a leaf cache attached every extent is read on its own: cache
-    blocks are keyed ``(position, count)`` and only an extent's own block
-    repeats across queries, a merged run never does.
-
     ``workers`` fans the chunk list out over that many CRWorker threads,
     a contiguous slice each; ``None`` refines on the calling thread.
     """
     results, profile = state.results, state.profile
     ends = starts + sizes
-    if len(starts) == 1:  # a phase-1 leaf visit: nothing to cut
-        chunks = [(0, 1)]
-    else:
-        cuts = _chunk_cuts(sizes)
-        chunks = list(zip(cuts, cuts[1:]))
-    merge = state.lrd.cache is None
+    cuts = _chunk_cuts(sizes)
+    chunks = list(zip(cuts, cuts[1:]))
     length = state.query.shape[0]
     profile_lock = threading.Lock()
 
@@ -671,8 +743,8 @@ def _refine_runs(
             results.refresh()
             bsf_squared = results.bsf_squared
             if hi - lo == 1:
-                # One extent (a phase-1 leaf visit, a leaf above the cap):
-                # a plain read, and none of the run bookkeeping.
+                # One extent (a leaf above the cap, a lone candidate): a
+                # plain read, and none of the run bookkeeping.
                 if not bounds_sq[lo] < bsf_squared:
                     continue
                 position, end = int(starts[lo]), int(ends[lo])
@@ -686,24 +758,10 @@ def _refine_runs(
                     continue
                 if kept < hi - lo:
                     read_starts, read_ends = read_starts[alive], read_ends[alive]
-                if merge and kept > 1:
-                    run_lo, run_hi = adjacent_runs(
-                        read_starts, (read_ends - read_starts)[:-1]
-                    )
-                    read_starts, read_ends = read_starts[run_lo], read_ends[run_hi - 1]
                 if buffer is None:
                     buffer = np.empty((_CHUNK_ROWS, length), dtype=SERIES_DTYPE)
-                filled = 0
-                for position, end in zip(read_starts.tolist(), read_ends.tolist()):
-                    rows = buffer[filled : filled + end - position]
-                    state.read_rows(position, end - position, out=rows)
-                    filled += end - position
-                data = buffer[:filled]
-                positions = (
-                    np.arange(read_starts[0], read_ends[0])
-                    if len(read_starts) == 1
-                    else extent_rows(read_starts, read_ends - read_starts)
-                )
+                data = _read_extents(state, read_starts, read_ends, buffer)
+                positions = extent_rows(read_starts, read_ends - read_starts)
             squared, compared = early_abandon_squared(state.query, data, bsf_squared)
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.

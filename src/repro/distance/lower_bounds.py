@@ -74,27 +74,37 @@ def lb_eapca_table_squared(
     starts: np.ndarray,
     ends: np.ndarray,
     lengths: np.ndarray,
+    segment_ids: np.ndarray,
     synopses: np.ndarray,
     row_starts: np.ndarray,
 ) -> np.ndarray:
     """Squared LB_EAPCA of one query or a batch against many nodes at once.
 
-    The nodes' segmentations are concatenated CSR-style: ``starts`` /
-    ``ends`` / ``lengths`` have shape ``(S,)``, node ``i`` owns the
-    segments from ``row_starts[i]`` on, and ``synopses`` is the matching
-    ``(4, S)`` stack of synopsis columns.  ``cumsum`` / ``cumsq`` are the
-    query prefix sums a ``SeriesSketch`` / ``BatchSketch`` keeps,
-    ``(n + 1,)`` or ``(Q, n + 1)``.  Per segment the arithmetic is that
-    of ``SeriesSketch.stats`` + :func:`lb_eapca` element for element;
-    only the per-node summation order differs, and no root is taken.
+    The nodes' segmentations are concatenated CSR-style into ``S`` node
+    segments: node ``i`` owns them from ``row_starts[i]`` on, and
+    ``synopses`` is the matching ``(4, S)`` stack of synopsis columns.
+    Nodes share most of their segments, so the query's mean and σ are
+    taken once per *distinct* segment — ``starts`` / ``ends`` /
+    ``lengths``, shape ``(D,)`` — and node segment ``s`` reads those of
+    distinct segment ``segment_ids[s]`` (a caller with nothing shared
+    passes ``arange(S)``).  ``cumsum`` / ``cumsq`` are the query prefix
+    sums a ``SeriesSketch`` / ``BatchSketch`` keeps, ``(n + 1,)`` or
+    ``(Q, n + 1)``.  Per segment the arithmetic is that of
+    ``SeriesSketch.stats`` + :func:`lb_eapca` element for element; only
+    the per-node summation order differs, and no root is taken.
     Returns ``(nodes,)`` or ``(Q, nodes)``.
     """
-    means = (cumsum[..., ends] - cumsum[..., starts]) / lengths
-    variances = (cumsq[..., ends] - cumsq[..., starts]) / lengths - means * means
+    means = (np.take(cumsum, ends, axis=-1) - np.take(cumsum, starts, axis=-1)) / lengths
+    variances = (np.take(cumsq, ends, axis=-1) - np.take(cumsq, starts, axis=-1)) / lengths
+    variances -= means * means
     np.maximum(variances, 0.0, out=variances)
-    mu_gap = _interval_gap(means, synopses[MU_MIN], synopses[MU_MAX])
-    sd_gap = _interval_gap(np.sqrt(variances), synopses[SD_MIN], synopses[SD_MAX])
-    terms = lengths * (mu_gap * mu_gap + sd_gap * sd_gap)
+    mu_gap = _interval_gap(
+        np.take(means, segment_ids, axis=-1), synopses[MU_MIN], synopses[MU_MAX]
+    )
+    sd_gap = _interval_gap(
+        np.take(np.sqrt(variances), segment_ids, axis=-1), synopses[SD_MIN], synopses[SD_MAX]
+    )
+    terms = np.take(lengths, segment_ids) * (mu_gap * mu_gap + sd_gap * sd_gap)
     return np.add.reduceat(terms, row_starts, axis=-1)
 
 

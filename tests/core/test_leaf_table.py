@@ -2,7 +2,8 @@
 
 Three properties carry the array-at-a-time descent:
 
-* the table kernel's bound² equals ``Node.lower_bound``² for every node;
+* the table kernel's bound² equals ``Node.lower_bound``² for every node
+  (and, bit for bit, its per-node-segment form with nothing shared);
 * a leaf's *effective* bound (max over its root path) never exceeds the
   true squared distance to any series stored in the leaf;
 * selecting leaves from the effective-bound array is exactly what a
@@ -22,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import HerculesConfig, HerculesIndex
+from repro.distance.lower_bounds import lb_eapca_table_squared
 from repro.errors import StorageError
 from repro.storage import htree
 from repro.summarization.eapca import BatchSketch, SeriesSketch
@@ -118,6 +120,84 @@ def test_effective_leaf_bound_never_exceeds_a_true_distance(shape):
                 # which scales with the squared norms involved.
                 norm = max(np.square(rows).sum(axis=1).max(), np.square(query).sum())
                 assert effective[q, i] <= true * (1 + 1e-9) + 1e-9 * norm
+
+
+def per_node_segment_bounds(table, cumsum, cumsq):
+    """The kernel with nothing shared: every node segment its own (the
+    arithmetic before distinct segments were gathered)."""
+    segmentations = [node.segmentation for node in table.nodes]
+    return lb_eapca_table_squared(
+        cumsum,
+        cumsq,
+        np.concatenate([s.starts_array for s in segmentations]),
+        np.concatenate([s.ends_array for s in segmentations]),
+        np.concatenate([s.lengths for s in segmentations]),
+        np.arange(table.synopses.shape[1]),
+        table.synopses,
+        table.row_starts,
+    )
+
+
+def running_max_down_the_levels(table, bounds):
+    """Effective leaf bounds as a running max down the per-depth row
+    groups (how the root-path gather was computed before)."""
+    bounds = bounds.copy()
+    depth = np.zeros(len(table.nodes), dtype=np.int64)
+    for row in range(1, len(table.nodes)):  # parents precede children
+        depth[row] = depth[table.parent[row]] + 1
+    for d in range(1, int(depth.max()) + 1):
+        rows = np.flatnonzero(depth == d)
+        bounds[..., rows] = np.maximum(bounds[..., rows], bounds[..., table.parent[rows]])
+    return bounds[..., table.leaf_rows]
+
+
+@_SETTINGS
+@given(shape=datasets)
+def test_distinct_segments_and_root_paths_are_bit_identical(shape):
+    """Statistics per distinct segment gathered to the node segments, and
+    one gather + max over the root paths, give exactly the per-node-
+    segment kernel and the per-depth running max — single and batched,
+    for constant and 1e6-magnitude queries, on single-leaf trees too."""
+    count, length, seed, scale = shape
+    data = make_data(count, length, seed, scale)
+    queries = make_queries(data, seed, scale)
+    with build(data) as index:
+        table = index._table
+        pairs = set(zip(table.seg_starts.tolist(), table.seg_ends.tolist()))
+        assert len(pairs) == len(table.seg_starts)  # distinct indeed
+        np.testing.assert_array_equal(
+            table.seg_starts[table.segment_ids],
+            np.concatenate([n.segmentation.starts_array for n in table.nodes]),
+        )
+        assert table.paths.shape[1] == len(table.leaves)
+        batch = BatchSketch(queries)
+        sketches = [(batch.cumsum, batch.cumsq)] + [
+            (s.cumsum, s.cumsq) for s in map(SeriesSketch, queries)
+        ]
+        for cumsum, cumsq in sketches:
+            raw = table.node_bounds_squared(cumsum, cumsq)
+            np.testing.assert_array_equal(raw, per_node_segment_bounds(table, cumsum, cumsq))
+            np.testing.assert_array_equal(
+                table.leaf_bounds_squared(cumsum, cumsq),
+                running_max_down_the_levels(table, raw),
+            )
+
+
+def test_a_tree_without_repeated_segments():
+    """A single-leaf tree shares no segment: ``segment_ids`` is
+    ``arange`` and the root path is the root alone."""
+    data = make_data(5, 32, seed=1, scale=1.0)
+    with build(data) as index:
+        table = index._table
+        assert len(table.nodes) == 1
+        np.testing.assert_array_equal(table.segment_ids, np.arange(len(table.seg_starts)))
+        np.testing.assert_array_equal(table.paths, [[0]])
+        sketch = BatchSketch(make_queries(data, 1, 1.0))
+        raw = table.node_bounds_squared(sketch.cumsum, sketch.cumsq)
+        np.testing.assert_array_equal(
+            raw, per_node_segment_bounds(table, sketch.cumsum, sketch.cumsq)
+        )
+        np.testing.assert_array_equal(table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq), raw)
 
 
 def queue_walk(table, bounds, bsf):

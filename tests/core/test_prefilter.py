@@ -237,6 +237,31 @@ class TestScreen:
         with pytest.raises(ValueError, match="row arrays"):
             sig.screen_batch(block, bsf, _LENGTH, 1.0, rows[:3])
 
+    def test_empty_rows_return_at_once(self, sig, monkeypatch):
+        """An empty row set (an empty LCList) builds no gap tables and
+        returns empty int64 positions and float64 bounds, whatever dtype
+        the empty input had; ``screen_batch`` with some empty row sets is
+        still ``screen`` per query."""
+        queries = make_random_walks(4, _LENGTH, seed=1001)
+        block = np.stack([paa(q, _SEGMENTS) for q in queries])
+        bsf = np.array([np.inf, 2.0, np.inf, 25.0])
+        rows = [np.empty(0, dtype=np.int64), np.arange(40), np.array([]), np.arange(0)]
+        expected = [
+            sig.screen(block[i], bsf[i], _LENGTH, prune_factor=1.1, rows=rows[i])
+            for i in range(4)
+        ]
+        batch = sig.screen_batch(block, bsf, _LENGTH, prune_factor=1.1, rows=rows)
+        for (positions, bounds_sq), (want_positions, want_bounds) in zip(batch, expected):
+            np.testing.assert_array_equal(positions, want_positions)
+            np.testing.assert_array_equal(bounds_sq, want_bounds)
+        tables = []
+        monkeypatch.setattr(sig, "_gap_tables", lambda q: tables.append(q))
+        for empty in (rows[0], rows[2], rows[3]):
+            positions, bounds_sq = sig.screen(block[0], np.inf, _LENGTH, rows=empty)
+            assert positions.shape == bounds_sq.shape == (0,)
+            assert positions.dtype == np.int64 and bounds_sq.dtype == np.float64
+        assert not tables
+
     @settings(max_examples=60, deadline=None)
     @given(
         bits=st.integers(1, 8),

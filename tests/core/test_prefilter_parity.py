@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core import HerculesConfig, HerculesIndex, ShardedIndex
-from repro.core.query import _approx_knn, _find_candidate_leaves, _SearchState
+from repro.core.query import (
+    _approx_knn,
+    _find_candidate_leaves,
+    _find_candidate_series,
+    _SearchState,
+    _trim_to_candidates,
+)
 
 from ..conftest import make_random_walks
 
@@ -142,6 +148,28 @@ class TestExactParity:
             assert plain.prefilter_screened == 0
             assert plain.prefilter_pruned_fraction is None
         assert engaged
+
+    @pytest.mark.parametrize("l_max", [1, 2, 80])
+    def test_trimmed_lclist_is_the_unique_survivor_leaves(self, index, queries, l_max):
+        """The trim takes the run heads of the survivors' (sorted) leaves:
+        exactly ``np.unique`` of them, in file order."""
+        config = index.config.with_options(l_max=l_max)
+        longest = 0
+        for k in (1, 5, 25):
+            for query in queries:
+                state = _SearchState(
+                    query, k, config, index._table, index._lrd,
+                    index.signatures, index.num_series,
+                )
+                _approx_knn(state)
+                lclist = _find_candidate_leaves(state)
+                positions, _ = _find_candidate_series(state, lclist)
+                trimmed = _trim_to_candidates(state, lclist, positions)
+                np.testing.assert_array_equal(
+                    trimmed, np.unique(index._table.leaf_of(positions))
+                )
+                longest = max(longest, len(trimmed))
+        assert longest > 1 or l_max == 80  # the default covers the tree
 
     def test_screen_only_subtracts_work(self, index, unfiltered, queries):
         for query in queries:

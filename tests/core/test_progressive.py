@@ -62,8 +62,10 @@ class TestProgressive:
         partials = [a for a in answers if a.profile.path == "progressive-partial"]
         assert len(partials) == len(answers) - 1
         leaves = [a.profile.approx_leaves for a in partials]
-        assert leaves == sorted(leaves)
-        assert leaves[0] == 1
+        # One snapshot per merged leaf, although leaves are read and
+        # evaluated in groups.
+        assert leaves == list(range(1, len(partials) + 1))
+        assert len(partials) > 2
 
     def test_early_stop_is_usable(self, index, corpus):
         """Consuming only the first snapshot still yields valid answers."""

@@ -7,6 +7,8 @@ import pytest
 
 from repro import HerculesConfig, HerculesIndex
 from repro.core.query import _SearchState, _approx_knn, _find_candidate_leaves
+from repro.core.results import LinkedResultSet, SharedBsf
+from repro.distance.euclidean import early_abandon_squared
 
 from ..conftest import make_random_walks
 
@@ -85,6 +87,161 @@ class TestApproxPhase:
         assert state.profile.approx_leaves == len(state.visited)
 
 
+def leaf_at_a_time(state, limit):
+    """Algorithm 11 one leaf per read and kernel call: the reference the
+    grouped phase 1 must reproduce visit for visit and merge for merge."""
+    table = state.table
+    for leaf in np.argsort(state.bounds, kind="stable")[:limit].tolist():
+        if state.bounds[leaf] > state.results.bsf_squared:
+            break
+        state.visited.append(leaf)
+        state.results.refresh()
+        start, size = int(table.positions[leaf]), int(table.sizes[leaf])
+        squared, _ = early_abandon_squared(
+            state.query, state.read_rows(start, size), state.results.bsf_squared
+        )
+        state.results.update_batch_squared(squared, np.arange(start, start + size))
+    state.profile.approx_leaves = len(state.visited)
+
+
+def linked_results(k, bsf_squared):
+    """A shard-style result set whose global bound starts at ``bsf_squared``."""
+    link = SharedBsf()
+    link.publish(bsf_squared)
+    return LinkedResultSet(k, link)
+
+
+class TestGroupedPhaseOne:
+    """Phase 1 reads and evaluates groups of leaves but must visit, stop
+    and merge exactly as the leaf-at-a-time walk does."""
+
+    @pytest.fixture(scope="class")
+    def queries(self, corpus):
+        rng = np.random.default_rng(206)
+        near = corpus[::150] + 0.2 * rng.standard_normal((6, 32))
+        return np.vstack([corpus[7:8], near, make_random_walks(3, 32, seed=207)])
+
+    @staticmethod
+    def _pair(index, query, k, results=None, **options):
+        grouped = make_state(index, query, k=k, **options)
+        reference = make_state(index, query, k=k, **options)
+        if results is not None:
+            grouped.results, reference.results = results(), results()
+        return grouped, reference
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    @pytest.mark.parametrize("k", [1, 5, 60], ids=["k1", "k5", "k-above-leaf"])
+    @pytest.mark.parametrize("l_max", [1, 2, 5, 1000])
+    def test_visits_and_merges_equal_the_leaf_walk(
+        self, index, queries, l_max, k, epsilon
+    ):
+        for query in queries:
+            grouped, reference = self._pair(index, query, k, l_max=l_max, epsilon=epsilon)
+            before = index._lrd.stats.snapshot()
+            _approx_knn(grouped)
+            read = index._lrd.stats.snapshot() - before
+            leaf_at_a_time(reference, l_max)
+            assert grouped.visited == reference.visited
+            assert grouped.profile.approx_leaves == reference.profile.approx_leaves
+            assert grouped.results.bsf_squared == reference.results.bsf_squared
+            for got, want in zip(grouped.results.items(), reference.results.items()):
+                np.testing.assert_array_equal(got, want)
+            # Every row read was evaluated: the visited leaves plus a
+            # group's cut tail, which is accessed but not visited.
+            profile = grouped.profile
+            rows_read = read.bytes_read // index._lrd.record_size
+            assert profile.series_accessed == profile.distance_computations == rows_read
+            visited_rows = int(index._table.sizes[grouped.visited].sum())
+            assert rows_read >= visited_rows
+
+    def test_linked_result_set(self, index, queries):
+        """A finite global bound from the start: grouping begins at the
+        first visit and every stop test reads the link."""
+        for query in queries:
+            plain = make_state(index, query, k=5, l_max=1000)
+            _approx_knn(plain)
+            for factor in (0.5, 1.0, 4.0):
+                bsf = plain.results.bsf_squared * factor
+                grouped, reference = self._pair(
+                    index, query, 5, results=lambda: linked_results(5, bsf), l_max=1000
+                )
+                _approx_knn(grouped)
+                leaf_at_a_time(reference, 1000)
+                assert grouped.visited == reference.visited
+                assert grouped.results.bsf_squared == reference.results.bsf_squared
+                for got, want in zip(grouped.results.items(), reference.results.items()):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_groups_are_capped_and_share_the_refinement_reads(
+        self, index, queries, monkeypatch
+    ):
+        """At most ``_CHUNK_ROWS`` rows per kernel call, one read per run of
+        file-adjacent leaves, and fewer kernel calls than visits."""
+        from repro.core import query as query_module
+
+        monkeypatch.setattr(query_module, "_CHUNK_ROWS", 200)
+        kernel = query_module.early_abandon_squared
+        blocks = []
+
+        def recording(query, data, cutoff_squared):
+            blocks.append(data.shape[0])
+            return kernel(query, data, cutoff_squared)
+
+        monkeypatch.setattr(query_module, "early_abandon_squared", recording)
+        reads = []
+        extents = query_module._read_extents
+
+        def read_extents(state, starts, ends, buffer):
+            reads.append((starts.copy(), ends.copy()))
+            return extents(state, starts, ends, buffer)
+
+        monkeypatch.setattr(query_module, "_read_extents", read_extents)
+        visits = accessed = visited_rows = 0
+        for query in queries:
+            state = make_state(index, query, k=5, l_max=1000)
+            _approx_knn(state)
+            visits += len(state.visited)
+            accessed += state.profile.series_accessed
+            visited_rows += int(index._table.sizes[state.visited].sum())
+        assert max(blocks) <= 200 and len(blocks) < visits
+        assert sum(blocks) == accessed > visited_rows  # some tail was cut
+        assert any(len(starts) > 1 for starts, _ in reads)
+        for starts, ends in reads:
+            assert np.all(np.diff(starts) > 0)  # read in file order
+
+    def test_answers_and_paths_equal_the_leaf_walk(self, index, queries, monkeypatch):
+        """The whole pipeline, serial and batched, with the leaf-at-a-time
+        walk swapped in for phase 1: same answers, paths and counters."""
+        from repro.core import batch_query, query as query_module
+
+        configs = [
+            index.config.with_options(l_max=l_max, epsilon=epsilon, num_query_threads=1)
+            for l_max in (1, 5)
+            for epsilon in (0.0, 0.2)
+        ]
+        grouped = [
+            [index.knn(q, k=5, config=c) for q in queries] for c in configs
+        ] + [list(index.knn_batch(queries, k=5, config=c)) for c in configs]
+
+        def reference(state):
+            leaf_at_a_time(state, state.config.l_max)
+
+        monkeypatch.setattr(query_module, "_approx_knn", reference)
+        monkeypatch.setattr(batch_query, "_approx_knn", reference)
+        expected = [
+            [index.knn(q, k=5, config=c) for q in queries] for c in configs
+        ] + [list(index.knn_batch(queries, k=5, config=c)) for c in configs]
+        for got_run, want_run in zip(grouped, expected):
+            for got, want in zip(got_run, want_run):
+                np.testing.assert_array_equal(got.distances, want.distances)
+                np.testing.assert_array_equal(got.positions, want.positions)
+                for name in (
+                    "path", "approx_leaves", "candidate_leaves", "candidate_series",
+                    "eapca_pruning", "sax_pruning",
+                ):
+                    assert getattr(got.profile, name) == getattr(want.profile, name)
+
+
 class TestCandidateLeafPhase:
     def test_lclist_sorted_by_file_position(self, index):
         query = make_random_walks(1, 32, seed=193)[0]
@@ -105,19 +262,22 @@ class TestCandidateLeafPhase:
         read = []
         original = state.read_rows
 
-        def tracking(position, count):
+        def tracking(position, count, out=None):
             read.append((position, count))
-            return original(position, count)
+            return original(position, count, out=out)
 
         state.read_rows = tracking
         _approx_knn(state)
         lclist = _find_candidate_leaves(state)
         assert state.visited and not set(lclist.tolist()) & set(state.visited)
-        # Phase 1 read exactly the leaves it recorded as visited, whole.
+        # Phase 1 read whole leaves, each once: every visited leaf, and
+        # beyond them only a group's tail the stop test cut.
         table = index._table
-        assert read == [
-            (int(table.positions[i]), int(table.sizes[i])) for i in state.visited
-        ]
+        rows = np.concatenate([np.arange(p, p + c) for p, c in read])
+        assert len(set(rows.tolist())) == len(rows) == state.profile.series_accessed
+        leaves = np.unique(table.leaf_of(rows))
+        np.testing.assert_array_equal(np.sort(rows), table.rows(leaves))
+        assert set(state.visited) <= set(leaves.tolist())
 
     def test_bounds_below_bsf(self, index):
         query = make_random_walks(1, 32, seed=195)[0]

@@ -67,7 +67,8 @@ class TestLbEapca:
 
     def test_batch_matches_loop(self):
         """The ragged table kernel equals per-synopsis ``lb_eapca``, for
-        one query's prefix sums and for a (Q, n + 1) batch of them."""
+        one query's prefix sums and for a (Q, n + 1) batch of them.  No
+        segment is shared here: each node segment is its own (``arange``)."""
         data = make_random_walks(30, 64, seed=36)
         queries = make_random_walks(3, 64, seed=37).astype(np.float64)
         segs = [Segmentation([20, 64]), Segmentation([64]), Segmentation([8, 9, 64])]
@@ -79,6 +80,7 @@ class TestLbEapca:
             np.concatenate([seg.starts_array for seg in segs]),
             np.concatenate([seg.ends_array for seg in segs]),
             np.concatenate([seg.lengths for seg in segs]),
+            np.arange(6),
             np.concatenate(synopses).T,
             np.array([0, 2, 3]),
         )
