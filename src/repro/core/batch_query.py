@@ -186,22 +186,21 @@ class _BlockStore:
         them had to be loaded.
 
         A memoized block is copied in; the others are read straight into
-        place, one read per run of file-adjacent leaves (per leaf with a
-        leaf cache attached, whose blocks are keyed by leaf).  They are
-        not memoized: the chunk walk needs every leaf once.
+        place, one ``read_range`` call per stretch of them that no
+        memoized block interrupts (such a stretch is contiguous in
+        ``buffer``).  They are not memoized: the chunk walk needs every
+        leaf once.
         """
         held = np.array([start in self._blocks for start in starts.tolist()])
         for i in held.nonzero()[0].tolist():
             buffer[offsets[i] : offsets[i] + sizes[i]] = self._blocks[int(starts[i])]
         loaded = ~held
-        offsets, starts, counts = offsets[loaded], starts[loaded], sizes[loaded]
-        self.loads += len(starts)
-        if self._lrd.cache is None and len(starts) > 1:
-            run_lo, _ = adjacent_runs(starts, counts[:-1])
-            counts = np.add.reduceat(counts, run_lo)
-            offsets, starts = offsets[run_lo], starts[run_lo]
-        for row, position, count in zip(offsets.tolist(), starts.tolist(), counts.tolist()):
-            self._lrd.read_range(position, count, out=buffer[row : row + count])
+        load = loaded.nonzero()[0]
+        self.loads += len(load)
+        stretch_lo, stretch_hi = adjacent_runs(load)
+        for lo, hi in zip(load[stretch_lo].tolist(), (load[stretch_hi - 1] + 1).tolist()):
+            row, end = offsets[lo], offsets[hi - 1] + sizes[hi - 1]
+            self._lrd.read_range(starts[lo:hi], sizes[lo:hi], out=buffer[row:end])
         return loaded
 
 
@@ -218,18 +217,19 @@ class _BatchSearchState(_SearchState):
         self.store_hits = 0
         self.store_misses = 0
 
-    def read_rows(
-        self, position: int, count: int, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """The serial read, cut from the store's memoized leaf blocks."""
+    def read_rows(self, position, count, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The serial read, cut from the store's memoized leaf blocks: a
+        leaf block is touched once per run of file-adjacent extents."""
         starts, leaves = self._store.leaf_starts, self.table.leaves
-        end = position + count
-        index = bisect_right(starts, position) - 1
+        position, count = np.atleast_1d(position), np.atleast_1d(count)
+        run_lo, run_hi = adjacent_runs(position, count[:-1])
         pieces = []
-        while index < len(starts) and starts[index] < end:
-            block = self._leaf_block(leaves[index])
-            pieces.append(block[max(position - starts[index], 0) : end - starts[index]])
-            index += 1
+        for first, end in zip(position[run_lo].tolist(), (position + count)[run_hi - 1].tolist()):
+            index = bisect_right(starts, first) - 1
+            while index < len(starts) and starts[index] < end:
+                block = self._leaf_block(leaves[index])
+                pieces.append(block[max(first - starts[index], 0) : end - starts[index]])
+                index += 1
         if out is None and len(pieces) == 1:
             return pieces[0]
         return np.concatenate(pieces, out=out)

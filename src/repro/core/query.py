@@ -246,12 +246,11 @@ class _SearchState:
         self.visited: list[int] = []
         self.query_paa = paa(self.query, sax.space.segments)
 
-    def read_rows(
-        self, position: int, count: int, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``count`` consecutive raw series of LRDFile, written to ``out``
-        when given: the one read refinement performs (the batch engine
-        serves it from its store)."""
+    def read_rows(self, position, count, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``count`` consecutive raw series of LRDFile, or the extents of
+        two 1-D arrays packed in order, written to ``out`` when given: the
+        one read refinement performs (the batch engine serves it from its
+        store)."""
         return self.lrd.read_range(position, count, out=out)
 
     def finish_profile(self) -> None:
@@ -538,7 +537,7 @@ def _best_first(state: _SearchState, limit: Optional[int]):
             offsets[in_file] = np.cumsum(packed) - packed
             offsets = offsets.tolist()
             buffer = np.empty((sized[end] - sized[visit], length), dtype=SERIES_DTYPE)
-            data = _read_extents(state, first, first + packed, buffer)
+            data = state.read_rows(first, packed, out=buffer)
         squared, compared = early_abandon_squared(state.query, data, bsf_squared)
         profile.series_accessed += data.shape[0]
         profile.distance_computations += data.shape[0]
@@ -652,27 +651,6 @@ def _chunk_cuts(sizes: np.ndarray) -> list:
     return cuts
 
 
-def _read_extents(
-    state: _SearchState, starts: np.ndarray, ends: np.ndarray, buffer: np.ndarray
-) -> np.ndarray:
-    """Read the extents ``[start, end)`` into the leading rows of
-    ``buffer``, packed in the order given, and return those rows.
-
-    One read per run of file-adjacent extents.  With a leaf cache
-    attached every extent is read on its own: cache blocks are keyed
-    ``(position, count)`` and only an extent's own block repeats across
-    queries, a merged run never does.
-    """
-    if state.lrd.cache is None and len(starts) > 1:
-        run_lo, run_hi = adjacent_runs(starts, (ends - starts)[:-1])
-        starts, ends = starts[run_lo], ends[run_hi - 1]
-    filled = 0
-    for position, end in zip(starts.tolist(), ends.tolist()):
-        state.read_rows(position, end - position, out=buffer[filled : filled + end - position])
-        filled += end - position
-    return buffer[:filled]
-
-
 def _refine_leaves(
     state: _SearchState, leaves: np.ndarray, workers: Optional[int] = None
 ) -> None:
@@ -711,14 +689,14 @@ def _refine_runs(
     walked in chunks of whole extents, at most :data:`_CHUNK_ROWS` rows
     each unless one extent alone holds more, and per chunk there is one
     re-check of the bounds against the live BSF² (an extent it prunes is
-    not read), one read per run of file-adjacent extents, one screening
-    kernel call and one result-set merge.
+    not read), one ``read_range`` call over the surviving extents (one
+    positional read per run of file-adjacent ones), one screening kernel
+    call and one result-set merge.
 
     Every run of a chunk is read straight into one ``(_CHUNK_ROWS,
     length)`` buffer that lives as long as the pass (one per CRWorker), so
-    a chunk allocates nothing of its own size (:func:`_read_extents`).  A
-    chunk of one extent — a leaf above the cap, or a lone candidate — is
-    a plain read.
+    a chunk allocates nothing of its own size.  A chunk of one extent — a
+    leaf above the cap, or a lone candidate — is a plain read.
 
     A candidate dropped by a re-check has bound ≥ BSF² ≥ the final BSF²,
     and one abandoned by the kernel has distance > the BSF at that time,
@@ -730,7 +708,6 @@ def _refine_runs(
     a contiguous slice each; ``None`` refines on the calling thread.
     """
     results, profile = state.results, state.profile
-    ends = starts + sizes
     cuts = _chunk_cuts(sizes)
     chunks = list(zip(cuts, cuts[1:]))
     length = state.query.shape[0]
@@ -747,21 +724,21 @@ def _refine_runs(
                 # plain read, and none of the run bookkeeping.
                 if not bounds_sq[lo] < bsf_squared:
                     continue
-                position, end = int(starts[lo]), int(ends[lo])
-                data = state.read_rows(position, end - position)
-                positions = np.arange(position, end)
+                position, size = int(starts[lo]), int(sizes[lo])
+                data = state.read_rows(position, size)
+                positions = np.arange(position, position + size)
             else:
-                read_starts, read_ends = starts[lo:hi], ends[lo:hi]
+                read_starts, read_sizes = starts[lo:hi], sizes[lo:hi]
                 alive = bounds_sq[lo:hi] < bsf_squared
                 kept = np.count_nonzero(alive)
                 if not kept:
                     continue
                 if kept < hi - lo:
-                    read_starts, read_ends = read_starts[alive], read_ends[alive]
+                    read_starts, read_sizes = read_starts[alive], read_sizes[alive]
                 if buffer is None:
                     buffer = np.empty((_CHUNK_ROWS, length), dtype=SERIES_DTYPE)
-                data = _read_extents(state, read_starts, read_ends, buffer)
-                positions = extent_rows(read_starts, read_ends - read_starts)
+                positions = extent_rows(read_starts, read_sizes)
+                data = state.read_rows(read_starts, read_sizes, out=buffer[: len(positions)])
             squared, compared = early_abandon_squared(state.query, data, bsf_squared)
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.

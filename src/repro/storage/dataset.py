@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.files import PathLike, SeriesFile, read_runs
+from repro.storage.files import PathLike, SeriesFile
 from repro.storage.iostats import IOStats
 from repro.types import SERIES_DTYPE, as_series_matrix
 
@@ -114,13 +114,15 @@ class Dataset:
     def read_positions(self, positions: np.ndarray) -> np.ndarray:
         """Read series at sorted positions, coalescing consecutive runs.
 
-        Mirrors :meth:`repro.storage.files.SeriesFile.read_positions`:
-        one read (one seek at most) per run of adjacent positions, which
-        is what the skip-sequential refinement phases of ParIS+ and
-        VA+file rely on.
+        On disk, one ``read_range`` call over one-series extents: one read
+        (one seek at most) per run of adjacent positions, which is what
+        the skip-sequential refinement phases of ParIS+ and VA+file rely
+        on.  In memory, one fancy index.
         """
         pos = np.asarray(positions, dtype=np.int64)
-        return read_runs(self.read_batch, pos, self.series_length)
+        if self._array is not None:
+            return self._array[pos]
+        return self._file.read_range(pos, np.ones_like(pos))
 
     def iter_batches(self, batch_size: int) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(start_position, batch)`` pairs covering the dataset."""

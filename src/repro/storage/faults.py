@@ -18,8 +18,8 @@ lets tests script those events precisely:
 
 Fault exceptions derive from :class:`OSError` so they travel the same
 paths a real I/O error would.  :class:`TransientFault` is retryable (and
-``BinaryFile.read`` retries it with backoff); :class:`CrashFault` models a
-process death and is never retried.
+``BinaryFile.readv`` retries its run with backoff); :class:`CrashFault`
+models a process death and is never retried.
 
 Plans also ship **across process boundaries**: :func:`ship_plans` JSON-
 encodes a ``{shard_id_or_*: [FaultPlan, ...]}`` mapping into the

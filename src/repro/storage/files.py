@@ -62,21 +62,6 @@ def adjacent_runs(values: np.ndarray, step=1) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def read_runs(read, positions: np.ndarray, series_length: int) -> np.ndarray:
-    """The series at ``positions``, fetched with one ``read(position,
-    count)`` call per run of adjacent positions."""
-    if not positions.shape[0]:
-        return np.empty((0, series_length), dtype=SERIES_DTYPE)
-    starts, ends = adjacent_runs(positions)
-    return np.concatenate(
-        [
-            read(position, count)
-            for position, count in zip(positions[starts].tolist(), (ends - starts).tolist())
-        ],
-        axis=0,
-    )
-
-
 def _retry_delay(path, attempt: int) -> float:
     """The jittered backoff before read retry ``attempt`` (0-based)."""
     jitter = deterministic_jitter(str(path), attempt)
@@ -90,8 +75,8 @@ class BinaryFile:
 
     The handle is opened lazily in ``r+b`` (created when missing unless
     ``read_only``) and is safe for concurrent use: a lock serializes the
-    seek+read/write pairs, which also keeps the sequential/random
-    classification coherent.
+    positional reads and the seek+write pairs, which also keeps the
+    sequential/random classification coherent.
     """
 
     def __init__(
@@ -129,49 +114,75 @@ class BinaryFile:
     def read(self, offset: int, nbytes: int, into=None) -> Optional[bytes]:
         """Read ``nbytes`` starting at ``offset``, recording the access:
         as a new ``bytes`` object, or into the writable contiguous buffer
-        ``into`` (of exactly ``nbytes``) when given, returning None.
-
-        Transient :class:`OSError`s (flaky NFS, an injected
-        :class:`~repro.storage.faults.TransientFault`) are retried up to
-        :data:`READ_RETRIES` times with exponential backoff; crash faults
-        and persistent errors propagate.
+        ``into`` (of exactly ``nbytes``) when given, returning None.  The
+        one-run case of :meth:`readv`.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError(f"invalid read range ({offset}, {nbytes})")
-        for attempt in range(READ_RETRIES):
-            injector = self._active_injector()
-            try:
-                if injector is not None:
-                    injector.on_read(self.path)
-                with self._lock:
-                    sequential = offset == self._next_offset
-                    self._handle.seek(offset)
-                    if into is None:
-                        data = self._handle.read(nbytes)
-                        got = len(data)
-                    else:
-                        data = None
-                        got = self._handle.readinto(into)
-                    self._next_offset = offset + got
-                break
-            except faults.CrashFault:
-                raise
-            except OSError as exc:
-                if attempt == READ_RETRIES - 1:
+        return self.readv([offset], [nbytes], into)
+
+    def readv(self, offsets: list, sizes: list, into=None) -> Optional[bytes]:
+        """Read the byte runs ``[offsets[i], offsets[i] + sizes[i])``, packed
+        in order into the writable contiguous buffer ``into`` — or, for one
+        run without ``into``, as a new ``bytes``.
+
+        One lock acquisition for all runs; per run, one positional read,
+        the injector hook, the sequential/random classification and up to
+        :data:`READ_RETRIES` attempts on a transient :class:`OSError`
+        (flaky NFS, an injected ``TransientFault``), backing off with the
+        lock released.  Crash faults, persistent errors and short reads
+        propagate; the runs done by then are recorded in :attr:`stats`, in
+        one update as on success.
+        """
+        view = None if into is None else memoryview(into)
+        if view is not None and view.nbytes:  # an empty view cannot be cast
+            view = view.cast("B")
+        fd = self._handle.fileno()
+        done = filled = sequential = attempt = 0
+        data = None
+        try:
+            while done < len(offsets):
+                injector = self._active_injector()
+                try:
+                    with self._lock:
+                        if not self.read_only:
+                            # Appends may still sit in the write buffer.
+                            self._handle.flush()
+                        for offset, size in zip(offsets[done:], sizes[done:]):
+                            if injector is not None:
+                                injector.on_read(self.path)
+                            if view is None:
+                                data = os.pread(fd, size, offset)
+                                got = len(data)
+                            else:
+                                got = os.preadv(fd, [view[filled : filled + size]], offset)
+                            if got != size:
+                                self._next_offset = offset + got
+                                raise StorageError(
+                                    f"short read from {self.path}: wanted {size} "
+                                    f"bytes at {offset}, got {got}"
+                                )
+                            sequential += offset == self._next_offset
+                            self._next_offset = offset + size
+                            filled += size
+                            done += 1
+                            attempt = 0
+                except faults.CrashFault:
                     raise
-                delay = _retry_delay(self.path, attempt)
-                logger.warning(
-                    "transient read error on %s (attempt %d/%d), retrying "
-                    "in %.0f ms: %s",
-                    self.path, attempt + 1, READ_RETRIES, delay * 1e3, exc,
-                )
-                time.sleep(delay)
-        if got != nbytes:
-            raise StorageError(
-                f"short read from {self.path}: wanted {nbytes} bytes at "
-                f"{offset}, got {got}"
-            )
-        self.stats.record_read(nbytes, sequential)
+                except OSError as exc:
+                    if attempt == READ_RETRIES - 1:
+                        raise
+                    delay = _retry_delay(self.path, attempt)
+                    logger.warning(
+                        "transient read error on %s (attempt %d/%d), retrying "
+                        "in %.0f ms: %s",
+                        self.path, attempt + 1, READ_RETRIES, delay * 1e3, exc,
+                    )
+                    time.sleep(delay)
+                    attempt += 1
+        finally:
+            if done:
+                self.stats.record_reads(done, filled, sequential)
         return data
 
     def append(self, data: bytes) -> int:
@@ -280,28 +291,38 @@ class SeriesFile:
     def num_series(self) -> int:
         return self._file.size // self.record_size
 
-    def read_range(
-        self, position: int, count: int, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Read ``count`` consecutive series starting at ``position``.
+    def read_range(self, position, count, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Read ``count`` consecutive series starting at ``position`` — or,
+        given 1-D integer arrays, the extents ``[position[i], position[i]
+        + count[i])``, file-ordered, packed in that order.
 
-        ``out``, a writable C-contiguous ``(count, series_length)``
-        float32 array, receives the rows and is returned in place of a
-        new array: the file is read straight into it, so a caller that
-        reuses one buffer allocates nothing per read.
+        ``out``, a writable C-contiguous ``(rows, series_length)`` float32
+        array, receives the rows and is returned in place of a new array:
+        the file is read straight into it, so a caller that reuses one
+        buffer allocates nothing per read.
 
-        With a :class:`~repro.storage.cache.LeafCache` attached, repeat
-        reads of the same block are served from memory — no file I/O is
-        performed (and none is recorded in :attr:`stats`), which is what
-        warm-workload IOStats assertions rely on; ``out`` then receives a
-        copy of the cached block.
+        Extents are one :meth:`BinaryFile.readv` call, one read per run of
+        file-adjacent extents — or, with a
+        :class:`~repro.storage.cache.LeafCache` attached, one block per
+        extent, keyed ``(position, count)``: only an extent's own block
+        repeats across queries, a merged run never does.  Repeat reads of
+        a block are served from memory: no file I/O is performed (and
+        none is recorded in :attr:`stats`), which is what warm-workload
+        IOStats assertions rely on; ``out`` then receives a copy of the
+        cached block.
         """
-        if position < 0 or count < 0 or position + count > self.num_series:
-            raise StorageError(
-                f"read_range({position}, {count}) outside file with "
-                f"{self.num_series} series"
-            )
-        shape = (count, self.series_length)
+        num_series = self.num_series
+        extents = isinstance(position, np.ndarray)
+        if extents:
+            bad = np.flatnonzero((position < 0) | (count < 0) | (position + count > num_series))
+            bad = (int(position[bad[0]]), int(count[bad[0]])) if len(bad) else None
+        elif position < 0 or count < 0 or position + count > num_series:
+            bad = (position, count)
+        else:
+            bad = None
+        if bad is not None:
+            raise StorageError(f"read_range{bad} outside {self.path} ({num_series} series)")
+        shape = (int(count.sum()) if extents else count, self.series_length)
         if out is not None and not (
             out.shape == shape
             and out.dtype == SERIES_DTYPE
@@ -312,6 +333,21 @@ class SeriesFile:
                 f"out must be a writable C-contiguous {SERIES_DTYPE} array of "
                 f"shape {shape}"
             )
+        if extents:
+            out = np.empty(shape, dtype=SERIES_DTYPE) if out is None else out
+            if self.cache is not None:
+                rows_before = (np.cumsum(count) - count).tolist()
+                for start, size, row in zip(position.tolist(), count.tolist(), rows_before):
+                    self.read_range(start, size, out=out[row : row + size])
+            elif len(position):
+                run_lo, run_hi = adjacent_runs(position, count[:-1])
+                starts, ends = position[run_lo], (position + count)[run_hi - 1]
+                self._file.readv(
+                    (starts * self.record_size).tolist(),
+                    ((ends - starts) * self.record_size).tolist(),
+                    into=out,
+                )
+            return out
         offset, nbytes = position * self.record_size, count * self.record_size
 
         def load() -> np.ndarray:
@@ -339,11 +375,12 @@ class SeriesFile:
     def read_positions(self, positions: np.ndarray) -> np.ndarray:
         """Read series at sorted positions, coalescing consecutive runs.
 
-        Runs of adjacent positions become single ``read_range`` calls, so
-        the I/O accounting sees one seek per run — what page-level reads
-        of a real system would do.  Positions must be strictly increasing
-        (sorted, no duplicates); anything else would silently coalesce
-        into the wrong rows, so it raises :class:`ValueError` instead.
+        One ``read_range`` call over one-series extents, so the I/O
+        accounting sees one read (one seek at most) per run of adjacent
+        positions — what page-level reads of a real system would do.
+        Positions must be strictly increasing (sorted, no duplicates), as
+        a skip-sequential pass visits them; anything else raises
+        :class:`ValueError`.
         """
         pos = np.asarray(positions, dtype=np.int64)
         if pos.ndim != 1:
@@ -353,7 +390,7 @@ class SeriesFile:
                 "positions must be strictly increasing (sorted, unique); "
                 "got an unsorted or duplicated sequence"
             )
-        return read_runs(self.read_range, pos, self.series_length)
+        return self.read_range(pos, np.ones_like(pos))
 
     def append_batch(self, data: np.ndarray) -> int:
         """Append a batch, returning the position of its first series."""

@@ -65,13 +65,15 @@ class IOStats:
         self._bytes_written = 0
 
     def record_read(self, nbytes: int, sequential: bool) -> None:
+        self.record_reads(1, nbytes, int(sequential))
+
+    def record_reads(self, calls: int, nbytes: int, sequential: int) -> None:
+        """Record ``calls`` reads of ``nbytes`` in all, ``sequential`` of them sequential."""
         with self._lock:
-            self._read_calls += 1
+            self._read_calls += calls
             self._bytes_read += nbytes
-            if sequential:
-                self._sequential_reads += 1
-            else:
-                self._random_seeks += 1
+            self._sequential_reads += sequential
+            self._random_seeks += calls - sequential
 
     def record_write(self, nbytes: int) -> None:
         with self._lock:

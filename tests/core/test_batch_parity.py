@@ -121,7 +121,7 @@ def _assert_read_once(index, queries, k, config, monkeypatch):
     read_range = SeriesFile.read_range
 
     def recording(self, position, count, out=None):
-        reads.append((position, count))
+        reads.extend(zip(np.atleast_1d(position).tolist(), np.atleast_1d(count).tolist()))
         return read_range(self, position, count, out=out)
 
     before = index.query_io.snapshot()

@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from repro import HerculesConfig, HerculesIndex
-from repro.core.query import _SearchState, _approx_knn, _find_candidate_leaves
+from repro.core import query as query_module
+from repro.core.leaf_table import extent_rows
+from repro.core.query import (
+    _SearchState,
+    _approx_knn,
+    _find_candidate_leaves,
+    _find_candidate_series,
+)
 from repro.core.results import LinkedResultSet, SharedBsf
 from repro.distance.euclidean import early_abandon_squared
+from repro.storage.files import adjacent_runs
 
 from ..conftest import make_random_walks
 
@@ -189,13 +197,14 @@ class TestGroupedPhaseOne:
 
         monkeypatch.setattr(query_module, "early_abandon_squared", recording)
         reads = []
-        extents = query_module._read_extents
+        read_range = index._lrd.read_range
 
-        def read_extents(state, starts, ends, buffer):
-            reads.append((starts.copy(), ends.copy()))
-            return extents(state, starts, ends, buffer)
+        def recording_read(position, count, out=None):
+            if isinstance(position, np.ndarray):  # a group: one call
+                reads.append(position.copy())
+            return read_range(position, count, out=out)
 
-        monkeypatch.setattr(query_module, "_read_extents", read_extents)
+        monkeypatch.setattr(index._lrd, "read_range", recording_read)
         visits = accessed = visited_rows = 0
         for query in queries:
             state = make_state(index, query, k=5, l_max=1000)
@@ -205,8 +214,8 @@ class TestGroupedPhaseOne:
             visited_rows += int(index._table.sizes[state.visited].sum())
         assert max(blocks) <= 200 and len(blocks) < visits
         assert sum(blocks) == accessed > visited_rows  # some tail was cut
-        assert any(len(starts) > 1 for starts, _ in reads)
-        for starts, ends in reads:
+        assert any(len(starts) > 1 for starts in reads)
+        for starts in reads:
             assert np.all(np.diff(starts) > 0)  # read in file order
 
     def test_answers_and_paths_equal_the_leaf_walk(self, index, queries, monkeypatch):
@@ -273,7 +282,9 @@ class TestCandidateLeafPhase:
         # Phase 1 read whole leaves, each once: every visited leaf, and
         # beyond them only a group's tail the stop test cut.
         table = index._table
-        rows = np.concatenate([np.arange(p, p + c) for p, c in read])
+        rows = np.concatenate(
+            [extent_rows(np.atleast_1d(p), np.atleast_1d(c)) for p, c in read]
+        )
         assert len(set(rows.tolist())) == len(rows) == state.profile.series_accessed
         leaves = np.unique(table.leaf_of(rows))
         np.testing.assert_array_equal(np.sort(rows), table.rows(leaves))
@@ -537,6 +548,36 @@ class TestRefineRuns:
         # not a byte more than the rows refined.
         assert profile.io.read_calls < profile.candidate_leaves + profile.approx_leaves
         assert profile.io.bytes_read == profile.series_accessed * 32 * 4
+
+    def test_phase4_reads_each_sclist_run_once_in_one_call(self, index, monkeypatch):
+        """The full four-phase path: SCList (one chunk here) is one
+        ``read_range`` call, one file read per run of adjacent candidates,
+        and the injector sees every read IOStats records."""
+        from repro.storage import faults
+
+        query = self._hard_query()
+        options = dict(l_max=2, adaptive_thresholds=False)
+        state = make_state(index, query, **options)
+        _approx_knn(state)
+        sclist, _ = _find_candidate_series(state, _find_candidate_leaves(state))
+        assert 1 < len(sclist) <= query_module._CHUNK_ROWS
+        calls = []
+        read_range = index._lrd.read_range
+
+        def recording(position, count, out=None):
+            calls.append((np.atleast_1d(position).copy(), np.atleast_1d(count).copy()))
+            return read_range(position, count, out=out)
+
+        monkeypatch.setattr(index._lrd, "read_range", recording)
+        with faults.inject([]) as injector:
+            answer = index.knn(query, k=3, config=index.config.with_options(**options))
+        assert answer.profile.path == "full-four-phase"
+        phase4 = [i for i, (starts, _) in enumerate(calls) if np.array_equal(starts, sclist)]
+        assert phase4 == [len(calls) - 1]  # one call, after phase 1's
+        assert (calls[-1][1] == 1).all()
+        runs = [len(adjacent_runs(starts, sizes[:-1])[0]) for starts, sizes in calls]
+        assert runs[-1] == len(adjacent_runs(sclist)[0]) > 1
+        assert injector.counts["read"] == answer.profile.io.read_calls == sum(runs)
 
     def test_reads_stay_leaf_granular_under_a_cache(self, index, monkeypatch):
         from repro.storage.cache import LeafCache

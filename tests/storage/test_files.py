@@ -5,12 +5,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.leaf_table import extent_rows
 from repro.errors import StorageError
 from repro.storage import faults
 from repro.storage.cache import LeafCache
-from repro.storage.files import BinaryFile, SeriesFile, SymbolFile
-from repro.storage.iostats import IOStats
+from repro.storage.files import READ_RETRIES, BinaryFile, SeriesFile, SymbolFile
+from repro.storage.iostats import IOSnapshot, IOStats
 
 
 class TestBinaryFile:
@@ -84,6 +87,21 @@ class TestBinaryFile:
         assert snap.random_seeks == 2
         assert snap.sequential_reads == 0
 
+    def test_retry_backoff_sleeps_without_the_lock(self, tmp_path, monkeypatch):
+        """Another thread may use the file while a read backs off."""
+        from repro.storage import files
+
+        locked_while_sleeping = []
+        with BinaryFile(tmp_path / "blob.bin") as f:
+            f.append(b"0123456789")
+            monkeypatch.setattr(
+                files.time, "sleep", lambda _: locked_while_sleeping.append(f._lock.locked())
+            )
+            plan = faults.FaultPlan(op="read", at=2, mode="transient", failures=2)
+            with faults.inject(plan):
+                assert f.readv([0, 6], [4, 4], into=bytearray(8)) is None
+        assert locked_while_sleeping == [False, False]
+
     def test_sync_makes_bytes_visible_on_disk(self, tmp_path):
         path = tmp_path / "blob.bin"
         with BinaryFile(path) as f:
@@ -101,6 +119,18 @@ class TestSeriesFile:
             assert f.num_series == 3
             np.testing.assert_array_equal(f.read_range(1, 2), data[1:])
             np.testing.assert_array_equal(f.read_series(0), data[0])
+
+    def test_reads_back_appends_never_flushed(self, tmp_path):
+        """The build's spill file is read back while its appends may still
+        sit in the write buffer: a positional read must see them."""
+        data = np.arange(40, dtype=np.float32).reshape(10, 4)
+        with SeriesFile(tmp_path / "spill.bin", series_length=4) as f:
+            f.append_batch(data[:6])
+            np.testing.assert_array_equal(f.read_range(2, 3), data[2:5])
+            f.append_batch(data[6:])
+            got = f.read_range(np.array([1, 5, 9]), np.array([2, 3, 1]))
+            np.testing.assert_array_equal(got, data[[1, 2, 5, 6, 7, 9]])
+        assert (tmp_path / "spill.bin").read_bytes() == data.tobytes()
 
     def test_positions_accumulate_across_appends(self, tmp_path):
         with SeriesFile(tmp_path / "s.bin", series_length=2) as f:
@@ -262,6 +292,136 @@ class TestReadRangeOut:
             out[:] = 0.0  # the caller's rows are its own, not the cache's
             np.testing.assert_array_equal(f.read_range(8, 4), data[8:12])
         assert stats.snapshot().read_calls == 1
+
+
+ROWS, LENGTH = 64, 8
+
+
+@st.composite
+def extent_lists(draw, min_size=0):
+    """File-ordered, non-overlapping extents of a ``ROWS``-series file as
+    ``(starts, sizes)``; a zero gap makes two extents file-adjacent."""
+    pieces = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5)), min_size=min_size, max_size=16)
+    )
+    starts, sizes, position = [], [], 0
+    for gap, size in pieces:
+        position += gap
+        if position + size > ROWS:
+            break
+        starts.append(position)
+        sizes.append(size)
+        position += size
+    if len(starts) < min_size:
+        starts, sizes = [0], [1]
+    return np.array(starts, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+def read_runs_of(starts, sizes, cached):
+    """``[start, count]`` of each read the per-extent loop makes: one per
+    extent under a leaf cache, else one per run of file-adjacent extents."""
+    runs = []
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        if not cached and runs and sum(runs[-1]) == start:
+            runs[-1][1] += size
+        else:
+            runs.append([start, size])
+    return runs
+
+
+class TestReadRangeExtents:
+    """``read_range`` over arrays of extents: one call, the I/O of the
+    per-extent loop it replaces."""
+
+    @pytest.fixture(scope="class")
+    def data_path(self, tmp_path_factory):
+        data = np.arange(ROWS * LENGTH, dtype=np.float32).reshape(ROWS, LENGTH)
+        path = tmp_path_factory.mktemp("extents") / "s.bin"
+        data.tofile(path)
+        return data, path
+
+    @staticmethod
+    def _open(path, cached):
+        cache = LeafCache(1 << 20) if cached else None
+        return SeriesFile(path, LENGTH, stats=IOStats(), read_only=True, cache=cache)
+
+    @settings(max_examples=60, deadline=None)
+    @given(extents=extent_lists(), cached=st.booleans(), prelude=st.booleans())
+    def test_matches_the_per_extent_loop(self, data_path, extents, cached, prelude):
+        data, path = data_path
+        starts, sizes = extents
+        runs = read_runs_of(starts, sizes, cached)
+        with self._open(path, cached) as got_file, self._open(path, cached) as want_file:
+            for f in (got_file, want_file):
+                if prelude and len(starts) and starts[0]:
+                    f.read_range(int(starts[0]) - 1, 1)  # the first extent continues it
+            for rerun in range(2 if cached else 1):  # a second pass hits the cache
+                want = [want_file.read_range(start, count) for start, count in runs]
+                want = np.concatenate(want) if want else np.empty((0, LENGTH), np.float32)
+                with faults.inject([]) as injector:
+                    got = got_file.read_range(starts, sizes)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got, data[extent_rows(starts, sizes)])
+                assert got_file.stats.snapshot() == want_file.stats.snapshot()
+                assert injector.counts["read"] == (0 if rerun else len(runs))
+                if cached:
+                    assert got_file.cache.snapshot() == want_file.cache.snapshot()
+            if prelude and len(starts) and starts[0] and not cached:
+                assert got_file.stats.snapshot().sequential_reads >= 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(extents=extent_lists(min_size=1), data=st.data())
+    def test_a_transient_fault_on_a_run_is_absorbed(self, data_path, extents, data):
+        rows, path = data_path
+        starts, sizes = extents
+        runs = read_runs_of(starts, sizes, cached=False)
+        run = data.draw(st.integers(0, len(runs) - 1))
+        failures = data.draw(st.integers(1, READ_RETRIES - 1))
+        plan = faults.FaultPlan(op="read", at=run + 1, mode="transient", failures=failures)
+        with self._open(path, cached=False) as f:
+            with faults.inject(plan) as injector:
+                got = f.read_range(starts, sizes)
+            np.testing.assert_array_equal(got, rows[extent_rows(starts, sizes)])
+            assert injector.counts["read"] == len(runs) + failures
+            snapshot = f.stats.snapshot()
+        assert snapshot.read_calls == len(runs)  # only the successes
+        assert snapshot.bytes_read == got.nbytes
+
+    @settings(max_examples=30, deadline=None)
+    @given(extents=extent_lists(min_size=1), data=st.data())
+    def test_a_crash_on_a_run_propagates(self, data_path, extents, data):
+        _, path = data_path
+        starts, sizes = extents
+        runs = read_runs_of(starts, sizes, cached=False)
+        run = data.draw(st.integers(0, len(runs) - 1))
+        with self._open(path, cached=False) as f:
+            with faults.inject(faults.FaultPlan(op="read", at=run + 1)) as injector:
+                with pytest.raises(faults.CrashFault):
+                    f.read_range(starts, sizes)
+            assert injector.counts["read"] == run + 1  # no retry, no later run
+            snapshot = f.stats.snapshot()
+        # The runs read before the crash are recorded, as separate calls were.
+        assert snapshot.read_calls == run
+        assert snapshot.bytes_read == sum(count for _, count in runs[:run]) * LENGTH * 4
+
+    def test_an_out_of_range_extent_names_the_file(self, data_path):
+        _, path = data_path
+        with self._open(path, cached=False) as f:
+            for starts, sizes in (([0, ROWS - 1], [2, 2]), ([-1, 4], [1, 1]), ([3], [-1])):
+                with pytest.raises(StorageError, match=r"read_range.* outside .*s\.bin"):
+                    f.read_range(np.array(starts), np.array(sizes))
+            assert f.stats.snapshot() == IOSnapshot()
+
+    def test_zero_extents(self, data_path):
+        _, path = data_path
+        empty = np.empty(0, dtype=np.int64)
+        with self._open(path, cached=False) as f:
+            with faults.inject([]) as injector:
+                assert f.read_range(empty, empty).shape == (0, LENGTH)
+                out = np.empty((0, LENGTH), dtype=np.float32)
+                assert f.read_range(empty, empty, out=out) is out
+            assert injector.counts["read"] == 0
+            assert f.stats.snapshot() == IOSnapshot()
 
 
 class TestSymbolFile:
