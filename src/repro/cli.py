@@ -909,8 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="approximate-only search (phase 1)")
     query.add_argument("--batch", action="store_true",
                        help="answer the whole query set with the batched "
-                            "engine (shared-leaf scans, matrix kernels); "
-                            "answers are identical to serial execution")
+                            "engine (one shared refinement walk); at epsilon "
+                            "0 answers are identical to serial execution")
     query.add_argument("--cache-mb", type=float, default=0.0,
                        help="leaf-block LRU cache budget in MiB (0: disabled; "
                             "split evenly across shards of a sharded index)")

@@ -629,11 +629,27 @@ def build_tree(
     return ctx
 
 
+def _finite(batch: np.ndarray, position: int) -> np.ndarray:
+    """``batch`` (dataset rows from ``position`` on), once it is known to
+    hold only finite values: a NaN or inf series would poison its leaf's
+    synopsis and every distance to it, so ingest rejects it."""
+    bad = ~np.isfinite(batch).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"dataset series {position + int(bad.argmax())} holds NaN or "
+            "infinite values; only finite series can be indexed"
+        )
+    return batch
+
+
 def _build_sequential(ctx: BuildContext, dataset: Dataset) -> None:
     """Single-thread path: same inserts and flushes, no protocol."""
     config = ctx.config
     claim = config.effective_claim_size
-    batches = dataset.iter_batches(config.db_size)
+    batches = (
+        (start, _finite(batch, start))
+        for start, batch in dataset.iter_batches(config.db_size)
+    )
     while True:
         # The batch read happens lazily inside the generator; pulling it
         # under an explicit span keeps the buffering phase visible in
@@ -671,7 +687,7 @@ def _build_parallel(ctx: BuildContext, dataset: Dataset) -> None:
     toggle = 0
     first = min(config.db_size, total)
     with obs.span("build.buffering", position=0, count=first):
-        shared.dbuffer[toggle].fill(dataset.read_batch(0, first))
+        shared.dbuffer[toggle].fill(_finite(dataset.read_batch(0, first), 0))
     toggle = 1 - toggle
 
     # Worker threads start with an empty span stack, so the tree-build
@@ -700,7 +716,7 @@ def _build_parallel(ctx: BuildContext, dataset: Dataset) -> None:
             count = min(config.db_size, total - position)
             with obs.span("build.buffering", position=position, count=count):
                 shared.dbuffer[toggle].fill(
-                    dataset.read_batch(position, count)
+                    _finite(dataset.read_batch(position, count), position)
                 )
             toggle = 1 - toggle
             shared.dbarrier.wait()
@@ -713,6 +729,9 @@ def _build_parallel(ctx: BuildContext, dataset: Dataset) -> None:
         _check_batch_consumed(shared, 1 - toggle)
     except threading.BrokenBarrierError:
         pass
+    except BaseException:
+        shared.abort_barriers()  # release the workers before joining them
+        raise
     finally:
         for thread in threads:
             thread.join()

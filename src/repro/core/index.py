@@ -62,6 +62,7 @@ from repro.storage.dataset import Dataset
 from repro.storage.files import SeriesFile, SymbolFile
 from repro.storage.iostats import IOSnapshot, IOStats
 from repro.summarization.sax import SaxSpace
+from repro.types import as_queries
 
 logger = logging.getLogger(__name__)
 
@@ -375,7 +376,7 @@ class HerculesIndex:
         self._check_open()
         effective = config if config is not None else self.config
         return exact_knn(
-            query,
+            as_queries(query, self.series_length),
             k,
             effective,
             self._table,
@@ -394,11 +395,13 @@ class HerculesIndex:
     ) -> BatchAnswer:
         """Answer a whole query set together (batched execution engine).
 
-        Plans the workload as one unit: one (Q × nodes) bound pass, a
-        leaf→{query set} access plan reading every surviving leaf once,
-        and multi-query matrix kernels sharing each leaf's rows across
-        the queries that need it.  Per-query answers are value-identical
-        to calling :meth:`knn` once per query; the returned
+        One (Q × nodes) bound pass, phases 1-2 per query, then one
+        refinement walk over the union of every query's candidates: per
+        chunk one read and one multi-query kernel call serve every query
+        that still needs those rows.  At ε = 0 per-query answers are
+        value-identical to calling :meth:`knn` once per query; at ε > 0
+        they meet the same (1 + ε) guarantee but may differ from
+        :meth:`knn`'s.  The returned
         :class:`~repro.core.batch_query.BatchAnswer` iterates like the
         per-query answer list and carries batch-level
         :class:`~repro.core.batch_query.BatchStats` (leaf-share factor,
@@ -411,7 +414,7 @@ class HerculesIndex:
         self._check_open()
         effective = config if config is not None else self.config
         return exact_knn_batch(
-            queries,
+            as_queries(queries, self.series_length, ndim=2),
             k,
             effective,
             self._table,
@@ -439,7 +442,7 @@ class HerculesIndex:
         if l_max is not None:
             config = config.with_options(l_max=l_max)
         return approximate_knn(
-            query,
+            as_queries(query, self.series_length),
             k,
             config,
             self._table,
@@ -466,7 +469,7 @@ class HerculesIndex:
         self._check_open()
         effective = config if config is not None else self.config
         return progressive_knn(
-            query,
+            as_queries(query, self.series_length),
             k,
             effective,
             self._table,

@@ -246,13 +246,6 @@ class _SearchState:
         self.visited: list[int] = []
         self.query_paa = paa(self.query, sax.space.segments)
 
-    def read_rows(self, position, count, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``count`` consecutive raw series of LRDFile, or the extents of
-        two 1-D arrays packed in order, written to ``out`` when given: the
-        one read refinement performs (the batch engine serves it from its
-        store)."""
-        return self.lrd.read_range(position, count, out=out)
-
     def finish_profile(self) -> None:
         """Fill the per-query cache counters from LRDFile's leaf cache."""
         cache = self.lrd.cache
@@ -309,13 +302,6 @@ def exact_knn(
             sp.set("candidate_leaves", len(lclist))
         state.profile.time_candidates = time.perf_counter() - phase2_started
 
-        # The adaptive path decision below keys off the *tree's* pruning
-        # quality, so it is taken from the untrimmed LCList: the pass's
-        # position never changes the refine path, and running it early
-        # can only subtract work from that path.
-        eapca_pr = 1.0 - (len(lclist) / num_leaves if num_leaves else 0.0)
-        state.profile.eapca_pruning = eapca_pr
-
         candidates = None
         if config.prefilter:
             with obs.span("query.prefilter") as sp:
@@ -327,42 +313,13 @@ def exact_knn(
                     surviving_leaves=len(lclist),
                 )
 
-        state.profile.candidate_leaves = len(lclist)
-
         refine_started = time.perf_counter()
-        if not len(lclist):
-            state.profile.path = "approx-only"
-        elif config.adaptive_thresholds and eapca_pr < config.eapca_th:
-            with obs.span("query.refine.skipseq", reason="eapca"):
-                _refine_leaves(state, lclist)
-            state.profile.path = "eapca-skipseq"
-        elif not config.use_sax:
-            with obs.span("query.phase4.refine", mode="leaves"):
-                _refine_leaves(
-                    state, lclist, workers=config.num_query_threads
-                )
-            state.profile.path = "nosax-leaves"
-        else:
-            with obs.span("query.phase3.filter") as sp:
-                if candidates is None:
-                    candidates = _find_candidate_series(state, lclist)
-                total_candidates = len(candidates[0])
-                sp.set("candidate_series", total_candidates)
-            sax_pr = 1.0 - (
-                total_candidates / num_series if num_series else 0.0
-            )
-            state.profile.candidate_series = total_candidates
-            state.profile.sax_pruning = sax_pr
-            if config.adaptive_thresholds and sax_pr < config.sax_th:
-                with obs.span("query.refine.skipseq", reason="sax"):
-                    _refine_leaves(state, lclist)
-                state.profile.path = "sax-skipseq"
-            else:
-                with obs.span("query.phase4.refine", mode="series"):
-                    _refine_series(
-                        state, candidates, workers=config.num_query_threads
-                    )
-                state.profile.path = "full-four-phase"
+        extents = _choose_path(state, lclist, candidates)
+        if extents is not None:
+            name, attrs, threaded = _REFINE_SPANS[state.profile.path]
+            with obs.span(name, **attrs):
+                workers = config.num_query_threads if threaded else None
+                _refine_runs([state], [extents], workers)
 
         state.profile.time_refine = time.perf_counter() - refine_started
         distances, positions = state.results.items()
@@ -526,7 +483,7 @@ def _best_first(state: _SearchState, limit: Optional[int]):
             reachable = int(np.searchsorted(bounds, bsf_squared, side="right"))
             end = max(min(_chunk_end(sized, visit), reachable), end)
         if end - visit == 1:  # every first visit: a plain read, no packing
-            data = state.read_rows(start_list[visit], size_list[visit])
+            data = state.lrd.read_range(start_list[visit], size_list[visit])
             offsets = [0]
         else:
             # Packed in file order into a buffer of the group's size;
@@ -537,7 +494,7 @@ def _best_first(state: _SearchState, limit: Optional[int]):
             offsets[in_file] = np.cumsum(packed) - packed
             offsets = offsets.tolist()
             buffer = np.empty((sized[end] - sized[visit], length), dtype=SERIES_DTYPE)
-            data = state.read_rows(first, packed, out=buffer)
+            data = state.lrd.read_range(first, packed, out=buffer)
         squared, compared = early_abandon_squared(state.query, data, bsf_squared)
         profile.series_accessed += data.shape[0]
         profile.distance_computations += data.shape[0]
@@ -573,11 +530,18 @@ def _approx_knn(state: _SearchState) -> None:
 def _find_candidate_leaves(state: _SearchState) -> np.ndarray:
     """LCList: table indices of the candidate leaves, in file order.
 
-    BSF² is fixed for this phase; no distances are computed here.
+    BSF² is fixed for this phase; no distances are computed here.  The
+    EAPCA pruning ratio is recorded from this untrimmed list: the access-
+    path decision keys off the *tree's* pruning quality, so where the
+    LB_SAX pass runs never changes the path, and running it early can
+    only subtract work from that path.
     """
     mask = state.bounds < state.results.bsf_squared
     mask[state.visited] = False
-    return np.flatnonzero(mask)
+    lclist = np.flatnonzero(mask)
+    num_leaves = len(state.table.leaves)
+    state.profile.eapca_pruning = 1.0 - (len(lclist) / num_leaves if num_leaves else 0.0)
+    return lclist
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +585,60 @@ def _trim_to_candidates(
 
 
 # ---------------------------------------------------------------------------
-# Refinement: the skip-sequential scans and phase 4 (Algorithm 14:
-# ComputeResults / CRWorker) are one routine; phase 1 shares its reads
+# The access-path decision, and refinement: the skip-sequential scans and
+# phase 4 (Algorithm 14: ComputeResults / CRWorker) are one routine, for
+# one query or a batch; phase 1 shares its reads
 # ---------------------------------------------------------------------------
+
+#: The span each refining path runs under, and whether it may fan out over
+#: CRWorker threads (the skip-sequential scans are single-threaded).
+_REFINE_SPANS = {
+    "eapca-skipseq": ("query.refine.skipseq", {"reason": "eapca"}, False),
+    "nosax-leaves": ("query.phase4.refine", {"mode": "leaves"}, True),
+    "sax-skipseq": ("query.refine.skipseq", {"reason": "sax"}, False),
+    "full-four-phase": ("query.phase4.refine", {"mode": "series"}, True),
+}
+
+
+def _choose_path(
+    state: _SearchState, lclist: np.ndarray, candidates: Optional[tuple] = None
+) -> Optional[tuple]:
+    """Adaptive access-path selection: record the path in the profile
+    and return its refinement extents, ``(starts, sizes, bounds_sq)`` in
+    file order — LCList's leaves, or SCList's single rows — or None when
+    phase 1 already answered the query.
+
+    Weak EAPCA pruning, or the NoSAX ablation, refines LCList; otherwise
+    phase 3 runs (``candidates`` carries SCList where ``prefilter``
+    already computed it) and weak SAX pruning refines LCList, strong SAX
+    pruning SCList.
+    """
+    config, profile, table = state.config, state.profile, state.table
+    profile.candidate_leaves = len(lclist)
+    if not len(lclist):
+        profile.path = "approx-only"
+        return None
+    leaves = (table.positions[lclist], table.sizes[lclist], state.bounds[lclist])
+    if config.adaptive_thresholds and profile.eapca_pruning < config.eapca_th:
+        profile.path = "eapca-skipseq"
+        return leaves
+    if not config.use_sax:
+        profile.path = "nosax-leaves"
+        return leaves
+    with obs.span("query.phase3.filter") as sp:
+        if candidates is None:
+            candidates = _find_candidate_series(state, lclist)
+        positions, bounds_sq = candidates
+        sp.set("candidate_series", len(positions))
+    num_series = state.num_series
+    profile.candidate_series = len(positions)
+    profile.sax_pruning = 1.0 - (len(positions) / num_series if num_series else 0.0)
+    if config.adaptive_thresholds and profile.sax_pruning < config.sax_th:
+        profile.path = "sax-skipseq"
+        return leaves
+    profile.path = "full-four-phase"
+    return positions, np.ones_like(positions), bounds_sq
+
 
 #: Candidate rows per refinement chunk, and the rows of the one buffer a
 #: refinement pass reads its chunks into.  Per chunk the kernel keeps only
@@ -642,8 +657,7 @@ def _chunk_end(sized: list, first: int) -> int:
 
 def _chunk_cuts(sizes: np.ndarray) -> list:
     """Where a file-ordered extent list is cut into refinement chunks:
-    chunk ``i`` is the extents ``cuts[i]:cuts[i + 1]`` (:func:`_chunk_end`).
-    Serial and batch refinement both walk these."""
+    chunk ``i`` is the extents ``cuts[i]:cuts[i + 1]`` (:func:`_chunk_end`)."""
     sized = list(accumulate(sizes.tolist(), initial=0))
     cuts = [0]
     while cuts[-1] < len(sizes):
@@ -651,112 +665,179 @@ def _chunk_cuts(sizes: np.ndarray) -> list:
     return cuts
 
 
-def _refine_leaves(
-    state: _SearchState, leaves: np.ndarray, workers: Optional[int] = None
-) -> None:
-    """Refine every series of the given leaves (table indices, file
-    order), each leaf under its own bound: a skip-sequential scan of
-    LCList, the NoSAX ablation's phase 4."""
-    table = state.table
-    _refine_runs(
-        state, table.positions[leaves], table.sizes[leaves], state.bounds[leaves], workers
-    )
-
-
-def _refine_series(
-    state: _SearchState,
-    candidates: tuple[np.ndarray, np.ndarray],
-    workers: Optional[int] = None,
-) -> None:
-    """Phase 4 (Algorithm 14): refine SCList, each series read by itself
-    under its own LB_SAX bound."""
-    positions, bounds_sq = candidates
-    _refine_runs(state, positions, np.ones_like(positions), bounds_sq, workers)
+def _merge_extents(starts: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Several queries' extents as one file-ordered list: extents that
+    overlap (the same leaf twice, a leaf and an SCList row of it) merge
+    into one, adjacent ones stay apart as a single query's always do."""
+    if not len(starts):
+        return starts, sizes
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], (starts + sizes)[order]
+    reach = np.maximum.accumulate(ends)
+    first = np.flatnonzero(np.concatenate(([True], starts[1:] >= reach[:-1])))
+    last = np.append(first[1:], len(starts)) - 1
+    return starts[first], reach[last] - starts[first]
 
 
 def _refine_runs(
-    state: _SearchState,
-    starts: np.ndarray,
-    sizes: np.ndarray,
-    bounds_sq: np.ndarray,
+    states: list,
+    extents: list,
     workers: Optional[int] = None,
+    leaves_used: Optional[np.ndarray] = None,
 ) -> None:
-    """Refine file-ordered candidates with real distances, chunk by chunk.
+    """Refine Q ≥ 1 queries' file-ordered candidates with real distances,
+    chunk by chunk.
 
-    The candidates are every series of the extents ``[start, start +
-    size)`` — whole leaves, or the single rows of SCList — given in file
-    order with one ε-scaled squared lower bound per extent.  They are
-    walked in chunks of whole extents, at most :data:`_CHUNK_ROWS` rows
-    each unless one extent alone holds more, and per chunk there is one
-    re-check of the bounds against the live BSF² (an extent it prunes is
-    not read), one ``read_range`` call over the surviving extents (one
-    positional read per run of file-adjacent ones), one screening kernel
-    call and one result-set merge.
+    ``extents[i]`` holds query ``i``'s candidates: every series of the
+    extents ``[start, start + size)`` — whole leaves, or the single rows
+    of SCList — in file order, with one ε-scaled squared lower bound per
+    extent.  The chunks are cut over the union of all queries' extents
+    (:func:`_merge_extents`; for one query, its own list): whole extents,
+    at most :data:`_CHUNK_ROWS` rows each unless one extent alone holds
+    more.  Per chunk:
 
-    Every run of a chunk is read straight into one ``(_CHUNK_ROWS,
-    length)`` buffer that lives as long as the pass (one per CRWorker), so
-    a chunk allocates nothing of its own size.  A chunk of one extent — a
-    leaf above the cap, or a lone candidate — is a plain read.
+    * each query with extents there re-checks their bounds against its
+      own live BSF² (an extent it prunes is not read for it);
+    * the surviving extents of all queries, merged, are one
+      ``read_range`` call (one positional read per run of file-adjacent
+      ones) into one ``(_CHUNK_ROWS, length)`` buffer that lives as long
+      as the pass — or a plain read when one extent is left;
+    * one screening kernel call evaluates them under each query's
+      cutoff, with row masks that keep each query to its own rows when
+      several take part;
+    * each query merges its rows into its result set once.
 
-    A candidate dropped by a re-check has bound ≥ BSF² ≥ the final BSF²,
-    and one abandoned by the kernel has distance > the BSF at that time,
-    so neither could have entered the top-k: answers equal a full
-    evaluation.  The ε factor is in the bounds only — it tightens
+    A candidate dropped by a re-check has bound ≥ that query's BSF² ≥
+    its final BSF², and one abandoned by the kernel has distance > the
+    BSF at that time, so neither could have entered the top-k: at ε = 0
+    every query's answer equals a full evaluation, and at ε > 0 the
+    bound's ``(1 + ε)²`` factor gives the ε guarantee whatever the
+    re-check cadence.  The ε factor is in the bounds only — it tightens
     lower-bound pruning, not real-distance refinement.
 
     ``workers`` fans the chunk list out over that many CRWorker threads,
     a contiguous slice each; ``None`` refines on the calling thread.
+    ``leaves_used``, a ``(Q, leaves)`` bool matrix, receives the leaves
+    each query refined rows of; given it, each chunk read's leaf-cache
+    lookups are also charged to the first query in the chunk (a single
+    query takes the cache delta over its whole search instead).
     """
-    results, profile = state.results, state.profile
-    cuts = _chunk_cuts(sizes)
-    chunks = list(zip(cuts, cuts[1:]))
-    length = state.query.shape[0]
+    first = states[0]
+    lrd, length = first.lrd, first.query.shape[0]
+    if len(states) == 1:  # the union is the query's own list
+        cuts = _chunk_cuts(extents[0][1])
+        edges = [cuts]
+    else:
+        block = np.stack([state.query for state in states])
+        starts, sizes = _merge_extents(
+            np.concatenate([ext[0] for ext in extents]),
+            np.concatenate([ext[1] for ext in extents]),
+        )
+        cuts = _chunk_cuts(sizes)
+        firsts = starts[cuts[:-1]]
+        edges = [np.searchsorted(ext[0], firsts).tolist() + [len(ext[0])] for ext in extents]
+    # Query i's extents in chunk c are edges[i][c]:edges[i][c + 1].
+    cache = lrd.cache if leaves_used is not None else None
     profile_lock = threading.Lock()
 
-    def refine(part: list) -> None:
-        refined = points = 0
+    def refine(part: range) -> None:
+        refined, points = [0] * len(states), [0] * len(states)
         buffer = None
-        for lo, hi in part:
-            results.refresh()
-            bsf_squared = results.bsf_squared
-            if hi - lo == 1:
+        for chunk in part:
+            active = []
+            for i, (state, (ext_starts, ext_sizes, bounds_sq)) in enumerate(zip(states, extents)):
+                lo, hi = edges[i][chunk], edges[i][chunk + 1]
+                if lo == hi:
+                    continue
+                state.results.refresh()
+                bsf_squared = state.results.bsf_squared
+                kept_starts, kept_sizes = ext_starts[lo:hi], ext_sizes[lo:hi]
+                if hi - lo == 1:
+                    if not bounds_sq[lo] < bsf_squared:
+                        continue
+                else:
+                    alive = bounds_sq[lo:hi] < bsf_squared
+                    kept = np.count_nonzero(alive)
+                    if not kept:
+                        continue
+                    if kept < hi - lo:
+                        kept_starts, kept_sizes = kept_starts[alive], kept_sizes[alive]
+                active.append((i, bsf_squared, kept_starts, kept_sizes))
+            if not active:
+                continue
+            if len(active) == 1:
+                read_starts, read_sizes = active[0][2:]
+            else:
+                read_starts, read_sizes = _merge_extents(
+                    np.concatenate([user[2] for user in active]),
+                    np.concatenate([user[3] for user in active]),
+                )
+            if cache is not None:
+                cache_before = cache.snapshot()
+            if len(read_starts) == 1:
                 # One extent (a leaf above the cap, a lone candidate): a
                 # plain read, and none of the run bookkeeping.
-                if not bounds_sq[lo] < bsf_squared:
-                    continue
-                position, size = int(starts[lo]), int(sizes[lo])
-                data = state.read_rows(position, size)
+                position, size = int(read_starts[0]), int(read_sizes[0])
+                data = lrd.read_range(position, size)
                 positions = np.arange(position, position + size)
             else:
-                read_starts, read_sizes = starts[lo:hi], sizes[lo:hi]
-                alive = bounds_sq[lo:hi] < bsf_squared
-                kept = np.count_nonzero(alive)
-                if not kept:
-                    continue
-                if kept < hi - lo:
-                    read_starts, read_sizes = read_starts[alive], read_sizes[alive]
-                if buffer is None:
-                    buffer = np.empty((_CHUNK_ROWS, length), dtype=SERIES_DTYPE)
                 positions = extent_rows(read_starts, read_sizes)
-                data = state.read_rows(read_starts, read_sizes, out=buffer[: len(positions)])
-            squared, compared = early_abandon_squared(state.query, data, bsf_squared)
+                if buffer is None or len(positions) > len(buffer):
+                    rows = max(len(positions), _CHUNK_ROWS)
+                    buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
+                data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
+            if cache is not None:
+                delta = cache.snapshot() - cache_before
+                charged = states[active[0][0]].profile
+                charged.cache_hits += delta.hits
+                charged.cache_misses += delta.misses
+
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.
-            results.update_batch_squared(squared, positions)
-            refined += positions.shape[0]
-            points += compared
+            if len(active) == 1:
+                i, bsf_squared = active[0][:2]
+                squared, compared = early_abandon_squared(states[i].query, data, bsf_squared)
+                states[i].results.update_batch_squared(squared, positions)
+                refined[i] += len(positions)
+                points[i] += compared
+            else:
+                # Buffer row of each read extent's first series, then each
+                # query's rows of the buffer.
+                offsets = np.cumsum(read_sizes) - read_sizes
+                masks = np.zeros((len(active), len(positions)), dtype=bool)
+                rows_of = []
+                for row, (_i, _bsf, kept_starts, kept_sizes) in enumerate(active):
+                    at = np.searchsorted(read_starts, kept_starts, side="right") - 1
+                    rows = extent_rows(offsets[at] + kept_starts - read_starts[at], kept_sizes)
+                    masks[row, rows] = True
+                    rows_of.append(rows)
+                squared, compared = early_abandon_squared(
+                    block[[user[0] for user in active]],
+                    data,
+                    np.array([user[1] for user in active]),
+                    row_masks=masks,
+                )
+                for row, ((i, *_), rows) in enumerate(zip(active, rows_of)):
+                    states[i].results.update_batch_squared(squared[row, rows], positions[rows])
+                    refined[i] += len(rows)
+                    points[i] += int(compared[row])
+            if leaves_used is not None:
+                for i, _bsf, kept_starts, _sizes in active:
+                    leaves_used[i, first.table.leaf_of(kept_starts)] = True
         with profile_lock:
-            profile.series_accessed += refined
-            profile.distance_computations += refined
-            profile.points_compared += points
-            profile.points_total += refined * length
+            for state, rows, compared in zip(states, refined, points):
+                state.profile.series_accessed += rows
+                state.profile.distance_computations += rows
+                state.profile.points_compared += compared
+                state.profile.points_total += rows * length
 
+    chunks = len(cuts) - 1
     if workers is None:
-        refine(chunks)
+        refine(range(chunks))
     else:
-        share = [len(chunks) * worker // workers for worker in range(workers + 1)]
+        share = [chunks * worker // workers for worker in range(workers + 1)]
         _run_workers(
-            lambda worker: refine(chunks[share[worker] : share[worker + 1]]),
+            lambda worker: refine(range(share[worker], share[worker + 1])),
             workers,
             span_name="query.phase4.worker",
         )

@@ -74,6 +74,7 @@ from repro.retry import RetryPolicy
 from repro.storage import manifest as manifest_mod
 from repro.storage.dataset import Dataset
 from repro.storage.iostats import IOSnapshot
+from repro.types import as_queries
 
 logger = logging.getLogger(__name__)
 
@@ -598,8 +599,8 @@ class ShardedIndex:
         """Exact k-NN for a whole query batch: one scatter per shard.
 
         Each shard answers the complete batch through its own
-        :meth:`HerculesIndex.knn_batch` (shared-leaf scans, matrix
-        kernels) in a single dispatch — one pool round-trip per worker
+        :meth:`HerculesIndex.knn_batch` (one shared refinement walk,
+        multi-query kernel calls) in a single dispatch — one pool round-trip per worker
         per batch instead of one per query — and per-query BSF² bounds
         broadcast across shards through a vector of shared cells, so a
         tight bound found by any shard prunes that query everywhere
@@ -616,9 +617,7 @@ class ShardedIndex:
         raises for the whole batch.
         """
         self._check_open()
-        arr = np.asarray(queries)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D query batch, got ndim={arr.ndim}")
+        arr = as_queries(queries, self.series_length, ndim=2)
         effective = config if config is not None else self.config
         policy = effective.retry_policy()
         allow_partial = (
@@ -692,6 +691,7 @@ class ShardedIndex:
     ) -> ShardedQueryAnswer:
         """Scatter, gather, then apply the degradation policy."""
         self._check_open()
+        query = as_queries(query, self.series_length)
         effective = config if config is not None else self.config
         policy = effective.retry_policy()
         allow_partial = (

@@ -9,15 +9,15 @@ used throughout (Section 2, "The UCR Suite"):
   bound is dropped before its exact distance is paid for.
 
 The batch kernels are the SIMD analog: they evaluate a whole candidate
-matrix at once.  ``early_abandon_squared`` (one query) and
-``early_abandon_squared_multi`` (a query block) abandon by *screening*:
-one BLAS product in the candidates' own dtype gives ``|c|² + |q|² −
-2 c·q`` for every row, a slack derived from the dtype's rounding bound
-keeps that gate conservative (:func:`_screen`), and only the rows it
-lets through pay the exact float64 whole-row pass — so every reported
-value is :func:`batch_squared_euclidean`'s, bit for bit.  The screen
-touches each point once, so the point-comparison count the kernels
-return is always ``rows × length``.
+matrix at once.  ``early_abandon_squared`` (one query or a query block)
+abandons by *screening*: one BLAS product in the candidates' own dtype
+gives ``|c|² + |q|² − 2 c·q`` for every row, a slack derived from the
+dtype's rounding bound keeps that gate conservative (:func:`_screen`),
+and only the rows it lets through pay the exact float64 whole-row pass —
+so every reported value is :func:`batch_squared_euclidean`'s, bit for
+bit.  The screen touches each point once, so the point-comparison count
+the kernel returns is always ``rows × length`` (masked-in rows, for a
+block).
 """
 
 from __future__ import annotations
@@ -129,48 +129,79 @@ def _screen(queries: np.ndarray, cands: np.ndarray, cutoffs) -> np.ndarray:
 def early_abandon_squared(
     query: np.ndarray,
     candidates: np.ndarray,
-    cutoff_squared: float,
-) -> tuple[np.ndarray, int]:
-    """Early-abandoning squared ED of one query against a row matrix.
+    cutoff_squared,
+    row_masks: np.ndarray = None,
+) -> tuple[np.ndarray, object]:
+    """Early-abandoning squared ED of one query, or a query block,
+    against a row matrix.
 
     The rows are screened once (:func:`_screen`) and only those that may
-    be within ``cutoff_squared`` are evaluated exactly.  Abandoned rows
-    report ``inf`` and each of them truly exceeds the cutoff; every row at
-    or below it — and any other the screen could not rule out — carries
+    be within the cutoff are evaluated exactly.  Abandoned rows report
+    ``inf`` and each of them truly exceeds the cutoff; every row at or
+    below it — and any other the screen could not rule out — carries
     exactly the value :func:`batch_squared_euclidean` would compute for
-    it, so callers can mix the two kernels without rounding drift.
+    it, so callers can mix the kernels without rounding drift.
+
+    ``query`` is one series with a scalar ``cutoff_squared``, or a
+    ``(Q, n)`` block with a ``(Q,)`` cutoff vector: one BLAS screen then
+    serves every query, and each query's survivors get the same
+    whole-row pass a single query's would — bit for bit the values of
+    the one-query call.  ``row_masks`` (block form only, ``(Q, count)``)
+    restricts each query to its True rows; the others report ``inf``.
 
     Nothing is copied on the way in: a float32 block is used as read.
-    This is the single-query case of
-    :func:`early_abandon_squared_multi`.
 
     Returns
     -------
     (distances, points_compared):
-        ``distances`` is float64 of length ``count`` with ``inf`` for
-        abandoned candidates; ``points_compared`` is ``count × n`` — the
-        screen touches every point once.
+        One query: float64 distances of length ``count`` and ``count ×
+        n``, since the screen touches every point once.  A block:
+        ``(Q, count)`` distances and an int64 vector of per-query point
+        counts (every masked-in point).
     """
     q = np.asarray(query, dtype=DISTANCE_DTYPE)
     cands = _as_candidates(candidates)
     count, n = cands.shape
-    if q.shape != (n,):
+    if q.ndim not in (1, 2) or q.shape[-1] != n:
         raise ValueError(
             f"query shape {q.shape} incompatible with candidates {cands.shape}"
         )
-    distances = np.empty(count, dtype=DISTANCE_DTYPE)
-    #: Rows the screen let through (None: all of them, in place).  A cutoff
-    #: that abandons nothing (this also covers NaN) skips the screen:
-    #: identical to the plain batch kernel.
-    rows = None
-    if cutoff_squared < np.inf:
-        rows = _screen(q[None], cands, cutoff_squared)[:, 0].nonzero()[0]
-        if rows.shape[0] < count:
-            distances.fill(np.inf)
-        else:
-            rows = None
-    _exact_rows(q, cands, rows, distances)
-    return distances, count * n
+    if q.ndim == 1:
+        distances = np.empty(count, dtype=DISTANCE_DTYPE)
+        #: Rows the screen let through (None: all of them, in place).  A
+        #: cutoff that abandons nothing (this also covers NaN) skips the
+        #: screen: identical to the plain batch kernel.
+        rows = None
+        if cutoff_squared < np.inf:
+            rows = _screen(q[None], cands, cutoff_squared)[:, 0].nonzero()[0]
+            if rows.shape[0] < count:
+                distances.fill(np.inf)
+            else:
+                rows = None
+        _exact_rows(q, cands, rows, distances)
+        return distances, count * n
+
+    num_queries = q.shape[0]
+    cutoffs = np.asarray(cutoff_squared, dtype=DISTANCE_DTYPE)
+    if cutoffs.shape != (num_queries,):
+        raise ValueError(f"expected {num_queries} cutoffs, got shape {cutoffs.shape}")
+    if row_masks is not None and row_masks.shape != (num_queries, count):
+        raise ValueError(
+            f"row_masks shape {row_masks.shape} incompatible with ({num_queries}, {count})"
+        )
+    distances = np.full((num_queries, count), np.inf, dtype=DISTANCE_DTYPE)
+    masked_in = count if row_masks is None else row_masks.sum(axis=1)
+    points_compared = np.zeros(num_queries, dtype=np.int64) + masked_in * n
+    if count == 0 or num_queries == 0:
+        return distances, points_compared
+    keep = _screen(q, cands, cutoffs).T
+    if row_masks is not None:
+        keep &= row_masks
+    for qi in range(num_queries):
+        rows = keep[qi].nonzero()[0]
+        if rows.shape[0]:
+            _exact_rows(q[qi], cands, rows, distances[qi])
+    return distances, points_compared
 
 
 def _exact_rows(q: np.ndarray, cands: np.ndarray, rows, out: np.ndarray) -> None:
@@ -183,71 +214,6 @@ def _exact_rows(q: np.ndarray, cands: np.ndarray, rows, out: np.ndarray) -> None
         slab = slice(lo, lo + _EXACT_ROWS) if rows is None else rows[lo : lo + _EXACT_ROWS]
         diff = cands[slab] - q
         out[slab] = np.einsum("ij,ij->i", diff, diff)
-
-
-def early_abandon_squared_multi(
-    queries: np.ndarray,
-    candidates: np.ndarray,
-    cutoffs_squared: np.ndarray,
-    row_masks: np.ndarray = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Early-abandoning squared ED for a whole query block.
-
-    The multi-query form of :func:`early_abandon_squared`: one pass over
-    the candidate matrix serves every query, so each candidate row is
-    loaded once and shared across the query dimension.  The whole
-    (num_queries x count) distance matrix is screened with one BLAS
-    matmul (:func:`_screen`, the same gate and slack as the single-query
-    kernel) and only the pairs it lets through are re-evaluated
-    whole-row — the identical summation order, so every reported value
-    is bit-for-bit the one :func:`early_abandon_squared` would report.
-    Each query carries its own cutoff; ``row_masks`` (shape
-    ``(num_queries, count)``; False rows are never evaluated for that
-    query and report ``inf``) optionally restricts the candidate set up
-    front.
-
-    Returns
-    -------
-    (distances, points_compared):
-        ``distances`` is float64 of shape ``(num_queries, count)`` with
-        ``inf`` for screened-out or masked-out (query, candidate)
-        pairs; ``points_compared`` is an int64 vector of per-query
-        point comparison counts (every masked-in point).
-    """
-    qs = np.asarray(queries, dtype=DISTANCE_DTYPE)
-    cands = _as_candidates(candidates)
-    if qs.ndim != 2 or cands.shape[1] != qs.shape[1]:
-        raise ValueError(
-            f"queries shape {qs.shape} incompatible with candidates {cands.shape}"
-        )
-    cutoffs = np.asarray(cutoffs_squared, dtype=DISTANCE_DTYPE)
-    num_queries = qs.shape[0]
-    count, n = cands.shape
-    if cutoffs.shape != (num_queries,):
-        raise ValueError(
-            f"expected {num_queries} cutoffs, got shape {cutoffs.shape}"
-        )
-    if row_masks is not None and row_masks.shape != (num_queries, count):
-        raise ValueError(
-            f"row_masks shape {row_masks.shape} incompatible with "
-            f"({num_queries}, {count})"
-        )
-    distances = np.full((num_queries, count), np.inf, dtype=DISTANCE_DTYPE)
-    points_compared = np.zeros(num_queries, dtype=np.int64)
-    if count == 0 or num_queries == 0:
-        return distances, points_compared
-
-    keep = _screen(qs, cands, cutoffs).T
-    if row_masks is not None:
-        keep &= row_masks
-        points_compared[:] = row_masks.sum(axis=1) * n
-    else:
-        points_compared[:] = count * n
-    for qi in range(num_queries):
-        rows = keep[qi].nonzero()[0]
-        if rows.shape[0]:
-            _exact_rows(qs[qi], cands, rows, distances[qi])
-    return distances, points_compared
 
 
 def knn_from_distances(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -196,9 +196,9 @@ def run_workload(
     between consecutive queries exactly as in the paper's procedure.
 
     ``batched=True`` instead hands the whole workload to
-    ``method.knn_batch`` at once — the batched engine's shared-leaf
-    scans and matrix kernels amortize work across queries, and its
-    per-query answers are value-identical to the serial loop.  Per-query
+    ``method.knn_batch`` at once — the batched engine's one refinement
+    walk shares each chunk read and kernel call across queries, and at
+    ε = 0 its per-query answers are value-identical to the serial loop.  Per-query
     profiles are collected the same way; when the batch reports
     execution stats (a :class:`~repro.core.batch_query.BatchAnswer`)
     they land in the registry under ``query.batch.*``.

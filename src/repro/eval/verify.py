@@ -87,17 +87,28 @@ def verify_epsilon(
     epsilon: float,
     k: int = 10,
     atol: float = 1e-6,
+    config=None,
+    batch: bool = False,
 ) -> VerificationReport:
-    """Check the ε-approximate guarantee: reported kth ≤ (1+ε)·exact kth."""
-    config = index.config.with_options(epsilon=epsilon)
+    """Check the ε-approximate guarantee: reported kth ≤ (1+ε)·exact kth.
+
+    ``config`` (default: the index's own) supplies every other query
+    setting; ``batch`` answers the queries with one ``knn_batch`` call
+    instead of a ``knn`` call each.
+    """
+    config = (config if config is not None else index.config).with_options(epsilon=epsilon)
+    queries = np.asarray(queries)
     report = VerificationReport(
-        method=f"Hercules(epsilon={epsilon})",
-        queries_checked=int(np.asarray(queries).shape[0]),
+        method=f"Hercules(epsilon={epsilon}{', batch' if batch else ''})",
+        queries_checked=int(queries.shape[0]),
         k=k,
     )
-    for i, query in enumerate(np.asarray(queries)):
+    if batch:
+        answers = index.knn_batch(queries, k=k, config=config)
+    else:
+        answers = (index.knn(query, k=k, config=config) for query in queries)
+    for i, (query, answer) in enumerate(zip(queries, answers)):
         expected = _brute_force(data, query, k)
-        answer = index.knn(query, k=k, config=config)
         bound = (1.0 + epsilon) * expected[-1] + atol
         if answer.distances[-1] > bound:
             report.failures.append(

@@ -44,3 +44,27 @@ def as_series(data: np.ndarray) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"expected a single 1-D series, got ndim={arr.ndim}")
     return np.ascontiguousarray(arr)
+
+
+def as_queries(queries: np.ndarray, series_length: int, ndim: int = 1) -> np.ndarray:
+    """Validate query input at an index's public entry point.
+
+    ``queries`` is one series (``ndim`` 1) or a ``(Q, series_length)``
+    batch (``ndim`` 2); returned as ``float32``, the precision every
+    query path computes from.  Raises ``ValueError`` for the wrong rank,
+    a length other than the index's ``series_length``, or a NaN or
+    infinite value — each of which would otherwise fail deep inside a
+    query, or silently return an empty answer.
+    """
+    arr = np.asarray(queries, dtype=SERIES_DTYPE)
+    if arr.ndim != ndim:
+        expected = "a single 1-D query series" if ndim == 1 else "a 2-D (Q, series_length) query matrix"
+        raise ValueError(f"expected {expected}, got shape {arr.shape}")
+    if arr.shape[-1] != series_length:
+        raise ValueError(
+            f"query length {arr.shape[-1]} does not match the index's series "
+            f"length {series_length}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError("query holds NaN or infinite values")
+    return arr

@@ -1,11 +1,13 @@
-"""Parity gates for the batched multi-query engine: answers never change.
+"""Parity gates for the batched multi-query engine.
 
-``knn_batch`` must be value-identical, per query, to the serial
-``knn`` loop it replaces — distances AND positions, bit for bit —
-across every execution mode: exact and ε-approximate search, the
-signature pre-filter on and off, plain and sharded indexes (thread and
-process-pool scatter), and degenerate batches (singletons, duplicated
-queries, identical-query batches).
+At ε = 0 ``knn_batch`` must be value-identical, per query, to the
+serial ``knn`` loop it replaces — distances AND positions, bit for bit —
+across every execution mode: the signature pre-filter on and off, plain
+and sharded indexes (thread and process-pool scatter), and degenerate
+batches (singletons, duplicated queries, identical-query batches).  At
+ε > 0 a batch query re-checks its bounds at the union's chunk cadence,
+not its own, so the gate is the ε contract: every k-th distance within
+(1 + ε) of the brute-force one.
 
 Positions are LRD file positions, so every comparison queries the same
 materialized index with only the execution strategy changing.
@@ -21,6 +23,7 @@ from repro.core import (
     HerculesIndex,
     ShardedIndex,
 )
+from repro.eval.verify import verify_epsilon
 
 from ..conftest import make_random_walks
 
@@ -38,6 +41,11 @@ def _config(**overrides):
     )
     base.update(overrides)
     return HerculesConfig(**base)
+
+
+#: Two leaves of phase 1: on these small trees the default ``l_max``
+#: answers most queries before refinement starts.
+_SHORT_PHASE1 = _config(l_max=2)
 
 
 def _make_queries(data, count, seed=3):
@@ -80,76 +88,111 @@ def wide_index(wide_data, tmp_path_factory):
     built.close()
 
 
-#: The work counters a drifted re-check cadence moves first: with ε > 0
-#: the answers can still agree when these no longer do.
-_WORK_COUNTERS = ("distance_computations", "points_compared", "series_accessed")
-
-
-def _assert_batch_matches_serial(index, queries, k, config=None, counters=False):
+def _assert_batch_matches_serial(index, queries, k, config=None):
     batch = index.knn_batch(queries, k=k, config=config)
     assert len(batch) == queries.shape[0]
     for qi, answer in enumerate(batch):
         serial = index.knn(queries[qi], k=k, config=config)
         np.testing.assert_array_equal(serial.distances, answer.distances)
         np.testing.assert_array_equal(serial.positions, answer.positions)
-        if counters:
-            for name in _WORK_COUNTERS:
-                assert getattr(answer.profile, name) == getattr(serial.profile, name), (
-                    f"query {qi} ({serial.profile.path}): {name}"
-                )
     return batch
+
+
+def _assert_epsilon_contract(index, data, queries, k, config):
+    """Every batch answer's k-th distance ≤ (1 + ε) × the brute-force
+    k-th distance (``repro.eval.verify``'s check)."""
+    report = verify_epsilon(
+        index, data.astype(np.float32), queries, config.epsilon, k=k,
+        config=config, batch=True,
+    )
+    assert report.passed, report.format()
 
 
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Refinement chunks of at most 32 rows — one to three of these
-    20-row leaves — in both pipelines, so a batch walks hundreds of
-    chunks: "leaves" and "series" users meet in one chunk, cuts fall
-    mid-plan, and late chunks find every query pruned."""
-    from repro.core import batch_query, query
+    20-row leaves — so a batch walks hundreds of chunks: "leaves" and
+    "series" users meet in one chunk, cuts fall mid-list, and late
+    chunks find every query pruned."""
+    from repro.core import query
 
     monkeypatch.setattr(query, "_CHUNK_ROWS", 32)
-    monkeypatch.setattr(batch_query, "_CHUNK_ROWS", 32)
+
+
+class _WalkSpy:
+    """What one ``knn_batch`` call's refinement walk did: the rows of
+    the extents it was handed, its chunk count, the extents it read, and
+    per kernel call the row masks (None for a chunk only one query
+    needed)."""
+
+    def __init__(self, monkeypatch):
+        from repro.core import batch_query, query
+        from repro.storage.files import SeriesFile
+
+        self.extent_rows, self.chunks, self.reads, self.kernel_calls = 0, [], [], []
+        walking = [False]
+        walk, cut = batch_query._refine_runs, query._chunk_cuts
+        kernel, read_range = query.early_abandon_squared, SeriesFile.read_range
+
+        def walking_refine(states, extents, *args, **kwargs):
+            self.extent_rows += sum(int(sizes.sum()) for _, sizes, _ in extents)
+            walking[0] = True
+            try:
+                return walk(states, extents, *args, **kwargs)
+            finally:
+                walking[0] = False
+
+        def cutting(sizes):
+            cuts = cut(sizes)
+            if walking[0]:
+                self.chunks.append(len(cuts) - 1)
+            return cuts
+
+        def evaluating(queries, candidates, cutoffs, row_masks=None):
+            if walking[0]:
+                self.kernel_calls.append(row_masks)
+            return kernel(queries, candidates, cutoffs, row_masks=row_masks)
+
+        def reading(file, position, count, out=None):
+            if walking[0]:
+                self.reads.extend(
+                    zip(np.atleast_1d(position).tolist(), np.atleast_1d(count).tolist())
+                )
+            return read_range(file, position, count, out=out)
+
+        monkeypatch.setattr(batch_query, "_refine_runs", walking_refine)
+        monkeypatch.setattr(query, "_chunk_cuts", cutting)
+        monkeypatch.setattr(query, "early_abandon_squared", evaluating)
+        monkeypatch.setattr(SeriesFile, "read_range", reading)
 
 
 def _assert_read_once(index, queries, k, config, monkeypatch):
-    """One ``knn_batch`` call reads whole leaf blocks, none of them
-    twice, and counts loads and uses per leaf block, not per chunk."""
-    from repro.storage.files import SeriesFile
-
-    reads = []
-    read_range = SeriesFile.read_range
-
-    def recording(self, position, count, out=None):
-        reads.extend(zip(np.atleast_1d(position).tolist(), np.atleast_1d(count).tolist()))
-        return read_range(self, position, count, out=out)
-
-    before = index.query_io.snapshot()
+    """One ``knn_batch`` call's walk reads no row twice, and its
+    ``BatchStats`` count what it read and refined: the leaves read
+    (``unique_leaf_reads``), the (query, leaf) refinements
+    (``leaf_uses``) and the rows each query's kernel evaluated
+    (``kernel_rows``)."""
     with monkeypatch.context() as patch:
-        patch.setattr(SeriesFile, "read_range", recording)
+        spy = _WalkSpy(patch)
         batch = index.knn_batch(queries, k=k, config=config)
     stats = batch.stats
-    bytes_read = (index.query_io.snapshot() - before).bytes_read
 
     times_read = np.zeros(index.num_series, dtype=np.int64)
-    for position, count in reads:
+    for position, count in spy.reads:
         times_read[position : position + count] += 1
-    assert times_read.max() == 1
-    loaded = [
-        leaf
+    assert times_read.max(initial=0) <= 1
+    leaves_read = {
+        leaf.node_id
         for leaf in index.leaves
         if times_read[leaf.file_position : leaf.file_position + leaf.size].any()
-    ]
-    assert sum(leaf.size for leaf in loaded) == times_read.sum()  # whole leaves
-    assert stats.unique_leaf_reads == len(loaded) <= index.num_leaves
-    assert bytes_read == times_read.sum() * index.series_length * 4
-    # The per-query counters are per leaf block too: a load is the miss of
-    # the one query it was made for, every other use of the leaf a hit.
-    misses = sum(answer.profile.cache_misses for answer in batch)
-    hits = sum(answer.profile.cache_hits for answer in batch)
-    assert misses == stats.unique_leaf_reads
-    assert hits + misses == stats.leaf_uses
-    return stats
+    }
+    assert stats.unique_leaf_reads == len(leaves_read) <= index.num_leaves
+    assert stats.leaf_uses >= stats.unique_leaf_reads
+    # Every row read was evaluated for at least one query.
+    assert stats.kernel_rows >= times_read.sum()
+    # Without a leaf cache there are no cache lookups to report.
+    assert all(a.profile.cache_hits == a.profile.cache_misses == 0 for a in batch)
+    return stats, spy
 
 
 class TestPlainExactParity:
@@ -176,25 +219,21 @@ class TestPlainExactParity:
 
 
 class TestEpsilonParity:
-    """ε > 0 pruning depends on the BSF at each check: the batch engine
-    must re-check at exactly the serial cadence (it calls the serial
-    routine), which the work counters see before the answers do."""
+    """At ε > 0 a query's pruning depends on the BSF² at each re-check,
+    and the batch walk re-checks once per chunk of the union: answers
+    may differ from ``knn``'s, but every one meets the ε guarantee."""
 
     @pytest.mark.parametrize("prefilter", [True, False])
     @pytest.mark.parametrize("k", [1, 10])
-    def test_bit_for_bit(self, index, queries, prefilter, k):
+    def test_bit_for_bit(self, index, data, queries, prefilter, k):
         config = index.config.with_options(
             epsilon=0.15, prefilter=prefilter, num_query_threads=1
         )
-        _assert_batch_matches_serial(
-            index, queries[:16], k, config=config, counters=True
-        )
+        _assert_epsilon_contract(index, data, queries[:16], k, config)
 
-    def test_large_epsilon(self, index, queries):
+    def test_large_epsilon(self, index, data, queries):
         config = index.config.with_options(epsilon=1.0, num_query_threads=1)
-        _assert_batch_matches_serial(
-            index, queries[:8], k=5, config=config, counters=True
-        )
+        _assert_epsilon_contract(index, data, queries[:8], 5, config)
 
 
 class TestRefinementPaths:
@@ -213,15 +252,17 @@ class TestRefinementPaths:
     def test_bit_for_bit(self, index, data, queries, epsilon, prefilter, adaptive):
         config = index.config.with_options(
             l_max=2,
-            num_query_threads=1,  # ε > 0 answers depend on check order
+            num_query_threads=1,
             epsilon=epsilon,
             prefilter=prefilter,
             adaptive_thresholds=adaptive,
         )
         mixed = self._mixed(data, queries)
-        batch = _assert_batch_matches_serial(
-            index, mixed, k=5, config=config, counters=epsilon > 0
-        )
+        if epsilon > 0:
+            _assert_epsilon_contract(index, data, mixed, 5, config)
+        batch = index.knn_batch(mixed, k=5, config=config)
+        if epsilon == 0:
+            batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
         assert "full-four-phase" in paths
         if adaptive:
@@ -254,11 +295,8 @@ class TestRefinementPaths:
     def test_exact_small_chunks_wide(
         self, wide_index, wide_data, small_chunks, monkeypatch, prefilter, adaptive
     ):
-        """2 000 series in chunks of 32 rows: most chunks serve whole-leaf
-        and per-row users together, and an easy batch leaves chunks in
-        which every query is pruned (no kernel call)."""
-        from repro.core import batch_query
-
+        """2 000 series in chunks of 32 rows: most chunks serve several
+        queries, whole-leaf and per-row users together."""
         config = wide_index.config.with_options(
             l_max=2, prefilter=prefilter, adaptive_thresholds=adaptive
         )
@@ -267,44 +305,33 @@ class TestRefinementPaths:
         mixed = np.vstack([noisy, rng.standard_normal((8, _LENGTH))]).astype(np.float32)
         easy = (wide_data[:2] + 0.3 * rng.standard_normal((2, _LENGTH))).astype(np.float32)
 
-        chunks, calls = [], []
-        cut, kernel = batch_query._chunk_cuts, batch_query.early_abandon_squared_multi
-
-        def cutting(sizes):
-            cuts = cut(sizes)
-            chunks.append(len(cuts) - 1)
-            return cuts
-
-        def counting(queries, candidates, cutoffs, row_masks):
-            whole = int(row_masks.all(axis=1).sum())
-            calls.append(0 < whole < len(queries))
-            return kernel(queries, candidates, cutoffs, row_masks=row_masks)
-
-        monkeypatch.setattr(batch_query, "_chunk_cuts", cutting)
-        monkeypatch.setattr(batch_query, "early_abandon_squared_multi", counting)
-
         batch = _assert_batch_matches_serial(wide_index, mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
         assert "full-four-phase" in paths
-        assert chunks[0] > 60
         if adaptive:
             assert "eapca-skipseq" in paths
-            assert sum(calls) > 60  # both kinds of user in one kernel call
-        stats = _assert_read_once(wide_index, mixed, 5, config, monkeypatch)
+        stats, spy = _assert_read_once(wide_index, mixed, 5, config, monkeypatch)
+        assert spy.chunks[0] > 60
+        # Queries share chunk reads: most kernel calls serve several
+        # queries, each masked to its own rows.
+        shared = [masks for masks in spy.kernel_calls if masks is not None]
+        assert len(shared) > len(spy.kernel_calls) // 2
+        assert any((~masks).any() for masks in shared)
         assert stats.leaf_share_factor > 1.0
 
-        del chunks[:], calls[:]
+        # An easy batch: the per-chunk re-checks against the live BSF²
+        # drop candidate rows before the kernel sees them.
         _assert_batch_matches_serial(wide_index, easy, k=5, config=config)
-        assert 0 < len(calls) < chunks[0]
-        _assert_read_once(wide_index, easy, 5, config, monkeypatch)
+        stats, spy = _assert_read_once(wide_index, easy, 5, config, monkeypatch)
+        assert 0 < len(spy.kernel_calls) <= spy.chunks[0]
+        assert 0 < stats.kernel_rows < spy.extent_rows
 
     def test_leaf_above_the_chunk_cap(self, index, data, queries, monkeypatch):
         """A leaf holding more rows than a chunk may is a chunk of its own
         and the shared buffer grows to take it."""
-        from repro.core import batch_query, query
+        from repro.core import query
 
         monkeypatch.setattr(query, "_CHUNK_ROWS", 8)
-        monkeypatch.setattr(batch_query, "_CHUNK_ROWS", 8)
         assert max(leaf.size for leaf in index.leaves) > 8
         config = index.config.with_options(l_max=2)
         mixed = self._mixed(data, queries)
@@ -318,8 +345,9 @@ class TestRefinementPaths:
     ):
         """On 2 000 series a skip-sequential scan covers runs of many
         20-row leaves in several refinement chunks and phase 4 several
-        chunks of SCList: a batch cadence one re-check off the serial one
-        shows in the work counters of most of these queries."""
+        chunks of SCList, so the batch's re-check cadence departs from
+        each query's own: the ε contract still holds, and each query
+        counts the rows its kernel evaluated as the rows it accessed."""
         config = wide_index.config.with_options(
             l_max=2,
             num_query_threads=1,
@@ -331,13 +359,16 @@ class TestRefinementPaths:
         noisy = wide_data[:8] + 0.5 * rng.standard_normal((8, _LENGTH))
         hard = rng.standard_normal((8, _LENGTH))
         mixed = np.vstack([noisy, hard]).astype(np.float32)
-        batch = _assert_batch_matches_serial(
-            wide_index, mixed, k=5, config=config, counters=True
-        )
+        _assert_epsilon_contract(wide_index, wide_data, mixed, 5, config)
+        batch = wide_index.knn_batch(mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
         assert "full-four-phase" in paths
         if adaptive:
             assert "eapca-skipseq" in paths
+        for answer in batch:
+            profile = answer.profile
+            assert profile.distance_computations == profile.series_accessed
+            assert profile.points_total == profile.series_accessed * _LENGTH
         # The fixture is only worth its build time if scans really span
         # several chunks (256 rows each).
         assert max(a.profile.distance_computations for a in batch) > 4 * 256
@@ -384,23 +415,44 @@ class TestBatchSurface:
         assert list(iter(batch))[2] is batch[2]
 
     def test_stats_accounting(self, index, queries):
-        batch = index.knn_batch(queries[:32], k=5)
+        # A short phase 1, so the queries reach the refinement walk.
+        batch = index.knn_batch(queries[:32], k=5, config=_SHORT_PHASE1)
         stats = batch.stats
         assert isinstance(stats, BatchStats)
         assert stats.num_queries == 32
         assert stats.unique_leaf_reads > 0
-        # Every load is itself a use, so the share factor is >= 1; with
-        # 32 queries over one small index, leaves must actually be
-        # shared.
+        # Every leaf read served at least one query, so the share factor
+        # is >= 1; with 32 queries over one small index, leaves must
+        # actually be shared.
         assert stats.leaf_uses >= stats.unique_leaf_reads
         assert stats.leaf_share_factor > 1.0
+        # Walk rows are a part of the rows the answers report refined.
+        assert 0 < stats.kernel_rows < sum(a.profile.distance_computations for a in batch)
         assert stats.total_seconds > 0.0
 
     def test_shared_reads_beat_serial_reads(self, index, queries):
-        """The batch must physically read fewer blocks than Q serial
-        runs touch in total (that is the point of the engine)."""
-        batch = index.knn_batch(queries[:32], k=5)
+        """The walk must read fewer leaves than its queries refine from
+        in total (that is the point of the engine)."""
+        batch = index.knn_batch(queries[:32], k=5, config=_SHORT_PHASE1)
         assert batch.stats.unique_leaf_reads < batch.stats.leaf_uses
+
+    def test_cache_counters_partition_the_cache_lookups(self, data, queries, tmp_path):
+        """With a leaf cache, each answer reports its own phase 1's
+        lookups plus the walk reads charged to it, so the answers sum to
+        the cache's own count for the batch."""
+        built = HerculesIndex.build(
+            data, _config(l_max=2), directory=tmp_path / "cached", cache_bytes=1 << 20
+        )
+        try:
+            for _ in range(2):  # cold, then warm
+                before = built.leaf_cache.snapshot()
+                batch = built.knn_batch(queries[:16], k=5)
+                delta = built.leaf_cache.snapshot() - before
+                assert sum(a.profile.cache_hits for a in batch) == delta.hits
+                assert sum(a.profile.cache_misses for a in batch) == delta.misses
+            assert delta.hits > 0
+        finally:
+            built.close()
 
     def test_result_length_mismatch_rejected(self, index, queries):
         from repro.core import ResultSet
@@ -436,7 +488,7 @@ class TestShardedParity:
         _assert_batch_matches_serial(sharded, batch_queries, k=5)
 
     def test_stats_aggregate_across_shards(self, sharded, queries):
-        batch = sharded.knn_batch(queries[:16], k=5)
+        batch = sharded.knn_batch(queries[:16], k=5, config=sharded.config.with_options(l_max=2))
         assert batch.stats.num_queries == 16
         assert batch.stats.unique_leaf_reads > 0
         assert batch.stats.leaf_share_factor > 1.0

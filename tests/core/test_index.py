@@ -85,6 +85,27 @@ class TestBuild:
         index.close()
         dataset.close()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_rejects_non_finite_series(self, tmp_path, on_disk, threads):
+        """Ingest names the first NaN/inf row, in memory and from a file,
+        on the sequential and the threaded build (where the bad row
+        arrives while the insert workers are running)."""
+        data = make_random_walks(200, 32, seed=103).astype(np.float32)
+        data[150, 3] = np.inf
+        data[137, 0] = np.nan
+        source = Dataset.write(tmp_path / "data.bin", data) if on_disk else data
+        config = HerculesConfig(
+            leaf_capacity=40, num_build_threads=threads, db_size=64,
+            flush_threshold=1, sax_segments=8,
+        )
+        try:
+            with pytest.raises(ValueError, match="series 137 holds NaN or infinite"):
+                HerculesIndex.build(source, config, directory=tmp_path / "idx")
+        finally:
+            if on_disk:
+                source.close()
+
 
 class TestExactness:
     @pytest.mark.parametrize("k", [1, 5, 25])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import HerculesConfig, HerculesIndex
+from repro.core import ShardedIndex
 from repro.core.prefilter import SignatureArray
 
 from ..conftest import make_random_walks
@@ -70,3 +71,60 @@ class TestQueryWorkerErrors:
 
         answer = index.knn(query, k=1)
         assert np.isfinite(answer.distances[0])
+
+
+@pytest.fixture(scope="module")
+def layouts(tmp_path_factory):
+    """A plain and a 2-shard index over the same 32-point series."""
+    data = make_random_walks(300, 32, seed=294)
+    base = tmp_path_factory.mktemp("bad-queries")
+    options = dict(leaf_capacity=40, num_build_threads=1, flush_threshold=1, sax_segments=8)
+    plain = HerculesIndex.build(data, HerculesConfig(**options), directory=base / "plain")
+    sharded = ShardedIndex.build(
+        data,
+        HerculesConfig(num_shards=2, shard_workers=0, **options),
+        directory=base / "sharded",
+    )
+    yield {"plain": plain, "sharded": sharded}
+    plain.close()
+    sharded.close()
+
+
+def _bad_query(kind):
+    query = make_random_walks(1, 32, seed=295)[0]
+    if kind == "short":
+        return query[:31]
+    if kind == "long":
+        return np.append(query, 0.0)
+    query[7] = np.nan if kind == "nan" else np.inf
+    return query
+
+
+#: Every public entry point a query enters by: (layout, call).
+_ENTRY_POINTS = {
+    "knn": ("plain", lambda index, q: index.knn(q, k=1)),
+    "knn_batch": ("plain", lambda index, q: index.knn_batch(q[None], k=1)),
+    "knn_approx": ("plain", lambda index, q: index.knn_approx(q, k=1)),
+    "knn_progressive": ("plain", lambda index, q: index.knn_progressive(q, k=1)),
+    "sharded-knn": ("sharded", lambda index, q: index.knn(q, k=1)),
+    "sharded-knn_batch": ("sharded", lambda index, q: index.knn_batch(q[None], k=1)),
+    "sharded-knn_approx": ("sharded", lambda index, q: index.knn_approx(q, k=1)),
+}
+
+_REJECTIONS = {
+    "short": "query length 31 does not match the index's series length 32",
+    "long": "query length 33 does not match the index's series length 32",
+    "nan": "NaN or infinite",
+    "inf": "NaN or infinite",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REJECTIONS))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_bad_query_rejected_at_entry(layouts, entry, kind):
+    """A query of the wrong length, or with a NaN or inf, raises
+    ``ValueError`` before any search work — not an ``IndexError`` in the
+    bound pass, a kernel failure after phase 1, or an empty answer."""
+    layout, call = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=_REJECTIONS[kind]):
+        call(layouts[layout], _bad_query(kind))

@@ -106,7 +106,7 @@ def leaf_at_a_time(state, limit):
         state.results.refresh()
         start, size = int(table.positions[leaf]), int(table.sizes[leaf])
         squared, _ = early_abandon_squared(
-            state.query, state.read_rows(start, size), state.results.bsf_squared
+            state.query, state.lrd.read_range(start, size), state.results.bsf_squared
         )
         state.results.update_batch_squared(squared, np.arange(start, start + size))
     state.profile.approx_leaves = len(state.visited)
@@ -261,7 +261,7 @@ class TestCandidateLeafPhase:
         positions = index._table.positions[lclist].tolist()
         assert positions == sorted(positions)
 
-    def test_candidates_exclude_approx_visited_leaves(self, index):
+    def test_candidates_exclude_approx_visited_leaves(self, index, monkeypatch):
         """Leaves popped in phase 1 are not re-examined in phase 2 (the
         paper: 'nodes that were visited by algorithm 11 are not accessed
         again')."""
@@ -269,13 +269,13 @@ class TestCandidateLeafPhase:
         state = make_state(index, query, l_max=4)
 
         read = []
-        original = state.read_rows
+        original = state.lrd.read_range
 
         def tracking(position, count, out=None):
             read.append((position, count))
             return original(position, count, out=out)
 
-        state.read_rows = tracking
+        monkeypatch.setattr(state.lrd, "read_range", tracking)
         _approx_knn(state)
         lclist = _find_candidate_leaves(state)
         assert state.visited and not set(lclist.tolist()) & set(state.visited)

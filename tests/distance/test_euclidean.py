@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.distance.euclidean import (
     batch_squared_euclidean,
     early_abandon_squared,
-    early_abandon_squared_multi,
     euclidean,
     knn_from_distances,
     squared_euclidean,
@@ -148,7 +147,7 @@ class TestEarlyAbandonEdges:
         cutoff = float(np.quantile(full, 0.1))
         _, compared = early_abandon_squared(query, small_dataset, cutoff)
         assert compared == small_dataset.size
-        _, per_query = early_abandon_squared_multi(
+        _, per_query = early_abandon_squared(
             small_dataset[:3], small_dataset, [cutoff, np.inf, 0.0]
         )
         assert per_query.tolist() == [small_dataset.size] * 3
@@ -183,7 +182,7 @@ class TestEarlyAbandonEdges:
         plain = np.stack([batch_squared_euclidean(query, block) for query in queries])
         for k in (1, 5):
             cutoffs = np.sort(plain, axis=1)[:, k - 1]
-            many, _ = early_abandon_squared_multi(queries, block, cutoffs)
+            many, _ = early_abandon_squared(queries, block, cutoffs)
             for qi, query in enumerate(queries):
                 one, _ = early_abandon_squared(query, block, cutoffs[qi])
                 nearest = plain[qi] <= cutoffs[qi]
@@ -274,7 +273,7 @@ class TestEarlyAbandonProperty:
         # A cutoff that is one of the values: ties must survive.
         cutoffs[0] = truth[0, rng.integers(rows)] if quantile == quantile else cutoffs[0]
 
-        many, compared = early_abandon_squared_multi(queries, block, cutoffs)
+        many, compared = early_abandon_squared(queries, block, cutoffs)
         assert compared.tolist() == [block.size] * num_queries
         for qi in range(num_queries):
             one, points = early_abandon_squared(queries[qi], block, cutoffs[qi])
@@ -289,7 +288,7 @@ class TestEarlyAbandonProperty:
                 assert np.all(truth[qi][~survivors] > cutoffs[qi])
             if not cutoffs[qi] < np.inf:  # the inf / NaN cutoff path abandons nothing
                 assert np.isfinite(one).all()
-        # The single-query kernel is the Q = 1 case of the block kernel.
-        alone, _ = early_abandon_squared_multi(queries[:1], block, cutoffs[:1])
+        # A one-query block reports the single-query values.
+        alone, _ = early_abandon_squared(queries[:1], block, cutoffs[:1])
         first, _ = early_abandon_squared(queries[0], block, cutoffs[0])
         np.testing.assert_array_equal(first, alone[0])

@@ -1,5 +1,6 @@
 """Unit tests for workload measurement and extrapolation."""
 
+import numpy as np
 import pytest
 
 from repro.core.query import QueryProfile
@@ -186,13 +187,15 @@ class TestRunWorkloadBatched:
         data = make_random_walks(300, 32, seed=35)
         index = HerculesIndex.build(
             data,
+            # A short phase 1, so the batch reaches its refinement walk.
             HerculesConfig(
-                leaf_capacity=16, num_build_threads=1, flush_threshold=1
+                leaf_capacity=16, num_build_threads=1, flush_threshold=1, l_max=1
             ),
             directory=tmp_path / "idx",
         )
         try:
-            queries = data[:12] + 0.01
+            noise = np.random.default_rng(35).standard_normal(data[:12].shape)
+            queries = data[:12] + 0.5 * noise
             serial = run_workload(index, queries, k=3)
             registry = MetricsRegistry()
             batched = run_workload(

@@ -816,3 +816,50 @@ class TestPrefilterCLI:
         assert "prefilter screen" in out
         assert "candidate-leaf series survive" in out
         assert "prefilter pruning" in out
+
+
+class TestBatchCLI:
+    """``repro query --batch`` answers the query set with one
+    ``knn_batch`` call: the same answers as the serial loop, plus a
+    leaf-sharing line."""
+
+    @pytest.mark.parametrize(
+        "build_flags, query_flags",
+        [
+            (["--prefilter", "--prefilter-bits", "8"], []),
+            (["--shards", "2", "--shard-workers", "2"], ["--shard-workers", "2"]),
+        ],
+        ids=["plain", "sharded-pool"],
+    )
+    def test_batch_answers_match_serial(
+        self, dataset_file, tmp_path, capsys, build_flags, query_flags
+    ):
+        queries = tmp_path / "queries.bin"
+        assert main(
+            ["generate", "--kind", "synth", "--count", "8", "--length", "32",
+             "--seed", "42", "--output", str(queries)]
+        ) == 0
+        index_dir = tmp_path / "index"
+        # A short phase 1, so the batch reaches its refinement walk.
+        assert main(
+            ["build", "--dataset", str(dataset_file), "--length", "32",
+             "--output", str(index_dir), "--leaf-capacity", "20", "--threads",
+             "1", "--l-max", "1"] + build_flags
+        ) == 0
+        capsys.readouterr()
+        outputs = {}
+        for mode, extra in (("serial", []), ("batch", ["--batch"])):
+            assert main(
+                ["query", "--index", str(index_dir), "--queries", str(queries),
+                 "--k", "5"] + query_flags + extra
+            ) == 0
+            outputs[mode] = capsys.readouterr().out
+
+        # Both runs query the same index: distances AND positions match.
+        def answers(out):
+            return [line.split(" path=")[0] for line in out.splitlines() if "d=[" in line]
+
+        assert len(answers(outputs["serial"])) == 8
+        assert answers(outputs["batch"]) == answers(outputs["serial"])
+        assert "leaf-sharing" in outputs["batch"]
+        assert "leaf-sharing" not in outputs["serial"]
