@@ -157,8 +157,8 @@ def exact_knn_batch(
     phases is amortized: the screen and refinement walls are split
     evenly across the queries.
     """
-    # Rounded to the stored dtype as the serial path rounds one query.
-    arr = np.asarray(queries, dtype=SERIES_DTYPE).astype(DISTANCE_DTYPE)
+    # In the stored dtype, as the serial path takes one query.
+    arr = np.asarray(queries, dtype=SERIES_DTYPE)
     num_queries = arr.shape[0]
     stats = BatchStats(num_queries=num_queries)
     if num_queries == 0:
@@ -243,9 +243,20 @@ def exact_knn_batch(
             for state, lclist, cands in zip(states, lclists, candidates)
         ]
         refined_before = sum(s.profile.distance_computations for s in states)
+        # The leaves each query refined rows of; a chunk read's leaf-cache
+        # lookups are charged to the first query it served.
         leaves_used = np.zeros((num_queries, len(table.leaves)), dtype=bool)
+
+        def account(users, lookups):
+            for qi, starts in users:
+                leaves_used[qi, table.leaf_of(starts)] = True
+            if lookups is not None:
+                charged = states[users[0][0]].profile
+                charged.cache_hits += lookups.hits
+                charged.cache_misses += lookups.misses
+
         with obs.span("query.batch.refine") as sp:
-            _refine_runs(states, extents, leaves_used=leaves_used)
+            _refine_runs(states, extents, account=account)
             stats.unique_leaf_reads = int(np.count_nonzero(leaves_used.any(axis=0)))
             stats.leaf_uses = int(np.count_nonzero(leaves_used))
             sp.set_attrs(

@@ -62,7 +62,7 @@ from repro.storage.dataset import Dataset
 from repro.storage.files import SeriesFile, SymbolFile
 from repro.storage.iostats import IOSnapshot, IOStats
 from repro.summarization.sax import SaxSpace
-from repro.types import as_queries
+from repro.types import as_series
 
 logger = logging.getLogger(__name__)
 
@@ -376,7 +376,7 @@ class HerculesIndex:
         self._check_open()
         effective = config if config is not None else self.config
         return exact_knn(
-            as_queries(query, self.series_length),
+            as_series(query, self.series_length),
             k,
             effective,
             self._table,
@@ -414,7 +414,7 @@ class HerculesIndex:
         self._check_open()
         effective = config if config is not None else self.config
         return exact_knn_batch(
-            as_queries(queries, self.series_length, ndim=2),
+            as_series(queries, self.series_length, ndim=2),
             k,
             effective,
             self._table,
@@ -442,7 +442,7 @@ class HerculesIndex:
         if l_max is not None:
             config = config.with_options(l_max=l_max)
         return approximate_knn(
-            as_queries(query, self.series_length),
+            as_series(query, self.series_length),
             k,
             config,
             self._table,
@@ -469,7 +469,7 @@ class HerculesIndex:
         self._check_open()
         effective = config if config is not None else self.config
         return progressive_knn(
-            as_queries(query, self.series_length),
+            as_series(query, self.series_length),
             k,
             effective,
             self._table,

@@ -61,7 +61,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -683,7 +683,7 @@ def _refine_runs(
     states: list,
     extents: list,
     workers: Optional[int] = None,
-    leaves_used: Optional[np.ndarray] = None,
+    account: Optional[Callable] = None,
 ) -> None:
     """Refine Q ≥ 1 queries' file-ordered candidates with real distances,
     chunk by chunk.
@@ -717,13 +717,12 @@ def _refine_runs(
 
     ``workers`` fans the chunk list out over that many CRWorker threads,
     a contiguous slice each; ``None`` refines on the calling thread.
-    ``leaves_used``, a ``(Q, leaves)`` bool matrix, receives the leaves
-    each query refined rows of; given it, each chunk read's leaf-cache
-    lookups are also charged to the first query in the chunk (a single
-    query takes the cache delta over its whole search instead).
+    ``account``, if given, is called after each chunk's read as
+    ``account(users, lookups)``: ``users`` lists ``(i, starts)`` — each
+    query the chunk served and the starts of its extents there — and
+    ``lookups`` is the read's leaf-cache delta (None without a cache).
     """
-    first = states[0]
-    lrd, length = first.lrd, first.query.shape[0]
+    lrd, length = states[0].lrd, states[0].query.shape[0]
     if len(states) == 1:  # the union is the query's own list
         cuts = _chunk_cuts(extents[0][1])
         edges = [cuts]
@@ -737,7 +736,7 @@ def _refine_runs(
         firsts = starts[cuts[:-1]]
         edges = [np.searchsorted(ext[0], firsts).tolist() + [len(ext[0])] for ext in extents]
     # Query i's extents in chunk c are edges[i][c]:edges[i][c + 1].
-    cache = lrd.cache if leaves_used is not None else None
+    cache = lrd.cache if account is not None else None
     profile_lock = threading.Lock()
 
     def refine(part: range) -> None:
@@ -786,11 +785,11 @@ def _refine_runs(
                     rows = max(len(positions), _CHUNK_ROWS)
                     buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
                 data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
-            if cache is not None:
-                delta = cache.snapshot() - cache_before
-                charged = states[active[0][0]].profile
-                charged.cache_hits += delta.hits
-                charged.cache_misses += delta.misses
+            if account is not None:
+                account(
+                    [(user[0], user[2]) for user in active],
+                    cache.snapshot() - cache_before if cache is not None else None,
+                )
 
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.
@@ -821,9 +820,6 @@ def _refine_runs(
                     states[i].results.update_batch_squared(squared[row, rows], positions[rows])
                     refined[i] += len(rows)
                     points[i] += int(compared[row])
-            if leaves_used is not None:
-                for i, _bsf, kept_starts, _sizes in active:
-                    leaves_used[i, first.table.leaf_of(kept_starts)] = True
         with profile_lock:
             for state, rows, compared in zip(states, refined, points):
                 state.profile.series_accessed += rows

@@ -74,7 +74,7 @@ from repro.retry import RetryPolicy
 from repro.storage import manifest as manifest_mod
 from repro.storage.dataset import Dataset
 from repro.storage.iostats import IOSnapshot
-from repro.types import as_queries
+from repro.types import as_series
 
 logger = logging.getLogger(__name__)
 
@@ -617,7 +617,7 @@ class ShardedIndex:
         raises for the whole batch.
         """
         self._check_open()
-        arr = as_queries(queries, self.series_length, ndim=2)
+        arr = as_series(queries, self.series_length, ndim=2)
         effective = config if config is not None else self.config
         policy = effective.retry_policy()
         allow_partial = (
@@ -691,7 +691,7 @@ class ShardedIndex:
     ) -> ShardedQueryAnswer:
         """Scatter, gather, then apply the degradation policy."""
         self._check_open()
-        query = as_queries(query, self.series_length)
+        query = as_series(query, self.series_length)
         effective = config if config is not None else self.config
         policy = effective.retry_policy()
         allow_partial = (

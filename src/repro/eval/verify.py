@@ -80,6 +80,28 @@ def verify_exactness(
     return report
 
 
+def epsilon_failures(
+    answers,
+    data: np.ndarray,
+    queries: np.ndarray,
+    epsilon: float,
+    k: int = 10,
+    atol: float = 1e-6,
+) -> list[str]:
+    """The ε-approximate guarantee, answer by answer: one failure line
+    per answer whose kth distance exceeds (1+ε)·exact kth."""
+    failures = []
+    for i, (query, answer) in enumerate(zip(np.asarray(queries), answers)):
+        expected = _brute_force(data, query, k)
+        bound = (1.0 + epsilon) * expected[-1] + atol
+        if answer.distances[-1] > bound:
+            failures.append(
+                f"query {i}: kth distance {answer.distances[-1]:.6f} "
+                f"exceeds guarantee {bound:.6f}"
+            )
+    return failures
+
+
 def verify_epsilon(
     index,
     data: np.ndarray,
@@ -87,32 +109,14 @@ def verify_epsilon(
     epsilon: float,
     k: int = 10,
     atol: float = 1e-6,
-    config=None,
-    batch: bool = False,
 ) -> VerificationReport:
-    """Check the ε-approximate guarantee: reported kth ≤ (1+ε)·exact kth.
-
-    ``config`` (default: the index's own) supplies every other query
-    setting; ``batch`` answers the queries with one ``knn_batch`` call
-    instead of a ``knn`` call each.
-    """
-    config = (config if config is not None else index.config).with_options(epsilon=epsilon)
+    """Check the ε-approximate guarantee: reported kth ≤ (1+ε)·exact kth."""
+    config = index.config.with_options(epsilon=epsilon)
     queries = np.asarray(queries)
-    report = VerificationReport(
-        method=f"Hercules(epsilon={epsilon}{', batch' if batch else ''})",
+    answers = (index.knn(query, k=k, config=config) for query in queries)
+    return VerificationReport(
+        method=f"Hercules(epsilon={epsilon})",
         queries_checked=int(queries.shape[0]),
         k=k,
+        failures=epsilon_failures(answers, data, queries, epsilon, k=k, atol=atol),
     )
-    if batch:
-        answers = index.knn_batch(queries, k=k, config=config)
-    else:
-        answers = (index.knn(query, k=k, config=config) for query in queries)
-    for i, (query, answer) in enumerate(zip(queries, answers)):
-        expected = _brute_force(data, query, k)
-        bound = (1.0 + epsilon) * expected[-1] + atol
-        if answer.distances[-1] > bound:
-            report.failures.append(
-                f"query {i}: kth distance {answer.distances[-1]:.6f} "
-                f"exceeds guarantee {bound:.6f}"
-            )
-    return report

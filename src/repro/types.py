@@ -9,6 +9,8 @@ summation order across methods and thread schedules.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 #: dtype of raw data series values on disk and in buffers.
@@ -38,33 +40,27 @@ def as_series_matrix(data: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def as_series(data: np.ndarray) -> np.ndarray:
-    """Return ``data`` as a contiguous 1-D ``float32`` series."""
-    arr = np.asarray(data, dtype=SERIES_DTYPE)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a single 1-D series, got ndim={arr.ndim}")
-    return np.ascontiguousarray(arr)
+def as_series(
+    data: np.ndarray, length: Optional[int] = None, ndim: int = 1
+) -> np.ndarray:
+    """Return ``data`` as a contiguous ``float32`` series (``ndim`` 1) or
+    ``(Q, length)`` matrix of series (``ndim`` 2).
 
-
-def as_queries(queries: np.ndarray, series_length: int, ndim: int = 1) -> np.ndarray:
-    """Validate query input at an index's public entry point.
-
-    ``queries`` is one series (``ndim`` 1) or a ``(Q, series_length)``
-    batch (``ndim`` 2); returned as ``float32``, the precision every
-    query path computes from.  Raises ``ValueError`` for the wrong rank,
-    a length other than the index's ``series_length``, or a NaN or
-    infinite value — each of which would otherwise fail deep inside a
+    Given ``length`` — the series length of the index a query enters —
+    it also raises ``ValueError`` for any other length or a NaN or
+    infinite value, each of which would otherwise fail deep inside a
     query, or silently return an empty answer.
     """
-    arr = np.asarray(queries, dtype=SERIES_DTYPE)
+    arr = np.asarray(data, dtype=SERIES_DTYPE)
     if arr.ndim != ndim:
-        expected = "a single 1-D query series" if ndim == 1 else "a 2-D (Q, series_length) query matrix"
-        raise ValueError(f"expected {expected}, got shape {arr.shape}")
-    if arr.shape[-1] != series_length:
-        raise ValueError(
-            f"query length {arr.shape[-1]} does not match the index's series "
-            f"length {series_length}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError("query holds NaN or infinite values")
-    return arr
+        expected = "a single 1-D series" if ndim == 1 else "a 2-D (Q, length) matrix"
+        raise ValueError(f"expected {expected}, got ndim={arr.ndim}")
+    if length is not None:
+        if arr.shape[-1] != length:
+            raise ValueError(
+                f"query length {arr.shape[-1]} does not match the index's series "
+                f"length {length}"
+            )
+        if not np.isfinite(arr).all():
+            raise ValueError("query holds NaN or infinite values")
+    return np.ascontiguousarray(arr)
