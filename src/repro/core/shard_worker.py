@@ -15,12 +15,14 @@ picklable under every ``multiprocessing`` start method:
 
 * **query workers** (:func:`query_worker_main`) are *persistent*: each
   owns a subset of the opened shards for the life of the pool and
-  answers ``("query", ...)`` requests over a pipe.  They prune against
-  the coordinator's global BSF² through :class:`ProcessBsf` — a raw
-  shared double guarded by a process-shared lock, read through the same
-  :class:`~repro.core.results.LinkedResultSet` the thread path uses
-  (refreshed once per refinement chunk) — and reply with shard answers whose positions are already
-  globalized (``row_base`` added).
+  answers one kind of request over a pipe, ``("query", ...)`` carrying
+  a ``(Q, n)`` block of Q ≥ 1 queries.  Each query prunes against its
+  own global BSF² — one cell of a :class:`ProcessBsfVector`, read
+  through the same :class:`~repro.core.results.LinkedResultSet` the
+  thread path uses (refreshed once per refinement chunk) — and replies
+  carry shard answers whose positions are already globalized
+  (``row_base`` added).  Both paths answer a shard through one routine,
+  :func:`answer_shard`.
 
 Both coordinators *supervise* their workers (ParIS+/MESSI treat worker
 failure as a first-class concern, and so does this engine):
@@ -69,20 +71,27 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
+from repro.core.batch_query import BatchAnswer, BatchStats
 from repro.core.config import HerculesConfig
 from repro.core.results import LinkedResultSet
-from repro.errors import ShardError, ShardTimeoutError, WorkerSupervisionError
+from repro.errors import (
+    ShardError,
+    ShardTimeoutError,
+    StorageError,
+    WorkerSupervisionError,
+)
 from repro.retry import RetryPolicy
 from repro.storage import faults
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "RETRYABLE",
     "GatherOutcome",
-    "ProcessBsf",
     "ProcessBsfVector",
     "ShardQueryPool",
     "SupervisionReport",
+    "answer_shard",
     "build_shards_in_processes",
     "build_worker_main",
     "mp_context",
@@ -96,6 +105,10 @@ _ESCALATION_GRACE = 5.0
 #: Cells in the pool's shared per-query BSF² vector; batches larger than
 #: this are chunked by the coordinator (one scatter per chunk).
 _BSF_VECTOR_CAPACITY = 256
+
+#: Shard faults a scatter retries (and may degrade past).  Any other
+#: exception is a caller error: it propagates unretried and undegraded.
+RETRYABLE = (StorageError, ShardError, OSError)
 
 
 def mp_context():
@@ -149,46 +162,13 @@ def reap_processes(procs, timeout: float, label: str) -> int:
     return escalated
 
 
-class ProcessBsf:
-    """A process-shared global BSF² cell (the cross-process link).
-
-    Same contract as :class:`~repro.core.results.SharedBsf`, backed by a
-    raw shared ``double`` plus a process-shared lock.  A raw value (not
-    the synchronized ``multiprocessing.Value`` wrapper) keeps reads from
-    paying a semaphore acquire *twice*; the explicit lock on both sides
-    rules out torn reads of the 8-byte cell on exotic platforms.
-    :class:`~repro.core.results.LinkedResultSet` re-reads the cell only at
-    refinement chunk boundaries, which keeps the lock off the hot path.
-    """
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self, ctx=None) -> None:
-        ctx = ctx if ctx is not None else mp_context()
-        self._value = ctx.RawValue(ctypes.c_double, math.inf)
-        self._lock = ctx.Lock()
-
-    def get(self) -> float:
-        with self._lock:
-            return self._value.value
-
-    def publish(self, value: float) -> None:
-        with self._lock:
-            if value < self._value.value:
-                self._value.value = value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value.value = math.inf
-
-
 class _BsfCell:
     """One query's view into a :class:`ProcessBsfVector` slot.
 
-    Duck-typed to the :class:`~repro.core.results.SharedBsf` contract
-    (``get``/``publish``/``reset``) so a
-    :class:`~repro.core.results.LinkedResultSet` can link to one slot of
-    the batch vector exactly as it links to a scalar cell.
+    Duck-typed to the ``get``/``publish`` half of the
+    :class:`~repro.core.results.SharedBsf` contract, so a
+    :class:`~repro.core.results.LinkedResultSet` links to one slot of
+    the vector exactly as it links to a thread-shared cell.
     """
 
     __slots__ = ("_vector", "_index")
@@ -203,20 +183,21 @@ class _BsfCell:
     def publish(self, value: float) -> None:
         self._vector.publish(self._index, value)
 
-    def reset(self) -> None:
-        self._vector.reset_cell(self._index)
-
 
 class ProcessBsfVector:
-    """A process-shared vector of per-query BSF² cells (batch broadcast).
+    """A process-shared vector of per-query BSF² cells (the cross-process link).
 
-    The batched scatter needs one global bound *per query in flight*:
-    a single :class:`ProcessBsf` would let query A's tight bound prune
-    query B's candidates, which is wrong.  One ``RawArray`` of doubles
-    under one process-shared lock keeps the whole vector in a single
-    shared mapping created once at pool start (pipes never carry BSF
-    traffic); workers address individual slots through :meth:`cell`
-    views.  Capacity is fixed at creation — coordinators chunk larger
+    A scatter needs one global bound *per query in flight*: one shared
+    cell would let query A's tight bound prune query B's candidates,
+    which is wrong.  One ``RawArray`` of doubles under one
+    process-shared lock keeps the whole vector in a single shared
+    mapping created once at pool start (pipes never carry BSF traffic);
+    workers address individual slots through :meth:`cell` views.  A raw
+    array (not the synchronized wrapper) keeps reads from paying a
+    semaphore acquire twice, and
+    :class:`~repro.core.results.LinkedResultSet` re-reads its cell only
+    at refinement chunk boundaries, which keeps the lock off the hot
+    path.  Capacity is fixed at creation — coordinators chunk larger
     batches.
     """
 
@@ -239,15 +220,10 @@ class ProcessBsfVector:
             if value < self._values[index]:
                 self._values[index] = value
 
-    def reset_cell(self, index: int) -> None:
+    def reset(self, count: int) -> None:
+        """Back to +inf for cells ``[0, count)``: the next scatter's queries."""
         with self._lock:
-            self._values[index] = math.inf
-
-    def reset(self) -> None:
-        """Reset every cell (the coordinator calls this per scatter)."""
-        with self._lock:
-            for index in range(self.capacity):
-                self._values[index] = math.inf
+            self._values[:count] = [math.inf] * count
 
     def cell(self, index: int) -> _BsfCell:
         if not 0 <= index < self.capacity:
@@ -590,39 +566,68 @@ def build_shards_in_processes(
 # ---------------------------------------------------------------------------
 
 
+def answer_shard(
+    index,
+    queries: np.ndarray,
+    k: int,
+    mode: str,
+    config: Optional[HerculesConfig],
+    l_max: Optional[int],
+    links: list,
+    row_base: int,
+) -> BatchAnswer:
+    """One shard's answers to a ``(Q, n)`` query block, positions global.
+
+    ``mode`` is the public call being served — ``"knn"`` or
+    ``"knn_approx"`` (Q = 1) or ``"knn_batch"`` — and the same method is
+    called on the shard.  Query ``qi`` prunes through a
+    :class:`~repro.core.results.LinkedResultSet` linked to ``links[qi]``
+    (a thread-shared or process-shared cell), so a bound any shard finds
+    prunes that query everywhere and never another query.  The thread
+    scatter and the query workers both answer a shard through here.
+    """
+    results = [LinkedResultSet(k, link) for link in links]
+    if mode == "knn_batch":
+        batch = index.knn_batch(queries, k=k, config=config, results=results)
+    elif mode == "knn":
+        answer = index.knn(queries[0], k=k, config=config, results=results[0])
+        batch = BatchAnswer([answer], BatchStats(num_queries=1))
+    else:
+        answer = index.knn_approx(
+            queries[0], k=k, l_max=l_max, results=results[0]
+        )
+        batch = BatchAnswer([answer], BatchStats(num_queries=1))
+    for answer in batch:
+        answer.positions = answer.positions + row_base
+    return batch
+
+
 def query_worker_main(
     conn,
     specs: list,
     cache_bytes_per_shard: int,
     verify: str,
-    bsf_link: ProcessBsf,
-    bsf_vector: Optional[ProcessBsfVector] = None,
+    bsf_vector: ProcessBsfVector,
 ) -> None:
     """Entry point of one persistent query worker process.
 
     ``specs`` is a list of ``(shard_id, directory, row_base)`` this
     worker owns.  The protocol over ``conn``:
 
-    * ``("query", query, k, mode, config_fields_or_None, l_max,
-      shard_ids_or_None)`` → ``("ok", [(shard_id, answer), ...],
-      [(shard_id, error_text), ...])`` with globalized positions —
-      per-shard failures are *collected*, not fatal, so one bad shard
-      does not void its siblings' work, and a retry can target just the
-      failed subset via ``shard_ids``;
-    * ``("query_batch", queries, k, config_fields_or_None,
+    * ``("query", queries, k, mode, config_fields_or_None, l_max,
       shard_ids_or_None)`` → ``("ok", [(shard_id, batch_answer), ...],
-      errors)`` — ONE round-trip answers the whole batch on every owned
-      shard through :meth:`~repro.core.index.HerculesIndex.knn_batch`,
-      each query pruning against its own slot of the shared
-      :class:`ProcessBsfVector`;
+      [(shard_id, error_text), ...])``: every owned shard answers the
+      ``(Q, n)`` block through :func:`answer_shard`, query ``qi``
+      pruning against cell ``qi`` of the shared ``bsf_vector``.
+      :data:`RETRYABLE` shard faults are *collected*, not fatal, so one
+      bad shard does not void its siblings' work, and a retry can
+      target just the failed subset via ``shard_ids``.  Any other
+      exception is a caller error and comes home as ``("raise",
+      exception)``;
     * ``("close",)`` (or EOF) → clean shutdown.
 
-    Every request prunes through a fresh
-    :class:`~repro.core.results.LinkedResultSet` per shard, all linked
-    to the coordinator's shared BSF² cell — so a tight bound found by
-    any process prunes every other process's remaining work.  Shipped
-    fault plans targeting any owned shard are installed for the worker's
-    whole life (the chaos channel into query paths).
+    Shipped fault plans targeting any owned shard are installed for the
+    worker's whole life (the chaos channel into query paths).
     """
     from repro.core.index import HerculesIndex
 
@@ -643,43 +648,40 @@ def query_worker_main(
                 kind = message[0]
                 if kind == "close":
                     break
-                if kind == "query_batch":
-                    _serve_query_batch(conn, indexes, bsf_vector, message)
-                    continue
                 if kind != "query":  # pragma: no cover - protocol guard
                     conn.send(("error", f"unknown request {kind!r}"))
                     continue
-                _, query, k, mode, config_fields, l_max, only = message
+                _, queries, k, mode, config_fields, l_max, only = message
                 try:
                     config = (
                         HerculesConfig(**config_fields) if config_fields else None
                     )
+                    links = [
+                        bsf_vector.cell(qi) for qi in range(queries.shape[0])
+                    ]
                     out = []
                     shard_errors = []
                     for shard_id, row_base, index in indexes:
                         if only is not None and shard_id not in only:
                             continue
                         try:
-                            results = LinkedResultSet(k, bsf_link)
-                            if mode == "approx":
-                                answer = index.knn_approx(
-                                    query, k=k, l_max=l_max, results=results
+                            out.append(
+                                (
+                                    shard_id,
+                                    answer_shard(
+                                        index, queries, k, mode, config,
+                                        l_max, links, row_base,
+                                    ),
                                 )
-                            else:
-                                answer = index.knn(
-                                    query, k=k, config=config, results=results
-                                )
-                            answer.positions = answer.positions + row_base
-                            answer.profile.io = index.query_io.snapshot()
-                            index.query_io.reset()
-                            out.append((shard_id, answer))
-                        except Exception:
+                            )
+                        except RETRYABLE:
                             shard_errors.append(
                                 (shard_id, traceback.format_exc())
                             )
-                    conn.send(("ok", out, shard_errors))
-                except BaseException:
-                    conn.send(("error", traceback.format_exc()))
+                    reply = ("ok", out, shard_errors)
+                except Exception as exc:
+                    reply = ("raise", exc)
+                conn.send(reply)
     except BaseException:  # pragma: no cover - open failure surfaces below
         try:
             conn.send(("error", traceback.format_exc()))
@@ -691,57 +693,16 @@ def query_worker_main(
         conn.close()
 
 
-def _serve_query_batch(conn, indexes, bsf_vector, message) -> None:
-    """Answer one ``("query_batch", ...)`` request on every owned shard.
-
-    Each query in the batch links to its own cell of the shared BSF²
-    vector, so bounds broadcast across processes per query — never
-    between queries.  Per-query I/O is unattributable inside a shared
-    scan, so profiles ship with ``io=None`` (the merge tolerates it) and
-    the per-shard I/O counters are reset for the next request.
-    """
-    from repro.core.results import ResultSet
-
-    try:
-        _, queries, k, config_fields, only = message
-        config = HerculesConfig(**config_fields) if config_fields else None
-        num_queries = int(queries.shape[0])
-        out = []
-        shard_errors = []
-        for shard_id, row_base, index in indexes:
-            if only is not None and shard_id not in only:
-                continue
-            try:
-                if bsf_vector is not None and num_queries <= bsf_vector.capacity:
-                    results = [
-                        LinkedResultSet(k, bsf_vector.cell(qi))
-                        for qi in range(num_queries)
-                    ]
-                else:  # pragma: no cover - coordinator chunks to capacity
-                    results = [ResultSet(k) for _ in range(num_queries)]
-                batch = index.knn_batch(
-                    queries, k=k, config=config, results=results
-                )
-                for answer in batch:
-                    answer.positions = answer.positions + row_base
-                index.query_io.reset()
-                out.append((shard_id, batch))
-            except Exception:
-                shard_errors.append((shard_id, traceback.format_exc()))
-        conn.send(("ok", out, shard_errors))
-    except BaseException:
-        conn.send(("error", traceback.format_exc()))
-
-
 @dataclass
 class GatherOutcome:
     """One scatter-gather's raw outcome, before merge policy is applied.
 
-    ``pairs`` holds the ``(shard_id, answer)`` results that arrived;
-    ``shard_errors`` the ``(shard_id, reason)`` of every shard that
-    failed past its retries; ``retries``/``worker_restarts`` count what
-    the dispatch had to do.  :class:`~repro.core.sharding.ShardedIndex`
-    turns this into a degraded answer or a :class:`ShardError`.
+    ``pairs`` holds the ``(shard_id, batch_answer)`` results that
+    arrived, one answer per query in flight; ``shard_errors`` the
+    ``(shard_id, reason)`` of every shard that failed past its retries;
+    ``retries``/``worker_restarts`` count what the dispatch had to do.
+    :class:`~repro.core.sharding.ShardedIndex` turns this into a
+    degraded answer or a :class:`ShardError`.
     """
 
     pairs: list = field(default_factory=list)
@@ -756,9 +717,10 @@ class ShardQueryPool:
     Shards are distributed round-robin over ``workers`` processes; each
     worker opens its shards once (cold) and keeps them — and their leaf
     caches — warm across queries, matching the paper's asynchronous
-    warm-cache workload model.  One :class:`ProcessBsf` cell links every
-    worker's pruning to the global best-so-far; the coordinator resets
-    it before each scatter.
+    warm-cache workload model.  A :class:`ProcessBsfVector` links every
+    worker's pruning to each query's global best-so-far; the
+    coordinator resets the cells of the queries in flight before each
+    scatter.
 
     Dispatch is fault-tolerant: per-shard errors reported by a live
     worker are retried per the :class:`~repro.retry.RetryPolicy`; a
@@ -780,7 +742,6 @@ class ShardQueryPool:
         join_timeout: float = 10.0,
     ) -> None:
         self._ctx = mp_context()
-        self.bsf = ProcessBsf(self._ctx)
         self.bsf_vector = ProcessBsfVector(self._ctx)
         self._cache_bytes = cache_bytes_per_shard
         self._verify = verify
@@ -816,7 +777,6 @@ class ShardQueryPool:
                 self._groups[i],
                 self._cache_bytes,
                 self._verify,
-                self.bsf,
                 self.bsf_vector,
             ),
             daemon=True,
@@ -880,26 +840,42 @@ class ShardQueryPool:
                 f"query worker {worker} process died (pipe closed)"
             ) from None
 
+    @property
+    def batch_capacity(self) -> int:
+        """Queries one scatter can carry (BSF vector slots)."""
+        return self.bsf_vector.capacity
+
     def query(
         self,
-        query: np.ndarray,
+        queries: np.ndarray,
         k: int,
-        mode: str = "exact",
-        config: Optional[HerculesConfig] = None,
-        l_max: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
+        mode: str,
+        config: Optional[HerculesConfig],
+        l_max: Optional[int],
+        policy: RetryPolicy,
     ) -> GatherOutcome:
-        """Scatter one query to every worker; gather a :class:`GatherOutcome`.
+        """Scatter a ``(Q, n)`` query block: ONE round-trip per worker.
 
-        Gathered pairs are sorted by shard id; positions are global.
-        Worker failures are retried/restarted per ``policy``; whatever
-        still fails lands in ``outcome.shard_errors``.
+        ``mode`` is the public call being served (see
+        :func:`answer_shard`).  The block must fit :attr:`batch_capacity`
+        (the coordinator chunks larger batches); per-query BSF² bounds
+        broadcast through the shared :class:`ProcessBsfVector`, whose
+        first Q cells are reset here.  Gathered pairs are ``(shard_id,
+        BatchAnswer)`` sorted by shard id, positions global.  Worker
+        failures are retried/restarted per ``policy``; whatever still
+        fails lands in ``outcome.shard_errors``.  A caller error a
+        worker ships home is raised once every worker has replied.
         """
-        policy = policy if policy is not None else RetryPolicy()
-        self.bsf.reset()
+        queries = np.ascontiguousarray(queries)
+        if queries.shape[0] > self.batch_capacity:
+            raise ValueError(
+                f"batch of {queries.shape[0]} exceeds the pool's "
+                f"{self.batch_capacity}-query scatter capacity"
+            )
+        self.bsf_vector.reset(queries.shape[0])
         payload = (
             "query",
-            np.ascontiguousarray(query),
+            queries,
             int(k),
             mode,
             dataclasses.asdict(config) if config is not None else None,
@@ -913,64 +889,23 @@ class ShardQueryPool:
                 conn.send(payload)
             except (BrokenPipeError, OSError):
                 pass  # death is handled during this worker's gather
+        caller_error = None
         for i in range(len(self._conns)):
-            self._gather_worker(i, payload, policy, started, outcome)
-        outcome.pairs.sort(key=lambda pair: pair[0])
-        return outcome
-
-    @property
-    def batch_capacity(self) -> int:
-        """Queries one batched scatter can carry (BSF vector slots)."""
-        return self.bsf_vector.capacity
-
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        config: Optional[HerculesConfig] = None,
-        policy: Optional[RetryPolicy] = None,
-    ) -> GatherOutcome:
-        """Scatter a whole query batch: ONE round-trip per worker.
-
-        Mirrors :meth:`query`, but the payload carries the (Q, n) block
-        and gathered pairs are ``(shard_id, BatchAnswer)``.  The batch
-        must fit :attr:`batch_capacity` (the coordinator chunks larger
-        workloads); per-query BSF² bounds broadcast through the shared
-        :class:`ProcessBsfVector`, reset here before the scatter.
-        Failure handling — retries, restarts, ``only``-subset resends —
-        is the same machinery the single-query path uses.
-        """
-        queries = np.ascontiguousarray(queries)
-        if queries.shape[0] > self.batch_capacity:
-            raise ValueError(
-                f"batch of {queries.shape[0]} exceeds the pool's "
-                f"{self.batch_capacity}-query scatter capacity"
-            )
-        policy = policy if policy is not None else RetryPolicy()
-        self.bsf_vector.reset()
-        payload = (
-            "query_batch",
-            queries,
-            int(k),
-            dataclasses.asdict(config) if config is not None else None,
-            None,
-        )
-        started = time.monotonic()
-        outcome = GatherOutcome()
-        for conn in self._conns:
-            try:
-                conn.send(payload)
-            except (BrokenPipeError, OSError):
-                pass  # death is handled during this worker's gather
-        for i in range(len(self._conns)):
-            self._gather_worker(i, payload, policy, started, outcome)
+            exc = self._gather_worker(i, payload, policy, started, outcome)
+            caller_error = caller_error or exc
+        if caller_error is not None:
+            raise caller_error
         outcome.pairs.sort(key=lambda pair: pair[0])
         return outcome
 
     def _gather_worker(
         self, i: int, payload, policy: RetryPolicy, started: float, outcome
-    ) -> None:
-        """Collect worker ``i``'s reply, retrying/restarting on failure."""
+    ) -> Optional[Exception]:
+        """Collect worker ``i``'s reply, retrying/restarting on failure.
+
+        Returns the caller error the worker shipped home, if any; it is
+        not a shard fault, so it is neither retried nor degraded past.
+        """
         shard_ids = [sid for sid, _, _ in self._groups[i]]
         pending = set(shard_ids)
         attempt = 1
@@ -980,6 +915,8 @@ class ShardQueryPool:
                 reply = self._recv(
                     self._conns[i], i, timeout=self._wait_budget(policy, started)
                 )
+                if reply[0] == "raise":
+                    return reply[1]
                 if reply[0] == "error":
                     raise ShardError(
                         f"query worker {i} failed:\n{reply[1]}"

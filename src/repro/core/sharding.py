@@ -44,7 +44,7 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -55,10 +55,12 @@ from repro.core.batch_query import BatchAnswer, BatchStats
 from repro.core.config import HerculesConfig
 from repro.core.index import BuildReport, HerculesIndex
 from repro.core.query import QueryAnswer, QueryProfile
-from repro.core.results import LinkedResultSet, SharedBsf
+from repro.core.results import SharedBsf
 from repro.core.shard_worker import (
+    RETRYABLE,
     GatherOutcome,
     ShardQueryPool,
+    answer_shard,
     build_shards_in_processes,
 )
 from repro.errors import (
@@ -68,7 +70,6 @@ from repro.errors import (
     ReproError,
     ShardError,
     ShardTimeoutError,
-    StorageError,
 )
 from repro.retry import RetryPolicy
 from repro.storage import manifest as manifest_mod
@@ -249,6 +250,14 @@ def _merge_pairs(
         shard_errors=tuple(shard_errors),
         retries=retries,
     )
+
+
+def _add_stats(total: BatchStats, part: BatchStats) -> None:
+    """Sum one shard's (or chunk's) work counters into ``total``."""
+    total.unique_leaf_reads += part.unique_leaf_reads
+    total.leaf_uses += part.leaf_uses
+    total.kernel_rows += part.kernel_rows
+    total.screen_seconds += part.screen_seconds
 
 
 def _revive_report(doc: dict) -> BuildReport:
@@ -574,10 +583,11 @@ class ShardedIndex:
     ) -> ShardedQueryAnswer:
         """Exact k-NN, scatter-gather over every shard.
 
-        Value-identical to a single index over the same rows: each shard
-        runs the ordinary four-phase search pruning against the shared
-        global BSF², and the coordinator keeps the k smallest of the
-        union.
+        At ε = 0 value-identical to a single index over the same rows:
+        each shard runs the ordinary four-phase search pruning against
+        the shared global BSF², and the coordinator keeps the k smallest
+        of the union.  This is the Q = 1 call of the scatter
+        :meth:`knn_batch` uses.
 
         Shard failures are retried per the configuration's
         :meth:`~repro.core.config.HerculesConfig.retry_policy`.  A shard
@@ -585,84 +595,14 @@ class ShardedIndex:
         query refuses to silently degrade — unless ``partial_results``
         (argument, else ``config.partial_results``) allows dropping it,
         in which case the answer comes back with ``degraded=True``,
-        ``coverage`` < 1 and the dropped shards in ``shard_errors``.
-        """
-        return self._query(query, k, "exact", config, None, partial_results)
-
-    def knn_batch(
-        self,
-        queries: np.ndarray,
-        k: int = 1,
-        config: Optional[HerculesConfig] = None,
-        partial_results: Optional[bool] = None,
-    ) -> BatchAnswer:
-        """Exact k-NN for a whole query batch: one scatter per shard.
-
-        Each shard answers the complete batch through its own
-        :meth:`HerculesIndex.knn_batch` (one shared refinement walk,
-        multi-query kernel calls) in a single dispatch — one pool round-trip per worker
-        per batch instead of one per query — and per-query BSF² bounds
-        broadcast across shards through a vector of shared cells, so a
-        tight bound found by any shard prunes that query everywhere
-        without ever crossing queries.  The merged result is per-query
-        value-identical to :meth:`knn` run serially; batches larger than
-        the pool's BSF-vector capacity are chunked transparently.
-
-        Returns a :class:`~repro.core.batch_query.BatchAnswer` whose
-        entries are :class:`ShardedQueryAnswer`s (list-compatible with
-        the serial loop this replaces) and whose ``stats`` aggregate the
-        shards' leaf-sharing metrics.  Failure policy matches
-        :meth:`knn`, applied batch-wide: a dropped shard degrades every
-        query in the batch (same coverage), a refused degradation
-        raises for the whole batch.
+        ``coverage`` < 1 and the dropped shards in ``shard_errors``.  Any
+        other exception (a bad argument) propagates unretried.
         """
         self._check_open()
-        arr = as_series(queries, self.series_length, ndim=2)
-        effective = config if config is not None else self.config
-        policy = effective.retry_policy()
-        allow_partial = (
-            partial_results
-            if partial_results is not None
-            else effective.partial_results
-        )
-        if arr.shape[0] == 0:
-            return BatchAnswer([], BatchStats())
-        limit = (
-            self._pool.batch_capacity
-            if self._pool is not None
-            else arr.shape[0]
-        )
-        answers: list = []
-        stats = BatchStats(num_queries=arr.shape[0])
-        for start in range(0, arr.shape[0], limit):
-            chunk = arr[start : start + limit]
-            batch = self._query_batch(chunk, k, config, policy, allow_partial)
-            answers.extend(batch.answers)
-            stats.unique_leaf_reads += batch.stats.unique_leaf_reads
-            stats.leaf_uses += batch.stats.leaf_uses
-            stats.kernel_rows += batch.stats.kernel_rows
-            stats.screen_seconds += batch.stats.screen_seconds
-            stats.total_seconds += batch.stats.total_seconds
-        return BatchAnswer(answers, stats)
-
-    def _query_batch(
-        self,
-        arr: np.ndarray,
-        k: int,
-        config: Optional[HerculesConfig],
-        policy: RetryPolicy,
-        allow_partial: bool,
-    ) -> BatchAnswer:
-        """Scatter one capacity-bounded chunk; settle into answers."""
-        started = time.perf_counter()
-        if self._pool is not None:
-            outcome = self._pool.query_batch(arr, k, config=config, policy=policy)
-        else:
-            outcome = self._scatter_threads_batch(
-                arr, k, config=config, policy=policy
-            )
-        wall = time.perf_counter() - started
-        return self._settle_batch(arr.shape[0], k, outcome, allow_partial, wall)
+        query = as_series(query, self.series_length)
+        return self._scatter(
+            query[None], k, "knn", config, None, partial_results
+        )[0]
 
     def knn_approx(
         self,
@@ -678,20 +618,82 @@ class ShardedIndex:
         work than a single index at the same setting, and at least as
         good an answer.  Failure handling matches :meth:`knn`.
         """
-        return self._query(query, k, "approx", None, l_max, partial_results)
+        self._check_open()
+        query = as_series(query, self.series_length)
+        return self._scatter(
+            query[None], k, "knn_approx", None, l_max, partial_results
+        )[0]
 
-    def _query(
+    def knn_batch(
         self,
-        query: np.ndarray,
+        queries: np.ndarray,
+        k: int = 1,
+        config: Optional[HerculesConfig] = None,
+        partial_results: Optional[bool] = None,
+    ) -> BatchAnswer:
+        """Exact k-NN for a whole query batch: one scatter per shard.
+
+        Each shard answers the complete batch through its own
+        :meth:`HerculesIndex.knn_batch` (one shared refinement walk,
+        multi-query kernel calls) in a single dispatch — one pool
+        round-trip per worker per batch instead of one per query — and
+        per-query BSF² bounds broadcast across shards through one shared
+        cell per query, so a tight bound found by any shard prunes that
+        query everywhere without ever crossing queries.  At ε = 0 the
+        merged answers are per-query value-identical to :meth:`knn`; at
+        ε > 0 they meet the same (1 + ε) guarantee but may differ from
+        it, as :meth:`HerculesIndex.knn_batch` does.  Batches larger
+        than the pool's BSF-vector capacity are chunked transparently.
+
+        Returns a :class:`~repro.core.batch_query.BatchAnswer` whose
+        entries are :class:`ShardedQueryAnswer`s (list-compatible with
+        the serial loop this replaces) and whose ``stats`` aggregate the
+        shards' leaf-sharing metrics.  Failure policy matches
+        :meth:`knn`, applied batch-wide: a dropped shard degrades every
+        query in the batch (same coverage), a refused degradation
+        raises for the whole batch.
+        """
+        self._check_open()
+        arr = as_series(queries, self.series_length, ndim=2)
+        if arr.shape[0] == 0:
+            return BatchAnswer([], BatchStats())
+        limit = (
+            self._pool.batch_capacity
+            if self._pool is not None
+            else arr.shape[0]
+        )
+        answers: list = []
+        stats = BatchStats(num_queries=arr.shape[0])
+        for start in range(0, arr.shape[0], limit):
+            batch = self._scatter(
+                arr[start : start + limit],
+                k,
+                "knn_batch",
+                config,
+                None,
+                partial_results,
+            )
+            answers.extend(batch.answers)
+            _add_stats(stats, batch.stats)
+            stats.total_seconds += batch.stats.total_seconds
+        return BatchAnswer(answers, stats)
+
+    def _scatter(
+        self,
+        queries: np.ndarray,
         k: int,
         mode: str,
         config: Optional[HerculesConfig],
         l_max: Optional[int],
         partial_results: Optional[bool],
-    ) -> ShardedQueryAnswer:
-        """Scatter, gather, then apply the degradation policy."""
-        self._check_open()
-        query = as_series(query, self.series_length)
+    ) -> BatchAnswer:
+        """Scatter a ``(Q, n)`` block, gather, then apply the failure policy.
+
+        ``mode`` is the public call being served (``"knn"``,
+        ``"knn_approx"`` or ``"knn_batch"``); every shard answers it
+        through :func:`~repro.core.shard_worker.answer_shard`, in a pool
+        worker or in a coordinator thread.
+        """
         effective = config if config is not None else self.config
         policy = effective.retry_policy()
         allow_partial = (
@@ -701,46 +703,15 @@ class ShardedIndex:
         )
         started = time.perf_counter()
         if self._pool is not None:
-            outcome = self._pool.query(
-                query, k, mode=mode, config=config, l_max=l_max, policy=policy
-            )
+            outcome = self._pool.query(queries, k, mode, config, l_max, policy)
         else:
             outcome = self._scatter_threads(
-                query, k, mode=mode, config=config, l_max=l_max, policy=policy
+                queries, k, mode, config, l_max, policy
             )
         wall = time.perf_counter() - started
-        return self._settle(k, outcome, allow_partial, wall)
+        return self._settle(queries.shape[0], k, outcome, allow_partial, wall)
 
     def _settle(
-        self, k: int, outcome: GatherOutcome, allow_partial: bool, wall: float
-    ) -> ShardedQueryAnswer:
-        """Turn a raw gather outcome into an answer or a refusal.
-
-        Without partial-results the first failed shard raises (a
-        :class:`ShardTimeoutError` stays one); with it, failed shards
-        are dropped and the answer is flagged degraded with ``coverage``
-        equal to the searched row fraction.  Losing *every* shard always
-        raises — an empty answer is not a degraded answer.
-        """
-        coverage = self._degrade_or_raise(outcome, allow_partial)
-        obs.observe_query(
-            wall, coverage=coverage, degraded=bool(outcome.shard_errors)
-        )
-        return _merge_pairs(
-            k,
-            outcome.pairs,
-            self.num_leaves,
-            self.num_series,
-            wall,
-            coverage=coverage,
-            shard_errors=tuple(
-                (sid, _first_line(reason))
-                for sid, reason in outcome.shard_errors
-            ),
-            retries=outcome.retries,
-        )
-
-    def _settle_batch(
         self,
         num_queries: int,
         k: int,
@@ -748,16 +719,20 @@ class ShardedIndex:
         allow_partial: bool,
         wall: float,
     ) -> BatchAnswer:
-        """Per-query merge of a batched gather (pairs hold BatchAnswers).
+        """Turn a raw gather outcome into per-query answers or a refusal.
 
-        The degradation policy is applied once for the whole chunk —
-        every query shares the scatter's coverage and dropped-shard set.
-        Each query is then merged exactly as the serial path merges it
-        (:func:`_merge_pairs` over that query's per-shard answers); wall
-        time is amortized evenly, and the chunk's dispatch retries are
-        attributed to the first query so workload-level retry counts
-        stay accurate.  Shard-level :class:`BatchStats` (leaf reads and
-        uses, kernel rows, screen time) sum across shards.
+        Without partial-results the first failed shard raises (a
+        :class:`ShardTimeoutError` stays one); with it, failed shards
+        are dropped and every answer is flagged degraded with
+        ``coverage`` equal to the searched row fraction.  Losing *every*
+        shard always raises — an empty answer is not a degraded answer.
+
+        Each query is merged by :func:`_merge_pairs` over its per-shard
+        answers; wall time is amortized evenly, and the scatter's
+        dispatch retries are attributed to the first query so
+        workload-level retry counts stay accurate.  Shard-level
+        :class:`BatchStats` (leaf reads and uses, kernel rows, screen
+        time) sum across shards.
         """
         coverage = self._degrade_or_raise(outcome, allow_partial)
         degraded = bool(outcome.shard_errors)
@@ -765,7 +740,7 @@ class ShardedIndex:
             (sid, _first_line(reason))
             for sid, reason in outcome.shard_errors
         )
-        per_query_wall = wall / num_queries if num_queries else 0.0
+        per_query_wall = wall / num_queries
         merged = []
         for qi in range(num_queries):
             obs.observe_query(
@@ -785,10 +760,7 @@ class ShardedIndex:
             )
         stats = BatchStats(num_queries=num_queries, total_seconds=wall)
         for _, batch in outcome.pairs:
-            stats.unique_leaf_reads += batch.stats.unique_leaf_reads
-            stats.leaf_uses += batch.stats.leaf_uses
-            stats.kernel_rows += batch.stats.kernel_rows
-            stats.screen_seconds += batch.stats.screen_seconds
+            _add_stats(stats, batch.stats)
         return BatchAnswer(merged, stats)
 
     def _degrade_or_raise(
@@ -856,126 +828,43 @@ class ShardedIndex:
 
     def _scatter_threads(
         self,
-        query: np.ndarray,
-        k: int,
-        mode: str,
-        config: Optional[HerculesConfig] = None,
-        l_max: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
-    ) -> GatherOutcome:
-        """One thread per shard, all linked to one shared BSF² cell.
-
-        Each thread retries its shard per ``policy`` (only storage/OS
-        faults are retryable — a bad argument propagates immediately).
-        The whole-query ``policy.deadline`` bounds the join: a thread
-        still running past it is abandoned and its shard reported as
-        timed out.  Per-attempt ``shard_timeout`` is advisory on the
-        thread path (a running attempt cannot be interrupted in-thread;
-        it stops further retries once exceeded) — the process pool
-        enforces it preemptively.
-        """
-        policy = policy if policy is not None else RetryPolicy()
-        link = SharedBsf()
-
-        def attempt(shard_id: int, parent) -> tuple:
-            shard = self.shards[shard_id]
-            base = self.row_bases[shard_id]
-            with obs.span("query.shard", parent=parent, shard=shard_id):
-                io_before = shard.query_io.snapshot()
-                results = LinkedResultSet(k, link)
-                if mode == "approx":
-                    answer = shard.knn_approx(
-                        query, k=k, l_max=l_max, results=results
-                    )
-                else:
-                    answer = shard.knn(
-                        query, k=k, config=config, results=results
-                    )
-                answer.profile.io = shard.query_io.snapshot() - io_before
-                answer.positions = answer.positions + base
-                return (shard_id, answer)
-
-        return self._run_scatter(
-            attempt,
-            policy,
-            "query.sharded",
-            k=k,
-            shards=len(self.shards),
-            mode=mode,
-        )
-
-    def _scatter_threads_batch(
-        self,
         queries: np.ndarray,
         k: int,
-        config: Optional[HerculesConfig] = None,
-        policy: Optional[RetryPolicy] = None,
+        mode: str,
+        config: Optional[HerculesConfig],
+        l_max: Optional[int],
+        policy: RetryPolicy,
     ) -> GatherOutcome:
-        """One thread per shard, each answering the *whole* batch.
+        """One thread per shard, each answering the whole ``(Q, n)`` block.
 
-        Every query gets its own :class:`SharedBsf` cell; each shard
-        thread links one :class:`LinkedResultSet` per query to the
-        matching cell, so bounds broadcast across shards per query
-        without ever leaking between queries.  Retry/deadline handling
-        is the shared scatter scaffolding — a retried shard re-runs its
-        whole batch against the (already tightened) bound vector, which
-        only strengthens pruning and never the answers.
+        Every query gets its own :class:`SharedBsf` cell, so bounds
+        broadcast across shards per query without ever leaking between
+        queries.  Each thread retries its shard per ``policy`` (only
+        :data:`~repro.core.shard_worker.RETRYABLE` faults are retried —
+        a bad argument propagates immediately); a retried shard re-runs
+        its whole block against the already tightened bounds, which only
+        strengthens pruning.  The whole-call ``policy.deadline`` bounds
+        the join: a thread still running past it is abandoned and its
+        shard reported as timed out.  Per-attempt ``shard_timeout`` is
+        advisory here (a running attempt cannot be interrupted
+        in-thread; it stops further retries once exceeded) — the process
+        pool enforces it preemptively.
         """
-        policy = policy if policy is not None else RetryPolicy()
         num_queries = int(queries.shape[0])
         links = [SharedBsf() for _ in range(num_queries)]
-
-        def attempt(shard_id: int, parent) -> tuple:
-            shard = self.shards[shard_id]
-            base = self.row_bases[shard_id]
-            with obs.span(
-                "query.shard",
-                parent=parent,
-                shard=shard_id,
-                queries=num_queries,
-            ):
-                results = [
-                    LinkedResultSet(k, links[qi]) for qi in range(num_queries)
-                ]
-                batch = shard.knn_batch(
-                    queries, k=k, config=config, results=results
-                )
-                for answer in batch:
-                    answer.positions = answer.positions + base
-                return (shard_id, batch)
-
-        return self._run_scatter(
-            attempt,
-            policy,
-            "query.batch.sharded",
-            k=k,
-            shards=len(self.shards),
-            queries=num_queries,
-        )
-
-    def _run_scatter(
-        self,
-        attempt,
-        policy: RetryPolicy,
-        span_name: str,
-        **span_attrs,
-    ) -> GatherOutcome:
-        """Thread-per-shard fan-out with retries, deadline, and gather.
-
-        ``attempt(shard_id, parent_span)`` performs one dispatch and
-        returns the ``(shard_id, payload)`` pair to gather; only
-        storage/OS faults are retryable (a bad argument propagates
-        immediately).  The whole-call ``policy.deadline`` bounds the
-        join: a thread still running past it is abandoned and its shard
-        reported as timed out.
-        """
         pairs: list = [None] * len(self.shards)
         errors: list = [None] * len(self.shards)
         fatal: list[BaseException] = []
         outcome = GatherOutcome()
         retry_lock = threading.Lock()
         started = time.monotonic()
-        with obs.span(span_name, **span_attrs):
+        with obs.span(
+            "query.sharded",
+            k=k,
+            shards=len(self.shards),
+            mode=mode,
+            queries=num_queries,
+        ):
             parent = obs.current_span()
 
             def out_of_time(attempt_started: float) -> bool:
@@ -992,9 +881,27 @@ class ShardedIndex:
                 for attempt_no in range(1, policy.attempts + 1):
                     attempt_started = time.monotonic()
                     try:
-                        pairs[shard_id] = attempt(shard_id, parent)
+                        with obs.span(
+                            "query.shard",
+                            parent=parent,
+                            shard=shard_id,
+                            queries=num_queries,
+                        ):
+                            pairs[shard_id] = (
+                                shard_id,
+                                answer_shard(
+                                    self.shards[shard_id],
+                                    queries,
+                                    k,
+                                    mode,
+                                    config,
+                                    l_max,
+                                    links,
+                                    self.row_bases[shard_id],
+                                ),
+                            )
                         return
-                    except (StorageError, ShardError, OSError) as exc:
+                    except RETRYABLE as exc:
                         errors[shard_id] = (
                             f"{type(exc).__name__}: {exc} "
                             f"(after {attempt_no} attempts)"

@@ -536,3 +536,19 @@ class TestPoolParity:
                 )
         finally:
             pooled.close()
+
+    def test_pool_chunks_above_capacity(self, data, tmp_path):
+        from repro.core import open_index
+
+        directory = tmp_path / "chunked"
+        ShardedIndex.build(
+            data,
+            _config(num_shards=2, shard_workers=0),
+            directory=directory,
+        ).close()
+        pooled = open_index(directory, workers=2)
+        try:
+            many = _make_queries(data, pooled._pool.batch_capacity + 1, seed=5)
+            _assert_batch_matches_serial(pooled, many, k=3)
+        finally:
+            pooled.close()

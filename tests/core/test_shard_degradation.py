@@ -109,6 +109,15 @@ class TestExactModeRefusesSilentDegradation:
         _fail_shard(index, 1, exc=ValueError("bad query"))
         with pytest.raises(ValueError, match="bad query"):
             index.knn(query, k=5, partial_results=True)
+        # So is k = 0 on both scatter paths and both calls: a pool
+        # worker ships the error home rather than a shard fault.
+        for workers in (None, 2):
+            with ShardedIndex.open(index.directory, workers=workers) as fresh:
+                with pytest.raises(ValueError, match="k must be"):
+                    fresh.knn(query, k=0, partial_results=True)
+                with pytest.raises(ValueError, match="k must be"):
+                    fresh.knn_batch(query[None], k=0, partial_results=True)
+                assert not fresh.knn(query, k=5).degraded
 
 
 class TestPartialResults:

@@ -5,7 +5,7 @@ import multiprocessing
 import pytest
 
 from repro import obs
-from repro.core.shard_worker import ProcessBsf, mp_context
+from repro.core.shard_worker import ProcessBsfVector, mp_context
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -80,9 +80,9 @@ def _child_trace_state(queue):
     queue.put(obs.get_trace() is None)
 
 
-def _child_publish(bsf, queue):
-    bsf.publish(2.5)
-    queue.put(bsf.get())
+def _child_publish(vector, queue):
+    vector.cell(0).publish(2.5)
+    queue.put(vector.get(0))
 
 
 @fork_only
@@ -113,20 +113,24 @@ class TestCrossProcess:
         assert cleared, "forked child inherited the parent's active trace"
         assert obs.get_trace() is None  # use_trace restored the parent too
 
-    def test_process_bsf_is_shared(self):
+    def test_process_bsf_vector_is_shared(self):
         ctx = mp_context()
-        bsf = ProcessBsf(ctx)
+        vector = ProcessBsfVector(ctx, capacity=4)
         queue = ctx.Queue()
-        proc = ctx.Process(target=_child_publish, args=(bsf, queue))
+        proc = ctx.Process(target=_child_publish, args=(vector, queue))
         proc.start()
         seen_in_child = queue.get(timeout=30)
         proc.join(timeout=30)
         assert seen_in_child == 2.5
-        assert bsf.get() == 2.5  # the child's publish reached the parent
-        bsf.publish(9.0)
-        assert bsf.get() == 2.5  # worse bounds never regress
-        bsf.reset()
-        assert bsf.get() == float("inf")
+        assert vector.get(0) == 2.5  # the child's publish reached the parent
+        assert vector.get(1) == float("inf")  # bounds never cross queries
+        vector.cell(0).publish(9.0)
+        assert vector.get(0) == 2.5  # worse bounds never regress
+        vector.cell(1).publish(4.0)
+        vector.cell(2).publish(6.0)
+        vector.reset(2)  # a two-query scatter resets only its cells
+        assert vector.get(0) == vector.get(1) == float("inf")
+        assert vector.get(2) == 6.0
 
 
 class TestSpanAbsorption:

@@ -649,27 +649,38 @@ class TestShardedCLI:
         assert "2 shards" in out
         return index_dir
 
+    @pytest.mark.parametrize("workers", ["0", "2"])
     def test_query_matches_unsharded_build(
-        self, dataset_file, sharded_dir, tmp_path, capsys
+        self, dataset_file, tmp_path, capsys, workers
     ):
-        plain_dir = tmp_path / "plain"
-        code = main(
-            [
-                "build",
-                "--dataset", str(dataset_file),
-                "--length", "32",
-                "--output", str(plain_dir),
-                "--leaf-capacity", "50",
-                "--threads", "1",
-                "--shards", "1",
-            ]
+        # workers="2" builds and queries through the process pool.
+        def build(name, *extra):
+            code = main(
+                [
+                    "build",
+                    "--dataset", str(dataset_file),
+                    "--length", "32",
+                    "--output", str(tmp_path / name),
+                    "--leaf-capacity", "50",
+                    "--threads", "1",
+                    *extra,
+                ]
+            )
+            assert code == 0
+            return tmp_path / name
+
+        plain_dir = build("plain", "--shards", "1")
+        sharded_dir = build(
+            "sharded", "--shards", "2", "--shard-workers", workers
         )
-        assert code == 0
         capsys.readouterr()
         query_args = ["--queries", str(dataset_file), "--k", "3", "--count", "2"]
         assert main(["query", "--index", str(plain_dir)] + query_args) == 0
         plain_out = capsys.readouterr().out
-        assert main(["query", "--index", str(sharded_dir)] + query_args) == 0
+        assert main(
+            ["query", "--index", str(sharded_dir), "--shard-workers", workers]
+            + query_args
+        ) == 0
         sharded_out = capsys.readouterr().out
         # Distances printed per query must agree exactly across layouts
         # (positions are storage-order and paths differ by design).
