@@ -5,8 +5,8 @@ Not a paper figure: this pins the perf properties of
 (Q x nodes) bound pass and one refinement walk (one read and one
 multi-query kernel call per chunk) instead of Q independent searches —
 
-* at Q = 64 the batched workload completes at >= 1.5x the serial loop's
-  throughput on the same index (1.57-1.67x measured),
+* at Q = 64 the batched workload completes at >= 1.65x the serial loop's
+  throughput on the same index (1.67-2.08x measured),
 * the walk reads far fewer leaves than its queries refine from in
   total (the leaf-share factor), and
 * every per-query answer is bit-for-bit the serial answer.
@@ -169,12 +169,15 @@ def test_batched_workload(index_dir, data, queries):
         )
         # Both arms run the same screening kernel on 1 024-row chunks, so
         # what batching adds is the shared reads, the one bound pass and
-        # one kernel call per chunk for all its queries: 1.57-1.67x, median
-        # 1.65x, measured on a 2-vCPU x86 container (serial 1.61-1.77,
-        # batched 0.97-1.07 ms per query; twelve runs).  The floor sits 4 %
-        # under the lowest run.  Phase 1 reads per query, unshared, since
-        # the batch refines through the serial walk.
-        assert speedup >= 1.5, (
+        # one kernel call per chunk for all its queries, at a fixed number
+        # of NumPy calls per chunk whatever Q is.  Twenty-four runs on a
+        # 2-vCPU x86 container: 1.674, 1.730, 1.733, 1.735, 1.740, 1.750,
+        # 1.757, 1.768, 1.789, 1.795, 1.796, 1.796, 1.807, 1.812, 1.834,
+        # 1.835, 1.836, 1.840, 1.842, 1.845, 1.859, 1.884, 1.916 and
+        # 2.082x (median 1.80x).  The floor sits just under the lowest
+        # run.  Phase 1 reads per query, unshared, since the batch refines
+        # through the serial walk.
+        assert speedup >= 1.65, (
             f"batched workload only {speedup:.2f}x the serial loop "
             f"at Q={_NUM_QUERIES}"
         )

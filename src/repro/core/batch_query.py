@@ -15,12 +15,16 @@ the two steps whose cost does not grow with Q:
   the shared decision (:func:`repro.core.query._choose_path`) runs it at
   the paper's position — the candidates are the serial ones either way.
 * **One refinement walk.**  :func:`repro.core.query._refine_runs` — the
-  serial routine, of which one query is the Q = 1 call — cuts the union
-  of every query's extents into chunks of up to a thousand rows.  Per
-  chunk each query re-checks its own extents against its live BSF², the
-  survivors of all queries are one read into one reused buffer, and one
-  screening kernel call under per-query cutoffs and row masks evaluates
-  them; each query merges its own rows.
+  serial routine, of which one query is the Q = 1 call — sorts every
+  query's extents into one file-ordered entry table (query id, extent,
+  bound) and cuts it, over the union, into chunks of up to a thousand
+  rows.  A chunk costs a fixed number of array operations whatever Q
+  is: one re-check of every entry against its query's live BSF², one
+  read of the survivors into one reused buffer, one scatter filling the
+  per-query row masks and one screening kernel call under per-query
+  cutoffs; each query with a finite distance merges its own rows.  The
+  ``account`` hook gets the chunk's query ids and extent starts as
+  arrays, so the leaves each query used are marked in one assignment.
 
 **Answers.**  Queries are independent search problems: each keeps its
 own :class:`~repro.core.results.ResultSet`, BSF² and profile, and meets
@@ -35,6 +39,7 @@ different (equally guaranteed) answer.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -132,6 +137,22 @@ class BatchAnswer:
         return iter(self.answers)
 
 
+class _LeafRows(Sequence):
+    """Each query's LCList rows (``LeafTable.rows``), built only when the
+    LB_SAX pass reaches that query, so one query's rows are alive at a
+    time rather than the whole batch's."""
+
+    def __init__(self, table: LeafTable, lclists: list) -> None:
+        self.table = table
+        self.lclists = lclists
+
+    def __len__(self) -> int:
+        return len(self.lclists)
+
+    def __getitem__(self, index):
+        return self.table.rows(self.lclists[index])
+
+
 def exact_knn_batch(
     queries: np.ndarray,
     k: int,
@@ -219,7 +240,7 @@ def exact_knn_batch(
                     ),
                     arr.shape[1],
                     prune_factor=states[0].prune_factor,
-                    rows=[table.rows(lclist) for lclist in lclists],
+                    rows=_LeafRows(table, lclists),
                 )
                 for qi, state in enumerate(states):
                     lclists[qi] = _trim_to_candidates(
@@ -244,14 +265,13 @@ def exact_knn_batch(
         ]
         refined_before = sum(s.profile.distance_computations for s in states)
         # The leaves each query refined rows of; a chunk read's leaf-cache
-        # lookups are charged to the first query it served.
+        # lookups are charged to the lowest query id it served.
         leaves_used = np.zeros((num_queries, len(table.leaves)), dtype=bool)
 
-        def account(users, lookups):
-            for qi, starts in users:
-                leaves_used[qi, table.leaf_of(starts)] = True
+        def account(query_ids, starts, lookups):
+            leaves_used[query_ids, table.leaf_of(starts)] = True
             if lookups is not None:
-                charged = states[users[0][0]].profile
+                charged = states[query_ids.min()].profile
                 charged.cache_hits += lookups.hits
                 charged.cache_misses += lookups.misses
 

@@ -665,15 +665,14 @@ def _chunk_cuts(sizes: np.ndarray) -> list:
     return cuts
 
 
-def _merge_extents(starts: np.ndarray, sizes: np.ndarray) -> tuple:
-    """Several queries' extents as one file-ordered list: extents that
-    overlap (the same leaf twice, a leaf and an SCList row of it) merge
-    into one, adjacent ones stay apart as a single query's always do."""
+def _merge_sorted(starts: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Start-sorted extents of several queries as one file-ordered list:
+    extents that overlap (the same leaf twice, a leaf and an SCList row
+    of it) merge into one, adjacent ones stay apart as a single query's
+    always do.  One running-max pass over the ends, no sort."""
     if not len(starts):
         return starts, sizes
-    order = np.argsort(starts, kind="stable")
-    starts, ends = starts[order], (starts + sizes)[order]
-    reach = np.maximum.accumulate(ends)
+    reach = np.maximum.accumulate(starts + sizes)
     first = np.flatnonzero(np.concatenate(([True], starts[1:] >= reach[:-1])))
     last = np.append(first[1:], len(starts)) - 1
     return starts[first], reach[last] - starts[first]
@@ -691,21 +690,30 @@ def _refine_runs(
     ``extents[i]`` holds query ``i``'s candidates: every series of the
     extents ``[start, start + size)`` — whole leaves, or the single rows
     of SCList — in file order, with one ε-scaled squared lower bound per
-    extent.  The chunks are cut over the union of all queries' extents
-    (:func:`_merge_extents`; for one query, its own list): whole extents,
-    at most :data:`_CHUNK_ROWS` rows each unless one extent alone holds
-    more.  Per chunk:
+    extent.  The walk works on one *entry table* built once: every
+    query's extents with a query-id column and their bounds, stable-
+    sorted by start — the walk's only sort (for one query, its own
+    arrays, unsorted).  The chunks are cut over the union of all
+    queries' extents (:func:`_merge_sorted`; for one query, its own
+    list): whole extents, at most :data:`_CHUNK_ROWS` rows each unless
+    one extent alone holds more, so each chunk is one slice of the
+    table.  Per chunk, in a fixed number of array operations whatever Q
+    is:
 
-    * each query with extents there re-checks their bounds against its
-      own live BSF² (an extent it prunes is not read for it);
-    * the surviving extents of all queries, merged, are one
-      ``read_range`` call (one positional read per run of file-adjacent
-      ones) into one ``(_CHUNK_ROWS, length)`` buffer that lives as long
-      as the pass — or a plain read when one extent is left;
+    * each query with entries there refreshes its live BSF², and every
+      entry is re-checked against its own query's in one comparison (an
+      extent a query prunes is not read for it);
+    * the surviving entries, merged, are one ``read_range`` call (one
+      positional read per run of file-adjacent ones) into one
+      ``(_CHUNK_ROWS, length)`` buffer that lives as long as the pass —
+      or a plain read when one extent is left;
     * one screening kernel call evaluates them under each query's
-      cutoff, with row masks that keep each query to its own rows when
-      several take part;
-    * each query merges its rows into its result set once.
+      cutoff; when several queries take part, a ``(queries, rows)``
+      mask, filled by one scatter over the survivors' buffer rows, keeps
+      each query to its own rows;
+    * each query merges its rows into its result set once — in a shared
+      chunk only if it got a finite distance there — and the per-query
+      row counts come from one ``bincount``.
 
     A candidate dropped by a re-check has bound ≥ that query's BSF² ≥
     its final BSF², and one abandoned by the kernel has distance > the
@@ -718,59 +726,61 @@ def _refine_runs(
     ``workers`` fans the chunk list out over that many CRWorker threads,
     a contiguous slice each; ``None`` refines on the calling thread.
     ``account``, if given, is called after each chunk's read as
-    ``account(users, lookups)``: ``users`` lists ``(i, starts)`` — each
-    query the chunk served and the starts of its extents there — and
-    ``lookups`` is the read's leaf-cache delta (None without a cache).
+    ``account(query_ids, starts, lookups)``: the query id and start of
+    every extent the chunk read for a query, and the read's leaf-cache
+    delta (None without a cache).
     """
     lrd, length = states[0].lrd, states[0].query.shape[0]
-    if len(states) == 1:  # the union is the query's own list
-        cuts = _chunk_cuts(extents[0][1])
-        edges = [cuts]
+    num_queries = len(states)
+    if num_queries == 1:  # the table and the union are the query's own list
+        starts, sizes, bounds = extents[0]
+        query_ids = np.zeros(len(starts), dtype=np.intp)
+        cuts = _chunk_cuts(sizes)
     else:
         block = np.stack([state.query for state in states])
-        starts, sizes = _merge_extents(
-            np.concatenate([ext[0] for ext in extents]),
-            np.concatenate([ext[1] for ext in extents]),
+        query_ids = np.repeat(np.arange(num_queries), [len(ext[0]) for ext in extents])
+        starts, sizes, bounds = (np.concatenate(column) for column in zip(*extents))
+        order = np.argsort(starts, kind="stable")
+        query_ids, starts, sizes, bounds = (
+            query_ids[order], starts[order], sizes[order], bounds[order]
         )
-        cuts = _chunk_cuts(sizes)
-        firsts = starts[cuts[:-1]]
-        edges = [np.searchsorted(ext[0], firsts).tolist() + [len(ext[0])] for ext in extents]
-    # Query i's extents in chunk c are edges[i][c]:edges[i][c + 1].
+        union_starts, union_sizes = _merge_sorted(starts, sizes)
+        firsts = union_starts[_chunk_cuts(union_sizes)[:-1]]
+        cuts = np.searchsorted(starts, firsts).tolist() + [len(starts)]
+    # Chunk c is the table's entries cuts[c]:cuts[c + 1].
     cache = lrd.cache if account is not None else None
     profile_lock = threading.Lock()
 
     def refine(part: range) -> None:
-        refined, points = [0] * len(states), [0] * len(states)
+        refined = np.zeros(num_queries)
+        points = np.zeros(num_queries, dtype=np.int64)
+        bsf = np.full(num_queries, np.inf)
         buffer = None
         for chunk in part:
-            active = []
-            for i, (state, (ext_starts, ext_sizes, bounds_sq)) in enumerate(zip(states, extents)):
-                lo, hi = edges[i][chunk], edges[i][chunk + 1]
-                if lo == hi:
-                    continue
-                state.results.refresh()
-                bsf_squared = state.results.bsf_squared
-                kept_starts, kept_sizes = ext_starts[lo:hi], ext_sizes[lo:hi]
-                if hi - lo == 1:
-                    if not bounds_sq[lo] < bsf_squared:
-                        continue
-                else:
-                    alive = bounds_sq[lo:hi] < bsf_squared
-                    kept = np.count_nonzero(alive)
-                    if not kept:
-                        continue
-                    if kept < hi - lo:
-                        kept_starts, kept_sizes = kept_starts[alive], kept_sizes[alive]
-                active.append((i, bsf_squared, kept_starts, kept_sizes))
-            if not active:
+            lo, hi = cuts[chunk], cuts[chunk + 1]
+            ids = query_ids[lo:hi]
+            present = range(1) if num_queries == 1 else np.bincount(ids).nonzero()[0].tolist()
+            for i in present:
+                states[i].results.refresh()
+                bsf[i] = states[i].results.bsf_squared
+            alive = bounds[lo:hi] < (bsf[0] if num_queries == 1 else bsf[ids])
+            kept = np.count_nonzero(alive)
+            if not kept:
                 continue
-            if len(active) == 1:
-                read_starts, read_sizes = active[0][2:]
-            else:
-                read_starts, read_sizes = _merge_extents(
-                    np.concatenate([user[2] for user in active]),
-                    np.concatenate([user[3] for user in active]),
+            kept_ids, kept_starts, kept_sizes = ids, starts[lo:hi], sizes[lo:hi]
+            if kept < hi - lo:
+                kept_ids, kept_starts, kept_sizes = (
+                    ids[alive], kept_starts[alive], kept_sizes[alive]
                 )
+            active = range(1)
+            if num_queries > 1:
+                # Rows each query refines here (float: bincount's weights).
+                rows_of = np.bincount(kept_ids, weights=kept_sizes, minlength=num_queries)
+                active = rows_of.nonzero()[0]
+            if len(active) == 1:  # one query's extents never overlap
+                read_starts, read_sizes = kept_starts, kept_sizes
+            else:
+                read_starts, read_sizes = _merge_sorted(kept_starts, kept_sizes)
             if cache is not None:
                 cache_before = cache.snapshot()
             if len(read_starts) == 1:
@@ -787,41 +797,44 @@ def _refine_runs(
                 data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
             if account is not None:
                 account(
-                    [(user[0], user[2]) for user in active],
+                    kept_ids,
+                    kept_starts,
                     cache.snapshot() - cache_before if cache is not None else None,
                 )
 
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.
             if len(active) == 1:
-                i, bsf_squared = active[0][:2]
-                squared, compared = early_abandon_squared(states[i].query, data, bsf_squared)
+                i = active[0]
+                squared, compared = early_abandon_squared(states[i].query, data, bsf[i])
                 states[i].results.update_batch_squared(squared, positions)
                 refined[i] += len(positions)
                 points[i] += compared
-            else:
-                # Buffer row of each read extent's first series, then each
-                # query's rows of the buffer.
-                offsets = np.cumsum(read_sizes) - read_sizes
-                masks = np.zeros((len(active), len(positions)), dtype=bool)
-                rows_of = []
-                for row, (_i, _bsf, kept_starts, kept_sizes) in enumerate(active):
-                    at = np.searchsorted(read_starts, kept_starts, side="right") - 1
-                    rows = extent_rows(offsets[at] + kept_starts - read_starts[at], kept_sizes)
-                    masks[row, rows] = True
-                    rows_of.append(rows)
-                squared, compared = early_abandon_squared(
-                    block[[user[0] for user in active]],
-                    data,
-                    np.array([user[1] for user in active]),
-                    row_masks=masks,
-                )
-                for row, ((i, *_), rows) in enumerate(zip(active, rows_of)):
-                    states[i].results.update_batch_squared(squared[row, rows], positions[rows])
-                    refined[i] += len(rows)
-                    points[i] += int(compared[row])
+                continue
+            # The buffer row of each read extent's first series, then of
+            # each survivor's, and its rows in its query's mask row.
+            offsets = np.cumsum(read_sizes) - read_sizes
+            at = np.searchsorted(read_starts, kept_starts, side="right") - 1
+            rows = extent_rows(offsets[at] + kept_starts - read_starts[at], kept_sizes)
+            slot = np.cumsum(rows_of > 0) - 1  # query id -> row of the block
+            masks = np.zeros((len(active), len(positions)), dtype=bool)
+            masks[np.repeat(slot[kept_ids], kept_sizes), rows] = True
+            squared, compared = early_abandon_squared(
+                block[active], data, bsf[active], row_masks=masks
+            )
+            refined += rows_of
+            points[active] += compared
+            # Each query's finite distances, query after query, rows in
+            # file order: one merge per query that has any.
+            hit_slots, hit_rows = np.nonzero(squared < np.inf)
+            values, hits = squared[hit_slots, hit_rows], positions[hit_rows]
+            firsts = np.diff(hit_slots, prepend=-1).nonzero()[0].tolist()
+            for a, b in zip(firsts, [*firsts[1:], len(hit_slots)]):
+                states[active[hit_slots[a]]].results.update_batch_squared(values[a:b], hits[a:b])
         with profile_lock:
-            for state, rows, compared in zip(states, refined, points):
+            for state, rows, compared in zip(
+                states, refined.astype(np.int64).tolist(), points.tolist()
+            ):
                 state.profile.series_accessed += rows
                 state.profile.distance_computations += rows
                 state.profile.points_compared += compared

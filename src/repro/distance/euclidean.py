@@ -197,23 +197,30 @@ def early_abandon_squared(
     keep = _screen(q, cands, cutoffs).T
     if row_masks is not None:
         keep &= row_masks
-    for qi in range(num_queries):
-        rows = keep[qi].nonzero()[0]
-        if rows.shape[0]:
-            _exact_rows(q[qi], cands, rows, distances[qi])
+    query_ids, rows = keep.nonzero()
+    _exact_rows(q, cands, rows, distances, query_ids)
     return distances, points_compared
 
 
-def _exact_rows(q: np.ndarray, cands: np.ndarray, rows, out: np.ndarray) -> None:
+def _exact_rows(
+    q: np.ndarray, cands: np.ndarray, rows, out: np.ndarray, query_ids=None
+) -> None:
     """``out[rows] = d²(q, cands[rows])`` by the whole-row float64 pass of
     :func:`batch_squared_euclidean` (``rows`` None: every row, sliced not
-    gathered), a few rows at a time.  The screen decides who pays full
-    price, this decides the exact value."""
+    gathered), a few rows at a time.  With ``query_ids``, ``q`` is a query
+    block and the pass runs over (query, row) pairs, pair ``i`` filling
+    ``out[query_ids[i], rows[i]]``: the same float64 differences, each
+    summed as the one-query call sums it.  The screen decides who pays
+    full price, this decides the exact value."""
     total = cands.shape[0] if rows is None else rows.shape[0]
     for lo in range(0, total, _EXACT_ROWS):
-        slab = slice(lo, lo + _EXACT_ROWS) if rows is None else rows[lo : lo + _EXACT_ROWS]
-        diff = cands[slab] - q
-        out[slab] = np.einsum("ij,ij->i", diff, diff)
+        at = slice(lo, lo + _EXACT_ROWS)
+        slab = at if rows is None else rows[at]
+        if query_ids is None:
+            diff, target = cands[slab] - q, slab
+        else:
+            diff, target = cands[slab] - q[query_ids[at]], (query_ids[at], slab)
+        out[target] = np.einsum("ij,ij->i", diff, diff)
 
 
 def knn_from_distances(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

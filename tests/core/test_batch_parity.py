@@ -122,16 +122,20 @@ class _WalkSpy:
     """What one ``knn_batch`` call's refinement walk did: the rows of
     the extents it was handed, its chunk count, the extents it read, and
     per kernel call the row masks (None for a chunk only one query
-    needed)."""
+    needed), the rows it evaluated for its queries, the distances it
+    returned and the result-set merges that followed it."""
 
     def __init__(self, monkeypatch):
         from repro.core import batch_query, query
+        from repro.core.results import ResultSet
         from repro.storage.files import SeriesFile
 
         self.extent_rows, self.chunks, self.reads, self.kernel_calls = 0, [], [], []
+        self.kernel_rows, self.kernel_out, self.merges = [], [], []
         walking = [False]
         walk, cut = batch_query._refine_runs, query._chunk_cuts
         kernel, read_range = query.early_abandon_squared, SeriesFile.read_range
+        merge = ResultSet.update_batch_squared
 
         def walking_refine(states, extents, *args, **kwargs):
             self.extent_rows += sum(int(sizes.sum()) for _, sizes, _ in extents)
@@ -148,9 +152,15 @@ class _WalkSpy:
             return cuts
 
         def evaluating(queries, candidates, cutoffs, row_masks=None):
+            result = kernel(queries, candidates, cutoffs, row_masks=row_masks)
             if walking[0]:
                 self.kernel_calls.append(row_masks)
-            return kernel(queries, candidates, cutoffs, row_masks=row_masks)
+                self.kernel_rows.append(
+                    len(candidates) if row_masks is None else int(row_masks.sum())
+                )
+                self.kernel_out.append(result[0])
+                self.merges.append(0)
+            return result
 
         def reading(file, position, count, out=None):
             if walking[0]:
@@ -159,10 +169,16 @@ class _WalkSpy:
                 )
             return read_range(file, position, count, out=out)
 
+        def merging(results, distances, positions):
+            if walking[0]:
+                self.merges[-1] += 1
+            return merge(results, distances, positions)
+
         monkeypatch.setattr(batch_query, "_refine_runs", walking_refine)
         monkeypatch.setattr(query, "_chunk_cuts", cutting)
         monkeypatch.setattr(query, "early_abandon_squared", evaluating)
         monkeypatch.setattr(SeriesFile, "read_range", reading)
+        monkeypatch.setattr(ResultSet, "update_batch_squared", merging)
 
 
 def _assert_read_once(index, queries, k, config, monkeypatch):
@@ -187,8 +203,9 @@ def _assert_read_once(index, queries, k, config, monkeypatch):
     }
     assert stats.unique_leaf_reads == len(leaves_read) <= index.num_leaves
     assert stats.leaf_uses >= stats.unique_leaf_reads
-    # Every row read was evaluated for at least one query.
-    assert stats.kernel_rows >= times_read.sum()
+    # The walk counts the rows its kernel calls evaluated: the masked-in
+    # ones, or every row of an unmasked call; each row read was one.
+    assert stats.kernel_rows == sum(spy.kernel_rows) >= times_read.sum()
     # Without a leaf cache there are no cache lookups to report.
     assert all(a.profile.cache_hits == a.profile.cache_misses == 0 for a in batch)
     return stats, spy
@@ -334,6 +351,29 @@ class TestRefinementPaths:
         stats, spy = _assert_read_once(wide_index, easy, 5, config, monkeypatch)
         assert 0 < len(spy.kernel_calls) < spy.chunks[0]
         assert 0 < stats.kernel_rows < spy.extent_rows
+
+    def test_abandoned_query_makes_no_merge(
+        self, wide_index, wide_data, small_chunks, monkeypatch
+    ):
+        """A query that takes part in a shared chunk but whose rows all
+        abandon there makes no result-set merge for it; every query with
+        a finite distance makes exactly one."""
+        config = wide_index.config.with_options(l_max=2)
+        rng = np.random.default_rng(9)
+        noisy = wide_data[:8] + 0.5 * rng.standard_normal((8, _LENGTH))
+        mixed = np.vstack([noisy, rng.standard_normal((8, _LENGTH))]).astype(np.float32)
+        with monkeypatch.context() as patch:
+            spy = _WalkSpy(patch)
+            wide_index.knn_batch(mixed, k=5, config=config)
+        abandoned = 0
+        for masks, squared, merges in zip(spy.kernel_calls, spy.kernel_out, spy.merges):
+            if masks is None:
+                assert merges == 1
+                continue
+            finite = np.isfinite(squared).any(axis=1)
+            assert merges == finite.sum()
+            abandoned += int((masks.any(axis=1) & ~finite).sum())
+        assert abandoned > 0
 
     def test_leaf_above_the_chunk_cap(self, index, data, queries, monkeypatch):
         """A leaf holding more rows than a chunk may is a chunk of its own

@@ -275,9 +275,19 @@ class TestEarlyAbandonProperty:
 
         many, compared = early_abandon_squared(queries, block, cutoffs)
         assert compared.tolist() == [block.size] * num_queries
+        # Row masks: the first query takes every row, a second none.
+        masks = rng.random((num_queries, rows)) < 0.5
+        masks[0] = True
+        masks[1:2] = False
+        masked, masked_points = early_abandon_squared(queries, block, cutoffs, row_masks=masks)
+        assert masked_points.tolist() == (masks.sum(axis=1) * length).tolist()
+        # Masked-out rows report inf, masked-in ones the unmasked block's.
+        np.testing.assert_array_equal(masked, np.where(masks, many, np.inf))
         for qi in range(num_queries):
             one, points = early_abandon_squared(queries[qi], block, cutoffs[qi])
             assert points == block.size
+            both = np.isfinite(one) & np.isfinite(masked[qi])
+            np.testing.assert_array_equal(masked[qi][both], one[both])
             for distances in (one, many[qi]):
                 survivors = np.isfinite(distances)
                 # Survivors carry the plain kernel's value bit for bit;
