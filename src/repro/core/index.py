@@ -31,18 +31,13 @@ from typing import Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.core.batch_query import BatchAnswer, exact_knn_batch
+from repro.core.batch_query import BatchAnswer, exact_knn, exact_knn_batch
 from repro.core.config import HerculesConfig
 from repro.core.construction import build_tree, new_build_context
 from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
 from repro.core.prefilter import SignatureArray
-from repro.core.query import (
-    QueryAnswer,
-    approximate_knn,
-    exact_knn,
-    progressive_knn,
-)
+from repro.core.query import QueryAnswer, approximate_knn, progressive_knn
 from repro.core.writing import (
     HTREE_FILENAME,
     LRD_FILENAME,
@@ -365,7 +360,7 @@ class HerculesIndex:
         config: Optional[HerculesConfig] = None,
         results=None,
     ) -> QueryAnswer:
-        """Exact k-NN search (Algorithm 10).
+        """Exact k-NN search (Algorithm 10): :meth:`knn_batch` of one query.
 
         ``config`` overrides query-time settings (threads, thresholds,
         ablation switches) without rebuilding the index.  ``results``
@@ -393,15 +388,15 @@ class HerculesIndex:
         config: Optional[HerculesConfig] = None,
         results=None,
     ) -> BatchAnswer:
-        """Answer a whole query set together (batched execution engine).
+        """Exact k-NN for a whole query set: the one exact pipeline.
 
         One (Q × nodes) bound pass, phases 1-2 per query, then one
         refinement walk over the union of every query's candidates: per
         chunk one read and one multi-query kernel call serve every query
-        that still needs those rows.  At ε = 0 per-query answers are
-        value-identical to calling :meth:`knn` once per query; at ε > 0
-        they meet the same (1 + ε) guarantee but may differ from
-        :meth:`knn`'s.  The returned
+        that still needs those rows.  :meth:`knn` is its Q = 1 call.  At
+        ε = 0 per-query answers are value-identical to calling
+        :meth:`knn` once per query; at ε > 0 they meet the same (1 + ε)
+        guarantee but may differ from :meth:`knn`'s.  The returned
         :class:`~repro.core.batch_query.BatchAnswer` iterates like the
         per-query answer list and carries batch-level
         :class:`~repro.core.batch_query.BatchStats` (leaf-share factor,

@@ -55,13 +55,14 @@ class LeafTable:
         segmentations = [node.segmentation for node in self.nodes]
         # Every node segment as one (start, end) key; children inherit all
         # but one of their parent's segments, so few keys are distinct.
+        starts = np.concatenate([s.starts_array for s in segmentations])
         ends = np.concatenate([s.ends_array for s in segmentations])
         width = int(ends.max()) + 1
-        keys = np.concatenate([s.starts_array for s in segmentations]) * width + ends
-        distinct, self.segment_ids = np.unique(keys, return_inverse=True)
+        distinct, self.segment_ids = np.unique(starts * width + ends, return_inverse=True)
         #: The distinct segments; ``segment_ids`` maps node segments to them.
         self.seg_starts, self.seg_ends = np.divmod(distinct, width)
-        self.seg_lengths = (self.seg_ends - self.seg_starts).astype(DISTANCE_DTYPE)
+        #: Each node segment's length, the weight of its LB_EAPCA term.
+        self.seg_weights = (ends - starts).astype(DISTANCE_DTYPE)
         #: ``(4, node segments)``: mu_min / mu_max / sd_min / sd_max, contiguous.
         self.synopses = np.ascontiguousarray(
             np.concatenate([node.synopsis for node in self.nodes]).T
@@ -113,7 +114,7 @@ class LeafTable:
     def node_bounds_squared(self, cumsum: np.ndarray, cumsq: np.ndarray) -> np.ndarray:
         """Raw squared LB_EAPCA per node (preorder), ``(nodes,)`` or ``(Q, nodes)``."""
         return lb_eapca_table_squared(
-            cumsum, cumsq, self.seg_starts, self.seg_ends, self.seg_lengths,
+            cumsum, cumsq, self.seg_starts, self.seg_ends, self.seg_weights,
             self.segment_ids, self.synopses, self.row_starts,
         )
 

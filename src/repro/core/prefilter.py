@@ -203,14 +203,12 @@ class SignatureArray:
         """:meth:`screen` for each query of a block, against its own BSF²
         and its own ``rows[i]`` — the same kernel, so batch answers stay
         bit-identical to serial ones."""
-        qs = np.asarray(queries_paa, dtype=DISTANCE_DTYPE)
-        bsf = np.asarray(bsf_squared, dtype=DISTANCE_DTYPE)
-        if qs.ndim != 2 or bsf.shape != (qs.shape[0],) or len(rows) != len(qs):
+        if not len(queries_paa) == len(bsf_squared) == len(rows):
             raise ValueError(
-                f"expected a (Q, segments) PAA block, a (Q,) BSF² vector and "
-                f"Q row arrays, got {qs.shape}, {bsf.shape} and {len(rows)}"
+                f"expected Q PAA rows, Q BSF² values and Q row arrays, got "
+                f"{len(queries_paa)}, {len(bsf_squared)} and {len(rows)}"
             )
         return [
             self._lb_sax_pass(q, b, series_length, prune_factor, r)
-            for q, b, r in zip(qs, bsf, rows)
+            for q, b, r in zip(queries_paa, bsf_squared, rows)
         ]

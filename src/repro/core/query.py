@@ -1,6 +1,10 @@
-"""Exact k-NN query answering (Section 3.4, Algorithms 10-14, Figure 5).
+"""The phases of exact k-NN (Section 3.4, Algorithms 10-14, Figure 5).
 
-The four phases:
+This module holds the routines every search is made of; the exact
+pipeline that strings them together for Q ≥ 1 queries is
+:func:`repro.core.batch_query.exact_knn_batch` (``knn`` is its Q = 1
+call), and the phase-1-only modes :func:`approximate_knn` and
+:func:`progressive_knn` live here.  The four phases:
 
 1. **Approx-kNN** (Algorithm 11) — a best-first visit of at most
    ``L_max`` leaves by LB_EAPCA, computing real distances in each, to
@@ -30,16 +34,16 @@ hard queries.
 ``config.prefilter`` moves the phase-3 pass in front of that decision,
 so the skip-sequential paths too only visit leaves that kept a row.
 
-Refinement is written once (:func:`_refine_runs`): both skip-sequential
-scans and phase 4 hand it file-ordered read extents with their bounds,
-and it walks them in chunks of up to a thousand rows — one re-check
-against the live BSF², one read per run of adjacent extents straight
-into one reused buffer, one kernel call and one result-set merge per
-chunk — because at a leaf's worth of rows per call the kernel is NumPy
-dispatch, not arithmetic.  Phase 1 evaluates its visits the same way, a
-group of leaves per read and kernel call (:func:`_best_first`), but
-merges them one leaf at a time so its visits and stop test stay the
-paper's.
+Refinement is written once (:func:`_refine_runs`, for Q ≥ 1 queries):
+both skip-sequential scans and phase 4 hand it file-ordered read
+extents with their bounds, and it walks them in chunks of up to a
+thousand rows — one re-check against the live BSF², one read per run of
+adjacent extents straight into one reused buffer, one kernel call and
+one result-set merge per chunk — because at a leaf's worth of rows per
+call the kernel is NumPy dispatch, not arithmetic.  Phase 1 evaluates
+its visits the same way, a group of leaves per read and kernel call
+(:func:`_best_first`), but merges them one leaf at a time so its visits
+and stop test stay the paper's.
 
 Distance kernels operate on whole row matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
@@ -61,7 +65,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -214,6 +218,7 @@ class _SearchState:
         num_series: int,
         results: Optional[ResultSet] = None,
         bounds: Optional[np.ndarray] = None,
+        query_paa: Optional[np.ndarray] = None,
     ) -> None:
         self.query = as_series(query).astype(DISTANCE_DTYPE)
         self.k = k
@@ -235,7 +240,8 @@ class _SearchState:
         # All comparisons against BSF happen in squared-distance space, so
         # squared bounds are scaled by the factor squared, exactly once.
         self.prune_factor = 1.0 + config.epsilon
-        # ``bounds`` carries this query's row of a batch-wide table pass.
+        # ``bounds`` and ``query_paa`` carry this query's rows of the exact
+        # pipeline's table pass and PAA block.
         if bounds is None:
             sketch = SeriesSketch(self.query)
             bounds = table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
@@ -244,7 +250,9 @@ class _SearchState:
         self.bounds = bounds * (self.prune_factor * self.prune_factor)
         #: Leaves (table indices) scanned by phase 1, in visit order.
         self.visited: list[int] = []
-        self.query_paa = paa(self.query, sax.space.segments)
+        if query_paa is None:
+            query_paa = paa(self.query, sax.space.segments)
+        self.query_paa = query_paa
 
     def finish_profile(self) -> None:
         """Fill the per-query cache counters from LRDFile's leaf cache."""
@@ -253,96 +261,6 @@ class _SearchState:
             delta = cache.snapshot() - self._cache_before
             self.profile.cache_hits = delta.hits
             self.profile.cache_misses = delta.misses
-
-
-def exact_knn(
-    query: np.ndarray,
-    k: int,
-    config: HerculesConfig,
-    table: LeafTable,
-    lrd: SeriesFile,
-    sax: SignatureArray,
-    num_series: int,
-    results: Optional[ResultSet] = None,
-) -> QueryAnswer:
-    """Algorithm 10: Exact-kNN.
-
-    ``results`` optionally supplies the result set to search into —
-    shard coordinators pass a linked set whose ``bsf_squared`` reflects
-    the global best-so-far, tightening every pruning site here without
-    any other change to the pipeline.
-
-    ``sax`` is the index's in-RAM iSAX array.  The LB_SAX pass over it
-    (phase 3) runs once per query, over the series of the LCList leaves
-    only: where the paper has it, after the EAPCA access-path decision,
-    or with ``config.prefilter`` ahead of that decision, where it also
-    drops the leaves that kept no row from LCList.  Nothing refines in
-    between, so both positions see the same BSF² and keep the same
-    rows; pruning with a valid lower bound never changes exact answers.
-    """
-    started = time.perf_counter()
-    io_before = lrd.stats.snapshot()
-    num_leaves = len(table.leaves)
-
-    with obs.span("query", k=k) as query_span:
-        # Phase 1 opens with the bound pass (sketch + one table kernel
-        # call, inside the state's constructor).
-        with obs.span("query.phase1.approx") as sp:
-            state = _SearchState(
-                query, k, config, table, lrd, sax, num_series,
-                results=results,
-            )
-            _approx_knn(state)
-            sp.set("leaves_visited", state.profile.approx_leaves)
-        state.profile.time_approx = time.perf_counter() - started
-
-        phase2_started = time.perf_counter()
-        with obs.span("query.phase2.candidates") as sp:
-            lclist = _find_candidate_leaves(state)
-            sp.set("candidate_leaves", len(lclist))
-        state.profile.time_candidates = time.perf_counter() - phase2_started
-
-        candidates = None
-        if config.prefilter:
-            with obs.span("query.prefilter") as sp:
-                candidates = _find_candidate_series(state, lclist)
-                lclist = _trim_to_candidates(state, lclist, candidates[0])
-                sp.set_attrs(
-                    screened=state.profile.prefilter_screened,
-                    survivors=state.profile.prefilter_survivors,
-                    surviving_leaves=len(lclist),
-                )
-
-        refine_started = time.perf_counter()
-        extents = _choose_path(state, lclist, candidates)
-        if extents is not None:
-            name, attrs, threaded = _REFINE_SPANS[state.profile.path]
-            with obs.span(name, **attrs):
-                workers = config.num_query_threads if threaded else None
-                _refine_runs([state], [extents], workers)
-
-        state.profile.time_refine = time.perf_counter() - refine_started
-        distances, positions = state.results.items()
-        state.profile.time_total = time.perf_counter() - started
-        state.profile.io = lrd.stats.snapshot() - io_before
-        state.finish_profile()
-        obs.observe_search(state.profile.time_total)
-        io = state.profile.io
-        query_span.set_attrs(
-            path=state.profile.path,
-            eapca_pruning=state.profile.eapca_pruning,
-            sax_pruning=state.profile.sax_pruning,
-            series_accessed=state.profile.series_accessed,
-            distance_computations=state.profile.distance_computations,
-            points_compared=state.profile.points_compared,
-            abandoned_fraction=state.profile.abandoned_fraction,
-            cache_hits=state.profile.cache_hits,
-            cache_misses=state.profile.cache_misses,
-            random_seeks=io.random_seeks,
-            sequential_reads=io.sequential_reads,
-            bytes_read=io.bytes_read,
-        )
-    return QueryAnswer(distances, positions, state.profile)
 
 
 def approximate_knn(
@@ -361,7 +279,8 @@ def approximate_knn(
     to: the best-first search visits at most ``L_max`` leaves and the
     best-so-far answers become the result.  Answers are not guaranteed
     exact; recall grows with ``L_max`` (measured in the benchmark suite).
-    ``results`` plays the same role as in :func:`exact_knn`.
+    ``results`` plays the same role as in
+    :func:`repro.core.batch_query.exact_knn`.
     """
     started = time.perf_counter()
     io_before = lrd.stats.snapshot()
@@ -590,14 +509,9 @@ def _trim_to_candidates(
 # one query or a batch; phase 1 shares its reads
 # ---------------------------------------------------------------------------
 
-#: The span each refining path runs under, and whether it may fan out over
-#: CRWorker threads (the skip-sequential scans are single-threaded).
-_REFINE_SPANS = {
-    "eapca-skipseq": ("query.refine.skipseq", {"reason": "eapca"}, False),
-    "nosax-leaves": ("query.phase4.refine", {"mode": "leaves"}, True),
-    "sax-skipseq": ("query.refine.skipseq", {"reason": "sax"}, False),
-    "full-four-phase": ("query.phase4.refine", {"mode": "series"}, True),
-}
+#: The refining paths whose walk may fan out over CRWorker threads (the
+#: skip-sequential scans are single-threaded).
+_THREADED_PATHS = frozenset({"nosax-leaves", "full-four-phase"})
 
 
 def _choose_path(
@@ -682,8 +596,7 @@ def _refine_runs(
     states: list,
     extents: list,
     workers: Optional[int] = None,
-    account: Optional[Callable] = None,
-) -> None:
+) -> tuple:
     """Refine Q ≥ 1 queries' file-ordered candidates with real distances,
     chunk by chunk.
 
@@ -725,10 +638,8 @@ def _refine_runs(
 
     ``workers`` fans the chunk list out over that many CRWorker threads,
     a contiguous slice each; ``None`` refines on the calling thread.
-    ``account``, if given, is called after each chunk's read as
-    ``account(query_ids, starts, lookups)``: the query id and start of
-    every extent the chunk read for a query, and the read's leaf-cache
-    delta (None without a cache).
+    Returns the entries the walk refined — not pruned by a re-check — as
+    ``(query_ids, starts, sizes)`` arrays, in file order.
     """
     lrd, length = states[0].lrd, states[0].query.shape[0]
     num_queries = len(states)
@@ -747,8 +658,9 @@ def _refine_runs(
         union_starts, union_sizes = _merge_sorted(starts, sizes)
         firsts = union_starts[_chunk_cuts(union_sizes)[:-1]]
         cuts = np.searchsorted(starts, firsts).tolist() + [len(starts)]
-    # Chunk c is the table's entries cuts[c]:cuts[c + 1].
-    cache = lrd.cache if account is not None else None
+    # Chunk c is the table's entries cuts[c]:cuts[c + 1]; each worker
+    # marks the entries it refined in its own chunks' slices.
+    refined_entries = np.zeros(len(starts), dtype=bool)
     profile_lock = threading.Lock()
 
     def refine(part: range) -> None:
@@ -767,6 +679,7 @@ def _refine_runs(
             kept = np.count_nonzero(alive)
             if not kept:
                 continue
+            refined_entries[lo:hi] = alive
             kept_ids, kept_starts, kept_sizes = ids, starts[lo:hi], sizes[lo:hi]
             if kept < hi - lo:
                 kept_ids, kept_starts, kept_sizes = (
@@ -781,8 +694,6 @@ def _refine_runs(
                 read_starts, read_sizes = kept_starts, kept_sizes
             else:
                 read_starts, read_sizes = _merge_sorted(kept_starts, kept_sizes)
-            if cache is not None:
-                cache_before = cache.snapshot()
             if len(read_starts) == 1:
                 # One extent (a leaf above the cap, a lone candidate): a
                 # plain read, and none of the run bookkeeping.
@@ -795,12 +706,6 @@ def _refine_runs(
                     rows = max(len(positions), _CHUNK_ROWS)
                     buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
                 data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
-            if account is not None:
-                account(
-                    kept_ids,
-                    kept_starts,
-                    cache.snapshot() - cache_before if cache is not None else None,
-                )
 
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.
@@ -846,27 +751,27 @@ def _refine_runs(
     else:
         share = [chunks * worker // workers for worker in range(workers + 1)]
         _run_workers(
-            lambda worker: refine(range(share[worker], share[worker + 1])),
-            workers,
-            span_name="query.phase4.worker",
+            lambda worker: refine(range(share[worker], share[worker + 1])), workers
         )
+    return query_ids[refined_entries], starts[refined_entries], sizes[refined_entries]
 
 
-def _run_workers(target, num_threads: int, span_name: str) -> None:
-    """Run ``target(thread_id)`` on N threads (inline when N == 1).
+def _run_workers(target, num_threads: int) -> None:
+    """Run ``target(thread_id)`` on N CRWorker threads (inline when
+    N == 1).
 
-    Each worker's run is recorded as a trace span parented to the phase
-    span that launched the fan-out — worker threads have no ambient span
-    stack of their own, so the parent is captured here, on the calling
-    thread, and attached explicitly.  The first exception a worker raised
-    is re-raised once all have finished.
+    Each worker's run is recorded as a ``query.refine.worker`` span
+    parented to the walk's span that launched the fan-out — worker
+    threads have no ambient span stack of their own, so the parent is
+    captured here, on the calling thread, and attached explicitly.  The
+    first exception a worker raised is re-raised once all have finished.
     """
     parent = obs.current_span()
     errors: list[BaseException] = []
 
     def run(thread_id: int) -> None:
         try:
-            with obs.span(span_name, parent=parent, worker=thread_id):
+            with obs.span("query.refine.worker", parent=parent, worker=thread_id):
                 target(thread_id)
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)

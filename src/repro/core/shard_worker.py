@@ -579,24 +579,22 @@ def answer_shard(
     """One shard's answers to a ``(Q, n)`` query block, positions global.
 
     ``mode`` is the public call being served — ``"knn"`` or
-    ``"knn_approx"`` (Q = 1) or ``"knn_batch"`` — and the same method is
-    called on the shard.  Query ``qi`` prunes through a
+    ``"knn_approx"`` (Q = 1) or ``"knn_batch"``.  Exact modes are one
+    ``knn_batch`` call on the shard (``knn`` is its Q = 1 call), the
+    approximate one a ``knn_approx`` call.  Query ``qi`` prunes through a
     :class:`~repro.core.results.LinkedResultSet` linked to ``links[qi]``
     (a thread-shared or process-shared cell), so a bound any shard finds
     prunes that query everywhere and never another query.  The thread
     scatter and the query workers both answer a shard through here.
     """
     results = [LinkedResultSet(k, link) for link in links]
-    if mode == "knn_batch":
-        batch = index.knn_batch(queries, k=k, config=config, results=results)
-    elif mode == "knn":
-        answer = index.knn(queries[0], k=k, config=config, results=results[0])
-        batch = BatchAnswer([answer], BatchStats(num_queries=1))
-    else:
+    if mode == "knn_approx":
         answer = index.knn_approx(
             queries[0], k=k, l_max=l_max, results=results[0]
         )
         batch = BatchAnswer([answer], BatchStats(num_queries=1))
+    else:
+        batch = index.knn_batch(queries, k=k, config=config, results=results)
     for answer in batch:
         answer.positions = answer.positions + row_base
     return batch

@@ -42,7 +42,9 @@ MU_MIN, MU_MAX, SD_MIN, SD_MAX = 0, 1, 2, 3
 
 def _interval_gap(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Distance from each value to its interval [low, high] (0 if inside)."""
-    return np.maximum(np.maximum(low - values, values - high), 0.0)
+    gap = low - values
+    np.maximum(gap, values - high, out=gap)
+    return np.maximum(gap, 0.0, out=gap)
 
 
 def lb_eapca(
@@ -73,7 +75,7 @@ def lb_eapca_table_squared(
     cumsq: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
-    lengths: np.ndarray,
+    weights: np.ndarray,
     segment_ids: np.ndarray,
     synopses: np.ndarray,
     row_starts: np.ndarray,
@@ -84,27 +86,36 @@ def lb_eapca_table_squared(
     segments: node ``i`` owns them from ``row_starts[i]`` on, and
     ``synopses`` is the matching ``(4, S)`` stack of synopsis columns.
     Nodes share most of their segments, so the query's mean and σ are
-    taken once per *distinct* segment — ``starts`` / ``ends`` /
-    ``lengths``, shape ``(D,)`` — and node segment ``s`` reads those of
-    distinct segment ``segment_ids[s]`` (a caller with nothing shared
-    passes ``arange(S)``).  ``cumsum`` / ``cumsq`` are the query prefix
-    sums a ``SeriesSketch`` / ``BatchSketch`` keeps, ``(n + 1,)`` or
-    ``(Q, n + 1)``.  Per segment the arithmetic is that of
+    taken once per *distinct* segment — ``starts`` / ``ends``, shape
+    ``(D,)`` — and node segment ``s`` reads those of distinct segment
+    ``segment_ids[s]`` (a caller with nothing shared passes
+    ``arange(S)``); ``weights`` holds each node segment's length ℓ,
+    shape ``(S,)``, kept by the caller so no call gathers it.
+    ``cumsum`` / ``cumsq`` are the query prefix sums a ``SeriesSketch`` /
+    ``BatchSketch`` keeps, ``(n + 1,)`` or ``(Q, n + 1)``.  Per segment
+    the arithmetic is that of
     ``SeriesSketch.stats`` + :func:`lb_eapca` element for element; only
     the per-node summation order differs, and no root is taken.
     Returns ``(nodes,)`` or ``(Q, nodes)``.
+
+    The steps after each gather write into arrays the call already
+    owns, so one query and a block cost the same NumPy calls.
     """
-    means = (np.take(cumsum, ends, axis=-1) - np.take(cumsum, starts, axis=-1)) / lengths
-    variances = (np.take(cumsq, ends, axis=-1) - np.take(cumsq, starts, axis=-1)) / lengths
-    variances -= means * means
-    np.maximum(variances, 0.0, out=variances)
-    mu_gap = _interval_gap(
-        np.take(means, segment_ids, axis=-1), synopses[MU_MIN], synopses[MU_MAX]
-    )
-    sd_gap = _interval_gap(
-        np.take(np.sqrt(variances), segment_ids, axis=-1), synopses[SD_MIN], synopses[SD_MAX]
-    )
-    terms = np.take(lengths, segment_ids) * (mu_gap * mu_gap + sd_gap * sd_gap)
+    lengths = ends - starts
+    means = np.take(cumsum, ends, axis=-1)
+    means -= np.take(cumsum, starts, axis=-1)
+    means /= lengths
+    stds = np.take(cumsq, ends, axis=-1)
+    stds -= np.take(cumsq, starts, axis=-1)
+    stds /= lengths
+    stds -= means * means
+    np.maximum(stds, 0.0, out=stds)
+    np.sqrt(stds, out=stds)
+    mu_gap = _interval_gap(np.take(means, segment_ids, axis=-1), synopses[MU_MIN], synopses[MU_MAX])
+    sd_gap = _interval_gap(np.take(stds, segment_ids, axis=-1), synopses[SD_MIN], synopses[SD_MAX])
+    terms = np.square(mu_gap, out=mu_gap)
+    terms += np.square(sd_gap, out=sd_gap)
+    terms *= weights
     return np.add.reduceat(terms, row_starts, axis=-1)
 
 

@@ -1,13 +1,14 @@
 """Parity gates for the batched multi-query engine.
 
-At ε = 0 ``knn_batch`` must be value-identical, per query, to the
-serial ``knn`` loop it replaces — distances AND positions, bit for bit —
-across every execution mode: the signature pre-filter on and off, plain
-and sharded indexes (thread and process-pool scatter), and degenerate
-batches (singletons, duplicated queries, identical-query batches).  At
-ε > 0 a batch query re-checks its bounds at the union's chunk cadence,
-not its own, so the gate is the ε contract: every k-th distance within
-(1 + ε) of the brute-force one.
+At ε = 0 ``knn_batch`` must be value-identical, per query, to a loop of
+``knn`` — its own Q = 1 call, so these gates check the walk's
+multi-query branch against its one-query branch — distances AND
+positions, bit for bit, across every execution mode: the signature
+pre-filter on and off, plain and sharded indexes (thread and
+process-pool scatter), and degenerate batches (duplicated queries,
+identical-query batches).  At ε > 0 a batch query re-checks its bounds
+at the union's chunk cadence, not its own, so the gate is the ε
+contract: every k-th distance within (1 + ε) of the brute-force one.
 
 Positions are LRD file positions, so every comparison queries the same
 materialized index with only the execution strategy changing.
@@ -212,7 +213,7 @@ def _assert_read_once(index, queries, k, config, monkeypatch):
 
 
 class TestPlainExactParity:
-    @pytest.mark.parametrize("num_queries", [1, 2, 64])
+    @pytest.mark.parametrize("num_queries", [2, 64])
     @pytest.mark.parametrize("k", [1, 10, 100])
     def test_bit_for_bit(self, index, queries, num_queries, k):
         _assert_batch_matches_serial(index, queries[:num_queries], k)
@@ -423,9 +424,6 @@ class TestRefinementPaths:
 
 
 class TestDegenerateBatches:
-    def test_singleton_batch(self, index, queries):
-        _assert_batch_matches_serial(index, queries[:1], k=5)
-
     def test_duplicate_queries(self, index, queries):
         batch_queries = np.vstack([queries[:4], queries[:4], queries[:4]])
         _assert_batch_matches_serial(index, batch_queries, k=5)
@@ -484,23 +482,39 @@ class TestBatchSurface:
         batch = index.knn_batch(queries[:32], k=5, config=_SHORT_PHASE1)
         assert batch.stats.unique_leaf_reads < batch.stats.leaf_uses
 
-    def test_cache_counters_partition_the_cache_lookups(self, data, queries, tmp_path):
+    def test_cache_counters_partition_the_cache_lookups(
+        self, data, queries, tmp_path, monkeypatch
+    ):
         """With a leaf cache, each answer reports its own phase 1's
         lookups plus the walk reads charged to it, so the answers sum to
-        the cache's own count for the batch."""
+        the cache's own count for the call: for a batch, and for one
+        query whose phase-4 walk spreads its chunks over four CRWorker
+        threads."""
+        from repro.core import query
+
+        monkeypatch.setattr(query, "_CHUNK_ROWS", 8)
         built = HerculesIndex.build(
             data, _config(l_max=2), directory=tmp_path / "cached", cache_bytes=1 << 20
         )
-        try:
-            for _ in range(2):  # cold, then warm
-                before = built.leaf_cache.snapshot()
-                batch = built.knn_batch(queries[:16], k=5)
-                delta = built.leaf_cache.snapshot() - before
-                assert sum(a.profile.cache_hits for a in batch) == delta.hits
-                assert sum(a.profile.cache_misses for a in batch) == delta.misses
-            assert delta.hits > 0
-        finally:
-            built.close()
+        built.close()
+        threaded = _config(l_max=2, num_query_threads=4, adaptive_thresholds=False)
+        for call in ("knn_batch", "knn"):
+            cached = HerculesIndex.open(tmp_path / "cached", cache_bytes=1 << 20)
+            try:
+                for _ in range(2):  # cold, then warm
+                    before = cached.leaf_cache.snapshot()
+                    if call == "knn_batch":
+                        answers = cached.knn_batch(queries[:16], k=5)
+                    else:
+                        answers = [cached.knn(queries[20], k=5, config=threaded)]
+                        assert answers[0].profile.path == "full-four-phase"
+                        assert answers[0].profile.candidate_series > 4 * 8
+                    delta = cached.leaf_cache.snapshot() - before
+                    assert sum(a.profile.cache_hits for a in answers) == delta.hits
+                    assert sum(a.profile.cache_misses for a in answers) == delta.misses
+                assert delta.hits > 0
+            finally:
+                cached.close()
 
     def test_result_length_mismatch_rejected(self, index, queries):
         from repro.core import ResultSet

@@ -1,9 +1,11 @@
 """Query retry + graceful degradation semantics (in-process thread path).
 
-Shard failures are simulated by patching individual shards' ``knn`` —
-the degradation *policy* (retry accounting, partial-results gating,
-coverage arithmetic, metrics visibility) is independent of how a shard
-fails; the cross-process chaos tests exercise real storage faults.
+Shard failures are simulated by patching the calls the scatter makes on
+individual shards (``knn_batch``, which also serves ``knn``, and
+``knn_approx``) — the degradation *policy* (retry accounting,
+partial-results gating, coverage arithmetic, metrics visibility) is
+independent of how a shard fails; the cross-process chaos tests exercise
+real storage faults.
 """
 
 import time
@@ -61,7 +63,7 @@ def _fail_shard(index, shard_id, exc=None):
     def raise_fault(*args, **kwargs):
         raise exc
 
-    index.shards[shard_id].knn = raise_fault
+    index.shards[shard_id].knn_batch = raise_fault
     index.shards[shard_id].knn_approx = raise_fault
 
 
@@ -194,7 +196,7 @@ class TestRetries:
     ):
         fault_free = index.knn(query, k=5)
         shard = index.shards[1]
-        real_knn = shard.knn
+        real_knn = shard.knn_batch
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -203,7 +205,7 @@ class TestRetries:
                 raise StorageError("transient blip")
             return real_knn(*args, **kwargs)
 
-        shard.knn = flaky
+        shard.knn_batch = flaky
         config = index.config.with_options(shard_retry_attempts=3)
         answer = index.knn(query, k=5, config=config)
         assert not answer.degraded
@@ -228,7 +230,7 @@ class TestDeadline:
             time.sleep(5.0)
             raise AssertionError("should have been abandoned")
 
-        index.shards[2].knn = glacial
+        index.shards[2].knn_batch = glacial
         config = index.config.with_options(query_deadline=0.3)
         started = time.monotonic()
         answer = index.knn(
@@ -244,7 +246,7 @@ class TestDeadline:
             time.sleep(5.0)
             raise AssertionError("should have been abandoned")
 
-        index.shards[0].knn = glacial
+        index.shards[0].knn_batch = glacial
         config = index.config.with_options(query_deadline=0.3)
         with pytest.raises(ShardTimeoutError):
             index.knn(query, k=5, config=config)
@@ -265,7 +267,7 @@ class TestMetricsVisibility:
 
     def test_retries_reach_the_registry(self, index, query):
         shard = index.shards[0]
-        real_knn = shard.knn
+        real_knn = shard.knn_batch
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -274,7 +276,7 @@ class TestMetricsVisibility:
                 raise StorageError("transient blip")
             return real_knn(*args, **kwargs)
 
-        shard.knn = flaky
+        shard.knn_batch = flaky
         config = index.config.with_options(shard_retry_attempts=2)
         registry = MetricsRegistry()
         answer = index.knn(query, k=5, config=config)

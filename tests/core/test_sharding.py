@@ -141,7 +141,7 @@ class TestLinkedResultSet:
         refines is chunk i + 1's cutoff, however few times refinement
         reads the bound.  k exceeds the dataset, so the local k-th best
         stays inf and every cutoff seen is the link's."""
-        from repro.core import query as query_module
+        from repro.core import batch_query, query as query_module
 
         index = HerculesIndex.build(
             make_random_walks(900, 32, seed=13), _config(), directory=tmp_path / "index"
@@ -163,7 +163,7 @@ class TestLinkedResultSet:
         query = np.random.default_rng(12).standard_normal(32).astype(np.float32)
         config = index.config.with_options(l_max=1, eapca_th=1.0, num_query_threads=1)
         try:
-            answer = query_module.exact_knn(
+            answer = batch_query.exact_knn(
                 query, results.k, config, index._table, index._lrd, index.signatures,
                 index.num_series, results=results,
             )

@@ -70,6 +70,31 @@ class TestBuildSpans:
         assert "spilled_series" in flush.attributes
 
 
+def _assert_one_span_tree(trace, num_calls, queries_per_call):
+    """Every exact call, whatever its Q, is one ``query`` span holding
+    per-query phase 1-3 spans, one ``query.prefilter`` and one
+    ``query.refine`` around the walk."""
+    calls = trace.find("query")
+    assert len(calls) == num_calls
+    call_ids = {s.span_id for s in calls}
+    for call in calls:
+        assert call.attributes["k"] == 5
+        assert call.attributes["queries"] == queries_per_call
+        assert call.attributes["leaf_uses"] >= call.attributes["unique_leaf_reads"] > 0
+        assert call.attributes["kernel_rows"] > 0
+    for name, per_call in (
+        ("query.phase1.approx", queries_per_call),
+        ("query.phase2.candidates", queries_per_call),
+        ("query.phase3.filter", queries_per_call),
+        ("query.prefilter", 1),
+        ("query.refine", 1),
+    ):
+        spans = trace.find(name)
+        assert len(spans) == num_calls * per_call, name
+        assert all(s.parent_id in call_ids for s in spans), name
+    assert not any(s.name.startswith("query.batch") for s in trace.spans)
+
+
 class TestQuerySpans:
     def test_four_phases_with_worker_children(self, traced_build, data):
         _, index_dir = traced_build
@@ -77,32 +102,30 @@ class TestQuerySpans:
         # A tight leaf-visit budget leaves candidates after phase 1, and
         # disabling the adaptive skip-sequential fallback forces them
         # through phases 3 and 4 with the parallel workers.
-        config = index.config.with_options(l_max=2, adaptive_thresholds=False)
+        config = index.config.with_options(
+            l_max=2, adaptive_thresholds=False, prefilter=True
+        )
         queries = make_noise_queries(data, 3, noise_variance=2.0, seed=5)
         trace = obs.Trace(name="query")
         with obs.use_trace(trace):
             answers = [index.knn(q, k=5, config=config) for q in queries]
-        index.close()
-
-        names = {s.name for s in trace.spans}
-        assert {
-            "query",
-            "query.phase1.approx",
-            "query.phase2.candidates",
-            "query.phase3.filter",
-            "query.phase4.refine",
-        } <= names
         assert all(a.profile.path == "full-four-phase" for a in answers)
+        _assert_one_span_tree(trace, num_calls=3, queries_per_call=1)
 
-        refine = trace.find("query.phase4.refine")
-        workers = trace.find("query.phase4.worker")
-        assert workers, "parallel refine should span its workers"
+        refine = trace.find("query.refine")
+        workers = trace.find("query.refine.worker")
+        assert len(workers) == 3 * config.num_query_threads, "one knn walks on its CRWorkers"
         refine_ids = {s.span_id for s in refine}
         assert all(w.parent_id in refine_ids for w in workers)
 
-        for query_span in trace.find("query"):
-            assert query_span.attributes["k"] == 5
-            assert "path" in query_span.attributes
+        # A batch has the same tree; its walk stays on the calling thread.
+        trace = obs.Trace(name="query")
+        with obs.use_trace(trace):
+            batch = index.knn_batch(queries, k=5, config=config)
+        index.close()
+        assert all(a.profile.path == "full-four-phase" for a in batch)
+        _assert_one_span_tree(trace, num_calls=1, queries_per_call=3)
+        assert not trace.find("query.refine.worker")
 
     def test_profile_io_filled_by_knn_itself(self, traced_build, data):
         _, index_dir = traced_build

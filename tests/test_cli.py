@@ -382,6 +382,19 @@ class TestCompare:
             assert name in out
 
 
+def _complete_event_names(doc):
+    """Names of a Chrome trace's complete events, after checking the
+    event format: only complete (``X``) and metadata (``M``) events, and
+    no negative start or duration."""
+    events = doc["traceEvents"]
+    assert events
+    for event in events:
+        assert event["ph"] in ("X", "M"), event
+        if event["ph"] == "X":
+            assert event["ts"] >= 0 and event["dur"] >= 0, event
+    return {e["name"] for e in events if e["ph"] == "X"}
+
+
 class TestTraceAndExplain:
     @pytest.fixture
     def index_dir(self, dataset_file, tmp_path):
@@ -425,7 +438,7 @@ class TestTraceAndExplain:
         assert "trace with" in capsys.readouterr().out
         doc = json.loads(trace_path.read_text())
         assert doc["displayTimeUnit"] == "ms"
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        names = _complete_event_names(doc)
         assert {"build", "build.tree", "build.buffering", "build.write"} <= names
 
     def test_query_trace_has_phase_spans(self, index_dir, dataset_file, tmp_path, capsys):
@@ -447,8 +460,9 @@ class TestTraceAndExplain:
         )
         assert code == 0
         doc = json.loads(trace_path.read_text())
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        names = _complete_event_names(doc)
         assert {"query", "query.phase1.approx", "query.phase2.candidates"} <= names
+        assert not any(name.startswith("query.batch") for name in names)
 
     def test_tracing_is_off_after_traced_command(self, index_dir, dataset_file, tmp_path):
         from repro import obs
