@@ -62,9 +62,10 @@ class HerculesConfig:
     batched_inserts: bool = True
     #: Series claimed per FetchAdd by each InsertWorker (and per
     #: ``insert_batch`` call on the sequential path).  ``None`` picks a
-    #: size automatically: the whole DBuffer batch when building with one
-    #: thread, ``db_size / (4 · workers)`` otherwise (large enough to
-    #: amortize routing, small enough to balance load).
+    #: size automatically: the whole DBuffer batch when there is one
+    #: InsertWorker (1 or 2 build threads), ``db_size / (4 · workers)``
+    #: otherwise (large enough to amortize routing, small enough to
+    #: balance load).
     claim_size: int | None = None
 
     # -- index writing -------------------------------------------------------
@@ -255,12 +256,14 @@ class HerculesConfig:
         """Series claimed per FetchAdd during batched insertion.
 
         The configured ``claim_size``, or the auto heuristic: the whole
-        DBuffer batch when building sequentially, a quarter of each
-        worker's fair share otherwise.
+        DBuffer batch when there is one InsertWorker (1 or 2 build
+        threads) — with nothing to balance, wider claims only mean fewer,
+        larger routing groups — and a quarter of each worker's fair share
+        otherwise.  The claim size never changes the tree.
         """
         if self.claim_size is not None:
             return self.claim_size
-        if self.num_build_threads == 1:
+        if self.num_insert_workers == 1:
             return self.db_size
         return max(self.db_size // (4 * self.num_insert_workers), 1)
 

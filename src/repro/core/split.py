@@ -30,6 +30,12 @@ Candidates considered for a node with m segments:
 
 Thresholds are the midrange of the observed routing statistic, so any
 candidate whose statistic is not constant yields two non-empty children.
+
+All candidates are scored in one stacked pass over a single statistics
+table (the m segments plus both halves of every halvable segment), in
+float64: the score only shapes the tree — answers stay exact whatever
+it picks — but float32 squares overflow once values reach ~1e19, which
+left leaves of large-magnitude series unsplittable.
 """
 
 from __future__ import annotations
@@ -42,6 +48,12 @@ import numpy as np
 from repro.core.node import SplitPolicy
 from repro.summarization.eapca import Segmentation
 from repro.types import DISTANCE_DTYPE
+
+
+#: Relative gap below which two split scores count as tied.  Candidates
+#: over different child segmentations sum their diameters in different
+#: orders, so mathematically equal scores can differ in the last bits.
+TIE_TOLERANCE = 1e-9
 
 
 class LeafStats:
@@ -80,22 +92,28 @@ class LeafStats:
         """Per-series (means, stds) over ``[start, end)``."""
         if not 0 <= start < end <= self.length:
             raise ValueError(f"invalid range [{start}, {end})")
-        size = end - start
-        sums = self._cumsum[:, end] - self._cumsum[:, start]
-        sq_sums = self._cumsq[:, end] - self._cumsq[:, start]
-        means = sums / size
-        variances = sq_sums / size - means * means
-        np.maximum(variances, 0.0, out=variances)
-        return means, np.sqrt(variances)
+        means, stds = self.ranges_stats(np.array([start]), np.array([end]))
+        return means[:, 0], stds[:, 0]
 
     def segmentation_stats(
         self, segmentation: Segmentation
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-series per-segment (means, stds) under ``segmentation``."""
-        ends, starts = segmentation.ends_array, segmentation.starts_array
+        return self.ranges_stats(
+            segmentation.starts_array, segmentation.ends_array
+        )
+
+    def ranges_stats(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-series (means, stds), one column per range ``[starts[j], ends[j])``.
+
+        A column's bits depend only on its own range, so a range reads the
+        same in any table it is part of.
+        """
         sums = self._cumsum[:, ends] - self._cumsum[:, starts]
         sq_sums = self._cumsq[:, ends] - self._cumsq[:, starts]
-        lengths = segmentation.lengths
+        lengths = (ends - starts).astype(DISTANCE_DTYPE)
         means = sums / lengths
         variances = sq_sums / lengths - means * means
         np.maximum(variances, 0.0, out=variances)
@@ -124,24 +142,6 @@ class SplitDecision:
     child_stds: np.ndarray
 
 
-def _candidate_routes(
-    stats: LeafStats, start: int, end: int, allow_std: bool
-) -> list[tuple[bool, float, np.ndarray]]:
-    """Valid (use_std, threshold, left_mask) routings over one range."""
-    means, stds = stats.range_stats(start, end)
-    statistics = [(False, means)]
-    if allow_std:
-        statistics.append((True, stds))
-    routes = []
-    for use_std, values in statistics:
-        low, high = float(values.min()), float(values.max())
-        if low == high:
-            continue  # constant statistic cannot separate the series
-        threshold = (low + high) / 2.0
-        routes.append((use_std, threshold, values < threshold))
-    return routes
-
-
 def choose_split(
     segmentation: Segmentation,
     data: np.ndarray,
@@ -160,149 +160,132 @@ def choose_split(
     identical under every candidate statistic); the caller then lets the
     leaf exceed its capacity, which is the only sound option.
 
-    Scoring is vectorized across candidates that share a child
-    segmentation (every H-split does; each segment's V-splits do): the
-    candidate masks stack into one boolean matrix and both children's
-    box diameters come out of a handful of whole-stack reductions, so
-    the cost per split is a few dozen NumPy calls instead of a dozen
-    *per candidate*.  Splits sit on both the batched and the per-row
-    construction paths, so this is shared-phase time.
+    Every candidate is scored in one stacked pass.  One per-series
+    table holds the mean and std columns of the m segments and of both
+    halves of every segment a V-split can halve.  One min/max over the
+    candidates' route columns gives every threshold and mask, and one
+    masked min/max over each candidate's own child-segmentation columns
+    gives both children's diameters.  Scores are float64 (float32
+    squares overflow once values reach ~1e19).  The best score wins if
+    it is positive; scores within :data:`TIE_TOLERANCE` of it are ties,
+    and ties go to the earliest candidate in the canonical order (per
+    segment: H on mean, H on std, then each V half on mean and std).
     """
     stats = LeafStats(data)
     total = stats.count
+    m = segmentation.num_segments
+    starts, ends = segmentation.starts_array, segmentation.ends_array
+    halvable = np.flatnonzero((ends - starts >= 2) & allow_vertical)
+    mids = (starts[halvable] + ends[halvable]) // 2
 
-    # Collect candidates in the canonical order of the reference loop
-    # (per segment: H on mean/std, then V per half on mean/std); ties in
-    # benefit break toward the earliest candidate.
-    candidates: list[tuple] = []
-    for index in range(segmentation.num_segments):
-        seg_start, seg_end = segmentation.segment_range(index)
-        for use_std, threshold, left_mask in _candidate_routes(
-            stats, seg_start, seg_end, allow_std
-        ):
-            candidates.append(
-                (index, False, segmentation, seg_start, seg_end,
-                 use_std, threshold, left_mask)
-            )
-        if allow_vertical and seg_end - seg_start >= 2:
-            child_seg = segmentation.split_vertically(index)
-            mid = (seg_start + seg_end) // 2
-            for half_start, half_end in ((seg_start, mid), (mid, seg_end)):
-                for use_std, threshold, left_mask in _candidate_routes(
-                    stats, half_start, half_end, allow_std
-                ):
-                    candidates.append(
-                        (index, True, child_seg, half_start, half_end,
-                         use_std, threshold, left_mask)
-                    )
-    if not candidates:
+    # Table ranges: the m segments, then the (left, right) halves of
+    # each halvable segment; their means in columns [0, width), their
+    # stds in [width, 2·width).
+    col_starts = np.concatenate(
+        [starts, np.column_stack([starts[halvable], mids]).ravel()]
+    )
+    col_ends = np.concatenate(
+        [ends, np.column_stack([mids, ends[halvable]]).ravel()]
+    )
+    width = col_starts.size
+    means, stds = stats.ranges_stats(col_starts, col_ends)
+    table = np.concatenate([means, stds], axis=1)
+
+    # Candidates in canonical order: per segment its own column, then its
+    # left and right halves (-1 where it has none), each on every allowed
+    # statistic.
+    base = np.full((m, 3), -1, dtype=np.int64)
+    base[:, 0] = np.arange(m)
+    base[halvable, 1] = m + 2 * np.arange(halvable.size)
+    base[halvable, 2] = base[halvable, 1] + 1
+    offsets = np.array([0, width] if allow_std else [0])
+    routes = (base[:, :, None] + offsets).ravel()
+    segments = np.repeat(np.arange(m), 3 * offsets.size)
+    vertical = np.tile(np.repeat([False, True, True], offsets.size), m)
+    keep = np.repeat(base.ravel() >= 0, offsets.size)
+    routes, segments, vertical = routes[keep], segments[keep], vertical[keep]
+
+    values = table[:, routes]
+    low, high = values.min(axis=0), values.max(axis=0)
+    thresholds = (low + high) / 2.0
+    # A constant statistic separates nothing, and neither does a midrange
+    # that rounds onto ``low`` (adjacent floats): both leave one side empty.
+    separating = low < thresholds
+    if not separating.any():
         return None
+    routes, segments, vertical, thresholds = (
+        routes[separating], segments[separating], vertical[separating],
+        thresholds[separating],
+    )
+    masks = values[:, separating] < thresholds
 
-    # Candidate segmentations are few (the node's own, plus one V-split
-    # per segment); cache their per-series stats and whole-leaf diameter.
-    seg_stats_cache: dict[
-        Segmentation, tuple[np.ndarray, np.ndarray, float]
-    ] = {}
+    # Each candidate's child-segmentation columns, one row per slot: the
+    # m segments, with a V-split's segment replaced by its left half and
+    # its right half in slot m (weight 0 for an H-split).
+    slots = np.repeat(np.arange(m + 1)[:, None], routes.size, axis=1)
+    slots[m] = 0
+    v_cands = np.flatnonzero(vertical)
+    left_halves = base[segments[v_cands], 1]
+    slots[segments[v_cands], v_cands] = left_halves
+    slots[m, v_cands] = left_halves + 1
+    weights = (col_ends - col_starts).astype(DISTANCE_DTYPE)[slots]
+    weights[m, ~vertical] = 0.0
+    slots = np.concatenate([slots, slots + width])
+    weights = np.concatenate([weights, weights])
 
-    def stats_for(seg: Segmentation) -> tuple[np.ndarray, np.ndarray, float]:
-        cached = seg_stats_cache.get(seg)
-        if cached is None:
-            means, stds = stats.segmentation_stats(seg)
-            parent_d = box_diameter(means, stds, seg.lengths)
-            cached = (means, stds, parent_d)
-            seg_stats_cache[seg] = cached
-        return cached
+    full_range = table.max(axis=0) - table.min(axis=0)
+    parent_d = (full_range[slots] ** 2 * weights).sum(axis=0)
+    # Masked min/max through ranks: rank every table column once, then
+    # add ``total`` to one side's ranks.  Over a candidate's column the
+    # lifted maximum is that side's top rank and the lifted minimum the
+    # other side's bottom rank.  Ranks are integers, so each spread is
+    # the exact float64 difference of the side's extreme values.
+    order = np.argsort(table, axis=0)
+    ranked = np.take_along_axis(table, order, axis=0)
+    ranks = np.empty(order.shape, dtype=np.int32)
+    np.put_along_axis(
+        ranks, order, np.arange(total, dtype=np.int32)[:, None], axis=0
+    )
+    member_ranks = ranks[:, slots]  # (series, slots, candidates)
+    lift = np.where(masks, total, 0).astype(np.int32)[:, None, :]
+    highest, lowest = [], []
+    for lifted_side in (lift, total - lift):  # left lifted, then right
+        lifted = member_ranks + lifted_side
+        highest.append(lifted.max(axis=0) - total)
+        lowest.append(lifted.min(axis=0))
+    children = []
+    for high_rank, low_rank in zip(highest, reversed(lowest)):  # left, right
+        spread = ranked[high_rank, slots] - ranked[low_rank, slots]
+        children.append((spread * spread * weights).sum(axis=0))
+    n_left = masks.sum(axis=0)
+    n_right = total - n_left
+    scores = parent_d - (n_left * children[0] + n_right * children[1]) / total
 
-    groups: dict[Segmentation, list[int]] = {}
-    for i, cand in enumerate(candidates):
-        groups.setdefault(cand[2], []).append(i)
-
-    benefits = np.full(len(candidates), -np.inf)
-    for child_seg, members in groups.items():
-        child_means, child_stds, parent_d = stats_for(child_seg)
-        lengths = child_seg.lengths
-        # One composite (2m, series) matrix lets a single min/max pass
-        # cover both statistics; the diameter weights repeat accordingly.
-        # Scoring happens in float32: the masked reductions are memory
-        # bound, and the diameter is only a *ranking* heuristic — the
-        # winning candidate's synopsis statistics stay float64.
-        composite = np.ascontiguousarray(
-            np.concatenate([child_means, child_stds], axis=1).T,
-            dtype=np.float32,
-        )
-        weights = np.concatenate([lengths, lengths]).astype(np.float32)
-        masks = np.stack([candidates[i][7] for i in members])
-        n_left = masks.sum(axis=1)
-        n_right = total - n_left
-        d_left, d_right = _stacked_diameters(masks, composite, weights)
-        weighted = (n_left * d_left + n_right * d_right) / total
-        scores = parent_d - weighted
-        # A candidate with an empty child separates nothing (the routes
-        # already guarantee non-empty children; this is belt-and-braces).
-        scores[(n_left == 0) | (n_right == 0)] = -np.inf
-        benefits[members] = scores
-
-    best = -1
-    best_benefit = 0.0
-    for i, benefit in enumerate(benefits):
-        if benefit > best_benefit:
-            best_benefit = float(benefit)
-            best = i
-    if best < 0:
+    top = scores.max()
+    if not top > 0.0:
         return None
-    index, vertical, child_seg, route_start, route_end, use_std, threshold, \
-        left_mask = candidates[best]
-    child_means, child_stds, _ = stats_for(child_seg)
+    # Scores equal up to rounding are ties; ties go to the earliest.
+    best = int(np.argmax(scores >= top * (1.0 - TIE_TOLERANCE)))
+    index = int(segments[best])
+    route = int(routes[best]) % width
+    child_seg = (
+        segmentation.split_vertically(index)
+        if vertical[best]
+        else segmentation
+    )
+    child_means, child_stds = stats.segmentation_stats(child_seg)
     policy = SplitPolicy(
         split_segment=index,
-        vertical=vertical,
-        use_std=use_std,
-        threshold=threshold,
-        route_start=route_start,
-        route_end=route_end,
+        vertical=bool(vertical[best]),
+        use_std=bool(routes[best] >= width),
+        threshold=float(thresholds[best]),
+        route_start=int(col_starts[route]),
+        route_end=int(col_ends[route]),
         child_segmentation=child_seg,
     )
     return SplitDecision(
         policy=policy,
-        left_mask=left_mask,
+        left_mask=masks[:, best].copy(),
         child_means=child_means,
         child_stds=child_stds,
     )
-
-
-def _stacked_diameters(
-    masks: np.ndarray, composite: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Box diameters of both children for a stack of candidate masks.
-
-    ``masks`` has shape ``(candidates, series)`` (True → left child);
-    ``composite`` holds the per-series means and stds side by side,
-    *statistic-major* (``(2m, series)``), with ``weights`` the segment
-    lengths repeated to match.  Returns (left, right) diameters, one
-    per candidate.
-
-    Two tricks keep this on NumPy's fast paths.  Instead of masking
-    against ±inf (which needs a separate temporary for min and for
-    max), the unselected series are overwritten with one that *is*
-    selected — a member's values never move a min or a max — so a
-    single materialized ``(candidates, 2m, series)`` array serves both
-    reductions, and the right side reuses the same selection with the
-    ``where`` arguments swapped.  And the statistic-major layout puts
-    the long series axis innermost, so the ``where`` and the reductions
-    run contiguous k-length inner loops instead of 2m-length ones.
-    """
-    # First True / first False series per candidate; with an empty side
-    # the index degenerates to 0 but the caller scores that side -inf.
-    fill_left = composite[:, masks.argmax(axis=1)].T[:, :, None]
-    fill_right = composite[:, masks.argmin(axis=1)].T[:, :, None]
-    sel = masks[:, None, :]
-    stacked = composite[None]
-    diameters = []
-    for member_values in (
-        np.where(sel, stacked, fill_left),
-        np.where(sel, fill_right, stacked),
-    ):
-        rng = member_values.max(axis=2)
-        rng -= member_values.min(axis=2)
-        diameters.append((rng * rng) @ weights)
-    return diameters[0], diameters[1]

@@ -161,6 +161,32 @@ class TestParallelParity:
         )
         assert tree_fingerprint(threaded) == tree_fingerprint(per_row)
 
+    def test_single_worker_auto_claim_matches_sequential_index(
+        self, tmp_path
+    ):
+        # At the auto claim a lone InsertWorker takes whole DBuffer
+        # batches, as the sequential path does: the same tree and the
+        # same LRD/LSD bytes.  Sized so no flush runs, as above.
+        data = make_random_walks(700, 32, seed=208)
+        fingerprints, files = [], []
+        for threads in (1, 2):
+            kwargs = dict(
+                leaf_capacity=12, num_build_threads=threads,
+                flush_threshold=1, db_size=128, buffer_capacity=700 + 128,
+            )
+            ctx, _ = build(tmp_path, data, f"auto-{threads}", **kwargs)
+            fingerprints.append(tree_fingerprint(ctx))
+            directory = tmp_path / f"index-{threads}"
+            HerculesIndex.build(
+                data, HerculesConfig(**kwargs), directory=directory
+            ).close()
+            files.append(
+                [(directory / name).read_bytes()
+                 for name in ("lrd.bin", "lsd.bin")]
+            )
+        assert fingerprints[0] == fingerprints[1]
+        assert files[0] == files[1]
+
     def test_multi_worker_build_same_leaves_any_order(self, tmp_path):
         # With racing workers the arrival order is nondeterministic, so
         # node ids may differ — but splits do not depend on insertion

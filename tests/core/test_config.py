@@ -47,6 +47,28 @@ class TestValidation:
         assert HerculesConfig(num_build_threads=4).num_insert_workers == 3
         assert HerculesConfig(num_build_threads=1, flush_threshold=1).num_insert_workers == 1
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_insert_worker_claims_the_whole_batch(self, threads):
+        config = HerculesConfig(
+            num_build_threads=threads, flush_threshold=1, db_size=512
+        )
+        assert config.effective_claim_size == 512
+
+    @pytest.mark.parametrize("threads, workers", [(3, 2), (5, 4)])
+    def test_several_insert_workers_claim_a_quarter_share(
+        self, threads, workers
+    ):
+        config = HerculesConfig(num_build_threads=threads, db_size=512)
+        assert config.effective_claim_size == 512 // (4 * workers)
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_explicit_claim_size_wins(self, threads):
+        config = HerculesConfig(
+            num_build_threads=threads, flush_threshold=1, db_size=512,
+            claim_size=37,
+        )
+        assert config.effective_claim_size == 37
+
     def test_with_options_returns_modified_copy(self):
         base = HerculesConfig()
         variant = base.with_options(use_sax=False, num_query_threads=1)

@@ -104,6 +104,18 @@ class TestSequentialBuild:
         assert spill.num_series > 0
         assert_tree_invariants(ctx, data)
 
+    def test_large_magnitude_series_still_split(self, tmp_path):
+        # Split scores square value ranges: at x 1e20 they must not
+        # overflow into "no split", which let one leaf hold everything.
+        data = make_random_walks(2000, 64, seed=85) * np.float32(1e20)
+        ctx, _ = build(
+            tmp_path, data, leaf_capacity=100, num_build_threads=1,
+            flush_threshold=1,
+        )
+        leaves = list(ctx.root.iter_leaves_inorder())
+        assert len(leaves) > 1
+        assert all(leaf.size <= 100 for leaf in leaves)
+
     def test_identical_series_overflow_leaf_without_split(self, tmp_path):
         data = np.tile(make_random_walks(1, 16, seed=84), (50, 1))
         ctx, _ = build(
