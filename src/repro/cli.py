@@ -417,8 +417,6 @@ def _run_explain(args: argparse.Namespace) -> int:
     config = index.config.with_options(
         epsilon=args.epsilon, **_resilience_overrides(args)
     )
-    if isinstance(index, ShardedIndex):
-        index.config = config
     registry = obs.MetricsRegistry()
     with _maybe_trace(args), Dataset.open(args.queries, index.series_length) as queries:
         count = queries.num_series if args.count is None else min(

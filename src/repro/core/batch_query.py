@@ -1,14 +1,17 @@
-"""The exact k-NN pipeline (Algorithm 10) for Q ≥ 1 queries.
+"""The k-NN pipeline (Algorithm 10) for Q ≥ 1 queries, exact or stopped
+after phase 1.
 
-:func:`exact_knn_batch` is the one exact pipeline; :func:`exact_knn` —
-what ``knn`` calls — is its Q = 1 call.  It strings together the phase
+:func:`exact_knn_batch` is the one pipeline: :func:`exact_knn` — what
+``knn`` calls — is its Q = 1 call, and ``knn_approx`` its call with
+``phase1_only`` (Algorithm 11 alone).  It strings together the phase
 routines of :mod:`repro.core.query`, sharing the steps whose cost does
 not grow with Q:
 
-* **One bound pass.**  A single (Q × nodes) call on the index's
-  :class:`~repro.core.leaf_table.LeafTable` gives every query its row of
-  effective per-leaf LB_EAPCA², and one call its PAA row; phases 1-2
-  then run per query.
+* **One front half.**  :func:`repro.core.query._search_states` makes a
+  single (Q × nodes) call on the index's
+  :class:`~repro.core.leaf_table.LeafTable`, giving every query its row
+  of effective per-leaf LB_EAPCA², and one call its PAA row; phases 1-2
+  then run per query.  ``phase1_only`` stops here, after phase 1.
 * **The LB_SAX pass.**  With ``prefilter`` it runs for every query ahead
   of the access-path decision
   (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`); otherwise
@@ -38,14 +41,15 @@ of the *union*, not of its own list, so it may prune at other moments
 than alone and return a different (equally guaranteed) answer.
 
 **Accounting.**  Each query's :class:`~repro.core.query.QueryProfile`
-carries its path, pruning, work and leaf-cache counters; a one-query
-call also gets its I/O delta (in a batch the reads are shared, and
-``io`` stays None).  The trace has one shape for every Q: a ``query``
-span with the :class:`BatchStats` counters, per query
-``query.phase1.approx`` and ``query.phase2.candidates``, one
-``query.prefilter``, per query ``query.phase3.filter`` where phase 3
-runs, and one ``query.refine`` around the walk with its
-``query.refine.worker`` children.
+carries its path, pruning, work, per-phase time and leaf-cache
+counters; a one-query call also gets its I/O delta (in a batch the
+reads are shared, and ``io`` stays None).  The trace has one shape for
+every Q and mode: a ``query`` span (``mode`` ``"exact"`` or
+``"approximate"``) with the :class:`BatchStats` counters, per query
+``query.phase1.approx``, and past phase 1 per query
+``query.phase2.candidates``, one ``query.prefilter``, per query
+``query.phase3.filter`` where phase 3 runs, and one ``query.refine``
+around the walk with its ``query.refine.worker`` children.
 """
 
 from __future__ import annotations
@@ -65,10 +69,11 @@ from repro.core.query import (
     _THREADED_PATHS,
     QueryAnswer,
     _approx_knn,
+    _charging_cache,
     _choose_path,
     _find_candidate_leaves,
     _refine_runs,
-    _SearchState,
+    _search_states,
     _trim_to_candidates,
 )
 from repro.core.results import ResultSet
@@ -81,8 +86,6 @@ from repro.distance.euclidean import (  # noqa: F401
     early_abandon_squared as early_abandon_squared_multi,
 )
 from repro.storage.files import SeriesFile
-from repro.summarization.eapca import BatchSketch
-from repro.summarization.paa import paa
 from repro.types import SERIES_DTYPE
 
 __all__ = ["BatchAnswer", "BatchStats", "exact_knn", "exact_knn_batch"]
@@ -202,14 +205,19 @@ def exact_knn_batch(
     sax: SignatureArray,
     num_series: int,
     results: Optional[List[ResultSet]] = None,
+    phase1_only: bool = False,
 ) -> BatchAnswer:
     """Answer a ``(Q, n)`` query set exactly (module docstring).
 
     ``results`` optionally supplies one result set per query (shard
     coordinators pass linked sets broadcasting the per-query global
     BSF² vector).  Per-query wall time inside the shared steps is
-    amortized: the bound pass, the screen and the refinement walk are
+    amortized: the front half, the screen and the refinement walk are
     split evenly across the queries.
+
+    ``phase1_only`` stops after phase 1: approximate k-NN (Algorithm 11
+    alone, the paper's §5 next step), at most ``config.l_max`` leaves
+    per query, ``profile.path == "approximate"``.
     """
     # In the stored dtype, as the index holds its series.
     arr = np.asarray(queries, dtype=SERIES_DTYPE)
@@ -225,81 +233,33 @@ def exact_knn_batch(
     started = time.perf_counter()
     # One query owns every read of its call; a batch shares them.
     io_before = lrd.stats.snapshot() if num_queries == 1 else None
-    states: List[_SearchState] = []
     lclists: list = []
-    with obs.span("query", k=k, queries=num_queries) as query_span:
-        sketch = BatchSketch(arr)
-        bounds = table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
-        paas = paa(arr, sax.space.segments)
+    mode = "approximate" if phase1_only else "exact"
+    with obs.span("query", k=k, queries=num_queries, mode=mode) as query_span:
+        states = _search_states(arr, k, config, table, lrd, sax, num_series, results)
         shared = (time.perf_counter() - started) / num_queries
-        for qi in range(num_queries):
+        for state in states:
             phase_started = time.perf_counter()
-            with obs.span("query.phase1.approx") as sp:
-                state = _SearchState(
-                    arr[qi], k, config, table, lrd, sax, num_series,
-                    results=None if results is None else results[qi],
-                    bounds=bounds[qi],
-                    query_paa=paas[qi],
-                )
+            with obs.span("query.phase1.approx") as sp, _charging_cache(lrd, state.profile):
                 _approx_knn(state)
                 sp.set("leaves_visited", state.profile.approx_leaves)
             phase_ended = time.perf_counter()
             state.profile.time_approx = phase_ended - phase_started + shared
+            if phase1_only:
+                state.profile.path = "approximate"
+                continue
             with obs.span("query.phase2.candidates") as sp:
                 lclists.append(_find_candidate_leaves(state))
                 sp.set("candidate_leaves", len(lclists[-1]))
             state.profile.time_candidates = time.perf_counter() - phase_ended
-            # This query's own leaf-cache lookups; the walk's come later.
-            state.finish_profile()
-            states.append(state)
 
-        candidates: list = [None] * num_queries
-        if config.prefilter:
-            screen_started = time.perf_counter()
-            with obs.span("query.prefilter"):
-                # Only the queries phase 2 left candidate leaves have rows.
-                screened = [qi for qi, lclist in enumerate(lclists) if len(lclist)]
-                found = sax.screen_batch(
-                    [paas[qi] for qi in screened],
-                    [states[qi].results.bsf_squared for qi in screened],
-                    arr.shape[1],
-                    prune_factor=states[0].prune_factor,
-                    rows=_LeafRows(table, [lclists[qi] for qi in screened]),
-                )
-                for qi, cands in zip(screened, found):
-                    candidates[qi] = cands
-                    lclists[qi] = _trim_to_candidates(states[qi], lclists[qi], cands[0])
-            stats.screen_seconds = time.perf_counter() - screen_started
-
-        refine_started = time.perf_counter()
-        walkers, extents = [], []
-        for state, lclist, cands in zip(states, lclists, candidates):
-            path_extents = _choose_path(state, lclist, cands)
-            if path_extents is not None:
-                walkers.append(state)
-                extents.append(path_extents)
-        if walkers:
-            # CRWorker threads serve one query on a threaded path only.
-            threaded = num_queries == 1 and walkers[0].profile.path in _THREADED_PATHS
-            cache = lrd.cache
-            cache_before = cache.snapshot() if cache is not None else None
-            with obs.span("query.refine"):
-                query_ids, starts, sizes = _refine_runs(
-                    walkers, extents, config.num_query_threads if threaded else None
-                )
-            if cache is not None:
-                # One snapshot pair stays exact under threads; the lookups
-                # are charged to the walk's first query.
-                lookups = cache.snapshot() - cache_before
-                walkers[0].profile.cache_hits += lookups.hits
-                walkers[0].profile.cache_misses += lookups.misses
-            # The leaves each query refined rows of.
-            used = np.zeros((len(walkers), len(table.leaves)), dtype=bool)
-            used[query_ids, table.leaf_of(starts)] = True
-            stats.unique_leaf_reads = int(np.count_nonzero(used.any(axis=0)))
-            stats.leaf_uses = int(np.count_nonzero(used))
-            stats.kernel_rows = int(sizes.sum())
-        refine_share = (time.perf_counter() - refine_started) / num_queries
+        refine_share = 0.0
+        if not phase1_only:
+            refine_started = time.perf_counter()
+            _phases_3_4(states, lclists, stats)
+            refine_share = (
+                time.perf_counter() - refine_started - stats.screen_seconds
+            ) / num_queries
 
         screen_share = stats.screen_seconds / num_queries
         answers: List[QueryAnswer] = []
@@ -321,3 +281,50 @@ def exact_knn_batch(
         )
     return BatchAnswer(answers, stats)
 
+
+def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
+    """Phases 3-4 for queries past phase 2: the LB_SAX pass (ahead of the
+    access-path decision with ``prefilter``), each query's access path,
+    and one refinement walk over those with candidates; fills ``stats``."""
+    first = states[0]
+    config, table, lrd, sax = first.config, first.table, first.lrd, first.sax
+    candidates: list = [None] * len(states)
+    if config.prefilter:
+        screen_started = time.perf_counter()
+        with obs.span("query.prefilter"):
+            # Only the queries phase 2 left candidate leaves have rows.
+            screened = [qi for qi, lclist in enumerate(lclists) if len(lclist)]
+            found = sax.screen_batch(
+                [states[qi].query_paa for qi in screened],
+                [states[qi].results.bsf_squared for qi in screened],
+                first.query.shape[0],
+                prune_factor=first.prune_factor,
+                rows=_LeafRows(table, [lclists[qi] for qi in screened]),
+            )
+            for qi, cands in zip(screened, found):
+                candidates[qi] = cands
+                lclists[qi] = _trim_to_candidates(states[qi], lclists[qi], cands[0])
+        stats.screen_seconds = time.perf_counter() - screen_started
+
+    walkers, extents = [], []
+    for state, lclist, cands in zip(states, lclists, candidates):
+        path_extents = _choose_path(state, lclist, cands)
+        if path_extents is not None:
+            walkers.append(state)
+            extents.append(path_extents)
+    if not walkers:
+        return
+    # CRWorker threads serve one query on a threaded path only.
+    threaded = len(states) == 1 and walkers[0].profile.path in _THREADED_PATHS
+    # One snapshot pair stays exact under threads; the lookups are
+    # charged to the walk's first query.
+    with obs.span("query.refine"), _charging_cache(lrd, walkers[0].profile):
+        query_ids, starts, sizes = _refine_runs(
+            walkers, extents, config.num_query_threads if threaded else None
+        )
+    # The leaves each query refined rows of.
+    used = np.zeros((len(walkers), len(table.leaves)), dtype=bool)
+    used[query_ids, table.leaf_of(starts)] = True
+    stats.unique_leaf_reads = int(np.count_nonzero(used.any(axis=0)))
+    stats.leaf_uses = int(np.count_nonzero(used))
+    stats.kernel_rows = int(sizes.sum())

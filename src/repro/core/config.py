@@ -27,7 +27,8 @@ class HerculesConfig:
 
     * ``parallel_writing=False`` → NoWPara,
     * ``use_sax=False`` → NoSAX,
-    * ``num_query_threads=1`` → NoPara,
+    * ``num_query_threads=1`` → NoPara, the default: faster on this
+      runtime (EXPERIMENTS.md, Figure 12b); ``> 1`` is the "Para" arm,
     * ``adaptive_thresholds=False`` → NoThresh.
     """
 
@@ -128,7 +129,8 @@ class HerculesConfig:
     #: SAX pruning-ratio threshold below which a skip-sequential scan of
     #: LRDFile replaces phase 4 (paper default 0.50).
     sax_th: float = 0.50
-    num_query_threads: int = 4
+    #: CRWorker threads of one query's refinement walk (1: NoPara).
+    num_query_threads: int = 1
     #: NoSAX ablation: prune with LB_EAPCA only when False.
     use_sax: bool = True
     #: NoThresh ablation: when False, phases 3-4 always run.

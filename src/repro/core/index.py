@@ -37,7 +37,7 @@ from repro.core.construction import build_tree, new_build_context
 from repro.core.leaf_table import LeafTable
 from repro.core.node import Node
 from repro.core.prefilter import SignatureArray
-from repro.core.query import QueryAnswer, approximate_knn, progressive_knn
+from repro.core.query import QueryAnswer, progressive_knn
 from repro.core.writing import (
     HTREE_FILENAME,
     LRD_FILENAME,
@@ -406,18 +406,7 @@ class HerculesIndex:
         shard scatter-gather coordinator passes linked sets so each
         query here prunes against its own global BSF².
         """
-        self._check_open()
-        effective = config if config is not None else self.config
-        return exact_knn_batch(
-            as_series(queries, self.series_length, ndim=2),
-            k,
-            effective,
-            self._table,
-            self._lrd,
-            self._sax,
-            num_series=self.num_series,
-            results=results,
-        )
+        return self._search(queries, k, config, results)
 
     def knn_approx(
         self,
@@ -426,25 +415,34 @@ class HerculesIndex:
         l_max: Optional[int] = None,
         results=None,
     ) -> QueryAnswer:
-        """Approximate k-NN (Algorithm 11 alone; see the paper's §5).
+        """Approximate k-NN (Algorithm 11 alone; see the paper's §5): the
+        :meth:`knn` pipeline stopped after phase 1.
 
         Visits at most ``l_max`` leaves (default: the configured value)
         and returns the best-so-far answers without the exact phases.
         ``results`` plays the same role as in :meth:`knn`.
         """
         self._check_open()
-        config = self.config
-        if l_max is not None:
-            config = config.with_options(l_max=l_max)
-        return approximate_knn(
-            as_series(query, self.series_length),
+        config = self.config if l_max is None else self.config.with_options(l_max=l_max)
+        query = as_series(query, self.series_length)[None]
+        results = None if results is None else [results]
+        return self._search(query, k, config, results, phase1_only=True)[0]
+
+    def _search(self, queries, k, config, results, phase1_only=False) -> BatchAnswer:
+        """The one pipeline for a ``(Q, n)`` block, exact or stopped after
+        phase 1: :meth:`knn_batch` and :meth:`knn_approx` here, and every
+        mode a shard answers (:func:`~repro.core.shard_worker.answer_shard`)."""
+        self._check_open()
+        return exact_knn_batch(
+            as_series(queries, self.series_length, ndim=2),
             k,
-            config,
+            config if config is not None else self.config,
             self._table,
             self._lrd,
             self._sax,
             num_series=self.num_series,
             results=results,
+            phase1_only=phase1_only,
         )
 
     def knn_progressive(

@@ -1,10 +1,13 @@
 """The phases of exact k-NN (Section 3.4, Algorithms 10-14, Figure 5).
 
-This module holds the routines every search is made of; the exact
+This module holds the routines every search is made of.  The one
 pipeline that strings them together for Q ≥ 1 queries is
-:func:`repro.core.batch_query.exact_knn_batch` (``knn`` is its Q = 1
-call), and the phase-1-only modes :func:`approximate_knn` and
-:func:`progressive_knn` live here.  The four phases:
+:func:`repro.core.batch_query.exact_knn_batch`: ``knn`` is its Q = 1
+call, and ``knn_approx`` the same call stopped after phase 1.  Every
+mode starts from one front half, :func:`_search_states` (one table
+bound pass and one PAA block per call, one :class:`_SearchState` per
+query); :func:`progressive_knn`, which yields after every phase-1 visit,
+starts from it too.  The four phases:
 
 1. **Approx-kNN** (Algorithm 11) — a best-first visit of at most
    ``L_max`` leaves by LB_EAPCA, computing real distances in each, to
@@ -63,7 +66,8 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Optional
 
@@ -77,7 +81,11 @@ from repro.core.results import ResultSet
 from repro.distance.euclidean import early_abandon_squared
 from repro.storage.files import SeriesFile, adjacent_runs
 from repro.storage.iostats import IOSnapshot
-from repro.summarization.eapca import SeriesSketch
+from repro.summarization.eapca import BatchSketch
+
+# Not called here (the front half sketches whole blocks); the end-to-end
+# benchmark's tracer still patches this name in this module, so it stays bound.
+from repro.summarization.eapca import SeriesSketch  # noqa: F401
 from repro.summarization.paa import paa
 from repro.types import DISTANCE_DTYPE, SERIES_DTYPE, as_series
 
@@ -205,7 +213,8 @@ class QueryAnswer:
 
 
 class _SearchState:
-    """Mutable state threaded through the four phases of one query."""
+    """Mutable state threaded through the phases of one query, made by
+    :func:`_search_states`."""
 
     def __init__(
         self,
@@ -216,9 +225,9 @@ class _SearchState:
         lrd: SeriesFile,
         sax: SignatureArray,
         num_series: int,
+        bounds: np.ndarray,
+        query_paa: np.ndarray,
         results: Optional[ResultSet] = None,
-        bounds: Optional[np.ndarray] = None,
-        query_paa: Optional[np.ndarray] = None,
     ) -> None:
         self.query = as_series(query).astype(DISTANCE_DTYPE)
         self.k = k
@@ -227,9 +236,6 @@ class _SearchState:
         self.lrd = lrd
         self.sax = sax
         self.num_series = num_series
-        self._cache_before = (
-            lrd.cache.snapshot() if lrd.cache is not None else None
-        )
         # An externally supplied ResultSet lets a coordinator link this
         # search to others (shard scatter-gather shares the global BSF²
         # through a LinkedResultSet); the default is a private set.
@@ -240,69 +246,41 @@ class _SearchState:
         # All comparisons against BSF happen in squared-distance space, so
         # squared bounds are scaled by the factor squared, exactly once.
         self.prune_factor = 1.0 + config.epsilon
-        # ``bounds`` and ``query_paa`` carry this query's rows of the exact
-        # pipeline's table pass and PAA block.
-        if bounds is None:
-            sketch = SeriesSketch(self.query)
-            bounds = table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
         #: Effective LB_EAPCA² per leaf in file order, ε-scaled: every
         #: pruning site compares these straight against the live BSF².
         self.bounds = bounds * (self.prune_factor * self.prune_factor)
         #: Leaves (table indices) scanned by phase 1, in visit order.
         self.visited: list[int] = []
-        if query_paa is None:
-            query_paa = paa(self.query, sax.space.segments)
         self.query_paa = query_paa
 
-    def finish_profile(self) -> None:
-        """Fill the per-query cache counters from LRDFile's leaf cache."""
-        cache = self.lrd.cache
-        if cache is not None and self._cache_before is not None:
-            delta = cache.snapshot() - self._cache_before
-            self.profile.cache_hits = delta.hits
-            self.profile.cache_misses = delta.misses
 
-
-def approximate_knn(
-    query: np.ndarray,
-    k: int,
-    config: HerculesConfig,
-    table: LeafTable,
-    lrd: SeriesFile,
-    sax: SignatureArray,
-    num_series: int,
-    results: Optional[ResultSet] = None,
-) -> QueryAnswer:
-    """Approximate k-NN: Algorithm 11 alone (phase 1, then stop).
-
-    This is the approximate-answering mode the paper's conclusion points
-    to: the best-first search visits at most ``L_max`` leaves and the
-    best-so-far answers become the result.  Answers are not guaranteed
-    exact; recall grows with ``L_max`` (measured in the benchmark suite).
-    ``results`` plays the same role as in
-    :func:`repro.core.batch_query.exact_knn`.
-    """
-    started = time.perf_counter()
-    io_before = lrd.stats.snapshot()
-    with obs.span("query", k=k, mode="approximate") as sp:
-        with obs.span("query.phase1.approx"):
-            state = _SearchState(
-                query, k, config, table, lrd, sax, num_series,
-                results=results,
-            )
-            _approx_knn(state)
-        distances, positions = state.results.items()
-        state.profile.path = "approximate"
-        state.profile.time_total = time.perf_counter() - started
-        state.profile.io = lrd.stats.snapshot() - io_before
-        state.finish_profile()
-        obs.observe_search(state.profile.time_total)
-        sp.set_attrs(
-            path=state.profile.path,
-            leaves_visited=state.profile.approx_leaves,
-            series_accessed=state.profile.series_accessed,
+def _search_states(queries, k, config, table, lrd, sax, num_series, results=None) -> list:
+    """The front half every query mode starts from: one ``(Q × nodes)``
+    LB_EAPCA² pass over the leaf table, one PAA block, and one
+    :class:`_SearchState` per row of the ``(Q, n)`` block ``queries``
+    (stored dtype).  ``results`` optionally supplies one result set per
+    query."""
+    sketch = BatchSketch(queries)
+    bounds = table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
+    paas = paa(queries, sax.space.segments)
+    return [
+        _SearchState(
+            queries[qi], k, config, table, lrd, sax, num_series, bounds[qi], paas[qi],
+            results=None if results is None else results[qi],
         )
-    return QueryAnswer(distances, positions, state.profile)
+        for qi in range(queries.shape[0])
+    ]
+
+
+@contextmanager
+def _charging_cache(lrd: SeriesFile, profile: QueryProfile):
+    """Add the leaf-cache lookups made inside the block to ``profile``."""
+    before = lrd.cache.snapshot() if lrd.cache is not None else None
+    yield
+    if before is not None:
+        lookups = lrd.cache.snapshot() - before
+        profile.cache_hits += lookups.hits
+        profile.cache_misses += lookups.misses
 
 
 def progressive_knn(
@@ -318,42 +296,46 @@ def progressive_knn(
 
     The paper motivates indexes with interactive analysis (Section 4.1's
     asynchronous workloads; its refs [27, 28] study progressive answers
-    explicitly).  This generator exposes that interaction model: it
-    yields a :class:`QueryAnswer` snapshot after every leaf visited by
-    the best-first search (each strictly refining the last), and a
-    final *exact* answer produced by the standard pipeline.  The
+    explicitly).  This generator exposes that interaction model: from
+    the pipeline's front half it runs phase 1 without a leaf budget,
+    yielding a :class:`QueryAnswer` snapshot after every leaf visited
+    (each strictly refining the last), then a final *exact* answer.  The
     consumer may stop iterating at any point and keep the best answer
     seen so far.
 
     Snapshots carry ``profile.path == "progressive-partial"``; the last
-    yield carries the full exact profile.
+    yield carries ``"progressive-final"`` and the whole profile, phase-1
+    time included (wall time since the call, as ``time_total`` is).  The
+    call's ``query`` span (``mode="progressive"``) and its
+    ``query.phase1.approx`` are recorded once the search ends or the
+    consumer stops.
     """
     started = time.perf_counter()
     io_before = lrd.stats.snapshot()
-    state = _SearchState(query, k, config, table, lrd, sax, num_series)
-    for visited in _best_first(state, limit=None):
-        distances, positions = state.results.items()
-        snapshot = QueryProfile(
-            path="progressive-partial",
-            approx_leaves=visited,
-            series_accessed=state.profile.series_accessed,
-            distance_computations=state.profile.distance_computations,
-            points_compared=state.profile.points_compared,
-            points_total=state.profile.points_total,
-            time_total=time.perf_counter() - started,
+    (state,) = _search_states(query[None], k, config, table, lrd, sax, num_series)
+    profile = state.profile
+    try:
+        with _charging_cache(lrd, profile):
+            for _ in _best_first(state, limit=None):
+                snapshot = replace(
+                    profile, path="progressive-partial", time_total=time.perf_counter() - started
+                )
+                yield QueryAnswer(*state.results.items(), snapshot)
+    finally:
+        ended = time.perf_counter()
+        profile.time_approx = ended - started
+        root = obs.record_span("query", started, ended, k=k, queries=1, mode="progressive")
+        obs.record_span(
+            "query.phase1.approx", started, ended, parent=root,
+            leaves_visited=profile.approx_leaves,
         )
-        yield QueryAnswer(distances, positions, snapshot)
-
     # The search above ran to pruning-exhaustion, which already makes
     # the current answers exact: the remaining phases would find nothing
-    # (every unvisited leaf is pruned).  Emit the final answer with the
-    # exact-path profile for uniformity.
-    distances, positions = state.results.items()
-    state.profile.path = "progressive-final"
-    state.profile.time_total = time.perf_counter() - started
-    state.profile.io = lrd.stats.snapshot() - io_before
-    state.finish_profile()
-    yield QueryAnswer(distances, positions, state.profile)
+    # (every unvisited leaf is pruned).
+    profile.path = "progressive-final"
+    profile.time_total = time.perf_counter() - started
+    profile.io = lrd.stats.snapshot() - io_before
+    yield QueryAnswer(*state.results.items(), profile)
 
 
 # ---------------------------------------------------------------------------

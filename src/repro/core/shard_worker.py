@@ -71,7 +71,7 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.core.batch_query import BatchAnswer, BatchStats
+from repro.core.batch_query import BatchAnswer
 from repro.core.config import HerculesConfig
 from repro.core.results import LinkedResultSet
 from repro.errors import (
@@ -572,29 +572,24 @@ def answer_shard(
     k: int,
     mode: str,
     config: Optional[HerculesConfig],
-    l_max: Optional[int],
     links: list,
     row_base: int,
 ) -> BatchAnswer:
     """One shard's answers to a ``(Q, n)`` query block, positions global.
 
     ``mode`` is the public call being served — ``"knn"`` or
-    ``"knn_approx"`` (Q = 1) or ``"knn_batch"``.  Exact modes are one
-    ``knn_batch`` call on the shard (``knn`` is its Q = 1 call), the
-    approximate one a ``knn_approx`` call.  Query ``qi`` prunes through a
+    ``"knn_approx"`` (Q = 1) or ``"knn_batch"``.  Every mode is one call
+    of the shard's pipeline; ``"knn_approx"`` stops it after phase 1,
+    with the leaf budget in ``config.l_max``.  Query ``qi`` prunes through a
     :class:`~repro.core.results.LinkedResultSet` linked to ``links[qi]``
     (a thread-shared or process-shared cell), so a bound any shard finds
     prunes that query everywhere and never another query.  The thread
     scatter and the query workers both answer a shard through here.
     """
     results = [LinkedResultSet(k, link) for link in links]
-    if mode == "knn_approx":
-        answer = index.knn_approx(
-            queries[0], k=k, l_max=l_max, results=results[0]
-        )
-        batch = BatchAnswer([answer], BatchStats(num_queries=1))
-    else:
-        batch = index.knn_batch(queries, k=k, config=config, results=results)
+    batch = index._search(
+        queries, k, config, results, phase1_only=mode == "knn_approx"
+    )
     for answer in batch:
         answer.positions = answer.positions + row_base
     return batch
@@ -612,7 +607,7 @@ def query_worker_main(
     ``specs`` is a list of ``(shard_id, directory, row_base)`` this
     worker owns.  The protocol over ``conn``:
 
-    * ``("query", queries, k, mode, config_fields_or_None, l_max,
+    * ``("query", queries, k, mode, config_fields_or_None,
       shard_ids_or_None)`` → ``("ok", [(shard_id, batch_answer), ...],
       [(shard_id, error_text), ...])``: every owned shard answers the
       ``(Q, n)`` block through :func:`answer_shard`, query ``qi``
@@ -649,7 +644,7 @@ def query_worker_main(
                 if kind != "query":  # pragma: no cover - protocol guard
                     conn.send(("error", f"unknown request {kind!r}"))
                     continue
-                _, queries, k, mode, config_fields, l_max, only = message
+                _, queries, k, mode, config_fields, only = message
                 try:
                     config = (
                         HerculesConfig(**config_fields) if config_fields else None
@@ -668,7 +663,7 @@ def query_worker_main(
                                     shard_id,
                                     answer_shard(
                                         index, queries, k, mode, config,
-                                        l_max, links, row_base,
+                                        links, row_base,
                                     ),
                                 )
                             )
@@ -849,7 +844,6 @@ class ShardQueryPool:
         k: int,
         mode: str,
         config: Optional[HerculesConfig],
-        l_max: Optional[int],
         policy: RetryPolicy,
     ) -> GatherOutcome:
         """Scatter a ``(Q, n)`` query block: ONE round-trip per worker.
@@ -877,7 +871,6 @@ class ShardQueryPool:
             int(k),
             mode,
             dataclasses.asdict(config) if config is not None else None,
-            l_max,
             None,
         )
         started = time.monotonic()

@@ -600,9 +600,7 @@ class ShardedIndex:
         """
         self._check_open()
         query = as_series(query, self.series_length)
-        return self._scatter(
-            query[None], k, "knn", config, None, partial_results
-        )[0]
+        return self._scatter(query[None], k, "knn", config, partial_results)[0]
 
     def knn_approx(
         self,
@@ -620,8 +618,9 @@ class ShardedIndex:
         """
         self._check_open()
         query = as_series(query, self.series_length)
+        config = self.config if l_max is None else self.config.with_options(l_max=l_max)
         return self._scatter(
-            query[None], k, "knn_approx", None, l_max, partial_results
+            query[None], k, "knn_approx", config, partial_results
         )[0]
 
     def knn_batch(
@@ -670,7 +669,6 @@ class ShardedIndex:
                 k,
                 "knn_batch",
                 config,
-                None,
                 partial_results,
             )
             answers.extend(batch.answers)
@@ -684,7 +682,6 @@ class ShardedIndex:
         k: int,
         mode: str,
         config: Optional[HerculesConfig],
-        l_max: Optional[int],
         partial_results: Optional[bool],
     ) -> BatchAnswer:
         """Scatter a ``(Q, n)`` block, gather, then apply the failure policy.
@@ -703,11 +700,9 @@ class ShardedIndex:
         )
         started = time.perf_counter()
         if self._pool is not None:
-            outcome = self._pool.query(queries, k, mode, config, l_max, policy)
+            outcome = self._pool.query(queries, k, mode, config, policy)
         else:
-            outcome = self._scatter_threads(
-                queries, k, mode, config, l_max, policy
-            )
+            outcome = self._scatter_threads(queries, k, mode, config, policy)
         wall = time.perf_counter() - started
         return self._settle(queries.shape[0], k, outcome, allow_partial, wall)
 
@@ -832,7 +827,6 @@ class ShardedIndex:
         k: int,
         mode: str,
         config: Optional[HerculesConfig],
-        l_max: Optional[int],
         policy: RetryPolicy,
     ) -> GatherOutcome:
         """One thread per shard, each answering the whole ``(Q, n)`` block.
@@ -895,7 +889,6 @@ class ShardedIndex:
                                     k,
                                     mode,
                                     config,
-                                    l_max,
                                     links,
                                     self.row_bases[shard_id],
                                 ),

@@ -74,6 +74,7 @@ from repro.obs.tracing import (
     current_span,
     get_trace,
     io_span,
+    record_span,
     set_trace,
     span,
     use_trace,
@@ -113,6 +114,7 @@ __all__ = [
     "record_build",
     "record_io",
     "record_profile",
+    "record_span",
     "render_dashboard",
     "render_openmetrics",
     "run_monitor",

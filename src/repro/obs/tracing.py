@@ -41,6 +41,7 @@ __all__ = [
     "current_span",
     "get_trace",
     "io_span",
+    "record_span",
     "set_trace",
     "span",
     "use_trace",
@@ -422,6 +423,19 @@ def span(name: str, parent: Optional[Span] = None, **attributes: Any):
     if trace is None:
         return NULL_SPAN
     return trace.span(name, parent=parent, **attributes)
+
+
+def record_span(name: str, started: float, ended: float, parent=None, **attributes: Any):
+    """:func:`span` for a region already timed by ``time.perf_counter()``
+    readings — for code that cannot hold a span open over it, such as a
+    generator across its yields (the span would sit on the consumer's
+    stack).  Without ``parent`` it nests under the innermost open span."""
+    recorded = span(name, parent=parent, **attributes)
+    with recorded:
+        pass
+    if recorded is not NULL_SPAN:
+        recorded.start, recorded.duration = started - recorded.trace.epoch, ended - started
+    return recorded
 
 
 def current_span() -> Optional[Span]:

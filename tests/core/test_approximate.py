@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import HerculesConfig, HerculesIndex
+from repro import HerculesConfig, HerculesIndex, ShardedIndex
 from repro.errors import ConfigError
 
 from ..conftest import make_random_walks
@@ -16,9 +16,8 @@ def corpus():
     return make_random_walks(1200, 64, seed=140)
 
 
-@pytest.fixture(scope="module")
-def index(corpus, tmp_path_factory):
-    config = HerculesConfig(
+def index_config(**overrides):
+    return HerculesConfig(
         leaf_capacity=50,
         num_build_threads=2,
         db_size=256,
@@ -26,9 +25,14 @@ def index(corpus, tmp_path_factory):
         num_query_threads=1,
         l_max=3,
         sax_segments=8,
+        **overrides,
     )
+
+
+@pytest.fixture(scope="module")
+def index(corpus, tmp_path_factory):
     idx = HerculesIndex.build(
-        corpus, config, directory=tmp_path_factory.mktemp("approx")
+        corpus, index_config(), directory=tmp_path_factory.mktemp("approx")
     )
     yield idx
     idx.close()
@@ -111,6 +115,31 @@ class TestApproximateOnly:
         members is perfect even with l_max=1."""
         answer = index.knn_approx(corpus[5], k=1, l_max=1)
         assert answer.distances[0] == pytest.approx(0.0, abs=1e-5)
+
+
+class TestPhaseOneTime:
+    """The modes that stop at (or only run) phase 1 report its time."""
+
+    def test_knn_approx(self, index):
+        query = make_random_walks(1, 64, seed=146)[0]
+        profile = index.knn_approx(query, k=5).profile
+        assert 0.0 < profile.time_approx <= profile.time_total
+
+    def test_sharded_knn_approx(self, corpus, tmp_path):
+        config = index_config(num_shards=2, shard_workers=0)
+        sharded = ShardedIndex.build(corpus, config, directory=tmp_path / "sharded")
+        try:
+            query = make_random_walks(1, 64, seed=147)[0]
+            profile = sharded.knn_approx(query, k=5, l_max=2).profile
+        finally:
+            sharded.close()
+        assert 0.0 < profile.time_approx <= profile.time_total
+
+    def test_knn_progressive_final(self, index):
+        query = make_random_walks(1, 64, seed=148)[0]
+        final = list(index.knn_progressive(query, k=5))[-1].profile
+        assert final.path == "progressive-final"
+        assert 0.0 < final.time_approx <= final.time_total
 
 
 class TestEpsilonProperty:

@@ -14,9 +14,10 @@ from repro.core.query import (
     _approx_knn,
     _find_candidate_leaves,
     _find_candidate_series,
-    _SearchState,
+    _search_states,
     _trim_to_candidates,
 )
+from repro.types import as_series
 
 from ..conftest import make_random_walks
 
@@ -62,12 +63,18 @@ def unfiltered(index):
     return index.config.with_options(prefilter=False)
 
 
-def _lclist(index, query, k, config):
-    """Phase 2's LCList for one query, from the pipeline's own phases."""
-    state = _SearchState(
-        query, k, config, index._table, index._lrd,
+def _state(index, query, k, config):
+    """One query's search state, from the pipeline's own front half."""
+    (state,) = _search_states(
+        as_series(query)[None], k, config, index._table, index._lrd,
         index.signatures, index.num_series,
     )
+    return state
+
+
+def _lclist(index, query, k, config):
+    """Phase 2's LCList for one query, from the pipeline's own phases."""
+    state = _state(index, query, k, config)
     _approx_knn(state)
     return _find_candidate_leaves(state)
 
@@ -157,10 +164,7 @@ class TestExactParity:
         longest = 0
         for k in (1, 5, 25):
             for query in queries:
-                state = _SearchState(
-                    query, k, config, index._table, index._lrd,
-                    index.signatures, index.num_series,
-                )
+                state = _state(index, query, k, config)
                 _approx_knn(state)
                 lclist = _find_candidate_leaves(state)
                 positions, _ = _find_candidate_series(state, lclist)

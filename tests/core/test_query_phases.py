@@ -9,14 +9,15 @@ from repro import HerculesConfig, HerculesIndex
 from repro.core import query as query_module
 from repro.core.leaf_table import extent_rows
 from repro.core.query import (
-    _SearchState,
     _approx_knn,
     _find_candidate_leaves,
     _find_candidate_series,
+    _search_states,
 )
 from repro.core.results import LinkedResultSet, SharedBsf
 from repro.distance.euclidean import early_abandon_squared
 from repro.storage.files import adjacent_runs
+from repro.types import as_series
 
 from ..conftest import make_random_walks
 
@@ -45,8 +46,8 @@ def index(corpus, tmp_path_factory):
 
 def make_state(index, query, k=3, **config_overrides):
     config = index.config.with_options(**config_overrides)
-    return _SearchState(
-        query,
+    (state,) = _search_states(
+        as_series(query)[None],
         k,
         config,
         index._table,
@@ -54,6 +55,7 @@ def make_state(index, query, k=3, **config_overrides):
         index.signatures,
         index.num_series,
     )
+    return state
 
 
 class TestApproxPhase:

@@ -1,8 +1,8 @@
 """Query retry + graceful degradation semantics (in-process thread path).
 
-Shard failures are simulated by patching the calls the scatter makes on
-individual shards (``knn_batch``, which also serves ``knn``, and
-``knn_approx``) — the degradation *policy* (retry accounting,
+Shard failures are simulated by patching the call the scatter makes on
+individual shards (``_search``, the one pipeline call serving ``knn``,
+``knn_batch`` and ``knn_approx``) — the degradation *policy* (retry accounting,
 partial-results gating, coverage arithmetic, metrics visibility) is
 independent of how a shard fails; the cross-process chaos tests exercise
 real storage faults.
@@ -63,8 +63,7 @@ def _fail_shard(index, shard_id, exc=None):
     def raise_fault(*args, **kwargs):
         raise exc
 
-    index.shards[shard_id].knn_batch = raise_fault
-    index.shards[shard_id].knn_approx = raise_fault
+    index.shards[shard_id]._search = raise_fault
 
 
 def _shard_rows(index, shard_id):
@@ -196,7 +195,7 @@ class TestRetries:
     ):
         fault_free = index.knn(query, k=5)
         shard = index.shards[1]
-        real_knn = shard.knn_batch
+        real_knn = shard._search
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -205,7 +204,7 @@ class TestRetries:
                 raise StorageError("transient blip")
             return real_knn(*args, **kwargs)
 
-        shard.knn_batch = flaky
+        shard._search = flaky
         config = index.config.with_options(shard_retry_attempts=3)
         answer = index.knn(query, k=5, config=config)
         assert not answer.degraded
@@ -230,7 +229,7 @@ class TestDeadline:
             time.sleep(5.0)
             raise AssertionError("should have been abandoned")
 
-        index.shards[2].knn_batch = glacial
+        index.shards[2]._search = glacial
         config = index.config.with_options(query_deadline=0.3)
         started = time.monotonic()
         answer = index.knn(
@@ -246,7 +245,7 @@ class TestDeadline:
             time.sleep(5.0)
             raise AssertionError("should have been abandoned")
 
-        index.shards[0].knn_batch = glacial
+        index.shards[0]._search = glacial
         config = index.config.with_options(query_deadline=0.3)
         with pytest.raises(ShardTimeoutError):
             index.knn(query, k=5, config=config)
@@ -267,7 +266,7 @@ class TestMetricsVisibility:
 
     def test_retries_reach_the_registry(self, index, query):
         shard = index.shards[0]
-        real_knn = shard.knn_batch
+        real_knn = shard._search
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -276,7 +275,7 @@ class TestMetricsVisibility:
                 raise StorageError("transient blip")
             return real_knn(*args, **kwargs)
 
-        shard.knn_batch = flaky
+        shard._search = flaky
         config = index.config.with_options(shard_retry_attempts=2)
         registry = MetricsRegistry()
         answer = index.knn(query, k=5, config=config)

@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from repro import HerculesConfig, HerculesIndex
-from repro.core.query import _SearchState
+from repro.core.query import _search_states
 from repro.distance.euclidean import batch_squared_euclidean
+from repro.types import as_series
 
 from ..conftest import make_random_walks
 
@@ -151,8 +152,8 @@ class TestEpsilonParity:
         query = make_random_walks(1, 32, seed=240)[0]
 
         def state_for(epsilon):
-            return _SearchState(
-                query,
+            (state,) = _search_states(
+                as_series(query)[None],
                 1,
                 index.config.with_options(epsilon=epsilon),
                 index._table,
@@ -160,6 +161,7 @@ class TestEpsilonParity:
                 index.signatures,
                 index.num_series,
             )
+            return state
 
         scaled = state_for(0.05)
         assert scaled.prune_factor == 1.05

@@ -1,6 +1,5 @@
 """End-to-end: the instrumented hot paths emit the expected spans."""
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -70,28 +69,34 @@ class TestBuildSpans:
         assert "spilled_series" in flush.attributes
 
 
-def _assert_one_span_tree(trace, num_calls, queries_per_call):
-    """Every exact call, whatever its Q, is one ``query`` span holding
-    per-query phase 1-3 spans, one ``query.prefilter`` and one
-    ``query.refine`` around the walk."""
+def _assert_one_span_tree(trace, num_calls, queries_per_call, mode="exact"):
+    """Every call, whatever its Q and mode, is one ``query`` span holding
+    per-query ``query.phase1.approx`` spans.  An exact call adds per-query
+    phase 2-3 spans, one ``query.prefilter`` and one ``query.refine``
+    around the walk; an approximate or progressive call stops there."""
     calls = trace.find("query")
     assert len(calls) == num_calls
     call_ids = {s.span_id for s in calls}
+    exact = mode == "exact"
     for call in calls:
+        assert call.parent_id is None
         assert call.attributes["k"] == 5
         assert call.attributes["queries"] == queries_per_call
-        assert call.attributes["leaf_uses"] >= call.attributes["unique_leaf_reads"] > 0
-        assert call.attributes["kernel_rows"] > 0
+        assert call.attributes["mode"] == mode
+        if exact:
+            assert call.attributes["leaf_uses"] >= call.attributes["unique_leaf_reads"] > 0
+            assert call.attributes["kernel_rows"] > 0
     for name, per_call in (
         ("query.phase1.approx", queries_per_call),
-        ("query.phase2.candidates", queries_per_call),
-        ("query.phase3.filter", queries_per_call),
-        ("query.prefilter", 1),
-        ("query.refine", 1),
+        ("query.phase2.candidates", queries_per_call if exact else 0),
+        ("query.phase3.filter", queries_per_call if exact else 0),
+        ("query.prefilter", int(exact)),
+        ("query.refine", int(exact)),
     ):
         spans = trace.find(name)
         assert len(spans) == num_calls * per_call, name
         assert all(s.parent_id in call_ids for s in spans), name
+    assert {s.parent_id for s in trace.find("query.phase1.approx")} == call_ids
     assert not any(s.name.startswith("query.batch") for s in trace.spans)
 
 
@@ -140,8 +145,24 @@ class TestQuerySpans:
         index = HerculesIndex.open(index_dir)
         trace = obs.Trace()
         with obs.use_trace(trace):
-            answer = index.knn_approx(data[1], k=1)
+            answers = [index.knn_approx(q, k=5) for q in data[1:4]]
         index.close()
-        assert answer.profile.io is not None
-        query_span = trace.find("query")[0]
-        assert query_span.attributes["mode"] == "approximate"
+        assert all(a.profile.io is not None for a in answers)
+        assert all(a.profile.path == "approximate" for a in answers)
+        _assert_one_span_tree(trace, num_calls=3, queries_per_call=1, mode="approximate")
+        visited = [s.attributes["leaves_visited"] for s in trace.find("query.phase1.approx")]
+        assert visited == [a.profile.approx_leaves for a in answers]
+
+    def test_progressive_knn_span_tree(self, traced_build, data):
+        _, index_dir = traced_build
+        index = HerculesIndex.open(index_dir)
+        trace = obs.Trace()
+        with obs.use_trace(trace):
+            finals = [list(index.knn_progressive(q, k=5))[-1] for q in data[1:3]]
+            # A consumer that stops early still closes the call's tree.
+            next(iter(index.knn_progressive(data[3], k=5)))
+        index.close()
+        _assert_one_span_tree(trace, num_calls=3, queries_per_call=1, mode="progressive")
+        visited = [s.attributes["leaves_visited"] for s in trace.find("query.phase1.approx")]
+        assert visited[:2] == [a.profile.approx_leaves for a in finals]
+        assert visited[2] == 1
