@@ -37,7 +37,6 @@ def main() -> None:
         num_build_threads=4,
         db_size=1024,
         flush_threshold=1,
-        num_query_threads=4,
         l_max=6,
     )
     workdir = Path(tempfile.mkdtemp(prefix="hercules-seismic-"))

@@ -195,7 +195,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         num_build_threads=args.threads,
         flush_threshold=max((args.threads - 1) // 2, 1),
         num_write_threads=max(args.threads // 2, 1),
-        num_query_threads=args.threads,
         l_max=args.l_max,
         batched_inserts=not args.per_row,
         claim_size=args.claim_size,
@@ -858,7 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--output", type=Path, required=True)
     build.add_argument("--leaf-capacity", type=int, default=100)
     build.add_argument("--initial-segments", type=int, default=4)
-    build.add_argument("--threads", type=int, default=4)
+    build.add_argument("--threads", type=int, default=4,
+                       help="build threads (inserts, flushes, writes); "
+                            "queries use the index default of one thread")
     build.add_argument("--l-max", type=int, default=8)
     build.add_argument("--claim-size", type=int, default=None,
                        help="series claimed per FetchAdd during batched "
@@ -914,7 +915,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "split evenly across shards of a sharded index)")
     query.add_argument("--shard-workers", type=int, default=None,
                        help="persistent query worker processes for a sharded "
-                            "index (default: in-process threads)")
+                            "index (default: none; shards answer one after "
+                            "another in-process)")
     _add_resilience_flags(query)
     query.add_argument("--trace", type=Path, default=None,
                        help="write a Chrome-trace JSON of the queries to FILE")
@@ -937,7 +939,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="leaf-block LRU cache budget in MiB (0: disabled)")
     explain.add_argument("--shard-workers", type=int, default=None,
                          help="persistent query worker processes for a "
-                              "sharded index (default: in-process threads)")
+                              "sharded index (default: none; shards answer "
+                              "one after another in-process)")
     _add_resilience_flags(explain)
     explain.add_argument("--trace", type=Path, default=None,
                          help="also write a Chrome-trace JSON to FILE")

@@ -84,8 +84,9 @@ class HerculesConfig:
     num_shards: int = 1
     #: Worker *processes* used to build shards (and, when > 0 at open
     #: time, to answer queries).  ``None`` picks ``min(num_shards,
-    #: cpu_count)`` for builds and in-process threads for queries;
-    #: ``0`` forces everything inline in the coordinator process.
+    #: cpu_count)`` for builds; ``0`` builds inline in the coordinator
+    #: process.  Without a query pool the shards answer one after another
+    #: on the calling thread.
     shard_workers: int | None = None
 
     # -- shard resilience (retries, supervision, degradation) -----------------

@@ -141,8 +141,9 @@ class QueryProfile:
     time_approx: float = 0.0
     time_candidates: float = 0.0
     time_refine: float = 0.0
-    #: I/O performed by this query (filled by harnesses that wrap knn
-    #: calls with IOStats snapshots; None when the data lives in memory).
+    #: I/O performed by this query: filled by a one-query
+    #: ``exact_knn_batch`` call and by ``progressive_knn``'s final answer;
+    #: None for the queries of a batch (their reads are shared).
     io: Optional["IOSnapshot"] = None
 
     def data_accessed_fraction(self, num_series: int) -> float:

@@ -177,14 +177,15 @@ class ResultSet:
 
 
 class SharedBsf:
-    """A thread-shared global BSF² cell for scatter-gather coordination.
+    """An in-process global BSF² cell for scatter-gather coordination.
 
     Each shard search holds a :class:`LinkedResultSet` pointing at one of
     these; a shard that tightens its local k-th best publishes the new
-    bound here, and every other shard's next refresh (one per refinement
-    chunk) picks it up.  The value only ever decreases, so readers can
-    act on a stale copy safely — stale means conservative pruning, never
-    a wrong answer.
+    bound here, and every later refresh (one per refinement chunk) picks
+    it up, so each shard of the in-process scatter starts from the bound
+    the shards before it found.  The value only ever decreases, so
+    readers can act on a stale copy safely — stale means conservative
+    pruning, never a wrong answer.
     """
 
     __slots__ = ("_lock", "_value")

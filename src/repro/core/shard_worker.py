@@ -19,8 +19,8 @@ picklable under every ``multiprocessing`` start method:
   a ``(Q, n)`` block of Q ≥ 1 queries.  Each query prunes against its
   own global BSF² — one cell of a :class:`ProcessBsfVector`, read
   through the same :class:`~repro.core.results.LinkedResultSet` the
-  thread path uses (refreshed once per refinement chunk) — and replies
-  carry shard answers whose positions are already globalized
+  in-process scatter uses (refreshed once per refinement chunk) — and
+  replies carry shard answers whose positions are already globalized
   (``row_base`` added).  Both paths answer a shard through one routine,
   :func:`answer_shard`.
 
@@ -168,7 +168,7 @@ class _BsfCell:
     Duck-typed to the ``get``/``publish`` half of the
     :class:`~repro.core.results.SharedBsf` contract, so a
     :class:`~repro.core.results.LinkedResultSet` links to one slot of
-    the vector exactly as it links to a thread-shared cell.
+    the vector exactly as it links to an in-process cell.
     """
 
     __slots__ = ("_vector", "_index")
@@ -582,8 +582,8 @@ def answer_shard(
     of the shard's pipeline; ``"knn_approx"`` stops it after phase 1,
     with the leaf budget in ``config.l_max``.  Query ``qi`` prunes through a
     :class:`~repro.core.results.LinkedResultSet` linked to ``links[qi]``
-    (a thread-shared or process-shared cell), so a bound any shard finds
-    prunes that query everywhere and never another query.  The thread
+    (an in-process or process-shared cell), so a bound any shard finds
+    prunes that query everywhere and never another query.  The in-process
     scatter and the query workers both answer a shard through here.
     """
     results = [LinkedResultSet(k, link) for link in links]
@@ -942,9 +942,7 @@ class ShardQueryPool:
                             (sid, str(exc)) for sid in sorted(pending)
                         )
                         return
-                if attempt >= policy.attempts or self._past_deadline(
-                    policy, started
-                ):
+                if attempt >= policy.attempts or policy.past_deadline(started):
                     outcome.shard_errors.extend(
                         (sid, str(exc)) for sid in sorted(pending)
                     )
@@ -957,13 +955,6 @@ class ShardQueryPool:
                     self._conns[i].send(request)
                 except (BrokenPipeError, OSError):
                     continue  # recv will classify the death next loop
-
-    @staticmethod
-    def _past_deadline(policy: RetryPolicy, started: float) -> bool:
-        return (
-            policy.deadline is not None
-            and time.monotonic() - started >= policy.deadline
-        )
 
     def _wait_budget(
         self, policy: RetryPolicy, started: float

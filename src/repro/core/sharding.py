@@ -42,7 +42,6 @@ import logging
 import os
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -270,12 +269,12 @@ def _revive_report(doc: dict) -> BuildReport:
 class ShardedIndex:
     """N disjoint index shards behind one scatter-gather facade.
 
-    Query answering defaults to one coordinator *thread* per shard —
-    query phases release the GIL inside NumPy kernels, and threads share
-    the global BSF² at memory speed.  Opening with ``workers > 0``
-    instead keeps a persistent pool of worker *processes* (each owning a
-    subset of shards, caches staying warm across queries) for workloads
-    whose per-query Python overhead dominates.
+    Query answering defaults to an inline loop: the shards answer one
+    after another on the calling thread, each starting from the BSF²
+    the shards before it found, so per-shard work is deterministic.
+    Opening with ``workers > 0`` instead keeps a persistent pool of
+    worker *processes* (each owning a subset of shards, caches staying
+    warm across queries), which answers the shards in parallel.
     """
 
     def __init__(
@@ -499,8 +498,8 @@ class ShardedIndex:
 
         The leaf-cache budget is **split evenly**: each shard gets
         ``cache_bytes // num_shards``.  ``workers > 0`` starts that many
-        persistent query worker processes; ``None``/``0`` answers with
-        in-process threads.
+        persistent query worker processes; ``None``/``0`` answers the
+        shards one after another on the calling thread.
         """
         directory = Path(directory)
         if verify not in manifest_mod.VERIFY_LEVELS:
@@ -689,7 +688,7 @@ class ShardedIndex:
         ``mode`` is the public call being served (``"knn"``,
         ``"knn_approx"`` or ``"knn_batch"``); every shard answers it
         through :func:`~repro.core.shard_worker.answer_shard`, in a pool
-        worker or in a coordinator thread.
+        worker or inline on the calling thread (:meth:`_scatter_inline`).
         """
         effective = config if config is not None else self.config
         policy = effective.retry_policy()
@@ -702,7 +701,7 @@ class ShardedIndex:
         if self._pool is not None:
             outcome = self._pool.query(queries, k, mode, config, policy)
         else:
-            outcome = self._scatter_threads(queries, k, mode, config, policy)
+            outcome = self._scatter_inline(queries, k, mode, config, policy)
         wall = time.perf_counter() - started
         return self._settle(queries.shape[0], k, outcome, allow_partial, wall)
 
@@ -821,7 +820,7 @@ class ShardedIndex:
         )
         return covered / self.num_series
 
-    def _scatter_threads(
+    def _scatter_inline(
         self,
         queries: np.ndarray,
         k: int,
@@ -829,133 +828,59 @@ class ShardedIndex:
         config: Optional[HerculesConfig],
         policy: RetryPolicy,
     ) -> GatherOutcome:
-        """One thread per shard, each answering the whole ``(Q, n)`` block.
+        """Answer the ``(Q, n)`` block shard after shard on the calling thread.
 
-        Every query gets its own :class:`SharedBsf` cell, so bounds
-        broadcast across shards per query without ever leaking between
-        queries.  Each thread retries its shard per ``policy`` (only
-        :data:`~repro.core.shard_worker.RETRYABLE` faults are retried —
-        a bad argument propagates immediately); a retried shard re-runs
-        its whole block against the already tightened bounds, which only
-        strengthens pruning.  The whole-call ``policy.deadline`` bounds
-        the join: a thread still running past it is abandoned and its
-        shard reported as timed out.  Per-attempt ``shard_timeout`` is
-        advisory here (a running attempt cannot be interrupted
-        in-thread; it stops further retries once exceeded) — the process
-        pool enforces it preemptively.
+        Every query gets its own :class:`SharedBsf` cell, so each shard
+        starts from the bounds the shards before it found, bounds never
+        leak between queries, and every per-shard counter is
+        deterministic.  A shard is retried per ``policy`` on
+        :data:`~repro.core.shard_worker.RETRYABLE` faults only; anything
+        else (a bad argument) propagates.  ``policy.deadline`` is checked
+        before each attempt: a shard not started in time is reported as
+        past the deadline, and a retry it cuts off leaves the shard's
+        last fault as the reason.  A running attempt is never
+        interrupted, so ``shard_timeout`` only stops the retries of an
+        attempt that overran it; the process pool enforces both bounds
+        preemptively.
         """
-        num_queries = int(queries.shape[0])
-        links = [SharedBsf() for _ in range(num_queries)]
-        pairs: list = [None] * len(self.shards)
-        errors: list = [None] * len(self.shards)
-        fatal: list[BaseException] = []
+        links = [SharedBsf() for _ in range(queries.shape[0])]
         outcome = GatherOutcome()
-        retry_lock = threading.Lock()
         started = time.monotonic()
         with obs.span(
-            "query.sharded",
-            k=k,
-            shards=len(self.shards),
-            mode=mode,
-            queries=num_queries,
+            "query.sharded", k=k, shards=len(self.shards), mode=mode, queries=len(links)
         ):
-            parent = obs.current_span()
-
-            def out_of_time(attempt_started: float) -> bool:
-                now = time.monotonic()
-                if policy.deadline is not None and (
-                    now - started >= policy.deadline
-                ):
-                    return True
-                return policy.shard_timeout is not None and (
-                    now - attempt_started >= policy.shard_timeout
-                )
-
-            def run(shard_id: int) -> None:
-                for attempt_no in range(1, policy.attempts + 1):
+            for shard_id, shard in enumerate(self.shards):
+                reason = None
+                for attempt in range(1, policy.attempts + 1):
+                    if policy.past_deadline(started):
+                        reason = reason or (
+                            f"shard {shard_id} ran past the "
+                            f"{policy.deadline:.2f}s query deadline"
+                        )
+                        break
+                    if attempt > 1:
+                        outcome.retries += 1
                     attempt_started = time.monotonic()
                     try:
-                        with obs.span(
-                            "query.shard",
-                            parent=parent,
-                            shard=shard_id,
-                            queries=num_queries,
-                        ):
-                            pairs[shard_id] = (
-                                shard_id,
-                                answer_shard(
-                                    self.shards[shard_id],
-                                    queries,
-                                    k,
-                                    mode,
-                                    config,
-                                    links,
-                                    self.row_bases[shard_id],
-                                ),
+                        with obs.span("query.shard", shard=shard_id, queries=len(links)):
+                            batch = answer_shard(
+                                shard, queries, k, mode, config, links, self.row_bases[shard_id]
                             )
-                        return
                     except RETRYABLE as exc:
-                        errors[shard_id] = (
-                            f"{type(exc).__name__}: {exc} "
-                            f"(after {attempt_no} attempts)"
-                        )
-                        if attempt_no >= policy.attempts or out_of_time(
-                            attempt_started
+                        reason = f"{type(exc).__name__}: {exc} (after {attempt} attempts)"
+                        if policy.shard_timeout is not None and (
+                            time.monotonic() - attempt_started >= policy.shard_timeout
                         ):
-                            return
-                        with retry_lock:
-                            outcome.retries += 1
-                        with obs.span(
-                            "shard.retry",
-                            parent=parent,
-                            shard=shard_id,
-                            attempt=attempt_no,
-                        ):
-                            time.sleep(
-                                policy.delay(
-                                    attempt_no, key=f"shard-{shard_id}"
-                                )
-                            )
-                    except BaseException as exc:  # not a shard fault
-                        fatal.append(exc)
-                        return
-
-            threads = [
-                threading.Thread(
-                    target=run,
-                    args=(i,),
-                    name=f"shard-query-{i}",
-                    daemon=True,  # an abandoned (past-deadline) thread
-                    # must not block interpreter exit
-                )
-                for i in range(len(self.shards))
-            ]
-            for thread in threads:
-                thread.start()
-            timed_out = set()
-            for shard_id, thread in enumerate(threads):
-                if policy.deadline is None:
-                    thread.join()
-                    continue
-                remaining = policy.deadline - (time.monotonic() - started)
-                thread.join(timeout=max(remaining, 0.0))
-                if thread.is_alive():
-                    timed_out.add(shard_id)
-        if fatal:
-            raise fatal[0]
-        for shard_id in range(len(self.shards)):
-            if shard_id in timed_out:
-                outcome.shard_errors.append(
-                    (
-                        shard_id,
-                        f"shard {shard_id} ran past the "
-                        f"{policy.deadline:.2f}s query deadline",
-                    )
-                )
-            elif pairs[shard_id] is not None:
-                outcome.pairs.append(pairs[shard_id])
-            elif errors[shard_id] is not None:
-                outcome.shard_errors.append((shard_id, errors[shard_id]))
+                            break
+                        if attempt < policy.attempts:
+                            with obs.span("shard.retry", shard=shard_id, attempt=attempt):
+                                time.sleep(policy.delay(attempt, key=f"shard-{shard_id}"))
+                    else:
+                        outcome.pairs.append((shard_id, batch))
+                        reason = None
+                        break
+                if reason is not None:
+                    outcome.shard_errors.append((shard_id, reason))
         return outcome
 
     def get_series(self, position: int) -> np.ndarray:

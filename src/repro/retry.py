@@ -17,6 +17,7 @@ to wait for one shard, and the whole-query deadline.
 
 from __future__ import annotations
 
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -84,6 +85,13 @@ class RetryPolicy:
             key, attempt, self.seed
         )
         return min(base * (1.0 + jitter), self.max_backoff_seconds)
+
+    def past_deadline(self, started: float) -> bool:
+        """Whether ``deadline`` has passed since ``started`` (``time.monotonic``)."""
+        return (
+            self.deadline is not None
+            and time.monotonic() - started >= self.deadline
+        )
 
     def delays(self, key: str = "") -> list[float]:
         """The full backoff schedule: one delay per retry after attempt 1."""

@@ -1,11 +1,14 @@
-"""Query retry + graceful degradation semantics (in-process thread path).
+"""Query retry + graceful degradation semantics.
 
-Shard failures are simulated by patching the call the scatter makes on
+Most shard failures are simulated in-process, where the scatter answers
+shard after shard on the calling thread, by patching the call it makes on
 individual shards (``_search``, the one pipeline call serving ``knn``,
 ``knn_batch`` and ``knn_approx``) — the degradation *policy* (retry accounting,
 partial-results gating, coverage arithmetic, metrics visibility) is
-independent of how a shard fails; the cross-process chaos tests exercise
-real storage faults.
+independent of how a shard fails.  Deadlines and ``shard_timeout`` are
+enforced preemptively only by the worker pool, so :class:`TestDeadline`
+stalls a real pool worker with a shipped fault plan; the cross-process
+chaos tests exercise real storage faults.
 """
 
 import time
@@ -16,6 +19,7 @@ import pytest
 from repro.core import HerculesConfig, ShardedIndex, record_sharded_profile
 from repro.errors import ShardError, ShardTimeoutError, StorageError
 from repro.obs import MetricsRegistry
+from repro.storage import faults
 
 from ..conftest import make_random_walks
 
@@ -223,31 +227,96 @@ class TestRetries:
         assert answer.retries == 2  # attempts 1→2 and 2→3
 
 
-class TestDeadline:
-    def test_slow_shard_is_abandoned_at_the_deadline(self, index, query):
-        def glacial(*args, **kwargs):
-            time.sleep(5.0)
-            raise AssertionError("should have been abandoned")
+def _stall_plan(seconds, fence=None):
+    """Stall a pool worker's first query read (two reads open a shard)."""
+    return faults.FaultPlan(
+        op="read", at=3, mode="stall", stall_seconds=seconds, fence=fence
+    )
 
-        index.shards[2]._search = glacial
-        config = index.config.with_options(query_deadline=0.3)
-        started = time.monotonic()
-        answer = index.knn(
-            query, k=5, config=config, partial_results=True
-        )
-        assert time.monotonic() - started < 4.0
-        assert answer.degraded
-        assert [sid for sid, _ in answer.shard_errors] == [2]
-        assert "deadline" in answer.shard_errors[0][1]
+
+class TestDeadline:
+    """The pool enforces the deadline and ``shard_timeout`` preemptively:
+    a stalled worker is killed and restarted.  One worker per shard, so
+    a stall in shard 2's worker holds up no other shard."""
+
+    def _pool(self, index, plan):
+        with faults.ship_plans({2: plan}):
+            return ShardedIndex.open(index.directory, workers=N_SHARDS)
+
+    def test_slow_shard_is_abandoned_at_the_deadline(self, index, query):
+        pooled = self._pool(index, _stall_plan(5.0))
+        try:
+            config = pooled.config.with_options(query_deadline=0.3)
+            started = time.monotonic()
+            answer = pooled.knn(
+                query, k=5, config=config, partial_results=True
+            )
+            assert time.monotonic() - started < 4.0
+            assert answer.degraded
+            assert [sid for sid, _ in answer.shard_errors] == [2]
+            assert "timeout" in answer.shard_errors[0][1]
+        finally:
+            pooled.close()
 
     def test_timeout_without_partial_raises_timeout_error(self, index, query):
-        def glacial(*args, **kwargs):
-            time.sleep(5.0)
-            raise AssertionError("should have been abandoned")
+        pooled = self._pool(index, _stall_plan(5.0))
+        try:
+            config = pooled.config.with_options(query_deadline=0.3)
+            started = time.monotonic()
+            with pytest.raises(ShardTimeoutError, match=r"shard\(s\) \[2\]"):
+                pooled.knn(query, k=5, config=config)
+            assert time.monotonic() - started < 4.0
+        finally:
+            pooled.close()
 
-        index.shards[0]._search = glacial
-        config = index.config.with_options(query_deadline=0.3)
-        with pytest.raises(ShardTimeoutError):
+    def test_stalled_worker_is_restarted_and_retried(
+        self, index, query, tmp_path
+    ):
+        fault_free = index.knn(query, k=5)
+        fence = tmp_path / "stall-fence"
+        pooled = self._pool(index, _stall_plan(3.0, fence=str(fence)))
+        try:
+            config = pooled.config.with_options(
+                shard_timeout=1.0, shard_retry_attempts=2
+            )
+            answer = pooled.knn(query, k=5, config=config)
+            assert fence.exists()
+            assert pooled._pool.worker_restarts == 1
+            assert answer.retries == 1
+            assert not answer.degraded
+            np.testing.assert_array_equal(
+                answer.positions, fault_free.positions
+            )
+            np.testing.assert_array_equal(
+                answer.distances, fault_free.distances
+            )
+        finally:
+            pooled.close()
+
+    def test_in_process_shards_past_the_deadline_never_start(
+        self, index, query
+    ):
+        # In-process, a running shard is never interrupted: shard 0
+        # overruns the deadline but answers, and the loop starts no
+        # shard after it.
+        real_search = index.shards[0]._search
+
+        def slow(*args, **kwargs):
+            time.sleep(0.4)
+            return real_search(*args, **kwargs)
+
+        index.shards[0]._search = slow
+        _fail_shard(index, 1, exc=AssertionError("shard 1 started"))
+        _fail_shard(index, 2, exc=AssertionError("shard 2 started"))
+        config = index.config.with_options(query_deadline=0.2)
+        answer = index.knn(query, k=5, config=config, partial_results=True)
+        assert answer.degraded
+        assert [sid for sid, _ in answer.shard_errors] == [1, 2]
+        for sid, reason in answer.shard_errors:
+            assert f"shard {sid} ran past the 0.20s query deadline" in reason
+        start, stop = _shard_rows(index, 0)
+        assert answer.coverage == pytest.approx((stop - start) / N_ROWS)
+        with pytest.raises(ShardTimeoutError, match=r"shard\(s\) \[1, 2\]"):
             index.knn(query, k=5, config=config)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     HerculesConfig,
     HerculesIndex,
@@ -289,6 +290,65 @@ class TestProcessWorkers:
             np.testing.assert_array_equal(answer.distances, ref.distances)
         finally:
             pooled.close()
+
+
+def _shard_counters(answer):
+    return [
+        (
+            sid,
+            part.profile.path,
+            part.profile.approx_leaves,
+            part.profile.series_accessed,
+            part.profile.distance_computations,
+        )
+        for sid, part in answer.shard_answers
+    ]
+
+
+class TestInlineScatter:
+    """Without a pool, shards answer one after another on the calling
+    thread: per-shard work is a function of the inputs alone."""
+
+    @pytest.fixture(scope="class")
+    def three(self, data, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("inline") / "index"
+        index = ShardedIndex.build(
+            data, _config(num_shards=3, shard_workers=0), directory=directory
+        )
+        index.close()
+        return directory
+
+    @pytest.fixture(scope="class")
+    def noisy(self, data):
+        rng = np.random.default_rng(8)
+        noise = rng.standard_normal((6, data.shape[1]))
+        return (data[10:16] + noise).astype(np.float32)
+
+    def _run(self, directory, noisy):
+        with ShardedIndex.open(directory, workers=0) as index:
+            serial = [index.knn(query, k=5) for query in noisy]
+            batch = list(index.knn_batch(noisy, k=5))
+        return [_shard_counters(answer) for answer in serial + batch]
+
+    def test_per_shard_counters_are_deterministic(self, three, noisy):
+        first = self._run(three, noisy)
+        assert first == self._run(three, noisy)
+        assert all([sid for sid, *_ in row] == [0, 1, 2] for row in first)
+
+    def test_one_sharded_span_with_shard_children_in_order(self, three, noisy):
+        trace = obs.Trace(name="inline")
+        with ShardedIndex.open(three, workers=0) as index:
+            with obs.use_trace(trace):
+                index.knn(noisy[0], k=5)
+        (sharded,) = trace.find("query.sharded")
+        assert sharded.attributes["mode"] == "knn"
+        children = trace.children_of(sharded)
+        assert [s.name for s in children] == ["query.shard"] * 3
+        assert [s.attributes["shard"] for s in children] == [0, 1, 2]
+        starts = [s.start for s in children]
+        assert starts == sorted(starts)
+        for child in children:
+            assert [s.name for s in trace.children_of(child)] == ["query"]
 
 
 class TestLayout:

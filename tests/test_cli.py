@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import HerculesIndex
 from repro.storage.dataset import Dataset
 
 
@@ -94,6 +95,32 @@ class TestBuildQueryInspect:
         out = capsys.readouterr().out
         assert "leaves" in out
         assert "series length      32" in out
+
+    def test_build_threads_leave_the_query_default(
+        self, dataset_file, tmp_path
+    ):
+        # --threads sets build threads only: the index queries with the
+        # config default of one thread (NoPara).
+        index_dir = tmp_path / "index"
+        code = main(
+            [
+                "build",
+                "--dataset",
+                str(dataset_file),
+                "--length",
+                "32",
+                "--output",
+                str(index_dir),
+                "--leaf-capacity",
+                "50",
+                "--threads",
+                "4",
+            ]
+        )
+        assert code == 0
+        with HerculesIndex.open(index_dir) as index:
+            assert index.config.num_build_threads == 4
+            assert index.config.num_query_threads == 1
 
     def test_verbose_build_prints_phase_breakdown(
         self, dataset_file, tmp_path, capsys

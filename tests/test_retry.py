@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.retry` — deterministic backoff policy."""
 
+import time
+
 import pytest
 
 from repro.retry import RetryPolicy, deterministic_jitter
@@ -56,6 +58,13 @@ class TestRetryPolicy:
     def test_different_keys_get_different_delays(self):
         policy = RetryPolicy(attempts=3, backoff_seconds=0.1)
         assert policy.delay(1, key="shard-0") != policy.delay(1, key="shard-1")
+
+    def test_past_deadline(self):
+        now = time.monotonic()
+        assert not RetryPolicy().past_deadline(now - 1e6)
+        policy = RetryPolicy(deadline=0.5)
+        assert not policy.past_deadline(now)
+        assert policy.past_deadline(now - 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
