@@ -33,16 +33,17 @@ from pathlib import Path
 from repro import obs
 from repro.core import (
     HerculesConfig,
-    HerculesIndex,
     ShardedIndex,
     ShardedQueryAnswer,
     open_index,
     record_sharded_profile,
 )
 from repro.core.stats import tree_statistics
-from repro.errors import ReproError
+from repro.core.writing import ARTIFACT_VERSIONS
+from repro.errors import ReproError, StorageError
+from repro.storage import manifest as manifest_mod
 from repro.storage.dataset import Dataset
-from repro.workloads.datasets import DATASET_ANALOGS, make_analog
+from repro.workloads.datasets import make_analog
 from repro.workloads.generators import random_walks
 
 
@@ -100,23 +101,23 @@ def _maybe_telemetry(args: argparse.Namespace):
         print(f"telemetry spool written to {directory}")
 
 
-def _add_telemetry_flags(parser) -> None:
-    parser.add_argument(
-        "--telemetry-dir", type=Path, default=None,
-        help="write a live telemetry spool (OpenMetrics text, JSON "
-             "snapshot, event journal, resource samples) to this "
-             "directory; tail it with `repro monitor`")
-    parser.add_argument(
-        "--telemetry-interval", type=float, default=2.0,
-        help="seconds between telemetry flushes (default 2)")
+#: ``--kind`` of ``generate``/``generate-workload`` → analog (synth: random walks).
+_KINDS = {"synth": None, "sald": "SALD", "seismic": "Seismic", "deep": "Deep"}
+
+
+def _make_data(args: argparse.Namespace):
+    """The ``--kind/--count/--length/--seed`` series of ``generate`` and
+    ``generate-workload``; without ``--length``, an analog takes its
+    paper length and ``synth`` 128."""
+    name = _KINDS[args.kind]
+    if name is None:
+        length = 128 if args.length is None else args.length
+        return random_walks(args.count, length, seed=args.seed)
+    return make_analog(name, args.count, length=args.length, seed=args.seed)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "synth":
-        data = random_walks(args.count, args.length, seed=args.seed)
-    else:
-        name = {"sald": "SALD", "seismic": "Seismic", "deep": "Deep"}[args.kind]
-        data = make_analog(name, args.count, length=args.length, seed=args.seed)
+    data = _make_data(args)
     Dataset.write(args.output, data).close()
     print(
         f"wrote {args.count} x {data.shape[1]} float32 series "
@@ -129,13 +130,8 @@ def _cmd_generate_workload(args: argparse.Namespace) -> int:
     from repro.workloads.generators import make_query_workloads
     from repro.workloads.io import save_workload_bundle
 
-    if args.kind == "synth":
-        data = random_walks(args.count, args.length, seed=args.seed)
-    else:
-        name = {"sald": "SALD", "seismic": "Seismic", "deep": "Deep"}[args.kind]
-        data = make_analog(name, args.count, length=args.length, seed=args.seed)
     indexable, workloads = make_query_workloads(
-        data, queries_per_workload=args.queries, seed=args.seed
+        _make_data(args), queries_per_workload=args.queries, seed=args.seed
     )
     save_workload_bundle(
         args.output,
@@ -154,33 +150,15 @@ def _cmd_generate_workload(args: argparse.Namespace) -> int:
 def _resilience_overrides(args: argparse.Namespace) -> dict:
     """Config overrides from the shared resilience flags (only those set)."""
     overrides = {}
-    if getattr(args, "partial_results", False):
+    if args.partial_results:
         overrides["partial_results"] = True
-    if getattr(args, "shard_retries", None) is not None:
+    if args.shard_retries is not None:
         overrides["shard_retry_attempts"] = args.shard_retries
-    if getattr(args, "shard_timeout", None) is not None:
+    if args.shard_timeout is not None:
         overrides["shard_timeout"] = args.shard_timeout
-    if getattr(args, "query_deadline", None) is not None:
+    if args.query_deadline is not None:
         overrides["query_deadline"] = args.query_deadline
     return overrides
-
-
-def _add_resilience_flags(parser) -> None:
-    """Query-side resilience flags shared by ``query`` and ``explain``."""
-    parser.add_argument(
-        "--partial-results", action="store_true",
-        help="allow degraded answers: drop shards that still fail after "
-             "retries instead of erroring (coverage is reported)")
-    parser.add_argument(
-        "--shard-retries", type=int, default=None,
-        help="total tries per shard dispatch (default: index config, 3)")
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None,
-        help="seconds one shard attempt may run before it counts as failed")
-    parser.add_argument(
-        "--query-deadline", type=float, default=None,
-        help="whole-query wall-clock budget in seconds across all "
-             "shards and retries")
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -204,8 +182,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         prefilter_bits=args.prefilter_bits,
         **supervision_overrides,
     )
-    with _maybe_telemetry(args), _maybe_trace(args), \
-            Dataset.open(args.dataset, args.length) as dataset:
+    with Dataset.open(args.dataset, args.length) as dataset:
         # Delegates to the classic single-index build when --shards 1,
         # keeping that layout byte-identical to previous releases.
         index = ShardedIndex.build(dataset, config, directory=args.output)
@@ -263,80 +240,70 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cache_bytes(args: argparse.Namespace) -> int:
-    return int(getattr(args, "cache_mb", 0.0) * (1 << 20))
+    return int(args.cache_mb * (1 << 20))
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    with _maybe_telemetry(args):
-        return _run_query(args)
+    return _run_queries(args, _print_answer, _print_totals)
 
 
-def _run_query(args: argparse.Namespace) -> int:
+def _cmd_explain(args: argparse.Namespace) -> int:
+    return _run_queries(args, _explain_answer, _explain_totals)
+
+
+def _run_queries(args: argparse.Namespace, show_answer, show_totals) -> int:
+    """Answer the first ``--count`` series of ``--queries`` on ``--index``:
+    the one loop behind ``query`` and ``explain``, which differ only in
+    ``show_answer(index, i, answer)`` and ``show_totals(index, registry,
+    count, seconds, degraded)``.  Every answer is recorded once, into the
+    telemetry hub's registry under ``--telemetry-dir`` or a fresh one.
+    """
     index = open_index(
-        args.index,
-        cache_bytes=_cache_bytes(args),
-        workers=getattr(args, "shard_workers", None),
+        args.index, cache_bytes=_cache_bytes(args), workers=args.shard_workers
     )
-    hub = obs.get_hub()
-    config = index.config.with_options(
-        epsilon=args.epsilon, **_resilience_overrides(args)
-    )
-    if isinstance(index, ShardedIndex):
-        # knn_approx and retry policy read the index config directly.
+    try:
+        config = index.config.with_options(
+            epsilon=args.epsilon, **_resilience_overrides(args)
+        )
+        # knn_approx reads the index's own config; the other calls take it.
         index.config = config
-        if hub is not None:
-            index.bind_metrics(hub.registry)
-    if getattr(args, "batch", False) and args.approximate:
-        print(
-            "error: --batch applies to exact/epsilon search only "
-            "(drop --approximate)",
-            file=sys.stderr,
-        )
-        index.close()
-        return 2
-    with _maybe_trace(args), Dataset.open(args.queries, index.series_length) as queries:
-        count = queries.num_series if args.count is None else min(
-            args.count, queries.num_series
-        )
-        total = 0.0
-        degraded = 0
-
-        def report(i, answer):
-            if hub is not None:
+        hub = obs.get_hub()
+        registry = obs.MetricsRegistry() if hub is None else hub.registry
+        if isinstance(index, ShardedIndex):
+            index.bind_metrics(registry)
+        batched = getattr(args, "batch", False)
+        with Dataset.open(args.queries, index.series_length) as queries:
+            count = queries.num_series if args.count is None else min(
+                args.count, queries.num_series
+            )
+            block = queries.read_batch(0, count)
+            if batched:
+                answers = index.knn_batch(block, k=args.k, config=config)
+            elif getattr(args, "approximate", False):
+                answers = (index.knn_approx(query, k=args.k) for query in block)
+            else:
+                answers = (
+                    index.knn(query, k=args.k, config=config) for query in block
+                )
+            seconds = 0.0
+            degraded = 0
+            for i, answer in enumerate(answers):
                 if isinstance(answer, ShardedQueryAnswer):
-                    record_sharded_profile(hub.registry, answer)
+                    # The coordinator's settle step observed its latency.
+                    record_sharded_profile(
+                        registry, answer, num_series=index.num_series
+                    )
                 else:
-                    # Sharded answers are observed by the coordinator's
-                    # settle step; plain answers are observed here.
                     obs.observe_query(answer.profile.time_total)
                     obs.record_profile(
-                        hub.registry,
-                        answer.profile,
-                        num_series=index.num_series,
+                        registry, answer.profile, num_series=index.num_series
                     )
-            distances = ", ".join(f"{d:.4f}" for d in answer.distances)
-            positions = ", ".join(str(int(p)) for p in answer.positions)
-            print(
-                f"query {i}: d=[{distances}] pos=[{positions}] "
-                f"path={answer.profile.path} "
-                f"accessed={answer.profile.data_accessed_fraction(index.num_series):.2%} "
-                f"({answer.profile.time_total * 1e3:.1f} ms)"
-            )
-            return _print_degradation(answer, f"query {i}")
-
-        if getattr(args, "batch", False):
-            import numpy as np
-
-            block = np.stack(
-                [queries.read_series(i) for i in range(count)]
-            )
-            batch = index.knn_batch(block, k=args.k, config=config)
-            for i, answer in enumerate(batch):
-                total += answer.profile.time_total
-                degraded += report(i, answer)
-            stats = batch.stats
-            if hub is not None:
-                obs.record_batch_stats(hub.registry, stats)
+                show_answer(index, i, answer)
+                degraded += _print_degradation(answer, f"query {i}")
+                seconds += answer.profile.time_total
+        if batched:
+            stats = answers.stats
+            obs.record_batch_stats(registry, stats)
             print(
                 f"batch: {stats.unique_leaf_reads} leaf reads serving "
                 f"{stats.leaf_uses} uses "
@@ -344,21 +311,58 @@ def _run_query(args: argparse.Namespace) -> int:
                 f"{stats.kernel_rows_per_read:.1f} kernel rows/read, "
                 f"screen {stats.screen_seconds_per_query * 1e3:.2f} ms/query)"
             )
-        else:
-            for i in range(count):
-                query = queries.read_series(i)
-                if args.approximate:
-                    answer = index.knn_approx(query, k=args.k)
-                else:
-                    answer = index.knn(query, k=args.k, config=config)
-                total += answer.profile.time_total
-                degraded += report(i, answer)
-    print(f"answered {count} queries in {total:.3f}s")
+        show_totals(index, registry, count, seconds, degraded)
+    finally:
+        index.close()
+    return 0
+
+
+def _print_answer(index, i: int, answer) -> None:
+    """``query``'s one line per answer."""
+    distances = ", ".join(f"{d:.4f}" for d in answer.distances)
+    positions = ", ".join(str(int(p)) for p in answer.positions)
+    print(
+        f"query {i}: d=[{distances}] pos=[{positions}] "
+        f"path={answer.profile.path} "
+        f"accessed={answer.profile.data_accessed_fraction(index.num_series):.2%} "
+        f"({answer.profile.time_total * 1e3:.1f} ms)"
+    )
+
+
+def _print_totals(index, registry, count: int, seconds: float, degraded: int) -> None:
+    print(f"answered {count} queries in {seconds:.3f}s")
     if degraded:
         print(f"WARNING: {degraded} of {count} answers were degraded")
     _print_cache_stats(index)
-    index.close()
-    return 0
+
+
+def _explain_answer(index, i: int, answer) -> None:
+    """``explain``'s cost breakdown per answer, one per shard when sharded;
+    a blank line separates answers."""
+    if i:
+        print()
+    print(
+        obs.explain_profile(
+            answer.profile, num_series=index.num_series, label=f"query {i}"
+        )
+    )
+    if not isinstance(answer, ShardedQueryAnswer):
+        return
+    for shard_id, shard_answer in answer.shard_answers:
+        p = shard_answer.profile
+        print(
+            f"  shard {shard_id}: path={p.path or '?'}  "
+            f"{p.candidate_leaves} cand leaves  "
+            f"{p.distance_computations} dists  "
+            f"{p.series_accessed} series read  "
+            f"{p.time_total * 1e3:.1f} ms"
+        )
+
+
+def _explain_totals(index, registry, count: int, seconds: float, degraded: int) -> None:
+    if count:
+        print()
+    print(obs.explain_workload_summary(registry))
 
 
 def _print_degradation(answer, label: str) -> int:
@@ -382,78 +386,20 @@ def _print_degradation(answer, label: str) -> int:
 def _print_cache_stats(index) -> None:
     """Leaf-cache summary lines; per shard for a sharded index."""
     if isinstance(index, ShardedIndex):
-        for shard_id, shard in enumerate(index.shards):
-            cache = shard.leaf_cache
-            if cache is not None:
-                snap = cache.snapshot()
-                print(
-                    f"leaf cache shard {shard_id}: {snap.hits} hits, "
-                    f"{snap.misses} misses (hit rate {snap.hit_rate:.2%}), "
-                    f"{snap.current_bytes / 1e6:.1f} MB resident"
-                )
-        return
-    cache = index.leaf_cache
-    if cache is not None:
-        snap = cache.snapshot()
-        print(
-            f"leaf cache: {snap.hits} hits, {snap.misses} misses "
-            f"(hit rate {snap.hit_rate:.2%}), "
-            f"{snap.current_bytes / 1e6:.1f} MB resident"
-        )
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    with _maybe_telemetry(args):
-        return _run_explain(args)
-
-
-def _run_explain(args: argparse.Namespace) -> int:
-    index = open_index(
-        args.index,
-        cache_bytes=_cache_bytes(args),
-        workers=getattr(args, "shard_workers", None),
-    )
-    config = index.config.with_options(
-        epsilon=args.epsilon, **_resilience_overrides(args)
-    )
-    registry = obs.MetricsRegistry()
-    with _maybe_trace(args), Dataset.open(args.queries, index.series_length) as queries:
-        count = queries.num_series if args.count is None else min(
-            args.count, queries.num_series
-        )
-        for i in range(count):
-            query = queries.read_series(i)
-            answer = index.knn(query, k=args.k, config=config)
-            if isinstance(answer, ShardedQueryAnswer):
-                record_sharded_profile(
-                    registry, answer, num_series=index.num_series
-                )
-            else:
-                obs.record_profile(
-                    registry, answer.profile, num_series=index.num_series
-                )
+        caches = [
+            (f"leaf cache shard {shard_id}", shard.leaf_cache)
+            for shard_id, shard in enumerate(index.shards)
+        ]
+    else:
+        caches = [("leaf cache", index.leaf_cache)]
+    for label, cache in caches:
+        if cache is not None:
+            snap = cache.snapshot()
             print(
-                obs.explain_profile(
-                    answer.profile,
-                    num_series=index.num_series,
-                    label=f"query {i}",
-                )
+                f"{label}: {snap.hits} hits, {snap.misses} misses "
+                f"(hit rate {snap.hit_rate:.2%}), "
+                f"{snap.current_bytes / 1e6:.1f} MB resident"
             )
-            if isinstance(answer, ShardedQueryAnswer):
-                for shard_id, shard_answer in answer.shard_answers:
-                    p = shard_answer.profile
-                    print(
-                        f"  shard {shard_id}: path={p.path or '?'}  "
-                        f"{p.candidate_leaves} cand leaves  "
-                        f"{p.distance_computations} dists  "
-                        f"{p.series_accessed} series read  "
-                        f"{p.time_total * 1e3:.1f} ms"
-                    )
-                _print_degradation(answer, f"query {i}")
-            print()
-    print(obs.explain_workload_summary(registry))
-    index.close()
-    return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -481,175 +427,129 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_index(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError, StorageError
-    from repro.storage import manifest as manifest_mod
-    from repro.storage.htree import FORMAT_VERSION as HTREE_FORMAT_VERSION
-    from repro.core.writing import HTREE_FILENAME, LRD_FILENAME, LSD_FILENAME
-
     directory = Path(args.index)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return 1
-    if manifest_mod.is_sharded_directory(directory):
-        return _verify_sharded_directory(directory, args.level)
-    failures = 0
-    manifest = None
-    name_width = max(len(manifest_mod.MANIFEST_FILENAME), 12) + 2
-    if not (directory / manifest_mod.MANIFEST_FILENAME).exists():
+    sharded = manifest_mod.is_sharded_directory(directory)
+    # Labels are padded to the longest, ``shard-XXXX/MANIFEST.json``
+    # in a sharded directory.
+    width = len(manifest_mod.MANIFEST_FILENAME) + 2
+    hint = None
+    if sharded:
+        width += len(manifest_mod.shard_dirname(0)) + 1
+        failures, hint = _verify_shards(directory, args.level, width)
+    elif not (directory / manifest_mod.MANIFEST_FILENAME).exists():
         print(
-            f"{manifest_mod.MANIFEST_FILENAME:<{name_width}}"
+            f"{manifest_mod.MANIFEST_FILENAME:<{width}}"
             "missing (legacy pre-manifest directory)"
         )
+        failures = 0
     else:
-        try:
-            manifest = manifest_mod.load_manifest(directory)
-            print(
-                f"{manifest_mod.MANIFEST_FILENAME:<{name_width}}ok "
-                f"({manifest.num_series} series, {manifest.num_leaves} "
-                f"leaves, config {manifest.config_digest})"
-            )
-        except StorageError as exc:
-            print(f"{manifest_mod.MANIFEST_FILENAME:<{name_width}}DAMAGED — {exc}")
-            failures += 1
-    if manifest is not None:
-        expected = {
-            LRD_FILENAME: manifest_mod.LRD_FORMAT_VERSION,
-            LSD_FILENAME: manifest_mod.LSD_FORMAT_VERSION,
-            HTREE_FILENAME: HTREE_FORMAT_VERSION,
-        }
-        for name, record in sorted(manifest.artifacts.items()):
-            try:
-                manifest_mod.check_artifact(
-                    directory,
-                    record,
-                    level=args.level,
-                    expected_version=expected.get(name),
-                )
-                detail = f"ok ({record.size} bytes"
-                if args.level == "full":
-                    detail += f", crc32 {record.crc32:#010x} verified"
-                print(f"{name:<{name_width}}{detail})")
-            except StorageError as exc:
-                print(f"{name:<{name_width}}DAMAGED — {exc}")
-                failures += 1
+        failures = _verify_directory(
+            directory, args.level, width,
+            lambda: manifest_mod.load_manifest(directory),
+        )
     if failures == 0:
         # Per-artifact bytes are sound; prove the directory also opens as
-        # one coherent generation (cross-file invariants included).
+        # one coherent generation (cross-file invariants and contiguous
+        # shard row bases included).
         try:
-            index = HerculesIndex.open(directory, verify=args.level)
-            print(
-                f"{'index':<{name_width}}ok ({index.num_series} series, "
-                f"{index.num_leaves} leaves, length {index.series_length})"
-            )
-            index.close()
+            with open_index(directory, verify=args.level) as index:
+                if sharded:
+                    detail = (
+                        f"{index.num_series} series over "
+                        f"{index.num_shards} shards"
+                    )
+                else:
+                    detail = f"{index.num_series} series, {index.num_leaves} leaves"
+                print(f"{'index':<{width}}ok ({detail}, length {index.series_length})")
         except ReproError as exc:
-            print(f"{'index':<{name_width}}DAMAGED — {exc}")
+            print(f"{'index':<{width}}DAMAGED — {exc}")
             failures += 1
     if failures:
         print(f"\n{failures} damaged artifact(s) in {directory}")
+        if hint:
+            print(hint)
         return 1
-    print(f"\n{directory} is healthy ({args.level} verification)")
+    layout = ", sharded" if sharded else ""
+    print(f"\n{directory} is healthy ({args.level} verification{layout})")
     return 0
 
 
-def _verify_sharded_directory(directory: Path, level: str) -> int:
-    """The sharded branch of ``verify-index``: recurse into every shard.
-
-    Prints one row per artifact as ``shard-XXXX/name`` and always names
-    the failing shard, so a damaged shard is locatable at a glance.
-    """
-    from repro.errors import ReproError, StorageError
-    from repro.storage import manifest as manifest_mod
-    from repro.storage.htree import FORMAT_VERSION as HTREE_FORMAT_VERSION
-    from repro.core.writing import HTREE_FILENAME, LRD_FILENAME, LSD_FILENAME
-
-    failures = 0
-    name_width = (
-        max(len(manifest_mod.SHARDS_FILENAME),
-            len(manifest_mod.shard_dirname(0))
-            + 1 + len(manifest_mod.MANIFEST_FILENAME)) + 2
-    )
+def _verify_shards(directory: Path, level: str, width: int):
+    """The ``SHARDS.json`` row, then every shard's directory check.
+    Returns the failure count and, when only some shards are healthy,
+    what a ``--partial-results`` query would still cover."""
+    name = manifest_mod.SHARDS_FILENAME
     try:
-        shard_manifest = manifest_mod.load_shard_manifest(directory)
+        shards = manifest_mod.load_shard_manifest(directory)
     except StorageError as exc:
-        print(f"{manifest_mod.SHARDS_FILENAME:<{name_width}}DAMAGED — {exc}")
-        print(f"\n1 damaged artifact(s) in {directory}")
-        return 1
+        print(f"{name:<{width}}DAMAGED — {exc}")
+        return 1, None
     print(
-        f"{manifest_mod.SHARDS_FILENAME:<{name_width}}ok "
-        f"(generation {shard_manifest.generation}, "
-        f"{shard_manifest.num_shards} shards, "
-        f"{shard_manifest.num_series} series, "
-        f"config {shard_manifest.config_digest})"
+        f"{name:<{width}}ok (generation {shards.generation}, "
+        f"{shards.num_shards} shards, {shards.num_series} series, "
+        f"config {shards.config_digest})"
     )
-    expected = {
-        LRD_FILENAME: manifest_mod.LRD_FORMAT_VERSION,
-        LSD_FILENAME: manifest_mod.LSD_FORMAT_VERSION,
-        HTREE_FILENAME: HTREE_FORMAT_VERSION,
-    }
-    healthy_shards = 0
-    healthy_series = 0
-    for record in shard_manifest.shards:
-        label = f"{record.name}/{manifest_mod.MANIFEST_FILENAME}"
-        try:
-            sub_manifest = manifest_mod.verify_shard_record(directory, record)
-        except StorageError as exc:
-            print(f"{label:<{name_width}}DAMAGED — {exc}")
-            failures += 1
-            continue
-        print(
-            f"{label:<{name_width}}ok ({record.num_series} series, "
-            f"{record.num_leaves} leaves)"
+    failures = healthy_shards = healthy_series = 0
+    for record in shards.shards:
+        damaged = _verify_directory(
+            directory / record.name, level, width,
+            lambda: manifest_mod.verify_shard_record(directory, record),
+            shard=record.name,
         )
-        shard_failures = 0
-        for name, artifact in sorted(sub_manifest.artifacts.items()):
-            row = f"{record.name}/{name}"
-            try:
-                manifest_mod.check_artifact(
-                    directory / record.name,
-                    artifact,
-                    level=level,
-                    expected_version=expected.get(name),
-                )
-                detail = f"ok ({artifact.size} bytes"
-                if level == "full":
-                    detail += f", crc32 {artifact.crc32:#010x} verified"
-                print(f"{row:<{name_width}}{detail})")
-            except StorageError as exc:
-                print(
-                    f"{row:<{name_width}}DAMAGED — shard {record.name}: {exc}"
-                )
-                shard_failures += 1
-        failures += shard_failures
-        if shard_failures == 0:
+        failures += damaged
+        if not damaged:
             healthy_shards += 1
             healthy_series += record.num_series
-    if failures == 0:
-        # Per-shard bytes are sound; prove the whole directory opens as
-        # one coherent generation (contiguous row bases included).
-        try:
-            index = ShardedIndex.open(directory, verify=level)
-            print(
-                f"{'index':<{name_width}}ok ({index.num_series} series "
-                f"over {index.num_shards} shards, length "
-                f"{index.series_length})"
-            )
-            index.close()
-        except ReproError as exc:
-            print(f"{'index':<{name_width}}DAMAGED — {exc}")
-            failures += 1
-    if failures:
-        print(f"\n{failures} damaged artifact(s) in {directory}")
-        if 0 < healthy_shards < shard_manifest.num_shards:
-            print(
-                f"a --partial-results query would cover "
-                f"{healthy_series}/{shard_manifest.num_series} series "
-                f"({healthy_shards}/{shard_manifest.num_shards} shards "
-                "healthy)"
-            )
+    hint = None
+    if 0 < healthy_shards < shards.num_shards:
+        hint = (
+            f"a --partial-results query would cover "
+            f"{healthy_series}/{shards.num_series} series "
+            f"({healthy_shards}/{shards.num_shards} shards healthy)"
+        )
+    return failures, hint
+
+
+def _verify_directory(
+    directory: Path, level: str, width: int, load_manifest, shard: str = ""
+) -> int:
+    """One index directory's ``MANIFEST.json`` row (``load_manifest()``
+    loads and checks it), then one row per artifact it lists; returns how
+    many are damaged.  A shard's rows are labelled ``shard-XXXX/name``,
+    and its damage names the shard."""
+    prefix = f"{shard}/" if shard else ""
+    label = prefix + manifest_mod.MANIFEST_FILENAME
+    try:
+        manifest = load_manifest()
+    except StorageError as exc:
+        print(f"{label:<{width}}DAMAGED — {exc}")
         return 1
-    print(f"\n{directory} is healthy ({level} verification, sharded)")
-    return 0
+    config = "" if shard else f", config {manifest.config_digest}"
+    print(
+        f"{label:<{width}}ok ({manifest.num_series} series, "
+        f"{manifest.num_leaves} leaves{config})"
+    )
+    failures = 0
+    for name, record in sorted(manifest.artifacts.items()):
+        label = prefix + name
+        try:
+            manifest_mod.check_artifact(
+                directory,
+                record,
+                level=level,
+                expected_version=ARTIFACT_VERSIONS.get(name),
+            )
+        except StorageError as exc:
+            blame = f"shard {shard}: " if shard else ""
+            print(f"{label:<{width}}DAMAGED — {blame}{exc}")
+            failures += 1
+            continue
+        crc = f", crc32 {record.crc32:#010x} verified" if level == "full" else ""
+        print(f"{label:<{width}}ok ({record.size} bytes{crc})")
+    return failures
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -687,8 +587,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.workloads.generators import make_noise_queries
 
     started = time.perf_counter()
-    with _maybe_telemetry(args), _maybe_trace(args), \
-            Dataset.open(args.dataset, args.length) as dataset:
+    with Dataset.open(args.dataset, args.length) as dataset:
         data = dataset.load_all()
         queries = make_noise_queries(
             data, args.num_queries, args.noise, seed=args.seed
@@ -782,34 +681,26 @@ _FIGURE_RUNNERS = {
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.figure == "all":
-        for figure in sorted(_FIGURE_RUNNERS):
-            print(f"\n=== {figure} ===")
-            sub_args = argparse.Namespace(
-                figure=figure, size=args.size, num_queries=args.num_queries
-            )
-            _run_figure(sub_args)
-        return 0
-    return _run_figure(args)
-
-
-def _run_figure(args: argparse.Namespace) -> int:
     from repro.eval import experiments
 
     import inspect
 
-    name, kwargs = _FIGURE_RUNNERS[args.figure]
-    kwargs = dict(kwargs)
-    runner = getattr(experiments, name)
-    accepted = inspect.signature(runner).parameters
-    if args.size is not None:
-        if "sizes" in accepted:
-            kwargs["sizes"] = (args.size,)
-        elif "size" in accepted:
-            kwargs["size"] = args.size
-    if args.num_queries is not None and "num_queries" in accepted:
-        kwargs["num_queries"] = args.num_queries
-    runner(verbose=True, **kwargs)
+    every = args.figure == "all"
+    for figure in sorted(_FIGURE_RUNNERS) if every else [args.figure]:
+        if every:
+            print(f"\n=== {figure} ===")
+        name, kwargs = _FIGURE_RUNNERS[figure]
+        kwargs = dict(kwargs)
+        runner = getattr(experiments, name)
+        accepted = inspect.signature(runner).parameters
+        if args.size is not None:
+            if "sizes" in accepted:
+                kwargs["sizes"] = (args.size,)
+            elif "size" in accepted:
+                kwargs["size"] = args.size
+        if args.num_queries is not None and "num_queries" in accepted:
+            kwargs["num_queries"] = args.num_queries
+        runner(verbose=True, **kwargs)
     return 0
 
 
@@ -828,32 +719,102 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a synthetic dataset file")
-    gen.add_argument("--kind", choices=("synth", "sald", "seismic", "deep"),
-                     default="synth")
-    gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--length", type=int, default=None,
-                     help="series length (defaults to the analog's paper length)")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--output", type=Path, required=True)
+    # Flag groups several subcommands share, each flag declared once.
+    made = argparse.ArgumentParser(add_help=False)
+    made.add_argument("--kind", choices=tuple(_KINDS), default="synth")
+    made.add_argument("--count", type=int, required=True)
+    made.add_argument("--length", type=int, default=None,
+                      help="series length (defaults to the analog's paper length)")
+    made.add_argument("--seed", type=int, default=0)
+    made.add_argument("--output", type=Path, required=True)
+
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", type=Path, required=True)
+    dataset.add_argument("--length", type=int, required=True)
+
+    layout = argparse.ArgumentParser(add_help=False)
+    layout.add_argument("--shards", type=int, default=1,
+                        help="partition the dataset into N index shards "
+                             "(1: classic single-tree layout, byte-identical "
+                             "to previous releases; compare shards Hercules "
+                             "only)")
+    layout.add_argument("--shard-workers", type=int, default=None,
+                        help="worker processes building shards in parallel "
+                             "(default: min(shards, cpu_count); 0/1: build "
+                             "shards sequentially in-process)")
+    layout.add_argument("--prefilter", action="store_true",
+                        help="run the LB_SAX pass over the candidate "
+                             "leaves' series ahead of the access-path "
+                             "decision (it then trims skip-sequential "
+                             "scans too) instead of after it; compare also "
+                             "turns on VA+file's fair-contender SAX filter")
+    layout.add_argument("--prefilter-bits", type=int, default=8,
+                        help="ablation: iSAX bits per segment the in-RAM "
+                             "words are reduced to under --prefilter (1-8, "
+                             "default 8 = full resolution; fewer bits "
+                             "prune less and save nothing)")
+
+    noisy = argparse.ArgumentParser(add_help=False)
+    noisy.add_argument("--num-queries", type=int, default=10)
+    noisy.add_argument("--noise", type=float, default=0.05)
+    noisy.add_argument("--seed", type=int, default=0)
+
+    observed = argparse.ArgumentParser(add_help=False)
+    observed.add_argument("--trace", type=Path, default=None,
+                          help="write a Chrome-trace JSON of the command to FILE")
+    observed.add_argument(
+        "--telemetry-dir", type=Path, default=None,
+        help="write a live telemetry spool (OpenMetrics text, JSON "
+             "snapshot, event journal, resource samples) to this "
+             "directory; tail it with `repro monitor`")
+    observed.add_argument(
+        "--telemetry-interval", type=float, default=2.0,
+        help="seconds between telemetry flushes (default 2)")
+
+    queried = argparse.ArgumentParser(add_help=False, parents=[observed])
+    queried.add_argument("--index", type=Path, required=True)
+    queried.add_argument("--queries", type=Path, required=True)
+    queried.add_argument("--k", type=int, default=1)
+    queried.add_argument("--count", type=int, default=None,
+                         help="number of queries to run (default: all)")
+    queried.add_argument("--epsilon", type=float, default=0.0,
+                         help="epsilon-approximate search factor")
+    queried.add_argument("--cache-mb", type=float, default=0.0,
+                         help="leaf-block LRU cache budget in MiB (0: disabled; "
+                              "split evenly across shards of a sharded index)")
+    queried.add_argument("--shard-workers", type=int, default=None,
+                         help="persistent query worker processes for a sharded "
+                              "index (default: none; shards answer one after "
+                              "another in-process)")
+    queried.add_argument(
+        "--partial-results", action="store_true",
+        help="allow degraded answers: drop shards that still fail after "
+             "retries instead of erroring (coverage is reported)")
+    queried.add_argument(
+        "--shard-retries", type=int, default=None,
+        help="total tries per shard dispatch (default: index config, 3)")
+    queried.add_argument(
+        "--shard-timeout", type=float, default=None,
+        help="seconds one shard attempt may run before it counts as failed")
+    queried.add_argument(
+        "--query-deadline", type=float, default=None,
+        help="whole-query wall-clock budget in seconds across all "
+             "shards and retries")
+
+    gen = sub.add_parser("generate", parents=[made],
+                         help="write a synthetic dataset file")
     gen.set_defaults(func=_cmd_generate)
 
     bundle = sub.add_parser(
         "generate-workload",
+        parents=[made],
         help="write a dataset plus its five query workloads as a bundle",
     )
-    bundle.add_argument("--kind", choices=("synth", "sald", "seismic", "deep"),
-                        default="synth")
-    bundle.add_argument("--count", type=int, required=True)
-    bundle.add_argument("--length", type=int, default=None)
     bundle.add_argument("--queries", type=int, default=100)
-    bundle.add_argument("--seed", type=int, default=0)
-    bundle.add_argument("--output", type=Path, required=True)
     bundle.set_defaults(func=_cmd_generate_workload)
 
-    build = sub.add_parser("build", help="build a Hercules index")
-    build.add_argument("--dataset", type=Path, required=True)
-    build.add_argument("--length", type=int, required=True)
+    build = sub.add_parser("build", parents=[dataset, layout, observed],
+                           help="build a Hercules index")
     build.add_argument("--output", type=Path, required=True)
     build.add_argument("--leaf-capacity", type=int, default=100)
     build.add_argument("--initial-segments", type=int, default=4)
@@ -867,84 +828,31 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--per-row", action="store_true",
                        help="use the per-row reference insertion path "
                             "instead of grouped batches")
-    build.add_argument("--shards", type=int, default=1,
-                       help="partition the dataset into N index shards "
-                            "(1: classic single-tree layout, byte-identical "
-                            "to previous releases)")
-    build.add_argument("--shard-workers", type=int, default=None,
-                       help="worker processes building shards in parallel "
-                            "(default: min(shards, cpu_count); 0/1: build "
-                            "shards sequentially in-process)")
-    build.add_argument("--prefilter", action="store_true",
-                       help="run the LB_SAX pass over the candidate "
-                            "leaves' series ahead of the access-path "
-                            "decision (it then trims skip-sequential "
-                            "scans too) instead of after it")
-    build.add_argument("--prefilter-bits", type=int, default=8,
-                       help="ablation: iSAX bits per segment the in-RAM "
-                            "words are reduced to under --prefilter (1-8, "
-                            "default 8 = full resolution; fewer bits "
-                            "prune less and save nothing)")
     build.add_argument("--max-worker-restarts", type=int, default=None,
                        help="replacement build workers the supervisor may "
                             "spawn after dead-worker detection (default: 2)")
     build.add_argument("--stall-timeout", type=float, default=None,
                        help="seconds without worker progress before a "
                             "sharded build is declared dead (default: 600)")
-    build.add_argument("--trace", type=Path, default=None,
-                       help="write a Chrome-trace JSON of the build to FILE")
-    _add_telemetry_flags(build)
     build.set_defaults(func=_cmd_build)
 
-    query = sub.add_parser("query", help="answer k-NN queries from a file")
-    query.add_argument("--index", type=Path, required=True)
-    query.add_argument("--queries", type=Path, required=True)
-    query.add_argument("--k", type=int, default=1)
-    query.add_argument("--count", type=int, default=None,
-                       help="number of queries to run (default: all)")
-    query.add_argument("--epsilon", type=float, default=0.0,
-                       help="epsilon-approximate search factor")
-    query.add_argument("--approximate", action="store_true",
-                       help="approximate-only search (phase 1)")
-    query.add_argument("--batch", action="store_true",
-                       help="answer the whole query set with the batched "
-                            "engine (one shared refinement walk); at epsilon "
-                            "0 answers are identical to serial execution")
-    query.add_argument("--cache-mb", type=float, default=0.0,
-                       help="leaf-block LRU cache budget in MiB (0: disabled; "
-                            "split evenly across shards of a sharded index)")
-    query.add_argument("--shard-workers", type=int, default=None,
-                       help="persistent query worker processes for a sharded "
-                            "index (default: none; shards answer one after "
-                            "another in-process)")
-    _add_resilience_flags(query)
-    query.add_argument("--trace", type=Path, default=None,
-                       help="write a Chrome-trace JSON of the queries to FILE")
-    _add_telemetry_flags(query)
+    query = sub.add_parser("query", parents=[queried],
+                           help="answer k-NN queries from a file")
+    mode = query.add_mutually_exclusive_group()
+    mode.add_argument("--approximate", action="store_true",
+                      help="approximate-only search (phase 1)")
+    mode.add_argument("--batch", action="store_true",
+                      help="answer the whole query set with the batched "
+                           "engine (one shared refinement walk); at epsilon "
+                           "0 answers are identical to serial execution")
     query.set_defaults(func=_cmd_query)
 
     explain = sub.add_parser(
         "explain",
+        parents=[queried],
         help="answer queries and print per-query cost breakdowns "
         "(phase timings, pruning ratios, modeled I/O)",
     )
-    explain.add_argument("--index", type=Path, required=True)
-    explain.add_argument("--queries", type=Path, required=True)
-    explain.add_argument("--k", type=int, default=1)
-    explain.add_argument("--count", type=int, default=None,
-                         help="number of queries to explain (default: all)")
-    explain.add_argument("--epsilon", type=float, default=0.0,
-                         help="epsilon-approximate search factor")
-    explain.add_argument("--cache-mb", type=float, default=0.0,
-                         help="leaf-block LRU cache budget in MiB (0: disabled)")
-    explain.add_argument("--shard-workers", type=int, default=None,
-                         help="persistent query worker processes for a "
-                              "sharded index (default: none; shards answer "
-                              "one after another in-process)")
-    _add_resilience_flags(explain)
-    explain.add_argument("--trace", type=Path, default=None,
-                         help="also write a Chrome-trace JSON to FILE")
-    _add_telemetry_flags(explain)
     explain.set_defaults(func=_cmd_explain)
 
     inspect = sub.add_parser("inspect", help="print index statistics")
@@ -980,46 +888,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
+        parents=[dataset, noisy],
         help="prove every method's answers against brute force on a dataset",
     )
-    verify.add_argument("--dataset", type=Path, required=True)
-    verify.add_argument("--length", type=int, required=True)
     verify.add_argument("--k", type=int, default=10)
-    verify.add_argument("--num-queries", type=int, default=10)
-    verify.add_argument("--noise", type=float, default=0.05)
-    verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=_cmd_verify)
 
-    compare = sub.add_parser("compare", help="compare all methods on a dataset")
-    compare.add_argument("--dataset", type=Path, required=True)
-    compare.add_argument("--length", type=int, required=True)
+    compare = sub.add_parser("compare", parents=[dataset, noisy, layout, observed],
+                             help="compare all methods on a dataset")
     compare.add_argument("--k", type=int, default=1)
-    compare.add_argument("--num-queries", type=int, default=10)
-    compare.add_argument("--noise", type=float, default=0.05)
-    compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--cache-mb", type=float, default=0.0,
                          help="leaf-block LRU cache budget in MiB (0: disabled)")
-    compare.add_argument("--shards", type=int, default=1,
-                         help="build Hercules as N shards (other methods "
-                              "are unaffected)")
-    compare.add_argument("--shard-workers", type=int, default=None,
-                         help="worker processes for the sharded Hercules "
-                              "build (default: min(shards, cpu_count))")
-    compare.add_argument("--prefilter", action="store_true",
-                         help="enable the early SAX filter on the methods "
-                              "that have one (Hercules LB_SAX pass ahead "
-                              "of the access-path decision; VA+file "
-                              "fair-contender SAX filter)")
-    compare.add_argument("--prefilter-bits", type=int, default=8,
-                         help="iSAX bits per segment of that filter "
-                              "(1-8, default 8)")
     compare.add_argument("--batch", action="store_true",
                          help="run each method's workload through its batched "
                               "engine where it has one (knn_batch); answers "
                               "and counters match serial execution")
-    compare.add_argument("--trace", type=Path, default=None,
-                         help="write a Chrome-trace JSON of the run to FILE")
-    _add_telemetry_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 
     monitor = sub.add_parser(
@@ -1066,14 +949,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     obs.configure_logging(args.verbose - args.quiet)
-    if args.command in ("generate", "generate-workload") and args.length is None:
-        if args.kind == "synth":
-            args.length = 128
-        else:
-            name = {"sald": "SALD", "seismic": "Seismic", "deep": "Deep"}[args.kind]
-            args.length = DATASET_ANALOGS[name][1]
     try:
-        return args.func(args)
+        with _maybe_telemetry(args), _maybe_trace(args):
+            return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

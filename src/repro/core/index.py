@@ -39,6 +39,7 @@ from repro.core.node import Node
 from repro.core.prefilter import SignatureArray
 from repro.core.query import QueryAnswer, progressive_knn
 from repro.core.writing import (
+    ARTIFACT_VERSIONS,
     HTREE_FILENAME,
     LRD_FILENAME,
     LSD_FILENAME,
@@ -307,11 +308,7 @@ class HerculesIndex:
                     directory,
                     manifest,
                     level=verify,
-                    expected_versions={
-                        LRD_FILENAME: manifest_mod.LRD_FORMAT_VERSION,
-                        LSD_FILENAME: manifest_mod.LSD_FORMAT_VERSION,
-                        HTREE_FILENAME: htree.FORMAT_VERSION,
-                    },
+                    expected_versions=ARTIFACT_VERSIONS,
                 )
         htree_path = directory / HTREE_FILENAME
         if not htree_path.exists():

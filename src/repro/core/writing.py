@@ -65,6 +65,13 @@ class WriteResult:
 #: Artifact publication order; the manifest commits the generation last.
 ARTIFACT_NAMES = (LRD_FILENAME, LSD_FILENAME, HTREE_FILENAME)
 
+#: The format version each artifact is written with and checked against.
+ARTIFACT_VERSIONS = {
+    LRD_FILENAME: manifest_mod.LRD_FORMAT_VERSION,
+    LSD_FILENAME: manifest_mod.LSD_FORMAT_VERSION,
+    HTREE_FILENAME: htree.FORMAT_VERSION,
+}
+
 
 def write_index(
     ctx: BuildContext,
@@ -125,15 +132,11 @@ def write_index(
             settings.get("config", settings)
         ),
         artifacts={
-            LRD_FILENAME: manifest_mod.record_artifact(
-                lrd_staged, manifest_mod.LRD_FORMAT_VERSION
-            ),
-            LSD_FILENAME: manifest_mod.record_artifact(
-                lsd_staged, manifest_mod.LSD_FORMAT_VERSION
-            ),
-            HTREE_FILENAME: manifest_mod.record_artifact(
-                htree_staged, htree.FORMAT_VERSION
-            ),
+            name: manifest_mod.record_artifact(
+                manifest_mod.staging_path(directory / name),
+                ARTIFACT_VERSIONS[name],
+            )
+            for name in ARTIFACT_NAMES
         },
     )
     for name in ARTIFACT_NAMES:

@@ -46,6 +46,17 @@ class TestGenerate:
         assert code == 0
         with Dataset.open(path, length) as ds:
             assert ds.num_series == 50
+        # generate-workload applies the same default-length rule.
+        from repro.workloads.io import load_workload_bundle
+
+        bundle = tmp_path / f"{kind}-bundle"
+        code = main(
+            ["generate-workload", "--kind", kind, "--count", "50",
+             "--queries", "2", "--output", str(bundle)]
+        )
+        assert code == 0
+        data, _, _ = load_workload_bundle(bundle)
+        assert data.shape == (48, length)
 
 
 class TestBuildQueryInspect:
@@ -915,3 +926,203 @@ class TestBatchCLI:
         assert answers(outputs["batch"]) == answers(outputs["serial"])
         assert "leaf-sharing" in outputs["batch"]
         assert "leaf-sharing" not in outputs["serial"]
+
+
+class TestQueryTelemetry:
+    """``query`` and ``explain`` record every answer into the telemetry
+    spool the same way, plain or sharded."""
+
+    def _metrics(self, spool):
+        import json
+
+        return json.loads((spool / "metrics.json").read_text())["summary"]
+
+    def test_explain_spools_query_metrics(self, dataset_file, tmp_path, capsys):
+        index_dir = tmp_path / "index"
+        assert main(
+            ["build", "--dataset", str(dataset_file), "--length", "32",
+             "--output", str(index_dir), "--threads", "1"]
+        ) == 0
+        spool = tmp_path / "spool"
+        assert main(
+            ["explain", "--index", str(index_dir), "--queries",
+             str(dataset_file), "--count", "3", "--telemetry-dir", str(spool)]
+        ) == 0
+        assert "workload summary (3 queries)" in capsys.readouterr().out
+        summary = self._metrics(spool)
+        latency = summary["windowed_histograms"]["query.latency_seconds"]
+        assert latency["total_count"] == 3
+        assert summary["counters"]["query.count"] == 3
+
+    def test_sharded_query_spools_data_accessed(
+        self, dataset_file, tmp_path, capsys
+    ):
+        index_dir = tmp_path / "sharded"
+        assert main(
+            ["build", "--dataset", str(dataset_file), "--length", "32",
+             "--output", str(index_dir), "--threads", "1", "--shards", "2",
+             "--shard-workers", "0"]
+        ) == 0
+        spool = tmp_path / "spool"
+        assert main(
+            ["query", "--index", str(index_dir), "--queries",
+             str(dataset_file), "--count", "2", "--shard-workers", "0",
+             "--telemetry-dir", str(spool)]
+        ) == 0
+        histograms = self._metrics(spool)["histograms"]
+        assert histograms["query.data_accessed_fraction"]["count"] == 2
+
+
+#: Every subcommand's flags as ``option strings -> (default, type,
+#: choices, required)``; ``""`` is the top-level parser.  Written down
+#: from the parser before its flag groups were shared, so a change to
+#: how flags are declared cannot drop, rename or re-default one.
+_RESILIENCE = {
+    "--partial-results": (False, None, None, False),
+    "--shard-retries": (None, "int", None, False),
+    "--shard-timeout": (None, "float", None, False),
+    "--query-deadline": (None, "float", None, False),
+}
+_OBSERVED = {
+    "--trace": (None, "Path", None, False),
+    "--telemetry-dir": (None, "Path", None, False),
+    "--telemetry-interval": (2.0, "float", None, False),
+}
+_QUERIED = {
+    "--index": (None, "Path", None, True),
+    "--queries": (None, "Path", None, True),
+    "--k": (1, "int", None, False),
+    "--count": (None, "int", None, False),
+    "--epsilon": (0.0, "float", None, False),
+    "--cache-mb": (0.0, "float", None, False),
+    "--shard-workers": (None, "int", None, False),
+    **_RESILIENCE,
+    **_OBSERVED,
+}
+_MADE = {
+    "--kind": ("synth", None, ("synth", "sald", "seismic", "deep"), False),
+    "--count": (None, "int", None, True),
+    "--length": (None, "int", None, False),
+    "--seed": (0, "int", None, False),
+    "--output": (None, "Path", None, True),
+}
+_FLAG_TABLE = {
+    "": {
+        "-v/--verbose": (0, None, None, False),
+        "-q/--quiet": (0, None, None, False),
+    },
+    "generate": _MADE,
+    "generate-workload": {**_MADE, "--queries": (100, "int", None, False)},
+    "build": {
+        "--dataset": (None, "Path", None, True),
+        "--length": (None, "int", None, True),
+        "--output": (None, "Path", None, True),
+        "--leaf-capacity": (100, "int", None, False),
+        "--initial-segments": (4, "int", None, False),
+        "--threads": (4, "int", None, False),
+        "--l-max": (8, "int", None, False),
+        "--claim-size": (None, "int", None, False),
+        "--per-row": (False, None, None, False),
+        "--shards": (1, "int", None, False),
+        "--shard-workers": (None, "int", None, False),
+        "--prefilter": (False, None, None, False),
+        "--prefilter-bits": (8, "int", None, False),
+        "--max-worker-restarts": (None, "int", None, False),
+        "--stall-timeout": (None, "float", None, False),
+        **_OBSERVED,
+    },
+    "query": {
+        **_QUERIED,
+        "--approximate": (False, None, None, False),
+        "--batch": (False, None, None, False),
+    },
+    "explain": _QUERIED,
+    "inspect": {"--index": (None, "Path", None, True)},
+    "bench": {
+        "--figure": (
+            None,
+            None,
+            ("fig10", "fig11", "fig12a", "fig12b", "fig6", "fig7", "fig8",
+             "fig9", "all"),
+            True,
+        ),
+        "--size": (None, "int", None, False),
+        "--num-queries": (None, "int", None, False),
+    },
+    "verify-index": {
+        "index": (None, "Path", None, True),
+        "--level": ("full", None, ("quick", "full"), False),
+    },
+    "verify": {
+        "--dataset": (None, "Path", None, True),
+        "--length": (None, "int", None, True),
+        "--k": (10, "int", None, False),
+        "--num-queries": (10, "int", None, False),
+        "--noise": (0.05, "float", None, False),
+        "--seed": (0, "int", None, False),
+    },
+    "compare": {
+        "--dataset": (None, "Path", None, True),
+        "--length": (None, "int", None, True),
+        "--k": (1, "int", None, False),
+        "--num-queries": (10, "int", None, False),
+        "--noise": (0.05, "float", None, False),
+        "--seed": (0, "int", None, False),
+        "--cache-mb": (0.0, "float", None, False),
+        "--shards": (1, "int", None, False),
+        "--shard-workers": (None, "int", None, False),
+        "--prefilter": (False, None, None, False),
+        "--prefilter-bits": (8, "int", None, False),
+        "--batch": (False, None, None, False),
+        **_OBSERVED,
+    },
+    "monitor": {
+        "directory": (None, "Path", None, True),
+        "--interval": (2.0, "float", None, False),
+        "--iterations": (None, "int", None, False),
+        "--once": (False, None, None, False),
+    },
+    "bench-diff": {
+        "baseline": (None, "Path", None, True),
+        "fresh": (None, "Path", None, True),
+        "--threshold": (0.2, "float", None, False),
+        "--include-timings": (False, None, None, False),
+        "--ignore": ([], None, None, False),
+    },
+}
+
+
+def test_flag_surface_matches_the_table():
+    import argparse
+
+    from repro.cli import build_parser
+
+    def flags(parser):
+        table = {}
+        for action in parser._actions:
+            if isinstance(
+                action, (argparse._HelpAction, argparse._SubParsersAction)
+            ):
+                continue
+            name = "/".join(action.option_strings) or action.dest
+            assert name not in table, f"{name} declared twice"
+            table[name] = (
+                action.default,
+                getattr(action.type, "__name__", None),
+                tuple(action.choices) if action.choices else None,
+                action.required,
+            )
+        return table
+
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    surface = {"": flags(parser)}
+    surface.update(
+        (name, flags(sub)) for name, sub in subparsers.choices.items()
+    )
+    assert sorted(surface) == sorted(_FLAG_TABLE)
+    for command, expected in _FLAG_TABLE.items():
+        assert surface[command] == expected, command
