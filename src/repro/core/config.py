@@ -90,10 +90,11 @@ class HerculesConfig:
     shard_workers: int | None = None
 
     # -- shard resilience (retries, supervision, degradation) -----------------
-    #: Replacement worker processes the build supervisor may spawn after
-    #: dead-worker detection before declaring the build failed.
+    #: Replacement worker processes the worker supervisor may spawn
+    #: (per build, or per query pool) before giving a worker up.
     max_worker_restarts: int = 2
-    #: Total tries per shard query dispatch (1 disables retries).
+    #: Total tries per shard dispatch — a query's, or a build task's
+    #: after error replies (1 disables retries).
     shard_retry_attempts: int = 3
     #: Base backoff before the first shard retry; doubles per attempt
     #: with deterministic per-shard jitter (see :mod:`repro.retry`).
@@ -110,8 +111,6 @@ class HerculesConfig:
     #: return a degraded answer (``coverage`` < 1) instead of raising.
     #: Exact-mode queries refuse to degrade unless this is set.
     partial_results: bool = False
-    #: Seconds between supervision ticks while awaiting worker replies.
-    shard_poll_seconds: float = 1.0
     #: Seconds without any worker progress before a build is declared
     #: dead (the dead-build watchdog).
     build_stall_timeout: float = 600.0
@@ -239,7 +238,6 @@ class HerculesConfig:
             if value is not None and value <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         for name in (
-            "shard_poll_seconds",
             "build_stall_timeout",
             "build_join_timeout",
             "query_join_timeout",

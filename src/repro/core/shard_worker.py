@@ -1,46 +1,31 @@
-"""Process workers behind the sharded engine, plus their supervision.
+"""Process workers behind the sharded engine, and the one supervisor they share.
 
-Two worker kinds live here, both plain top-level functions so they are
-picklable under every ``multiprocessing`` start method:
+Every worker process runs :func:`run_worker`: it builds a task handler
+from a top-level factory (picklable under every ``multiprocessing``
+start method), reports ``ready``, then answers one task per message
+over its pipe.  :func:`build_handler` builds one shard from the dataset
+published once in :class:`~multiprocessing.shared_memory.SharedMemory`
+and ships the build report plus the worker's metrics, events and trace
+spans home for cross-process attribution; :func:`query_handler` keeps a
+subset of the shards open and warm and answers ``(Q, n)`` query blocks
+through :func:`answer_shard`, each query pruning against its own cell of
+a :class:`ProcessBsfVector`.
 
-* **build workers** (:func:`build_worker_main`) pull ``(shard_id, row
-  range, directory)`` tasks off a queue, attach to the dataset published
-  once in :class:`~multiprocessing.shared_memory.SharedMemory` (zero
-  copies per worker beyond the one slice each shard owns), run the
-  ordinary single-index :meth:`HerculesIndex.build`, and ship a
-  picklable reply home: the :class:`~repro.core.index.BuildReport` plus
-  the worker's metrics registry state and trace spans, which the
-  coordinator folds into its own registry/trace for cross-process
-  attribution;
+One :class:`WorkerSet` supervises both kinds (ParIS+/MESSI treat worker
+failure as a first-class concern, and so does this engine): start, send,
+wait while detecting death (pipe EOF or process exit) and timeouts,
+restart within ``config.max_worker_restarts``, and reap on close with
+``terminate()`` → ``kill()`` escalation, so shutdown never hangs.  Two
+short dispatch loops sit on top of it:
 
-* **query workers** (:func:`query_worker_main`) are *persistent*: each
-  owns a subset of the opened shards for the life of the pool and
-  answers one kind of request over a pipe, ``("query", ...)`` carrying
-  a ``(Q, n)`` block of Q ≥ 1 queries.  Each query prunes against its
-  own global BSF² — one cell of a :class:`ProcessBsfVector`, read
-  through the same :class:`~repro.core.results.LinkedResultSet` the
-  in-process scatter uses (refreshed once per refinement chunk) — and
-  replies carry shard answers whose positions are already globalized
-  (``row_base`` added).  Both paths answer a shard through one routine,
-  :func:`answer_shard`.
-
-Both coordinators *supervise* their workers (ParIS+/MESSI treat worker
-failure as a first-class concern, and so does this engine):
-
-* the build coordinator tracks which worker claimed which shard, detects
-  dead workers by liveness polling, **requeues** a dead worker's
-  unfinished shards onto survivors, and **respawns** replacements up to
-  ``config.max_worker_restarts`` before failing — one OOM-killed worker
-  no longer wastes a multi-hour build;
-* the query pool retries a failed dispatch per its
-  :class:`~repro.retry.RetryPolicy` (exponential backoff, deterministic
-  per-shard jitter, per-dispatch timeout and whole-query deadline),
-  restarts dead or timed-out workers within the same restart budget, and
-  reports per-shard errors to the caller instead of failing closed —
-  :class:`~repro.core.sharding.ShardedIndex` decides whether to degrade
-  or raise;
-* shutdown never hangs: workers that ignore the join timeout are
-  escalated ``terminate()`` → ``kill()`` with a logged warning.
+* the sharded build (:func:`build_shards_in_processes`) hands each idle
+  worker the next shard, so it knows which shard a dead worker held:
+  that shard is wiped and requeued, and an error reply is wiped and
+  retried per the configuration's :class:`~repro.retry.RetryPolicy`;
+* the query pool (:class:`ShardQueryPool`) retries a failed dispatch per
+  its :class:`~repro.retry.RetryPolicy` and reports per-shard errors to
+  the caller — :class:`~repro.core.sharding.ShardedIndex` decides
+  whether to degrade or raise.
 
 Workers honour fault plans shipped through the
 :data:`repro.storage.faults.PLANS_ENV` channel (see
@@ -56,6 +41,7 @@ the boundary.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import logging
@@ -87,16 +73,18 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "RETRYABLE",
+    "BuildOutcome",
     "GatherOutcome",
     "ProcessBsfVector",
     "ShardQueryPool",
-    "SupervisionReport",
+    "WorkerSet",
     "answer_shard",
+    "build_handler",
     "build_shards_in_processes",
-    "build_worker_main",
     "mp_context",
-    "query_worker_main",
+    "query_handler",
     "reap_processes",
+    "run_worker",
 ]
 
 #: Grace period after terminate() before escalating to kill().
@@ -116,8 +104,9 @@ def mp_context():
 
     ``fork`` when the platform offers it (Linux/macOS; child inherits
     the parent's pages so SharedMemory attach is instant), else
-    ``spawn``.  ``REPRO_MP_START`` forces a specific method — the test
-    suite uses it to exercise spawn-compatibility on fork platforms.
+    ``spawn``.  ``REPRO_MP_START`` forces a specific method — CI runs
+    the fault matrix under ``spawn`` to keep every worker entry point
+    and handler factory picklable.
     """
     import multiprocessing as mp
 
@@ -234,29 +223,220 @@ class ProcessBsfVector:
 
 
 # ---------------------------------------------------------------------------
-# Build workers
+# The supervised worker set
 # ---------------------------------------------------------------------------
 
 
-def build_worker_main(
-    task_queue,
-    result_queue,
+def run_worker(conn, make_handler, handler_args: tuple) -> None:
+    """Entry point of every worker process.
+
+    ``make_handler(*handler_args)`` is a context manager yielding the
+    task handler.  Once it is built the worker sends ``("ready", pid)``
+    (or ``("error", traceback_text)`` if building it failed), then
+    answers each ``("task", *args)`` with ``handle(*args)`` until
+    ``("close",)`` or EOF.  Handlers turn their own failures into
+    replies; anything that escapes one ends the worker.
+    """
+    try:
+        with make_handler(*handler_args) as handle:
+            conn.send(("ready", os.getpid()))
+            while True:
+                try:
+                    message = conn.recv()
+                except EOFError:
+                    break
+                if message[0] == "close":
+                    break
+                conn.send(handle(*message[1:]))
+    except Exception:
+        with contextlib.suppress(OSError):
+            conn.send(("error", traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+class WorkerSet:
+    """``W`` supervised worker processes, one duplex pipe each.
+
+    It owns the process lifecycle and nothing else: start every worker
+    and wait for its ``ready``, :meth:`send`, :meth:`wait` for a reply
+    while detecting death, :meth:`restart` within the ``max_restarts``
+    budget, and :meth:`close`.  ``worker_args`` holds one
+    ``(make_handler, handler_args)`` pair per worker for ``target``
+    (:func:`run_worker`, or a scripted stand-in with its signature);
+    ``start_timeout`` bounds each wait for ``ready``.  If any start
+    fails, every worker already started is reaped before the
+    :class:`ShardError` propagates.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        worker_args: list,
+        max_restarts: int,
+        join_timeout: float,
+        target=run_worker,
+        start_timeout: Optional[float] = None,
+    ) -> None:
+        self.kind = kind
+        self._ctx = mp_context()
+        self._target = target
+        self._worker_args = worker_args
+        self._join_timeout = join_timeout
+        self._start_timeout = start_timeout
+        self._restarts_left = max_restarts
+        self.worker_restarts = 0
+        self._conns: list = []
+        self._procs: list = []
+        try:
+            for i in range(len(worker_args)):
+                self._launch(i)
+            for i in range(len(worker_args)):
+                self._await_ready(i)
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def _launch(self, i: int) -> None:
+        """Start worker ``i``, appended or replacing a torn-down one."""
+        parent_conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=self._target,
+            args=(child_conn, *self._worker_args[i]),
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        if i == len(self._procs):
+            self._conns.append(parent_conn)
+            self._procs.append(proc)
+        else:
+            self._conns[i], self._procs[i] = parent_conn, proc
+        obs.watch_process(f"shard.{i}", proc.pid)
+
+    def _await_ready(self, i: int) -> None:
+        got = self.wait([i], self._start_timeout)
+        if got is None:
+            raise WorkerSupervisionError(
+                f"{self.kind} worker {i} stalled: not ready after "
+                f"{self._start_timeout:.0f}s"
+            )
+        reply = got[1]
+        if reply is None:
+            raise ShardError(f"{self.kind} worker {i} died while starting")
+        if reply[0] != "ready":
+            raise ShardError(f"{self.kind} worker {i} failed to start:\n{reply[1]}")
+
+    @property
+    def size(self) -> int:
+        return len(self._worker_args)
+
+    def worker_pids(self) -> "list[int]":
+        """Live worker pids, in worker order (for resource sampling)."""
+        return [p.pid for p in self._procs if p.is_alive()]
+
+    def send(self, i: int, message: tuple) -> None:
+        """Send to worker ``i``; a dead peer is left for :meth:`wait` to see."""
+        with contextlib.suppress(OSError):
+            self._conns[i].send(message)
+
+    def wait(self, workers: list, timeout: Optional[float]):
+        """The first reply among ``workers``, as ``(i, reply)``.
+
+        ``reply`` is ``None`` when worker ``i`` died: its pipe reached
+        EOF, or its process exited with nothing left to read.  Returns
+        ``None`` when ``timeout`` seconds pass with neither.
+        """
+        from multiprocessing import connection
+
+        handles = {}
+        for i in workers:
+            handles[self._conns[i]] = handles[self._procs[i].sentinel] = i
+        ready = connection.wait(list(handles), timeout)
+        if not ready:
+            return None
+        i = min(handles[handle] for handle in ready)
+        conn = self._conns[i]
+        with contextlib.suppress(EOFError, OSError):
+            if conn in ready or conn.poll():
+                return i, conn.recv()
+        return i, None
+
+    def restart(self, i: int) -> bool:
+        """Replace worker ``i`` (dead, or no longer trusted); False when
+        the budget is spent.
+
+        The old process is terminated either way, so a late reply never
+        reaches a later task.  Each restart records one
+        ``shard.worker_restart`` span and one ``worker_restart`` event.
+        """
+        old = self._procs[i]
+        if old.is_alive():
+            old.terminate()
+        reap_processes([old], timeout=1.0, label=self.kind)
+        if self._restarts_left <= 0:
+            logger.warning(
+                "%s worker %d (pid %s, exitcode %s) is gone; restart budget "
+                "spent", self.kind, i, old.pid, old.exitcode,
+            )
+            return False
+        self._restarts_left -= 1
+        self.worker_restarts += 1
+        self._conns[i].close()
+        self._launch(i)
+        attrs = dict(
+            kind=self.kind,
+            worker=i,
+            dead_pid=old.pid,
+            new_pid=self._procs[i].pid,
+            exitcode=old.exitcode,
+            restarts_left=self._restarts_left,
+        )
+        logger.warning(
+            "%s worker %d (pid %s) died with exitcode %s; restarted as pid "
+            "%s, %d restarts left", self.kind, i, old.pid, old.exitcode,
+            attrs["new_pid"], self._restarts_left,
+        )
+        with obs.span("shard.worker_restart", **attrs):
+            pass
+        obs.emit_event("worker_restart", **attrs)
+        self._await_ready(i)
+        return True
+
+    def close(self, kill: bool = False) -> None:
+        """Send ``close`` to every worker and reap them; ``kill``
+        terminates them at once instead (the error path)."""
+        for i, proc in enumerate(self._procs):
+            if not kill:
+                self.send(i, ("close",))
+            elif proc.is_alive():
+                proc.terminate()
+        reap_processes(self._procs, self._join_timeout, self.kind)
+        for conn in self._conns:
+            conn.close()
+        self._conns, self._procs = [], []
+
+
+# ---------------------------------------------------------------------------
+# Build tasks
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def build_handler(
     shm_name: str,
     shape: tuple,
     dtype_str: str,
     config_fields: dict,
     trace_enabled: bool,
-) -> None:
-    """Entry point of one build worker process.
+):
+    """Handler factory of build workers: ``handle(shard_id, start, stop,
+    shard_dir)`` builds one shard from the SharedMemory dataset.
 
-    Consumes ``(shard_id, start, stop, shard_dir)`` tasks until the
-    ``None`` sentinel.  Each task is announced with a ``("claim",
-    shard_id, pid)`` message *before* any work happens, so the
-    supervisor knows which shards to requeue if this process dies; the
-    reply is ``("ok", shard_id, payload)`` or ``("error", shard_id,
-    traceback_text)``, the payload carrying the build report as a dict
-    plus the worker's observability state.  Shipped fault plans (the
-    chaos channel) are installed around each shard's build so operation
+    The reply is ``("ok", shard_id, payload)`` — the build report as a
+    dict plus the worker's observability state — or ``("error",
+    shard_id, traceback_text)``.  Shipped fault plans (the chaos
+    channel) are installed around each shard's build so operation
     counts restart per shard.
     """
     from multiprocessing import shared_memory
@@ -265,87 +445,56 @@ def build_worker_main(
 
     config = HerculesConfig(**config_fields)
     shm = shared_memory.SharedMemory(name=shm_name)
+
+    def handle(shard_id, start, stop, shard_dir):
+        try:
+            registry = obs.MetricsRegistry()
+            journal = obs.EventJournal()
+            hub = obs.TelemetryHub(registry=registry, journal=journal)
+            trace = obs.Trace(f"shard-{shard_id}") if trace_enabled else None
+            # Copy the slice out of shared memory: the build keeps
+            # references to its input rows, and they must outlive the
+            # mapping.
+            rows = np.array(np.ndarray(shape, dtype_str, buffer=shm.buf)[start:stop])
+            with faults.worker_injection([shard_id]), obs.use_hub(hub), (
+                obs.use_trace(trace) if trace else contextlib.nullcontext()
+            ), obs.span("build.shard", rows=int(stop - start)):
+                index = HerculesIndex.build(rows, config, directory=Path(shard_dir))
+            report = index.build_report
+            index.close()
+            obs.record_build(registry, report)
+            payload = {
+                "report": dataclasses.asdict(report),
+                "metrics": registry.export_state(),
+                "spans": trace.export_spans() if trace else [],
+                "events": journal.export_state(),
+                "pid": os.getpid(),
+            }
+            return ("ok", shard_id, payload)
+        except Exception:
+            return ("error", shard_id, traceback.format_exc())
+
     try:
-        data = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            shard_id, start, stop, shard_dir = task
-            result_queue.put(("claim", shard_id, os.getpid()))
-            try:
-                registry = obs.MetricsRegistry()
-                journal = obs.EventJournal()
-                hub = obs.TelemetryHub(registry=registry, journal=journal)
-                trace = obs.Trace(f"shard-{shard_id}") if trace_enabled else None
-                with faults.worker_injection([shard_id]), obs.use_hub(hub):
-                    if trace is not None:
-                        with obs.use_trace(trace):
-                            report = _build_one_shard(
-                                HerculesIndex, data, start, stop, shard_dir, config
-                            )
-                    else:
-                        report = _build_one_shard(
-                            HerculesIndex, data, start, stop, shard_dir, config
-                        )
-                obs.record_build(registry, report)
-                result_queue.put(
-                    (
-                        "ok",
-                        shard_id,
-                        {
-                            "report": dataclasses.asdict(report),
-                            "metrics": registry.export_state(),
-                            "spans": trace.export_spans() if trace else [],
-                            "events": journal.export_state(),
-                            "pid": os.getpid(),
-                        },
-                    )
-                )
-            except BaseException:
-                result_queue.put(("error", shard_id, traceback.format_exc()))
+        yield handle
     finally:
         shm.close()
 
 
-def _build_one_shard(index_cls, data, start, stop, shard_dir, config):
-    """Build one shard from its SharedMemory slice; returns the report."""
-    # Copy the slice out of shared memory: the build keeps references to
-    # its input rows, and they must outlive the SharedMemory mapping.
-    rows = np.array(data[start:stop])
-    with obs.span("build.shard", rows=int(stop - start)):
-        index = index_cls.build(rows, config, directory=Path(shard_dir))
-    report = index.build_report
-    index.close()
-    return report
-
-
 @dataclass
-class SupervisionReport:
-    """What the build supervisor had to do to finish the build.
-
-    All-zero on a healthy run.  ``events`` carries one human-readable
-    line per intervention for ``repro build -v`` and test assertions.
-    """
+class BuildOutcome:
+    """What supervision did to finish a sharded build (all zero when
+    healthy): workers restarted after dying, shard tasks requeued off
+    dead workers, and shard builds retried after error replies.
+    ``events`` holds one logged line per intervention."""
 
     worker_restarts: int = 0
     requeued_tasks: int = 0
     task_retries: int = 0
-    escalations: int = 0
     events: list = field(default_factory=list)
 
     def note(self, message: str) -> None:
         self.events.append(message)
         logger.warning("build supervision: %s", message)
-
-
-def _reset_shard_dir(shard_dir) -> None:
-    """Wipe a shard directory before its build task is re-attempted.
-
-    A worker that died mid-build leaves partial artifacts behind; the
-    retry must start from clean ground or appends would corrupt it.
-    """
-    shutil.rmtree(shard_dir, ignore_errors=True)
 
 
 def build_shards_in_processes(
@@ -357,212 +506,126 @@ def build_shards_in_processes(
     trace_enabled: bool,
     worker_main=None,
 ) -> tuple:
-    """Build every shard in worker processes under supervision.
+    """Build every shard as a task dispatched to a :class:`WorkerSet`.
 
-    The dataset is published once in SharedMemory; ``workers`` processes
-    pull shard tasks off a queue (so N shards load-balance over fewer
-    workers).  The coordinator polls worker liveness every
-    ``config.shard_poll_seconds`` while gathering replies:
+    The dataset is published once in SharedMemory and each idle worker
+    is handed the next shard, so N shards spread over fewer workers and
+    the coordinator always knows which shard a worker holds:
 
-    * a **dead worker** has its claimed-but-unfinished shards wiped and
-      requeued onto survivors, and a replacement process is spawned as
-      long as the ``config.max_worker_restarts`` budget lasts;
-    * a shard whose build **errored** inside a live worker is wiped and
-      requeued up to ``config.shard_retry_attempts`` total tries, then
-      the worker traceback is raised as :class:`ShardError`;
-    * no reply of any kind for ``config.build_stall_timeout`` seconds
-      raises :class:`WorkerSupervisionError` (the dead-build watchdog),
-      as does losing every worker with no restart budget left.
+    * a **dead worker**'s shard is wiped and requeued, and the worker is
+      restarted while ``config.max_worker_restarts`` lasts; losing every
+      worker with no budget left raises :class:`WorkerSupervisionError`;
+    * an **error reply** is wiped and retried per
+      ``config.retry_policy()``, then raised as :class:`ShardError`;
+    * no reply for ``config.build_stall_timeout`` seconds raises
+      :class:`WorkerSupervisionError` (the dead-build watchdog); a
+      malformed reply raises :class:`ShardError`.
 
-    Returns ``(replies, supervision)``: shard id → reply payload, plus
-    the :class:`SupervisionReport` of every intervention.
-
-    ``worker_main`` substitutes the worker entry point (same signature
-    as :func:`build_worker_main`) — the supervision tests inject
-    scripted workers that die, stall, or answer out of protocol.
+    Returns ``(replies, outcome)``: shard id → reply payload, and the
+    :class:`BuildOutcome`.  ``worker_main`` substitutes the process
+    entry (signature of :func:`run_worker`) — the supervision tests
+    inject scripted workers that die, stall, or answer out of protocol.
     """
     from multiprocessing import shared_memory
-    from queue import Empty
 
-    if worker_main is None:
-        worker_main = build_worker_main
-    ctx = mp_context()
     data = np.ascontiguousarray(data)
     shm = shared_memory.SharedMemory(create=True, size=data.nbytes)
-    procs = []
-    supervision = SupervisionReport()
+    pool = None
     try:
-        view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
-        view[:] = data
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        worker_args = (
-            task_queue,
-            result_queue,
-            shm.name,
-            data.shape,
-            str(data.dtype),
-            dataclasses.asdict(config),
-            trace_enabled,
+        np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)[:] = data
+        handler_args = (
+            shm.name, data.shape, str(data.dtype),
+            dataclasses.asdict(config), trace_enabled,
         )
-
-        spawned = 0
-
-        def spawn_worker():
-            nonlocal spawned
-            proc = ctx.Process(
-                target=worker_main, args=worker_args, daemon=True
-            )
-            proc.start()
-            obs.watch_process(f"shard.{spawned}", proc.pid)
-            spawned += 1
-            return proc
-
-        n_workers = max(1, min(workers, len(ranges)))
-        procs.extend(spawn_worker() for _ in range(n_workers))
-        tasks = {}
-        for shard_id, ((start, stop), shard_dir) in enumerate(
-            zip(ranges, shard_dirs)
-        ):
-            tasks[shard_id] = (start, stop, str(shard_dir))
-            task_queue.put((shard_id, start, stop, str(shard_dir)))
-
-        replies: dict[int, dict] = {}
-        claims: dict[int, set] = {}  # worker pid → claimed shard ids
-        attempts = {shard_id: 1 for shard_id in tasks}
-        restarts_left = config.max_worker_restarts
-        waited = 0.0
-
-        def handle_dead_worker(proc) -> None:
-            nonlocal restarts_left
-            unfinished = claims.pop(proc.pid, set()) - set(replies)
-            for shard_id in sorted(unfinished):
-                _reset_shard_dir(tasks[shard_id][2])
-                start, stop, shard_dir = tasks[shard_id]
-                task_queue.put((shard_id, start, stop, shard_dir))
-                supervision.requeued_tasks += 1
-            procs.remove(proc)
-            detail = (
-                f"worker pid {proc.pid} died (exitcode {proc.exitcode}) "
-                f"holding shards {sorted(unfinished)}"
-            )
-            if restarts_left > 0:
-                restarts_left -= 1
-                replacement = spawn_worker()
-                procs.append(replacement)
-                supervision.worker_restarts += 1
-                supervision.note(
-                    f"{detail}; requeued and respawned as pid "
-                    f"{replacement.pid} ({restarts_left} restarts left)"
-                )
-                with obs.span(
-                    "shard.worker_restart",
-                    dead_pid=proc.pid,
-                    exitcode=proc.exitcode,
-                    requeued=len(unfinished),
-                ):
-                    pass
-                obs.emit_event(
-                    "worker_restart",
-                    kind="build",
-                    dead_pid=proc.pid,
-                    new_pid=replacement.pid,
-                    exitcode=proc.exitcode,
-                    requeued=sorted(unfinished),
-                    restarts_left=restarts_left,
-                )
-            else:
-                supervision.note(
-                    f"{detail}; restart budget exhausted, "
-                    f"{len(procs)} workers remain"
-                )
-
+        pool = WorkerSet(
+            "build",
+            [(build_handler, handler_args)] * max(1, min(workers, len(ranges))),
+            config.max_worker_restarts,
+            config.build_join_timeout,
+            target=worker_main or run_worker,
+            start_timeout=config.build_stall_timeout,
+        )
+        policy = config.retry_policy()
+        outcome = BuildOutcome()
+        pending = list(range(len(ranges)))  # shard ids to send, next first
+        assigned: dict = {}  # worker → the shard it holds
+        retired: set = set()  # dead workers the budget could not replace
+        failures = dict.fromkeys(pending, 0)
+        replies: dict = {}
         while len(replies) < len(ranges):
-            try:
-                message = result_queue.get(timeout=config.shard_poll_seconds)
-            except Empty:
-                waited += config.shard_poll_seconds
-                for proc in [p for p in procs if not p.is_alive()]:
-                    handle_dead_worker(proc)
-                if not procs:
+            for i in range(pool.size):
+                if pending and i not in assigned and i not in retired:
+                    shard_id = assigned[i] = pending.pop(0)
+                    start, stop = ranges[shard_id]
+                    pool.send(i, ("task", shard_id, start, stop, str(shard_dirs[shard_id])))
+            got = pool.wait(list(assigned), config.build_stall_timeout)
+            if got is None:
+                obs.emit_event(
+                    "stall_watchdog",
+                    timeout=config.build_stall_timeout,
+                    done=len(replies),
+                    total=len(ranges),
+                )
+                raise WorkerSupervisionError(
+                    f"shard build stalled: no worker progress for "
+                    f"{config.build_stall_timeout:.0f}s "
+                    f"({len(replies)}/{len(ranges)} shards done)"
+                )
+            i, reply = got
+            shard_id = assigned.pop(i)
+            if reply is None:
+                shutil.rmtree(shard_dirs[shard_id], ignore_errors=True)
+                pending.insert(0, shard_id)
+                outcome.requeued_tasks += 1
+                outcome.note(f"worker {i} died holding shard {shard_id}; requeued")
+                if pool.restart(i):
+                    outcome.worker_restarts += 1
+                    continue
+                retired.add(i)
+                if len(retired) == pool.size:
                     raise WorkerSupervisionError(
                         "all shard build workers died and the restart "
                         f"budget ({config.max_worker_restarts}) is spent "
                         f"({len(replies)}/{len(ranges)} shards done)"
-                    ) from None
-                if waited > config.build_stall_timeout:
-                    obs.emit_event(
-                        "stall_watchdog",
-                        waited=round(waited, 3),
-                        timeout=config.build_stall_timeout,
-                        done=len(replies),
-                        total=len(ranges),
                     )
-                    raise WorkerSupervisionError(
-                        f"shard build stalled: no worker progress for "
-                        f"{config.build_stall_timeout:.0f}s "
-                        f"({len(replies)}/{len(ranges)} shards done)"
-                    ) from None
                 continue
-            waited = 0.0
-            if (
-                not isinstance(message, tuple)
-                or len(message) != 3
-                or message[0] not in ("claim", "ok", "error")
+            if not (
+                isinstance(reply, tuple)
+                and len(reply) == 3
+                and reply[:2] in (("ok", shard_id), ("error", shard_id))
+                and (reply[0] == "error" or isinstance(reply[2], dict))
             ):
-                raise ShardError(
-                    f"malformed reply from build worker: {message!r}"
-                )
-            status, shard_id, payload = message
-            if status == "claim":
-                claims.setdefault(payload, set()).add(shard_id)
-                continue
-            for owned in claims.values():
-                owned.discard(shard_id)
+                raise ShardError(f"malformed reply from build worker: {reply!r}")
+            status, _, payload = reply
             if status == "ok":
-                if not isinstance(payload, dict) or "report" not in payload:
-                    raise ShardError(
-                        f"malformed build reply for shard {shard_id}: "
-                        f"{payload!r}"
-                    )
                 replies[shard_id] = payload
                 continue
-            # status == "error": the shard failed inside a live worker.
-            if attempts[shard_id] < config.shard_retry_attempts:
-                attempts[shard_id] += 1
-                supervision.task_retries += 1
-                _reset_shard_dir(tasks[shard_id][2])
-                start, stop, shard_dir = tasks[shard_id]
-                task_queue.put((shard_id, start, stop, shard_dir))
-                supervision.note(
-                    f"shard {shard_id} build failed (attempt "
-                    f"{attempts[shard_id] - 1}/{config.shard_retry_attempts});"
-                    " wiped and requeued"
-                )
-            else:
+            failures[shard_id] += 1
+            if failures[shard_id] >= policy.attempts:
                 raise ShardError(
                     f"shard {shard_id} build failed in worker after "
-                    f"{attempts[shard_id]} attempts:\n{payload}"
+                    f"{failures[shard_id]} attempts:\n{payload}"
                 )
-        for _ in procs:
-            task_queue.put(None)
-        supervision.escalations += reap_processes(
-            procs, config.build_join_timeout, "build"
-        )
-        return replies, supervision
+            outcome.task_retries += 1
+            outcome.note(
+                f"shard {shard_id} build failed (attempt {failures[shard_id]}/"
+                f"{policy.attempts}); wiped and requeued"
+            )
+            time.sleep(policy.delay(failures[shard_id], key=f"shard-{shard_id}"))
+            shutil.rmtree(shard_dirs[shard_id], ignore_errors=True)
+            pending.insert(0, shard_id)
+        pool.close()
+        pool = None
+        return replies, outcome
     finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
+        if pool is not None:
+            pool.close(kill=True)
         shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink
-            pass
+        shm.unlink()
 
 
 # ---------------------------------------------------------------------------
-# Query workers
+# Query tasks
 # ---------------------------------------------------------------------------
 
 
@@ -595,36 +658,50 @@ def answer_shard(
     return batch
 
 
-def query_worker_main(
-    conn,
+@contextlib.contextmanager
+def query_handler(
     specs: list,
     cache_bytes_per_shard: int,
     verify: str,
     bsf_vector: ProcessBsfVector,
-) -> None:
-    """Entry point of one persistent query worker process.
+):
+    """Handler factory of query workers: ``handle(queries, k, mode,
+    config_fields_or_None, shard_ids_or_None)`` answers a ``(Q, n)``
+    block on the owned shards.
 
-    ``specs`` is a list of ``(shard_id, directory, row_base)`` this
-    worker owns.  The protocol over ``conn``:
-
-    * ``("query", queries, k, mode, config_fields_or_None,
-      shard_ids_or_None)`` → ``("ok", [(shard_id, batch_answer), ...],
-      [(shard_id, error_text), ...])``: every owned shard answers the
-      ``(Q, n)`` block through :func:`answer_shard`, query ``qi``
-      pruning against cell ``qi`` of the shared ``bsf_vector``.
-      :data:`RETRYABLE` shard faults are *collected*, not fatal, so one
-      bad shard does not void its siblings' work, and a retry can
-      target just the failed subset via ``shard_ids``.  Any other
-      exception is a caller error and comes home as ``("raise",
-      exception)``;
-    * ``("close",)`` (or EOF) → clean shutdown.
-
-    Shipped fault plans targeting any owned shard are installed for the
-    worker's whole life (the chaos channel into query paths).
+    ``specs`` lists the ``(shard_id, directory, row_base)`` this worker
+    opens once and keeps.  The reply is ``("ok", [(shard_id,
+    batch_answer), ...], [(shard_id, error_text), ...])``, query ``qi``
+    pruning against cell ``qi`` of the shared ``bsf_vector``.
+    :data:`RETRYABLE` shard faults are *collected*, not fatal, so one
+    bad shard does not void its siblings' work, and a retry can target
+    just the failed subset via ``shard_ids``.  Any other exception is a
+    caller error and comes home as ``("raise", exception)``.  Shipped
+    fault plans targeting any owned shard are installed for the worker's
+    whole life (the chaos channel into query paths).
     """
     from repro.core.index import HerculesIndex
 
     indexes = []
+
+    def handle(queries, k, mode, config_fields, only):
+        try:
+            config = HerculesConfig(**config_fields) if config_fields else None
+            links = [bsf_vector.cell(qi) for qi in range(queries.shape[0])]
+            out = []
+            shard_errors = []
+            for shard_id, row_base, index in indexes:
+                if only is not None and shard_id not in only:
+                    continue
+                try:
+                    batch = answer_shard(index, queries, k, mode, config, links, row_base)
+                    out.append((shard_id, batch))
+                except RETRYABLE:
+                    shard_errors.append((shard_id, traceback.format_exc()))
+            return ("ok", out, shard_errors)
+        except Exception as exc:
+            return ("raise", exc)
+
     try:
         with faults.worker_injection([sid for sid, _, _ in specs]):
             for shard_id, directory, row_base in specs:
@@ -632,58 +709,10 @@ def query_worker_main(
                     directory, verify=verify, cache_bytes=cache_bytes_per_shard
                 )
                 indexes.append((shard_id, row_base, index))
-            conn.send(("ready", os.getpid()))
-            while True:
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    break
-                kind = message[0]
-                if kind == "close":
-                    break
-                if kind != "query":  # pragma: no cover - protocol guard
-                    conn.send(("error", f"unknown request {kind!r}"))
-                    continue
-                _, queries, k, mode, config_fields, only = message
-                try:
-                    config = (
-                        HerculesConfig(**config_fields) if config_fields else None
-                    )
-                    links = [
-                        bsf_vector.cell(qi) for qi in range(queries.shape[0])
-                    ]
-                    out = []
-                    shard_errors = []
-                    for shard_id, row_base, index in indexes:
-                        if only is not None and shard_id not in only:
-                            continue
-                        try:
-                            out.append(
-                                (
-                                    shard_id,
-                                    answer_shard(
-                                        index, queries, k, mode, config,
-                                        links, row_base,
-                                    ),
-                                )
-                            )
-                        except RETRYABLE:
-                            shard_errors.append(
-                                (shard_id, traceback.format_exc())
-                            )
-                    reply = ("ok", out, shard_errors)
-                except Exception as exc:
-                    reply = ("raise", exc)
-                conn.send(reply)
-    except BaseException:  # pragma: no cover - open failure surfaces below
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
+            yield handle
     finally:
         for _, _, index in indexes:
             index.close()
-        conn.close()
 
 
 @dataclass
@@ -704,8 +733,8 @@ class GatherOutcome:
     worker_restarts: int = 0
 
 
-class ShardQueryPool:
-    """A supervised, persistent pool of query workers over opened shards.
+class ShardQueryPool(WorkerSet):
+    """A persistent :class:`WorkerSet` of query workers over opened shards.
 
     Shards are distributed round-robin over ``workers`` processes; each
     worker opens its shards once (cold) and keeps them — and their leaf
@@ -717,7 +746,7 @@ class ShardQueryPool:
 
     Dispatch is fault-tolerant: per-shard errors reported by a live
     worker are retried per the :class:`~repro.retry.RetryPolicy`; a
-    dead worker is respawned (its shards re-opened) within the
+    dead worker is restarted (its shards re-opened) within the
     ``max_worker_restarts`` budget and the query re-sent; a worker that
     misses its per-dispatch timeout is killed and restarted the same way
     (a late reply would poison the next query on that pipe).  Shards
@@ -734,104 +763,21 @@ class ShardQueryPool:
         max_worker_restarts: int = 2,
         join_timeout: float = 10.0,
     ) -> None:
-        self._ctx = mp_context()
-        self.bsf_vector = ProcessBsfVector(self._ctx)
-        self._cache_bytes = cache_bytes_per_shard
-        self._verify = verify
-        self._join_timeout = join_timeout
-        self._restarts_left = max_worker_restarts
-        self.worker_restarts = 0
+        self.bsf_vector = ProcessBsfVector()
         workers = max(1, min(workers, len(shard_specs)))
         self._groups = [
-            [
-                (sid, str(path), base)
-                for sid, path, base in shard_specs[i::workers]
-            ]
+            [(sid, str(path), base) for sid, path, base in shard_specs[i::workers]]
             for i in range(workers)
         ]
-        self._conns: list = [None] * workers
-        self._procs: list = [None] * workers
-        for i in range(workers):
-            self._start_worker(i)
-        for i, conn in enumerate(self._conns):
-            reply = self._recv(conn, i)
-            if reply[0] != "ready":
-                self.close()
-                raise ShardError(
-                    f"query worker failed to open shards:\n{reply[1]}"
-                )
-
-    def _start_worker(self, i: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=query_worker_main,
-            args=(
-                child_conn,
-                self._groups[i],
-                self._cache_bytes,
-                self._verify,
-                self.bsf_vector,
-            ),
-            daemon=True,
+        super().__init__(
+            "query",
+            [
+                (query_handler, (group, cache_bytes_per_shard, verify, self.bsf_vector))
+                for group in self._groups
+            ],
+            max_worker_restarts,
+            join_timeout,
         )
-        proc.start()
-        child_conn.close()
-        self._conns[i] = parent_conn
-        self._procs[i] = proc
-        obs.watch_process(f"shard.{i}", proc.pid)
-
-    def worker_pids(self) -> "list[int]":
-        """Live worker pids, in worker order (for resource sampling)."""
-        return [p.pid for p in self._procs if p is not None and p.is_alive()]
-
-    def _restart_worker(self, i: int) -> bool:
-        """Tear down worker ``i`` and respawn it; False when out of budget."""
-        if self._restarts_left <= 0:
-            return False
-        self._restarts_left -= 1
-        self.worker_restarts += 1
-        proc, conn = self._procs[i], self._conns[i]
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if proc.is_alive():
-            proc.terminate()
-        reap_processes([proc], timeout=1.0, label="query")
-        logger.warning(
-            "restarting query worker %d (shards %s); %d restarts left",
-            i, [sid for sid, _, _ in self._groups[i]], self._restarts_left,
-        )
-        self._start_worker(i)
-        reply = self._recv(self._conns[i], i)
-        if reply[0] != "ready":
-            raise ShardError(
-                f"restarted query worker failed to open shards:\n{reply[1]}"
-            )
-        obs.emit_event(
-            "worker_restart",
-            kind="query",
-            worker=i,
-            dead_pid=proc.pid,
-            new_pid=self._procs[i].pid,
-            shards=[sid for sid, _, _ in self._groups[i]],
-            restarts_left=self._restarts_left,
-        )
-        return True
-
-    def _recv(self, conn, worker: int, timeout: Optional[float] = None):
-        """Receive one reply; raises ShardError on death/timeout."""
-        if timeout is not None and not conn.poll(timeout):
-            raise ShardTimeoutError(
-                f"query worker {worker} missed its {timeout:.2f}s dispatch "
-                "timeout"
-            )
-        try:
-            return conn.recv()
-        except EOFError:
-            raise ShardError(
-                f"query worker {worker} process died (pipe closed)"
-            ) from None
 
     @property
     def batch_capacity(self) -> int:
@@ -866,7 +812,7 @@ class ShardQueryPool:
             )
         self.bsf_vector.reset(queries.shape[0])
         payload = (
-            "query",
+            "task",
             queries,
             int(k),
             mode,
@@ -875,13 +821,10 @@ class ShardQueryPool:
         )
         started = time.monotonic()
         outcome = GatherOutcome()
-        for conn in self._conns:
-            try:
-                conn.send(payload)
-            except (BrokenPipeError, OSError):
-                pass  # death is handled during this worker's gather
+        for i in range(self.size):
+            self.send(i, payload)
         caller_error = None
-        for i in range(len(self._conns)):
+        for i in range(self.size):
             exc = self._gather_worker(i, payload, policy, started, outcome)
             caller_error = caller_error or exc
         if caller_error is not None:
@@ -897,26 +840,29 @@ class ShardQueryPool:
         Returns the caller error the worker shipped home, if any; it is
         not a shard fault, so it is neither retried nor degraded past.
         """
-        shard_ids = [sid for sid, _, _ in self._groups[i]]
-        pending = set(shard_ids)
+        pending = {sid for sid, _, _ in self._groups[i]}
         attempt = 1
-        request = payload
         while True:
             try:
-                reply = self._recv(
-                    self._conns[i], i, timeout=self._wait_budget(policy, started)
-                )
+                budget = self._wait_budget(policy, started)
+                got = self.wait([i], budget)
+                if got is None:
+                    raise ShardTimeoutError(
+                        f"query worker {i} missed its {budget:.2f}s dispatch "
+                        "timeout"
+                    )
+                reply = got[1]
+                if reply is None:
+                    raise ShardError(f"query worker {i} process died (pipe closed)")
                 if reply[0] == "raise":
                     return reply[1]
                 if reply[0] == "error":
-                    raise ShardError(
-                        f"query worker {i} failed:\n{reply[1]}"
-                    )
+                    raise ShardError(f"query worker {i} failed:\n{reply[1]}")
                 _, pairs, shard_errors = reply
                 outcome.pairs.extend(pairs)
                 pending -= {sid for sid, _ in pairs}
                 if not shard_errors:
-                    return
+                    return None
                 raise ShardError(
                     "; ".join(
                         f"shard {sid} query failed:\n{text}"
@@ -924,63 +870,35 @@ class ShardQueryPool:
                     )
                 )
             except ShardError as exc:
-                desynced = isinstance(exc, ShardTimeoutError) or (
-                    not self._procs[i].is_alive()
-                )
-                if desynced:
+                if isinstance(exc, ShardTimeoutError) or not self._procs[i].is_alive():
                     # The pipe can no longer be trusted (late replies
-                    # would poison the next query): restart or disable.
+                    # would poison the next query): restart or give up.
                     try:
-                        restarted = self._restart_worker(i)
+                        restarted = self.restart(i)
                     except ShardError as restart_exc:
-                        restarted = False
-                        exc = restart_exc
-                    if restarted:
-                        outcome.worker_restarts += 1
-                    else:
+                        restarted, exc = False, restart_exc
+                    if not restarted:
                         outcome.shard_errors.extend(
                             (sid, str(exc)) for sid in sorted(pending)
                         )
-                        return
+                        return None
+                    outcome.worker_restarts += 1
                 if attempt >= policy.attempts or policy.past_deadline(started):
                     outcome.shard_errors.extend(
                         (sid, str(exc)) for sid in sorted(pending)
                     )
-                    return
+                    return None
                 time.sleep(policy.delay(attempt, key=f"worker-{i}"))
                 attempt += 1
                 outcome.retries += 1
-                request = payload[:-1] + (sorted(pending),)
-                try:
-                    self._conns[i].send(request)
-                except (BrokenPipeError, OSError):
-                    continue  # recv will classify the death next loop
+                self.send(i, payload[:-1] + (sorted(pending),))
 
     def _wait_budget(
         self, policy: RetryPolicy, started: float
     ) -> Optional[float]:
-        """How long one recv may block: per-dispatch timeout ∧ deadline."""
+        """How long one wait may block: per-dispatch timeout ∧ deadline."""
         budget = policy.shard_timeout
         if policy.deadline is not None:
             remaining = max(policy.deadline - (time.monotonic() - started), 0.0)
             budget = remaining if budget is None else min(budget, remaining)
         return budget
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                pass
-        reap_processes(
-            [p for p in self._procs if p is not None],
-            self._join_timeout,
-            "query",
-        )
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._conns = []
-        self._procs = []

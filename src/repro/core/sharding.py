@@ -57,6 +57,7 @@ from repro.core.query import QueryAnswer, QueryProfile
 from repro.core.results import SharedBsf
 from repro.core.shard_worker import (
     RETRYABLE,
+    BuildOutcome,
     GatherOutcome,
     ShardQueryPool,
     answer_shard,
@@ -354,7 +355,7 @@ class ShardedIndex:
 
         reports: list[BuildReport] = []
         worker_metric_states: list = []
-        supervision = None
+        supervision = BuildOutcome()
         wall_started = time.perf_counter()
         trace = obs.get_trace()
         with obs.span(
@@ -444,9 +445,9 @@ class ShardedIndex:
             split_seconds=max(r.split_seconds for r in reports),
             flush_seconds=max(r.flush_seconds for r in reports),
             shard_reports=tuple(reports),
-            worker_restarts=supervision.worker_restarts if supervision else 0,
-            requeued_tasks=supervision.requeued_tasks if supervision else 0,
-            task_retries=supervision.task_retries if supervision else 0,
+            worker_restarts=supervision.worker_restarts,
+            requeued_tasks=supervision.requeued_tasks,
+            task_retries=supervision.task_retries,
         )
         logger.info(
             "sharded index ready: %d shards over %d series in %.2fs wall "
@@ -540,28 +541,28 @@ class ShardedIndex:
                         f"{expected_base})"
                     )
                 expected_base += record.num_series
+            config = shards[0].config.with_options(
+                num_shards=manifest.num_shards
+            )
+            pool = None
+            if workers is not None and workers > 0:
+                specs = [
+                    (i, directory / record.name, record.row_base)
+                    for i, record in enumerate(manifest.shards)
+                ]
+                # Shards were just verified above; workers re-open cheaply.
+                pool = ShardQueryPool(
+                    specs,
+                    workers,
+                    per_shard_cache,
+                    verify="off",
+                    max_worker_restarts=config.max_worker_restarts,
+                    join_timeout=config.query_join_timeout,
+                )
         except BaseException:
             for shard in shards:
                 shard.close()
             raise
-        config = shards[0].config.with_options(
-            num_shards=manifest.num_shards
-        )
-        pool = None
-        if workers is not None and workers > 0:
-            specs = [
-                (i, directory / record.name, record.row_base)
-                for i, record in enumerate(manifest.shards)
-            ]
-            # Shards were just verified above; workers re-open cheaply.
-            pool = ShardQueryPool(
-                specs,
-                workers,
-                per_shard_cache,
-                verify="off",
-                max_worker_restarts=config.max_worker_restarts,
-                join_timeout=config.query_join_timeout,
-            )
         return cls(
             directory=directory,
             shards=shards,

@@ -32,7 +32,6 @@ def _config(**overrides):
         flush_threshold=1,
         num_shards=N_SHARDS,
         shard_workers=2,
-        shard_poll_seconds=0.05,
         shard_retry_attempts=2,
         shard_retry_backoff=0.001,
         build_join_timeout=5.0,

@@ -171,8 +171,8 @@ def built_by_older_release(tmp_path_factory):
     """A ``--prefilter`` directory as releases before the single SAX tier
     wrote it: a ``signatures.bin`` beside the three artifacts, listed in
     the manifest (its content is junk on purpose — nothing may parse
-    it), and the since-retired ``prefilter_hamming`` knob among the
-    persisted settings.
+    it), and the since-retired ``prefilter_hamming`` and
+    ``shard_poll_seconds`` knobs among the persisted settings.
     """
     data = make_random_walks(100, 32, seed=29)
     directory = tmp_path_factory.mktemp("verify-prefilter") / "index"
@@ -190,6 +190,7 @@ def built_by_older_release(tmp_path_factory):
     (directory / "signatures.bin").write_bytes(b"HSIG" + bytes(800))
     root, settings = htree.load_tree(directory / "htree.bin")
     settings["config"]["prefilter_hamming"] = True
+    settings["config"]["shard_poll_seconds"] = 1.0
     htree.save_tree(directory / "htree.bin", root, settings)
     manifest = manifest_mod.load_manifest(directory)
     for name in ("signatures.bin", "htree.bin"):

@@ -320,6 +320,32 @@ class TestDeadline:
             index.knn(query, k=5, config=config)
 
 
+class TestPoolStartFailure:
+    def test_failed_pool_start_leaks_nothing(self, index, monkeypatch):
+        """A worker killed while opening its shards fails the open, and
+        neither its sibling worker nor the coordinator's shards outlive
+        the failure."""
+        import multiprocessing
+
+        from repro.core import HerculesIndex
+
+        opened = []
+        real_open = HerculesIndex.open.__func__
+
+        def recording_open(cls, *args, **kwargs):
+            shard = real_open(cls, *args, **kwargs)
+            opened.append(shard)
+            return shard
+
+        monkeypatch.setattr(HerculesIndex, "open", classmethod(recording_open))
+        plan = faults.FaultPlan(op="read", at=1, mode="kill")
+        with faults.ship_plans({1: plan}), pytest.raises(ShardError):
+            ShardedIndex.open(index.directory, workers=2)
+        assert multiprocessing.active_children() == []
+        assert len(opened) == N_SHARDS
+        assert all(shard._closed for shard in opened)
+
+
 class TestMetricsVisibility:
     def test_degradation_reaches_the_registry(self, index, query):
         _fail_shard(index, 1)

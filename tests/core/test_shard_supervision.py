@@ -1,14 +1,16 @@
 """Build-worker supervision: dead workers, stalls, malformed replies.
 
 The scripted workers here are top-level functions (picklable under any
-start method) that misbehave in one specific way — die after claiming a
-task, hang forever, answer out of protocol, or fail once — injected into
+start method) with the signature of :func:`run_worker` that misbehave
+in one specific way — die on receiving a task, hang forever, answer out
+of protocol, or fail once — injected into
 :func:`build_shards_in_processes` through its ``worker_main`` hook.
 One-shot misbehaviour is latched through an ``O_EXCL`` file named in the
 environment, so the respawned replacement behaves normally and the test
 asserts *recovery*, not just failure.
 """
 
+import contextlib
 import os
 import time
 
@@ -18,9 +20,9 @@ import pytest
 from repro.core import HerculesConfig, HerculesIndex, partition_rows
 from repro.core.shard_worker import (
     build_shards_in_processes,
-    build_worker_main,
     mp_context,
     reap_processes,
+    run_worker,
 )
 from repro.errors import ShardError, WorkerSupervisionError
 
@@ -39,59 +41,71 @@ def _claim_latch() -> bool:
     return True
 
 
-def _die_once_worker(task_queue, result_queue, *args) -> None:
-    """Claims a task, then dies — but only the first worker to run."""
+def _die_once_worker(conn, *args) -> None:
+    """Takes a task, works on it a moment, then dies — but only the
+    first worker to run."""
     if _claim_latch():
-        task = task_queue.get()
-        if task is None:
-            return
-        result_queue.put(("claim", task[0], os.getpid()))
-        time.sleep(0.5)  # let the claim message flush before dying
+        conn.send(("ready", os.getpid()))
+        conn.recv()
+        time.sleep(0.5)
         os._exit(3)
-    build_worker_main(task_queue, result_queue, *args)
+    run_worker(conn, *args)
 
 
-def _die_always_worker(task_queue, result_queue, *args) -> None:
-    """Every incarnation claims a task and dies."""
-    task = task_queue.get()
-    if task is None:
-        return
-    result_queue.put(("claim", task[0], os.getpid()))
+def _die_on_first_task_worker(conn, *args) -> None:
+    """Dies the moment its first task arrives, before any reply — but
+    only the first worker to run."""
+    if _claim_latch():
+        conn.send(("ready", os.getpid()))
+        conn.recv()
+        os._exit(3)
+    run_worker(conn, *args)
+
+
+def _die_always_worker(conn, *args) -> None:
+    """Every incarnation takes a task and dies."""
+    conn.send(("ready", os.getpid()))
+    conn.recv()
     time.sleep(0.3)
     os._exit(5)
 
 
-def _hang_worker(task_queue, result_queue, *args) -> None:
-    """Never claims, never replies: pure stall."""
+def _hang_worker(conn, *args) -> None:
+    """Starts, then never replies: pure stall."""
+    conn.send(("ready", os.getpid()))
     time.sleep(600)
 
 
-def _malformed_worker(task_queue, result_queue, *args) -> None:
+def _malformed_worker(conn, *args) -> None:
     """Replies out of protocol."""
-    task_queue.get()
-    result_queue.put("scrambled nonsense")
+    conn.send(("ready", os.getpid()))
+    conn.recv()
+    conn.send("scrambled nonsense")
     time.sleep(600)
 
 
-def _error_once_worker(task_queue, result_queue, *args) -> None:
+@contextlib.contextmanager
+def _failing_handler(make_handler, handler_args, once):
+    """The real build handler, except that tasks report a scripted
+    failure — only the first task anywhere when ``once``."""
+    with make_handler(*handler_args) as handle:
+
+        def scripted(shard_id, *task):
+            if not once or _claim_latch():
+                return ("error", shard_id, "scripted failure")
+            return handle(shard_id, *task)
+
+        yield scripted
+
+
+def _error_once_worker(conn, make_handler, handler_args) -> None:
     """Reports one scripted in-worker build failure, then behaves."""
-    if _claim_latch():
-        task = task_queue.get()
-        if task is None:
-            return
-        result_queue.put(("claim", task[0], os.getpid()))
-        result_queue.put(("error", task[0], "scripted failure"))
-    build_worker_main(task_queue, result_queue, *args)
+    run_worker(conn, _failing_handler, (make_handler, handler_args, True))
 
 
-def _error_always_worker(task_queue, result_queue, *args) -> None:
+def _error_always_worker(conn, make_handler, handler_args) -> None:
     """Reports every task as failed, forever."""
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        result_queue.put(("claim", task[0], os.getpid()))
-        result_queue.put(("error", task[0], "scripted permanent failure"))
+    run_worker(conn, _failing_handler, (make_handler, handler_args, False))
 
 
 def _config(**overrides):
@@ -99,7 +113,6 @@ def _config(**overrides):
         leaf_capacity=20,
         num_build_threads=1,
         flush_threshold=1,
-        shard_poll_seconds=0.05,
         build_stall_timeout=60.0,
         build_join_timeout=5.0,
     )
@@ -140,6 +153,18 @@ class TestDeadWorkerRecovery:
                 assert shard.num_series == stop - start
                 answer = shard.knn(data[start], k=1)
                 assert answer.distances[0] == pytest.approx(0.0, abs=1e-5)
+
+    def test_death_on_first_task_loses_no_shard(self, tmp_path, latch):
+        started = time.monotonic()
+        _, _, _, replies, supervision = _run(
+            tmp_path,
+            _die_on_first_task_worker,
+            _config(max_worker_restarts=2, build_stall_timeout=30.0),
+        )
+        assert sorted(replies) == [0, 1, 2]
+        assert supervision.worker_restarts == 1
+        assert supervision.requeued_tasks == 1
+        assert time.monotonic() - started < 10.0
 
     def test_exhausted_restart_budget_fails_loudly(self, tmp_path):
         config = _config(max_worker_restarts=0)

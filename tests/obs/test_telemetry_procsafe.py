@@ -132,7 +132,6 @@ def _config(**overrides):
         flush_threshold=1,
         num_shards=2,
         shard_workers=2,
-        shard_poll_seconds=0.05,
         build_join_timeout=5.0,
         query_join_timeout=5.0,
     )
@@ -207,6 +206,34 @@ class TestChaosBuildTelemetry:
         text = obs.render_dashboard(spool, event_tail=50)
         assert "worker_restart" in text
         assert "restarts=" in text
+
+    def test_pool_restart_event_has_the_build_restart_shape(self, tmp_path):
+        """Build and query restarts come from one supervisor, so their
+        journalled worker_restart events carry one attribute set."""
+        data = make_random_walks(N_ROWS, LENGTH, seed=31)
+        hub = obs.TelemetryHub()
+        plan = faults.FaultPlan(
+            op="write", at=3, mode="kill", fence=str(tmp_path / "kill-once")
+        )
+        with obs.use_hub(hub):
+            with faults.ship_plans({0: plan}):
+                ShardedIndex.build(
+                    data, _config(), directory=tmp_path / "idx"
+                ).close()
+            index = ShardedIndex.open(tmp_path / "idx", workers=2)
+            try:
+                index._pool._procs[0].kill()
+                index._pool._procs[0].join(timeout=5.0)
+                index.knn(data[0], k=3)
+            finally:
+                index.close()
+        restarts = {}
+        for event in hub.journal.events():
+            if event.type == "worker_restart":
+                restarts.setdefault(event.attrs["kind"], event.attrs)
+        assert set(restarts) == {"build", "query"}
+        assert restarts["query"]["worker"] == 0
+        assert set(restarts["query"]) == set(restarts["build"])
 
     def test_fault_free_build_merges_worker_metrics(self, tmp_path):
         data = make_random_walks(N_ROWS, LENGTH, seed=29)

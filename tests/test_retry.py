@@ -107,7 +107,6 @@ class TestConfigBridge:
             dict(shard_retry_jitter=2.0),
             dict(shard_timeout=0.0),
             dict(query_deadline=0.0),
-            dict(shard_poll_seconds=0.0),
             dict(build_stall_timeout=-1.0),
             dict(build_join_timeout=0.0),
             dict(query_join_timeout=0.0),
