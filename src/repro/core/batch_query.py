@@ -10,8 +10,10 @@ not grow with Q:
 * **One front half.**  :func:`repro.core.query._search_states` makes a
   single (Q × nodes) call on the index's
   :class:`~repro.core.leaf_table.LeafTable`, giving every query its row
-  of effective per-leaf LB_EAPCA², and one call its PAA row; phases 1-2
-  then run per query.  ``phase1_only`` stops here, after phase 1.
+  of effective per-leaf LB_EAPCA², and one call its LB_SAX gap tables
+  (``SignatureArray.gap_tables`` on the block's PAA), which phase 1's
+  screens and phase 3's pass share; phases 1-2 then run per query.
+  ``phase1_only`` stops here, after phase 1.
 * **The LB_SAX pass.**  With ``prefilter`` it runs for every query ahead
   of the access-path decision
   (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`); otherwise
@@ -295,7 +297,7 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
             # Only the queries phase 2 left candidate leaves have rows.
             screened = [qi for qi, lclist in enumerate(lclists) if len(lclist)]
             found = sax.screen_batch(
-                [states[qi].query_paa for qi in screened],
+                [states[qi].gap_tables for qi in screened],
                 [states[qi].results.bsf_squared for qi in screened],
                 first.query.shape[0],
                 prune_factor=first.prune_factor,
@@ -312,6 +314,10 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
         if path_extents is not None:
             walkers.append(state)
             extents.append(path_extents)
+    # Every LB_SAX pass is done: free the block's gap tables, so they are
+    # not resident while the walk allocates its buffers.
+    for state in states:
+        state.gap_tables = None
     if not walkers:
         return
     # CRWorker threads serve one query on a threaded path only.

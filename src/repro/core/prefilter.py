@@ -8,9 +8,10 @@ that: :class:`SignatureArray` holds the words once, segment-major (at
 full resolution, or ``>>``-reduced for a cardinality ablation), and
 evaluates LB_SAX with the VA-file lookup-table trick: per
 segment a ``2^bits``-entry table of squared gaps from the query's PAA
-value to each symbol region is built once (O(2^bits)), then the rows
-index into it, keeping the pass at O(rows·segments) regardless of
-cardinality.
+value to each symbol region is built once per query (O(2^bits),
+:meth:`SignatureArray.gap_tables`, one call for a whole query block),
+then every pass over the query's rows indexes into it, keeping each pass
+at O(rows·segments) regardless of cardinality.
 
 Soundness: a reduced-cardinality region contains the full-resolution
 region, so the reduced bound is ≤ the full-resolution LB_SAX ≤ the true
@@ -83,6 +84,7 @@ class SignatureArray:
         ).astype(DISTANCE_DTYPE)
         self._lower_edges = edges[np.minimum(values * width, full)]
         self._upper_edges = edges[np.minimum((values + 1) * width, full)]
+        self._table_shape = (space.segments, 1 << bits)
 
     @classmethod
     def from_full_symbols(
@@ -102,26 +104,39 @@ class SignatureArray:
         """Resident size of the symbol matrix."""
         return self._by_segment.nbytes
 
-    def _gap_tables(self, query_paa: np.ndarray) -> np.ndarray:
-        """Per-segment squared-gap lookup tables, shape (segments, 2^bits).
+    def gap_tables(self, query_paa: np.ndarray) -> np.ndarray:
+        """Per-segment squared-gap lookup tables of one query or a block.
 
-        ``tables[j, v]`` is the squared distance from the query's PAA
-        value in segment j to the value region of reduced symbol v (zero
-        when the value falls inside).
+        ``query_paa`` is one ``(segments,)`` PAA row, giving a
+        ``(segments, 2^bits)`` table, or a ``(Q, segments)`` block, giving
+        ``(Q, segments, 2^bits)`` — row i bit for bit the table of query i
+        alone.  ``tables[j, v]`` is the squared distance from the query's
+        PAA value in segment j to the value region of reduced symbol v
+        (zero when the value falls inside).  A query builds its table once
+        and every LB_SAX pass over its rows (:meth:`screen`,
+        :meth:`screen_batch`) indexes into it.
         """
         q = np.asarray(query_paa, dtype=DISTANCE_DTYPE)
-        if q.shape != (self.space.segments,):
+        if q.ndim not in (1, 2) or q.shape[-1] != self.space.segments:
             raise ValueError(
-                f"query PAA must have shape ({self.space.segments},), "
-                f"got {q.shape}"
+                f"query PAA must have shape ({self.space.segments},) or "
+                f"(Q, {self.space.segments}), got {q.shape}"
             )
-        lower = self._lower_edges
-        upper = self._upper_edges
-        gap = np.maximum(
-            np.maximum(lower[None, :] - q[:, None], q[:, None] - upper[None, :]),
-            0.0,
-        )
-        return gap * gap
+        return self._gap_tables(q)
+
+    def _gap_tables(self, q: np.ndarray) -> np.ndarray:
+        """:meth:`gap_tables` for a float64 PAA array already checked:
+        ``max(lower − q, q − upper, 0)²``, built in the output array one
+        query at a time, so a block's build holds no temporary of the
+        block's size."""
+        tables = np.empty(q.shape + self._lower_edges.shape, dtype=DISTANCE_DTYPE)
+        for out, values in zip(
+            tables.reshape(-1, *self._table_shape), q.reshape(-1, self._table_shape[0], 1)
+        ):
+            np.subtract(self._lower_edges, values, out=out)
+            np.maximum(out, values - self._upper_edges, out=out)
+        np.maximum(tables, 0.0, out=tables)
+        return np.multiply(tables, tables, out=tables)
 
     def _gap_sq_sums(
         self, tables: np.ndarray, rows: Optional[np.ndarray] = None
@@ -137,18 +152,28 @@ class SignatureArray:
     def lower_bounds(
         self, query_paa: np.ndarray, series_length: int
     ) -> np.ndarray:
-        """LB_SAX for every series (linear space).
+        """LB_SAX for every series (linear space), from one query's
+        ``(segments,)`` PAA row.
 
         Matches ``SaxSpace.mindist`` evaluated on the (reduced) regions:
         always ≤ the full-resolution mindist ≤ the true distance.
         """
-        tables = self._gap_tables(query_paa)
+        tables = self._checked(self.gap_tables(query_paa))
         scale = series_length / self.space.segments
         return np.sqrt(scale * self._gap_sq_sums(tables))
 
+    def _checked(self, tables: np.ndarray) -> np.ndarray:
+        """``tables`` if it is one query's :meth:`gap_tables` output."""
+        if tables.shape != self._table_shape:
+            raise ValueError(
+                f"expected one query's {self._table_shape} gap tables, "
+                f"got shape {tables.shape}"
+            )
+        return tables
+
     def _lb_sax_pass(
         self,
-        query_paa: np.ndarray,
+        tables: np.ndarray,
         bsf_squared: float,
         series_length: int,
         prune_factor: float,
@@ -160,9 +185,9 @@ class SignatureArray:
         call each other: a tracer wrapping either public name then times
         exactly the pipeline that called it.
         """
+        self._checked(tables)
         if rows is not None and not len(rows):  # e.g. an empty LCList
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=DISTANCE_DTYPE)
-        tables = self._gap_tables(query_paa)
         scale = series_length / self.space.segments
         factor_sq = scale * prune_factor * prune_factor
         bounds_sq = factor_sq * self._gap_sq_sums(tables, rows)
@@ -171,7 +196,7 @@ class SignatureArray:
 
     def screen(
         self,
-        query_paa: np.ndarray,
+        tables: np.ndarray,
         bsf_squared: float,
         series_length: int,
         prune_factor: float = 1.0,
@@ -180,35 +205,37 @@ class SignatureArray:
         """Algorithm 13 as one vectorised pass: the rows that may still
         beat the BSF.
 
-        Examines ``rows`` (file positions; default: the whole array) and
-        returns ``(positions, bounds_sq)`` of the survivors, in the
-        order given.  ``bounds_sq`` is the ε-scaled squared bound
+        ``tables`` is the query's :meth:`gap_tables`.  Examines ``rows``
+        (file positions; default: the whole array) and returns
+        ``(positions, bounds_sq)`` of the survivors, in the order given.
+        ``bounds_sq`` is the ε-scaled squared bound
         ``scale·prune_factor²·Σgap²`` and a row survives iff it is
         ``< bsf_squared`` — entirely in squared space, no square roots —
         so later re-checks compare the stored value straight against the
         live BSF².
         """
         return self._lb_sax_pass(
-            query_paa, bsf_squared, series_length, prune_factor, rows
+            tables, bsf_squared, series_length, prune_factor, rows
         )
 
     def screen_batch(
         self,
-        queries_paa: np.ndarray,
+        tables: Sequence[np.ndarray],
         bsf_squared: np.ndarray,
         series_length: int,
         prune_factor: float,
         rows: Sequence[np.ndarray],
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """:meth:`screen` for each query of a block, against its own BSF²
-        and its own ``rows[i]`` — the same kernel, so batch answers stay
-        bit-identical to serial ones."""
-        if not len(queries_paa) == len(bsf_squared) == len(rows):
+        """:meth:`screen` for each query of a block — ``tables[i]`` its
+        gap tables, e.g. a row of one ``(Q, segments)`` :meth:`gap_tables`
+        call — against its own BSF² and its own ``rows[i]``: the same
+        kernel, so batch answers stay bit-identical to serial ones."""
+        if not len(tables) == len(bsf_squared) == len(rows):
             raise ValueError(
-                f"expected Q PAA rows, Q BSF² values and Q row arrays, got "
-                f"{len(queries_paa)}, {len(bsf_squared)} and {len(rows)}"
+                f"expected Q gap tables, Q BSF² values and Q row arrays, got "
+                f"{len(tables)}, {len(bsf_squared)} and {len(rows)}"
             )
         return [
-            self._lb_sax_pass(q, b, series_length, prune_factor, r)
-            for q, b, r in zip(queries_paa, bsf_squared, rows)
+            self._lb_sax_pass(t, b, series_length, prune_factor, r)
+            for t, b, r in zip(tables, bsf_squared, rows)
         ]

@@ -11,7 +11,8 @@ starts from it too.  The four phases:
 
 1. **Approx-kNN** (Algorithm 11) — a best-first visit of at most
    ``L_max`` leaves by LB_EAPCA, computing real distances in each, to
-   seed ``BSF_k``.
+   seed ``BSF_k``; once ``BSF_k`` exists, a visited leaf whose series
+   the in-memory iSAX words all rule out is not read.
 2. **FindCandidateLeaves** (Algorithm 12) — without touching disk,
    collect the unvisited leaves that survive LB_EAPCA pruning into
    LCList, in LRDFile position order.
@@ -44,9 +45,9 @@ thousand rows — one re-check against the live BSF², one read per run of
 adjacent extents straight into one reused buffer, one kernel call and
 one result-set merge per chunk — because at a leaf's worth of rows per
 call the kernel is NumPy dispatch, not arithmetic.  Phase 1 evaluates
-its visits the same way, a group of leaves per read and kernel call
-(:func:`_best_first`), but merges them one leaf at a time so its visits
-and stop test stay the paper's.
+its visits the same way, a group of leaves per LB_SAX screen, read and
+kernel call (:func:`_best_first`), but merges them one leaf at a time so
+its visits and stop test stay the paper's.
 
 Distance kernels operate on whole row matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
@@ -227,7 +228,7 @@ class _SearchState:
         sax: SignatureArray,
         num_series: int,
         bounds: np.ndarray,
-        query_paa: np.ndarray,
+        gap_tables: np.ndarray,
         results: Optional[ResultSet] = None,
     ) -> None:
         self.query = as_series(query).astype(DISTANCE_DTYPE)
@@ -252,21 +253,24 @@ class _SearchState:
         self.bounds = bounds * (self.prune_factor * self.prune_factor)
         #: Leaves (table indices) scanned by phase 1, in visit order.
         self.visited: list[int] = []
-        self.query_paa = query_paa
+        #: The query's LB_SAX lookup tables (``SignatureArray.gap_tables``),
+        #: shared by phase 1's screens and phase 3's pass; the pipeline
+        #: drops them once phase 3 is done.
+        self.gap_tables = gap_tables
 
 
 def _search_states(queries, k, config, table, lrd, sax, num_series, results=None) -> list:
     """The front half every query mode starts from: one ``(Q × nodes)``
-    LB_EAPCA² pass over the leaf table, one PAA block, and one
-    :class:`_SearchState` per row of the ``(Q, n)`` block ``queries``
-    (stored dtype).  ``results`` optionally supplies one result set per
-    query."""
+    LB_EAPCA² pass over the leaf table, one PAA block and its LB_SAX gap
+    tables (one ``gap_tables`` call), and one :class:`_SearchState` per
+    row of the ``(Q, n)`` block ``queries`` (stored dtype).  ``results``
+    optionally supplies one result set per query."""
     sketch = BatchSketch(queries)
     bounds = table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
-    paas = paa(queries, sax.space.segments)
+    tables = sax.gap_tables(paa(queries, sax.space.segments))
     return [
         _SearchState(
-            queries[qi], k, config, table, lrd, sax, num_series, bounds[qi], paas[qi],
+            queries[qi], k, config, table, lrd, sax, num_series, bounds[qi], tables[qi],
             results=None if results is None else results[qi],
         )
         for qi in range(queries.shape[0])
@@ -300,7 +304,8 @@ def progressive_knn(
     explicitly).  This generator exposes that interaction model: from
     the pipeline's front half it runs phase 1 without a leaf budget,
     yielding a :class:`QueryAnswer` snapshot after every leaf visited
-    (each strictly refining the last), then a final *exact* answer.  The
+    (never worse than the last; a leaf the LB_SAX screen skipped leaves
+    it unchanged), then a final *exact* answer.  The
     consumer may stop iterating at any point and keep the best answer
     seen so far.
 
@@ -355,16 +360,27 @@ def _best_first(state: _SearchState, limit: Optional[int]):
     still visited) — every later one is at least as far.
 
     Leaves are evaluated in groups but merged one at a time.  While BSF²
-    is infinite a group is one leaf; after that it is every following
-    leaf whose bound is ≤ the current BSF², up to :data:`_CHUNK_ROWS`
-    rows of whole leaves: one read per run of file-adjacent leaves, one
-    kernel call at that BSF².  Each leaf is then merged in visit order
-    after the same stop test and refresh as a leaf-at-a-time walk, so
-    the visits, their order and every merge are that walk's: BSF² only
-    falls, so the group's cutoff is ≥ the BSF² of each merge, and a row
-    the kernel abandoned exceeds both.  A group's tail that the stop
-    test then cuts was read and evaluated for nothing; it counts as
-    accessed and computed, not as visited.
+    is infinite a group is one leaf, read and evaluated whole.  After
+    that it is every following leaf whose bound is ≤ the current BSF²,
+    up to :data:`_CHUNK_ROWS` rows of whole leaves, and it is screened
+    before anything is read (:func:`_evaluate_group`): a leaf none of
+    whose rows has an unscaled LB_SAX² below that BSF² is *skipped* —
+    neither read nor evaluated — and the others are read, one read per
+    run of file-adjacent leaves, and evaluated in one kernel call at
+    that BSF².  Each leaf, skipped or not, is then visited in visit
+    order after the same stop test and refresh as a leaf-at-a-time
+    walk, and its rows merged if it was read, so the visits, their
+    order and every merge are that walk's: BSF² only falls, so the
+    group's cutoff is ≥ the BSF² of each merge, and a row the kernel
+    abandoned, or the screen skipped (d² ≥ LB_SAX² ≥ the cutoff), could
+    not have entered a result set that admits only d² < BSF².  (A
+    shard's linked set admits rows below its own k-th best, but a row at
+    or above the global BSF² is not in the global top-k, up to ties at
+    the k-th distance, which are reported arbitrarily anyway.)  The
+    screen's bound is not ε-scaled, so it skips the same rows at every
+    ε.  When the stop test cuts a group's tail, the tail's leaves that
+    the screen kept were read and evaluated for nothing; their rows
+    count as accessed and computed, the leaves not as visited.
     """
     results, profile = state.results, state.profile
     order = np.argsort(state.bounds, kind="stable")[:limit]
@@ -374,7 +390,6 @@ def _best_first(state: _SearchState, limit: Optional[int]):
     start_list, size_list = starts.tolist(), sizes.tolist()
     # Rows of the visits before each one: where a group reaches the cap.
     sized = list(accumulate(size_list, initial=0))
-    length = state.query.shape[0]
     visit = 0
     while visit < len(leaves):
         bsf_squared = results.bsf_squared
@@ -384,39 +399,78 @@ def _best_first(state: _SearchState, limit: Optional[int]):
         if bsf_squared < np.inf:
             reachable = int(np.searchsorted(bounds, bsf_squared, side="right"))
             end = max(min(_chunk_end(sized, visit), reachable), end)
-        if end - visit == 1:  # every first visit: a plain read, no packing
+            offsets, squared = _evaluate_group(
+                state, starts[visit:end], sizes[visit:end], bsf_squared
+            )
+        else:  # one leaf (every first visit): a plain read, nothing to screen against
             data = state.lrd.read_range(start_list[visit], size_list[visit])
-            offsets = [0]
-        else:
-            # Packed in file order into a buffer of the group's size;
-            # offsets[i] is the first row of the group's i-th visit.
-            in_file = np.argsort(starts[visit:end])
-            first, packed = starts[visit:end][in_file], sizes[visit:end][in_file]
-            offsets = np.empty_like(in_file)
-            offsets[in_file] = np.cumsum(packed) - packed
-            offsets = offsets.tolist()
-            buffer = np.empty((sized[end] - sized[visit], length), dtype=SERIES_DTYPE)
-            data = state.lrd.read_range(first, packed, out=buffer)
-        squared, compared = early_abandon_squared(state.query, data, bsf_squared)
-        profile.series_accessed += data.shape[0]
-        profile.distance_computations += data.shape[0]
-        profile.points_compared += compared
-        profile.points_total += data.shape[0] * length
+            offsets, squared = [0], _evaluate(state, data, bsf_squared)
 
         for offset, i in zip(offsets, range(visit, end)):
             if bound_list[i] > results.bsf_squared:
                 return
             state.visited.append(leaves[i])
             results.refresh()
-            position, size = start_list[i], size_list[i]
-            # Abandoned rows report inf; the batch update's pre-filter drops
-            # them without ever taking the result-set lock.
-            results.update_batch_squared(
-                squared[offset : offset + size], np.arange(position, position + size)
-            )
+            if offset >= 0:  # a skipped leaf has no rows to merge
+                position, size = start_list[i], size_list[i]
+                # Abandoned rows report inf; the batch update's pre-filter
+                # drops them without ever taking the result-set lock.
+                results.update_batch_squared(
+                    squared[offset : offset + size], np.arange(position, position + size)
+                )
             profile.approx_leaves = len(state.visited)
             yield profile.approx_leaves
         visit = end
+
+
+def _evaluate_group(
+    state: _SearchState, starts: np.ndarray, sizes: np.ndarray, bsf_squared: float
+) -> tuple:
+    """Read and evaluate the leaves of one phase-1 group (extents in
+    visit order) that the LB_SAX screen keeps at ``bsf_squared``.
+
+    The screen is one ``SignatureArray.screen`` call over the group's
+    rows with the query's gap tables and no ε factor; a leaf stays if
+    any of its rows has LB_SAX² < ``bsf_squared``.  Under the NoSAX
+    ablation (``use_sax`` off) every leaf stays.  The leaves that stay
+    are packed in file order into one buffer — a plain read when only
+    one does — and evaluated in one kernel call.  Returns each visit's
+    first row in that block (-1 for a skipped leaf) and the squared
+    distances (None when every leaf was skipped).
+    """
+    in_file = np.argsort(starts)
+    first, packed = starts[in_file], sizes[in_file]
+    length = state.query.shape[0]
+    offsets = np.full(len(first), -1)
+    if state.config.use_sax:
+        kept, _ = state.sax.screen(
+            state.gap_tables, bsf_squared, length, rows=extent_rows(first, packed)
+        )
+        # Survivors come in file order: the leaves holding one stay.
+        stay = np.zeros(len(first), dtype=bool)
+        stay[np.searchsorted(first, kept, side="right") - 1] = True
+        in_file, first, packed = in_file[stay], first[stay], packed[stay]
+    if not len(first):
+        return offsets.tolist(), None
+    offsets[in_file] = np.cumsum(packed) - packed
+    if len(first) == 1:
+        data = state.lrd.read_range(int(first[0]), int(packed[0]))
+    else:
+        buffer = np.empty((int(packed.sum()), length), dtype=SERIES_DTYPE)
+        data = state.lrd.read_range(first, packed, out=buffer)
+    return offsets.tolist(), _evaluate(state, data, bsf_squared)
+
+
+def _evaluate(state: _SearchState, data: np.ndarray, bsf_squared: float) -> np.ndarray:
+    """Phase 1's kernel call: squared distances of ``data``'s rows at
+    cutoff ``bsf_squared``, charged to the query's profile."""
+    profile, length = state.profile, state.query.shape[0]
+    squared, compared = early_abandon_squared(state.query, data, bsf_squared)
+    profile.series_accessed += data.shape[0]
+    profile.distance_computations += data.shape[0]
+    profile.points_compared += compared
+    profile.points_total += data.shape[0] * length
+    return squared
 
 
 def _approx_knn(state: _SearchState) -> None:
@@ -463,7 +517,7 @@ def _find_candidate_series(
     re-checks compare them straight against the live BSF².
     """
     return state.sax.screen(
-        state.query_paa,
+        state.gap_tables,
         state.results.bsf_squared,
         state.query.shape[0],
         prune_factor=state.prune_factor,

@@ -165,7 +165,7 @@ class TestLowerBounds:
 def _whole_array_mask(sig, q_paa, bsf_squared, prune_factor=1.0):
     """The screen's decision, re-derived from the linear-space bounds."""
     positions, bounds_sq = sig.screen(
-        q_paa, bsf_squared, _LENGTH, prune_factor=prune_factor
+        sig.gap_tables(q_paa), bsf_squared, _LENGTH, prune_factor=prune_factor
     )
     mask = np.zeros(sig.num_series, dtype=bool)
     mask[positions] = True
@@ -178,7 +178,7 @@ class TestScreen:
         return SignatureArray.from_full_symbols(symbols, space, 4)
 
     def test_infinite_bsf_keeps_everything(self, sig, query):
-        positions, bounds_sq = sig.screen(paa(query, _SEGMENTS), np.inf, _LENGTH)
+        positions, bounds_sq = sig.screen(sig.gap_tables(paa(query, _SEGMENTS)), np.inf, _LENGTH)
         np.testing.assert_array_equal(positions, np.arange(sig.num_series))
         np.testing.assert_allclose(
             np.sqrt(bounds_sq),
@@ -186,7 +186,7 @@ class TestScreen:
         )
 
     def test_zero_bsf_prunes_everything(self, sig, query):
-        positions, bounds_sq = sig.screen(paa(query, _SEGMENTS), 0.0, _LENGTH)
+        positions, bounds_sq = sig.screen(sig.gap_tables(paa(query, _SEGMENTS)), 0.0, _LENGTH)
         assert positions.shape == bounds_sq.shape == (0,)
 
     def test_never_prunes_a_beating_series(self, sig, data, query):
@@ -225,20 +225,20 @@ class TestScreen:
             np.sort(rng.choice(sig.num_series, size=n, replace=False))
             for n in (0, 17, 120, sig.num_series)
         ]
-        batch = sig.screen_batch(block, bsf, _LENGTH, prune_factor=1.1, rows=rows)
+        batch = sig.screen_batch(sig.gap_tables(block), bsf, _LENGTH, prune_factor=1.1, rows=rows)
         for i, (positions, bounds_sq) in enumerate(batch):
             single = sig.screen(
-                block[i], bsf[i], _LENGTH, prune_factor=1.1, rows=rows[i]
+                sig.gap_tables(block[i]), bsf[i], _LENGTH, prune_factor=1.1, rows=rows[i]
             )
             np.testing.assert_array_equal(positions, single[0])
             np.testing.assert_array_equal(bounds_sq, single[1])
         with pytest.raises(ValueError, match="BSF"):
-            sig.screen_batch(block, bsf[:2], _LENGTH, 1.0, rows)
+            sig.screen_batch(sig.gap_tables(block), bsf[:2], _LENGTH, 1.0, rows)
         with pytest.raises(ValueError, match="row arrays"):
-            sig.screen_batch(block, bsf, _LENGTH, 1.0, rows[:3])
+            sig.screen_batch(sig.gap_tables(block), bsf, _LENGTH, 1.0, rows[:3])
 
     def test_empty_rows_return_at_once(self, sig, monkeypatch):
-        """An empty row set (an empty LCList) builds no gap tables and
+        """An empty row set (an empty LCList) runs no gather and
         returns empty int64 positions and float64 bounds, whatever dtype
         the empty input had; ``screen_batch`` with some empty row sets is
         still ``screen`` per query."""
@@ -247,20 +247,20 @@ class TestScreen:
         bsf = np.array([np.inf, 2.0, np.inf, 25.0])
         rows = [np.empty(0, dtype=np.int64), np.arange(40), np.array([]), np.arange(0)]
         expected = [
-            sig.screen(block[i], bsf[i], _LENGTH, prune_factor=1.1, rows=rows[i])
+            sig.screen(sig.gap_tables(block[i]), bsf[i], _LENGTH, prune_factor=1.1, rows=rows[i])
             for i in range(4)
         ]
-        batch = sig.screen_batch(block, bsf, _LENGTH, prune_factor=1.1, rows=rows)
+        batch = sig.screen_batch(sig.gap_tables(block), bsf, _LENGTH, prune_factor=1.1, rows=rows)
         for (positions, bounds_sq), (want_positions, want_bounds) in zip(batch, expected):
             np.testing.assert_array_equal(positions, want_positions)
             np.testing.assert_array_equal(bounds_sq, want_bounds)
-        tables = []
-        monkeypatch.setattr(sig, "_gap_tables", lambda q: tables.append(q))
+        gathers = []
+        monkeypatch.setattr(sig, "_gap_sq_sums", lambda *args: gathers.append(args))
         for empty in (rows[0], rows[2], rows[3]):
-            positions, bounds_sq = sig.screen(block[0], np.inf, _LENGTH, rows=empty)
+            positions, bounds_sq = sig.screen(sig.gap_tables(block[0]), np.inf, _LENGTH, rows=empty)
             assert positions.shape == bounds_sq.shape == (0,)
             assert positions.dtype == np.int64 and bounds_sq.dtype == np.float64
-        assert not tables
+        assert not gathers
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -281,7 +281,7 @@ class TestScreen:
             sig, q_paa, bsf_squared, prune_factor=1.0 + epsilon
         )
         positions, bounds_sq = sig.screen(
-            q_paa, bsf_squared, _LENGTH, prune_factor=1.0 + epsilon, rows=rows
+            sig.gap_tables(q_paa), bsf_squared, _LENGTH, prune_factor=1.0 + epsilon, rows=rows
         )
         np.testing.assert_array_equal(positions, rows[mask[rows]])
         np.testing.assert_array_equal(

@@ -114,6 +114,45 @@ def leaf_at_a_time(state, limit):
     state.profile.approx_leaves = len(state.visited)
 
 
+def record_reads(monkeypatch, lrd) -> list:
+    """Record the file positions of every row ``lrd`` reads from now on."""
+    positions = []
+    read_range = lrd.read_range
+
+    def recording(position, count, out=None):
+        positions.append(extent_rows(np.atleast_1d(position), np.atleast_1d(count)))
+        return read_range(position, count, out=out)
+
+    monkeypatch.setattr(lrd, "read_range", recording)
+    return positions
+
+
+def split_reads(index, state, positions) -> tuple:
+    """Phase 1's read rule, checked against the rows it read: whole
+    leaves, each once; the first visit always; no visited leaf skipped
+    that had a row with unscaled LB_SAX² below phase 1's final BSF²
+    (the BSF² of its group was at least that); and every leaf read but
+    not visited is a cut group tail, later in visit order than every
+    visit.  Returns the rows of the visited leaves read and of that tail.
+    """
+    table = index._table
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *positions])
+    read = np.unique(table.leaf_of(rows))
+    assert len(np.unique(rows)) == len(rows) == int(table.sizes[read].sum())
+    assert state.visited[0] in read
+    skipped = np.setdiff1d(state.visited, read)
+    if len(skipped):
+        _, lb_squared = index.signatures.screen(
+            state.gap_tables, np.inf, state.query.shape[0], rows=table.rows(skipped)
+        )
+        assert (lb_squared >= state.results.bsf_squared).all()
+    tail = np.setdiff1d(read, state.visited)
+    later = np.argsort(state.bounds, kind="stable")[len(state.visited):]
+    assert np.isin(tail, later).all()
+    kept = np.intersect1d(read, state.visited)
+    return int(table.sizes[kept].sum()), int(table.sizes[tail].sum())
+
+
 def linked_results(k, bsf_squared):
     """A shard-style result set whose global bound starts at ``bsf_squared``."""
     link = SharedBsf()
@@ -143,12 +182,14 @@ class TestGroupedPhaseOne:
     @pytest.mark.parametrize("k", [1, 5, 60], ids=["k1", "k5", "k-above-leaf"])
     @pytest.mark.parametrize("l_max", [1, 2, 5, 1000])
     def test_visits_and_merges_equal_the_leaf_walk(
-        self, index, queries, l_max, k, epsilon
+        self, index, queries, l_max, k, epsilon, monkeypatch
     ):
         for query in queries:
             grouped, reference = self._pair(index, query, k, l_max=l_max, epsilon=epsilon)
             before = index._lrd.stats.snapshot()
-            _approx_knn(grouped)
+            with monkeypatch.context() as patch:
+                positions = record_reads(patch, index._lrd)
+                _approx_knn(grouped)
             read = index._lrd.stats.snapshot() - before
             leaf_at_a_time(reference, l_max)
             assert grouped.visited == reference.visited
@@ -156,8 +197,29 @@ class TestGroupedPhaseOne:
             assert grouped.results.bsf_squared == reference.results.bsf_squared
             for got, want in zip(grouped.results.items(), reference.results.items()):
                 np.testing.assert_array_equal(got, want)
-            # Every row read was evaluated: the visited leaves plus a
-            # group's cut tail, which is accessed but not visited.
+            # Every row read was evaluated: the visited leaves the screen
+            # kept plus a group's cut tail, which is accessed but not visited.
+            profile = grouped.profile
+            rows_read = read.bytes_read // index._lrd.record_size
+            assert profile.series_accessed == profile.distance_computations == rows_read
+            kept_rows, tail_rows = split_reads(index, grouped, positions)
+            assert rows_read == kept_rows + tail_rows
+
+    @pytest.mark.parametrize("k", [1, 5, 60], ids=["k1", "k5", "k-above-leaf"])
+    @pytest.mark.parametrize("l_max", [1, 2, 5, 1000])
+    def test_nosax_reads_every_visited_leaf(self, index, queries, l_max, k):
+        """The NoSAX ablation has no words to screen with: phase 1 reads
+        every leaf it visits, and still visits and merges as the walk."""
+        for query in queries:
+            grouped, reference = self._pair(index, query, k, l_max=l_max, use_sax=False)
+            before = index._lrd.stats.snapshot()
+            _approx_knn(grouped)
+            read = index._lrd.stats.snapshot() - before
+            leaf_at_a_time(reference, l_max)
+            assert grouped.visited == reference.visited
+            assert grouped.results.bsf_squared == reference.results.bsf_squared
+            for got, want in zip(grouped.results.items(), reference.results.items()):
+                np.testing.assert_array_equal(got, want)
             profile = grouped.profile
             rows_read = read.bytes_read // index._lrd.record_size
             assert profile.series_accessed == profile.distance_computations == rows_read
@@ -182,11 +244,10 @@ class TestGroupedPhaseOne:
                 for got, want in zip(grouped.results.items(), reference.results.items()):
                     np.testing.assert_array_equal(got, want)
 
-    def test_groups_are_capped_and_share_the_refinement_reads(
-        self, index, queries, monkeypatch
-    ):
-        """At most ``_CHUNK_ROWS`` rows per kernel call, one read per run of
-        file-adjacent leaves, and fewer kernel calls than visits."""
+    @staticmethod
+    def _capped_walks(index, queries, monkeypatch, **options) -> dict:
+        """Phase 1 of every query at ``_CHUNK_ROWS`` = 200, recording each
+        kernel call's rows, each group read's starts and every row read."""
         from repro.core import query as query_module
 
         monkeypatch.setattr(query_module, "_CHUNK_ROWS", 200)
@@ -207,18 +268,41 @@ class TestGroupedPhaseOne:
             return read_range(position, count, out=out)
 
         monkeypatch.setattr(index._lrd, "read_range", recording_read)
-        visits = accessed = visited_rows = 0
+        walks = dict(visits=0, accessed=0, visited_rows=0, kept_rows=0, tail_rows=0)
         for query in queries:
-            state = make_state(index, query, k=5, l_max=1000)
-            _approx_knn(state)
-            visits += len(state.visited)
-            accessed += state.profile.series_accessed
-            visited_rows += int(index._table.sizes[state.visited].sum())
-        assert max(blocks) <= 200 and len(blocks) < visits
-        assert sum(blocks) == accessed > visited_rows  # some tail was cut
+            state = make_state(index, query, k=5, l_max=1000, **options)
+            with monkeypatch.context() as patch:
+                positions = record_reads(patch, index._lrd)
+                _approx_knn(state)
+            walks["visits"] += len(state.visited)
+            walks["accessed"] += state.profile.series_accessed
+            walks["visited_rows"] += int(index._table.sizes[state.visited].sum())
+            kept_rows, tail_rows = split_reads(index, state, positions)
+            walks["kept_rows"] += kept_rows
+            walks["tail_rows"] += tail_rows
+        assert max(blocks) <= 200 and len(blocks) < walks["visits"]
         assert any(len(starts) > 1 for starts in reads)
         for starts in reads:
             assert np.all(np.diff(starts) > 0)  # read in file order
+        walks["blocks"] = blocks
+        return walks
+
+    def test_groups_are_capped_and_share_the_refinement_reads(
+        self, index, queries, monkeypatch
+    ):
+        """At most ``_CHUNK_ROWS`` rows per kernel call, one read per run of
+        file-adjacent leaves, and fewer kernel calls than visits; the rows
+        read are the visited leaves the screen kept plus cut tails."""
+        walks = self._capped_walks(index, queries, monkeypatch)
+        accessed = walks["accessed"]
+        assert sum(walks["blocks"]) == accessed == walks["kept_rows"] + walks["tail_rows"]
+        assert walks["kept_rows"] < walks["visited_rows"]  # some visit was skipped
+
+    def test_nosax_groups_read_every_visited_leaf(self, index, queries, monkeypatch):
+        """The same walks under the NoSAX ablation: nothing is skipped."""
+        walks = self._capped_walks(index, queries, monkeypatch, use_sax=False)
+        accessed, visited_rows = walks["accessed"], walks["visited_rows"]
+        assert sum(walks["blocks"]) == accessed > visited_rows  # some tail was cut
 
     def test_answers_and_paths_equal_the_leaf_walk(self, index, queries, monkeypatch):
         """The whole pipeline, serial and batched, with the leaf-at-a-time
