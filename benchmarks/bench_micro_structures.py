@@ -68,6 +68,6 @@ def test_result_set_updates(benchmark):
 
     def run():
         results = ResultSet(100)
-        results.update_batch(distances, positions)
+        results.update_batch_squared(np.square(distances), positions)
 
     benchmark(run)

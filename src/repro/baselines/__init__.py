@@ -22,7 +22,6 @@ from repro.baselines.paris import ParisConfig, ParisIndex
 from repro.baselines.vafile import VAFileConfig, VAFileIndex
 from repro.baselines.pscan import PScan
 from repro.baselines.scan import SerialScan
-from repro.baselines.dtw_scan import DtwScan
 
 __all__ = [
     "DSTreeConfig",
@@ -33,5 +32,4 @@ __all__ = [
     "VAFileIndex",
     "PScan",
     "SerialScan",
-    "DtwScan",
 ]

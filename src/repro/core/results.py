@@ -10,20 +10,32 @@ Distances are stored in *squared* space — the UCR-suite optimization the
 whole query pipeline operates in: candidates arrive as squared Euclidean
 distances straight from the batch kernels, pruning compares squared
 values against ``bsf_squared``, and the single square root per answer is
-taken in :meth:`ResultSet.items`.  The linear-space entry points
-(:meth:`update`, :meth:`update_batch`) square on the way in, so methods
-whose distances are not Euclidean (e.g. DTW) keep working unchanged —
-``sqrt(d * d) == d`` exactly in IEEE round-to-nearest.
+taken in :meth:`ResultSet.items`.  The one linear-space entry point,
+:meth:`ResultSet.update`, squares on the way in — ``sqrt(d * d) == d``
+exactly in IEEE round-to-nearest.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import threading
 
 import numpy as np
 
 from repro.types import DISTANCE_DTYPE
+
+
+def check_k(k) -> int:
+    """``k`` as an ``int``, or ``ValueError`` unless it is a whole number
+    >= 1.  NumPy integers pass; a float such as ``2.5`` does not."""
+    try:
+        value = operator.index(k)
+    except TypeError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    return value
 
 
 class ResultSet:
@@ -42,9 +54,7 @@ class ResultSet:
     """
 
     def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
+        self.k = check_k(k)
         self._lock = threading.Lock()
         # Max-heap via negated squared distances: the root is the current
         # k-th best.
@@ -150,11 +160,6 @@ class ResultSet:
             if len(heap) == self.k:
                 self._bsf_squared = -heap[0][0]
         return accepted
-
-    def update_batch(self, distances: np.ndarray, positions: np.ndarray) -> int:
-        """Offer many linear-space candidates; returns how many entered."""
-        dist = np.asarray(distances, dtype=DISTANCE_DTYPE)
-        return self.update_batch_squared(np.square(dist), positions)
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """Current answers sorted by ascending distance (linear space).

@@ -814,7 +814,7 @@ class ShardQueryPool(WorkerSet):
         payload = (
             "task",
             queries,
-            int(k),
+            k,
             mode,
             dataclasses.asdict(config) if config is not None else None,
             None,

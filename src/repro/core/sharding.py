@@ -54,7 +54,7 @@ from repro.core.batch_query import BatchAnswer, BatchStats
 from repro.core.config import HerculesConfig
 from repro.core.index import BuildReport, HerculesIndex
 from repro.core.query import QueryAnswer, QueryProfile
-from repro.core.results import SharedBsf
+from repro.core.results import SharedBsf, check_k
 from repro.core.shard_worker import (
     RETRYABLE,
     BuildOutcome,
@@ -690,7 +690,9 @@ class ShardedIndex:
         ``"knn_approx"`` or ``"knn_batch"``); every shard answers it
         through :func:`~repro.core.shard_worker.answer_shard`, in a pool
         worker or inline on the calling thread (:meth:`_scatter_inline`).
+        ``k`` is checked here, before any shard sees the query.
         """
+        k = check_k(k)
         effective = config if config is not None else self.config
         policy = effective.retry_policy()
         allow_partial = (

@@ -25,12 +25,6 @@ from repro.distance.lower_bounds import (
     series_synopsis,
     va_cell_bounds,
 )
-from repro.distance.dtw import (
-    dtw_distance,
-    dtw_distance_batch,
-    dtw_envelope,
-    lb_keogh,
-)
 
 __all__ = [
     "euclidean",
@@ -43,8 +37,4 @@ __all__ = [
     "lb_paa",
     "series_synopsis",
     "va_cell_bounds",
-    "dtw_distance",
-    "dtw_distance_batch",
-    "dtw_envelope",
-    "lb_keogh",
 ]

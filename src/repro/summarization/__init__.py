@@ -23,13 +23,6 @@ from repro.summarization.eapca import (
     SeriesSketch,
     segment_stats,
 )
-from repro.summarization.apca import (
-    apca,
-    apca_dp,
-    apca_error,
-    apca_greedy,
-    apca_reconstruct,
-)
 from repro.summarization.dft import dft_features, DftBasis
 
 __all__ = [
@@ -43,11 +36,6 @@ __all__ = [
     "Segmentation",
     "SeriesSketch",
     "segment_stats",
-    "apca",
-    "apca_dp",
-    "apca_error",
-    "apca_greedy",
-    "apca_reconstruct",
     "dft_features",
     "DftBasis",
 ]

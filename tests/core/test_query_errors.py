@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import HerculesConfig, HerculesIndex
+from repro.baselines import PScan, SerialScan
 from repro.core import ShardedIndex
 from repro.core.prefilter import SignatureArray
 
@@ -85,9 +86,21 @@ def layouts(tmp_path_factory):
         HerculesConfig(num_shards=2, shard_workers=0, **options),
         directory=base / "sharded",
     )
-    yield {"plain": plain, "sharded": sharded}
+    yield {
+        "plain": plain,
+        "sharded": sharded,
+        "pscan": PScan(data, num_threads=2),
+        "serial-scan": SerialScan(data),
+    }
     plain.close()
     sharded.close()
+
+
+@pytest.fixture(scope="module")
+def pooled(layouts):
+    """The 2-shard index of ``layouts`` served by 2 pool workers."""
+    with ShardedIndex.open(layouts["sharded"].directory, workers=2) as index:
+        yield index
 
 
 def _bad_query(kind):
@@ -128,3 +141,42 @@ def test_bad_query_rejected_at_entry(layouts, entry, kind):
     layout, call = _ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=_REJECTIONS[kind]):
         call(layouts[layout], _bad_query(kind))
+
+
+#: Every entry point a ``k`` enters by: (layout, call returning one answer).
+_K_ENTRY_POINTS = {
+    "knn": ("plain", lambda index, q, k: index.knn(q, k=k)),
+    "knn_batch": ("plain", lambda index, q, k: index.knn_batch(q[None], k=k)[0]),
+    "knn_approx": ("plain", lambda index, q, k: index.knn_approx(q, k=k)),
+    "knn_progressive": (
+        "plain",
+        lambda index, q, k: list(index.knn_progressive(q, k=k))[-1],
+    ),
+    "sharded-knn": ("sharded", lambda index, q, k: index.knn(q, k=k)),
+    "pooled-knn": ("pooled", lambda index, q, k: index.knn(q, k=k)),
+    "pscan": ("pscan", lambda scan, q, k: scan.knn(q, k=k)),
+    "serial-scan": ("serial-scan", lambda scan, q, k: scan.knn(q, k=k)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_K_ENTRY_POINTS))
+def test_fractional_k_rejected(request, layouts, monkeypatch, entry):
+    """``k = 2.5`` raises ``ValueError`` rather than answering with 3 (or,
+    behind a pool, 2) neighbours; a sharded index raises it before any
+    shard is dispatched.  A NumPy integer ``k`` is still a whole number."""
+    layout, call = _K_ENTRY_POINTS[entry]
+    target = request.getfixturevalue("pooled") if layout == "pooled" else layouts[layout]
+    query = make_random_walks(1, 32, seed=296)[0]
+    assert len(call(target, query, np.int64(2)).distances) == 2
+
+    if isinstance(target, ShardedIndex):
+
+        def dispatched(*args, **kwargs):
+            raise AssertionError("a shard was dispatched")
+
+        if target._pool is not None:
+            monkeypatch.setattr(target._pool, "query", dispatched)
+        else:
+            monkeypatch.setattr(target, "_scatter_inline", dispatched)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        call(target, query, 2.5)

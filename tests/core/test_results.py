@@ -40,7 +40,7 @@ class TestResultSet:
         for d, p in zip(distances, positions):
             serial.update(float(d), int(p))
         batched = ResultSet(10)
-        batched.update_batch(distances, positions)
+        batched.update_batch_squared(np.square(distances), positions)
         np.testing.assert_allclose(serial.items()[0], batched.items()[0])
 
     def test_items_sorted_ascending(self):

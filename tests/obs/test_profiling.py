@@ -80,12 +80,6 @@ class TestBaselinesUseIt:
                 ).PScan(data, num_threads=2),
                 "pscan",
             ),
-            (
-                lambda data: __import__(
-                    "repro.baselines.dtw_scan", fromlist=["DtwScan"]
-                ).DtwScan(data, window=2),
-                "dtw-scan",
-            ),
         ],
     )
     def test_scan_baselines(self, data, factory, expected_path):
