@@ -269,8 +269,6 @@ def _run_queries(args: argparse.Namespace, show_answer, show_totals) -> int:
         index.config = config
         hub = obs.get_hub()
         registry = obs.MetricsRegistry() if hub is None else hub.registry
-        if isinstance(index, ShardedIndex):
-            index.bind_metrics(registry)
         batched = getattr(args, "batch", False)
         with Dataset.open(args.queries, index.series_length) as queries:
             count = queries.num_series if args.count is None else min(
@@ -333,7 +331,7 @@ def _print_totals(index, registry, count: int, seconds: float, degraded: int) ->
     print(f"answered {count} queries in {seconds:.3f}s")
     if degraded:
         print(f"WARNING: {degraded} of {count} answers were degraded")
-    _print_cache_stats(index)
+    _print_cache_stats(index, registry)
 
 
 def _explain_answer(index, i: int, answer) -> None:
@@ -383,23 +381,34 @@ def _print_degradation(answer, label: str) -> int:
     return 1
 
 
-def _print_cache_stats(index) -> None:
-    """Leaf-cache summary lines; per shard for a sharded index."""
+def _print_cache_stats(index, registry) -> None:
+    """Leaf-cache summary lines.  A sharded index's caches live in its
+    pool workers, so its per-shard lines total the answers' counters."""
     if isinstance(index, ShardedIndex):
-        caches = [
-            (f"leaf cache shard {shard_id}", shard.leaf_cache)
-            for shard_id, shard in enumerate(index.shards)
-        ]
-    else:
-        caches = [("leaf cache", index.leaf_cache)]
-    for label, cache in caches:
-        if cache is not None:
-            snap = cache.snapshot()
-            print(
-                f"{label}: {snap.hits} hits, {snap.misses} misses "
-                f"(hit rate {snap.hit_rate:.2%}), "
-                f"{snap.current_bytes / 1e6:.1f} MB resident"
+        counters = registry.summary()["counters"]
+        totals = [
+            (
+                counters.get(f"shard.{shard_id}.query.cache.hits", 0),
+                counters.get(f"shard.{shard_id}.query.cache.misses", 0),
             )
+            for shard_id in range(index.num_shards)
+        ]
+        if any(hits or misses for hits, misses in totals):
+            for shard_id, (hits, misses) in enumerate(totals):
+                rate = hits / (hits + misses) if hits + misses else 0.0
+                print(
+                    f"leaf cache shard {shard_id}: {hits} hits, "
+                    f"{misses} misses (hit rate {rate:.2%})"
+                )
+        return
+    cache = index.leaf_cache
+    if cache is not None:
+        snap = cache.snapshot()
+        print(
+            f"leaf cache: {snap.hits} hits, {snap.misses} misses "
+            f"(hit rate {snap.hit_rate:.2%}), "
+            f"{snap.current_bytes / 1e6:.1f} MB resident"
+        )
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -439,12 +448,6 @@ def _cmd_verify_index(args: argparse.Namespace) -> int:
     if sharded:
         width += len(manifest_mod.shard_dirname(0)) + 1
         failures, hint = _verify_shards(directory, args.level, width)
-    elif not (directory / manifest_mod.MANIFEST_FILENAME).exists():
-        print(
-            f"{manifest_mod.MANIFEST_FILENAME:<{width}}"
-            "missing (legacy pre-manifest directory)"
-        )
-        failures = 0
     else:
         failures = _verify_directory(
             directory, args.level, width,
@@ -739,9 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "to previous releases; compare shards Hercules "
                              "only)")
     layout.add_argument("--shard-workers", type=int, default=None,
-                        help="worker processes building shards in parallel "
-                             "(default: min(shards, cpu_count); 0/1: build "
-                             "shards sequentially in-process)")
+                        help="worker processes that build the shards "
+                             "(default: min(shards, cpu_count); 1 builds "
+                             "every shard in order in one worker)")
     layout.add_argument("--prefilter", action="store_true",
                         help="run the LB_SAX pass over the candidate "
                              "leaves' series ahead of the access-path "
@@ -783,9 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="leaf-block LRU cache budget in MiB (0: disabled; "
                               "split evenly across shards of a sharded index)")
     queried.add_argument("--shard-workers", type=int, default=None,
-                         help="persistent query worker processes for a sharded "
-                              "index (default: none; shards answer one after "
-                              "another in-process)")
+                         help="query worker processes serving a sharded "
+                              "index (default: min(shards, cpu_count); 1 "
+                              "answers every shard in order in one worker)")
     queried.add_argument(
         "--partial-results", action="store_true",
         help="allow degraded answers: drop shards that still fail after "

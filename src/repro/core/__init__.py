@@ -10,7 +10,7 @@ from repro.core.batch_query import BatchAnswer, BatchStats
 from repro.core.config import HerculesConfig
 from repro.core.index import BuildReport, HerculesIndex
 from repro.core.query import QueryAnswer, QueryProfile
-from repro.core.results import LinkedResultSet, ResultSet, SharedBsf
+from repro.core.results import LinkedResultSet, ResultSet
 from repro.core.sharding import (
     ShardedBuildReport,
     ShardedIndex,
@@ -30,7 +30,6 @@ __all__ = [
     "QueryProfile",
     "ResultSet",
     "LinkedResultSet",
-    "SharedBsf",
     "ShardedBuildReport",
     "ShardedIndex",
     "ShardedQueryAnswer",

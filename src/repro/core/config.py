@@ -82,11 +82,9 @@ class HerculesConfig:
     #: :class:`~repro.core.sharding.ShardedIndex`; exact k-NN over the
     #: disjoint union stays exact by construction.
     num_shards: int = 1
-    #: Worker *processes* used to build shards (and, when > 0 at open
-    #: time, to answer queries).  ``None`` picks ``min(num_shards,
-    #: cpu_count)`` for builds; ``0`` builds inline in the coordinator
-    #: process.  Without a query pool the shards answer one after another
-    #: on the calling thread.
+    #: Worker *processes* that build the shards and then answer their
+    #: queries.  ``None`` picks ``min(num_shards, cpu_count)``; one
+    #: worker serves every shard in order.
     shard_workers: int | None = None
 
     # -- shard resilience (retries, supervision, degradation) -----------------
@@ -209,9 +207,9 @@ class HerculesConfig:
             raise ConfigError(
                 f"num_shards must be >= 1, got {self.num_shards}"
             )
-        if self.shard_workers is not None and self.shard_workers < 0:
+        if self.shard_workers is not None and self.shard_workers < 1:
             raise ConfigError(
-                f"shard_workers must be >= 0, got {self.shard_workers}"
+                f"shard_workers must be >= 1, got {self.shard_workers}"
             )
         if self.max_worker_restarts < 0:
             raise ConfigError(

@@ -276,17 +276,15 @@ class HerculesIndex:
           the committed byte size and a supported format version;
         * ``"full"`` — additionally recomputes each artifact's CRC32 and
           checks cross-file invariants (LRDFile's record count agrees
-          with the tree's);
-        * ``"off"`` — the legacy permissive behaviour: only the HTree
-          header is validated.
+          with the tree's).
 
         What the query pipeline indexes by row is checked at every
         level: the leaf extents tile LRDFile, and LSDFile holds one word
         per series.
 
         Damage raises :class:`~repro.errors.ManifestError` or
-        :class:`~repro.errors.ChecksumError` naming the broken artifact.
-        Pre-manifest directories still open (with a logged warning).
+        :class:`~repro.errors.ChecksumError` naming the broken artifact;
+        a directory without ``MANIFEST.json`` is damage too.
         """
         directory = Path(directory)
         if verify not in manifest_mod.VERIFY_LEVELS:
@@ -294,22 +292,13 @@ class HerculesIndex:
                 f"verify must be one of {manifest_mod.VERIFY_LEVELS}, "
                 f"got {verify!r}"
             )
-        manifest = None
-        if verify != "off":
-            if not (directory / manifest_mod.MANIFEST_FILENAME).exists():
-                logger.warning(
-                    "no MANIFEST.json in %s: legacy pre-manifest index "
-                    "directory, opening without artifact verification",
-                    directory,
-                )
-            else:
-                manifest = manifest_mod.load_manifest(directory)
-                manifest_mod.verify_directory(
-                    directory,
-                    manifest,
-                    level=verify,
-                    expected_versions=ARTIFACT_VERSIONS,
-                )
+        manifest = manifest_mod.load_manifest(directory)
+        manifest_mod.verify_directory(
+            directory,
+            manifest,
+            level=verify,
+            expected_versions=ARTIFACT_VERSIONS,
+        )
         htree_path = directory / HTREE_FILENAME
         if not htree_path.exists():
             raise StorageError(f"no HTree file at {htree_path}")
@@ -325,7 +314,7 @@ class HerculesIndex:
             cache=_make_cache(cache_bytes),
         )
         num_series = settings["num_series"]
-        if manifest is not None and manifest.num_series != num_series:
+        if manifest.num_series != num_series:
             raise ManifestError(
                 f"manifest records {manifest.num_series} series but the "
                 f"HTree settings record {num_series}: mixed generations"

@@ -181,45 +181,12 @@ class ResultSet:
             return len(self._heap)
 
 
-class SharedBsf:
-    """An in-process global BSF² cell for scatter-gather coordination.
-
-    Each shard search holds a :class:`LinkedResultSet` pointing at one of
-    these; a shard that tightens its local k-th best publishes the new
-    bound here, and every later refresh (one per refinement chunk) picks
-    it up, so each shard of the in-process scatter starts from the bound
-    the shards before it found.  The value only ever decreases, so
-    readers can act on a stale copy safely — stale means conservative
-    pruning, never a wrong answer.
-    """
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = np.inf
-
-    def get(self) -> float:
-        with self._lock:
-            return self._value
-
-    def publish(self, value: float) -> None:
-        with self._lock:
-            if value < self._value:
-                self._value = value
-
-    def reset(self) -> None:
-        """Back to +inf before a new query reuses the cell."""
-        with self._lock:
-            self._value = np.inf
-
-
 class LinkedResultSet(ResultSet):
     """A shard-local result set pruning against a shared global BSF².
 
     The scatter-gather coordinator gives every shard search one of these,
-    all linked to the same bound cell (:class:`SharedBsf` for threads, a
-    process-shared equivalent for worker processes).  Reads of
+    all linked to the same bound cell (one slot of the worker pool's
+    process-shared :class:`~repro.core.shard_worker.ProcessBsfVector`).  Reads of
     :attr:`bsf_squared` — the hot pruning path — return
     ``min(local k-th best, cached global bound)``: one comparison, never
     a lock (or semaphore) acquire.  The cached global bound is re-read

@@ -152,13 +152,9 @@ def reap_processes(procs, timeout: float, label: str) -> int:
 
 
 class _BsfCell:
-    """One query's view into a :class:`ProcessBsfVector` slot.
-
-    Duck-typed to the ``get``/``publish`` half of the
-    :class:`~repro.core.results.SharedBsf` contract, so a
-    :class:`~repro.core.results.LinkedResultSet` links to one slot of
-    the vector exactly as it links to an in-process cell.
-    """
+    """One query's view into a :class:`ProcessBsfVector` slot: the
+    ``get``/``publish`` link a :class:`~repro.core.results.LinkedResultSet`
+    prunes against."""
 
     __slots__ = ("_vector", "_index")
 
@@ -330,10 +326,6 @@ class WorkerSet:
     @property
     def size(self) -> int:
         return len(self._worker_args)
-
-    def worker_pids(self) -> "list[int]":
-        """Live worker pids, in worker order (for resource sampling)."""
-        return [p.pid for p in self._procs if p.is_alive()]
 
     def send(self, i: int, message: tuple) -> None:
         """Send to worker ``i``; a dead peer is left for :meth:`wait` to see."""
@@ -645,9 +637,8 @@ def answer_shard(
     of the shard's pipeline; ``"knn_approx"`` stops it after phase 1,
     with the leaf budget in ``config.l_max``.  Query ``qi`` prunes through a
     :class:`~repro.core.results.LinkedResultSet` linked to ``links[qi]``
-    (an in-process or process-shared cell), so a bound any shard finds
-    prunes that query everywhere and never another query.  The in-process
-    scatter and the query workers both answer a shard through here.
+    (a :class:`ProcessBsfVector` cell), so a bound any shard finds
+    prunes that query everywhere and never another query.
     """
     results = [LinkedResultSet(k, link) for link in links]
     batch = index._search(
@@ -662,7 +653,6 @@ def answer_shard(
 def query_handler(
     specs: list,
     cache_bytes_per_shard: int,
-    verify: str,
     bsf_vector: ProcessBsfVector,
 ):
     """Handler factory of query workers: ``handle(queries, k, mode,
@@ -670,9 +660,10 @@ def query_handler(
     block on the owned shards.
 
     ``specs`` lists the ``(shard_id, directory, row_base)`` this worker
-    opens once and keeps.  The reply is ``("ok", [(shard_id,
-    batch_answer), ...], [(shard_id, error_text), ...])``, query ``qi``
-    pruning against cell ``qi`` of the shared ``bsf_vector``.
+    opens once (at ``quick`` verification) and keeps.  The reply is
+    ``("ok", [(shard_id, batch_answer), ...], [(shard_id, error_text),
+    ...])``, query ``qi`` pruning against cell ``qi`` of the shared
+    ``bsf_vector``.
     :data:`RETRYABLE` shard faults are *collected*, not fatal, so one
     bad shard does not void its siblings' work, and a retry can target
     just the failed subset via ``shard_ids``.  Any other exception is a
@@ -696,8 +687,8 @@ def query_handler(
                 try:
                     batch = answer_shard(index, queries, k, mode, config, links, row_base)
                     out.append((shard_id, batch))
-                except RETRYABLE:
-                    shard_errors.append((shard_id, traceback.format_exc()))
+                except RETRYABLE as exc:
+                    shard_errors.append((shard_id, f"{type(exc).__name__}: {exc}"))
             return ("ok", out, shard_errors)
         except Exception as exc:
             return ("raise", exc)
@@ -706,7 +697,7 @@ def query_handler(
         with faults.worker_injection([sid for sid, _, _ in specs]):
             for shard_id, directory, row_base in specs:
                 index = HerculesIndex.open(
-                    directory, verify=verify, cache_bytes=cache_bytes_per_shard
+                    directory, cache_bytes=cache_bytes_per_shard
                 )
                 indexes.append((shard_id, row_base, index))
             yield handle
@@ -759,7 +750,6 @@ class ShardQueryPool(WorkerSet):
         shard_specs: list,
         workers: int,
         cache_bytes_per_shard: int,
-        verify: str,
         max_worker_restarts: int = 2,
         join_timeout: float = 10.0,
     ) -> None:
@@ -772,7 +762,7 @@ class ShardQueryPool(WorkerSet):
         super().__init__(
             "query",
             [
-                (query_handler, (group, cache_bytes_per_shard, verify, self.bsf_vector))
+                (query_handler, (group, cache_bytes_per_shard, self.bsf_vector))
                 for group in self._groups
             ],
             max_worker_restarts,
@@ -865,7 +855,7 @@ class ShardQueryPool(WorkerSet):
                     return None
                 raise ShardError(
                     "; ".join(
-                        f"shard {sid} query failed:\n{text}"
+                        f"shard {sid} query failed: {text}"
                         for sid, text in shard_errors
                     )
                 )

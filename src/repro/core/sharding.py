@@ -54,13 +54,10 @@ from repro.core.batch_query import BatchAnswer, BatchStats
 from repro.core.config import HerculesConfig
 from repro.core.index import BuildReport, HerculesIndex
 from repro.core.query import QueryAnswer, QueryProfile
-from repro.core.results import SharedBsf, check_k
+from repro.core.results import check_k
 from repro.core.shard_worker import (
-    RETRYABLE,
-    BuildOutcome,
     GatherOutcome,
     ShardQueryPool,
-    answer_shard,
     build_shards_in_processes,
 )
 from repro.errors import (
@@ -71,7 +68,6 @@ from repro.errors import (
     ShardError,
     ShardTimeoutError,
 )
-from repro.retry import RetryPolicy
 from repro.storage import manifest as manifest_mod
 from repro.storage.dataset import Dataset
 from repro.storage.iostats import IOSnapshot
@@ -260,6 +256,16 @@ def _add_stats(total: BatchStats, part: BatchStats) -> None:
     total.screen_seconds += part.screen_seconds
 
 
+def _resolve_workers(workers: Optional[int], num_shards: int) -> int:
+    """Worker processes for ``num_shards`` shards: ``None`` picks
+    ``min(num_shards, cpu_count)``; fewer than one is an error."""
+    if workers is None:
+        return min(num_shards, os.cpu_count() or 1)
+    if workers < 1:
+        raise ConfigError(f"shard workers must be >= 1, got {workers}")
+    return workers
+
+
 def _revive_report(doc: dict) -> BuildReport:
     """A BuildReport back from the dict a build worker shipped home."""
     fields = dict(doc)
@@ -270,12 +276,15 @@ def _revive_report(doc: dict) -> BuildReport:
 class ShardedIndex:
     """N disjoint index shards behind one scatter-gather facade.
 
-    Query answering defaults to an inline loop: the shards answer one
-    after another on the calling thread, each starting from the BSF²
-    the shards before it found, so per-shard work is deterministic.
-    Opening with ``workers > 0`` instead keeps a persistent pool of
-    worker *processes* (each owning a subset of shards, caches staying
-    warm across queries), which answers the shards in parallel.
+    Queries are answered by a persistent pool of ``workers`` worker
+    *processes*, each owning a subset of the shards and keeping them (and
+    their leaf caches) warm across queries.  :meth:`open` starts the
+    pool; the index :meth:`build` returns starts it at its first query,
+    so a build closed unqueried starts none.  A one-worker pool answers
+    every shard in order on one process, each starting from the BSF² the
+    shards before it found, so its per-shard work is deterministic.  The
+    coordinator's own shard handles serve metadata and
+    :meth:`get_series`; they never search and hold no leaf cache.
     """
 
     def __init__(
@@ -285,9 +294,10 @@ class ShardedIndex:
         row_bases: list[int],
         manifest,
         config: HerculesConfig,
+        workers: int,
+        cache_bytes: int = 0,
         build_report: Optional[ShardedBuildReport] = None,
         owns_directory: bool = False,
-        pool: Optional[ShardQueryPool] = None,
         worker_metric_states: Optional[list] = None,
     ) -> None:
         self.directory = directory
@@ -297,7 +307,9 @@ class ShardedIndex:
         self.config = config
         self.build_report = build_report
         self._owns_directory = owns_directory
-        self._pool = pool
+        self._workers = workers
+        self._cache_bytes = cache_bytes
+        self._pool: Optional[ShardQueryPool] = None
         self._worker_metric_states = worker_metric_states or []
         self._closed = False
 
@@ -314,11 +326,12 @@ class ShardedIndex:
         """Build a sharded index (or a plain one when ``num_shards=1``).
 
         ``config.num_shards`` selects the partition count and
-        ``config.shard_workers`` the build processes (``None`` →
-        ``min(num_shards, cpu_count)``; ``0``/``1`` builds the shards
-        sequentially in this process, which is what deterministic tests
-        use).  With one shard this delegates to
-        :meth:`HerculesIndex.build` — same files, same bytes.
+        ``config.shard_workers`` the worker processes (``None`` →
+        ``min(num_shards, cpu_count)``) that build the shards and later
+        answer queries; one worker builds every shard in order.  With one
+        shard this delegates to :meth:`HerculesIndex.build` — same files,
+        same bytes.  ``cache_bytes`` is the query pool's leaf-cache
+        budget, split evenly over the shards.
         """
         config = config if config is not None else HerculesConfig()
         dataset = data if isinstance(data, Dataset) else Dataset.from_array(data)
@@ -347,54 +360,36 @@ class ShardedIndex:
             directory / manifest_mod.shard_dirname(i) for i in range(n)
         ]
         shard_config = config.with_options(num_shards=1, shard_workers=None)
-        workers = (
-            config.shard_workers
-            if config.shard_workers is not None
-            else min(n, os.cpu_count() or 1)
-        )
+        workers = _resolve_workers(config.shard_workers, n)
 
         reports: list[BuildReport] = []
         worker_metric_states: list = []
-        supervision = BuildOutcome()
         wall_started = time.perf_counter()
         trace = obs.get_trace()
         with obs.span(
             "build.sharded", num_shards=n, workers=workers
         ) as parent_span:
-            if workers > 1:
-                replies, supervision = build_shards_in_processes(
-                    dataset.load_all(),
-                    ranges,
-                    shard_dirs,
-                    shard_config,
-                    workers,
-                    trace_enabled=trace is not None,
-                )
-                hub = obs.get_hub()
-                for shard_id in range(n):
-                    payload = replies[shard_id]
-                    reports.append(_revive_report(payload["report"]))
-                    worker_metric_states.append(payload["metrics"])
-                    if trace is not None and payload["spans"]:
-                        trace.absorb_spans(
-                            payload["spans"],
-                            thread_prefix=f"shard{shard_id}/",
-                            parent=parent_span,
-                        )
-                    if hub is not None and payload.get("events"):
-                        hub.journal.merge_state(
-                            payload["events"], shard=shard_id
-                        )
-            else:
-                for shard_id, (start, stop) in enumerate(ranges):
-                    rows = dataset.read_batch(start, stop - start)
-                    with obs.span("build.shard", shard=shard_id):
-                        shard = HerculesIndex.build(
-                            rows, shard_config, directory=shard_dirs[shard_id]
-                        )
-                    reports.append(shard.build_report)
-                    worker_metric_states.append(None)
-                    shard.close()
+            replies, supervision = build_shards_in_processes(
+                dataset.load_all(),
+                ranges,
+                shard_dirs,
+                shard_config,
+                workers,
+                trace_enabled=trace is not None,
+            )
+            hub = obs.get_hub()
+            for shard_id in range(n):
+                payload = replies[shard_id]
+                reports.append(_revive_report(payload["report"]))
+                worker_metric_states.append(payload["metrics"])
+                if trace is not None and payload["spans"]:
+                    trace.absorb_spans(
+                        payload["spans"],
+                        thread_prefix=f"shard{shard_id}/",
+                        parent=parent_span,
+                    )
+                if hub is not None and payload.get("events"):
+                    hub.journal.merge_state(payload["events"], shard=shard_id)
         wall_seconds = time.perf_counter() - wall_started
 
         records = []
@@ -466,16 +461,15 @@ class ShardedIndex:
             worker_restarts=report.worker_restarts,
             requeued_tasks=report.requeued_tasks,
         )
-        shards = [
-            HerculesIndex.open(d, verify="off", cache_bytes=cache_bytes // n)
-            for d in shard_dirs
-        ]
+        shards = [HerculesIndex.open(d) for d in shard_dirs]
         return cls(
             directory=directory,
             shards=shards,
             row_bases=[start for start, _ in ranges],
             manifest=shard_manifest,
             config=config,
+            workers=workers,
+            cache_bytes=cache_bytes,
             build_report=report,
             owns_directory=owns_directory,
             worker_metric_states=worker_metric_states,
@@ -497,10 +491,11 @@ class ShardedIndex:
         shards are caught here), then verify the shard's own artifacts at
         the same level.  Every failure names the shard.
 
-        The leaf-cache budget is **split evenly**: each shard gets
-        ``cache_bytes // num_shards``.  ``workers > 0`` starts that many
-        persistent query worker processes; ``None``/``0`` answers the
-        shards one after another on the calling thread.
+        ``workers`` query worker processes (``None`` →
+        ``min(num_shards, cpu_count)``) answer the queries; they start
+        here, so a failed start raises from ``open``.  The leaf-cache
+        budget lives in them, **split evenly**: each shard gets
+        ``cache_bytes // num_shards``.
         """
         directory = Path(directory)
         if verify not in manifest_mod.VERIFY_LEVELS:
@@ -509,19 +504,14 @@ class ShardedIndex:
                 f"got {verify!r}"
             )
         manifest = manifest_mod.load_shard_manifest(directory)
-        per_shard_cache = cache_bytes // max(manifest.num_shards, 1)
+        workers = _resolve_workers(workers, manifest.num_shards)
         shards: list[HerculesIndex] = []
         row_bases: list[int] = []
         try:
             for record in manifest.shards:
-                if verify != "off":
-                    manifest_mod.verify_shard_record(directory, record)
+                manifest_mod.verify_shard_record(directory, record)
                 try:
-                    shard = HerculesIndex.open(
-                        directory / record.name,
-                        verify=verify,
-                        cache_bytes=per_shard_cache,
-                    )
+                    shard = HerculesIndex.open(directory / record.name, verify=verify)
                 except ReproError as exc:
                     raise type(exc)(f"shard {record.name}: {exc}") from exc
                 shards.append(shard)
@@ -541,36 +531,23 @@ class ShardedIndex:
                         f"{expected_base})"
                     )
                 expected_base += record.num_series
-            config = shards[0].config.with_options(
-                num_shards=manifest.num_shards
+            index = cls(
+                directory=directory,
+                shards=shards,
+                row_bases=row_bases,
+                manifest=manifest,
+                config=shards[0].config.with_options(
+                    num_shards=manifest.num_shards
+                ),
+                workers=workers,
+                cache_bytes=cache_bytes,
             )
-            pool = None
-            if workers is not None and workers > 0:
-                specs = [
-                    (i, directory / record.name, record.row_base)
-                    for i, record in enumerate(manifest.shards)
-                ]
-                # Shards were just verified above; workers re-open cheaply.
-                pool = ShardQueryPool(
-                    specs,
-                    workers,
-                    per_shard_cache,
-                    verify="off",
-                    max_worker_restarts=config.max_worker_restarts,
-                    join_timeout=config.query_join_timeout,
-                )
+            index._query_pool()
         except BaseException:
             for shard in shards:
                 shard.close()
             raise
-        return cls(
-            directory=directory,
-            shards=shards,
-            row_bases=row_bases,
-            manifest=manifest,
-            config=config,
-            pool=pool,
-        )
+        return index
 
     # -- querying ------------------------------------------------------------
 
@@ -656,11 +633,7 @@ class ShardedIndex:
         arr = as_series(queries, self.series_length, ndim=2)
         if arr.shape[0] == 0:
             return BatchAnswer([], BatchStats())
-        limit = (
-            self._pool.batch_capacity
-            if self._pool is not None
-            else arr.shape[0]
-        )
+        limit = self._query_pool().batch_capacity
         answers: list = []
         stats = BatchStats(num_queries=arr.shape[0])
         for start in range(0, arr.shape[0], limit):
@@ -688,25 +661,47 @@ class ShardedIndex:
 
         ``mode`` is the public call being served (``"knn"``,
         ``"knn_approx"`` or ``"knn_batch"``); every shard answers it
-        through :func:`~repro.core.shard_worker.answer_shard`, in a pool
-        worker or inline on the calling thread (:meth:`_scatter_inline`).
-        ``k`` is checked here, before any shard sees the query.
+        through :func:`~repro.core.shard_worker.answer_shard` in a pool
+        worker.  ``k`` is checked here, before any shard sees the query.
         """
         k = check_k(k)
         effective = config if config is not None else self.config
-        policy = effective.retry_policy()
         allow_partial = (
             partial_results
             if partial_results is not None
             else effective.partial_results
         )
+        pool = self._query_pool()
         started = time.perf_counter()
-        if self._pool is not None:
-            outcome = self._pool.query(queries, k, mode, config, policy)
-        else:
-            outcome = self._scatter_inline(queries, k, mode, config, policy)
+        with obs.span(
+            "query.sharded",
+            k=k,
+            shards=self.num_shards,
+            mode=mode,
+            queries=queries.shape[0],
+        ):
+            outcome = pool.query(queries, k, mode, config, effective.retry_policy())
         wall = time.perf_counter() - started
         return self._settle(queries.shape[0], k, outcome, allow_partial, wall)
+
+    def _query_pool(self) -> ShardQueryPool:
+        """The worker pool, started on first use; a failed start reaps
+        its workers and raises, and the next call tries again.  Workers
+        fork from this process as it is then, resident memory included,
+        which is why :meth:`open` starts them before returning."""
+        if self._pool is None:
+            specs = [
+                (i, self.directory / record.name, record.row_base)
+                for i, record in enumerate(self.manifest.shards)
+            ]
+            self._pool = ShardQueryPool(
+                specs,
+                self._workers,
+                self._cache_bytes // self.num_shards,
+                max_worker_restarts=self.config.max_worker_restarts,
+                join_timeout=self.config.query_join_timeout,
+            )
+        return self._pool
 
     def _settle(
         self,
@@ -823,69 +818,6 @@ class ShardedIndex:
         )
         return covered / self.num_series
 
-    def _scatter_inline(
-        self,
-        queries: np.ndarray,
-        k: int,
-        mode: str,
-        config: Optional[HerculesConfig],
-        policy: RetryPolicy,
-    ) -> GatherOutcome:
-        """Answer the ``(Q, n)`` block shard after shard on the calling thread.
-
-        Every query gets its own :class:`SharedBsf` cell, so each shard
-        starts from the bounds the shards before it found, bounds never
-        leak between queries, and every per-shard counter is
-        deterministic.  A shard is retried per ``policy`` on
-        :data:`~repro.core.shard_worker.RETRYABLE` faults only; anything
-        else (a bad argument) propagates.  ``policy.deadline`` is checked
-        before each attempt: a shard not started in time is reported as
-        past the deadline, and a retry it cuts off leaves the shard's
-        last fault as the reason.  A running attempt is never
-        interrupted, so ``shard_timeout`` only stops the retries of an
-        attempt that overran it; the process pool enforces both bounds
-        preemptively.
-        """
-        links = [SharedBsf() for _ in range(queries.shape[0])]
-        outcome = GatherOutcome()
-        started = time.monotonic()
-        with obs.span(
-            "query.sharded", k=k, shards=len(self.shards), mode=mode, queries=len(links)
-        ):
-            for shard_id, shard in enumerate(self.shards):
-                reason = None
-                for attempt in range(1, policy.attempts + 1):
-                    if policy.past_deadline(started):
-                        reason = reason or (
-                            f"shard {shard_id} ran past the "
-                            f"{policy.deadline:.2f}s query deadline"
-                        )
-                        break
-                    if attempt > 1:
-                        outcome.retries += 1
-                    attempt_started = time.monotonic()
-                    try:
-                        with obs.span("query.shard", shard=shard_id, queries=len(links)):
-                            batch = answer_shard(
-                                shard, queries, k, mode, config, links, self.row_bases[shard_id]
-                            )
-                    except RETRYABLE as exc:
-                        reason = f"{type(exc).__name__}: {exc} (after {attempt} attempts)"
-                        if policy.shard_timeout is not None and (
-                            time.monotonic() - attempt_started >= policy.shard_timeout
-                        ):
-                            break
-                        if attempt < policy.attempts:
-                            with obs.span("shard.retry", shard=shard_id, attempt=attempt):
-                                time.sleep(policy.delay(attempt, key=f"shard-{shard_id}"))
-                    else:
-                        outcome.pairs.append((shard_id, batch))
-                        reason = None
-                        break
-                if reason is not None:
-                    outcome.shard_errors.append((shard_id, reason))
-        return outcome
-
     def get_series(self, position: int) -> np.ndarray:
         """Fetch the raw series at a *global* position."""
         self._check_open()
@@ -920,20 +852,12 @@ class ShardedIndex:
     def generation(self) -> int:
         return self.manifest.generation
 
-    def bind_metrics(self, registry) -> None:
-        """Attach per-shard leaf-cache gauges (``cache.leaf.shard<i>.*``)."""
-        for shard_id, shard in enumerate(self.shards):
-            if shard.leaf_cache is not None:
-                shard.leaf_cache.bind_registry(
-                    registry, prefix=f"cache.leaf.shard{shard_id}"
-                )
-
     def merge_worker_metrics(self, registry) -> None:
         """Fold build-worker registries into ``registry`` as ``shard.<i>.*``.
 
-        Populated only after a multi-process :meth:`build` in this
-        session; each worker's counters/gauges/histograms were flushed
-        home with the shard's build reply.
+        Populated only after a :meth:`build` in this session; each
+        worker's counters/gauges/histograms were flushed home with the
+        shard's build reply.
         """
         for shard_id, state in enumerate(self._worker_metric_states):
             if state:
@@ -980,9 +904,9 @@ def open_index(
     """Open whichever index layout ``directory`` holds.
 
     A ``SHARDS.json`` marks a sharded directory (→
-    :class:`ShardedIndex`); anything else opens as a plain
-    :class:`HerculesIndex` (``workers`` is then ignored — there is
-    nothing to scatter).
+    :class:`ShardedIndex`, served by ``workers`` pool processes);
+    anything else opens as a plain :class:`HerculesIndex` (``workers``
+    is then ignored — there is nothing to scatter).
     """
     if manifest_mod.is_sharded_directory(directory):
         return ShardedIndex.open(

@@ -11,7 +11,7 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-class ConfigError(ReproError):
+class ConfigError(ReproError, ValueError):
     """An invalid configuration value was supplied."""
 
 

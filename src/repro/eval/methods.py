@@ -111,7 +111,7 @@ def build_method(
     ``cache_bytes`` sizes the leaf-block LRU of methods that support one
     (currently Hercules); 0 disables caching.  ``num_shards`` > 1 builds
     Hercules as a shard-parallel index (scatter-gather queries; other
-    methods are unaffected), with ``shard_workers`` build processes.
+    methods are unaffected), with ``shard_workers`` worker processes.
     ``prefilter`` turns on the early SAX filter for the methods that
     have one: Hercules' LB_SAX pass moved ahead of its access-path
     decision, and VA+file's "fair contender" SAX filter (same LB_SAX

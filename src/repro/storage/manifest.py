@@ -416,7 +416,7 @@ def is_sharded_directory(directory: PathLike) -> bool:
 # Verification
 # ---------------------------------------------------------------------------
 
-VERIFY_LEVELS = ("off", "quick", "full")
+VERIFY_LEVELS = ("quick", "full")
 
 
 def check_artifact(

@@ -126,7 +126,7 @@ class TestPhaseOneTime:
         assert 0.0 < profile.time_approx <= profile.time_total
 
     def test_sharded_knn_approx(self, corpus, tmp_path):
-        config = index_config(num_shards=2, shard_workers=0)
+        config = index_config(num_shards=2, shard_workers=1)
         sharded = ShardedIndex.build(corpus, config, directory=tmp_path / "sharded")
         try:
             query = make_random_walks(1, 64, seed=147)[0]

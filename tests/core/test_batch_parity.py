@@ -534,7 +534,7 @@ class TestShardedParity:
         ) / "index"
         built = ShardedIndex.build(
             data,
-            _config(num_shards=request.param, shard_workers=0),
+            _config(num_shards=request.param, shard_workers=1),
             directory=directory,
         )
         yield built
@@ -573,7 +573,7 @@ class TestPoolParity:
         directory = tmp_path / "pooled"
         built = ShardedIndex.build(
             data,
-            _config(num_shards=2, shard_workers=0),
+            _config(num_shards=2, shard_workers=1),
             directory=directory,
         )
         serial = [built.knn(q, k=5) for q in queries[:12]]
@@ -597,7 +597,7 @@ class TestPoolParity:
         directory = tmp_path / "chunked"
         ShardedIndex.build(
             data,
-            _config(num_shards=2, shard_workers=0),
+            _config(num_shards=2, shard_workers=1),
             directory=directory,
         ).close()
         pooled = open_index(directory, workers=2)

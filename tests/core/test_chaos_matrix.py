@@ -229,7 +229,7 @@ class TestVerifyIndexDegradedCoverage:
 
         directory = tmp_path / "idx"
         index = ShardedIndex.build(
-            data, _config(shard_workers=0), directory=directory
+            data, _config(shard_workers=1), directory=directory
         )
         index.close()
         os.truncate(directory / "shard-0001" / "lrd.bin", 64)

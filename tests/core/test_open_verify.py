@@ -1,7 +1,5 @@
 """Open-time verification levels, legacy directories, and damage reporting."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -63,21 +61,19 @@ class TestVerifyLevels:
 
 
 class TestLegacyDirectories:
-    def test_manifestless_directory_opens_with_warning(
-        self, built, tmp_path, caplog
-    ):
+    """Every directory this code writes has a manifest, so a directory
+    without one is damage at every level, not an older layout."""
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_manifestless_directory_is_rejected(self, built, tmp_path, level):
         import shutil
 
-        directory, data, ref = built
+        directory, _, _ = built
         legacy = tmp_path / "legacy"
         shutil.copytree(directory, legacy)
         (legacy / manifest_mod.MANIFEST_FILENAME).unlink()
-        with caplog.at_level(logging.WARNING, logger="repro.core.index"):
-            index = HerculesIndex.open(legacy)
-        assert any("pre-manifest" in r.message for r in caplog.records)
-        answer = index.knn(data[0], k=2)
-        np.testing.assert_allclose(answer.distances, ref.distances)
-        index.close()
+        with pytest.raises(ManifestError, match="no manifest"):
+            HerculesIndex.open(legacy, verify=level)
 
     def test_legacy_full_open_still_checks_invariants(self, built, tmp_path):
         import shutil
@@ -86,37 +82,40 @@ class TestLegacyDirectories:
         legacy = tmp_path / "legacy-torn"
         shutil.copytree(directory, legacy)
         (legacy / manifest_mod.MANIFEST_FILENAME).unlink()
-        # Drop the last LSD word: counts now disagree across artifacts.
+        # Drop the last LSD word: counts now disagree across artifacts,
+        # and with no manifest to vouch for them neither level opens.
         lsd = legacy / "lsd.bin"
         lsd.write_bytes(lsd.read_bytes()[:-16])
-        with pytest.raises(StorageError, match="lsd.bin"):
-            HerculesIndex.open(legacy, verify="full")
-        # Phase 3 indexes the words by row, so no level lets this through.
-        with pytest.raises(StorageError, match="lsd.bin"):
-            HerculesIndex.open(legacy, verify="off")
+        for level in ("quick", "full"):
+            with pytest.raises(ManifestError, match="no manifest"):
+                HerculesIndex.open(legacy, verify=level)
 
     @pytest.mark.parametrize(
-        "level,manifest",
-        [("off", True), ("off", False), ("quick", False), ("full", False)],
+        "level,manifest", [("quick", True), ("quick", False), ("full", False)]
     )
     def test_short_lsd_rejected(
         self, built, tmp_path, level, manifest
     ):
-        """A short lsd.bin used to open at these levels and make phase 3
-        slice a leaf's words short, silently dropping its last series
-        from SCList."""
+        """A short lsd.bin would make phase 3 slice a leaf's words short,
+        silently dropping its last series from SCList.  With the built
+        manifest its size record catches it; with ``manifest=False`` the
+        manifest is re-committed over the torn file, so the open's own
+        row count must."""
         import shutil
 
         directory, _, _ = built
         torn = tmp_path / "short-lsd"
         shutil.copytree(directory, torn)
-        if not manifest:
-            (torn / manifest_mod.MANIFEST_FILENAME).unlink()
         lsd = torn / "lsd.bin"
         lsd.write_bytes(lsd.read_bytes()[:-16])
-        with pytest.raises(
-            StorageError, match="lsd.bin holds 99 words.*mixed generations"
-        ):
+        if not manifest:
+            committed = manifest_mod.load_manifest(torn)
+            committed.artifacts["lsd.bin"] = manifest_mod.record_artifact(
+                lsd, format_version=committed.artifacts["lsd.bin"].format_version
+            )
+            manifest_mod.save_manifest(torn, committed)
+        message = "lsd.bin" if manifest else "lsd.bin holds 99 words.*mixed generations"
+        with pytest.raises(StorageError, match=message):
             HerculesIndex.open(torn, verify=level)
 
 
@@ -206,7 +205,7 @@ class TestPrefilterDirectories:
     still has one opens and answers as before, and the manifest that
     lists it keeps verifying it like any other file."""
 
-    @pytest.mark.parametrize("level", ["off", "quick", "full"])
+    @pytest.mark.parametrize("level", ["quick", "full"])
     def test_older_directory_still_answers(
         self, built_by_older_release, level
     ):

@@ -12,6 +12,7 @@ import pytest
 from repro import HerculesConfig, HerculesIndex
 from repro.core import ShardedIndex
 from repro.core.prefilter import SignatureArray
+from repro.core.shard_worker import ProcessBsfVector, answer_shard
 from repro.storage.files import SeriesFile
 from repro.workloads.generators import make_noise_queries
 
@@ -116,10 +117,14 @@ def test_easy_queries_read_less_with_the_same_answers(index, corpus, easy):
 
 
 def test_sharded_inline_query_screens_its_first_visit(corpus, tmp_path, monkeypatch):
-    """The second shard starts from the first shard's BSF², so its very
-    first phase-1 visit is screened before anything of it is read."""
+    """A one-worker pool answers the shards in order through
+    ``answer_shard``, all linked to the query's one BSF² cell, so the
+    second shard starts from the first shard's bound and its very first
+    phase-1 visit is screened before anything of it is read.  The
+    worker's sequence is replayed in this process, where its calls can be
+    recorded; the pool's own answers must be exact."""
     sharded = ShardedIndex.build(
-        corpus, _config(num_shards=2, shard_workers=0), directory=tmp_path / "sharded"
+        corpus, _config(num_shards=2, shard_workers=1), directory=tmp_path / "sharded"
     )
     events = []
     screen, read_range = SignatureArray.screen, SeriesFile.read_range
@@ -134,6 +139,7 @@ def test_sharded_inline_query_screens_its_first_visit(corpus, tmp_path, monkeypa
 
     monkeypatch.setattr(SignatureArray, "screen", recording_screen)
     monkeypatch.setattr(SeriesFile, "read_range", recording_read)
+    cells = ProcessBsfVector(capacity=1)
     with sharded:
         second = sharded.shards[1]
         owners = {id(second.signatures), id(second._lrd)}
@@ -141,10 +147,13 @@ def test_sharded_inline_query_screens_its_first_visit(corpus, tmp_path, monkeypa
         queries = make_noise_queries(corpus[:800], 6, 0.01, seed=314).astype(np.float32)
         for query in queries:
             for k in (1, 5):
-                events.clear()
                 answer = sharded.knn(query, k=k)
                 np.testing.assert_allclose(
                     answer.distances, brute_force(corpus, query, k), atol=1e-5
                 )
+                events.clear()
+                cells.reset(1)
+                for shard, row_base in zip(sharded.shards, sharded.row_bases):
+                    answer_shard(shard, query[None], k, "knn", None, [cells.cell(0)], row_base)
                 first = next(kind for kind, owner in events if owner in owners)
                 assert first == "screen"

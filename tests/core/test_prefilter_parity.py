@@ -238,7 +238,7 @@ class TestShardedParity:
         )
         built = ShardedIndex.build(
             data,
-            _config(num_shards=request.param, shard_workers=0),
+            _config(num_shards=request.param, shard_workers=1),
             directory=directory,
         )
         yield built

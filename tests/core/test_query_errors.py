@@ -83,7 +83,7 @@ def layouts(tmp_path_factory):
     plain = HerculesIndex.build(data, HerculesConfig(**options), directory=base / "plain")
     sharded = ShardedIndex.build(
         data,
-        HerculesConfig(num_shards=2, shard_workers=0, **options),
+        HerculesConfig(num_shards=2, shard_workers=1, **options),
         directory=base / "sharded",
     )
     yield {
@@ -98,7 +98,8 @@ def layouts(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def pooled(layouts):
-    """The 2-shard index of ``layouts`` served by 2 pool workers."""
+    """The 2-shard index of ``layouts`` reopened with 2 pool workers
+    (``layouts`` serves it with the one worker that built it)."""
     with ShardedIndex.open(layouts["sharded"].directory, workers=2) as index:
         yield index
 
@@ -174,9 +175,6 @@ def test_fractional_k_rejected(request, layouts, monkeypatch, entry):
         def dispatched(*args, **kwargs):
             raise AssertionError("a shard was dispatched")
 
-        if target._pool is not None:
-            monkeypatch.setattr(target._pool, "query", dispatched)
-        else:
-            monkeypatch.setattr(target, "_scatter_inline", dispatched)
+        monkeypatch.setattr(target._pool, "query", dispatched)
     with pytest.raises(ValueError, match="k must be an integer"):
         call(target, query, 2.5)

@@ -14,7 +14,8 @@ from repro.core.query import (
     _find_candidate_series,
     _search_states,
 )
-from repro.core.results import LinkedResultSet, SharedBsf
+from repro.core.results import LinkedResultSet
+from repro.core.shard_worker import ProcessBsfVector
 from repro.distance.euclidean import early_abandon_squared
 from repro.storage.files import adjacent_runs
 from repro.types import as_series
@@ -155,7 +156,7 @@ def split_reads(index, state, positions) -> tuple:
 
 def linked_results(k, bsf_squared):
     """A shard-style result set whose global bound starts at ``bsf_squared``."""
-    link = SharedBsf()
+    link = ProcessBsfVector().cell(0)
     link.publish(bsf_squared)
     return LinkedResultSet(k, link)
 
@@ -536,7 +537,7 @@ class TestDuplicateTies:
         plain = HerculesIndex.build(twins, config, directory=root / "plain")
         sharded = ShardedIndex.build(
             twins,
-            config.with_options(num_shards=2, shard_workers=0),
+            config.with_options(num_shards=2, shard_workers=1),
             directory=root / "sharded",
         )
         yield plain, sharded

@@ -1,23 +1,23 @@
 """Query retry + graceful degradation semantics.
 
-Most shard failures are simulated in-process, where the scatter answers
-shard after shard on the calling thread, by patching the call it makes on
-individual shards (``_search``, the one pipeline call serving ``knn``,
-``knn_batch`` and ``knn_approx``) — the degradation *policy* (retry accounting,
-partial-results gating, coverage arithmetic, metrics visibility) is
-independent of how a shard fails.  Deadlines and ``shard_timeout`` are
-enforced preemptively only by the worker pool, so :class:`TestDeadline`
-stalls a real pool worker with a shipped fault plan; the cross-process
-chaos tests exercise real storage faults.
+Shard failures are real storage faults in the pool workers, injected by
+fault plans shipped to the workers as ``open`` starts them.  Each shard
+has its own worker, so a plan keyed by a shard id breaks exactly that
+shard.  The degradation *policy* (retry accounting, partial-results
+gating, coverage arithmetic, metrics visibility) is independent of how
+a shard fails.
 """
 
+import contextlib
+import dataclasses
+import multiprocessing
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import HerculesConfig, ShardedIndex, record_sharded_profile
-from repro.errors import ShardError, ShardTimeoutError, StorageError
+from repro.errors import ConfigError, ShardError, ShardTimeoutError
 from repro.obs import MetricsRegistry
 from repro.storage import faults
 
@@ -34,7 +34,7 @@ def _config(**overrides):
         num_build_threads=1,
         flush_threshold=1,
         num_shards=N_SHARDS,
-        shard_workers=0,
+        shard_workers=N_SHARDS,
         shard_retry_attempts=1,
         shard_retry_backoff=0.001,
     )
@@ -53,21 +53,47 @@ def query(data):
     return (data[7] + 0.05 * rng.standard_normal(LENGTH)).astype(np.float32)
 
 
+@pytest.fixture(scope="module")
+def directory(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("degradation") / "idx"
+    ShardedIndex.build(data, _config(), directory=path).close()
+    return path
+
+
+@contextlib.contextmanager
+def _served(directory, plans=None):
+    """The index opened with one worker per shard, ``plans`` shipped to
+    the workers it starts."""
+    with faults.ship_plans(plans or {}):
+        index = ShardedIndex.open(directory, workers=N_SHARDS)
+    try:
+        yield index
+    finally:
+        index.close()
+
+
 @pytest.fixture()
-def index(data, tmp_path):
-    idx = ShardedIndex.build(data, _config(), directory=tmp_path / "idx")
-    yield idx
-    idx.close()
+def index(directory):
+    with _served(directory) as idx:
+        yield idx
 
 
-def _fail_shard(index, shard_id, exc=None):
-    """Make one shard raise on every search attempt."""
-    exc = exc if exc is not None else StorageError("simulated shard fault")
+#: Opening a shard reads twice; a worker's first query read is the third.
+FIRST_QUERY_READ = 3
 
-    def raise_fault(*args, **kwargs):
-        raise exc
 
-    index.shards[shard_id]._search = raise_fault
+def _broken(directory, *shard_ids, once=False):
+    """The index served with the listed shards' query reads failing.  By
+    default every read fails, outlasting the file layer's own retries, so
+    every attempt fails; ``once`` crashes only the first query read, so a
+    shard-level retry succeeds."""
+    if once:
+        plan = faults.FaultPlan(op="read", at=FIRST_QUERY_READ, mode="crash")
+    else:
+        plan = faults.FaultPlan(
+            op="read", at=FIRST_QUERY_READ, mode="transient", failures=10**6
+        )
+    return _served(directory, {shard_id: plan for shard_id in shard_ids})
 
 
 def _shard_rows(index, shard_id):
@@ -92,31 +118,33 @@ def brute_force(data, query, k, exclude=()):
 
 
 class TestExactModeRefusesSilentDegradation:
-    def test_failed_shard_raises_shard_error_naming_it(self, index, query):
-        _fail_shard(index, 1)
-        with pytest.raises(ShardError, match=r"shard\(s\) \[1\]"):
-            index.knn(query, k=5)
+    def test_failed_shard_raises_shard_error_naming_it(self, directory, query):
+        with _broken(directory, 1) as index:
+            with pytest.raises(ShardError, match=r"shard\(s\) \[1\]"):
+                index.knn(query, k=5)
 
-    def test_error_suggests_partial_results(self, index, query):
-        _fail_shard(index, 2)
-        with pytest.raises(ShardError, match="partial_results"):
-            index.knn(query, k=5)
+    def test_error_suggests_partial_results(self, directory, query):
+        with _broken(directory, 2) as index:
+            with pytest.raises(ShardError, match="partial_results"):
+                index.knn(query, k=5)
 
-    def test_config_partial_results_field_also_gates(self, index, query):
-        _fail_shard(index, 0)
-        config = index.config.with_options(partial_results=True)
-        answer = index.knn(query, k=5, config=config)
+    def test_config_partial_results_field_also_gates(self, directory, query):
+        with _broken(directory, 0) as index:
+            config = index.config.with_options(partial_results=True)
+            answer = index.knn(query, k=5, config=config)
         assert answer.degraded
 
     def test_bad_arguments_are_not_degradation(self, index, query):
         # A non-storage fault propagates immediately, never retried
-        # or dropped — it is a caller bug, not a shard failure.
-        _fail_shard(index, 1, exc=ValueError("bad query"))
-        with pytest.raises(ValueError, match="bad query"):
-            index.knn(query, k=5, partial_results=True)
-        # So is k = 0 on both scatter paths and both calls: a pool
-        # worker ships the error home rather than a shard fault.
-        for workers in (None, 2):
+        # or dropped — it is a caller bug, not a shard failure.  This
+        # config skips validation, so only the workers see that it is bad.
+        bad = dataclasses.replace(index.config)
+        object.__setattr__(bad, "l_max", 0)
+        with pytest.raises(ConfigError, match="l_max must be"):
+            index.knn(query, k=5, config=bad, partial_results=True)
+        assert not index.knn(query, k=5).degraded
+        # So is k = 0, at any worker count and on both calls.
+        for workers in (1, N_SHARDS):
             with ShardedIndex.open(index.directory, workers=workers) as fresh:
                 with pytest.raises(ValueError, match="k must be"):
                     fresh.knn(query, k=0, partial_results=True)
@@ -126,47 +154,47 @@ class TestExactModeRefusesSilentDegradation:
 
 
 class TestPartialResults:
-    def test_degraded_answer_flags_and_coverage(self, index, query, data):
-        _fail_shard(index, 1)
-        answer = index.knn(query, k=5, partial_results=True)
+    def test_degraded_answer_flags_and_coverage(self, directory, query, data):
+        with _broken(directory, 1) as index:
+            answer = index.knn(query, k=5, partial_results=True)
+            start, stop = _shard_rows(index, 1)
         assert answer.degraded
-        start, stop = _shard_rows(index, 1)
         expected_coverage = (N_ROWS - (stop - start)) / N_ROWS
         assert answer.coverage == pytest.approx(expected_coverage)
         assert [sid for sid, _ in answer.shard_errors] == [1]
-        assert "simulated shard fault" in answer.shard_errors[0][1]
+        assert "injected transient read error" in answer.shard_errors[0][1]
 
     def test_degraded_answer_is_exact_over_surviving_rows(
-        self, index, query, data
+        self, directory, query, data
     ):
-        _fail_shard(index, 1)
         k = 7
-        answer = index.knn(query, k=k, partial_results=True)
-        expected_d = brute_force(
-            data, query, k, exclude=[_shard_rows(index, 1)]
-        )
-        np.testing.assert_allclose(
-            answer.distances, expected_d, rtol=1e-5, atol=1e-5
-        )
-        # No reported position may fall inside the dropped shard's
-        # global position range, and each must hold the series whose
-        # distance was reported.
-        start, stop = _shard_rows(index, 1)
-        for position, distance in zip(answer.positions, answer.distances):
-            assert not start <= position < stop
-            series = index.get_series(int(position))
-            actual = np.sqrt(
-                ((series.astype(np.float64) - query) ** 2).sum()
+        with _broken(directory, 1) as index:
+            answer = index.knn(query, k=k, partial_results=True)
+            expected_d = brute_force(
+                data, query, k, exclude=[_shard_rows(index, 1)]
             )
-            assert actual == pytest.approx(distance, rel=1e-5)
+            np.testing.assert_allclose(
+                answer.distances, expected_d, rtol=1e-5, atol=1e-5
+            )
+            # No reported position may fall inside the dropped shard's
+            # global position range, and each must hold the series whose
+            # distance was reported.
+            start, stop = _shard_rows(index, 1)
+            for position, distance in zip(answer.positions, answer.distances):
+                assert not start <= position < stop
+                series = index.get_series(int(position))
+                actual = np.sqrt(
+                    ((series.astype(np.float64) - query) ** 2).sum()
+                )
+                assert actual == pytest.approx(distance, rel=1e-5)
 
     def test_degraded_equals_fault_free_restricted_to_survivors(
         self, index, query, data
     ):
         k = 7
         fault_free = index.knn(query, k=N_ROWS // 2)
-        _fail_shard(index, 2)
-        degraded = index.knn(query, k=k, partial_results=True)
+        with _broken(index.directory, 2) as broken:
+            degraded = broken.knn(query, k=k, partial_results=True)
         start, stop = _shard_rows(index, 2)
         keep = (fault_free.positions < start) | (fault_free.positions >= stop)
         restricted = fault_free.positions[keep][:k]
@@ -179,16 +207,15 @@ class TestPartialResults:
         assert answer.shard_errors == ()
         assert answer.retries == 0
 
-    def test_every_shard_failing_still_raises(self, index, query):
-        for shard_id in range(N_SHARDS):
-            _fail_shard(index, shard_id)
-        with pytest.raises(ShardError, match="every shard failed"):
-            index.knn(query, k=5, partial_results=True)
+    def test_every_shard_failing_still_raises(self, directory, query):
+        with _broken(directory, *range(N_SHARDS)) as index:
+            with pytest.raises(ShardError, match="every shard failed"):
+                index.knn(query, k=5, partial_results=True)
 
-    def test_approx_mode_degrades_too(self, index, query):
-        _fail_shard(index, 0)
-        index.config = index.config.with_options(partial_results=True)
-        answer = index.knn_approx(query, k=3)
+    def test_approx_mode_degrades_too(self, directory, query):
+        with _broken(directory, 0) as index:
+            index.config = index.config.with_options(partial_results=True)
+            answer = index.knn_approx(query, k=3)
         assert answer.degraded
         assert answer.coverage < 1.0
 
@@ -198,39 +225,29 @@ class TestRetries:
         self, index, query, data
     ):
         fault_free = index.knn(query, k=5)
-        shard = index.shards[1]
-        real_knn = shard._search
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise StorageError("transient blip")
-            return real_knn(*args, **kwargs)
-
-        shard._search = flaky
         config = index.config.with_options(shard_retry_attempts=3)
-        answer = index.knn(query, k=5, config=config)
+        with _broken(index.directory, 1, once=True) as broken:
+            answer = broken.knn(query, k=5, config=config)
         assert not answer.degraded
-        assert answer.retries == 1
-        assert calls["n"] == 2
+        assert answer.retries == 1  # two attempts: the failed one and its retry
         np.testing.assert_array_equal(answer.positions, fault_free.positions)
         np.testing.assert_allclose(
             answer.distances, fault_free.distances, rtol=1e-6
         )
 
-    def test_retries_exhaust_then_degrade(self, index, query):
-        _fail_shard(index, 1)
-        config = index.config.with_options(shard_retry_attempts=3)
-        answer = index.knn(query, k=5, config=config, partial_results=True)
+    def test_retries_exhaust_then_degrade(self, directory, query):
+        with _broken(directory, 1) as index:
+            config = index.config.with_options(shard_retry_attempts=3)
+            answer = index.knn(query, k=5, config=config, partial_results=True)
         assert answer.degraded
         assert answer.retries == 2  # attempts 1→2 and 2→3
 
 
 def _stall_plan(seconds, fence=None):
-    """Stall a pool worker's first query read (two reads open a shard)."""
+    """Stall a pool worker's first query read."""
     return faults.FaultPlan(
-        op="read", at=3, mode="stall", stall_seconds=seconds, fence=fence
+        op="read", at=FIRST_QUERY_READ, mode="stall", stall_seconds=seconds,
+        fence=fence,
     )
 
 
@@ -239,94 +256,50 @@ class TestDeadline:
     a stalled worker is killed and restarted.  One worker per shard, so
     a stall in shard 2's worker holds up no other shard."""
 
-    def _pool(self, index, plan):
-        with faults.ship_plans({2: plan}):
-            return ShardedIndex.open(index.directory, workers=N_SHARDS)
-
-    def test_slow_shard_is_abandoned_at_the_deadline(self, index, query):
-        pooled = self._pool(index, _stall_plan(5.0))
-        try:
+    def test_slow_shard_is_abandoned_at_the_deadline(self, directory, query):
+        with _served(directory, {2: _stall_plan(5.0)}) as pooled:
             config = pooled.config.with_options(query_deadline=0.3)
             started = time.monotonic()
             answer = pooled.knn(
                 query, k=5, config=config, partial_results=True
             )
             assert time.monotonic() - started < 4.0
-            assert answer.degraded
-            assert [sid for sid, _ in answer.shard_errors] == [2]
-            assert "timeout" in answer.shard_errors[0][1]
-        finally:
-            pooled.close()
+        assert answer.degraded
+        assert [sid for sid, _ in answer.shard_errors] == [2]
+        assert "timeout" in answer.shard_errors[0][1]
 
-    def test_timeout_without_partial_raises_timeout_error(self, index, query):
-        pooled = self._pool(index, _stall_plan(5.0))
-        try:
+    def test_timeout_without_partial_raises_timeout_error(self, directory, query):
+        with _served(directory, {2: _stall_plan(5.0)}) as pooled:
             config = pooled.config.with_options(query_deadline=0.3)
             started = time.monotonic()
             with pytest.raises(ShardTimeoutError, match=r"shard\(s\) \[2\]"):
                 pooled.knn(query, k=5, config=config)
             assert time.monotonic() - started < 4.0
-        finally:
-            pooled.close()
 
     def test_stalled_worker_is_restarted_and_retried(
         self, index, query, tmp_path
     ):
         fault_free = index.knn(query, k=5)
         fence = tmp_path / "stall-fence"
-        pooled = self._pool(index, _stall_plan(3.0, fence=str(fence)))
-        try:
+        plans = {2: _stall_plan(3.0, fence=str(fence))}
+        with _served(index.directory, plans) as pooled:
             config = pooled.config.with_options(
                 shard_timeout=1.0, shard_retry_attempts=2
             )
             answer = pooled.knn(query, k=5, config=config)
             assert fence.exists()
             assert pooled._pool.worker_restarts == 1
-            assert answer.retries == 1
-            assert not answer.degraded
-            np.testing.assert_array_equal(
-                answer.positions, fault_free.positions
-            )
-            np.testing.assert_array_equal(
-                answer.distances, fault_free.distances
-            )
-        finally:
-            pooled.close()
-
-    def test_in_process_shards_past_the_deadline_never_start(
-        self, index, query
-    ):
-        # In-process, a running shard is never interrupted: shard 0
-        # overruns the deadline but answers, and the loop starts no
-        # shard after it.
-        real_search = index.shards[0]._search
-
-        def slow(*args, **kwargs):
-            time.sleep(0.4)
-            return real_search(*args, **kwargs)
-
-        index.shards[0]._search = slow
-        _fail_shard(index, 1, exc=AssertionError("shard 1 started"))
-        _fail_shard(index, 2, exc=AssertionError("shard 2 started"))
-        config = index.config.with_options(query_deadline=0.2)
-        answer = index.knn(query, k=5, config=config, partial_results=True)
-        assert answer.degraded
-        assert [sid for sid, _ in answer.shard_errors] == [1, 2]
-        for sid, reason in answer.shard_errors:
-            assert f"shard {sid} ran past the 0.20s query deadline" in reason
-        start, stop = _shard_rows(index, 0)
-        assert answer.coverage == pytest.approx((stop - start) / N_ROWS)
-        with pytest.raises(ShardTimeoutError, match=r"shard\(s\) \[1, 2\]"):
-            index.knn(query, k=5, config=config)
+        assert answer.retries == 1
+        assert not answer.degraded
+        np.testing.assert_array_equal(answer.positions, fault_free.positions)
+        np.testing.assert_array_equal(answer.distances, fault_free.distances)
 
 
 class TestPoolStartFailure:
-    def test_failed_pool_start_leaks_nothing(self, index, monkeypatch):
+    def test_failed_pool_start_leaks_nothing(self, directory, monkeypatch):
         """A worker killed while opening its shards fails the open, and
-        neither its sibling worker nor the coordinator's shards outlive
+        neither its sibling workers nor the coordinator's shards outlive
         the failure."""
-        import multiprocessing
-
         from repro.core import HerculesIndex
 
         opened = []
@@ -338,20 +311,22 @@ class TestPoolStartFailure:
             return shard
 
         monkeypatch.setattr(HerculesIndex, "open", classmethod(recording_open))
+        before = set(multiprocessing.active_children())
         plan = faults.FaultPlan(op="read", at=1, mode="kill")
-        with faults.ship_plans({1: plan}), pytest.raises(ShardError):
-            ShardedIndex.open(index.directory, workers=2)
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ShardError):
+            with _served(directory, {1: plan}):
+                pass
+        assert set(multiprocessing.active_children()) <= before
         assert len(opened) == N_SHARDS
         assert all(shard._closed for shard in opened)
 
 
 class TestMetricsVisibility:
-    def test_degradation_reaches_the_registry(self, index, query):
-        _fail_shard(index, 1)
+    def test_degradation_reaches_the_registry(self, directory, query):
         registry = MetricsRegistry()
-        answer = index.knn(query, k=5, partial_results=True)
-        record_sharded_profile(registry, answer, num_series=index.num_series)
+        with _broken(directory, 1) as index:
+            answer = index.knn(query, k=5, partial_results=True)
+        record_sharded_profile(registry, answer, num_series=N_ROWS)
         summary = registry.summary()
         assert summary["counters"]["query.degraded"] == 1
         assert summary["counters"]["shard.dropped"] == 1
@@ -359,22 +334,12 @@ class TestMetricsVisibility:
         assert coverage["count"] == 1
         assert coverage["max"] < 1.0
 
-    def test_retries_reach_the_registry(self, index, query):
-        shard = index.shards[0]
-        real_knn = shard._search
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise StorageError("transient blip")
-            return real_knn(*args, **kwargs)
-
-        shard._search = flaky
-        config = index.config.with_options(shard_retry_attempts=2)
+    def test_retries_reach_the_registry(self, directory, query):
         registry = MetricsRegistry()
-        answer = index.knn(query, k=5, config=config)
-        record_sharded_profile(registry, answer, num_series=index.num_series)
+        with _broken(directory, 0, once=True) as index:
+            config = index.config.with_options(shard_retry_attempts=2)
+            answer = index.knn(query, k=5, config=config)
+        record_sharded_profile(registry, answer, num_series=N_ROWS)
         summary = registry.summary()
         assert summary["counters"]["shard.retries"] == 1
         assert "query.degraded" not in summary["counters"]
@@ -387,13 +352,13 @@ class TestMetricsVisibility:
         coverage = summary["histograms"]["query.coverage"]
         assert coverage["min"] == 1.0
 
-    def test_workload_summary_mentions_resilience(self, index, query):
+    def test_workload_summary_mentions_resilience(self, directory, query):
         from repro.obs import explain_workload_summary
 
-        _fail_shard(index, 2)
         registry = MetricsRegistry()
-        answer = index.knn(query, k=5, partial_results=True)
-        record_sharded_profile(registry, answer, num_series=index.num_series)
+        with _broken(directory, 2) as index:
+            answer = index.knn(query, k=5, partial_results=True)
+        record_sharded_profile(registry, answer, num_series=N_ROWS)
         text = explain_workload_summary(registry)
         assert "resilience:" in text
         assert "1 degraded answers" in text

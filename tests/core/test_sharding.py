@@ -1,5 +1,7 @@
 """Shard-parallel engine: partitioning, parity with a single index, layout."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ from repro.core import (
     ResultSet,
     ShardedIndex,
     ShardedQueryAnswer,
-    SharedBsf,
     open_index,
     partition_rows,
     record_sharded_profile,
 )
+from repro.core.shard_worker import ProcessBsfVector
 from repro.errors import ConfigError, IndexStateError
 from repro.obs import MetricsRegistry
 from repro.storage import manifest as manifest_mod
@@ -51,14 +53,25 @@ def single(data, tmp_path_factory):
 
 @pytest.fixture(scope="module", params=[2, 4], ids=["shards2", "shards4"])
 def sharded(request, data, tmp_path_factory):
+    """Built and served by one worker: every shard in order."""
     directory = tmp_path_factory.mktemp(f"sharded{request.param}") / "index"
     index = ShardedIndex.build(
         data,
-        _config(num_shards=request.param, shard_workers=0),
+        _config(num_shards=request.param, shard_workers=1),
         directory=directory,
     )
     yield index
     index.close()
+
+
+def _new_children(before):
+    """Live child processes started since ``before`` was taken."""
+    return set(multiprocessing.active_children()) - before
+
+
+def _link():
+    """One cell of a process-shared BSF vector: a fresh +inf bound."""
+    return ProcessBsfVector().cell(0)
 
 
 class TestPartitionRows:
@@ -86,26 +99,9 @@ class TestPartitionRows:
             partition_rows(3, 4)
 
 
-class TestSharedBsf:
-    def test_publish_keeps_minimum(self):
-        link = SharedBsf()
-        assert link.get() == np.inf
-        link.publish(4.0)
-        link.publish(9.0)  # worse, must not regress the bound
-        assert link.get() == 4.0
-        link.publish(1.0)
-        assert link.get() == 1.0
-
-    def test_reset_returns_to_inf(self):
-        link = SharedBsf()
-        link.publish(2.0)
-        link.reset()
-        assert link.get() == np.inf
-
-
 class TestLinkedResultSet:
     def test_local_improvement_published_immediately(self):
-        link = SharedBsf()
+        link = _link()
         results = LinkedResultSet(1, link)
         results.update_squared(4.0, 0)
         assert link.get() == 4.0
@@ -113,7 +109,7 @@ class TestLinkedResultSet:
         assert link.get() == 1.0
 
     def test_reads_return_min_of_local_and_link(self):
-        link = SharedBsf()
+        link = _link()
         link.publish(4.0)
         results = LinkedResultSet(1, link)  # snapshots the link at creation
         assert results.bsf_squared == 4.0
@@ -121,7 +117,7 @@ class TestLinkedResultSet:
         assert results.bsf_squared == 4.0  # link is tighter
 
     def test_refresh_is_explicit(self):
-        link = SharedBsf()
+        link = _link()
         results = LinkedResultSet(1, link)
         link.publish(2.0)  # published after the creation snapshot
         # Reads never touch the link (it sits behind a lock) ...
@@ -147,7 +143,7 @@ class TestLinkedResultSet:
         index = HerculesIndex.build(
             make_random_walks(900, 32, seed=13), _config(), directory=tmp_path / "index"
         )
-        link = SharedBsf()
+        link = _link()
         results = LinkedResultSet(index.num_series + 1, link)
         kernel = query_module.early_abandon_squared
         cutoffs, published = [], []
@@ -176,7 +172,7 @@ class TestLinkedResultSet:
         assert cutoffs[1:] == published[:-1]
 
     def test_batch_updates_publish(self):
-        link = SharedBsf()
+        link = _link()
         results = LinkedResultSet(2, link)
         results.update_batch_squared(
             np.array([9.0, 4.0, 16.0]), np.array([0, 1, 2])
@@ -236,6 +232,23 @@ class TestApproximateParity:
         assert answer.distances[-1] <= ref.distances[-1] + 1e-6
 
 
+class TestWorkerCounts:
+    """A one-worker pool, a two-worker pool and the plain index agree."""
+
+    def test_every_call_agrees_across_worker_counts(self, single, sharded, queries):
+        l_max = single.num_leaves
+        with ShardedIndex.open(sharded.directory, workers=2) as two:
+            for index in (sharded, two):
+                batch = index.knn_batch(queries, k=5)
+                for query, from_batch in zip(queries, batch):
+                    ref = single.knn(query, k=5)
+                    np.testing.assert_array_equal(from_batch.distances, ref.distances)
+                    answer = index.knn(query, k=5)
+                    np.testing.assert_array_equal(answer.distances, ref.distances)
+                    approx = index.knn_approx(query, k=5, l_max=l_max)
+                    np.testing.assert_array_equal(approx.distances, ref.distances)
+
+
 class TestProcessWorkers:
     def test_process_build_matches_single_index(
         self, single, data, queries, tmp_path
@@ -272,6 +285,7 @@ class TestProcessWorkers:
             index.close()
 
     def test_query_pool_matches_thread_path(self, sharded, queries):
+        # `sharded` is served by one worker; two must give the same answers.
         pooled = ShardedIndex.open(sharded.directory, workers=2)
         try:
             for query in queries:
@@ -306,14 +320,15 @@ def _shard_counters(answer):
 
 
 class TestInlineScatter:
-    """Without a pool, shards answer one after another on the calling
-    thread: per-shard work is a function of the inputs alone."""
+    """A one-worker pool answers every shard in order on one process,
+    each starting from the bounds the shards before it found: per-shard
+    work is a function of the inputs alone."""
 
     @pytest.fixture(scope="class")
     def three(self, data, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("inline") / "index"
+        directory = tmp_path_factory.mktemp("one-worker") / "index"
         index = ShardedIndex.build(
-            data, _config(num_shards=3, shard_workers=0), directory=directory
+            data, _config(num_shards=3, shard_workers=1), directory=directory
         )
         index.close()
         return directory
@@ -325,7 +340,7 @@ class TestInlineScatter:
         return (data[10:16] + noise).astype(np.float32)
 
     def _run(self, directory, noisy):
-        with ShardedIndex.open(directory, workers=0) as index:
+        with ShardedIndex.open(directory, workers=1) as index:
             serial = [index.knn(query, k=5) for query in noisy]
             batch = list(index.knn_batch(noisy, k=5))
         return [_shard_counters(answer) for answer in serial + batch]
@@ -335,20 +350,18 @@ class TestInlineScatter:
         assert first == self._run(three, noisy)
         assert all([sid for sid, *_ in row] == [0, 1, 2] for row in first)
 
-    def test_one_sharded_span_with_shard_children_in_order(self, three, noisy):
-        trace = obs.Trace(name="inline")
-        with ShardedIndex.open(three, workers=0) as index:
+    def test_one_coordinator_span_per_scatter(self, three, noisy):
+        trace = obs.Trace(name="pooled")
+        with ShardedIndex.open(three, workers=1) as index:
             with obs.use_trace(trace):
                 index.knn(noisy[0], k=5)
-        (sharded,) = trace.find("query.sharded")
-        assert sharded.attributes["mode"] == "knn"
-        children = trace.children_of(sharded)
-        assert [s.name for s in children] == ["query.shard"] * 3
-        assert [s.attributes["shard"] for s in children] == [0, 1, 2]
-        starts = [s.start for s in children]
-        assert starts == sorted(starts)
-        for child in children:
-            assert [s.name for s in trace.children_of(child)] == ["query"]
+                index.knn_batch(noisy, k=5)
+        spans = trace.find("query.sharded")
+        assert [s.attributes["mode"] for s in spans] == ["knn", "knn_batch"]
+        assert [s.attributes["queries"] for s in spans] == [1, len(noisy)]
+        for span in spans:
+            assert span.attributes["shards"] == 3
+            assert span.attributes["k"] == 5
 
 
 class TestLayout:
@@ -389,12 +402,12 @@ class TestLayout:
     def test_rebuild_bumps_generation_and_prunes_shards(self, data, tmp_path):
         directory = tmp_path / "regen"
         first = ShardedIndex.build(
-            data, _config(num_shards=4, shard_workers=0), directory=directory
+            data, _config(num_shards=4, shard_workers=1), directory=directory
         )
         assert first.generation == 1
         first.close()
         second = ShardedIndex.build(
-            data, _config(num_shards=2, shard_workers=0), directory=directory
+            data, _config(num_shards=2, shard_workers=1), directory=directory
         )
         try:
             assert second.generation == 2
@@ -408,7 +421,7 @@ class TestLayout:
         with pytest.raises(ConfigError, match="shards"):
             ShardedIndex.build(
                 tiny,
-                _config(num_shards=4, shard_workers=0),
+                _config(num_shards=4, shard_workers=1),
                 directory=tmp_path / "tiny",
             )
 
@@ -439,22 +452,16 @@ class TestGlobalPositions:
 
 class TestObservabilityHooks:
     def test_per_shard_cache_metrics(self, sharded, queries):
-        index = ShardedIndex.open(sharded.directory, cache_bytes=1 << 20)
-        try:
-            registry = MetricsRegistry()
-            index.bind_metrics(registry)
-            index.knn(queries[0], k=5)
-            index.knn(queries[0], k=5)
-            counters = registry.summary()["counters"]
-            shard0 = [
-                name
-                for name in counters
-                if name.startswith("cache.leaf.shard0.")
-            ]
-            assert shard0, f"no shard-0 cache counters in {sorted(counters)}"
-            assert any(counters[name] > 0 for name in shard0)
-        finally:
-            index.close()
+        """The leaf caches live in the pool workers; their hits and
+        misses reach the coordinator through each answer's profile."""
+        with ShardedIndex.open(
+            sharded.directory, cache_bytes=1 << 20, workers=2
+        ) as index:
+            assert all(shard.leaf_cache is None for shard in index.shards)
+            first = index.knn(queries[0], k=5).profile
+            again = index.knn(queries[0], k=5).profile
+        assert first.cache_hits + first.cache_misses > 0
+        assert again.cache_hits > 0
 
     def test_record_sharded_profile(self, sharded, queries):
         registry = MetricsRegistry()
@@ -480,10 +487,52 @@ class TestObservabilityHooks:
 
 
 class TestLifecycle:
+    def test_workers_run_only_between_start_and_close(self, data, queries, tmp_path):
+        """Build workers are reaped before build returns; the built
+        index starts its query pool at the first query, an opened one at
+        open, and close reaps it."""
+        before = set(multiprocessing.active_children())
+        config = _config(num_shards=2, shard_workers=2)
+        index = ShardedIndex.build(data, config, directory=tmp_path / "idx")
+        assert not _new_children(before)
+        index.knn(queries[0], k=1)
+        assert len(_new_children(before)) == 2
+        index.close()
+        assert not _new_children(before)
+        ShardedIndex.build(data, config, directory=tmp_path / "idx").close()
+        assert not _new_children(before)
+        index = ShardedIndex.open(tmp_path / "idx", workers=2)
+        assert len(_new_children(before)) == 2
+        index.close()
+        assert not _new_children(before)
+
+    def test_failed_start_at_the_first_query_leaks_no_worker(
+        self, data, queries, tmp_path
+    ):
+        from repro.errors import ShardError
+        from repro.storage import faults
+
+        before = set(multiprocessing.active_children())
+        config = _config(num_shards=2, shard_workers=2)
+        with ShardedIndex.build(data, config, directory=tmp_path / "idx") as index:
+            plan = faults.FaultPlan(op="read", at=1, mode="kill")
+            with faults.ship_plans({1: plan}), pytest.raises(ShardError):
+                index.knn(queries[0], k=1)
+            assert not _new_children(before)
+            # The next query starts a fresh pool.
+            assert len(index.knn(queries[0], k=1).distances) == 1
+        assert not _new_children(before)
+
+    def test_zero_workers_is_an_error(self, sharded):
+        with pytest.raises(ValueError, match="shard_workers must be >= 1"):
+            _config(num_shards=2, shard_workers=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ShardedIndex.open(sharded.directory, workers=0)
+
     def test_closed_index_refuses_queries(self, data, queries, tmp_path):
         index = ShardedIndex.build(
             data,
-            _config(num_shards=2, shard_workers=0),
+            _config(num_shards=2, shard_workers=1),
             directory=tmp_path / "closed",
         )
         index.close()
@@ -494,7 +543,7 @@ class TestLifecycle:
     def test_context_manager_and_repr(self, data, tmp_path):
         with ShardedIndex.build(
             data,
-            _config(num_shards=2, shard_workers=0),
+            _config(num_shards=2, shard_workers=1),
             directory=tmp_path / "ctx",
         ) as index:
             assert "2 shards" in repr(index)

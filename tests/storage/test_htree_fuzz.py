@@ -51,8 +51,8 @@ def test_mutated_valid_tree_never_crashes(tmp_path_factory, cut, flip_at, flip_t
 
 # ---------------------------------------------------------------------------
 # Byte-level corruption sweep over the data artifacts (not just htree.bin):
-# verify="full" must catch every flip via the manifest checksums, while
-# verify="off" preserves the old permissive behaviour.
+# verify="full" must catch every flip via the manifest checksums, and every
+# level must catch a truncation via the manifest sizes.
 # ---------------------------------------------------------------------------
 
 
@@ -79,7 +79,8 @@ def built_index(tmp_path_factory):
 )
 def test_data_artifact_flip_sweep(built_index, tmp_path_factory, artifact, offset, flip):
     """A flipped byte anywhere in LRD/LSD raises ChecksumError at full
-    verification, while verify="off" still opens the file silently."""
+    verification, while quick verification (sizes only) still opens the
+    directory, and the tree still parses."""
     import shutil
 
     from repro.core import HerculesIndex
@@ -94,19 +95,19 @@ def test_data_artifact_flip_sweep(built_index, tmp_path_factory, artifact, offse
 
     with pytest.raises(ChecksumError):
         HerculesIndex.open(copy, verify="full")
-    HerculesIndex.open(copy, verify="off").close()  # old permissive path
+    HerculesIndex.open(copy, verify="quick").close()
+    load_tree(copy / "htree.bin")
 
 
 @settings(max_examples=15, deadline=None)
 @given(artifact=st.sampled_from(["lrd.bin", "lsd.bin"]), cut=st.integers(1, 500))
 def test_data_artifact_truncation_sweep(built_index, tmp_path_factory, artifact, cut):
-    """Truncation is caught by full verification via the manifest size;
-    verify="off" behaves as before: StorageError on misalignment, or a
-    silent open when the truncation happens to stay record-aligned."""
+    """Truncation is caught at every verification level via the manifest
+    size, and never reaches the tree parser."""
     import shutil
 
     from repro.core import HerculesIndex
-    from repro.errors import ChecksumError, StorageError
+    from repro.errors import ChecksumError
 
     copy = tmp_path_factory.mktemp("cut") / "index"
     shutil.copytree(built_index, copy)
@@ -114,12 +115,10 @@ def test_data_artifact_truncation_sweep(built_index, tmp_path_factory, artifact,
     blob = path.read_bytes()
     path.write_bytes(blob[: max(len(blob) - cut, 1)])
 
-    with pytest.raises(ChecksumError):
-        HerculesIndex.open(copy, verify="full")
-    try:
-        HerculesIndex.open(copy, verify="off").close()
-    except StorageError:
-        pass
+    for level in ("quick", "full"):
+        with pytest.raises(ChecksumError):
+            HerculesIndex.open(copy, verify=level)
+    load_tree(copy / "htree.bin")
 
 
 def test_valid_magic_with_huge_settings_length(tmp_path):

@@ -312,6 +312,15 @@ class TestVerifyIndex:
         out = capsys.readouterr().out
         assert "MANIFEST.json" in out and "DAMAGED" in out
 
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_missing_manifest_fails(self, index_dir, capsys, level):
+        (index_dir / "MANIFEST.json").unlink()
+        capsys.readouterr()
+        assert main(["verify-index", str(index_dir), "--level", level]) == 1
+        out = capsys.readouterr().out
+        assert "MANIFEST.json" in out and "DAMAGED" in out
+        assert "no manifest" in out
+
     def test_quick_level_skips_checksums(self, index_dir, capsys):
         lrd = index_dir / "lrd.bin"
         blob = bytearray(lrd.read_bytes())
@@ -693,7 +702,7 @@ class TestShardedCLI:
                 "--leaf-capacity", "50",
                 "--threads", "1",
                 "--shards", "2",
-                "--shard-workers", "0",
+                "--shard-workers", "1",
             ]
         )
         assert code == 0
@@ -701,7 +710,7 @@ class TestShardedCLI:
         assert "2 shards" in out
         return index_dir
 
-    @pytest.mark.parametrize("workers", ["0", "2"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_query_matches_unsharded_build(
         self, dataset_file, tmp_path, capsys, workers
     ):
@@ -961,12 +970,12 @@ class TestQueryTelemetry:
         assert main(
             ["build", "--dataset", str(dataset_file), "--length", "32",
              "--output", str(index_dir), "--threads", "1", "--shards", "2",
-             "--shard-workers", "0"]
+             "--shard-workers", "1"]
         ) == 0
         spool = tmp_path / "spool"
         assert main(
             ["query", "--index", str(index_dir), "--queries",
-             str(dataset_file), "--count", "2", "--shard-workers", "0",
+             str(dataset_file), "--count", "2", "--shard-workers", "1",
              "--telemetry-dir", str(spool)]
         ) == 0
         histograms = self._metrics(spool)["histograms"]
