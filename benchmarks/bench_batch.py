@@ -9,7 +9,10 @@ multi-query kernel call per chunk) instead of Q independent searches —
   throughput on the same index (1.67-2.08x measured),
 * the walk reads far fewer leaves than its queries refine from in
   total (the leaf-share factor), and
-* every per-query answer is bit-for-bit the serial answer.
+* every per-query answer is bit-for-bit the serial answer, and
+* the call's tracemalloc peak (``batch_traced_peak_mb``, gated by
+  ``bench-diff`` as a lower-is-better count) stays what the front
+  half's query slices and the walk's file windows bound it to.
 
 Both arms query the *same* materialized index, single-threaded, so the
 work counters are deterministic and the JSON artifact diffs cleanly
@@ -22,6 +25,7 @@ skips them across machines.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,8 +103,14 @@ def test_batched_workload(index_dir, data, queries):
         batch_seconds, batched = timed[True]
         speedup = serial_seconds / batch_seconds
 
-        # One more batch for the sharing stats and the parity gate.
-        batch = index.knn_batch(queries, k=_K)
+        # One more batch for the sharing stats, the parity gate and the
+        # call's traced memory peak.
+        tracemalloc.start()
+        try:
+            batch = index.knn_batch(queries, k=_K)
+            traced_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         stats = batch.stats
 
         serial_reads = sum(p.series_accessed for p in serial.profiles)
@@ -146,6 +156,7 @@ def test_batched_workload(index_dir, data, queries):
             "leaf_uses": int(stats.leaf_uses),
             "kernel_rows_per_read": stats.kernel_rows_per_read,
             "screen_ms_per_query": stats.screen_seconds_per_query * 1e3,
+            "batch_traced_peak_mb": traced_peak / 1e6,
         }
         record_table(
             "Batched multi-query engine: shared scans vs the serial loop",

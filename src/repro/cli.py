@@ -33,6 +33,7 @@ from pathlib import Path
 from repro import obs
 from repro.core import (
     HerculesConfig,
+    HerculesIndex,
     ShardedIndex,
     ShardedQueryAnswer,
     open_index,
@@ -411,8 +412,17 @@ def _print_cache_stats(index, registry) -> None:
         )
 
 
+def _open_for_metadata(directory, verify: str = "quick"):
+    """Open either layout to read what it holds: a sharded index's query
+    pool is not started, so no worker forks for a command that answers
+    no query."""
+    if manifest_mod.is_sharded_directory(directory):
+        return ShardedIndex._open_unserved(directory, verify=verify)
+    return HerculesIndex.open(directory, verify=verify)
+
+
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    index = open_index(args.index)
+    index = _open_for_metadata(args.index)
     if isinstance(index, ShardedIndex):
         print(f"sharded index at {index.directory}")
         print(f"generation         {index.generation}")
@@ -458,7 +468,7 @@ def _cmd_verify_index(args: argparse.Namespace) -> int:
         # one coherent generation (cross-file invariants and contiguous
         # shard row bases included).
         try:
-            with open_index(directory, verify=args.level) as index:
+            with _open_for_metadata(directory, verify=args.level) as index:
                 if sharded:
                     detail = (
                         f"{index.num_series} series over "

@@ -7,8 +7,8 @@ after phase 1.
 routines of :mod:`repro.core.query`, sharing the steps whose cost does
 not grow with Q:
 
-* **One front half.**  :func:`repro.core.query._search_states` makes a
-  single (Q × nodes) call on the index's
+* **One front half.**  :func:`repro.core.query._search_states` makes
+  one (slice × nodes) call per slice of eight queries on the index's
   :class:`~repro.core.leaf_table.LeafTable`, giving every query its row
   of effective per-leaf LB_EAPCA², and one call its LB_SAX gap tables
   (``SignatureArray.gap_tables`` on the block's PAA), which phase 1's
@@ -21,14 +21,14 @@ not grow with Q:
   paper's position.  Nothing refines in between, so both positions see
   the same BSF² and keep the same rows.
 * **One refinement walk.**  :func:`repro.core.query._refine_runs` sorts
-  the extents of every query that has any into one file-ordered entry
-  table (query id, extent, bound) and cuts it, over the union, into
-  chunks of up to a thousand rows.  A chunk costs a fixed number of
-  array operations whatever Q is: one re-check of every entry against
-  its query's live BSF², one read of the survivors into one reused
-  buffer, one scatter filling the per-query row masks and one screening
-  kernel call under per-query cutoffs; each query with a finite
-  distance merges its own rows.  The walk fans out over
+  the extents of every query that has any into file-ordered entry
+  tables (query id, extent, bound), one per leaf-aligned file window,
+  and cuts each, over its union, into chunks of up to a thousand rows.
+  A chunk costs a fixed number of array operations whatever Q is: one
+  re-check of every entry against its query's live BSF², one read of
+  the survivors into one reused buffer, one scatter filling the
+  per-query row masks and one screening kernel call under per-query
+  cutoffs; each query with a finite distance merges its own rows.  The walk fans out over
   ``config.num_query_threads`` CRWorker threads only when the call
   serves one query on a threaded path (``nosax-leaves``,
   ``full-four-phase``); batches walk on the calling thread.
@@ -325,12 +325,9 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
     # One snapshot pair stays exact under threads; the lookups are
     # charged to the walk's first query.
     with obs.span("query.refine"), _charging_cache(lrd, walkers[0].profile):
-        query_ids, starts, sizes = _refine_runs(
+        used, stats.kernel_rows = _refine_runs(
             walkers, extents, config.num_query_threads if threaded else None
         )
-    # The leaves each query refined rows of.
-    used = np.zeros((len(walkers), len(table.leaves)), dtype=bool)
-    used[query_ids, table.leaf_of(starts)] = True
+    # ``used`` marks the leaves each query refined rows of.
     stats.unique_leaf_reads = int(np.count_nonzero(used.any(axis=0)))
     stats.leaf_uses = int(np.count_nonzero(used))
-    stats.kernel_rows = int(sizes.sum())

@@ -4,10 +4,10 @@ This module holds the routines every search is made of.  The one
 pipeline that strings them together for Q ≥ 1 queries is
 :func:`repro.core.batch_query.exact_knn_batch`: ``knn`` is its Q = 1
 call, and ``knn_approx`` the same call stopped after phase 1.  Every
-mode starts from one front half, :func:`_search_states` (one table
-bound pass and one PAA block per call, one :class:`_SearchState` per
-query); :func:`progressive_knn`, which yields after every phase-1 visit,
-starts from it too.  The four phases:
+mode starts from one front half, :func:`_search_states` (table bound
+passes in query slices, one PAA block per call, one
+:class:`_SearchState` per query); :func:`progressive_knn`, which yields
+after every phase-1 visit, starts from it too.  The four phases:
 
 1. **Approx-kNN** (Algorithm 11) — a best-first visit of at most
    ``L_max`` leaves by LB_EAPCA, computing real distances in each, to
@@ -44,7 +44,8 @@ extents with their bounds, and it walks them in chunks of up to a
 thousand rows — one re-check against the live BSF², one read per run of
 adjacent extents straight into one reused buffer, one kernel call and
 one result-set merge per chunk — because at a leaf's worth of rows per
-call the kernel is NumPy dispatch, not arithmetic.  Phase 1 evaluates
+call the kernel is NumPy dispatch, not arithmetic; a batch builds its
+chunks one file window at a time.  Phase 1 evaluates
 its visits the same way, a group of leaves per LB_SAX screen, read and
 kernel call (:func:`_best_first`), but merges them one leaf at a time so
 its visits and stop test stay the paper's.
@@ -259,14 +260,27 @@ class _SearchState:
         self.gap_tables = gap_tables
 
 
+def _leaf_bounds(table: LeafTable, queries: np.ndarray) -> np.ndarray:
+    """Effective LB_EAPCA² per leaf of every row of ``queries``, ``(Q,
+    leaves)``: one table pass per :data:`_SLICE_QUERIES` queries, each
+    row's arithmetic that of a pass over it alone."""
+    if queries.shape[0] <= _SLICE_QUERIES:
+        sketch = BatchSketch(queries)
+        return table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
+    bounds = np.empty((queries.shape[0], len(table.leaves)), dtype=DISTANCE_DTYPE)
+    for lo in range(0, queries.shape[0], _SLICE_QUERIES):
+        bounds[lo : lo + _SLICE_QUERIES] = _leaf_bounds(table, queries[lo : lo + _SLICE_QUERIES])
+    return bounds
+
+
 def _search_states(queries, k, config, table, lrd, sax, num_series, results=None) -> list:
-    """The front half every query mode starts from: one ``(Q × nodes)``
-    LB_EAPCA² pass over the leaf table, one PAA block and its LB_SAX gap
-    tables (one ``gap_tables`` call), and one :class:`_SearchState` per
-    row of the ``(Q, n)`` block ``queries`` (stored dtype).  ``results``
-    optionally supplies one result set per query."""
-    sketch = BatchSketch(queries)
-    bounds = table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
+    """The front half every query mode starts from: the LB_EAPCA² of
+    every leaf in query slices (:func:`_leaf_bounds`), one PAA block and
+    its LB_SAX gap tables (one ``gap_tables`` call), and one
+    :class:`_SearchState` per row of the ``(Q, n)`` block ``queries``
+    (stored dtype).  ``results`` optionally supplies one result set per
+    query."""
+    bounds = _leaf_bounds(table, queries)
     tables = sax.gap_tables(paa(queries, sax.space.segments))
     return [
         _SearchState(
@@ -588,7 +602,8 @@ def _choose_path(
         profile.path = "sax-skipseq"
         return leaves
     profile.path = "full-four-phase"
-    return positions, np.ones_like(positions), bounds_sq
+    # One row per extent: a read-only broadcast one, not a size array.
+    return positions, np.broadcast_to(1, positions.shape), bounds_sq
 
 
 #: Candidate rows per refinement chunk, and the rows of the one buffer a
@@ -596,6 +611,18 @@ def _choose_path(
 #: a few values per row, so the buffer is what the cap costs in memory:
 #: 1 MB at length 256.  The sweep behind the value is in docs/tuning.md.
 _CHUNK_ROWS = 1024
+
+#: Queries per LB_EAPCA² pass of the front half.  A pass holds a few
+#: ``(queries × node segments)`` temporaries, so a batch is bounded in
+#: slices of this many queries: the transient is one slice's whatever Q
+#: is.  The sweep behind the value is in docs/tuning.md.
+_SLICE_QUERIES = 8
+
+#: File rows per window of a batch's refinement walk.  A batch builds its
+#: entry table one leaf-aligned window of LRDFile at a time, so the table
+#: holds the queries' extents in one window, not in the whole file.  The
+#: sweep behind the value is in docs/tuning.md.
+_WINDOW_ROWS = 2048
 
 
 def _chunk_end(sized: list, first: int) -> int:
@@ -629,6 +656,63 @@ def _merge_sorted(starts: np.ndarray, sizes: np.ndarray) -> tuple:
     return starts[first], reach[last] - starts[first]
 
 
+def _window_edges(table: LeafTable) -> list:
+    """The file positions that cut LRDFile into the walk's windows, the
+    file's end last: leaf starts, each window as many whole leaves as
+    hold at most :data:`_WINDOW_ROWS` rows — or one leaf that holds more
+    — so no extent (a leaf, or a row of one) crosses an edge."""
+    sized = [*table.positions.tolist(), int(table.positions[-1] + table.sizes[-1])]
+    edges, leaf = [0], 0
+    while leaf < len(table.leaves):
+        leaf = max(bisect_right(sized, sized[leaf] + _WINDOW_ROWS) - 1, leaf + 1)
+        edges.append(sized[leaf])
+    return edges
+
+
+def _entry_tables(extents: list, edges: list):
+    """Several queries' entry tables, one per window that holds any of
+    their extents (:func:`_entry_table`), in file order.  One
+    ``searchsorted`` per query finds its extents in every window."""
+    at = [np.searchsorted(starts, edges).tolist() for starts, _, _ in extents]
+    for window in range(len(edges) - 1):
+        present = [
+            (qi, cut[window], cut[window + 1])
+            for qi, cut in enumerate(at)
+            if cut[window] < cut[window + 1]
+        ]
+        if present:
+            yield _entry_table(extents, present)
+
+
+def _entry_table(extents: list, present: list) -> tuple:
+    """The entry table of the extents ``extents[qi][lo:hi]`` for each
+    ``(qi, lo, hi)`` of ``present``: ``(query_ids, starts, sizes,
+    bounds, cuts)``, stable-sorted by start, with int32 ids and sizes.
+    Chunk ``c`` is the entries ``cuts[c]:cuts[c + 1]``, cut over the
+    union of the extents (:func:`_merge_sorted`, :func:`_chunk_cuts`).
+    Each column is gathered into file order straight from its
+    concatenation, so no unsorted copy outlives the sort, and the table
+    is built in this frame, so :func:`_entry_tables` keeps none of it
+    alive while the walk builds the next."""
+
+    def column(c: int, dtype=None) -> np.ndarray:
+        return np.concatenate([extents[qi][c][lo:hi] for qi, lo, hi in present], dtype=dtype)
+
+    starts = column(0)
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    query_ids = np.repeat(
+        np.array([qi for qi, _, _ in present], dtype=np.int32),
+        [hi - lo for _, lo, hi in present],
+    )[order]
+    sizes = column(1, np.int32)[order]
+    bounds = column(2)[order]
+    union_starts, union_sizes = _merge_sorted(starts, sizes)
+    firsts = union_starts[_chunk_cuts(union_sizes)[:-1]]
+    cuts = np.searchsorted(starts, firsts).tolist() + [len(starts)]
+    return query_ids, starts, sizes, bounds, cuts
+
+
 def _refine_runs(
     states: list,
     extents: list,
@@ -640,15 +724,17 @@ def _refine_runs(
     ``extents[i]`` holds query ``i``'s candidates: every series of the
     extents ``[start, start + size)`` — whole leaves, or the single rows
     of SCList — in file order, with one ε-scaled squared lower bound per
-    extent.  The walk works on one *entry table* built once: every
-    query's extents with a query-id column and their bounds, stable-
-    sorted by start — the walk's only sort (for one query, its own
-    arrays, unsorted).  The chunks are cut over the union of all
-    queries' extents (:func:`_merge_sorted`; for one query, its own
-    list): whole extents, at most :data:`_CHUNK_ROWS` rows each unless
-    one extent alone holds more, so each chunk is one slice of the
-    table.  Per chunk, in a fixed number of array operations whatever Q
-    is:
+    extent.  The walk works on *entry tables*: extents with a query-id
+    column and their bounds, stable-sorted by start.  One query's table
+    is its own arrays, unsorted.  Several queries' tables are built one
+    leaf-aligned window of LRDFile at a time (:func:`_window_edges`,
+    :func:`_entry_tables`), so the walk holds one window's entries
+    whatever Q is.  The chunks are cut over the union of the table's
+    extents (:func:`_merge_sorted`; for one query, its own list): whole
+    extents, at most :data:`_CHUNK_ROWS` rows each unless one extent
+    alone holds more, so each chunk is one slice of a table and never
+    spans two windows.  Per chunk, in a fixed number of array operations
+    whatever Q is:
 
     * each query with entries there refreshes its live BSF², and every
       entry is re-checked against its own query's in one comparison (an
@@ -673,107 +759,114 @@ def _refine_runs(
     re-check cadence.  The ε factor is in the bounds only — it tightens
     lower-bound pruning, not real-distance refinement.
 
-    ``workers`` fans the chunk list out over that many CRWorker threads,
-    a contiguous slice each; ``None`` refines on the calling thread.
-    Returns the entries the walk refined — not pruned by a re-check — as
-    ``(query_ids, starts, sizes)`` arrays, in file order.
+    ``workers`` fans the chunk list of one query out over that many
+    CRWorker threads, a contiguous slice each; ``None`` refines on the
+    calling thread.  Returns ``(used, kernel_rows)``: a ``(queries,
+    leaves)`` matrix marking the leaves each query refined rows of (an
+    extent not pruned by a re-check), filled table by table, and the
+    rows the kernel evaluated, summed over queries.
     """
-    lrd, length = states[0].lrd, states[0].query.shape[0]
+    leaf_table, lrd, length = states[0].table, states[0].lrd, states[0].query.shape[0]
     num_queries = len(states)
     if num_queries == 1:  # the table and the union are the query's own list
         starts, sizes, bounds = extents[0]
         query_ids = np.zeros(len(starts), dtype=np.intp)
-        cuts = _chunk_cuts(sizes)
+        tables = [(query_ids, starts, sizes, bounds, _chunk_cuts(sizes))]
     else:
         block = np.stack([state.query for state in states])
-        query_ids = np.repeat(np.arange(num_queries), [len(ext[0]) for ext in extents])
-        starts, sizes, bounds = (np.concatenate(column) for column in zip(*extents))
-        order = np.argsort(starts, kind="stable")
-        query_ids, starts, sizes, bounds = (
-            query_ids[order], starts[order], sizes[order], bounds[order]
-        )
-        union_starts, union_sizes = _merge_sorted(starts, sizes)
-        firsts = union_starts[_chunk_cuts(union_sizes)[:-1]]
-        cuts = np.searchsorted(starts, firsts).tolist() + [len(starts)]
-    # Chunk c is the table's entries cuts[c]:cuts[c + 1]; each worker
-    # marks the entries it refined in its own chunks' slices.
-    refined_entries = np.zeros(len(starts), dtype=bool)
+        tables = _entry_tables(extents, _window_edges(leaf_table))
+    used = np.zeros((num_queries, len(leaf_table.leaves)), dtype=bool)
+    kernel_rows = 0
     profile_lock = threading.Lock()
 
-    def refine(part: range) -> None:
+    def refine(tables, part: Optional[range] = None) -> None:
+        """Walk the chunks ``part`` of each table (all of them for
+        ``None``) and mark the leaves of the entries they refined."""
+        nonlocal kernel_rows
         refined = np.zeros(num_queries)
         points = np.zeros(num_queries, dtype=np.int64)
         bsf = np.full(num_queries, np.inf)
         buffer = None
-        for chunk in part:
-            lo, hi = cuts[chunk], cuts[chunk + 1]
-            ids = query_ids[lo:hi]
-            present = range(1) if num_queries == 1 else np.bincount(ids).nonzero()[0].tolist()
-            for i in present:
-                states[i].results.refresh()
-                bsf[i] = states[i].results.bsf_squared
-            alive = bounds[lo:hi] < (bsf[0] if num_queries == 1 else bsf[ids])
-            kept = np.count_nonzero(alive)
-            if not kept:
-                continue
-            refined_entries[lo:hi] = alive
-            kept_ids, kept_starts, kept_sizes = ids, starts[lo:hi], sizes[lo:hi]
-            if kept < hi - lo:
-                kept_ids, kept_starts, kept_sizes = (
-                    ids[alive], kept_starts[alive], kept_sizes[alive]
-                )
-            active = range(1)
-            if num_queries > 1:
-                # Rows each query refines here (float: bincount's weights).
-                rows_of = np.bincount(kept_ids, weights=kept_sizes, minlength=num_queries)
-                active = rows_of.nonzero()[0]
-            if len(active) == 1:  # one query's extents never overlap
-                read_starts, read_sizes = kept_starts, kept_sizes
-            else:
-                read_starts, read_sizes = _merge_sorted(kept_starts, kept_sizes)
-            if len(read_starts) == 1:
-                # One extent (a leaf above the cap, a lone candidate): a
-                # plain read, and none of the run bookkeeping.
-                position, size = int(read_starts[0]), int(read_sizes[0])
-                data = lrd.read_range(position, size)
-                positions = np.arange(position, position + size)
-            else:
-                positions = extent_rows(read_starts, read_sizes)
-                if buffer is None or len(positions) > len(buffer):
-                    rows = max(len(positions), _CHUNK_ROWS)
-                    buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
-                data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
+        for query_ids, starts, sizes, bounds, cuts in tables:
+            chunks = range(len(cuts) - 1) if part is None else part
+            first, last = cuts[chunks.start], cuts[chunks.stop]
+            refined_entries = np.zeros(last - first, dtype=bool)
+            for chunk in chunks:
+                lo, hi = cuts[chunk], cuts[chunk + 1]
+                ids = query_ids[lo:hi]
+                present = range(1) if num_queries == 1 else np.bincount(ids).nonzero()[0].tolist()
+                for i in present:
+                    states[i].results.refresh()
+                    bsf[i] = states[i].results.bsf_squared
+                alive = bounds[lo:hi] < (bsf[0] if num_queries == 1 else bsf[ids])
+                kept = np.count_nonzero(alive)
+                if not kept:
+                    continue
+                refined_entries[lo - first : hi - first] = alive
+                kept_ids, kept_starts, kept_sizes = ids, starts[lo:hi], sizes[lo:hi]
+                if kept < hi - lo:
+                    kept_ids, kept_starts, kept_sizes = (
+                        ids[alive], kept_starts[alive], kept_sizes[alive]
+                    )
+                active = range(1)
+                if num_queries > 1:
+                    # Rows each query refines here (float: bincount's weights).
+                    rows_of = np.bincount(kept_ids, weights=kept_sizes, minlength=num_queries)
+                    active = rows_of.nonzero()[0]
+                if len(active) == 1:  # one query's extents never overlap
+                    read_starts, read_sizes = kept_starts, kept_sizes
+                else:
+                    read_starts, read_sizes = _merge_sorted(kept_starts, kept_sizes)
+                if len(read_starts) == 1:
+                    # One extent (a leaf above the cap, a lone candidate): a
+                    # plain read, and none of the run bookkeeping.
+                    position, size = int(read_starts[0]), int(read_sizes[0])
+                    data = lrd.read_range(position, size)
+                    positions = np.arange(position, position + size)
+                else:
+                    positions = extent_rows(read_starts, read_sizes)
+                    if buffer is None or len(positions) > len(buffer):
+                        rows = max(len(positions), _CHUNK_ROWS)
+                        buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
+                    data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
 
-            # Abandoned rows report inf; the batch update's pre-filter drops
-            # them without ever taking the result-set lock.
-            if len(active) == 1:
-                i = active[0]
-                squared, compared = early_abandon_squared(states[i].query, data, bsf[i])
-                states[i].results.update_batch_squared(squared, positions)
-                refined[i] += len(positions)
-                points[i] += compared
-                continue
-            # The buffer row of each read extent's first series, then of
-            # each survivor's, and its rows in its query's mask row.
-            offsets = np.cumsum(read_sizes) - read_sizes
-            at = np.searchsorted(read_starts, kept_starts, side="right") - 1
-            rows = extent_rows(offsets[at] + kept_starts - read_starts[at], kept_sizes)
-            slot = np.cumsum(rows_of > 0) - 1  # query id -> row of the block
-            masks = np.zeros((len(active), len(positions)), dtype=bool)
-            masks[np.repeat(slot[kept_ids], kept_sizes), rows] = True
-            squared, compared = early_abandon_squared(
-                block[active], data, bsf[active], row_masks=masks
+                # Abandoned rows report inf; the batch update's pre-filter drops
+                # them without ever taking the result-set lock.
+                if len(active) == 1:
+                    i = active[0]
+                    squared, compared = early_abandon_squared(states[i].query, data, bsf[i])
+                    states[i].results.update_batch_squared(squared, positions)
+                    refined[i] += len(positions)
+                    points[i] += compared
+                    continue
+                # The buffer row of each read extent's first series, then of
+                # each survivor's, and its rows in its query's mask row.
+                offsets = np.cumsum(read_sizes) - read_sizes
+                at = np.searchsorted(read_starts, kept_starts, side="right") - 1
+                rows = extent_rows(offsets[at] + kept_starts - read_starts[at], kept_sizes)
+                slot = np.cumsum(rows_of > 0) - 1  # query id -> row of the block
+                masks = np.zeros((len(active), len(positions)), dtype=bool)
+                masks[np.repeat(slot[kept_ids], kept_sizes), rows] = True
+                squared, compared = early_abandon_squared(
+                    block[active], data, bsf[active], row_masks=masks
+                )
+                refined += rows_of
+                points[active] += compared
+                # Each query's finite distances, query after query, rows in
+                # file order: one merge per query that has any.
+                hit_slots, hit_rows = np.nonzero(squared < np.inf)
+                values, hits = squared[hit_slots, hit_rows], positions[hit_rows]
+                firsts = np.diff(hit_slots, prepend=-1).nonzero()[0].tolist()
+                for a, b in zip(firsts, [*firsts[1:], len(hit_slots)]):
+                    states[active[hit_slots[a]]].results.update_batch_squared(values[a:b], hits[a:b])
+            marked = (
+                query_ids[first:last][refined_entries],
+                leaf_table.leaf_of(starts[first:last][refined_entries]),
             )
-            refined += rows_of
-            points[active] += compared
-            # Each query's finite distances, query after query, rows in
-            # file order: one merge per query that has any.
-            hit_slots, hit_rows = np.nonzero(squared < np.inf)
-            values, hits = squared[hit_slots, hit_rows], positions[hit_rows]
-            firsts = np.diff(hit_slots, prepend=-1).nonzero()[0].tolist()
-            for a, b in zip(firsts, [*firsts[1:], len(hit_slots)]):
-                states[active[hit_slots[a]]].results.update_batch_squared(values[a:b], hits[a:b])
+            with profile_lock:
+                used[marked] = True
         with profile_lock:
+            kernel_rows += int(refined.sum())
             for state, rows, compared in zip(
                 states, refined.astype(np.int64).tolist(), points.tolist()
             ):
@@ -782,15 +875,15 @@ def _refine_runs(
                 state.profile.points_compared += compared
                 state.profile.points_total += rows * length
 
-    chunks = len(cuts) - 1
     if workers is None:
-        refine(range(chunks))
+        refine(tables)
     else:
+        chunks = len(tables[0][-1]) - 1
         share = [chunks * worker // workers for worker in range(workers + 1)]
         _run_workers(
-            lambda worker: refine(range(share[worker], share[worker + 1])), workers
+            lambda worker: refine(tables, range(share[worker], share[worker + 1])), workers
         )
-    return query_ids[refined_entries], starts[refined_entries], sizes[refined_entries]
+    return used, kernel_rows
 
 
 def _run_workers(target, num_threads: int) -> None:

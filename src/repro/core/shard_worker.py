@@ -476,16 +476,14 @@ def build_handler(
 class BuildOutcome:
     """What supervision did to finish a sharded build (all zero when
     healthy): workers restarted after dying, shard tasks requeued off
-    dead workers, and shard builds retried after error replies.
-    ``events`` holds one logged line per intervention."""
+    dead workers, and shard builds retried after error replies;
+    :meth:`note` logs each intervention."""
 
     worker_restarts: int = 0
     requeued_tasks: int = 0
     task_retries: int = 0
-    events: list = field(default_factory=list)
 
     def note(self, message: str) -> None:
-        self.events.append(message)
         logger.warning("build supervision: %s", message)
 
 
@@ -713,7 +711,7 @@ class GatherOutcome:
     ``pairs`` holds the ``(shard_id, batch_answer)`` results that
     arrived, one answer per query in flight; ``shard_errors`` the
     ``(shard_id, reason)`` of every shard that failed past its retries;
-    ``retries``/``worker_restarts`` count what the dispatch had to do.
+    ``retries`` counts the re-sends the dispatch had to make.
     :class:`~repro.core.sharding.ShardedIndex` turns this into a
     degraded answer or a :class:`ShardError`.
     """
@@ -721,7 +719,6 @@ class GatherOutcome:
     pairs: list = field(default_factory=list)
     shard_errors: list = field(default_factory=list)
     retries: int = 0
-    worker_restarts: int = 0
 
 
 class ShardQueryPool(WorkerSet):
@@ -872,7 +869,6 @@ class ShardQueryPool(WorkerSet):
                             (sid, str(exc)) for sid in sorted(pending)
                         )
                         return None
-                    outcome.worker_restarts += 1
                 if attempt >= policy.attempts or policy.past_deadline(started):
                     outcome.shard_errors.extend(
                         (sid, str(exc)) for sid in sorted(pending)

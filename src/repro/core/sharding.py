@@ -497,6 +497,25 @@ class ShardedIndex:
         budget lives in them, **split evenly**: each shard gets
         ``cache_bytes // num_shards``.
         """
+        index = cls._open_unserved(directory, verify, cache_bytes, workers)
+        try:
+            index._query_pool()
+        except BaseException:
+            index.close()
+            raise
+        return index
+
+    @classmethod
+    def _open_unserved(
+        cls,
+        directory: Union[str, Path],
+        verify: str = "quick",
+        cache_bytes: int = 0,
+        workers: Optional[int] = None,
+    ) -> "ShardedIndex":
+        """:meth:`open` without starting the query pool, for a caller that
+        reads metadata only: no worker forks, and the pool starts at a
+        first query (:meth:`_query_pool`) if one ever comes."""
         directory = Path(directory)
         if verify not in manifest_mod.VERIFY_LEVELS:
             raise ValueError(
@@ -542,7 +561,6 @@ class ShardedIndex:
                 workers=workers,
                 cache_bytes=cache_bytes,
             )
-            index._query_pool()
         except BaseException:
             for shard in shards:
                 shard.close()

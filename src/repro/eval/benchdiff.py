@@ -46,6 +46,7 @@ _LOWER_BETTER = (
     "series_accessed",
     "data_accessed",
     "lrd_read",
+    "traced_peak",  # tracemalloc's peak: bytes allocated, not resident
 )
 
 

@@ -119,10 +119,20 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(query, "_CHUNK_ROWS", 32)
 
 
+@pytest.fixture
+def small_windows(monkeypatch):
+    """Walk windows of at most 100 file rows — a few of these 20-row
+    leaves — so a batch builds its entry tables in several windows."""
+    from repro.core import query
+
+    monkeypatch.setattr(query, "_WINDOW_ROWS", 100)
+
+
 class _WalkSpy:
     """What one ``knn_batch`` call's refinement walk did: the rows of
-    the extents it was handed, its chunk count, the extents it read, and
-    per kernel call the row masks (None for a chunk only one query
+    the extents it was handed, its chunk count and entry tables (one per
+    window it walked), the extents it read and each read call's span,
+    and per kernel call the row masks (None for a chunk only one query
     needed), the rows it evaluated for its queries, the distances it
     returned and the result-set merges that followed it."""
 
@@ -132,6 +142,7 @@ class _WalkSpy:
         from repro.storage.files import SeriesFile
 
         self.extent_rows, self.chunks, self.reads, self.kernel_calls = 0, [], [], []
+        self.tables, self.read_spans = [], []
         self.kernel_rows, self.kernel_out, self.merges = [], [], []
         walking = [False]
         walk, cut = batch_query._refine_runs, query._chunk_cuts
@@ -140,6 +151,8 @@ class _WalkSpy:
 
         def walking_refine(states, extents, *args, **kwargs):
             self.extent_rows += sum(int(sizes.sum()) for _, sizes, _ in extents)
+            self.chunks.append(0)
+            self.tables.append(0)
             walking[0] = True
             try:
                 return walk(states, extents, *args, **kwargs)
@@ -147,9 +160,11 @@ class _WalkSpy:
                 walking[0] = False
 
         def cutting(sizes):
+            # One cut per entry table: the walk's chunks are the sum.
             cuts = cut(sizes)
             if walking[0]:
-                self.chunks.append(len(cuts) - 1)
+                self.chunks[-1] += len(cuts) - 1
+                self.tables[-1] += 1
             return cuts
 
         def evaluating(queries, candidates, cutoffs, row_masks=None):
@@ -165,9 +180,9 @@ class _WalkSpy:
 
         def reading(file, position, count, out=None):
             if walking[0]:
-                self.reads.extend(
-                    zip(np.atleast_1d(position).tolist(), np.atleast_1d(count).tolist())
-                )
+                firsts, counts = np.atleast_1d(position), np.atleast_1d(count)
+                self.reads.extend(zip(firsts.tolist(), counts.tolist()))
+                self.read_spans.append((int(firsts[0]), int(firsts[-1] + counts[-1])))
             return read_range(file, position, count, out=out)
 
         def merging(results, distances, positions):
@@ -421,6 +436,66 @@ class TestRefinementPaths:
         # The fixture is only worth its build time if scans really span
         # several chunks (256 rows each).
         assert max(a.profile.distance_computations for a in batch) > 4 * 256
+
+
+class TestWindowedWalk:
+    """A batch builds its entry tables one file window at a time; the
+    answers, profiles and stats are those of a walk over one table."""
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_exact_over_several_windows(
+        self, index, data, queries, small_windows, monkeypatch, prefilter, adaptive
+    ):
+        from repro.core import query
+
+        config = index.config.with_options(
+            l_max=2, prefilter=prefilter, adaptive_thresholds=adaptive
+        )
+        mixed = TestRefinementPaths._mixed(data, queries)
+        batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
+        for qi, answer in enumerate(batch):
+            serial = index.knn(mixed[qi], k=5, config=config).profile
+            assert answer.profile.path == serial.path
+            assert answer.profile.candidate_series == serial.candidate_series
+            assert answer.profile.prefilter_screened == serial.prefilter_screened
+            assert answer.profile.prefilter_survivors == serial.prefilter_survivors
+        stats, spy = _assert_read_once(index, mixed, 5, config, monkeypatch)
+        assert spy.tables[0] >= 3
+        # A chunk never spans two windows, nor does any read of one.
+        edges = query._window_edges(index._table)
+        for first, end in spy.read_spans:
+            window = np.searchsorted(edges, first, side="right") - 1
+            assert end <= edges[window + 1]
+
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_epsilon_over_several_windows(
+        self, wide_index, wide_data, small_windows, prefilter
+    ):
+        config = wide_index.config.with_options(
+            l_max=2, num_query_threads=1, epsilon=0.15, prefilter=prefilter
+        )
+        rng = np.random.default_rng(9)
+        noisy = wide_data[:8] + 0.5 * rng.standard_normal((8, _LENGTH))
+        mixed = np.vstack([noisy, rng.standard_normal((8, _LENGTH))]).astype(np.float32)
+        _assert_epsilon_contract(wide_index, wide_data, mixed, 5, config)
+
+    def test_pool_over_several_windows(self, index, data, queries, small_windows, tmp_path):
+        """A one-worker pool answers a sharded batch through the same
+        windowed walk (the worker forks after the patch): the answers
+        are the sharded serial ones, at the plain index's distances."""
+        sharded = ShardedIndex.build(
+            data, _config(num_shards=2, shard_workers=1, l_max=2), directory=tmp_path / "pool"
+        )
+        try:
+            config = sharded.config
+            mixed = TestRefinementPaths._mixed(data, queries)
+            batch = _assert_batch_matches_serial(sharded, mixed, k=5, config=config)
+            for qi, answer in enumerate(batch):
+                plain = index.knn(mixed[qi], k=5, config=index.config.with_options(l_max=2))
+                np.testing.assert_array_equal(plain.distances, answer.distances)
+        finally:
+            sharded.close()
 
 
 class TestDegenerateBatches:

@@ -816,6 +816,32 @@ class TestShardedCLI:
         assert "shards             2" in out
         assert "row base" in out
 
+    def test_metadata_commands_start_no_query_pool(self, sharded_dir, capsys, monkeypatch):
+        """``inspect`` and ``verify-index`` answer no query, so they open a
+        sharded directory without forking a pool worker: with the pool
+        unable to start, both succeed and print the same lines."""
+        from repro.core.shard_worker import ShardQueryPool
+
+        commands = (
+            ["inspect", "--index", str(sharded_dir)],
+            ["verify-index", str(sharded_dir), "--level", "full"],
+        )
+        printed = []
+        for command in commands:
+            assert main(command) == 0
+            printed.append(capsys.readouterr().out)
+        assert "shards             2" in printed[0]
+        assert "series over 2 shards" in printed[1]
+        assert "is healthy (full verification, sharded)" in printed[1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a metadata command started the query pool")
+
+        monkeypatch.setattr(ShardQueryPool, "__init__", refuse)
+        for command, out in zip(commands, printed):
+            assert main(command) == 0
+            assert capsys.readouterr().out == out
+
     def test_cache_flag_prints_per_shard_lines(
         self, sharded_dir, dataset_file, capsys
     ):
