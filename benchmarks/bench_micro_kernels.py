@@ -103,7 +103,7 @@ def test_lb_eapca_table(benchmark, corpus, num_queries):
         cumsum, cumsq = sketch.cumsum, sketch.cumsq
         if num_queries == 1:
             cumsum, cumsq = cumsum[0], cumsq[0]
-        benchmark.extra_info["nodes"] = len(table.nodes)
+        benchmark.extra_info["nodes"] = len(table.parent)
         benchmark.extra_info["node_segments"] = int(table.segment_ids.shape[0])
         benchmark.extra_info["distinct_segments"] = int(table.seg_ends.shape[0])
         benchmark(table.leaf_bounds_squared, cumsum, cumsq)

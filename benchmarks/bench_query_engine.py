@@ -7,7 +7,12 @@ query pipeline on a small but disk-backed index —
   kernel at refinement's rows per call (and reports the same values for
   every row it lets through), and
 * a warm leaf-block LRU answers a repeated workload without touching
-  the LRD file at all.
+  the LRD file at all,
+
+and records the tracemalloc peak of one ``HerculesIndex.open``
+(``open_traced_peak_mb``, gated by ``bench-diff`` as a lower-is-better
+count): an open builds the flat table from htree.bin's records and no
+node tree, so a tree creeping back into it shows here.
 
 Run with ``REPRO_BENCH_JSON=BENCH_query.json`` to dump the measured
 numbers (all hardware-independent except the kernel throughputs) as a
@@ -17,6 +22,7 @@ JSON artifact.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +153,14 @@ def test_query_engine(index_dir, data, hard_queries):
             ]
         )
 
+    # -- one open's traced memory --------------------------------------------------
+    tracemalloc.start()
+    try:
+        HerculesIndex.open(index_dir).close()
+        open_traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
     # -- exact search, cache disabled --------------------------------------------
     index = HerculesIndex.open(index_dir)
     try:
@@ -199,6 +213,7 @@ def test_query_engine(index_dir, data, hard_queries):
             "lrd_read_calls": int(warm_reads),
             "resident_bytes": int(cache_bytes),
         },
+        "open_traced_peak_mb": open_traced_peak / 1e6,
     }
     record_table(
         "Query engine: squared-space early abandoning + leaf cache", result

@@ -678,7 +678,7 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
         ignore=args.ignore,
     )
     print(report.render())
-    return 1 if report.regressions else 0
+    return 1 if report.failed else 0
 
 
 _FIGURE_RUNNERS = {
@@ -936,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchdiff = sub.add_parser(
         "bench-diff",
         help="compare a fresh REPRO_BENCH_JSON dump against a committed "
-        "baseline and fail on regression",
+        "baseline and fail on regression or on a gated metric gone missing",
     )
     benchdiff.add_argument("baseline", type=Path,
                            help="committed baseline BENCH_*.json")

@@ -102,7 +102,7 @@ class HerculesIndex:
 
     def __init__(
         self,
-        root: Node,
+        table: LeafTable,
         config: HerculesConfig,
         directory: Path,
         lrd: SeriesFile,
@@ -110,8 +110,14 @@ class HerculesIndex:
         num_series: int,
         build_report: Optional[BuildReport] = None,
         owns_directory: bool = False,
+        root: Optional[Node] = None,
     ) -> None:
-        self.root = root
+        # Every query path reads its LB_EAPCA bounds from this one table;
+        # building it checks the leaf extents at every verify level.
+        self._table = table
+        #: The node tree, loaded from htree.bin at the first read of
+        #: :attr:`root` or :attr:`leaves` unless the build supplied it.
+        self._root = root
         self.config = config
         self.directory = directory
         self._lrd = lrd
@@ -121,10 +127,6 @@ class HerculesIndex:
         self._owns_directory = owns_directory
         self._closed = False
         self.sax_space = sax.space
-        # Every query path reads its LB_EAPCA bounds from this one table;
-        # building it checks the leaf extents at every verify level.
-        self._table = LeafTable(root, num_series)
-        self._leaves = self._table.leaves
 
     # -- construction ---------------------------------------------------------
 
@@ -236,6 +238,12 @@ class HerculesIndex:
             report.build_seconds,
             report.write_seconds,
         )
+        sax = _load_sax(directory, sax_space, config, result.num_series)
+        # The table an open of this directory builds, from the file just
+        # written.
+        table = LeafTable(
+            htree.read_tree_records(directory / HTREE_FILENAME), result.num_series
+        )
         query_stats = IOStats()
         lrd = SeriesFile(
             directory / LRD_FILENAME,
@@ -245,14 +253,15 @@ class HerculesIndex:
             cache=_make_cache(cache_bytes),
         )
         return cls(
-            root=ctx.root,
+            table=table,
             config=config,
             directory=directory,
             lrd=lrd,
-            sax=_load_sax(directory, sax_space, config, result.num_series),
+            sax=sax,
             num_series=result.num_series,
             build_report=report,
             owns_directory=owns_directory,
+            root=ctx.root,
         )
 
     @classmethod
@@ -302,38 +311,54 @@ class HerculesIndex:
         htree_path = directory / HTREE_FILENAME
         if not htree_path.exists():
             raise StorageError(f"no HTree file at {htree_path}")
-        root, settings = htree.load_tree(htree_path)
-        config = HerculesConfig.from_settings(settings[_SETTINGS_KEY_CONFIG])
-        sax_space = SaxSpace(config.sax_segments, config.sax_alphabet)
-        query_stats = IOStats()
-        lrd = SeriesFile(
-            directory / LRD_FILENAME,
-            settings["series_length"],
-            stats=query_stats,
-            read_only=True,
-            cache=_make_cache(cache_bytes),
-        )
-        num_series = settings["num_series"]
+        records = htree.read_tree_records(htree_path)
+        settings = records.settings
+        try:
+            config = HerculesConfig.from_settings(settings[_SETTINGS_KEY_CONFIG])
+            num_series = settings["num_series"]
+            series_length = settings["series_length"]
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise StorageError(f"{htree_path}: corrupt settings blob") from exc
         if manifest.num_series != num_series:
             raise ManifestError(
                 f"manifest records {manifest.num_series} series but the "
                 f"HTree settings record {num_series}: mixed generations"
             )
-        if verify == "full" and lrd.num_series != num_series:
-            # Each file can be well-formed on its own and the directory
-            # still be torn or mixed-generation.  (Leaf extents and
-            # LSDFile's row count are checked at every level, by
-            # LeafTable and _load_sax.)
-            raise StorageError(
-                f"lrd.bin holds {lrd.num_series} series but the index "
-                f"records {num_series}"
+        if manifest.series_length != series_length:
+            raise ManifestError(
+                f"manifest records series of length {manifest.series_length} "
+                f"but the HTree settings record {series_length}: mixed generations"
             )
+        sax_space = SaxSpace(config.sax_segments, config.sax_alphabet)
+        query_stats = IOStats()
+        lrd = SeriesFile(
+            directory / LRD_FILENAME,
+            series_length,
+            stats=query_stats,
+            read_only=True,
+            cache=_make_cache(cache_bytes),
+        )
+        try:
+            if verify == "full" and lrd.num_series != num_series:
+                # Each file can be well-formed on its own and the directory
+                # still be torn or mixed-generation.  (Leaf extents and
+                # LSDFile's row count are checked at every level, by
+                # LeafTable and _load_sax.)
+                raise StorageError(
+                    f"lrd.bin holds {lrd.num_series} series but the index "
+                    f"records {num_series}"
+                )
+            sax = _load_sax(directory, sax_space, config, num_series)
+            table = LeafTable(records, num_series)
+        except BaseException:
+            lrd.close()
+            raise
         return cls(
-            root=root,
+            table=table,
             config=config,
             directory=directory,
             lrd=lrd,
-            sax=_load_sax(directory, sax_space, config, num_series),
+            sax=sax,
             num_series=num_series,
         )
 
@@ -466,7 +491,7 @@ class HerculesIndex:
 
     @property
     def num_leaves(self) -> int:
-        return len(self._leaves)
+        return self._table.num_leaves
 
     @property
     def series_length(self) -> int:
@@ -483,9 +508,17 @@ class HerculesIndex:
         return self._lrd.cache
 
     @property
+    def root(self) -> Node:
+        """The node tree.  No query reads it: an opened index loads it
+        from htree.bin here, at the first read, and keeps it."""
+        if self._root is None:
+            self._root, _ = htree.load_tree(self.directory / HTREE_FILENAME)
+        return self._root
+
+    @property
     def leaves(self) -> list[Node]:
         """Leaves in inorder (= LRDFile order)."""
-        return list(self._leaves)
+        return list(self.root.iter_leaves_inorder())
 
     @property
     def signatures(self) -> SignatureArray:

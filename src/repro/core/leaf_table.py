@@ -2,9 +2,11 @@
 
 Instead of one Python call per tree node threaded through a priority
 queue (Algorithms 11-12), the tree is flattened once per
-:class:`~repro.core.index.HerculesIndex` — derived from the loaded tree,
-nothing persisted: every node's segmentation and synopsis laid out
-CSR-style in preorder, so one
+:class:`~repro.core.index.HerculesIndex` — built straight from
+htree.bin's node records (:func:`~repro.storage.htree.read_tree_records`),
+no :class:`~repro.core.node.Node` in between, nothing more persisted:
+every node's segmentation and synopsis laid out CSR-style in preorder,
+so one
 :func:`~repro.distance.lower_bounds.lb_eapca_table_squared` call bounds
 all nodes, for one query or a whole batch.
 
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.node import Node
 from repro.distance.lower_bounds import lb_eapca_table_squared
 from repro.errors import StorageError
+from repro.storage.htree import TreeRecords
 from repro.types import DISTANCE_DTYPE
 
 
@@ -40,23 +42,24 @@ def extent_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 class LeafTable:
-    """Preorder-flattened tree: ``nodes`` rows, ``leaves`` in LRDFile order."""
+    """The tree's node records, flattened: rows in preorder, leaves in
+    LRDFile order."""
 
-    def __init__(self, root: Node, num_series: int) -> None:
-        self.nodes = list(root.iter_nodes_preorder())
-        #: Leaves left to right — preorder keeps them in LRDFile order.
-        self.leaves = [node for node in self.nodes if node.is_leaf]
-        self._check_extents(num_series)
-        self.positions = np.array(
-            [leaf.file_position for leaf in self.leaves], dtype=np.int64
-        )
-        self.sizes = np.diff(self.positions, append=num_series)
+    def __init__(self, records: TreeRecords, num_series: int) -> None:
+        #: Each leaf's row; preorder keeps the leaves in LRDFile order.
+        self.leaf_rows = np.flatnonzero(records.is_leaf)
+        self.num_leaves = len(self.leaf_rows)
+        self.positions = records.file_positions[self.leaf_rows]
+        self.sizes = self._check_extents(records.sizes[self.leaf_rows], num_series)
 
-        segmentations = [node.segmentation for node in self.nodes]
+        counts = records.counts
+        self.row_starts = np.cumsum(counts) - counts
         # Every node segment as one (start, end) key; children inherit all
         # but one of their parent's segments, so few keys are distinct.
-        starts = np.concatenate([s.starts_array for s in segmentations])
-        ends = np.concatenate([s.ends_array for s in segmentations])
+        ends = records.ends
+        starts = np.empty_like(ends)
+        starts[1:] = ends[:-1]
+        starts[self.row_starts] = 0
         width = int(ends.max()) + 1
         distinct, self.segment_ids = np.unique(starts * width + ends, return_inverse=True)
         #: The distinct segments; ``segment_ids`` maps node segments to them.
@@ -64,15 +67,9 @@ class LeafTable:
         #: Each node segment's length, the weight of its LB_EAPCA term.
         self.seg_weights = (ends - starts).astype(DISTANCE_DTYPE)
         #: ``(4, node segments)``: mu_min / mu_max / sd_min / sd_max, contiguous.
-        self.synopses = np.ascontiguousarray(
-            np.concatenate([node.synopsis for node in self.nodes]).T
-        )
-        counts = [s.num_segments for s in segmentations]
-        self.row_starts = np.cumsum([0] + counts[:-1])
-        self.leaf_rows = np.flatnonzero([node.is_leaf for node in self.nodes])
+        self.synopses = np.ascontiguousarray(records.synopses.T)
 
-        rows = {node: row for row, node in enumerate(self.nodes)}
-        self.parent = np.array([rows.get(node.parent, 0) for node in self.nodes])
+        self.parent = records.parents
         #: ``(depth + 1, leaves)``: column ``i`` is leaf ``i``'s root path,
         #: leaf first.  The root is its own parent, so shorter paths end
         #: in repeats of it.  Depth-major, because a max over the long
@@ -82,25 +79,32 @@ class LeafTable:
             paths.append(self.parent[paths[-1]])
         self.paths = np.stack(paths)
 
-    def _check_extents(self, num_series: int) -> None:
+    def _check_extents(self, sizes: np.ndarray, num_series: int) -> np.ndarray:
         """The leaves must tile ``[0, num_series)`` in order, none empty:
         ``reduceat`` over row masks and the file-order LCList rely on it,
-        and a damaged HTree would otherwise prune silently wrong."""
-        expected = 0
-        for leaf in self.leaves:
-            if leaf.size <= 0 or leaf.file_position != expected:
-                raise StorageError(
-                    f"htree.bin leaf {leaf.node_id}: extent "
-                    f"[{leaf.file_position}, {leaf.file_position + leaf.size}) "
-                    f"where a non-empty one starting at {expected} is required "
-                    f"(leaves must tile LRDFile in order)"
-                )
-            expected += leaf.size
-        if expected != num_series:
+        and a damaged HTree would otherwise prune silently wrong.  Returns
+        the leaf sizes."""
+        # No leaf of a tiling holds more than every series, so the clip
+        # changes no size that passes and keeps the running sum in range.
+        clipped = np.minimum(sizes, num_series + 1).astype(np.int64)
+        expected = np.cumsum(clipped) - clipped
+        bad = np.flatnonzero((clipped <= 0) | (self.positions != expected))
+        if len(bad):
+            leaf = bad[0]
+            position = int(self.positions[leaf])
             raise StorageError(
-                f"htree.bin leaf sizes sum to {expected} but the index "
+                f"htree.bin leaf {self.leaf_rows[leaf]}: extent "
+                f"[{position}, {position + int(sizes[leaf])}) "
+                f"where a non-empty one starting at {expected[leaf]} is required "
+                f"(leaves must tile LRDFile in order)"
+            )
+        total = int(clipped.sum())
+        if total != num_series:
+            raise StorageError(
+                f"htree.bin leaf sizes sum to {total} but the index "
                 f"records {num_series} series"
             )
+        return clipped
 
     def rows(self, leaves: np.ndarray) -> np.ndarray:
         """File positions of every series of the given leaves (table

@@ -262,14 +262,16 @@ class _SearchState:
 
 def _leaf_bounds(table: LeafTable, queries: np.ndarray) -> np.ndarray:
     """Effective LB_EAPCA² per leaf of every row of ``queries``, ``(Q,
-    leaves)``: one table pass per :data:`_SLICE_QUERIES` queries, each
-    row's arithmetic that of a pass over it alone."""
-    if queries.shape[0] <= _SLICE_QUERIES:
+    leaves)``: one table pass per slice of queries that holds at most
+    :data:`_SLICE_CELLS` query × node-segment cells (at least one query),
+    each row's arithmetic that of a pass over it alone."""
+    step = max(1, _SLICE_CELLS // table.synopses.shape[1])
+    if queries.shape[0] <= step:
         sketch = BatchSketch(queries)
         return table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq)
-    bounds = np.empty((queries.shape[0], len(table.leaves)), dtype=DISTANCE_DTYPE)
-    for lo in range(0, queries.shape[0], _SLICE_QUERIES):
-        bounds[lo : lo + _SLICE_QUERIES] = _leaf_bounds(table, queries[lo : lo + _SLICE_QUERIES])
+    bounds = np.empty((queries.shape[0], table.num_leaves), dtype=DISTANCE_DTYPE)
+    for lo in range(0, queries.shape[0], step):
+        bounds[lo : lo + step] = _leaf_bounds(table, queries[lo : lo + step])
     return bounds
 
 
@@ -509,7 +511,7 @@ def _find_candidate_leaves(state: _SearchState) -> np.ndarray:
     mask = state.bounds < state.results.bsf_squared
     mask[state.visited] = False
     lclist = np.flatnonzero(mask)
-    num_leaves = len(state.table.leaves)
+    num_leaves = state.table.num_leaves
     state.profile.eapca_pruning = 1.0 - (len(lclist) / num_leaves if num_leaves else 0.0)
     return lclist
 
@@ -612,11 +614,14 @@ def _choose_path(
 #: 1 MB at length 256.  The sweep behind the value is in docs/tuning.md.
 _CHUNK_ROWS = 1024
 
-#: Queries per LB_EAPCA² pass of the front half.  A pass holds a few
-#: ``(queries × node segments)`` temporaries, so a batch is bounded in
-#: slices of this many queries: the transient is one slice's whatever Q
-#: is.  The sweep behind the value is in docs/tuning.md.
-_SLICE_QUERIES = 8
+#: Query × node-segment cells per LB_EAPCA² pass of the front half.  A
+#: pass holds a few ``(queries × node segments)`` temporaries, so a batch
+#: is bounded in slices of ``max(1, _SLICE_CELLS // node segments)``
+#: queries: the transient is one slice's whatever Q is, and the slice
+#: shrinks as the tree grows: 8 queries on the benchmark's 16 K index
+#: (4 692 node segments), 1 at 131 K (45 988).  The sweep behind the
+#: value is in docs/tuning.md.
+_SLICE_CELLS = 40_000
 
 #: File rows per window of a batch's refinement walk.  A batch builds its
 #: entry table one leaf-aligned window of LRDFile at a time, so the table
@@ -663,7 +668,7 @@ def _window_edges(table: LeafTable) -> list:
     — so no extent (a leaf, or a row of one) crosses an edge."""
     sized = [*table.positions.tolist(), int(table.positions[-1] + table.sizes[-1])]
     edges, leaf = [0], 0
-    while leaf < len(table.leaves):
+    while leaf < table.num_leaves:
         leaf = max(bisect_right(sized, sized[leaf] + _WINDOW_ROWS) - 1, leaf + 1)
         edges.append(sized[leaf])
     return edges
@@ -775,7 +780,7 @@ def _refine_runs(
     else:
         block = np.stack([state.query for state in states])
         tables = _entry_tables(extents, _window_edges(leaf_table))
-    used = np.zeros((num_queries, len(leaf_table.leaves)), dtype=bool)
+    used = np.zeros((num_queries, leaf_table.num_leaves), dtype=bool)
     kernel_rows = 0
     profile_lock = threading.Lock()
 

@@ -284,7 +284,10 @@ class ShardedIndex:
     every shard in order on one process, each starting from the BSF² the
     shards before it found, so its per-shard work is deterministic.  The
     coordinator's own shard handles serve metadata and
-    :meth:`get_series`; they never search and hold no leaf cache.
+    :meth:`get_series`; they never search and hold no leaf cache.  Each
+    holds its shard's flat synopsis table, SAX array and LRDFile handle,
+    never a node tree (one loads only when a shard's ``root`` or
+    ``leaves`` is read), so no pool worker inherits one.
     """
 
     def __init__(

@@ -3,7 +3,9 @@
 The benchmark harnesses dump ``{"figures": [{figure, title, headers,
 rows, raw}, ...]}`` files (BENCH_query.json, BENCH_build.json, ...).
 ``repro bench-diff baseline.json fresh.json`` compares the two and
-fails when a gated metric regressed by more than the threshold.
+fails when a gated metric regressed by more than the threshold, or when
+a metric the baseline gates is missing from the fresh run — a baseline
+key nothing reports any more would otherwise stop gating in silence.
 
 Only metrics that diff cleanly across machines are gated by default —
 ratios, counts, modeled costs, throughput *relative* numbers — because
@@ -111,7 +113,13 @@ class BenchDiffReport:
     rows: list = field(default_factory=list)
     regressions: list = field(default_factory=list)
     skipped: int = 0
+    #: Gated baseline keys the fresh run does not report (or reports as
+    #: a non-number); each fails the diff.
     missing: list = field(default_factory=list)
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.regressions or self.missing)
 
     def render(self) -> str:
         lines = [
@@ -138,7 +146,12 @@ class BenchDiffReport:
                 f"FAIL: {len(self.regressions)} metric(s) regressed beyond "
                 f"{self.threshold:.0%} (worst {worst:+.1%})"
             )
-        else:
+        if self.missing:
+            lines.append(
+                f"FAIL: {len(self.missing)} gated baseline metric(s) missing "
+                f"in the fresh run"
+            )
+        if not self.failed:
             lines.append("PASS: no gated metric regressed beyond threshold")
         return "\n".join(lines)
 

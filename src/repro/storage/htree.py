@@ -15,12 +15,18 @@ tree itself.  This module implements HTree as a versioned binary format:
 Only structural state is serialized; build-time state (SBuffer slots,
 spill extents, write-phase events) is reconstructed empty because a
 persisted tree is immutable.
+
+Reading is one record walk, :func:`read_tree_records`, into preorder
+columns (:class:`TreeRecords`).  :func:`load_tree` builds its nodes from
+those columns; an index open builds its flat synopsis table from them
+and no node at all.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,6 +46,16 @@ _NODE_FIXED = struct.Struct("<BHQ")  # flags, num_segments, size
 _LEAF_TAIL = struct.Struct("<q")  # file_position
 _INTERNAL_TAIL = struct.Struct("<HBBdII")
 # split_segment, vertical, use_std, threshold, route_start, route_end
+_POLICY_DTYPE = np.dtype(
+    [
+        ("split_segment", "<u2"),
+        ("vertical", "u1"),
+        ("use_std", "u1"),
+        ("threshold", "<f8"),
+        ("route_start", "<u4"),
+        ("route_end", "<u4"),
+    ]
+)
 
 _FLAG_LEAF = 0x01
 
@@ -94,10 +110,87 @@ def save_tree(
     _manifest.publish(staged, path)
 
 
+@dataclass(frozen=True)
+class TreeRecords:
+    """An HTree's settings and node records as preorder columns.
+
+    Row ``i`` is the ``i``-th node record, the node :func:`load_tree`
+    numbers ``i``; per-segment columns hold the nodes' segments node
+    after node, ``counts[i]`` of them for row ``i``.
+    """
+
+    settings: dict
+    #: Segments per node, ``(nodes,)``.
+    counts: np.ndarray
+    #: Every node's segment ends, ``(node segments,)``.
+    ends: np.ndarray
+    #: Every node's synopsis rows, ``(node segments, 4)``.
+    synopses: np.ndarray
+    is_leaf: np.ndarray
+    #: The size field of each record (``uint64``, as stored).
+    sizes: np.ndarray
+    #: LRDFile position per row; -1 for an internal node.
+    file_positions: np.ndarray
+    #: Parent row per row; the root is its own parent.
+    parents: np.ndarray
+    #: The internal rows' split-policy fields, in preorder.
+    policies: np.ndarray
+
+
 def load_tree(
     path: PathLike, stats: Optional[IOStats] = None
 ) -> tuple[Node, dict]:
     """Read an HTree file back into a node tree and its settings dict."""
+    records = read_tree_records(path, stats=stats)
+    row_ends = np.cumsum(records.counts).tolist()
+    ends = records.ends.tolist()
+    policies = iter(records.policies.tolist())
+    nodes: list[Node] = []
+    for row, (leaf, size, position, parent) in enumerate(
+        zip(
+            records.is_leaf.tolist(),
+            records.sizes.tolist(),
+            records.file_positions.tolist(),
+            records.parents.tolist(),
+        )
+    ):
+        first = row_ends[row - 1] if row else 0
+        segmentation = Segmentation(ends[first : row_ends[row]])
+        node = Node(row, segmentation, parent=nodes[parent] if row else None)
+        node.size = size
+        node.synopsis = records.synopses[first : row_ends[row]]
+        if row:
+            above = nodes[parent]
+            if above.left is None:
+                above.left = node
+            else:
+                above.right = node
+        if leaf:
+            node.file_position = position
+        else:
+            segment, vertical, use_std, threshold, route_start, route_end = next(policies)
+            node.is_leaf = False
+            node.policy = SplitPolicy(
+                split_segment=segment,
+                vertical=bool(vertical),
+                use_std=bool(use_std),
+                threshold=threshold,
+                route_start=route_start,
+                route_end=route_end,
+                child_segmentation=(
+                    segmentation.split_vertically(segment) if vertical else segmentation
+                ),
+            )
+        nodes.append(node)
+    return nodes[0], records.settings
+
+
+def read_tree_records(
+    path: PathLike, stats: Optional[IOStats] = None
+) -> TreeRecords:
+    """Read an HTree file as :class:`TreeRecords`: the one parser, behind
+    both :func:`load_tree` and a query process's open, which builds its
+    flat table from the columns and never a :class:`Node`."""
     with BinaryFile(path, stats=stats, read_only=True) as handle:
         blob = handle.read(0, handle.size)
     if len(blob) < _HEADER.size:
@@ -118,18 +211,18 @@ def load_tree(
     offset += settings_len
 
     try:
-        root, offset = _unpack_node(blob, offset, parent=None, next_id=[0])
+        records, offset = _walk_records(blob, offset, settings)
     except StorageError:
         raise
-    except (struct.error, ValueError, OverflowError) as exc:
-        # Mutated node records surface as struct underflows, impossible
-        # segmentations, or reshape failures — all corruption.
+    except (struct.error, ValueError, IndexError, OverflowError) as exc:
+        # Mutated node records surface as struct underflows or impossible
+        # segmentations — all corruption.
         raise StorageError(f"{path}: corrupt HTree node records: {exc}") from exc
     if offset != len(blob):
         raise StorageError(
             f"{path}: {len(blob) - offset} trailing bytes after the tree"
         )
-    return root, settings
+    return records
 
 
 def _pack_node(node: Node) -> bytes:
@@ -161,56 +254,96 @@ def _pack_node(node: Node) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_node(
-    blob: bytes, offset: int, parent: Optional[Node], next_id: list[int]
-) -> tuple[Node, int]:
-    try:
-        flags, m, size = _NODE_FIXED.unpack_from(blob, offset)
-    except struct.error as exc:
-        raise StorageError("truncated HTree node record") from exc
-    offset += _NODE_FIXED.size
+def _walk_records(blob: bytes, offset: int, settings: dict) -> tuple[TreeRecords, int]:
+    """The node records from ``offset`` on as columns, and the offset
+    after the last.  Internal nodes have exactly two children, so a
+    stack of the rows still owed a child (each internal row pushed
+    twice) gives every record its parent, and the walk ends when it
+    empties."""
+    counts: list[int] = []
+    flags: list[int] = []
+    sizes: list[int] = []
+    positions: list[int] = []
+    parents: list[int] = []
+    ends: list[bytes] = []
+    synopses: list[bytes] = []
+    policies: list[tuple] = []
+    owed: list[int] = []
+    while True:
+        try:
+            flag, m, size = _NODE_FIXED.unpack_from(blob, offset)
+        except struct.error as exc:
+            raise StorageError("truncated HTree node record") from exc
+        offset += _NODE_FIXED.size
+        if len(blob) < offset + 4 * m + 8 * 4 * m:
+            raise StorageError("truncated HTree node record")
+        row = len(counts)
+        parents.append(owed.pop() if row else 0)
+        counts.append(m)
+        flags.append(flag & _FLAG_LEAF)
+        sizes.append(size)
+        ends.append(blob[offset : offset + 4 * m])
+        offset += 4 * m
+        synopses.append(blob[offset : offset + 8 * 4 * m])
+        offset += 8 * 4 * m
+        if flag & _FLAG_LEAF:
+            (position,) = _LEAF_TAIL.unpack_from(blob, offset)
+            offset += _LEAF_TAIL.size
+            positions.append(position)
+        else:
+            policies.append(_INTERNAL_TAIL.unpack_from(blob, offset))
+            offset += _INTERNAL_TAIL.size
+            positions.append(-1)
+            owed += (row, row)
+        if not owed:
+            break
 
-    if len(blob) < offset + 4 * m + 8 * 4 * m:
-        raise StorageError("truncated HTree node record")
-    ends = np.frombuffer(blob, dtype="<u4", count=m, offset=offset)
-    offset += 4 * m
-    synopsis = np.frombuffer(blob, dtype="<f8", count=4 * m, offset=offset)
-    offset += 8 * 4 * m
+    records = TreeRecords(
+        settings=settings,
+        counts=np.array(counts, dtype=np.int64),
+        ends=np.frombuffer(b"".join(ends), dtype="<u4").astype(np.int64),
+        synopses=np.frombuffer(b"".join(synopses), dtype="<f8")
+        .astype(DISTANCE_DTYPE)
+        .reshape(-1, 4),
+        is_leaf=np.array(flags, dtype=bool),
+        sizes=np.array(sizes, dtype=np.uint64),
+        file_positions=np.array(positions, dtype=np.int64),
+        parents=np.array(parents, dtype=np.int64),
+        policies=np.array(policies, dtype=_POLICY_DTYPE),
+    )
+    _check_segmentations(records)
+    return records, offset
 
-    node = Node(next_id[0], Segmentation(ends), parent=parent)
-    next_id[0] += 1
-    node.size = int(size)
-    node.synopsis = synopsis.reshape(m, 4).astype(DISTANCE_DTYPE)
 
-    if flags & _FLAG_LEAF:
-        (file_position,) = _LEAF_TAIL.unpack_from(blob, offset)
-        offset += _LEAF_TAIL.size
-        node.file_position = int(file_position)
-    else:
-        (
-            split_segment,
-            vertical,
-            use_std,
-            threshold,
-            route_start,
-            route_end,
-        ) = _INTERNAL_TAIL.unpack_from(blob, offset)
-        offset += _INTERNAL_TAIL.size
-        child_seg = (
-            node.segmentation.split_vertically(split_segment)
-            if vertical
-            else node.segmentation
+def _check_segmentations(records: TreeRecords) -> None:
+    """Every node's ends must rise from above 0, and a V-split must halve
+    a segment of two or more points.  The first node that breaks either
+    rebuilds its :class:`Segmentation` (and split) to raise the error it
+    raises."""
+    counts, ends = records.counts, records.ends
+    firsts = np.cumsum(counts) - counts
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:-1]
+    starts[firsts[counts > 0]] = 0
+    bad = counts == 0
+    bad[np.repeat(np.arange(len(counts)), counts)[ends <= starts]] = True
+    internal = np.flatnonzero(~records.is_leaf)
+    vertical = records.policies["vertical"] != 0
+    segment = records.policies["split_segment"].astype(np.int64)
+    # A segment index past the node's count is bad before its width is.
+    narrow = segment >= counts[internal]
+    inside = np.flatnonzero(~narrow)
+    at = firsts[internal[inside]] + segment[inside]
+    narrow[inside] = ends[at] - starts[at] < 2
+    bad[internal[vertical & narrow]] = True
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    segmentation = Segmentation(ends[firsts[row] : firsts[row] + counts[row]].tolist())
+    split = segment[np.searchsorted(internal, row)]
+    if int(split) >= segmentation.num_segments:
+        raise ValueError(
+            f"V-split segment {split} of a node with "
+            f"{segmentation.num_segments} segments"
         )
-        node.policy = SplitPolicy(
-            split_segment=split_segment,
-            vertical=bool(vertical),
-            use_std=bool(use_std),
-            threshold=float(threshold),
-            route_start=int(route_start),
-            route_end=int(route_end),
-            child_segmentation=child_seg,
-        )
-        node.left, offset = _unpack_node(blob, offset, node, next_id)
-        node.right, offset = _unpack_node(blob, offset, node, next_id)
-        node.is_leaf = False
-    return node, offset
+    segmentation.split_vertically(int(split))

@@ -14,8 +14,10 @@ Plus the structural validation the array pass relies on.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -83,17 +85,18 @@ def test_table_bounds_equal_the_scalar_reference(shape):
     queries = make_queries(data, seed, scale)
     with build(data) as index:
         table = index._table
-        assert table.leaves == list(index.root.iter_leaves_inorder())
+        nodes = list(index.root.iter_nodes_preorder())
+        assert [nodes[row] for row in table.leaf_rows] == list(index.root.iter_leaves_inorder())
         batch = BatchSketch(queries)
         block = table.node_bounds_squared(batch.cumsum, batch.cumsq)
-        assert block.shape == (len(queries), len(table.nodes))
+        assert block.shape == (len(queries), len(nodes))
         for q, query in enumerate(queries):
             sketch = SeriesSketch(query)
             single = table.node_bounds_squared(sketch.cumsum, sketch.cumsq)
             # The batch row is the single-query pass, bit for bit.
             np.testing.assert_array_equal(single, block[q])
             reference = np.array(
-                [node.lower_bound(sketch) ** 2 for node in table.nodes]
+                [node.lower_bound(sketch) ** 2 for node in nodes]
             )
             np.testing.assert_allclose(single, reference, rtol=1e-12, atol=0.0)
 
@@ -110,7 +113,7 @@ def test_effective_leaf_bound_never_exceeds_a_true_distance(shape):
         effective = table.leaf_bounds_squared(batch.cumsum, batch.cumsq)
         raw = table.node_bounds_squared(batch.cumsum, batch.cumsq)
         assert np.all(effective >= raw[:, table.leaf_rows])
-        for i, leaf in enumerate(table.leaves):
+        for i, leaf in enumerate(index.leaves):
             rows = np.stack(
                 [index.get_series(leaf.file_position + r) for r in range(leaf.size)]
             ).astype(np.float64)
@@ -122,10 +125,11 @@ def test_effective_leaf_bound_never_exceeds_a_true_distance(shape):
                 assert effective[q, i] <= true * (1 + 1e-9) + 1e-9 * norm
 
 
-def per_node_segment_bounds(table, cumsum, cumsq):
+def per_node_segment_bounds(table, nodes, cumsum, cumsq):
     """The kernel with nothing shared: every node segment its own (the
-    arithmetic before distinct segments were gathered)."""
-    segmentations = [node.segmentation for node in table.nodes]
+    arithmetic before distinct segments were gathered).  ``nodes`` is the
+    tree in preorder, the table's rows."""
+    segmentations = [node.segmentation for node in nodes]
     return lb_eapca_table_squared(
         cumsum,
         cumsq,
@@ -142,8 +146,8 @@ def running_max_down_the_levels(table, bounds):
     """Effective leaf bounds as a running max down the per-depth row
     groups (how the root-path gather was computed before)."""
     bounds = bounds.copy()
-    depth = np.zeros(len(table.nodes), dtype=np.int64)
-    for row in range(1, len(table.nodes)):  # parents precede children
+    depth = np.zeros(len(table.parent), dtype=np.int64)
+    for row in range(1, len(table.parent)):  # parents precede children
         depth[row] = depth[table.parent[row]] + 1
     for d in range(1, int(depth.max()) + 1):
         rows = np.flatnonzero(depth == d)
@@ -163,20 +167,23 @@ def test_distinct_segments_and_root_paths_are_bit_identical(shape):
     queries = make_queries(data, seed, scale)
     with build(data) as index:
         table = index._table
+        nodes = list(index.root.iter_nodes_preorder())
         pairs = set(zip(table.seg_starts.tolist(), table.seg_ends.tolist()))
         assert len(pairs) == len(table.seg_starts)  # distinct indeed
         np.testing.assert_array_equal(
             table.seg_starts[table.segment_ids],
-            np.concatenate([n.segmentation.starts_array for n in table.nodes]),
+            np.concatenate([n.segmentation.starts_array for n in nodes]),
         )
-        assert table.paths.shape[1] == len(table.leaves)
+        assert table.paths.shape[1] == len(index.leaves)
         batch = BatchSketch(queries)
         sketches = [(batch.cumsum, batch.cumsq)] + [
             (s.cumsum, s.cumsq) for s in map(SeriesSketch, queries)
         ]
         for cumsum, cumsq in sketches:
             raw = table.node_bounds_squared(cumsum, cumsq)
-            np.testing.assert_array_equal(raw, per_node_segment_bounds(table, cumsum, cumsq))
+            np.testing.assert_array_equal(
+                raw, per_node_segment_bounds(table, nodes, cumsum, cumsq)
+            )
             np.testing.assert_array_equal(
                 table.leaf_bounds_squared(cumsum, cumsq),
                 running_max_down_the_levels(table, raw),
@@ -189,13 +196,14 @@ def test_a_tree_without_repeated_segments():
     data = make_data(5, 32, seed=1, scale=1.0)
     with build(data) as index:
         table = index._table
-        assert len(table.nodes) == 1
+        nodes = list(index.root.iter_nodes_preorder())
+        assert len(nodes) == 1
         np.testing.assert_array_equal(table.segment_ids, np.arange(len(table.seg_starts)))
         np.testing.assert_array_equal(table.paths, [[0]])
         sketch = BatchSketch(make_queries(data, 1, 1.0))
         raw = table.node_bounds_squared(sketch.cumsum, sketch.cumsq)
         np.testing.assert_array_equal(
-            raw, per_node_segment_bounds(table, sketch.cumsum, sketch.cumsq)
+            raw, per_node_segment_bounds(table, nodes, sketch.cumsum, sketch.cumsq)
         )
         np.testing.assert_array_equal(table.leaf_bounds_squared(sketch.cumsum, sketch.cumsq), raw)
 
@@ -269,7 +277,7 @@ class TestExtentValidation:
         ).close()
         return directory
 
-    @pytest.mark.parametrize("damage", ["swap", "empty", "gap", "short"])
+    @pytest.mark.parametrize("damage", ["swap", "empty", "gap", "short", "huge"])
     @pytest.mark.parametrize("verify", ["quick"])
     def test_damaged_leaf_extents_are_rejected_at_open(
         self, directory, tmp_path, damage, verify
@@ -290,11 +298,20 @@ class TestExtentValidation:
         elif damage == "gap":
             leaves[1].size -= 1
             named = leaves[2]
+        elif damage == "huge":
+            # Past int64: the array check must not wrap it into a tiling.
+            leaves[1].size = 2**64 - 1
+            named = leaves[2]
         else:
             leaves[-1].size -= 1
             named = None
         # Same byte size, so the quick level's size check passes.
         htree.save_tree(copy / "htree.bin", root, tree_settings)
         message = f"leaf {named.node_id}:" if named else "sum to 99"
-        with pytest.raises(StorageError, match=message):
-            HerculesIndex.open(copy, verify=verify)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(StorageError, match=message):
+                HerculesIndex.open(copy, verify=verify)
+            gc.collect()
+        # The rejected open closes the lrd.bin handle it had opened.
+        assert not [w for w in caught if "lrd.bin" in str(w.message)]

@@ -129,3 +129,33 @@ def test_valid_magic_with_huge_settings_length(tmp_path):
     path.write_bytes(struct.pack("<8sII", MAGIC, 1, 10_000_000) + b"{}")
     with pytest.raises(StorageError):
         load_tree(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offset=st.integers(0, 10_000),
+    flip=st.integers(1, 255),
+    cut=st.sampled_from([0, 0, 0, 1, 9, 40]),
+)
+def test_mutated_htree_opens_or_raises_storage_error(
+    built_index, tmp_path_factory, offset, flip, cut
+):
+    """What an open reads of htree.bin goes through the record walk and
+    the flat table: a flipped byte (same size, so the quick level's size
+    check passes) or a truncation opens, or raises StorageError — never
+    anything else."""
+    import shutil
+
+    from repro.core import HerculesIndex
+
+    copy = tmp_path_factory.mktemp("tree-flip") / "index"
+    shutil.copytree(built_index, copy)
+    path = copy / "htree.bin"
+    blob = bytearray(path.read_bytes())
+    blob[offset % len(blob)] ^= flip
+    path.write_bytes(bytes(blob[: len(blob) - cut]))
+    try:
+        index = HerculesIndex.open(copy, verify="quick")
+    except StorageError:
+        return
+    index.close()
