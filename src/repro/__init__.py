@@ -24,7 +24,6 @@ from repro.core import (
     QueryProfile,
     ShardedBuildReport,
     ShardedIndex,
-    ShardedQueryAnswer,
     open_index,
 )
 from repro.errors import (
@@ -50,7 +49,6 @@ __all__ = [
     "QueryProfile",
     "ShardedBuildReport",
     "ShardedIndex",
-    "ShardedQueryAnswer",
     "open_index",
     "Dataset",
     "RetryPolicy",

@@ -35,9 +35,7 @@ from repro.core import (
     HerculesConfig,
     HerculesIndex,
     ShardedIndex,
-    ShardedQueryAnswer,
     open_index,
-    record_sharded_profile,
 )
 from repro.core.stats import tree_statistics
 from repro.core.writing import ARTIFACT_VERSIONS
@@ -287,16 +285,10 @@ def _run_queries(args: argparse.Namespace, show_answer, show_totals) -> int:
             seconds = 0.0
             degraded = 0
             for i, answer in enumerate(answers):
-                if isinstance(answer, ShardedQueryAnswer):
-                    # The coordinator's settle step observed its latency.
-                    record_sharded_profile(
-                        registry, answer, num_series=index.num_series
-                    )
-                else:
+                if not answer.shard_answers:
+                    # A sharded coordinator's settle step observed its own.
                     obs.observe_query(answer.profile.time_total)
-                    obs.record_profile(
-                        registry, answer.profile, num_series=index.num_series
-                    )
+                obs.record_answer(registry, answer, num_series=index.num_series)
                 show_answer(index, i, answer)
                 degraded += _print_degradation(answer, f"query {i}")
                 seconds += answer.profile.time_total
@@ -345,8 +337,6 @@ def _explain_answer(index, i: int, answer) -> None:
             answer.profile, num_series=index.num_series, label=f"query {i}"
         )
     )
-    if not isinstance(answer, ShardedQueryAnswer):
-        return
     for shard_id, shard_answer in answer.shard_answers:
         p = shard_answer.profile
         print(
@@ -366,8 +356,6 @@ def _explain_totals(index, registry, count: int, seconds: float, degraded: int) 
 
 def _print_degradation(answer, label: str) -> int:
     """One warning line per degraded/retried answer; returns 1 if degraded."""
-    if not isinstance(answer, ShardedQueryAnswer):
-        return 0
     if answer.retries and not answer.degraded:
         print(f"  {label}: recovered after {answer.retries} shard retries")
     if not answer.degraded:

@@ -14,10 +14,8 @@ from repro.core.results import LinkedResultSet, ResultSet
 from repro.core.sharding import (
     ShardedBuildReport,
     ShardedIndex,
-    ShardedQueryAnswer,
     open_index,
     partition_rows,
-    record_sharded_profile,
 )
 
 __all__ = [
@@ -32,8 +30,6 @@ __all__ = [
     "LinkedResultSet",
     "ShardedBuildReport",
     "ShardedIndex",
-    "ShardedQueryAnswer",
     "open_index",
     "partition_rows",
-    "record_sharded_profile",
 ]

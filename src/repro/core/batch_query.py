@@ -14,8 +14,8 @@ not grow with Q:
   (``SignatureArray.gap_tables`` on the block's PAA), which phase 1's
   screens and phase 3's pass share; phases 1-2 then run per query.
   ``phase1_only`` stops here, after phase 1.
-* **The LB_SAX pass.**  With ``prefilter`` it runs for every query ahead
-  of the access-path decision
+* **The LB_SAX pass.**  With ``prefilter`` (and ``use_sax``) it runs
+  for every query ahead of the access-path decision
   (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`); otherwise
   the decision (:func:`repro.core.query._choose_path`) runs it at the
   paper's position.  Nothing refines in between, so both positions see
@@ -183,19 +183,9 @@ def exact_knn(
     lrd: SeriesFile,
     sax: SignatureArray,
     num_series: int,
-    results: Optional[ResultSet] = None,
 ) -> QueryAnswer:
-    """Algorithm 10 for one query: :func:`exact_knn_batch`'s Q = 1 call.
-
-    ``results`` optionally supplies the result set to search into —
-    shard coordinators pass a linked set whose ``bsf_squared`` reflects
-    the global best-so-far, tightening every pruning site without any
-    other change to the pipeline.
-    """
-    return exact_knn_batch(
-        query[None], k, config, table, lrd, sax, num_series,
-        results=None if results is None else [results],
-    )[0]
+    """Algorithm 10 for one query: :func:`exact_knn_batch`'s Q = 1 call."""
+    return exact_knn_batch(query[None], k, config, table, lrd, sax, num_series)[0]
 
 
 def exact_knn_batch(
@@ -212,8 +202,8 @@ def exact_knn_batch(
     """Answer a ``(Q, n)`` query set exactly (module docstring).
 
     ``results`` optionally supplies one result set per query (shard
-    coordinators pass linked sets broadcasting the per-query global
-    BSF² vector).  Per-query wall time inside the shared steps is
+    workers pass linked sets broadcasting the per-query global BSF²
+    vector).  Per-query wall time inside the shared steps is
     amortized: the front half, the screen and the refinement walk are
     split evenly across the queries.
 
@@ -291,7 +281,8 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
     first = states[0]
     config, table, lrd, sax = first.config, first.table, first.lrd, first.sax
     candidates: list = [None] * len(states)
-    if config.prefilter:
+    # NoSAX prunes with LB_EAPCA alone: no LB_SAX pass, ahead or not.
+    if config.prefilter and config.use_sax:
         screen_started = time.perf_counter()
         with obs.span("query.prefilter"):
             # Only the queries phase 2 left candidate leaves have rows.

@@ -94,11 +94,6 @@ class HerculesConfig:
     #: Total tries per shard dispatch — a query's, or a build task's
     #: after error replies (1 disables retries).
     shard_retry_attempts: int = 3
-    #: Base backoff before the first shard retry; doubles per attempt
-    #: with deterministic per-shard jitter (see :mod:`repro.retry`).
-    shard_retry_backoff: float = 0.05
-    #: Jitter fraction mixed into shard retry backoff, in [0, 1].
-    shard_retry_jitter: float = 0.5
     #: Seconds one shard attempt may run before it is declared failed
     #: (``None``: unbounded).
     shard_timeout: float | None = None
@@ -112,11 +107,6 @@ class HerculesConfig:
     #: Seconds without any worker progress before a build is declared
     #: dead (the dead-build watchdog).
     build_stall_timeout: float = 600.0
-    #: Seconds to wait for build workers to exit before escalating to
-    #: terminate()/kill().
-    build_join_timeout: float = 30.0
-    #: Seconds to wait for query-pool workers to exit before escalating.
-    query_join_timeout: float = 10.0
 
     # -- query answering -----------------------------------------------------
     #: Maximum leaves visited by the approximate search (paper default 80).
@@ -221,29 +211,15 @@ class HerculesConfig:
                 f"shard_retry_attempts must be >= 1, got "
                 f"{self.shard_retry_attempts}"
             )
-        if self.shard_retry_backoff < 0.0:
-            raise ConfigError(
-                f"shard_retry_backoff must be >= 0, got "
-                f"{self.shard_retry_backoff}"
-            )
-        if not 0.0 <= self.shard_retry_jitter <= 1.0:
-            raise ConfigError(
-                f"shard_retry_jitter must be in [0, 1], got "
-                f"{self.shard_retry_jitter}"
-            )
         for name in ("shard_timeout", "query_deadline"):
             value = getattr(self, name)
             if value is not None and value <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        for name in (
-            "build_stall_timeout",
-            "build_join_timeout",
-            "query_join_timeout",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(
-                    f"{name} must be positive, got {getattr(self, name)}"
-                )
+        if self.build_stall_timeout <= 0.0:
+            raise ConfigError(
+                f"build_stall_timeout must be positive, got "
+                f"{self.build_stall_timeout}"
+            )
 
     @property
     def num_insert_workers(self) -> int:
@@ -268,11 +244,10 @@ class HerculesConfig:
 
     def retry_policy(self) -> RetryPolicy:
         """The shard-dispatch :class:`~repro.retry.RetryPolicy` this
-        configuration describes."""
+        configuration describes (backoff and jitter: the policy's own
+        defaults)."""
         return RetryPolicy(
             attempts=self.shard_retry_attempts,
-            backoff_seconds=self.shard_retry_backoff,
-            jitter_fraction=self.shard_retry_jitter,
             shard_timeout=self.shard_timeout,
             deadline=self.query_deadline,
         )

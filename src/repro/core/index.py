@@ -12,9 +12,9 @@ Typical usage::
     index = HerculesIndex.open("./my_index")   # later, from disk
 
 ``build`` runs the two construction stages of Section 3.3 (index building
-and index writing); the returned object is immediately queryable.  ``open``
-reconstructs a queryable index from the three materialized files (HTree,
-LRDFile, LSDFile).
+and index writing), then opens what it wrote, so the returned object is
+immediately queryable.  ``open`` reconstructs a queryable index from the
+three materialized files (HTree, LRDFile, LSDFile).
 """
 
 from __future__ import annotations
@@ -108,23 +108,21 @@ class HerculesIndex:
         lrd: SeriesFile,
         sax: SignatureArray,
         num_series: int,
-        build_report: Optional[BuildReport] = None,
-        owns_directory: bool = False,
-        root: Optional[Node] = None,
     ) -> None:
         # Every query path reads its LB_EAPCA bounds from this one table;
         # building it checks the leaf extents at every verify level.
         self._table = table
         #: The node tree, loaded from htree.bin at the first read of
-        #: :attr:`root` or :attr:`leaves` unless the build supplied it.
-        self._root = root
+        #: :attr:`root` or :attr:`leaves`.
+        self._root: Optional[Node] = None
         self.config = config
         self.directory = directory
         self._lrd = lrd
         self._sax = sax
         self.num_series = num_series
-        self.build_report = build_report
-        self._owns_directory = owns_directory
+        #: Set by :meth:`build`; None for an opened index.
+        self.build_report: Optional[BuildReport] = None
+        self._owns_directory = False
         self._closed = False
         self.sax_space = sax.space
 
@@ -238,31 +236,11 @@ class HerculesIndex:
             report.build_seconds,
             report.write_seconds,
         )
-        sax = _load_sax(directory, sax_space, config, result.num_series)
-        # The table an open of this directory builds, from the file just
-        # written.
-        table = LeafTable(
-            htree.read_tree_records(directory / HTREE_FILENAME), result.num_series
-        )
-        query_stats = IOStats()
-        lrd = SeriesFile(
-            directory / LRD_FILENAME,
-            dataset.series_length,
-            stats=query_stats,
-            read_only=True,
-            cache=_make_cache(cache_bytes),
-        )
-        return cls(
-            table=table,
-            config=config,
-            directory=directory,
-            lrd=lrd,
-            sax=sax,
-            num_series=result.num_series,
-            build_report=report,
-            owns_directory=owns_directory,
-            root=ctx.root,
-        )
+        # Queries are served by what an open of this directory builds.
+        index = cls.open(directory, cache_bytes=cache_bytes)
+        index.build_report = report
+        index._owns_directory = owns_directory
+        return index
 
     @classmethod
     def open(
@@ -369,15 +347,11 @@ class HerculesIndex:
         query: np.ndarray,
         k: int = 1,
         config: Optional[HerculesConfig] = None,
-        results=None,
     ) -> QueryAnswer:
         """Exact k-NN search (Algorithm 10): :meth:`knn_batch` of one query.
 
         ``config`` overrides query-time settings (threads, thresholds,
-        ablation switches) without rebuilding the index.  ``results``
-        optionally supplies the :class:`~repro.core.results.ResultSet`
-        searched into — the shard scatter-gather coordinator passes a
-        linked set so this index prunes against the global BSF².
+        ablation switches) without rebuilding the index.
         """
         self._check_open()
         effective = config if config is not None else self.config
@@ -389,7 +363,6 @@ class HerculesIndex:
             self._lrd,
             self._sax,
             num_series=self.num_series,
-            results=results,
         )
 
     def knn_batch(
@@ -397,7 +370,6 @@ class HerculesIndex:
         queries: np.ndarray,
         k: int = 1,
         config: Optional[HerculesConfig] = None,
-        results=None,
     ) -> BatchAnswer:
         """Exact k-NN for a whole query set: the one exact pipeline.
 
@@ -412,37 +384,32 @@ class HerculesIndex:
         per-query answer list and carries batch-level
         :class:`~repro.core.batch_query.BatchStats` (leaf-share factor,
         kernel rows per read, screen time).
-
-        ``results`` optionally supplies one result set per query — the
-        shard scatter-gather coordinator passes linked sets so each
-        query here prunes against its own global BSF².
         """
-        return self._search(queries, k, config, results)
+        return self._search(queries, k, config)
 
     def knn_approx(
         self,
         query: np.ndarray,
         k: int = 1,
         l_max: Optional[int] = None,
-        results=None,
     ) -> QueryAnswer:
         """Approximate k-NN (Algorithm 11 alone; see the paper's §5): the
         :meth:`knn` pipeline stopped after phase 1.
 
         Visits at most ``l_max`` leaves (default: the configured value)
         and returns the best-so-far answers without the exact phases.
-        ``results`` plays the same role as in :meth:`knn`.
         """
         self._check_open()
         config = self.config if l_max is None else self.config.with_options(l_max=l_max)
         query = as_series(query, self.series_length)[None]
-        results = None if results is None else [results]
-        return self._search(query, k, config, results, phase1_only=True)[0]
+        return self._search(query, k, config, phase1_only=True)[0]
 
-    def _search(self, queries, k, config, results, phase1_only=False) -> BatchAnswer:
+    def _search(self, queries, k, config, results=None, phase1_only=False) -> BatchAnswer:
         """The one pipeline for a ``(Q, n)`` block, exact or stopped after
         phase 1: :meth:`knn_batch` and :meth:`knn_approx` here, and every
-        mode a shard answers (:func:`~repro.core.shard_worker.answer_shard`)."""
+        mode a shard answers (:func:`~repro.core.shard_worker.answer_shard`),
+        which passes ``results``: one linked result set per query, so
+        each prunes against its global BSF²."""
         self._check_open()
         return exact_knn_batch(
             as_series(queries, self.series_length, ndim=2),

@@ -204,11 +204,30 @@ class QueryProfile:
 
 @dataclass
 class QueryAnswer:
-    """Exact k-NN answers plus the profile of how they were computed."""
+    """Exact k-NN answers plus the profile of how they were computed.
+
+    A sharded index's answer is merged from its shards' answers:
+    ``shard_answers`` holds the ``(shard_id, QueryAnswer)`` pairs in
+    shard order, positions already global — ``repro explain`` renders
+    one row per shard from them; a plain index leaves it empty.
+
+    Degradation is never silent: ``coverage`` is the fraction of indexed
+    series actually searched (1.0 on a healthy query), ``degraded`` is
+    True when any shard was dropped under partial-results mode,
+    ``shard_errors`` names every dropped shard with the reason, and
+    ``retries`` counts the dispatch retries the answer cost.  A degraded
+    answer is exact over the covered rows: it equals the fault-free
+    answer restricted to the surviving shards.
+    """
 
     distances: np.ndarray
     positions: np.ndarray
     profile: QueryProfile = field(default_factory=QueryProfile)
+    shard_answers: tuple = ()
+    coverage: float = 1.0
+    degraded: bool = False
+    shard_errors: tuple = ()
+    retries: int = 0
 
     @property
     def k(self) -> int:

@@ -90,6 +90,11 @@ __all__ = [
 #: Grace period after terminate() before escalating to kill().
 _ESCALATION_GRACE = 5.0
 
+#: Seconds to wait for build workers, and for query-pool workers, to exit
+#: on close before escalating to terminate()/kill().
+_BUILD_JOIN_TIMEOUT = 30.0
+_QUERY_JOIN_TIMEOUT = 10.0
+
 #: Cells in the pool's shared per-query BSF² vector; batches larger than
 #: this are chunked by the coordinator (one scatter per chunk).
 _BSF_VECTOR_CAPACITY = 256
@@ -531,7 +536,7 @@ def build_shards_in_processes(
             "build",
             [(build_handler, handler_args)] * max(1, min(workers, len(ranges))),
             config.max_worker_restarts,
-            config.build_join_timeout,
+            _BUILD_JOIN_TIMEOUT,
             target=worker_main or run_worker,
             start_timeout=config.build_stall_timeout,
         )
@@ -748,7 +753,6 @@ class ShardQueryPool(WorkerSet):
         workers: int,
         cache_bytes_per_shard: int,
         max_worker_restarts: int = 2,
-        join_timeout: float = 10.0,
     ) -> None:
         self.bsf_vector = ProcessBsfVector()
         workers = max(1, min(workers, len(shard_specs)))
@@ -763,7 +767,7 @@ class ShardQueryPool(WorkerSet):
                 for group in self._groups
             ],
             max_worker_restarts,
-            join_timeout,
+            _QUERY_JOIN_TIMEOUT,
         )
 
     @property

@@ -78,10 +78,8 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "ShardedBuildReport",
     "ShardedIndex",
-    "ShardedQueryAnswer",
     "open_index",
     "partition_rows",
-    "record_sharded_profile",
 ]
 
 
@@ -161,30 +159,6 @@ class ShardedBuildReport:
         return self.num_series / self.wall_seconds
 
 
-@dataclass
-class ShardedQueryAnswer(QueryAnswer):
-    """A merged scatter-gather answer plus every shard's own answer.
-
-    ``shard_answers`` holds ``(shard_id, QueryAnswer)`` pairs in shard
-    order, positions already global — ``repro explain`` renders one row
-    per shard from them.
-
-    Degradation is never silent: ``coverage`` is the fraction of indexed
-    series actually searched (1.0 on a healthy query), ``degraded`` is
-    True when any shard was dropped under partial-results mode,
-    ``shard_errors`` names every dropped shard with the reason, and
-    ``retries`` counts the dispatch retries the answer cost.  A degraded
-    answer is exact over the covered rows: it equals the fault-free
-    answer restricted to the surviving shards.
-    """
-
-    shard_answers: tuple = ()
-    coverage: float = 1.0
-    degraded: bool = False
-    shard_errors: tuple = ()
-    retries: int = 0
-
-
 def _merge_pairs(
     k: int,
     pairs: list,
@@ -194,7 +168,7 @@ def _merge_pairs(
     coverage: float = 1.0,
     shard_errors: tuple = (),
     retries: int = 0,
-) -> ShardedQueryAnswer:
+) -> QueryAnswer:
     """One global answer from per-shard answers (positions global).
 
     Distances concatenate and the k smallest win (ties broken by
@@ -236,7 +210,7 @@ def _merge_pairs(
         profile.sax_pruning = 1.0 - profile.candidate_series / num_series
     if io_parts:
         profile.io = functools.reduce(lambda a, b: a + b, io_parts)
-    return ShardedQueryAnswer(
+    return QueryAnswer(
         distances=distances[order],
         positions=positions[order],
         profile=profile,
@@ -578,7 +552,7 @@ class ShardedIndex:
         k: int = 1,
         config: Optional[HerculesConfig] = None,
         partial_results: Optional[bool] = None,
-    ) -> ShardedQueryAnswer:
+    ) -> QueryAnswer:
         """Exact k-NN, scatter-gather over every shard.
 
         At ε = 0 value-identical to a single index over the same rows:
@@ -606,7 +580,7 @@ class ShardedIndex:
         k: int = 1,
         l_max: Optional[int] = None,
         partial_results: Optional[bool] = None,
-    ) -> ShardedQueryAnswer:
+    ) -> QueryAnswer:
         """Approximate k-NN: each shard's best-first probe, merged.
 
         ``l_max`` bounds the leaves visited *per shard*, so an N-shard
@@ -643,8 +617,8 @@ class ShardedIndex:
         than the pool's BSF-vector capacity are chunked transparently.
 
         Returns a :class:`~repro.core.batch_query.BatchAnswer` whose
-        entries are :class:`ShardedQueryAnswer`s (list-compatible with
-        the serial loop this replaces) and whose ``stats`` aggregate the
+        entries are merged answers (list-compatible with the serial
+        loop this replaces) and whose ``stats`` aggregate the
         shards' leaf-sharing metrics.  Failure policy matches
         :meth:`knn`, applied batch-wide: a dropped shard degrades every
         query in the batch (same coverage), a refused degradation
@@ -720,7 +694,6 @@ class ShardedIndex:
                 self._workers,
                 self._cache_bytes // self.num_shards,
                 max_worker_restarts=self.config.max_worker_restarts,
-                join_timeout=self.config.query_join_timeout,
             )
         return self._pool
 
@@ -942,35 +915,6 @@ def _first_line(text: str) -> str:
         if line.strip():
             return line.strip()
     return str(text)
-
-
-def record_sharded_profile(
-    registry,
-    answer: ShardedQueryAnswer,
-    num_series: Optional[int] = None,
-) -> None:
-    """Record a scatter-gather answer: global + per-shard instruments.
-
-    The merged profile lands under the usual ``query.*`` names; each
-    shard's own profile additionally lands under
-    ``shard.<i>.query.*`` so per-shard skew stays visible.  Resilience
-    events ride along — ``query.coverage`` (histogram),
-    ``query.degraded`` / ``shard.dropped`` / ``shard.retries``
-    (counters) — so no retry or degradation is ever silent.
-    """
-    obs.record_profile(registry, answer.profile, num_series=num_series)
-    registry.histogram("query.coverage").observe(answer.coverage)
-    if answer.retries:
-        registry.counter("shard.retries").inc(answer.retries)
-    if answer.degraded:
-        registry.counter("query.degraded").inc()
-        registry.counter("shard.dropped").inc(len(answer.shard_errors))
-    for shard_id, shard_answer in answer.shard_answers:
-        obs.record_profile(
-            registry,
-            shard_answer.profile,
-            prefix=f"shard.{shard_id}.query",
-        )
 
 
 def _prune_stale_shards(directory: Path, num_shards: int) -> None:

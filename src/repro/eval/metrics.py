@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.query import QueryProfile
-from repro.obs import record_batch_stats, record_profile
+from repro.obs import record_answer, record_batch_stats
 
 
 @dataclass
@@ -203,8 +203,10 @@ def run_workload(
     execution stats (a :class:`~repro.core.batch_query.BatchAnswer`)
     they land in the registry under ``query.batch.*``.
 
-    ``registry`` (a :class:`repro.obs.MetricsRegistry`) receives per-query
-    metrics via :func:`repro.obs.record_profile` when given.
+    ``registry`` (a :class:`repro.obs.MetricsRegistry`) receives each
+    answer via :func:`repro.obs.record_answer` when given — the recorder
+    ``repro query`` uses, so a sharded answer's coverage and per-shard
+    profiles land here too.
     """
     result = WorkloadResult(
         method=getattr(method, "name", method.__class__.__name__),
@@ -219,9 +221,7 @@ def run_workload(
         batch = method.knn_batch(np.asarray(queries), k=k)
         for answer in batch:
             if registry is not None:
-                record_profile(
-                    registry, answer.profile, num_series=result.num_series
-                )
+                record_answer(registry, answer, num_series=result.num_series)
             result.profiles.append(answer.profile)
         stats = getattr(batch, "stats", None)
         if registry is not None and stats is not None:
@@ -236,7 +236,7 @@ def run_workload(
         if before is not None and answer.profile.io is None:
             answer.profile.io = io_stats.snapshot() - before
         if registry is not None:
-            record_profile(registry, answer.profile, num_series=result.num_series)
+            record_answer(registry, answer, num_series=result.num_series)
         result.profiles.append(answer.profile)
     return result
 

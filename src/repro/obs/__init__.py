@@ -46,6 +46,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     percentile_from_sorted,
+    record_answer,
     record_batch_stats,
     record_build,
     record_io,
@@ -110,6 +111,7 @@ __all__ = [
     "parse_openmetrics",
     "percentile_from_sorted",
     "proc_available",
+    "record_answer",
     "record_batch_stats",
     "record_build",
     "record_io",

@@ -25,6 +25,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "percentile_from_sorted",
+    "record_answer",
     "record_build",
     "record_io",
     "record_profile",
@@ -466,6 +467,29 @@ def record_profile(
         registry.histogram(f"{prefix}.modeled_io_seconds").observe(
             profile.modeled_io_seconds()
         )
+
+
+def record_answer(registry: MetricsRegistry, answer, num_series: Optional[int] = None) -> None:
+    """Record one k-NN answer, plain or merged from shards.
+
+    Duck-typed on :class:`~repro.core.query.QueryAnswer` (obs never
+    imports core).  The answer's profile lands under ``query.*`` and its
+    ``query.coverage`` (histogram) is observed for every answer;
+    ``shard.retries``, ``query.degraded`` and ``shard.dropped``
+    (counters) move only when non-zero, so no retry or degradation is
+    ever silent.  Each shard's own profile additionally lands under
+    ``shard.<i>.query.*`` so per-shard skew stays visible; a plain
+    answer has no shards.
+    """
+    record_profile(registry, answer.profile, num_series=num_series)
+    registry.histogram("query.coverage").observe(answer.coverage)
+    if answer.retries:
+        registry.counter("shard.retries").add(answer.retries)
+    if answer.degraded:
+        registry.counter("query.degraded").inc()
+        registry.counter("shard.dropped").add(len(answer.shard_errors))
+    for shard_id, shard_answer in answer.shard_answers:
+        record_profile(registry, shard_answer.profile, prefix=f"shard.{shard_id}.query")
 
 
 def record_batch_stats(

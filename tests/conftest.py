@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -26,3 +30,28 @@ def rng() -> np.random.Generator:
 def small_dataset() -> np.ndarray:
     """200 z-normalized random walks of length 64."""
     return make_random_walks(200, 64, seed=42)
+
+
+@contextlib.contextmanager
+def quick_shard_timings(
+    backoff: Optional[float] = None, join_timeout: Optional[float] = None
+):
+    """Shorten the shard engine's fixed timings while the block runs: the
+    retry backoff (through ``HerculesConfig.retry_policy``) and the
+    seconds closing workers get before they are terminated (the
+    ``shard_worker`` join timeouts).  Both are read in the coordinator,
+    so the patch holds under either start method."""
+    from repro.core import HerculesConfig, shard_worker
+
+    with pytest.MonkeyPatch.context() as patch:
+        if backoff is not None:
+            policy = HerculesConfig.retry_policy
+            patch.setattr(
+                HerculesConfig,
+                "retry_policy",
+                lambda self: dataclasses.replace(policy(self), backoff_seconds=backoff),
+            )
+        if join_timeout is not None:
+            patch.setattr(shard_worker, "_BUILD_JOIN_TIMEOUT", join_timeout)
+            patch.setattr(shard_worker, "_QUERY_JOIN_TIMEOUT", join_timeout)
+        yield

@@ -593,9 +593,13 @@ class TestBatchSurface:
 
     def test_result_length_mismatch_rejected(self, index, queries):
         from repro.core import ResultSet
+        from repro.core.batch_query import exact_knn_batch
 
         with pytest.raises(ValueError, match="result sets"):
-            index.knn_batch(queries[:4], k=3, results=[ResultSet(3)])
+            exact_knn_batch(
+                queries[:4], 3, index.config, index._table, index._lrd,
+                index.signatures, index.num_series, results=[ResultSet(3)],
+            )
 
 
 class TestShardedParity:

@@ -18,7 +18,7 @@ from repro.core import HerculesConfig, ShardedIndex
 from repro.errors import ShardError
 from repro.storage import faults
 
-from ..conftest import make_random_walks
+from ..conftest import make_random_walks, quick_shard_timings
 
 N_ROWS = 180
 LENGTH = 16
@@ -33,12 +33,15 @@ def _config(**overrides):
         num_shards=N_SHARDS,
         shard_workers=2,
         shard_retry_attempts=2,
-        shard_retry_backoff=0.001,
-        build_join_timeout=5.0,
-        query_join_timeout=5.0,
     )
     base.update(overrides)
     return HerculesConfig(**base)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _quick_timings():
+    with quick_shard_timings(backoff=0.001, join_timeout=5.0):
+        yield
 
 
 @pytest.fixture(scope="module")

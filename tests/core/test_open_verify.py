@@ -264,3 +264,42 @@ class TestPrefilterDirectories:
         # directory, whoever reads the file or not.
         with pytest.raises(StorageError, match="signatures.bin"):
             HerculesIndex.open(copy)
+
+
+class TestRetiredShardKnobs:
+    """Four shard knobs are no longer configuration: the retry backoff
+    and jitter are :class:`~repro.retry.RetryPolicy`'s own defaults, the
+    worker join timeouts constants of the shard supervisor.  A directory
+    whose persisted settings still carry them opens unchanged."""
+
+    RETIRED = dict(
+        shard_retry_backoff=0.2,
+        shard_retry_jitter=0.25,
+        build_join_timeout=5.0,
+        query_join_timeout=5.0,
+    )
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_settings_with_retired_knobs_open(self, built, tmp_path, level):
+        import shutil
+
+        source, data, expected = built
+        directory = tmp_path / "older"
+        shutil.copytree(source, directory)
+        root, settings = htree.load_tree(directory / "htree.bin")
+        settings["config"].update(self.RETIRED)
+        htree.save_tree(directory / "htree.bin", root, settings)
+        manifest = manifest_mod.load_manifest(directory)
+        manifest.artifacts["htree.bin"] = manifest_mod.record_artifact(
+            directory / "htree.bin", format_version=htree.FORMAT_VERSION
+        )
+        manifest_mod.save_manifest(directory, manifest)
+        with HerculesIndex.open(directory, verify=level) as index:
+            assert index.config == HerculesConfig(
+                leaf_capacity=20, num_build_threads=1, flush_threshold=1
+            )
+            for name in self.RETIRED:
+                assert not hasattr(index.config, name)
+            answer = index.knn(data[0], k=2)
+        np.testing.assert_array_equal(answer.distances, expected.distances)
+        np.testing.assert_array_equal(answer.positions, expected.positions)

@@ -6,6 +6,8 @@ match bit-for-bit (positions are LRD file positions — comparing across
 independent builds would be confounded by layout).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,28 @@ class TestExactParity:
             assert plain.prefilter_screened == 0
             assert plain.prefilter_pruned_fraction is None
         assert engaged
+
+    def test_nosax_runs_no_lb_sax_pass(self, index, queries):
+        """The NoSAX ablation prunes with LB_EAPCA alone, so there is no
+        LB_SAX pass for ``prefilter`` to move: every profile is the same
+        with it on and off."""
+        config = index.config.with_options(l_max=2, use_sax=False, num_query_threads=1)
+        # Whether a query's first read counts as a seek depends on where
+        # the previous query's last read ended, so I/O compares by volume.
+        unmeasured = dict(
+            time_total=0.0, time_approx=0.0, time_candidates=0.0, time_refine=0.0, io=None
+        )
+        candidates = 0
+        for query in queries:
+            on = index.knn(query, k=5, config=config)
+            off = index.knn(query, k=5, config=config.with_options(prefilter=False))
+            np.testing.assert_array_equal(on.distances, off.distances)
+            np.testing.assert_array_equal(on.positions, off.positions)
+            assert on.profile.prefilter_screened == 0
+            assert replace(on.profile, **unmeasured) == replace(off.profile, **unmeasured)
+            assert on.profile.io.bytes_read == off.profile.io.bytes_read
+            candidates += off.profile.candidate_leaves
+        assert candidates  # phase 2 left leaves a pass could have trimmed
 
     @pytest.mark.parametrize("l_max", [1, 2, 80])
     def test_trimmed_lclist_is_the_unique_survivor_leaves(self, index, queries, l_max):

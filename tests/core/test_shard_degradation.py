@@ -16,12 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import HerculesConfig, ShardedIndex, record_sharded_profile
+from repro import obs
+from repro.core import HerculesConfig, ShardedIndex
 from repro.errors import ConfigError, ShardError, ShardTimeoutError
 from repro.obs import MetricsRegistry
 from repro.storage import faults
 
-from ..conftest import make_random_walks
+from ..conftest import make_random_walks, quick_shard_timings
 
 N_ROWS = 240
 LENGTH = 32
@@ -36,10 +37,15 @@ def _config(**overrides):
         num_shards=N_SHARDS,
         shard_workers=N_SHARDS,
         shard_retry_attempts=1,
-        shard_retry_backoff=0.001,
     )
     base.update(overrides)
     return HerculesConfig(**base)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _quick_backoff():
+    with quick_shard_timings(backoff=0.001):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +332,7 @@ class TestMetricsVisibility:
         registry = MetricsRegistry()
         with _broken(directory, 1) as index:
             answer = index.knn(query, k=5, partial_results=True)
-        record_sharded_profile(registry, answer, num_series=N_ROWS)
+        obs.record_answer(registry, answer, num_series=N_ROWS)
         summary = registry.summary()
         assert summary["counters"]["query.degraded"] == 1
         assert summary["counters"]["shard.dropped"] == 1
@@ -339,7 +345,7 @@ class TestMetricsVisibility:
         with _broken(directory, 0, once=True) as index:
             config = index.config.with_options(shard_retry_attempts=2)
             answer = index.knn(query, k=5, config=config)
-        record_sharded_profile(registry, answer, num_series=N_ROWS)
+        obs.record_answer(registry, answer, num_series=N_ROWS)
         summary = registry.summary()
         assert summary["counters"]["shard.retries"] == 1
         assert "query.degraded" not in summary["counters"]
@@ -347,7 +353,7 @@ class TestMetricsVisibility:
     def test_healthy_query_records_full_coverage(self, index, query):
         registry = MetricsRegistry()
         answer = index.knn(query, k=5)
-        record_sharded_profile(registry, answer, num_series=index.num_series)
+        obs.record_answer(registry, answer, num_series=index.num_series)
         summary = registry.summary()
         coverage = summary["histograms"]["query.coverage"]
         assert coverage["min"] == 1.0
@@ -358,7 +364,7 @@ class TestMetricsVisibility:
         registry = MetricsRegistry()
         with _broken(directory, 2) as index:
             answer = index.knn(query, k=5, partial_results=True)
-        record_sharded_profile(registry, answer, num_series=N_ROWS)
+        obs.record_answer(registry, answer, num_series=N_ROWS)
         text = explain_workload_summary(registry)
         assert "resilience:" in text
         assert "1 degraded answers" in text

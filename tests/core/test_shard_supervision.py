@@ -14,7 +14,6 @@ import contextlib
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.core import HerculesConfig, HerculesIndex, partition_rows
@@ -27,7 +26,7 @@ from repro.core.shard_worker import (
 )
 from repro.errors import ShardError, WorkerSupervisionError
 
-from ..conftest import make_random_walks
+from ..conftest import make_random_walks, quick_shard_timings
 
 LATCH_ENV = "REPRO_TEST_SUPERVISION_LATCH"
 
@@ -115,10 +114,15 @@ def _config(**overrides):
         num_build_threads=1,
         flush_threshold=1,
         build_stall_timeout=60.0,
-        build_join_timeout=5.0,
     )
     base.update(overrides)
     return HerculesConfig(**base)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _quick_join():
+    with quick_shard_timings(join_timeout=5.0):
+        yield
 
 
 @pytest.fixture()

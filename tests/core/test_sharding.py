@@ -10,12 +10,11 @@ from repro.core import (
     HerculesConfig,
     HerculesIndex,
     LinkedResultSet,
+    QueryAnswer,
     ResultSet,
     ShardedIndex,
-    ShardedQueryAnswer,
     open_index,
     partition_rows,
-    record_sharded_profile,
 )
 from repro.core.shard_worker import ProcessBsfVector
 from repro.errors import ConfigError, IndexStateError
@@ -160,10 +159,10 @@ class TestLinkedResultSet:
         query = np.random.default_rng(12).standard_normal(32).astype(np.float32)
         config = index.config.with_options(l_max=1, eapca_th=1.0, num_query_threads=1)
         try:
-            answer = batch_query.exact_knn(
-                query, results.k, config, index._table, index._lrd, index.signatures,
-                index.num_series, results=results,
-            )
+            answer = batch_query.exact_knn_batch(
+                query[None], results.k, config, index._table, index._lrd,
+                index.signatures, index.num_series, results=[results],
+            )[0]
         finally:
             index.close()
         assert answer.profile.path == "eapca-skipseq"
@@ -199,7 +198,7 @@ class TestExactParity:
 
     def test_answer_carries_per_shard_breakdown(self, sharded, queries):
         answer = sharded.knn(queries[0], k=3)
-        assert isinstance(answer, ShardedQueryAnswer)
+        assert isinstance(answer, QueryAnswer)
         assert answer.profile.path == "sharded"
         assert len(answer.shard_answers) == sharded.num_shards
         assert [sid for sid, _ in answer.shard_answers] == list(
@@ -463,10 +462,10 @@ class TestObservabilityHooks:
         assert first.cache_hits + first.cache_misses > 0
         assert again.cache_hits > 0
 
-    def test_record_sharded_profile(self, sharded, queries):
+    def test_record_answer(self, sharded, queries):
         registry = MetricsRegistry()
         answer = sharded.knn(queries[0], k=3)
-        record_sharded_profile(registry, answer, num_series=sharded.num_series)
+        obs.record_answer(registry, answer, num_series=sharded.num_series)
         counters = registry.summary()["counters"]
         assert counters["query.count"] == 1
         assert counters["query.path.sharded"] == 1

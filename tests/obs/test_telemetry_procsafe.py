@@ -22,7 +22,7 @@ from repro.core import HerculesConfig, ShardedIndex
 from repro.core.shard_worker import mp_context, reap_processes
 from repro.storage import faults
 
-from ..conftest import make_random_walks
+from ..conftest import make_random_walks, quick_shard_timings
 
 _BASE_TS = 2_000_000.0
 _GEOMETRY = dict(window_seconds=30.0, num_buckets=6)
@@ -132,11 +132,15 @@ def _config(**overrides):
         flush_threshold=1,
         num_shards=2,
         shard_workers=2,
-        build_join_timeout=5.0,
-        query_join_timeout=5.0,
     )
     base.update(overrides)
     return HerculesConfig(**base)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _quick_join():
+    with quick_shard_timings(join_timeout=5.0):
+        yield
 
 
 class TestChaosBuildTelemetry:

@@ -793,20 +793,54 @@ class TestShardedCLI:
     def test_explain_prints_per_shard_breakdown(
         self, sharded_dir, dataset_file, capsys
     ):
+        import re
+
         code = main(
             [
                 "explain",
                 "--index", str(sharded_dir),
                 "--queries", str(dataset_file),
                 "--k", "2",
-                "--count", "1",
+                "--count", "3",
+                "--shard-workers", "2",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "path=sharded" in out
-        assert "shard 0: path=" in out
-        assert "shard 1: path=" in out
+        # One row per shard under each answer.
+        rows = re.findall(r"^  shard (\d+): path=", out, flags=re.MULTILINE)
+        assert rows == ["0", "1"] * 3
+
+    def test_degraded_answer_prints_its_coverage(
+        self, sharded_dir, dataset_file, capsys
+    ):
+        from repro.storage import faults
+
+        # Every query read of shard 1 fails (a worker's first two reads
+        # open the shard), outlasting the file layer's retries.
+        plan = faults.FaultPlan(op="read", at=3, mode="transient", failures=10**6)
+        capsys.readouterr()
+        with faults.ship_plans({1: plan}):
+            code = main(
+                [
+                    "query",
+                    "--index", str(sharded_dir),
+                    "--queries", str(dataset_file),
+                    "--k", "2",
+                    "--count", "1",
+                    "--shard-workers", "2",
+                    "--shard-retries", "1",
+                    "--partial-results",
+                ]
+            )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (
+            "  query 0: DEGRADED — coverage 50.00% after 0 retries; dropped shard 1"
+            in out
+        )
+        assert "WARNING: 1 of 1 answers were degraded" in out
 
     def test_inspect_shows_shard_summary(self, sharded_dir, capsys):
         code = main(["inspect", "--index", str(sharded_dir)])
@@ -1161,3 +1195,152 @@ def test_flag_surface_matches_the_table():
     assert sorted(surface) == sorted(_FLAG_TABLE)
     for command, expected in _FLAG_TABLE.items():
         assert surface[command] == expected, command
+
+
+# ``repro query`` / ``repro explain`` output for a plain index, with every
+# clock reading 0 so the run is reproducible byte for byte.
+_PINNED_QUERY = (
+    "query 0: d=[2.2321, 2.2597, 2.4595] pos=[224, 319, 234] path=full-four-phase "
+    "accessed=10.25% (0.0 ms)\n"
+    "query 1: d=[2.2551, 2.5500, 2.8885] pos=[113, 130, 323] path=full-four-phase "
+    "accessed=13.50% (0.0 ms)\n"
+    "query 2: d=[3.9916, 4.5563, 4.5917] pos=[289, 287, 294] path=eapca-skipseq "
+    "accessed=85.25% (0.0 ms)\n"
+    "answered 3 queries in 0.000s\n"
+)
+
+_PINNED_EXPLAIN = (
+    "query 0: path=full-four-phase\n"
+    "  phase 1 approx          0.00 ms   (1 leaves visited)\n"
+    "  phase 2 candidates      0.00 ms   (13 candidate leaves, EAPCA pruning 55.17%)\n"
+    "  phase 3+4 refine        0.00 ms   (28 candidate series, SAX pruning 93.00%)\n"
+    "  total                   0.00 ms   (41 distance computations, 41 series read "
+    "= 10.25% of data)\n"
+    "  early abandoning    1312 of 1312 points compared (abandoned 0.00%; the "
+    "Euclidean screen drops whole rows, never points, so 0% is its normal)\n"
+    "  io                  22 random seeks, 0 sequential reads, 0.01 MB read, "
+    "modeled 110.00 ms on paper disks\n"
+    "\n"
+    "query 1: path=full-four-phase\n"
+    "  phase 1 approx          0.00 ms   (1 leaves visited)\n"
+    "  phase 2 candidates      0.00 ms   (18 candidate leaves, EAPCA pruning 37.93%)\n"
+    "  phase 3+4 refine        0.00 ms   (38 candidate series, SAX pruning 90.50%)\n"
+    "  total                   0.00 ms   (54 distance computations, 54 series read "
+    "= 13.50% of data)\n"
+    "  early abandoning    1728 of 1728 points compared (abandoned 0.00%; the "
+    "Euclidean screen drops whole rows, never points, so 0% is its normal)\n"
+    "  io                  13 random seeks, 0 sequential reads, 0.01 MB read, "
+    "modeled 65.01 ms on paper disks\n"
+    "\n"
+    "query 2: path=eapca-skipseq\n"
+    "  phase 1 approx          0.00 ms   (1 leaves visited)\n"
+    "  phase 2 candidates      0.00 ms   (24 candidate leaves, EAPCA pruning 17.24%)\n"
+    "  phase 3+4 refine        0.00 ms\n"
+    "  total                   0.00 ms   (341 distance computations, 341 series "
+    "read = 85.25% of data)\n"
+    "  early abandoning    10912 of 10912 points compared (abandoned 0.00%; the "
+    "Euclidean screen drops whole rows, never points, so 0% is its normal)\n"
+    "  io                  5 random seeks, 0 sequential reads, 0.04 MB read, "
+    "modeled 25.03 ms on paper disks\n"
+    "\n"
+    "workload summary (3 queries):\n"
+    "  query seconds          mean     0.000 ms  p50     0.000 ms  p95     0.000 "
+    "ms  max     0.000 ms\n"
+    "  phase 1 approx         mean     0.000 ms  p50     0.000 ms  p95     0.000 "
+    "ms  max     0.000 ms\n"
+    "  phase 2 candidates     mean     0.000 ms  p50     0.000 ms  p95     0.000 "
+    "ms  max     0.000 ms\n"
+    "  phase 3+4 refine       mean     0.000 ms  p50     0.000 ms  p95     0.000 "
+    "ms  max     0.000 ms\n"
+    "  EAPCA pruning          mean     0.368  p50     0.379  p95     0.534  max    "
+    " 0.552\n"
+    "  SAX pruning            mean     0.917  p50     0.917  p95     0.929  max    "
+    " 0.930\n"
+    "  data accessed          mean     0.363  p50     0.135  p95     0.781  max    "
+    " 0.853\n"
+    "  abandoned fraction     mean     0.000  p50     0.000  p95     0.000  max    "
+    " 0.000\n"
+    "  modeled io seconds     mean    66.681 ms  p50    65.005 ms  p95   105.504 "
+    "ms  max   110.004 ms\n"
+    "  totals: 436 distance computations, 436 series read\n"
+    "  points: 13952 of 13952 compared (abandoned 0.00%)\n"
+    "  access paths: eapca-skipseq=1, full-four-phase=2\n"
+)
+
+
+def _run(capsys, *argv) -> str:
+    capsys.readouterr()
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_plain_output_is_pinned(dataset_file, tmp_path, capsys, monkeypatch):
+    """``query`` and ``explain`` print a plain index's answers byte for
+    byte as pinned, with every clock reading 0."""
+    import time
+
+    queries = tmp_path / "queries.bin"
+    _run(capsys, "generate", "--kind", "synth", "--count", "3", "--length", "32",
+         "--seed", "99", "--output", str(queries))
+    _run(capsys, "build", "--dataset", str(dataset_file), "--length", "32",
+         "--output", str(tmp_path / "idx"), "--leaf-capacity", "20",
+         "--l-max", "1", "--threads", "1")
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    args = ("--index", str(tmp_path / "idx"), "--queries", str(queries), "--k", "3")
+    assert _run(capsys, "query", *args) == _PINNED_QUERY
+    assert _run(capsys, "explain", *args) == _PINNED_EXPLAIN
+
+
+class _Replay:
+    """Stands in for an opened index: answers every ``knn`` call with the
+    next of the given answers."""
+
+    def __init__(self, index, answers) -> None:
+        self.config = index.config
+        self.num_series = index.num_series
+        self.series_length = index.series_length
+        self.leaf_cache = None
+        self._answers = iter(answers)
+
+    def knn(self, query, k=1, config=None):
+        return next(self._answers)
+
+    def close(self) -> None:
+        pass
+
+
+class TestOneRecorder:
+    def test_run_workload_records_what_query_records(
+        self, dataset_file, tmp_path, capsys, monkeypatch
+    ):
+        """The same sharded answers, recorded by the evaluation harness
+        and by ``repro query``, give the same instruments."""
+        from repro import cli, obs
+        from repro.core import HerculesConfig, ShardedIndex
+        from repro.eval.metrics import run_workload
+
+        with Dataset.open(dataset_file, 32) as dataset:
+            data = dataset.read_batch(0, 400)
+        config = HerculesConfig(
+            leaf_capacity=50, num_build_threads=1, flush_threshold=1,
+            num_shards=2, shard_workers=1,
+        )
+        with ShardedIndex.build(data, config, directory=tmp_path / "sharded") as index:
+            answers = [index.knn(query, k=3) for query in data[:3]]
+
+        harness = obs.MetricsRegistry()
+        run_workload(_Replay(index, answers), data[:3], k=3, registry=harness)
+        monkeypatch.setattr(cli, "open_index", lambda *args, **kwargs: _Replay(index, answers))
+        cli_registry = obs.MetricsRegistry()
+        with obs.use_hub(obs.TelemetryHub(registry=cli_registry)):
+            _run(capsys, "query", "--index", str(tmp_path / "sharded"), "--queries",
+                 str(dataset_file), "--count", "3", "--k", "3")
+
+        def instruments(registry):
+            summary = registry.summary()
+            return {kind: summary[kind] for kind in ("counters", "gauges", "histograms")}
+
+        recorded = instruments(cli_registry)
+        assert "query.coverage" in recorded["histograms"]
+        assert "shard.1.query.count" in recorded["counters"]
+        assert instruments(harness) == recorded

@@ -85,15 +85,14 @@ class TestConfigBridge:
 
         config = HerculesConfig(
             shard_retry_attempts=5,
-            shard_retry_backoff=0.2,
-            shard_retry_jitter=0.25,
             shard_timeout=1.5,
             query_deadline=10.0,
         )
         policy = config.retry_policy()
         assert policy.attempts == 5
-        assert policy.backoff_seconds == 0.2
-        assert policy.jitter_fraction == 0.25
+        # Backoff and jitter are the policy's own defaults.
+        assert policy.backoff_seconds == RetryPolicy().backoff_seconds
+        assert policy.jitter_fraction == RetryPolicy().jitter_fraction
         assert policy.shard_timeout == 1.5
         assert policy.deadline == 10.0
 
@@ -104,12 +103,9 @@ class TestConfigBridge:
         for bad in (
             dict(max_worker_restarts=-1),
             dict(shard_retry_attempts=0),
-            dict(shard_retry_jitter=2.0),
             dict(shard_timeout=0.0),
             dict(query_deadline=0.0),
             dict(build_stall_timeout=-1.0),
-            dict(build_join_timeout=0.0),
-            dict(query_join_timeout=0.0),
         ):
             with pytest.raises(ConfigError):
                 HerculesConfig(**bad)
