@@ -5,12 +5,15 @@ parallelization — workers lock entire root-to-leaf paths to maintain
 internal statistics), NoWPara (Hercules with sequential index writing),
 and Hercules.  Deferring internal-synopsis maintenance to the writing
 phase and parallelizing that phase bottom-up gives Hercules the fastest
-construction.
+construction.  Here the parallel writer wrote slower than the sequential
+pass and is retired, so the Hercules arm is the paper's NoWPara: 12a
+compares DSTree*, DSTree*P and Hercules.
 
 Paper, 12b (query answering): removing the iSAX filter (NoSAX), the
 query parallelism (NoPara), or the adaptive thresholds (NoThresh) never
 helps and hurts on its target regime — NoSAX always, NoPara on easy and
-medium queries, NoThresh on hard (ood) ones.
+medium queries, NoThresh on hard (ood) ones.  The Hercules arm answers
+with four query threads (Para); the other arms with one.
 """
 
 from __future__ import annotations

@@ -171,7 +171,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         initial_segments=args.initial_segments,
         num_build_threads=args.threads,
         flush_threshold=max((args.threads - 1) // 2, 1),
-        num_write_threads=max(args.threads // 2, 1),
         l_max=args.l_max,
         batched_inserts=not args.per_row,
         claim_size=args.claim_size,
@@ -820,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--leaf-capacity", type=int, default=100)
     build.add_argument("--initial-segments", type=int, default=4)
     build.add_argument("--threads", type=int, default=4,
-                       help="build threads (inserts, flushes, writes); "
+                       help="build threads (inserts and flushes); "
                             "queries use the index default of one thread")
     build.add_argument("--l-max", type=int, default=8)
     build.add_argument("--claim-size", type=int, default=None,

@@ -223,8 +223,9 @@ def exact_knn_batch(
         )
 
     started = time.perf_counter()
-    # One query owns every read of its call; a batch shares them.
-    io_before = lrd.stats.snapshot() if num_queries == 1 else None
+    # One query owns every read of its call, the first one a seek; a
+    # batch shares them.
+    io_before = lrd.io_checkpoint() if num_queries == 1 else None
     lclists: list = []
     mode = "approximate" if phase1_only else "exact"
     with obs.span("query", k=k, queries=num_queries, mode=mode) as query_span:

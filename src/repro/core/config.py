@@ -23,13 +23,16 @@ class HerculesConfig:
     """All tunables of index construction and query answering.
 
     Ablation switches (Figure 12) are part of the configuration so the
-    NoSAX / NoPara / NoWPara / NoThresh variants are first-class:
+    NoSAX / NoPara / NoThresh variants are first-class:
 
-    * ``parallel_writing=False`` → NoWPara,
     * ``use_sax=False`` → NoSAX,
     * ``num_query_threads=1`` → NoPara, the default: faster on this
       runtime (EXPERIMENTS.md, Figure 12b); ``> 1`` is the "Para" arm,
     * ``adaptive_thresholds=False`` → NoThresh.
+
+    Index writing is one in-order pass on the calling thread, which is
+    the paper's NoWPara variant: its parallel writer wrote slower on this
+    runtime (EXPERIMENTS.md, Figure 12a), so it has no switch.
     """
 
     # -- tree shape ---------------------------------------------------------
@@ -68,11 +71,6 @@ class HerculesConfig:
     #: otherwise (large enough to amortize routing, small enough to
     #: balance load).
     claim_size: int | None = None
-
-    # -- index writing -------------------------------------------------------
-    num_write_threads: int = 2
-    #: NoWPara ablation: post-process leaves sequentially when False.
-    parallel_writing: bool = True
 
     # -- sharding (ParIS+/MESSI-style scale-out past the GIL) ----------------
     #: Number of independent shard indexes the dataset is partitioned
@@ -173,10 +171,6 @@ class HerculesConfig:
             raise ConfigError(
                 f"flush_threshold must be in [1, {num_insert_workers}] "
                 f"(the InsertWorker count), got {self.flush_threshold}"
-            )
-        if self.num_write_threads < 1:
-            raise ConfigError(
-                f"num_write_threads must be >= 1, got {self.num_write_threads}"
             )
         if self.l_max < 1:
             raise ConfigError(f"l_max must be >= 1, got {self.l_max}")

@@ -92,10 +92,9 @@ def synopsis_from_stats(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
 class Node:
     """One node of the Hercules tree.
 
-    The node lock serializes leaf appends and the leaf→internal transition
-    (Algorithm 5); during the index-writing phase the same lock protects
-    concurrent synopsis merges from different WriteIndexWorkers
-    (Algorithms 8-9).
+    The node lock serializes the InsertWorkers' leaf appends and the
+    leaf→internal transition (Algorithm 5).  Index writing runs on one
+    thread, so its synopsis merges (Algorithms 8-9) take no lock.
     """
 
     __slots__ = (
@@ -112,10 +111,6 @@ class Node:
         "sbuffer",
         "spill_extents",
         "file_position",
-        "sax_words",
-        "write_cache",
-        "processed",
-        "written",
     )
 
     def __init__(
@@ -140,13 +135,6 @@ class Node:
         self.spill_extents: list[SpillExtent] = []
         #: First position of the leaf's data in LRDFile (set when written).
         self.file_position: int = -1
-        #: iSAX words of the leaf's series (populated by index writing).
-        self.sax_words: Optional[np.ndarray] = None
-        #: Raw data staged by ProcessLeaf for WriteLeafData to materialize.
-        self.write_cache: Optional[np.ndarray] = None
-        #: Write-phase handshakes (Algorithm 7 lines 7-8).
-        self.processed = threading.Event()
-        self.written = threading.Event()
 
     # -- synopsis maintenance ----------------------------------------------
 
@@ -179,9 +167,9 @@ class Node:
         """Merge selected synopsis rows of another node into this one.
 
         Used by HSplitSynopsis: ``own_rows``/``other_rows`` are matching
-        segment indices in this node and in ``other`` (a child).  The
-        caller must hold this node's lock.  Fancy-indexed assignment (not
-        ``out=``) is required: ``syn[rows, col]`` is a copy.
+        segment indices in this node and in ``other`` (a child).
+        Fancy-indexed assignment (not ``out=``) is required:
+        ``syn[rows, col]`` is a copy.
         """
         syn = self.synopsis
         syn[own_rows, MU_MIN] = np.minimum(
@@ -205,10 +193,7 @@ class Node:
         sd_lo: float,
         sd_hi: float,
     ) -> None:
-        """Widen one segment's synopsis box (VSplitSynopsis merge step).
-
-        The caller must hold this node's lock.
-        """
+        """Widen one segment's synopsis box (VSplitSynopsis merge step)."""
         row = self.synopsis[segment]
         row[MU_MIN] = min(row[MU_MIN], mu_lo)
         row[MU_MAX] = max(row[MU_MAX], mu_hi)

@@ -352,7 +352,7 @@ def progressive_knn(
     consumer stops.
     """
     started = time.perf_counter()
-    io_before = lrd.stats.snapshot()
+    io_before = lrd.io_checkpoint()
     (state,) = _search_states(query[None], k, config, table, lrd, sax, num_series)
     profile = state.profile
     try:

@@ -65,33 +65,6 @@ class TreeStatistics:
         return "\n".join(lines)
 
 
-def to_networkx(root: Node):
-    """Export a tree as a ``networkx.DiGraph`` for offline analysis.
-
-    Node attributes: ``is_leaf``, ``size``, ``segments``, ``depth``; edge
-    attribute ``side`` ("left"/"right").  Requires networkx (an optional
-    analysis dependency, not needed by the library itself).
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    stack: list[tuple[Node, int]] = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        graph.add_node(
-            node.node_id,
-            is_leaf=node.is_leaf,
-            size=node.size,
-            segments=node.segmentation.num_segments,
-            depth=depth,
-        )
-        if not node.is_leaf:
-            for side, child in (("left", node.left), ("right", node.right)):
-                graph.add_edge(node.node_id, child.node_id, side=side)
-                stack.append((child, depth + 1))
-    return graph
-
-
 def tree_statistics(
     root: Node, leaf_capacity: int | None = None
 ) -> TreeStatistics:

@@ -14,19 +14,19 @@ shows exactly that cost).  The writing phase therefore:
 2. materializes LRDFile (raw series in leaf-inorder), LSDFile (iSAX words
    in the same order), and HTree.
 
-With ``parallel_writing`` a pool of WriteIndexWorkers processes leaves
-claimed through a FetchAdd counter while the coordinator streams finished
-leaves to disk (``WriteLeafData``); the per-leaf processed/written
-handshake of Algorithm 7 bounds how many post-processed leaves wait in
-memory.  Algorithm 8 is applied per leaf in one vectorized pass (batch
-mean/std over the split segment's range, then a single locked min/max
-merge), which computes exactly the same synopsis as the per-series loop.
+One thread does both, in one in-order pass: each leaf is post-processed
+and then appended to LRDFile/LSDFile before the next one is read, so at
+most one leaf's data is staged in memory.  The paper splits step 1 across
+WriteIndexWorkers (Algorithms 6-7); on this runtime that pool wrote
+slower than the single pass (EXPERIMENTS.md, Figure 12a), so it is not
+reproduced.  Algorithm 8 is applied per leaf in one vectorized pass
+(batch mean/std over the split segment's range, then one min/max merge),
+which computes exactly the same synopsis as the per-series loop.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -34,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.core.atomic import FetchAdd
 from repro.core.construction import BuildContext, leaf_data
 from repro.core.node import Node, segment_correspondence
 from repro.errors import IndexStateError
@@ -93,14 +92,7 @@ def write_index(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     leaves = list(ctx.root.iter_leaves_inorder())
-    config = ctx.config
-    logger.info(
-        "writing index: %d leaves into %s (%s)",
-        len(leaves),
-        directory,
-        "parallel" if config.parallel_writing and config.num_write_threads > 1
-        else "sequential",
-    )
+    logger.info("writing index: %d leaves into %s", len(leaves), directory)
 
     manifest_mod.clear_staging(directory, list(ARTIFACT_NAMES))
     lrd_staged = manifest_mod.staging_path(directory / LRD_FILENAME)
@@ -111,10 +103,13 @@ def write_index(
     lsd = SymbolFile(lsd_staged, sax_space.segments, stats=stats)
     try:
         with obs.io_span("build.write", stats, num_leaves=len(leaves)):
-            if config.parallel_writing and config.num_write_threads > 1:
-                _write_parallel(ctx, leaves, sax_space, lrd, lsd)
-            else:
-                _write_sequential(ctx, leaves, sax_space, lrd, lsd)
+            for leaf in leaves:
+                data, words = process_leaf(ctx, leaf, sax_space)
+                if data.shape[0]:
+                    leaf.file_position = lrd.append_batch(data)
+                    lsd.append_batch(words)
+                else:
+                    leaf.file_position = lrd.num_series
             lrd.sync()
             lsd.sync()
     finally:
@@ -160,21 +155,24 @@ def write_index(
 # ---------------------------------------------------------------------------
 
 
-def process_leaf(ctx: BuildContext, leaf: Node, sax_space: SaxSpace) -> None:
-    """Compute a leaf's iSAX words and push its statistics to ancestors."""
+def process_leaf(
+    ctx: BuildContext, leaf: Node, sax_space: SaxSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push a leaf's statistics to its ancestors; return its series and
+    their iSAX words."""
     data = leaf_data(ctx, leaf)
     if data.shape[0] != leaf.size:
         raise IndexStateError(
             f"leaf {leaf.node_id} holds {data.shape[0]} series but recorded "
             f"size {leaf.size}"
         )
-    leaf.write_cache = data
     if data.shape[0]:
-        leaf.sax_words = sax_space.symbolize(paa(data, sax_space.segments))
+        words = sax_space.symbolize(paa(data, sax_space.segments))
     else:
-        leaf.sax_words = np.empty((0, sax_space.segments), dtype=np.uint8)
+        words = np.empty((0, sax_space.segments), dtype=np.uint8)
     _vsplit_synopsis(leaf, data)
     _hsplit_synopsis(leaf)
+    return data, words
 
 
 def _vsplit_synopsis(leaf: Node, data: np.ndarray) -> None:
@@ -183,7 +181,7 @@ def _vsplit_synopsis(leaf: Node, data: np.ndarray) -> None:
     For every ancestor whose split was vertical, the statistics of the
     split segment (in the *ancestor's* segmentation) cannot be derived
     from its children's half-segments; they are recomputed here over the
-    leaf's raw series and merged into the ancestor under its lock.
+    leaf's raw series and merged into the ancestor.
     """
     if data.shape[0] == 0:
         return
@@ -196,140 +194,27 @@ def _vsplit_synopsis(leaf: Node, data: np.ndarray) -> None:
             segment = arr[:, start:end]
             means = segment.mean(axis=1)
             stds = segment.std(axis=1)
-            with node.lock:
-                node.merge_segment_interval(
-                    policy.split_segment,
-                    float(means.min()),
-                    float(means.max()),
-                    float(stds.min()),
-                    float(stds.max()),
-                )
+            node.merge_segment_interval(
+                policy.split_segment,
+                float(means.min()),
+                float(means.max()),
+                float(stds.min()),
+                float(stds.max()),
+            )
         node = node.parent
 
 
 def _hsplit_synopsis(leaf: Node) -> None:
     """Algorithm 9: merge each node's synopsis into its parent, leaf→root.
 
-    Each leaf's walk pushes its own box all the way up, so ancestors end
-    up exact regardless of how concurrent walks interleave (min/max
-    merging is monotone and every walk re-propagates what it merged).
+    Each leaf's walk pushes its own box all the way up, so once every
+    leaf has been processed the ancestors are exact (min/max merging is
+    monotone, so the leaf order does not matter).
     """
     child = leaf
     parent = leaf.parent
     while parent is not None:
         child_rows, parent_rows = segment_correspondence(parent)
-        with parent.lock:
-            parent.merge_synopsis_rows(parent_rows, child.synopsis, child_rows)
+        parent.merge_synopsis_rows(parent_rows, child.synopsis, child_rows)
         child = parent
         parent = parent.parent
-
-
-# ---------------------------------------------------------------------------
-# Algorithm 6/7: coordinator + WriteIndexWorkers
-# ---------------------------------------------------------------------------
-
-
-def _write_sequential(
-    ctx: BuildContext,
-    leaves: list[Node],
-    sax_space: SaxSpace,
-    lrd: SeriesFile,
-    lsd: SymbolFile,
-) -> None:
-    """NoWPara path: process and materialize leaves one by one."""
-    for leaf in leaves:
-        process_leaf(ctx, leaf, sax_space)
-        _write_leaf(leaf, lrd, lsd)
-
-
-def _write_parallel(
-    ctx: BuildContext,
-    leaves: list[Node],
-    sax_space: SaxSpace,
-    lrd: SeriesFile,
-    lsd: SymbolFile,
-) -> None:
-    """Algorithm 6: workers post-process, the coordinator streams to disk."""
-    counter = FetchAdd(0)
-    abort = threading.Event()
-    errors: list[BaseException] = []
-    error_lock = threading.Lock()
-
-    def worker() -> None:
-        # Algorithm 7: claim leaves through the shared counter; wait for
-        # the coordinator to write each processed leaf before taking the
-        # next one, bounding staged memory.
-        try:
-            while not abort.is_set():
-                j = counter.fetch_add(1)
-                if j >= len(leaves):
-                    return
-                leaf = leaves[j]
-                process_leaf(ctx, leaf, sax_space)
-                leaf.processed.set()
-                while not leaf.written.wait(timeout=0.1):
-                    if abort.is_set():
-                        return
-        except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            with error_lock:
-                errors.append(exc)
-            abort.set()
-
-    # Write workers start on fresh threads; parent their spans to the
-    # enclosing build.write span captured on this (coordinator) thread.
-    parent = obs.current_span()
-
-    def run_worker(index: int) -> None:
-        with obs.span("build.write.worker", parent=parent, worker=index):
-            worker()
-
-    threads = [
-        threading.Thread(
-            target=run_worker,
-            args=(i,),
-            name=f"hercules-write-{i}",
-            daemon=True,
-        )
-        for i in range(ctx.config.num_write_threads)
-    ]
-    for thread in threads:
-        thread.start()
-
-    # WriteLeafData: materialize leaves in inorder as they become ready.
-    try:
-        with obs.span("build.write.coordinator", num_leaves=len(leaves)):
-            for leaf in leaves:
-                while not leaf.processed.wait(timeout=0.1):
-                    if abort.is_set():
-                        break
-                if abort.is_set():
-                    break
-                _write_leaf(leaf, lrd, lsd)
-    except BaseException as exc:  # noqa: BLE001
-        with error_lock:
-            errors.append(exc)
-        abort.set()
-    finally:
-        if not abort.is_set():
-            abort.set()  # release workers idling in written.wait loops
-        for leaf in leaves:
-            leaf.written.set()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
-def _write_leaf(leaf: Node, lrd: SeriesFile, lsd: SymbolFile) -> None:
-    """Append one processed leaf's raw data and iSAX words to disk."""
-    data = leaf.write_cache
-    if data is None:
-        raise IndexStateError(f"leaf {leaf.node_id} written before processing")
-    if data.shape[0]:
-        position = lrd.append_batch(data)
-        lsd.append_batch(leaf.sax_words)
-    else:
-        position = lrd.num_series
-    leaf.file_position = position
-    leaf.write_cache = None
-    leaf.written.set()

@@ -6,9 +6,8 @@ keeps pruning behaviour and operation counts identical while replacing the
 scalar inner loops.
 
 * :mod:`repro.distance.euclidean` — exact (squared) Euclidean distance,
-  batch kernels, early abandoning, k-NN selection helpers.
-* :mod:`repro.distance.lower_bounds` — LB_EAPCA (DSTree node bound),
-  LB_SAX (iSAX MINDIST wrapper), LB_PAA, and VA+ cell bounds.
+  batch kernels and early abandoning.
+* :mod:`repro.distance.lower_bounds` — LB_EAPCA (DSTree node bound).
 """
 
 from repro.distance.euclidean import (
@@ -16,14 +15,11 @@ from repro.distance.euclidean import (
     squared_euclidean,
     batch_squared_euclidean,
     early_abandon_squared,
-    knn_from_distances,
 )
 from repro.distance.lower_bounds import (
     lb_eapca,
     lb_eapca_table_squared,
-    lb_paa,
     series_synopsis,
-    va_cell_bounds,
 )
 
 __all__ = [
@@ -31,10 +27,7 @@ __all__ = [
     "squared_euclidean",
     "batch_squared_euclidean",
     "early_abandon_squared",
-    "knn_from_distances",
     "lb_eapca",
     "lb_eapca_table_squared",
-    "lb_paa",
     "series_synopsis",
-    "va_cell_bounds",
 ]

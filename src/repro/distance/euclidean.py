@@ -221,20 +221,3 @@ def _exact_rows(
         else:
             diff, target = cands[slab] - q[query_ids[at]], (query_ids[at], slab)
         out[target] = np.einsum("ij,ij->i", diff, diff)
-
-
-def knn_from_distances(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and values of the ``k`` smallest distances, sorted ascending.
-
-    Fewer than ``k`` entries are returned when ``distances`` is shorter.
-    """
-    dist = np.asarray(distances, dtype=DISTANCE_DTYPE)
-    if dist.ndim != 1:
-        raise ValueError("expected a 1-D distance vector")
-    k = min(k, dist.shape[0])
-    if k <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=DISTANCE_DTYPE)
-    part = np.argpartition(dist, k - 1)[:k]
-    order = np.argsort(dist[part], kind="stable")
-    idx = part[order]
-    return idx.astype(np.int64), dist[idx]

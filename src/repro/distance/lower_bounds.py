@@ -20,9 +20,7 @@ where d(x, [a, b]) is the distance from a point to an interval.  This is
 the bound used by Algorithms 10–12 of the paper (LB_EAPCA of [64]).
 
 LB_SAX lives on :class:`repro.summarization.sax.SaxSpace` (``mindist``) and
-:class:`repro.summarization.isax.IsaxWord` (``mindist``); this module adds
-LB_PAA (a PAA-to-PAA bound used in tests as a sanity reference) and the
-VA+file cell bounds.
+:class:`repro.summarization.isax.IsaxWord` (``mindist``).
 
 Synopsis layout
 ---------------
@@ -132,55 +130,3 @@ def series_synopsis(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
     syn[:, SD_MIN] = stds
     syn[:, SD_MAX] = stds
     return syn
-
-
-def lb_paa(
-    query_paa: np.ndarray, candidate_paa: np.ndarray, series_length: int
-) -> np.ndarray:
-    """PAA lower bound: ``sqrt(n/w · Σ (q_i − c_i)²)``.
-
-    ``candidate_paa`` may be one vector or a batch of rows.
-    """
-    q = np.asarray(query_paa, dtype=DISTANCE_DTYPE)
-    c = np.asarray(candidate_paa, dtype=DISTANCE_DTYPE)
-    squeeze = c.ndim == 1
-    if squeeze:
-        c = c.reshape(1, -1)
-    if c.shape[1] != q.shape[0]:
-        raise ValueError(f"PAA width mismatch: {q.shape} vs {c.shape}")
-    diff = c - q
-    scale = series_length / q.shape[0]
-    out = np.sqrt(scale * np.einsum("ij,ij->i", diff, diff))
-    return float(out[0]) if squeeze else out
-
-
-def va_cell_bounds(
-    query_features: np.ndarray,
-    cell_lower: np.ndarray,
-    cell_upper: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower/upper distance bounds from a query to quantization cells.
-
-    ``cell_lower``/``cell_upper`` are ``(count, d)`` per-dimension cell
-    boundary matrices.  The lower bound is the distance to the nearest
-    point of each cell; the upper bound to its farthest corner.  Because
-    the feature transform (orthonormal DFT prefix) underestimates the true
-    distance, the lower bound is a valid ED lower bound, while the upper
-    bound is only an upper bound *in feature space* — VA+file therefore
-    uses real distances (not UBs) to tighten its best-so-far, and we do the
-    same; the UB is used only to seed the candidate ordering.
-    """
-    q = np.asarray(query_features, dtype=DISTANCE_DTYPE)
-    lo = np.asarray(cell_lower, dtype=DISTANCE_DTYPE)
-    hi = np.asarray(cell_upper, dtype=DISTANCE_DTYPE)
-    squeeze = lo.ndim == 1
-    if squeeze:
-        lo = lo.reshape(1, -1)
-        hi = hi.reshape(1, -1)
-    gap = _interval_gap(q, lo, hi)
-    lower = np.sqrt(np.einsum("ij,ij->i", gap, gap))
-    far = np.maximum(np.abs(q - lo), np.abs(hi - q))
-    upper = np.sqrt(np.einsum("ij,ij->i", far, far))
-    if squeeze:
-        return lower[0], upper[0]
-    return lower, upper

@@ -420,7 +420,11 @@ def figure12_ablation_indexing(
     seed: int = 12,
     verbose: bool = True,
 ) -> ExperimentResult:
-    """Figure 12a: index construction for DSTree*, DSTree*P, NoWPara, Hercules."""
+    """Figure 12a: index construction for DSTree*, DSTree*P and Hercules.
+
+    The paper's NoWPara arm is Hercules itself here: index writing is
+    one sequential pass (the parallel writer was slower and is retired).
+    """
     from repro.core import HerculesIndex
 
     from repro.eval.methods import hercules_config
@@ -445,26 +449,21 @@ def figure12_ablation_indexing(
             result.rows.append([variant, built.build_seconds, 0.0, built.build_seconds])
             built.close()
 
-        for variant, parallel_writing in (("NoWPara", False), ("Hercules", True)):
-            config = hercules_config(
-                dataset.num_series,
-                num_threads=num_threads,
-                parallel_writing=parallel_writing,
-            )
-            index = HerculesIndex.build(
-                dataset, config, directory=workspace.subdir(variant.lower())
-            )
-            report = index.build_report
-            result.raw[variant] = report.total_seconds
-            result.rows.append(
-                [
-                    variant,
-                    report.build_seconds,
-                    report.write_seconds,
-                    report.total_seconds,
-                ]
-            )
-            index.close()
+        config = hercules_config(dataset.num_series, num_threads=num_threads)
+        index = HerculesIndex.build(
+            dataset, config, directory=workspace.subdir("hercules")
+        )
+        report = index.build_report
+        result.raw["Hercules"] = report.total_seconds
+        result.rows.append(
+            [
+                "Hercules",
+                report.build_seconds,
+                report.write_seconds,
+                report.total_seconds,
+            ]
+        )
+        index.close()
         dataset.close()
     finally:
         workspace.cleanup()
@@ -478,15 +477,20 @@ def figure12_ablation_query(
     num_queries: int = 15,
     workloads: Sequence[str] = ("1%", "5%", "ood"),
     seed: int = 12,
+    num_threads: int = 4,
     verbose: bool = True,
 ) -> ExperimentResult:
-    """Figure 12b: query answering for NoSAX, NoPara, NoThresh, Hercules."""
+    """Figure 12b: query answering for NoSAX, NoPara, NoThresh, Hercules.
+
+    The Hercules arm answers with ``num_threads`` CRWorker threads (the
+    paper's Para); the others run the library default of one thread.
+    """
     from repro.core import HerculesIndex
 
     from repro.eval.methods import hercules_config
 
     variants = {
-        "Hercules": {},
+        "Hercules": {"num_query_threads": num_threads},
         "NoSAX": {"use_sax": False},
         "NoPara": {"num_query_threads": 1},
         "NoThresh": {"adaptive_thresholds": False},
@@ -509,7 +513,7 @@ def figure12_ablation_query(
             raw, queries_per_workload=num_queries, seed=seed
         )
         dataset = workspace.dataset("deep", indexable)
-        config = hercules_config(dataset.num_series)
+        config = hercules_config(dataset.num_series, num_threads=num_threads)
         index = HerculesIndex.build(
             dataset, config, directory=workspace.subdir("hercules")
         )

@@ -84,8 +84,6 @@ def hercules_config(
         num_build_threads=num_threads,
         db_size=max(min(512, num_series // 4), 1),
         flush_threshold=max((num_threads - 1) // 2, 1),
-        num_write_threads=max(num_threads // 2, 1),
-        num_query_threads=num_threads,
         l_max=scaled_l_max(num_series, leaf_capacity),
     )
     options.update(overrides)

@@ -32,7 +32,7 @@ import os
 import threading
 import time
 import weakref
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.obs.events import EventJournal
 from repro.obs.metrics import MetricsRegistry, percentile_from_sorted
@@ -504,11 +504,3 @@ def watch_process(label: str, pid: int) -> None:
     hub = _hub
     if hub is not None:
         hub.watch_process(label, pid)
-
-
-def merge_windowed_states(
-    instrument, states: Iterable[dict]
-) -> None:
-    """Fold several exported windowed states into one instrument."""
-    for state in states:
-        instrument.merge_state(state)

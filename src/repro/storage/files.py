@@ -27,7 +27,7 @@ from repro.errors import StorageError
 from repro.retry import deterministic_jitter
 from repro.storage import faults
 from repro.storage.cache import LeafCache
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOSnapshot, IOStats
 from repro.types import SERIES_DTYPE, SYMBOL_DTYPE
 
 logger = logging.getLogger(__name__)
@@ -185,6 +185,14 @@ class BinaryFile:
                 self.stats.record_reads(done, filled, sequential)
         return data
 
+    def io_checkpoint(self) -> IOSnapshot:
+        """A snapshot of :attr:`stats` that starts a new accounting span:
+        the read cursor is forgotten, so the span's first read counts as
+        a seek whatever an earlier span read last."""
+        with self._lock:
+            self._next_offset = -1
+            return self.stats.snapshot()
+
     def append(self, data: bytes) -> int:
         """Append ``data``, returning the offset it was written at."""
         self._check_writable()
@@ -290,6 +298,10 @@ class SeriesFile:
     @property
     def num_series(self) -> int:
         return self._file.size // self.record_size
+
+    def io_checkpoint(self) -> IOSnapshot:
+        """:meth:`BinaryFile.io_checkpoint` of the underlying file."""
+        return self._file.io_checkpoint()
 
     def read_range(self, position, count, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Read ``count`` consecutive series starting at ``position`` — or,

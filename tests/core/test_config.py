@@ -25,7 +25,6 @@ class TestValidation:
             ("num_build_threads", 0),
             ("db_size", 0),
             ("buffer_capacity", 0),
-            ("num_write_threads", 0),
             ("l_max", 0),
             ("eapca_th", -0.1),
             ("eapca_th", 1.5),

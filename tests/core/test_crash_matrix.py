@@ -30,8 +30,6 @@ def config():
         leaf_capacity=16,
         num_build_threads=1,
         flush_threshold=1,
-        num_write_threads=1,
-        parallel_writing=False,
     )
 
 
@@ -139,20 +137,3 @@ def test_crash_over_previous_generation_keeps_or_rejects(
         data, config, directory, faults.FaultPlan(op="write", at=2)
     )
     assert _assert_recovers(directory, reference) == "recovered"
-
-
-def test_parallel_writing_crash_does_not_hang(data, tmp_path):
-    """A crash inside the parallel write phase aborts all workers."""
-    config = HerculesConfig(
-        leaf_capacity=16,
-        num_build_threads=2,
-        flush_threshold=1,
-        num_write_threads=3,
-        parallel_writing=True,
-    )
-    directory = tmp_path / "parallel-crash"
-    _run_crashed_build(
-        data, config, directory, faults.FaultPlan(op="write", at=5)
-    )
-    with pytest.raises(StorageError):
-        HerculesIndex.open(directory, verify="full")

@@ -25,7 +25,7 @@ def _active_worker_threads() -> int:
     return sum(
         1
         for t in threading.enumerate()
-        if t.name.startswith(("hercules-insert", "hercules-write"))
+        if t.name.startswith("hercules-insert")
     )
 
 
@@ -89,6 +89,8 @@ class TestWritingFailures:
     def test_process_leaf_error_propagates_and_releases_threads(
         self, tmp_path, monkeypatch
     ):
+        """A leaf that fails post-processing mid-way through the write
+        pass fails the build with that error and leaves no thread."""
         data = make_random_walks(400, 32, seed=162)
         calls = {"count": 0}
         original = writing.process_leaf
@@ -97,18 +99,15 @@ class TestWritingFailures:
             calls["count"] += 1
             if calls["count"] == 3:
                 raise RuntimeError("injected leaf failure")
-            original(ctx, leaf, sax_space)
+            return original(ctx, leaf, sax_space)
 
         monkeypatch.setattr(writing, "process_leaf", flaky)
         config = HerculesConfig(
-            leaf_capacity=40,
-            num_build_threads=2,
-            db_size=128,
-            flush_threshold=1,
-            num_write_threads=3,
+            leaf_capacity=40, num_build_threads=2, db_size=128, flush_threshold=1
         )
         with pytest.raises(RuntimeError, match="injected leaf failure"):
             HerculesIndex.build(data, config, directory=tmp_path / "idx")
+        assert calls["count"] == 3  # the pass stopped at the failing leaf
         assert _active_worker_threads() == 0
 
     def test_sequential_writing_error_propagates(self, tmp_path, monkeypatch):
@@ -119,10 +118,7 @@ class TestWritingFailures:
 
         monkeypatch.setattr(writing, "process_leaf", broken)
         config = HerculesConfig(
-            leaf_capacity=40,
-            num_build_threads=1,
-            flush_threshold=1,
-            parallel_writing=False,
+            leaf_capacity=40, num_build_threads=1, flush_threshold=1
         )
         with pytest.raises(RuntimeError, match="injected sequential failure"):
             HerculesIndex.build(data, config, directory=tmp_path / "idx")

@@ -267,16 +267,20 @@ class TestPrefilterDirectories:
 
 
 class TestRetiredShardKnobs:
-    """Four shard knobs are no longer configuration: the retry backoff
-    and jitter are :class:`~repro.retry.RetryPolicy`'s own defaults, the
-    worker join timeouts constants of the shard supervisor.  A directory
-    whose persisted settings still carry them opens unchanged."""
+    """Retired knobs are no longer configuration: the retry backoff and
+    jitter are :class:`~repro.retry.RetryPolicy`'s own defaults, the
+    worker join timeouts constants of the shard supervisor, and index
+    writing is one sequential pass with no thread count or switch.  A
+    directory whose persisted settings still carry them opens
+    unchanged."""
 
     RETIRED = dict(
         shard_retry_backoff=0.2,
         shard_retry_jitter=0.25,
         build_join_timeout=5.0,
         query_join_timeout=5.0,
+        num_write_threads=2,
+        parallel_writing=True,
     )
 
     @pytest.mark.parametrize("level", ["quick", "full"])

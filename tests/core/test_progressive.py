@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import HerculesConfig, HerculesIndex
-from repro.core.stats import to_networkx
 
 from ..conftest import make_random_walks
 
@@ -104,24 +103,3 @@ class TestConcurrentQueries:
         for t in threads:
             t.join()
         assert not failures, failures
-
-
-class TestNetworkxExport:
-    def test_graph_mirrors_tree(self, index):
-        pytest.importorskip("networkx")
-        graph = to_networkx(index.root)
-        from repro.core.stats import tree_statistics
-
-        stats = tree_statistics(index.root)
-        assert graph.number_of_nodes() == stats.num_nodes
-        assert graph.number_of_edges() == stats.num_nodes - 1
-        leaves = [n for n, d in graph.nodes(data=True) if d["is_leaf"]]
-        assert len(leaves) == stats.num_leaves
-        total = sum(graph.nodes[n]["size"] for n in leaves)
-        assert total == index.num_series
-
-    def test_edges_labeled_by_side(self, index):
-        pytest.importorskip("networkx")
-        graph = to_networkx(index.root)
-        sides = {d["side"] for _, _, d in graph.edges(data=True)}
-        assert sides == {"left", "right"}

@@ -451,6 +451,36 @@ class TestPhaseTiming:
             assert answer.profile.time_refine < answer.profile.time_total
 
 
+class TestPerQueryIO:
+    @pytest.mark.parametrize("mode", ["knn", "progressive"])
+    def test_io_does_not_depend_on_the_previous_query(self, index, mode):
+        """A one-query call classifies its reads as random or sequential
+        from its own reads alone: a predecessor whose last read ended
+        exactly where this query's first read starts does not turn that
+        first read into a sequential one."""
+        leaf = index.leaves[4]
+        # A member of the leaf routes to it, so phase 1 reads it first.
+        query = index.get_series(leaf.file_position)
+
+        def run(series):
+            if mode == "knn":
+                return index.knn(series, k=5).profile.io
+            *_, final = index.knn_progressive(series, k=5)
+            return final.profile.io
+
+        predecessors = (
+            lambda: index._lrd.read_range(0, leaf.file_position),  # ends at the leaf
+            lambda: index._lrd.read_range(0, 1),
+            lambda: run(index.get_series(index.num_series - 1)),
+        )
+        snapshots = []
+        for predecessor in predecessors:
+            predecessor()
+            snapshots.append(run(query))
+        assert snapshots[0].random_seeks >= 1  # the first read is a seek
+        assert all(snapshot == snapshots[0] for snapshot in snapshots)
+
+
 class TestEdgeCases:
     def test_k_equal_to_dataset_size(self, tmp_path):
         data = make_random_walks(30, 16, seed=200)

@@ -59,7 +59,6 @@ def written(tmp_path):
         num_build_threads=4,
         db_size=128,
         flush_threshold=2,
-        num_write_threads=3,
         sax_segments=8,
     )
     ctx._written_dir = result.directory
@@ -135,7 +134,7 @@ class TestSynopsisCompletion:
             )
         lrd.close()
 
-    def test_parallel_writing_completes_internal_synopses(self, written):
+    def test_writing_completes_internal_synopses(self, written):
         data, ctx, result, _ = written
         self.assert_internal_synopses_exact(data, ctx, result)
 
@@ -147,7 +146,6 @@ class TestSynopsisCompletion:
             leaf_capacity=40,
             num_build_threads=1,
             flush_threshold=1,
-            parallel_writing=False,
             sax_segments=8,
         )
         self.assert_internal_synopses_exact(data, ctx, result)

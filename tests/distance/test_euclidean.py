@@ -9,7 +9,6 @@ from repro.distance.euclidean import (
     batch_squared_euclidean,
     early_abandon_squared,
     euclidean,
-    knn_from_distances,
     squared_euclidean,
 )
 
@@ -191,28 +190,6 @@ class TestEarlyAbandonEdges:
                     np.testing.assert_allclose(
                         np.sort(distances)[:k], np.sort(brute[qi])[:k], rtol=1e-12
                     )
-
-
-class TestKnnSelection:
-    def test_returns_sorted_smallest(self):
-        dist = np.array([5.0, 1.0, 3.0, 0.5, 4.0])
-        idx, values = knn_from_distances(dist, 3)
-        assert list(idx) == [3, 1, 2]
-        np.testing.assert_allclose(values, [0.5, 1.0, 3.0])
-
-    def test_k_larger_than_input(self):
-        idx, values = knn_from_distances(np.array([2.0, 1.0]), 5)
-        assert list(idx) == [1, 0]
-
-    def test_k_zero(self):
-        idx, values = knn_from_distances(np.array([1.0]), 0)
-        assert idx.shape == (0,)
-        assert values.shape == (0,)
-
-    def test_handles_infinities(self):
-        dist = np.array([np.inf, 2.0, np.inf, 1.0])
-        idx, values = knn_from_distances(dist, 2)
-        assert list(idx) == [3, 1]
 
 
 def _pairs(rng, kind, rows, length, num_queries, magnitude):

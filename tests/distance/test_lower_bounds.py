@@ -13,13 +13,9 @@ from repro.distance.lower_bounds import (
     SD_MIN,
     lb_eapca,
     lb_eapca_table_squared,
-    lb_paa,
     series_synopsis,
-    va_cell_bounds,
 )
-from repro.summarization.dft import dft_features
 from repro.summarization.eapca import Segmentation, segment_stats
-from repro.summarization.paa import paa
 
 from ..conftest import make_random_walks
 
@@ -108,49 +104,6 @@ class TestLbEapca:
             # Not a theorem for min/max boxes in general, but holds for the
             # single-series case; for node boxes we only check validity.
             assert all(b >= 0 for b in bounds)
-
-
-class TestLbPaa:
-    def test_lower_bounds_euclidean(self):
-        data = make_random_walks(25, 64, seed=41)
-        query = make_random_walks(1, 64, seed=42)[0]
-        bounds = lb_paa(paa(query, 8), paa(data, 8), 64)
-        for i in range(data.shape[0]):
-            assert bounds[i] <= euclidean(query, data[i]) + 1e-9
-
-    def test_single_candidate_returns_scalar(self):
-        q = np.zeros(4)
-        assert isinstance(lb_paa(q, np.ones(4), 16), float)
-
-
-class TestVaCellBounds:
-    def test_bounds_sandwich_feature_distance(self):
-        rng = np.random.default_rng(43)
-        d = 8
-        q = rng.standard_normal(d)
-        centers = rng.standard_normal((20, d))
-        half = 0.3
-        lo, hi = centers - half, centers + half
-        lower, upper = va_cell_bounds(q, lo, hi)
-        for i in range(20):
-            true = float(np.linalg.norm(q - centers[i]))
-            assert lower[i] <= true + 1e-9
-            assert upper[i] >= true - 1e-9
-
-    def test_lower_bound_via_dft_features_bounds_euclidean(self):
-        data = make_random_walks(30, 64, seed=44)
-        query = make_random_walks(1, 64, seed=45)[0]
-        feats = dft_features(data, 12)
-        q_feat = dft_features(query, 12)
-        pad = 0.05
-        lower, _ = va_cell_bounds(q_feat, feats - pad, feats + pad)
-        for i in range(30):
-            assert lower[i] <= euclidean(query, data[i]) + 1e-9
-
-    def test_scalar_path(self):
-        lower, upper = va_cell_bounds(np.zeros(2), np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        assert lower == pytest.approx(np.sqrt(2.0))
-        assert upper == pytest.approx(np.sqrt(8.0))
 
 
 @settings(max_examples=40, deadline=None)

@@ -112,7 +112,7 @@ class TestExperimentsSmoke:
     def test_figure12_indexing(self):
         result = figure12_ablation_indexing(size=400, verbose=False)
         variants = {row[0] for row in result.rows}
-        assert variants == {"DSTree*", "DSTree*P", "NoWPara", "Hercules"}
+        assert variants == {"DSTree*", "DSTree*P", "Hercules"}
         for row in result.rows:
             assert row[3] > 0
 

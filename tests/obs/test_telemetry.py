@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs.telemetry import (
-    DEFAULT_NUM_BUCKETS,
-    DEFAULT_WINDOW_SECONDS,
-    merge_windowed_states,
-)
+from repro.obs.telemetry import DEFAULT_NUM_BUCKETS, DEFAULT_WINDOW_SECONDS
 
 
 class FakeClock:
@@ -103,7 +99,8 @@ class TestWindowedCounter:
         merged = obs.WindowedCounter(
             window_seconds=10.0, num_buckets=5, clock=clock
         )
-        merge_windowed_states(merged, [a.export_state(), b.export_state()])
+        for state in (a.export_state(), b.export_state()):
+            merged.merge_state(state)
         assert merged.summary() == reference.summary()
 
     def test_rejects_nonpositive_geometry(self):
@@ -168,7 +165,8 @@ class TestWindowedHistogram:
             merged = obs.WindowedHistogram(
                 window_seconds=20.0, num_buckets=4, clock=clock
             )
-            merge_windowed_states(merged, ordering)
+            for state in ordering:
+                merged.merge_state(state)
             assert merged.summary() == reference.summary()
 
     def test_threads_and_merged_instruments_agree(self, clock):

@@ -21,7 +21,6 @@ def traced_build(data, tmp_path_factory):
         leaf_capacity=50,
         num_build_threads=3,
         flush_threshold=1,
-        num_write_threads=2,
         num_query_threads=2,
         # A small HBuffer forces flushes so the flush spans appear.
         db_size=50,

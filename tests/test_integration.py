@@ -33,7 +33,6 @@ def scenario(tmp_path_factory):
         db_size=128,
         buffer_capacity=512,  # force flushes
         flush_threshold=2,
-        num_write_threads=2,
         num_query_threads=2,
         l_max=4,
         sax_segments=16,
