@@ -2,9 +2,9 @@
 
 Not a paper figure: this pins the construction-path speedup of grouped
 batch insertion (vectorized routing, bulk HBuffer stores, one synopsis
-update per (leaf, group)) against the per-row reference path, across
-claim sizes and thread counts, in the shape of the paper's Table 4
-(per-phase breakdown of index building).
+update per (leaf, group)) against the per-row reference path on the one
+build loop, in the shape of the paper's Table 4 (per-phase breakdown of
+index building).
 
 Both paths build bit-for-bit identical trees — the benchmark asserts
 the cheap part of that (split count, leaf count, node-id watermark) and
@@ -38,8 +38,7 @@ from .conftest import record_table, scaled
 #: split cost (identical on both paths) from drowning the insert-path
 #: difference; ``buffer_capacity=None`` sizes HBuffer to the dataset so
 #: no flushes run and the measurement is pure insertion.
-_BASE = dict(leaf_capacity=2048, initial_segments=2, db_size=1024,
-             flush_threshold=1)
+_BASE = dict(leaf_capacity=2048, initial_segments=2, db_size=1024)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +73,7 @@ def _signature(ctx):
     leaves = [
         (leaf.node_id, leaf.size) for leaf in ctx.root.iter_leaves_inorder()
     ]
-    return ctx.splits.load(), ctx.node_ids.load(), leaves
+    return ctx.splits, ctx.node_ids, leaves
 
 
 def test_build_throughput(tmp_path, data):
@@ -86,53 +85,31 @@ def test_build_throughput(tmp_path, data):
                  "speedup"],
     )
 
-    baselines = {}
-    scenarios = [
-        # (mode, threads, claim_size)
-        ("per_row", 1, None),
-        ("batched", 1, 64),
-        ("batched", 1, None),  # auto claim: the whole DBuffer batch
-        # One InsertWorker, the CLI/e2e ``--threads 2`` shape: auto also
-        # claims the whole batch.
-        ("batched", 2, None),
-        ("per_row", 4, None),
-        ("batched", 4, None),
-    ]
+    # Keys keep the ``mode/threads/claim`` shape of the committed
+    # baseline (one thread, the whole batch per insert call).
     signatures = {}
-    for mode, threads, claim in scenarios:
+    for mode in ("per_row", "batched"):
         seconds, sps, ctx = _measure(
-            tmp_path,
-            data,
-            batched_inserts=(mode == "batched"),
-            claim_size=claim,
-            num_build_threads=threads,
+            tmp_path, data, batched_inserts=(mode == "batched")
         )
         if mode == "per_row":
-            baselines[threads] = sps
-        # Relative to per-row at the same thread count (single-thread
-        # per-row where that was not run).
-        speedup = sps / baselines.get(threads, baselines[1])
-        claim_label = "auto" if claim is None else str(claim)
-        key = (mode, threads, claim_label)
+            baseline = sps
+        speedup = sps / baseline
         result.rows.append(
-            [mode, threads, claim_label, round(seconds, 4), round(sps, 1),
+            [mode, 1, "auto", round(seconds, 4), round(sps, 1),
              round(speedup, 2)]
         )
-        result.raw["/".join(map(str, key))] = {
+        result.raw[f"{mode}/1/auto"] = {
             "seconds": seconds,
             "series_per_sec": sps,
             "speedup": speedup,
             "phases": ctx.timers.seconds(),
         }
-        if threads <= 2:
-            signatures[key] = _signature(ctx)
+        signatures[mode] = _signature(ctx)
 
-    # Builds with at most one InsertWorker are deterministic (a lone
-    # worker claims in arrival order): every mode and claim size must
-    # produce the same splits, node ids, and leaf sizes.
-    reference = signatures[("per_row", 1, "auto")]
-    for key, signature in signatures.items():
-        assert signature == reference, f"tree mismatch for {key}"
+    # Both modes build the same tree: the same splits, node ids, and
+    # leaf sizes.
+    assert signatures["batched"] == signatures["per_row"]
 
     record_table(
         "Build throughput: per-row vs grouped batch insertion", result

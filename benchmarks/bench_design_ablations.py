@@ -24,8 +24,6 @@ def test_buffer_strategy_ablation(benchmark):
     data = random_walks(scaled(6_000), 64, seed=61)
     config = HerculesConfig(
         leaf_capacity=100,
-        num_build_threads=1,
-        flush_threshold=1,
         db_size=512,
     )
 
@@ -66,9 +64,7 @@ def test_threshold_sensitivity(benchmark):
     )
     config = HerculesConfig(
         leaf_capacity=100,
-        num_build_threads=2,
         db_size=512,
-        flush_threshold=1,
         num_query_threads=2,
         l_max=4,
     )
@@ -139,9 +135,7 @@ def test_split_policy_ablation(benchmark):
         ):
             config = HerculesConfig(
                 leaf_capacity=100,
-                num_build_threads=2,
                 db_size=512,
-                flush_threshold=1,
                 num_query_threads=1,
                 l_max=3,
                 **flags,
@@ -188,9 +182,7 @@ def test_l_max_sensitivity(benchmark):
     )
     config = HerculesConfig(
         leaf_capacity=100,
-        num_build_threads=2,
         db_size=512,
-        flush_threshold=1,
         num_query_threads=2,
     )
     index = HerculesIndex.build(indexable, config)

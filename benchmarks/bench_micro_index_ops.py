@@ -31,9 +31,7 @@ def queries():
 def _hercules_config(num_series: int) -> HerculesConfig:
     return HerculesConfig(
         leaf_capacity=100,
-        num_build_threads=4,
         db_size=512,
-        flush_threshold=1,
         num_query_threads=4,
         l_max=4,
     )
@@ -42,20 +40,6 @@ def _hercules_config(num_series: int) -> HerculesConfig:
 def test_build_hercules(benchmark, corpus):
     def build():
         index = HerculesIndex.build(corpus, _hercules_config(corpus.shape[0]))
-        index.close()
-
-    benchmark.pedantic(build, rounds=3, iterations=1)
-
-
-def test_build_hercules_sequential(benchmark, corpus):
-    def build():
-        config = HerculesConfig(
-            leaf_capacity=100,
-            num_build_threads=1,
-            flush_threshold=1,
-            db_size=512,
-        )
-        index = HerculesIndex.build(corpus, config)
         index.close()
 
     benchmark.pedantic(build, rounds=3, iterations=1)

@@ -96,7 +96,7 @@ def test_lb_eapca_table(benchmark, corpus, num_queries):
     pass — compare with ``test_lb_eapca_per_node`` × the node count.  The
     Q = 64 row is the ``knn_batch`` form: divide by 64 and compare with
     the Q = 1 row for its per-query cost."""
-    config = HerculesConfig(leaf_capacity=100, num_build_threads=1, flush_threshold=1)
+    config = HerculesConfig(leaf_capacity=100)
     with HerculesIndex.build(corpus, config) as index:
         table = index._table
         sketch = BatchSketch(random_walks(num_queries, 128, seed=2))

@@ -37,7 +37,7 @@ def test_htree_roundtrip(benchmark, tmp_path):
     index = HerculesIndex.build(
         data,
         HerculesConfig(
-            leaf_capacity=50, num_build_threads=1, flush_threshold=1
+            leaf_capacity=50
         ),
     )
     path = tmp_path / "tree.bin"
@@ -54,9 +54,9 @@ def test_hbuffer_store_throughput(benchmark):
     rows = random_walks(1_000, 64, seed=9)
 
     def fill():
-        buffer = HBuffer(capacity=1_000, series_length=64, num_workers=1)
+        buffer = HBuffer(capacity=1_000, series_length=64)
         for row in rows:
-            buffer.store(0, row)
+            buffer.store(row)
 
     benchmark.pedantic(fill, rounds=5, iterations=1)
 

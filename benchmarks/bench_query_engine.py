@@ -82,13 +82,11 @@ def hard_queries(data):
 @pytest.fixture(scope="module")
 def index_dir(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("bench-query") / "hercules"
-    # One query thread keeps the set of leaves each query reads
-    # deterministic (with racing CRWorkers the evolving BSF can admit a
-    # leaf in one run that was pruned in another), which is what lets
-    # the warm-cache pass assert *zero* LRD reads.  One build thread does
-    # the same for the tree: with racing InsertWorkers its shape, and so
-    # every gated count below, depends on thread timing.
-    config = hercules_config(data.shape[0], num_threads=1)
+    # One query thread (the default) keeps the set of leaves each query
+    # reads deterministic (with racing CRWorkers the evolving BSF can
+    # admit a leaf in one run that was pruned in another), which is what
+    # lets the warm-cache pass assert *zero* LRD reads.
+    config = hercules_config(data.shape[0])
     HerculesIndex.build(data, config, directory=directory).close()
     return directory
 

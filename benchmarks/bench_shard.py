@@ -40,8 +40,6 @@ from .conftest import record_table, scaled
 #: the parallelism), everything else at the scaled-experiment defaults.
 _BASE = dict(
     leaf_capacity=256,
-    num_build_threads=1,
-    flush_threshold=1,
     db_size=1024,
 )
 

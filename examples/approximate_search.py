@@ -28,9 +28,7 @@ def main() -> None:
     data, workloads = make_query_workloads(raw, queries_per_workload=20, seed=72)
     config = HerculesConfig(
         leaf_capacity=150,
-        num_build_threads=4,
         db_size=1024,
-        flush_threshold=1,
         num_query_threads=2,
         l_max=4,
     )

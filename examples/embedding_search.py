@@ -38,9 +38,7 @@ def main() -> None:
         embeddings,
         HerculesConfig(
             leaf_capacity=150,
-            num_build_threads=4,
             db_size=1024,
-            flush_threshold=1,
             l_max=5,
         ),
         directory=workdir,

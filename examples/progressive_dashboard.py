@@ -25,9 +25,7 @@ def main() -> None:
     data = random_walks(20_000, 128, seed=91)
     config = HerculesConfig(
         leaf_capacity=200,
-        num_build_threads=4,
         db_size=1024,
-        flush_threshold=1,
         num_query_threads=2,
     )
     index = HerculesIndex.build(data, config)

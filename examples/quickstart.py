@@ -22,13 +22,11 @@ def main() -> None:
 
     # --- 2. Build the index ----------------------------------------------
     # The configuration mirrors the paper's Section 4.2 defaults, scaled:
-    # shared EAPCA/iSAX summaries, 4 build threads with the flush
-    # protocol, and the adaptive query thresholds EAPCA_TH/SAX_TH.
+    # shared EAPCA/iSAX summaries, an HBuffer that spills to disk when
+    # full, and the adaptive query thresholds EAPCA_TH/SAX_TH.
     config = HerculesConfig(
         leaf_capacity=200,
-        num_build_threads=4,
         db_size=1024,
-        flush_threshold=1,
         l_max=8,
     )
     workdir = Path(tempfile.mkdtemp(prefix="hercules-quickstart-"))

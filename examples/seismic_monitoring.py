@@ -34,9 +34,7 @@ def main() -> None:
 
     config = HerculesConfig(
         leaf_capacity=150,
-        num_build_threads=4,
         db_size=1024,
-        flush_threshold=1,
         l_max=6,
     )
     workdir = Path(tempfile.mkdtemp(prefix="hercules-seismic-"))

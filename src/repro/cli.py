@@ -169,11 +169,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     config = HerculesConfig(
         leaf_capacity=args.leaf_capacity,
         initial_segments=args.initial_segments,
-        num_build_threads=args.threads,
-        flush_threshold=max((args.threads - 1) // 2, 1),
         l_max=args.l_max,
         batched_inserts=not args.per_row,
-        claim_size=args.claim_size,
         num_shards=args.shards,
         shard_workers=args.shard_workers,
         prefilter=args.prefilter,
@@ -818,13 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--output", type=Path, required=True)
     build.add_argument("--leaf-capacity", type=int, default=100)
     build.add_argument("--initial-segments", type=int, default=4)
-    build.add_argument("--threads", type=int, default=4,
-                       help="build threads (inserts and flushes); "
-                            "queries use the index default of one thread")
     build.add_argument("--l-max", type=int, default=8)
-    build.add_argument("--claim-size", type=int, default=None,
-                       help="series claimed per FetchAdd during batched "
-                            "insertion (default: auto)")
     build.add_argument("--per-row", action="store_true",
                        help="use the per-row reference insertion path "
                             "instead of grouped batches")

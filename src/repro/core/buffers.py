@@ -1,94 +1,72 @@
-"""Two-level buffer management (Section 3.3, Figure 3).
+"""The HBuffer: one pre-allocated buffer for in-memory leaf series
+(Section 3.3, Figure 3).
 
-* :class:`HBuffer` — one large pre-allocated memory buffer holding the raw
-  series of *all* leaves, carved into per-InsertWorker regions.  Each leaf
-  keeps an SBuffer (a plain list of slot ids on the node) pointing into
-  HBuffer.  Allocating once up front, instead of per-leaf buffers that die
-  on every split, is one of the paper's measured wins: fewer system calls
-  and no memory-manager churn during the split-heavy start of indexing.
-
-* :class:`DoubleBuffer` — the DBuffer: two halves that let the coordinator
-  overlap reading the next batch from disk with the InsertWorkers draining
-  the previous one.  Workers claim series with a FetchAdd counter per half.
+:class:`HBuffer` holds the raw series of *all* leaves in one large
+matrix allocated up front.  Each leaf keeps an SBuffer (a plain list of
+slot ids on the node) pointing into it.  Allocating once, instead of
+per-leaf buffers that die on every split, is one of the paper's measured
+wins: fewer system calls and no memory-manager churn during the
+split-heavy start of indexing.  The paper carves the buffer into one
+region per InsertWorker and double-buffers the dataset reads (the
+DBuffer); the build here runs on one thread, so there is one region and
+the batch being inserted is the dataset read itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.atomic import FetchAdd, Flag
 from repro.errors import ConfigError
 from repro.types import SERIES_DTYPE
 
 
 class HBuffer:
-    """Pre-allocated series buffer with one region per InsertWorker.
+    """Pre-allocated series buffer shared by every leaf.
 
-    Slot ids are global row indices into the backing matrix, so a leaf's
-    SBuffer can reference series written by any worker.  Regions are
-    reset wholesale by the flush protocol once every leaf's in-memory
-    series have been spilled.
+    Slot ids are row indices into the backing matrix.  Slots are handed
+    out in order and the buffer is emptied wholesale by a flush, once
+    every leaf's in-memory series have been spilled.
     """
 
-    def __init__(self, capacity: int, series_length: int, num_workers: int) -> None:
-        if capacity < num_workers:
-            raise ConfigError(
-                f"HBuffer capacity {capacity} cannot host {num_workers} regions"
-            )
+    def __init__(self, capacity: int, series_length: int) -> None:
+        if capacity < 1:
+            raise ConfigError(f"HBuffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.series_length = series_length
-        self.num_workers = num_workers
         self._data = np.empty((capacity, series_length), dtype=SERIES_DTYPE)
-        base, extra = divmod(capacity, num_workers)
-        sizes = [base + (1 if w < extra else 0) for w in range(num_workers)]
-        starts = [0]
-        for size in sizes[:-1]:
-            starts.append(starts[-1] + size)
-        self._region_start = starts
-        self._region_size = sizes
-        self._fill = [0] * num_workers  # slots used per region (owner-written)
+        self._fill = 0  # slots used since the last reset
 
-    def region_capacity(self, worker: int) -> int:
-        return self._region_size[worker]
+    def free_slots(self) -> int:
+        return self.capacity - self._fill
 
-    def free_slots(self, worker: int) -> int:
-        return self._region_size[worker] - self._fill[worker]
-
-    def store(self, worker: int, series: np.ndarray) -> int:
-        """Copy one series into the worker's region; returns its slot id.
-
-        Only the owning worker calls this, so no lock is needed.
-        """
-        fill = self._fill[worker]
-        if fill >= self._region_size[worker]:
+    def store(self, series: np.ndarray) -> int:
+        """Copy one series into the buffer; returns its slot id."""
+        if self._fill >= self.capacity:
             raise ConfigError(
-                f"worker {worker} region overflow: the flush protocol must "
-                f"run before the region fills"
+                "HBuffer overflow: a flush must run before the buffer fills"
             )
-        slot = self._region_start[worker] + fill
+        slot = self._fill
         self._data[slot] = series
-        self._fill[worker] = fill + 1
+        self._fill = slot + 1
         return slot
 
-    def store_batch(self, worker: int, rows: np.ndarray) -> int:
-        """Copy a batch of series contiguously into the worker's region.
+    def store_batch(self, rows: np.ndarray) -> int:
+        """Copy a batch of series contiguously into the buffer.
 
         Returns the slot id of the first row; the batch occupies slots
-        ``[start, start + len(rows))``.  One region copy replaces
-        ``len(rows)`` :meth:`store` calls.  Only the owning worker calls
-        this, so no lock is needed.
+        ``[start, start + len(rows))``.  One copy replaces ``len(rows)``
+        :meth:`store` calls.
         """
         count = rows.shape[0]
-        fill = self._fill[worker]
-        if fill + count > self._region_size[worker]:
+        start = self._fill
+        if start + count > self.capacity:
             raise ConfigError(
-                f"worker {worker} region overflow: {count} series do not fit "
-                f"in {self._region_size[worker] - fill} free slots; the "
-                f"flush protocol must run before the region fills"
+                f"HBuffer overflow: {count} series do not fit in "
+                f"{self.capacity - start} free slots; a flush must run "
+                f"before the buffer fills"
             )
-        start = self._region_start[worker] + fill
         self._data[start : start + count] = rows
-        self._fill[worker] = fill + count
+        self._fill = start + count
         return start
 
     def get_rows(self, slots, out: np.ndarray = None) -> np.ndarray:
@@ -103,41 +81,6 @@ class HBuffer:
         np.take(self._data, index, axis=0, out=out)
         return out
 
-    def reset_regions(self) -> None:
-        """Mark every region empty (run with all workers quiescent)."""
-        for worker in range(self.num_workers):
-            self._fill[worker] = 0
-
-    @property
-    def used_slots(self) -> int:
-        return sum(self._fill)
-
-
-class BufferHalf:
-    """One half of the DBuffer: a batch plus its FetchAdd claim counter."""
-
-    def __init__(self, max_size: int, series_length: int) -> None:
-        self.data = np.empty((max_size, series_length), dtype=SERIES_DTYPE)
-        self.size = 0
-        self.counter = FetchAdd(0)
-        self.finished = Flag(False)
-
-    def fill(self, batch: np.ndarray) -> None:
-        """Load a batch and reset the claim counter (coordinator only)."""
-        count = batch.shape[0]
-        self.data[:count] = batch
-        self.size = count
-        self.counter.store(0)
-
-
-class DoubleBuffer:
-    """The two-part DBuffer of Algorithm 1."""
-
-    def __init__(self, max_size: int, series_length: int) -> None:
-        self.halves = (
-            BufferHalf(max_size, series_length),
-            BufferHalf(max_size, series_length),
-        )
-
-    def __getitem__(self, toggle: int) -> BufferHalf:
-        return self.halves[toggle]
+    def reset(self) -> None:
+        """Mark every slot free (after a flush spilled their series)."""
+        self._fill = 0

@@ -7,7 +7,9 @@ Defaults follow Section 4.2 ("Parameterization") scaled from the paper's
 ``L_max = 80``, ``EAPCA_TH = 0.25`` and ``SAX_TH = 0.50``.  The two query
 thresholds and ``L_max`` are kept at the paper's values (they are ratios,
 not sizes); the capacity-like knobs default to values that produce trees
-of comparable depth on datasets three orders of magnitude smaller.
+of comparable depth on datasets three orders of magnitude smaller.  The
+build and write threads have no knobs: both phases run on one thread
+here (EXPERIMENTS.md, Figure 12a).
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ class HerculesConfig:
       runtime (EXPERIMENTS.md, Figure 12b); ``> 1`` is the "Para" arm,
     * ``adaptive_thresholds=False`` → NoThresh.
 
-    Index writing is one in-order pass on the calling thread, which is
-    the paper's NoWPara variant: its parallel writer wrote slower on this
-    runtime (EXPERIMENTS.md, Figure 12a), so it has no switch.
+    Index building and index writing each run on the calling thread (for
+    writing, the paper's NoWPara variant): the paper's InsertWorker
+    threads and its parallel writer were slower on this runtime
+    (EXPERIMENTS.md, Figure 12a), so neither has a switch.
     """
 
     # -- tree shape ---------------------------------------------------------
@@ -50,27 +53,15 @@ class HerculesConfig:
     sax_alphabet: int = 256
 
     # -- index building ------------------------------------------------------
-    #: Total threads during building: 1 coordinator + (N-1) InsertWorkers.
-    #: ``1`` selects the sequential building path (no worker threads).
-    num_build_threads: int = 4
-    #: Series per DBuffer half (the paper's DBSize).
+    #: Series per dataset read and per insert batch (the paper's DBSize).
     db_size: int = 256
     #: HBuffer capacity in series; ``None`` sizes it to hold the dataset.
     buffer_capacity: int | None = None
-    #: Number of full worker regions that triggers a flush.
-    flush_threshold: int = 2
-    #: Grouped batch insertion (the default): whole DBuffer claims are
-    #: routed and stored as vectorized groups.  ``False`` selects the
+    #: Grouped batch insertion (the default): whole ``db_size`` batches
+    #: are routed and stored as vectorized groups.  ``False`` selects the
     #: per-row reference path (one ``insert_series`` call per series),
     #: which builds a bit-for-bit identical tree, only slower.
     batched_inserts: bool = True
-    #: Series claimed per FetchAdd by each InsertWorker (and per
-    #: ``insert_batch`` call on the sequential path).  ``None`` picks a
-    #: size automatically: the whole DBuffer batch when there is one
-    #: InsertWorker (1 or 2 build threads), ``db_size / (4 · workers)``
-    #: otherwise (large enough to amortize routing, small enough to
-    #: balance load).
-    claim_size: int | None = None
 
     # -- sharding (ParIS+/MESSI-style scale-out past the GIL) ----------------
     #: Number of independent shard indexes the dataset is partitioned
@@ -152,25 +143,11 @@ class HerculesConfig:
             raise ConfigError(
                 f"sax_alphabet must be in [2, 256], got {self.sax_alphabet}"
             )
-        if self.num_build_threads < 1:
-            raise ConfigError(
-                f"num_build_threads must be >= 1, got {self.num_build_threads}"
-            )
         if self.db_size < 1:
             raise ConfigError(f"db_size must be >= 1, got {self.db_size}")
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise ConfigError(
                 f"buffer_capacity must be positive, got {self.buffer_capacity}"
-            )
-        if self.claim_size is not None and self.claim_size < 1:
-            raise ConfigError(
-                f"claim_size must be >= 1, got {self.claim_size}"
-            )
-        num_insert_workers = max(self.num_build_threads - 1, 1)
-        if not 1 <= self.flush_threshold <= num_insert_workers:
-            raise ConfigError(
-                f"flush_threshold must be in [1, {num_insert_workers}] "
-                f"(the InsertWorker count), got {self.flush_threshold}"
             )
         if self.l_max < 1:
             raise ConfigError(f"l_max must be >= 1, got {self.l_max}")
@@ -214,27 +191,6 @@ class HerculesConfig:
                 f"build_stall_timeout must be positive, got "
                 f"{self.build_stall_timeout}"
             )
-
-    @property
-    def num_insert_workers(self) -> int:
-        """InsertWorker count: total build threads minus the coordinator."""
-        return max(self.num_build_threads - 1, 1)
-
-    @property
-    def effective_claim_size(self) -> int:
-        """Series claimed per FetchAdd during batched insertion.
-
-        The configured ``claim_size``, or the auto heuristic: the whole
-        DBuffer batch when there is one InsertWorker (1 or 2 build
-        threads) — with nothing to balance, wider claims only mean fewer,
-        larger routing groups — and a quarter of each worker's fair share
-        otherwise.  The claim size never changes the tree.
-        """
-        if self.claim_size is not None:
-            return self.claim_size
-        if self.num_insert_workers == 1:
-            return self.db_size
-        return max(self.db_size // (4 * self.num_insert_workers), 1)
 
     def retry_policy(self) -> RetryPolicy:
         """The shard-dispatch :class:`~repro.retry.RetryPolicy` this

@@ -218,8 +218,8 @@ class HerculesIndex:
             write_seconds=write_seconds,
             num_series=result.num_series,
             num_leaves=result.num_leaves,
-            splits=ctx.splits.load(),
-            flushes=ctx.flushes.load(),
+            splits=ctx.splits,
+            flushes=ctx.flushes,
             io=build_stats.snapshot(),
             route_seconds=phases["route"],
             store_seconds=phases["store"],

@@ -92,9 +92,8 @@ def synopsis_from_stats(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
 class Node:
     """One node of the Hercules tree.
 
-    The node lock serializes the InsertWorkers' leaf appends and the
-    leaf→internal transition (Algorithm 5).  Index writing runs on one
-    thread, so its synopsis merges (Algorithms 8-9) take no lock.
+    Building and index writing run on one thread and take no lock; the
+    node lock serializes the DSTree*P baseline's parallel inserts.
     """
 
     __slots__ = (

@@ -5,7 +5,7 @@ useful CPU work (the paper's 24-thread numbers assume real parallelism).
 This module scales past it the way ParIS+/MESSI scale distance-series
 indexes across cores: partition the dataset into ``N`` disjoint row
 ranges, build one *complete, self-contained* Hercules index per range
-(an **index shard** — its own DBuffer space, tree, LRDFile/LSDFile and
+(an **index shard** — its own HBuffer, tree, LRDFile/LSDFile and
 MANIFEST under ``shard-XXXX/``), and coordinate queries scatter-gather.
 
 Correctness rests on two facts:

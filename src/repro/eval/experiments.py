@@ -422,8 +422,10 @@ def figure12_ablation_indexing(
 ) -> ExperimentResult:
     """Figure 12a: index construction for DSTree*, DSTree*P and Hercules.
 
-    The paper's NoWPara arm is Hercules itself here: index writing is
-    one sequential pass (the parallel writer was slower and is retired).
+    Hercules builds its tree on one thread and writes the index in one
+    sequential pass: the paper's InsertWorkers and parallel writer were
+    slower on this runtime and are retired, so the Hercules arm is also
+    the paper's NoWPara.  ``num_threads`` sizes DSTree*P.
     """
     from repro.core import HerculesIndex
 
@@ -449,7 +451,7 @@ def figure12_ablation_indexing(
             result.rows.append([variant, built.build_seconds, 0.0, built.build_seconds])
             built.close()
 
-        config = hercules_config(dataset.num_series, num_threads=num_threads)
+        config = hercules_config(dataset.num_series)
         index = HerculesIndex.build(
             dataset, config, directory=workspace.subdir("hercules")
         )
@@ -513,7 +515,7 @@ def figure12_ablation_query(
             raw, queries_per_workload=num_queries, seed=seed
         )
         dataset = workspace.dataset("deep", indexable)
-        config = hercules_config(dataset.num_series, num_threads=num_threads)
+        config = hercules_config(dataset.num_series)
         index = HerculesIndex.build(
             dataset, config, directory=workspace.subdir("hercules")
         )

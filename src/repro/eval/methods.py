@@ -78,12 +78,15 @@ def hercules_config(
     num_threads: int = DEFAULT_THREADS,
     **overrides,
 ) -> HerculesConfig:
-    """Scaled Hercules defaults for an experiment dataset."""
+    """Scaled Hercules defaults for an experiment dataset.
+
+    Hercules builds on one thread, so it ignores ``num_threads``; the
+    parameter stays for the callers that pass the same value to every
+    method (the DSTree*P and ParIS+ baselines use it).
+    """
     options = dict(
         leaf_capacity=leaf_capacity,
-        num_build_threads=num_threads,
         db_size=max(min(512, num_series // 4), 1),
-        flush_threshold=max((num_threads - 1) // 2, 1),
         l_max=scaled_l_max(num_series, leaf_capacity),
     )
     options.update(overrides)

@@ -245,9 +245,7 @@ class TestCrossMethodAgreement:
             corpus,
             HerculesConfig(
                 leaf_capacity=50,
-                num_build_threads=2,
                 db_size=128,
-                flush_threshold=1,
                 num_query_threads=2,
                 l_max=5,
                 sax_segments=8,

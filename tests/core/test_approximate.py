@@ -19,9 +19,7 @@ def corpus():
 def index_config(**overrides):
     return HerculesConfig(
         leaf_capacity=50,
-        num_build_threads=2,
         db_size=256,
-        flush_threshold=1,
         num_query_threads=1,
         l_max=3,
         sax_segments=8,

@@ -31,8 +31,6 @@ def index(data, tmp_path_factory):
     # SCList, so the walk's entry tables are large.
     config = HerculesConfig(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         l_max=2,
         prefilter=False,
         adaptive_thresholds=False,

@@ -35,8 +35,6 @@ _NUM_SERIES = 500
 def _config(**overrides):
     base = dict(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         prefilter=True,
         prefilter_bits=5,
     )

@@ -3,53 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.core.buffers import BufferHalf, HBuffer
+from repro.core.buffers import HBuffer
 from repro.summarization.eapca import Segmentation
 
 
-class TestBufferHalfEdges:
-    def test_fill_larger_than_capacity_fails_loudly(self):
-        half = BufferHalf(max_size=4, series_length=2)
-        with pytest.raises(ValueError):
-            half.fill(np.zeros((5, 2), dtype=np.float32))
-
-    def test_fill_empty_batch(self):
-        half = BufferHalf(max_size=4, series_length=2)
-        half.fill(np.zeros((0, 2), dtype=np.float32))
-        assert half.size == 0
-
-    def test_refill_overwrites_size(self):
-        half = BufferHalf(max_size=4, series_length=2)
-        half.fill(np.ones((3, 2), dtype=np.float32))
-        half.fill(np.zeros((1, 2), dtype=np.float32))
-        assert half.size == 1
-
-
 class TestHBufferEdges:
-    def test_single_worker_gets_everything(self):
-        buf = HBuffer(capacity=7, series_length=2, num_workers=1)
-        assert buf.region_capacity(0) == 7
-
-    def test_uneven_split_front_loads(self):
-        buf = HBuffer(capacity=7, series_length=2, num_workers=3)
-        sizes = [buf.region_capacity(w) for w in range(3)]
-        assert sizes == [3, 2, 2]
-
     def test_get_rows_empty(self):
-        buf = HBuffer(capacity=4, series_length=2, num_workers=1)
+        buf = HBuffer(capacity=4, series_length=2)
         assert buf.get_rows([]).shape == (0, 2)
 
     def test_store_rejects_after_reset_cycle_overflow(self):
         from repro.errors import ConfigError
 
-        buf = HBuffer(capacity=2, series_length=2, num_workers=1)
-        buf.store(0, np.zeros(2, dtype=np.float32))
-        buf.store(0, np.zeros(2, dtype=np.float32))
-        buf.reset_regions()
-        buf.store(0, np.ones(2, dtype=np.float32))
-        buf.store(0, np.ones(2, dtype=np.float32))
+        buf = HBuffer(capacity=2, series_length=2)
+        buf.store(np.zeros(2, dtype=np.float32))
+        buf.store(np.zeros(2, dtype=np.float32))
+        buf.reset()
+        buf.store(np.ones(2, dtype=np.float32))
+        buf.store(np.ones(2, dtype=np.float32))
         with pytest.raises(ConfigError):
-            buf.store(0, np.ones(2, dtype=np.float32))
+            buf.store(np.ones(2, dtype=np.float32))
 
 
 class TestSegmentationEdges:

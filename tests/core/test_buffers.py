@@ -1,103 +1,73 @@
-"""Unit tests for HBuffer and the DBuffer."""
+"""Unit tests for the HBuffer."""
 
 import numpy as np
 import pytest
 
-from repro.core.buffers import DoubleBuffer, HBuffer
+from repro.core.buffers import HBuffer
 from repro.errors import ConfigError
 
 
 class TestHBuffer:
-    def test_regions_partition_capacity(self):
-        buf = HBuffer(capacity=10, series_length=4, num_workers=3)
-        sizes = [buf.region_capacity(w) for w in range(3)]
-        assert sum(sizes) == 10
-        assert max(sizes) - min(sizes) <= 1
-
     def test_store_and_get_rows(self):
-        buf = HBuffer(capacity=8, series_length=3, num_workers=2)
-        s0 = buf.store(0, np.array([1, 2, 3], dtype=np.float32))
-        s1 = buf.store(1, np.array([4, 5, 6], dtype=np.float32))
-        s2 = buf.store(0, np.array([7, 8, 9], dtype=np.float32))
+        buf = HBuffer(capacity=8, series_length=3)
+        s0 = buf.store(np.array([1, 2, 3], dtype=np.float32))
+        s1 = buf.store(np.array([4, 5, 6], dtype=np.float32))
+        s2 = buf.store(np.array([7, 8, 9], dtype=np.float32))
+        assert [s0, s1, s2] == [0, 1, 2]
         rows = buf.get_rows([s0, s1, s2])
         np.testing.assert_array_equal(rows, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 
-    def test_slots_are_globally_unique_across_workers(self):
-        buf = HBuffer(capacity=6, series_length=2, num_workers=2)
-        slots = [buf.store(w, np.zeros(2, dtype=np.float32)) for w in (0, 0, 1, 1)]
-        assert len(set(slots)) == 4
-
     def test_free_slots_and_overflow(self):
-        buf = HBuffer(capacity=4, series_length=2, num_workers=2)
-        assert buf.free_slots(0) == 2
-        buf.store(0, np.zeros(2, dtype=np.float32))
-        buf.store(0, np.zeros(2, dtype=np.float32))
-        assert buf.free_slots(0) == 0
+        buf = HBuffer(capacity=2, series_length=2)
+        assert buf.free_slots() == 2
+        buf.store(np.zeros(2, dtype=np.float32))
+        buf.store(np.zeros(2, dtype=np.float32))
+        assert buf.free_slots() == 0
         with pytest.raises(ConfigError):
-            buf.store(0, np.zeros(2, dtype=np.float32))
+            buf.store(np.zeros(2, dtype=np.float32))
 
     def test_reset_regions(self):
-        buf = HBuffer(capacity=4, series_length=2, num_workers=2)
-        buf.store(0, np.ones(2, dtype=np.float32))
-        assert buf.used_slots == 1
-        buf.reset_regions()
-        assert buf.used_slots == 0
-        assert buf.free_slots(0) == 2
+        buf = HBuffer(capacity=2, series_length=2)
+        buf.store(np.ones(2, dtype=np.float32))
+        assert buf.free_slots() == 1
+        buf.reset()
+        assert buf.free_slots() == 2
 
-    def test_rejects_capacity_below_worker_count(self):
+    def test_rejects_empty_capacity(self):
         with pytest.raises(ConfigError):
-            HBuffer(capacity=1, series_length=2, num_workers=2)
+            HBuffer(capacity=0, series_length=2)
 
     def test_store_batch_is_contiguous_and_matches_store(self):
-        buf = HBuffer(capacity=8, series_length=3, num_workers=2)
+        buf = HBuffer(capacity=4, series_length=3)
         rows = np.arange(9, dtype=np.float32).reshape(3, 3)
-        start = buf.store_batch(0, rows)
+        start = buf.store_batch(rows)
         assert start == 0
         np.testing.assert_array_equal(
             buf.get_rows(range(start, start + 3)), rows
         )
-        assert buf.free_slots(0) == 1
+        assert buf.free_slots() == 1
         # A following single store lands right after the batch.
-        slot = buf.store(0, np.full(3, 9.0, dtype=np.float32))
+        slot = buf.store(np.full(3, 9.0, dtype=np.float32))
         assert slot == start + 3
 
     def test_store_batch_exactly_filling_region(self):
-        buf = HBuffer(capacity=4, series_length=2, num_workers=2)
+        buf = HBuffer(capacity=2, series_length=2)
         rows = np.ones((2, 2), dtype=np.float32)
-        buf.store_batch(0, rows)  # region size is exactly 2
-        assert buf.free_slots(0) == 0
+        buf.store_batch(rows)  # the buffer holds exactly 2
+        assert buf.free_slots() == 0
 
     def test_store_batch_overflow_rejected_atomically(self):
-        buf = HBuffer(capacity=4, series_length=2, num_workers=2)
-        buf.store(0, np.zeros(2, dtype=np.float32))
+        buf = HBuffer(capacity=2, series_length=2)
+        buf.store(np.zeros(2, dtype=np.float32))
         with pytest.raises(ConfigError):
-            buf.store_batch(0, np.ones((2, 2), dtype=np.float32))
-        # Nothing was written: the region still has its one free slot.
-        assert buf.free_slots(0) == 1
+            buf.store_batch(np.ones((2, 2), dtype=np.float32))
+        # Nothing was written: the buffer still has its one free slot.
+        assert buf.free_slots() == 1
 
     def test_get_rows_into_preallocated_output(self):
-        buf = HBuffer(capacity=6, series_length=2, num_workers=1)
-        buf.store_batch(0, np.arange(8, dtype=np.float32).reshape(4, 2))
+        buf = HBuffer(capacity=6, series_length=2)
+        buf.store_batch(np.arange(8, dtype=np.float32).reshape(4, 2))
         out = np.empty((2, 2), dtype=np.float32)
         returned = buf.get_rows([3, 1], out=out)
         assert returned is out
         np.testing.assert_array_equal(out, [[6, 7], [2, 3]])
-
-
-class TestDoubleBuffer:
-    def test_fill_resets_counter(self):
-        dbuf = DoubleBuffer(max_size=4, series_length=2)
-        half = dbuf[0]
-        half.counter.fetch_add(3)
-        half.fill(np.ones((2, 2), dtype=np.float32))
-        assert half.size == 2
-        assert half.counter.load() == 0
-        np.testing.assert_array_equal(half.data[:2], np.ones((2, 2)))
-
-    def test_two_independent_halves(self):
-        dbuf = DoubleBuffer(max_size=4, series_length=2)
-        dbuf[0].fill(np.zeros((1, 2), dtype=np.float32))
-        dbuf[1].fill(np.ones((3, 2), dtype=np.float32))
-        assert dbuf[0].size == 1
-        assert dbuf[1].size == 3
-        assert not dbuf[0].finished.get()

@@ -5,8 +5,9 @@ a tree *identical* to the per-row reference path — not equivalent,
 identical: same node ids, same segmentations and split policies, same
 synopsis bytes, same per-leaf series in the same order.  These tests pin
 that promise at leaf capacities small enough to force splits in the
-middle of batches, across claim sizes (including pathological ones), and
-through flush/spill cycles.
+middle of batches, across batch sizes (including pathological ones), and
+through flush/spill cycles.  A default build is reproducible: building
+the same data twice writes the same index bytes.
 
 HBuffer slot *numbers* are allowed to differ (groups store contiguously,
 rows store in arrival order); leaf contents via :func:`leaf_data` are
@@ -16,10 +17,12 @@ not.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import HerculesConfig, HerculesIndex
+from repro.cli import main
 from repro.core.construction import build_tree, leaf_data
 from repro.storage.dataset import Dataset
 from repro.storage.files import SeriesFile
@@ -70,16 +73,15 @@ def tree_fingerprint(ctx, include_storage: bool = True):
                     (e.position, e.count) for e in node.spill_extents
                 ]
         nodes.append(entry)
-    return {"nodes": nodes, "splits": ctx.splits.load(),
-            "next_id": ctx.node_ids.load()}
+    return {"nodes": nodes, "splits": ctx.splits, "next_id": ctx.node_ids}
 
 
 class TestSequentialParity:
-    """Per-row vs batched on the single-thread path: full identity."""
+    """Per-row vs batched: full identity."""
 
     def test_batched_matches_per_row(self, tmp_path):
         data = make_random_walks(600, 32, seed=200)
-        kwargs = dict(leaf_capacity=10, num_build_threads=1, flush_threshold=1)
+        kwargs = dict(leaf_capacity=10)
         per_row, _ = build(
             tmp_path, data, "row", batched_inserts=False, **kwargs
         )
@@ -88,22 +90,22 @@ class TestSequentialParity:
         )
         assert tree_fingerprint(batched) == tree_fingerprint(per_row)
 
-    def test_claim_size_is_immaterial(self, tmp_path):
-        # Any claim decomposition — row-at-a-time, a prime stride, whole
-        # DBuffer batches — must produce the identical tree.  Capacity 10
-        # with claims of 64 forces splits in the middle of every group.
+    def test_batch_size_is_immaterial(self, tmp_path):
+        # Any batch decomposition — row-at-a-time, a prime stride, whole
+        # default batches — must produce the identical tree.  Capacity 10
+        # with batches of 64 forces splits in the middle of every group.
         data = make_random_walks(500, 32, seed=201)
-        kwargs = dict(leaf_capacity=10, num_build_threads=1, flush_threshold=1)
+        kwargs = dict(leaf_capacity=10)
         reference, _ = build(
             tmp_path, data, "row", batched_inserts=False, **kwargs
         )
         expected = tree_fingerprint(reference)
-        for claim in (1, 7, 64, None):
+        for db_size in (1, 7, 64, 256):
             ctx, _ = build(
-                tmp_path, data, f"claim-{claim}",
-                batched_inserts=True, claim_size=claim, **kwargs,
+                tmp_path, data, f"batch-{db_size}",
+                batched_inserts=True, db_size=db_size, **kwargs,
             )
-            assert tree_fingerprint(ctx) == expected, f"claim_size={claim}"
+            assert tree_fingerprint(ctx) == expected, f"db_size={db_size}"
 
     def test_parity_through_flush_and_spill_cycles(self, tmp_path):
         # A small HBuffer forces repeated flushes; split redistribution
@@ -112,8 +114,6 @@ class TestSequentialParity:
         data = make_random_walks(700, 32, seed=202)
         kwargs = dict(
             leaf_capacity=25,
-            num_build_threads=1,
-            flush_threshold=1,
             db_size=64,
             buffer_capacity=192,
         )
@@ -123,7 +123,7 @@ class TestSequentialParity:
         batched, _ = build(
             tmp_path, data, "batch", batched_inserts=True, **kwargs
         )
-        assert per_row.flushes.load() > 0  # the scenario exercises flushes
+        assert per_row.flushes > 0  # the scenario exercises flushes
         assert tree_fingerprint(batched) == tree_fingerprint(per_row)
 
     def test_parity_on_degenerate_data(self, tmp_path):
@@ -131,7 +131,7 @@ class TestSequentialParity:
         # capacity through degenerate splits, which the batched path must
         # emulate row by row (insert one, retry) to keep id parity.
         data = np.ones((120, 16), dtype=np.float32)
-        kwargs = dict(leaf_capacity=8, num_build_threads=1, flush_threshold=1)
+        kwargs = dict(leaf_capacity=8)
         per_row, _ = build(
             tmp_path, data, "row", batched_inserts=False, **kwargs
         )
@@ -141,113 +141,66 @@ class TestSequentialParity:
         assert tree_fingerprint(batched) == tree_fingerprint(per_row)
 
 
-class TestParallelParity:
-    def test_single_worker_build_matches_sequential(self, tmp_path):
-        # Two build threads = one InsertWorker claiming ranges in order:
-        # the arrival order is the dataset order, so the tree must be
-        # bit-for-bit the sequential one.  Sized so no flush runs (flush
-        # *timing* differs between the protocols; leaf bytes would still
-        # match, ids and extents would not).
-        data = make_random_walks(600, 32, seed=203)
-        per_row, _ = build(
-            tmp_path, data, "row",
-            leaf_capacity=10, num_build_threads=1, flush_threshold=1,
-            batched_inserts=False, buffer_capacity=600 + 64, db_size=64,
-        )
-        threaded, _ = build(
-            tmp_path, data, "thread",
-            leaf_capacity=10, num_build_threads=2, flush_threshold=1,
-            batched_inserts=True, buffer_capacity=600 + 64, db_size=64,
-        )
-        assert tree_fingerprint(threaded) == tree_fingerprint(per_row)
+_INDEX_FILES = ("htree.bin", "lrd.bin", "lsd.bin")
 
-    def test_single_worker_auto_claim_matches_sequential_index(
-        self, tmp_path
-    ):
-        # At the auto claim a lone InsertWorker takes whole DBuffer
-        # batches, as the sequential path does: the same tree and the
-        # same LRD/LSD bytes.  Sized so no flush runs, as above.
-        data = make_random_walks(700, 32, seed=208)
-        fingerprints, files = [], []
-        for threads in (1, 2):
-            kwargs = dict(
-                leaf_capacity=12, num_build_threads=threads,
-                flush_threshold=1, db_size=128, buffer_capacity=700 + 128,
-            )
-            ctx, _ = build(tmp_path, data, f"auto-{threads}", **kwargs)
-            fingerprints.append(tree_fingerprint(ctx))
-            directory = tmp_path / f"index-{threads}"
-            HerculesIndex.build(
-                data, HerculesConfig(**kwargs), directory=directory
-            ).close()
+
+def _build_with_library(data, directory):
+    HerculesIndex.build(
+        data, HerculesConfig(leaf_capacity=20), directory=directory
+    ).close()
+
+
+def _build_with_cli(data, directory):
+    dataset = directory.parent / f"{directory.name}.bin"
+    Dataset.write(dataset, data).close()
+    code = main(
+        ["build", "--dataset", str(dataset), "--length",
+         str(data.shape[1]), "--output", str(directory),
+         "--leaf-capacity", "20"]
+    )
+    assert code == 0
+
+
+class TestReproducibleBuild:
+    @pytest.mark.parametrize(
+        "build_index", [_build_with_library, _build_with_cli],
+        ids=["library", "cli"],
+    )
+    def test_default_builds_are_byte_identical(self, tmp_path, build_index):
+        # Defaults throughout (only the leaf capacity lowered, so the
+        # tree splits often): two builds of the same data write the same
+        # tree, the same leaf layout and the same iSAX words.
+        data = make_random_walks(3000, 32, seed=204)
+        files = []
+        for run in ("first", "second"):
+            directory = tmp_path / run
+            build_index(data, directory)
             files.append(
-                [(directory / name).read_bytes()
-                 for name in ("lrd.bin", "lsd.bin")]
+                {name: (directory / name).read_bytes() for name in _INDEX_FILES}
             )
-        assert fingerprints[0] == fingerprints[1]
-        assert files[0] == files[1]
-
-    def test_multi_worker_build_same_leaves_any_order(self, tmp_path):
-        # With racing workers the arrival order is nondeterministic, so
-        # node ids may differ — but splits do not depend on insertion
-        # order once every series arrived: the *set* of leaf contents
-        # and the total shape statistics must match the sequential tree.
-        data = make_random_walks(800, 32, seed=204)
-        kwargs = dict(leaf_capacity=20, db_size=64, buffer_capacity=None)
-        sequential, _ = build(
-            tmp_path, data, "seq",
-            num_build_threads=1, flush_threshold=1,
-            batched_inserts=False, **kwargs,
-        )
-        threaded, _ = build(
-            tmp_path, data, "thread",
-            num_build_threads=4, flush_threshold=2,
-            batched_inserts=True, claim_size=16, **kwargs,
-        )
-        total = sum(
-            leaf.size for leaf in threaded.root.iter_leaves_inorder()
-        )
-        assert total == data.shape[0]
-        stored = np.concatenate(
-            [
-                leaf_data(threaded, leaf)
-                for leaf in threaded.root.iter_leaves_inorder()
-            ]
-        )
-        reference = np.concatenate(
-            [
-                leaf_data(sequential, leaf)
-                for leaf in sequential.root.iter_leaves_inorder()
-            ]
-        )
-        np.testing.assert_array_equal(
-            stored[np.lexsort(stored.T[::-1])],
-            reference[np.lexsort(reference.T[::-1])],
-        )
+        for name in _INDEX_FILES:
+            assert files[0][name] == files[1][name], name
 
 
 class TestQueryParity:
     def test_exact_answers_identical_across_build_modes(self, tmp_path):
-        # Exact k-NN does not depend on tree shape at all: a per-row
-        # sequential index and a batched multi-threaded index must return
-        # the same distances — and the same *series* — for every query.
-        # (Positions are LRDFile offsets, which do depend on the leaf
+        # A per-row index and a batched index must return the same
+        # distances — and the same *series* — for every query.
+        # (Positions are LRDFile offsets, which depend on the leaf
         # layout, so the answers are compared by content.)
         data = make_random_walks(600, 64, seed=205)
         queries = make_random_walks(10, 64, seed=206)
         ref = HerculesIndex.build(
             data,
             HerculesConfig(
-                leaf_capacity=32, num_build_threads=1, flush_threshold=1,
-                batched_inserts=False, num_query_threads=1,
+                leaf_capacity=32, batched_inserts=False, num_query_threads=1
             ),
             directory=tmp_path / "ref",
         )
         fast = HerculesIndex.build(
             data,
             HerculesConfig(
-                leaf_capacity=32, num_build_threads=4, flush_threshold=2,
-                batched_inserts=True, num_query_threads=1,
+                leaf_capacity=32, batched_inserts=True, num_query_threads=1
             ),
             directory=tmp_path / "fast",
         )
@@ -270,19 +223,19 @@ class TestQueryParity:
 
 class TestHBufferBoundary:
     def test_batch_exactly_filling_region_does_not_flush(self, tmp_path):
-        # 96-slot region, 32-series batches: the third batch lands the
-        # region at exactly full.  The free-slots check must admit it
+        # 96-slot HBuffer, 32-series batches: the third batch lands the
+        # buffer at exactly full.  The free-slots check must admit it
         # (free == batch size) and flush only before the *fourth* batch.
         data = make_random_walks(200, 16, seed=207)
         for batched in (False, True):
             ctx, _ = build(
                 tmp_path, data, f"boundary-{batched}",
-                leaf_capacity=30, num_build_threads=1, flush_threshold=1,
+                leaf_capacity=30,
                 db_size=32, buffer_capacity=96, batched_inserts=batched,
             )
             # 200 series = 96 + 96 + 8: exactly two flushes, never one
             # triggered by the exactly-full boundary itself.
-            assert ctx.flushes.load() == 2
+            assert ctx.flushes == 2
             total = sum(
                 leaf.size for leaf in ctx.root.iter_leaves_inorder()
             )
@@ -301,11 +254,11 @@ _SETTINGS = settings(
 @given(
     count=st.integers(80, 300),
     leaf_capacity=st.integers(5, 40),
-    claim=st.sampled_from([1, 13, 64, None]),
+    db_size=st.sampled_from([1, 13, 64, 256]),
     seed=st.integers(0, 10_000),
 )
 def test_leaf_synopses_bound_their_rows(
-    tmp_path_factory, count, leaf_capacity, claim, seed
+    tmp_path_factory, count, leaf_capacity, db_size, seed
 ):
     """Every leaf's synopsis is a bounding box of its stored rows."""
     from repro.distance.lower_bounds import MU_MAX, MU_MIN, SD_MAX, SD_MIN
@@ -314,8 +267,7 @@ def test_leaf_synopses_bound_their_rows(
     tmp = tmp_path_factory.mktemp("parity-prop")
     ctx, _ = build(
         tmp, data, "prop",
-        leaf_capacity=leaf_capacity, num_build_threads=1,
-        flush_threshold=1, batched_inserts=True, claim_size=claim,
+        leaf_capacity=leaf_capacity, batched_inserts=True, db_size=db_size,
     )
     for leaf in ctx.root.iter_leaves_inorder():
         rows = leaf_data(ctx, leaf)

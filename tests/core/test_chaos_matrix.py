@@ -28,8 +28,6 @@ N_SHARDS = 2
 def _config(**overrides):
     base = dict(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         num_shards=N_SHARDS,
         shard_workers=2,
         shard_retry_attempts=2,

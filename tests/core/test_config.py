@@ -22,7 +22,6 @@ class TestValidation:
             ("sax_segments", 0),
             ("sax_alphabet", 1),
             ("sax_alphabet", 300),
-            ("num_build_threads", 0),
             ("db_size", 0),
             ("buffer_capacity", 0),
             ("l_max", 0),
@@ -35,38 +34,6 @@ class TestValidation:
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ConfigError):
             HerculesConfig(**{field: value})
-
-    def test_flush_threshold_bounded_by_workers(self):
-        # 4 build threads -> 3 insert workers.
-        HerculesConfig(num_build_threads=4, flush_threshold=3)
-        with pytest.raises(ConfigError):
-            HerculesConfig(num_build_threads=4, flush_threshold=4)
-
-    def test_num_insert_workers(self):
-        assert HerculesConfig(num_build_threads=4).num_insert_workers == 3
-        assert HerculesConfig(num_build_threads=1, flush_threshold=1).num_insert_workers == 1
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_insert_worker_claims_the_whole_batch(self, threads):
-        config = HerculesConfig(
-            num_build_threads=threads, flush_threshold=1, db_size=512
-        )
-        assert config.effective_claim_size == 512
-
-    @pytest.mark.parametrize("threads, workers", [(3, 2), (5, 4)])
-    def test_several_insert_workers_claim_a_quarter_share(
-        self, threads, workers
-    ):
-        config = HerculesConfig(num_build_threads=threads, db_size=512)
-        assert config.effective_claim_size == 512 // (4 * workers)
-
-    @pytest.mark.parametrize("threads", [1, 2, 5])
-    def test_explicit_claim_size_wins(self, threads):
-        config = HerculesConfig(
-            num_build_threads=threads, flush_threshold=1, db_size=512,
-            claim_size=37,
-        )
-        assert config.effective_claim_size == 37
 
     def test_with_options_returns_modified_copy(self):
         base = HerculesConfig()

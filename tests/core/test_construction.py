@@ -65,14 +65,14 @@ class TestSequentialBuild:
     def test_preserves_every_series(self, tmp_path):
         data = make_random_walks(500, 32, seed=80)
         ctx, _ = build(
-            tmp_path, data, leaf_capacity=40, num_build_threads=1, flush_threshold=1
+            tmp_path, data, leaf_capacity=40
         )
         assert_tree_invariants(ctx, data)
 
     def test_leaves_respect_capacity(self, tmp_path):
         data = make_random_walks(500, 32, seed=81)
         ctx, _ = build(
-            tmp_path, data, leaf_capacity=40, num_build_threads=1, flush_threshold=1
+            tmp_path, data, leaf_capacity=40
         )
         for leaf in ctx.root.iter_leaves_inorder():
             assert leaf.size <= 40
@@ -83,7 +83,7 @@ class TestSequentialBuild:
 
         data = make_random_walks(300, 32, seed=82)
         ctx, _ = build(
-            tmp_path, data, leaf_capacity=30, num_build_threads=1, flush_threshold=1
+            tmp_path, data, leaf_capacity=30
         )
         for leaf in ctx.root.iter_leaves_inorder():
             for row in leaf_data(ctx, leaf)[:3]:
@@ -95,12 +95,10 @@ class TestSequentialBuild:
             tmp_path,
             data,
             leaf_capacity=50,
-            num_build_threads=1,
-            flush_threshold=1,
             buffer_capacity=64,
             db_size=32,
         )
-        assert ctx.flushes.load() > 0
+        assert ctx.flushes > 0
         assert spill.num_series > 0
         assert_tree_invariants(ctx, data)
 
@@ -109,8 +107,7 @@ class TestSequentialBuild:
         # overflow into "no split", which let one leaf hold everything.
         data = make_random_walks(2000, 64, seed=85) * np.float32(1e20)
         ctx, _ = build(
-            tmp_path, data, leaf_capacity=100, num_build_threads=1,
-            flush_threshold=1,
+            tmp_path, data, leaf_capacity=100
         )
         leaves = list(ctx.root.iter_leaves_inorder())
         assert len(leaves) > 1
@@ -119,75 +116,23 @@ class TestSequentialBuild:
     def test_identical_series_overflow_leaf_without_split(self, tmp_path):
         data = np.tile(make_random_walks(1, 16, seed=84), (50, 1))
         ctx, _ = build(
-            tmp_path, data, leaf_capacity=10, num_build_threads=1, flush_threshold=1
+            tmp_path, data, leaf_capacity=10
         )
         assert ctx.root.is_leaf
         assert ctx.root.size == 50
 
 
-class TestParallelBuild:
-    @pytest.mark.parametrize("threads", [2, 4, 8])
-    def test_preserves_every_series(self, tmp_path, threads):
-        data = make_random_walks(600, 32, seed=85)
-        ctx, _ = build(
-            tmp_path,
-            data,
-            leaf_capacity=40,
-            num_build_threads=threads,
-            db_size=64,
-            flush_threshold=max(threads - 2, 1),
-        )
-        assert_tree_invariants(ctx, data)
-
-    def test_parallel_with_flushes(self, tmp_path):
-        data = make_random_walks(600, 32, seed=86)
-        ctx, spill = build(
-            tmp_path,
-            data,
-            leaf_capacity=50,
-            num_build_threads=4,
-            db_size=32,
-            buffer_capacity=150,
-            flush_threshold=2,
-        )
-        assert ctx.flushes.load() > 0
-        assert_tree_invariants(ctx, data)
-
     def test_single_batch_dataset(self, tmp_path):
         data = make_random_walks(50, 16, seed=87)
-        ctx, _ = build(
-            tmp_path,
-            data,
-            leaf_capacity=10,
-            num_build_threads=3,
-            db_size=256,
-            flush_threshold=1,
-        )
+        ctx, _ = build(tmp_path, data, leaf_capacity=10, db_size=256)
         assert_tree_invariants(ctx, data)
-
-    def test_matches_sequential_tree_series_placement(self, tmp_path):
-        """Sequential and parallel builds agree on totals and capacities."""
-        data = make_random_walks(400, 32, seed=88)
-        seq_ctx, _ = build(
-            tmp_path / "seq", data, leaf_capacity=40, num_build_threads=1,
-            flush_threshold=1,
-        )
-        par_ctx, _ = build(
-            tmp_path / "par", data, leaf_capacity=40, num_build_threads=4,
-            db_size=64, flush_threshold=2,
-        )
-        seq_total = sum(l.size for l in seq_ctx.root.iter_leaves_inorder())
-        par_total = sum(l.size for l in par_ctx.root.iter_leaves_inorder())
-        assert seq_total == par_total == 400
 
 
 class TestValidation:
     def test_region_smaller_than_db_size_rejected(self, tmp_path):
         data = make_random_walks(100, 16, seed=89)
         dataset = Dataset.from_array(data)
-        config = HerculesConfig(
-            num_build_threads=4, db_size=64, buffer_capacity=90, flush_threshold=2
-        )
+        config = HerculesConfig(db_size=64, buffer_capacity=50)
         spill = SeriesFile(tmp_path / "spill.bin", 16)
         with pytest.raises(ConfigError):
             new_build_context(dataset, config, spill)

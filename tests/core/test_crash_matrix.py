@@ -28,8 +28,6 @@ def data():
 def config():
     return HerculesConfig(
         leaf_capacity=16,
-        num_build_threads=1,
-        flush_threshold=1,
     )
 
 

@@ -1,9 +1,8 @@
-"""Failure injection: errors must propagate, never deadlock or corrupt.
+"""Failure injection: errors must propagate, never corrupt.
 
-The construction and writing phases coordinate many threads through
-barriers and events; a worker dying silently would hang everyone else.
-These tests inject faults into each phase and assert that the error
-surfaces at the build call site and that no thread is left behind.
+These tests inject faults into the construction and writing phases and
+assert that the error surfaces at the build call site, and that damaged
+artifacts are rejected.
 """
 
 from __future__ import annotations
@@ -21,56 +20,13 @@ from repro.storage.files import SeriesFile
 from ..conftest import make_random_walks
 
 
-def _active_worker_threads() -> int:
-    return sum(
-        1
-        for t in threading.enumerate()
-        if t.name.startswith("hercules-insert")
-    )
-
-
 class TestConstructionFailures:
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_insert_error_propagates_from_parallel_build(
-        self, tmp_path, monkeypatch, batched
-    ):
-        data = make_random_walks(300, 32, seed=160)
-        boom_after = {"count": 0}
-        name = "insert_batch" if batched else "insert_series"
-        original = getattr(construction, name)
-        # Fail partway through: after ~150 series on the per-row path,
-        # on the third claimed group on the batched path.
-        trip = 3 if batched else 150
-
-        def flaky(ctx, worker, payload):
-            boom_after["count"] += 1
-            if boom_after["count"] == trip:
-                raise RuntimeError("injected insert failure")
-            original(ctx, worker, payload)
-
-        monkeypatch.setattr(construction, name, flaky)
-        config = HerculesConfig(
-            leaf_capacity=30,
-            num_build_threads=3,
-            db_size=64,
-            flush_threshold=1,
-            batched_inserts=batched,
-            claim_size=16 if batched else None,
-        )
-        spill = SeriesFile(tmp_path / "spill.bin", 32)
-        with pytest.raises(RuntimeError, match="injected insert failure"):
-            construction.build_tree(Dataset.from_array(data), config, spill)
-        spill.close()
-        assert _active_worker_threads() == 0  # no thread left behind
-
     def test_spill_error_propagates_from_sequential_build(
         self, tmp_path, monkeypatch
     ):
         data = make_random_walks(200, 32, seed=161)
         config = HerculesConfig(
             leaf_capacity=30,
-            num_build_threads=1,
-            flush_threshold=1,
             buffer_capacity=64,
             db_size=32,
         )
@@ -90,7 +46,8 @@ class TestWritingFailures:
         self, tmp_path, monkeypatch
     ):
         """A leaf that fails post-processing mid-way through the write
-        pass fails the build with that error and leaves no thread."""
+        pass fails the build with that error, the pass stops there, and
+        the build leaves no thread behind."""
         data = make_random_walks(400, 32, seed=162)
         calls = {"count": 0}
         original = writing.process_leaf
@@ -102,13 +59,12 @@ class TestWritingFailures:
             return original(ctx, leaf, sax_space)
 
         monkeypatch.setattr(writing, "process_leaf", flaky)
-        config = HerculesConfig(
-            leaf_capacity=40, num_build_threads=2, db_size=128, flush_threshold=1
-        )
+        config = HerculesConfig(leaf_capacity=40, db_size=128)
+        threads_before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="injected leaf failure"):
             HerculesIndex.build(data, config, directory=tmp_path / "idx")
         assert calls["count"] == 3  # the pass stopped at the failing leaf
-        assert _active_worker_threads() == 0
+        assert set(threading.enumerate()) <= threads_before
 
     def test_sequential_writing_error_propagates(self, tmp_path, monkeypatch):
         data = make_random_walks(200, 32, seed=163)
@@ -117,9 +73,7 @@ class TestWritingFailures:
             raise RuntimeError("injected sequential failure")
 
         monkeypatch.setattr(writing, "process_leaf", broken)
-        config = HerculesConfig(
-            leaf_capacity=40, num_build_threads=1, flush_threshold=1
-        )
+        config = HerculesConfig(leaf_capacity=40)
         with pytest.raises(RuntimeError, match="injected sequential failure"):
             HerculesIndex.build(data, config, directory=tmp_path / "idx")
 
@@ -129,7 +83,7 @@ class TestCorruptArtifacts:
     def built(self, tmp_path):
         data = make_random_walks(300, 32, seed=164)
         config = HerculesConfig(
-            leaf_capacity=50, num_build_threads=1, flush_threshold=1
+            leaf_capacity=50
         )
         index = HerculesIndex.build(data, config, directory=tmp_path / "idx")
         index.close()
@@ -169,7 +123,7 @@ class TestCorruptArtifacts:
 
         monkeypatch.setattr(index_module, "write_index", lossy)
         config = HerculesConfig(
-            leaf_capacity=50, num_build_threads=1, flush_threshold=1
+            leaf_capacity=50
         )
         from repro.errors import IndexStateError
 

@@ -1,15 +1,14 @@
-"""Focused tests of the flushing protocol (Algorithms 3-4).
+"""Focused tests of flushing (Algorithm 3's spill).
 
-The protocol's observable contract: data survives arbitrary buffer
-pressure, flushes happen when (and only when) regions fill, HBuffer
-regions reset after each flush, and leaves accumulate spill extents that
-splits and the writing phase can read back.
+The observable contract: data survives arbitrary buffer pressure,
+flushes happen when (and only when) the HBuffer cannot absorb the next
+batch, the HBuffer empties after each flush, and leaves accumulate spill
+extents that splits and the writing phase can read back.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.config import HerculesConfig
 from repro.core.construction import (
@@ -35,16 +34,15 @@ class TestMaterializeFlush:
     def test_moves_memory_series_to_spill(self, tmp_path):
         data = make_random_walks(50, 16, seed=180)
         ctx, spill = build_ctx(
-            tmp_path, data, leaf_capacity=100, num_build_threads=1,
-            flush_threshold=1,
+            tmp_path, data, leaf_capacity=100
         )
         from repro.core.construction import insert_series
 
         for row in data:
-            insert_series(ctx, 0, row)
-        assert ctx.hbuffer.used_slots == 50
+            insert_series(ctx, row)
+        assert ctx.hbuffer.free_slots() == ctx.hbuffer.capacity - 50
         materialize_flush(ctx)
-        assert ctx.hbuffer.used_slots == 0
+        assert ctx.hbuffer.free_slots() == ctx.hbuffer.capacity
         root = ctx.root
         assert root.sbuffer == []
         assert sum(e.count for e in root.spill_extents) == 50
@@ -57,33 +55,29 @@ class TestMaterializeFlush:
     def test_flush_is_idempotent_on_empty_buffers(self, tmp_path):
         data = make_random_walks(10, 16, seed=181)
         ctx, spill = build_ctx(
-            tmp_path, data, leaf_capacity=100, num_build_threads=1,
-            flush_threshold=1,
+            tmp_path, data, leaf_capacity=100
         )
         materialize_flush(ctx)
-        assert ctx.flushes.load() == 1
+        assert ctx.flushes == 1
         assert spill.num_series == 0
         spill.close()
 
 
 class TestFlushUnderPressure:
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_flush_count_grows_with_pressure(self, tmp_path, threads):
+    def test_flush_count_grows_with_pressure(self, tmp_path):
         data = make_random_walks(600, 16, seed=182)
 
         def flushes(buffer_capacity):
             config = dict(
                 leaf_capacity=50,
-                num_build_threads=threads,
                 db_size=32,
                 buffer_capacity=buffer_capacity,
-                flush_threshold=1,
             )
-            ctx, spill = build_ctx(tmp_path / f"{threads}-{buffer_capacity}",
-                                   data, **config)
+            ctx, spill = build_ctx(tmp_path / str(buffer_capacity), data,
+                                   **config)
             build_tree(Dataset.from_array(data), ctx.config, spill, context=ctx)
             spill.close()
-            return ctx.flushes.load()
+            return ctx.flushes
 
         tight = flushes(128)
         loose = flushes(600)
@@ -95,17 +89,15 @@ class TestFlushUnderPressure:
         data = make_random_walks(300, 16, seed=183)
         config = dict(
             leaf_capacity=120,
-            num_build_threads=1,
             db_size=32,
             buffer_capacity=64,
-            flush_threshold=1,
         )
         ctx, spill = build_ctx(tmp_path, data, **config)
         build_tree(Dataset.from_array(data), ctx.config, spill, context=ctx)
         # With capacity 64 and leaf threshold 120, the first split can
         # only have happened after at least one flush.
-        assert ctx.flushes.load() >= 1
-        assert ctx.splits.load() >= 1
+        assert ctx.flushes >= 1
+        assert ctx.splits >= 1
         total = sum(leaf.size for leaf in ctx.root.iter_leaves_inorder())
         assert total == 300
         # Children carry fresh spill extents written by the split.
@@ -123,10 +115,8 @@ class TestFlushUnderPressure:
         data = make_random_walks(400, 16, seed=184)
         config = dict(
             leaf_capacity=60,
-            num_build_threads=1,
             db_size=32,
             buffer_capacity=64,
-            flush_threshold=1,
         )
         ctx, spill = build_ctx(tmp_path, data, **config)
         build_tree(Dataset.from_array(data), ctx.config, spill, context=ctx)
@@ -147,10 +137,8 @@ class TestEndToEndWithPressure:
         data = make_random_walks(500, 32, seed=185)
         config = HerculesConfig(
             leaf_capacity=40,
-            num_build_threads=3,
             db_size=32,
             buffer_capacity=80,
-            flush_threshold=1,
             num_query_threads=2,
             l_max=3,
             sax_segments=8,

@@ -31,9 +31,7 @@ def built_index(corpus, tmp_path_factory):
     directory = tmp_path_factory.mktemp("hercules")
     config = HerculesConfig(
         leaf_capacity=60,
-        num_build_threads=4,
         db_size=128,
-        flush_threshold=2,
         num_query_threads=2,
         l_max=10,
         sax_segments=8,
@@ -60,7 +58,7 @@ class TestBuild:
         index = HerculesIndex.build(
             data,
             HerculesConfig(
-                leaf_capacity=30, num_build_threads=1, flush_threshold=1,
+                leaf_capacity=30,
                 sax_segments=8,
             ),
         )
@@ -75,8 +73,8 @@ class TestBuild:
         index = HerculesIndex.build(
             dataset,
             HerculesConfig(
-                leaf_capacity=40, num_build_threads=2, db_size=64,
-                flush_threshold=1, sax_segments=8,
+                leaf_capacity=40, db_size=64,
+                sax_segments=8,
             ),
         )
         assert index.num_series == 200
@@ -85,19 +83,16 @@ class TestBuild:
         index.close()
         dataset.close()
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("on_disk", [False, True])
-    def test_rejects_non_finite_series(self, tmp_path, on_disk, threads):
-        """Ingest names the first NaN/inf row, in memory and from a file,
-        on the sequential and the threaded build (where the bad row
-        arrives while the insert workers are running)."""
+    def test_rejects_non_finite_series(self, tmp_path, on_disk):
+        """Ingest names the first NaN/inf row, in memory and from a file."""
         data = make_random_walks(200, 32, seed=103).astype(np.float32)
         data[150, 3] = np.inf
         data[137, 0] = np.nan
         source = Dataset.write(tmp_path / "data.bin", data) if on_disk else data
         config = HerculesConfig(
-            leaf_capacity=40, num_build_threads=threads, db_size=64,
-            flush_threshold=1, sax_segments=8,
+            leaf_capacity=40, db_size=64,
+            sax_segments=8,
         )
         try:
             with pytest.raises(ValueError, match="series 137 holds NaN or infinite"):
@@ -165,7 +160,7 @@ class TestAdaptivePaths:
     def test_hard_query_takes_skip_sequential(self, corpus, tmp_path):
         """A far-away query prunes nothing, triggering the scan fallback."""
         config = HerculesConfig(
-            leaf_capacity=60, num_build_threads=1, flush_threshold=1,
+            leaf_capacity=60,
             l_max=2, sax_segments=8,
         )
         index = HerculesIndex.build(corpus, config, directory=tmp_path / "idx")
@@ -179,7 +174,7 @@ class TestAdaptivePaths:
 
     def test_nothresh_never_skips(self, corpus, tmp_path):
         config = HerculesConfig(
-            leaf_capacity=60, num_build_threads=1, flush_threshold=1,
+            leaf_capacity=60,
             adaptive_thresholds=False, l_max=2, sax_segments=8,
         )
         index = HerculesIndex.build(corpus, config, directory=tmp_path / "idx")
@@ -213,7 +208,7 @@ class TestPersistence:
 
     def test_closed_index_rejects_queries(self, corpus, tmp_path):
         config = HerculesConfig(
-            leaf_capacity=100, num_build_threads=1, flush_threshold=1,
+            leaf_capacity=100,
             sax_segments=8,
         )
         index = HerculesIndex.build(

@@ -67,8 +67,6 @@ def make_queries(data, seed, scale):
 def build(data, **options):
     config = HerculesConfig(
         leaf_capacity=12,
-        num_build_threads=1,
-        flush_threshold=1,
         initial_segments=4,
         sax_segments=8,
         num_query_threads=1,
@@ -271,7 +269,7 @@ class TestExtentValidation:
     @pytest.fixture(scope="class")
     def directory(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("table") / "index"
-        config = HerculesConfig(leaf_capacity=20, num_build_threads=1, flush_threshold=1)
+        config = HerculesConfig(leaf_capacity=20)
         HerculesIndex.build(
             make_random_walks(100, 32, seed=9), config, directory=directory
         ).close()

@@ -70,8 +70,6 @@ def assert_table_matches(table: LeafTable, reference: dict) -> None:
 def build(data, directory, **options):
     config = HerculesConfig(
         leaf_capacity=12,
-        num_build_threads=1,
-        flush_threshold=1,
         initial_segments=4,
         **options,
     )
@@ -124,7 +122,7 @@ def test_reference_trees_include_v_splits(tmp_path):
 def directories(tmp_path_factory):
     base = tmp_path_factory.mktemp("no-node")
     data = make_random_walks(300, 32, seed=21)
-    config = HerculesConfig(leaf_capacity=20, num_build_threads=1, flush_threshold=1)
+    config = HerculesConfig(leaf_capacity=20)
     with HerculesIndex.build(data, config, directory=base / "plain") as index:
         extents = [(leaf.file_position, leaf.size) for leaf in index.leaves]
     ShardedIndex.build(

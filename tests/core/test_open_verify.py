@@ -15,7 +15,7 @@ from ..conftest import make_random_walks
 def built(tmp_path_factory):
     data = make_random_walks(100, 32, seed=9)
     directory = tmp_path_factory.mktemp("verify") / "index"
-    config = HerculesConfig(leaf_capacity=20, num_build_threads=1, flush_threshold=1)
+    config = HerculesConfig(leaf_capacity=20)
     index = HerculesIndex.build(data, config, directory=directory)
     answer = index.knn(data[0], k=2)
     index.close()
@@ -177,8 +177,6 @@ def built_by_older_release(tmp_path_factory):
     directory = tmp_path_factory.mktemp("verify-prefilter") / "index"
     config = HerculesConfig(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         l_max=2,
         prefilter=True,
         prefilter_bits=4,
@@ -281,6 +279,9 @@ class TestRetiredShardKnobs:
         query_join_timeout=5.0,
         num_write_threads=2,
         parallel_writing=True,
+        num_build_threads=4,
+        flush_threshold=2,
+        claim_size=64,
     )
 
     @pytest.mark.parametrize("level", ["quick", "full"])
@@ -300,7 +301,7 @@ class TestRetiredShardKnobs:
         manifest_mod.save_manifest(directory, manifest)
         with HerculesIndex.open(directory, verify=level) as index:
             assert index.config == HerculesConfig(
-                leaf_capacity=20, num_build_threads=1, flush_threshold=1
+                leaf_capacity=20
             )
             for name in self.RETIRED:
                 assert not hasattr(index.config, name)

@@ -97,8 +97,6 @@ class TestSignatureArray:
         )
         config = HerculesConfig(
             leaf_capacity=20,
-            num_build_threads=1,
-            flush_threshold=1,
             sax_segments=_SEGMENTS,
         )
         data = make_random_walks(60, _LENGTH, seed=93)

@@ -29,8 +29,6 @@ _LENGTH = 64
 def _config(**overrides):
     base = dict(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         prefilter=True,
         prefilter_bits=5,
     )

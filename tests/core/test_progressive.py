@@ -19,9 +19,7 @@ def corpus():
 def index(corpus, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=50,
-        num_build_threads=2,
         db_size=256,
-        flush_threshold=1,
         num_query_threads=2,
         l_max=3,
         sax_segments=8,

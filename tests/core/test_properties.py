@@ -51,8 +51,6 @@ def test_tree_stores_every_series_exactly_once(tmp_path_factory, shape, leaf_cap
     tmp = tmp_path_factory.mktemp("prop")
     config = Config(
         leaf_capacity=leaf_capacity,
-        num_build_threads=1,
-        flush_threshold=1,
         initial_segments=min(4, length),
     )
     spill = SeriesFile(tmp / "spill.bin", length)
@@ -75,8 +73,6 @@ def test_query_pipeline_is_exact(tmp_path_factory, shape, k):
     query = make_random_walks(1, length, seed=seed + 1)[0]
     config = HerculesConfig(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         initial_segments=min(4, length),
         sax_segments=min(8, length),
         num_query_threads=1,
@@ -103,8 +99,6 @@ def test_htree_roundtrip_preserves_query_answers(tmp_path_factory, shape):
     tmp = tmp_path_factory.mktemp("roundtrip")
     config = HerculesConfig(
         leaf_capacity=25,
-        num_build_threads=1,
-        flush_threshold=1,
         initial_segments=min(4, length),
         sax_segments=min(8, length),
         num_query_threads=1,
@@ -129,8 +123,6 @@ def test_serialized_tree_structure_matches(tmp_path_factory, shape):
     tmp = tmp_path_factory.mktemp("ser")
     config = Config(
         leaf_capacity=25,
-        num_build_threads=1,
-        flush_threshold=1,
         initial_segments=min(4, length),
     )
     spill = SeriesFile(tmp / "spill.bin", length)
@@ -162,25 +154,21 @@ def test_serialized_tree_structure_matches(tmp_path_factory, shape):
 @_SETTINGS
 @given(
     shape=dataset_strategy(),
-    threads=st.sampled_from([2, 3, 4]),
     buffer_fraction=st.sampled_from([0.25, 0.5, 1.0]),
 )
-def test_parallel_build_with_random_buffer_pressure(
-    tmp_path_factory, shape, threads, buffer_fraction
+def test_build_with_random_buffer_pressure(
+    tmp_path_factory, shape, buffer_fraction
 ):
-    """Flush-protocol stress: random small HBuffers must never lose data."""
+    """Flush stress: random small HBuffers must never lose data."""
     count, length, seed = shape
     data = make_random_walks(count, length, seed=seed)
     tmp = tmp_path_factory.mktemp("pressure")
-    workers = threads - 1 if threads > 1 else 1
     db_size = 32
-    capacity = max(int(count * buffer_fraction), workers * db_size)
+    capacity = max(int(count * buffer_fraction), db_size)
     config = Config(
         leaf_capacity=20,
-        num_build_threads=threads,
         db_size=db_size,
         buffer_capacity=capacity,
-        flush_threshold=1,
         initial_segments=min(4, length),
     )
     spill = SeriesFile(tmp / "spill.bin", length)

@@ -18,8 +18,6 @@ def index(tmp_path):
     data = make_random_walks(500, 32, seed=290)
     config = HerculesConfig(
         leaf_capacity=40,
-        num_build_threads=1,
-        flush_threshold=1,
         num_query_threads=3,
         l_max=2,
         sax_segments=8,
@@ -79,7 +77,7 @@ def layouts(tmp_path_factory):
     """A plain and a 2-shard index over the same 32-point series."""
     data = make_random_walks(300, 32, seed=294)
     base = tmp_path_factory.mktemp("bad-queries")
-    options = dict(leaf_capacity=40, num_build_threads=1, flush_threshold=1, sax_segments=8)
+    options = dict(leaf_capacity=40, sax_segments=8)
     plain = HerculesIndex.build(data, HerculesConfig(**options), directory=base / "plain")
     sharded = ShardedIndex.build(
         data,

@@ -32,8 +32,6 @@ def corpus():
 def index(corpus, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=45,
-        num_build_threads=1,
-        flush_threshold=1,
         num_query_threads=1,
         l_max=3,
         sax_segments=8,
@@ -486,8 +484,6 @@ class TestEdgeCases:
         data = make_random_walks(30, 16, seed=200)
         config = HerculesConfig(
             leaf_capacity=10,
-            num_build_threads=1,
-            flush_threshold=1,
             num_query_threads=1,
             sax_segments=8,
             l_max=2,
@@ -508,8 +504,6 @@ class TestEdgeCases:
                                make_random_walks(60, 16, seed=203)])
         config = HerculesConfig(
             leaf_capacity=20,
-            num_build_threads=1,
-            flush_threshold=1,
             num_query_threads=1,
             sax_segments=8,
         )
@@ -523,8 +517,6 @@ class TestEdgeCases:
         data = make_random_walks(1, 16, seed=204)
         config = HerculesConfig(
             leaf_capacity=10,
-            num_build_threads=1,
-            flush_threshold=1,
             num_query_threads=1,
             sax_segments=8,
         )
@@ -560,7 +552,7 @@ class TestDuplicateTies:
         from repro import ShardedIndex
 
         config = HerculesConfig(
-            leaf_capacity=20, num_build_threads=1, flush_threshold=1, l_max=1,
+            leaf_capacity=20, l_max=1,
             sax_segments=8,
         )
         root = tmp_path_factory.mktemp("twins")

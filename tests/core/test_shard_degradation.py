@@ -32,8 +32,6 @@ N_SHARDS = 3
 def _config(**overrides):
     base = dict(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         num_shards=N_SHARDS,
         shard_workers=N_SHARDS,
         shard_retry_attempts=1,

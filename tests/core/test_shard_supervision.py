@@ -111,8 +111,6 @@ def _error_always_worker(conn, make_handler, handler_args) -> None:
 def _config(**overrides):
     base = dict(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         build_stall_timeout=60.0,
     )
     base.update(overrides)

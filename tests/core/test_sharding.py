@@ -25,7 +25,7 @@ from ..conftest import make_random_walks
 
 
 def _config(**overrides):
-    base = dict(leaf_capacity=20, num_build_threads=1, flush_threshold=1)
+    base = dict(leaf_capacity=20)
     base.update(overrides)
     return HerculesConfig(**base)
 

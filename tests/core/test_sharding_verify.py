@@ -20,8 +20,6 @@ def sharded_dir(tmp_path):
     data = make_random_walks(120, 32, seed=3)
     config = HerculesConfig(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         num_shards=3,
         shard_workers=1,
     )
@@ -93,7 +91,7 @@ class TestDamageNamesTheShard:
         rebuilt = HerculesIndex.build(
             make_random_walks(40, 32, seed=99),
             HerculesConfig(
-                leaf_capacity=20, num_build_threads=1, flush_threshold=1
+                leaf_capacity=20
             ),
             directory=directory / "shard-0001",
         )

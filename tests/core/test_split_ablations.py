@@ -50,8 +50,6 @@ class TestIndexLevelAblation:
         data = make_random_walks(600, 32, seed=283)
         config = HerculesConfig(
             leaf_capacity=40,
-            num_build_threads=1,
-            flush_threshold=1,
             allow_vertical_splits=False,
             initial_segments=4,
             sax_segments=8,
@@ -76,8 +74,6 @@ class TestIndexLevelAblation:
         data = make_random_walks(600, 32, seed=285)
         config = HerculesConfig(
             leaf_capacity=40,
-            num_build_threads=1,
-            flush_threshold=1,
             allow_std_routing=False,
             sax_segments=8,
         )
@@ -99,8 +95,6 @@ class TestIndexLevelAblation:
         def mean_accessed(**flags):
             config = HerculesConfig(
                 leaf_capacity=60,
-                num_build_threads=1,
-                flush_threshold=1,
                 num_query_threads=1,
                 l_max=3,
                 sax_segments=8,

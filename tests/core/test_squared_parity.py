@@ -44,8 +44,6 @@ def corpus():
 def index(corpus, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=40,
-        num_build_threads=1,
-        flush_threshold=1,
         num_query_threads=1,
         l_max=3,
         sax_segments=8,

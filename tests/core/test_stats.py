@@ -13,8 +13,6 @@ def index(tmp_path_factory):
     data = make_random_walks(600, 32, seed=150)
     config = HerculesConfig(
         leaf_capacity=40,
-        num_build_threads=1,
-        flush_threshold=1,
         sax_segments=8,
     )
     idx = HerculesIndex.build(

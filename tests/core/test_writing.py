@@ -56,9 +56,7 @@ def written(tmp_path):
         tmp_path,
         data,
         leaf_capacity=60,
-        num_build_threads=4,
         db_size=128,
-        flush_threshold=2,
         sax_segments=8,
     )
     ctx._written_dir = result.directory
@@ -144,8 +142,6 @@ class TestSynopsisCompletion:
             tmp_path,
             data,
             leaf_capacity=40,
-            num_build_threads=1,
-            flush_threshold=1,
             sax_segments=8,
         )
         self.assert_internal_synopses_exact(data, ctx, result)
@@ -158,8 +154,6 @@ class TestSynopsisCompletion:
             data,
             leaf_capacity=30,
             initial_segments=1,
-            num_build_threads=1,
-            flush_threshold=1,
             sax_segments=8,
         )
         assert any(

@@ -16,7 +16,7 @@ class TestPerLeafBufferBuild:
     def test_builds_a_complete_tree(self):
         data = make_random_walks(400, 32, seed=170)
         config = HerculesConfig(
-            leaf_capacity=40, num_build_threads=1, flush_threshold=1
+            leaf_capacity=40
         )
         report = build_with_per_leaf_buffers(data, config)
         assert report.num_leaves > 1
@@ -25,7 +25,7 @@ class TestPerLeafBufferBuild:
     def test_counts_allocations_and_copies(self):
         data = make_random_walks(500, 32, seed=171)
         config = HerculesConfig(
-            leaf_capacity=25, num_build_threads=1, flush_threshold=1
+            leaf_capacity=25
         )
         report = build_with_per_leaf_buffers(data, config)
         # Every split allocates two child buffers and copies the parent's
@@ -37,7 +37,7 @@ class TestPerLeafBufferBuild:
     def test_degenerate_data_stays_single_leaf(self):
         data = np.tile(make_random_walks(1, 16, seed=172), (60, 1))
         config = HerculesConfig(
-            leaf_capacity=20, num_build_threads=1, flush_threshold=1
+            leaf_capacity=20
         )
         report = build_with_per_leaf_buffers(data, config)
         assert report.num_leaves == 1
@@ -50,8 +50,6 @@ class TestThresholdSensitivity:
         data = make_random_walks(600, 32, seed=173)
         config = HerculesConfig(
             leaf_capacity=40,
-            num_build_threads=1,
-            flush_threshold=1,
             num_query_threads=1,
             l_max=2,
             sax_segments=8,

@@ -189,7 +189,7 @@ class TestRunWorkloadBatched:
             data,
             # A short phase 1, so the batch reaches its refinement walk.
             HerculesConfig(
-                leaf_capacity=16, num_build_threads=1, flush_threshold=1, l_max=1
+                leaf_capacity=16, l_max=1
             ),
             directory=tmp_path / "idx",
         )

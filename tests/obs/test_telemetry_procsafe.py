@@ -128,8 +128,6 @@ LENGTH = 16
 def _config(**overrides):
     base = dict(
         leaf_capacity=20,
-        num_build_threads=1,
-        flush_threshold=1,
         num_shards=2,
         shard_workers=2,
     )

@@ -19,8 +19,6 @@ def traced_build(data, tmp_path_factory):
     trace = obs.Trace(name="build")
     config = HerculesConfig(
         leaf_capacity=50,
-        num_build_threads=3,
-        flush_threshold=1,
         num_query_threads=2,
         # A small HBuffer forces flushes so the flush spans appear.
         db_size=50,
@@ -50,15 +48,16 @@ class TestBuildSpans:
             "build.write",
         } <= names
 
-    def test_flush_protocol_spans_nest_under_tree(self, traced_build):
+    def test_flush_protocol_spans_nest_under_tree(self, traced_build, data):
         trace, _ = traced_build
         tree = trace.find("build.tree")[0]
-        workers = trace.find("build.insert_worker")
-        assert workers, "parallel build should span its insert workers"
-        assert all(w.parent_id == tree.span_id for w in workers)
-        coordinator = trace.find("build.flush.coordinator")
-        helpers = trace.find("build.flush.worker")
-        assert coordinator or helpers, "flush roles should be traced"
+        inserts = trace.find("build.insert_batch")
+        # One insert span per 50-series batch, on the building thread.
+        assert len(inserts) == data.shape[0] // 50
+        assert all(s.parent_id == tree.span_id for s in inserts)
+        assert sum(s.attributes["rows"] for s in inserts) == data.shape[0]
+        flushes = trace.find("build.flush")
+        assert flushes and all(s.parent_id == tree.span_id for s in flushes)
 
     def test_io_attributes_on_phases(self, traced_build):
         trace, _ = traced_build

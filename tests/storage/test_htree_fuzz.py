@@ -65,7 +65,7 @@ def built_index(tmp_path_factory):
     directory = tmp_path_factory.mktemp("corrupt") / "index"
     data = make_random_walks(60, 16, seed=13)
     config = HerculesConfig(
-        leaf_capacity=12, num_build_threads=1, flush_threshold=1
+        leaf_capacity=12
     )
     HerculesIndex.build(data, config, directory=directory).close()
     return directory

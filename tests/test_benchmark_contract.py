@@ -24,7 +24,7 @@ def test_leaves_expose_what_the_tlb_probe_reads(small_dataset):
     from repro import HerculesConfig, HerculesIndex
     from repro.summarization.eapca import SeriesSketch
 
-    config = HerculesConfig(leaf_capacity=50, num_build_threads=1, flush_threshold=1)
+    config = HerculesConfig(leaf_capacity=50)
     with HerculesIndex.build(small_dataset, config) as index:
         sketch = SeriesSketch(small_dataset[0].astype("float64"))
         covered = 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import HerculesIndex
 from repro.storage.dataset import Dataset
 
 
@@ -73,8 +72,6 @@ class TestBuildQueryInspect:
                 str(index_dir),
                 "--leaf-capacity",
                 "50",
-                "--threads",
-                "2",
             ]
         )
         assert code == 0
@@ -107,32 +104,6 @@ class TestBuildQueryInspect:
         assert "leaves" in out
         assert "series length      32" in out
 
-    def test_build_threads_leave_the_query_default(
-        self, dataset_file, tmp_path
-    ):
-        # --threads sets build threads only: the index queries with the
-        # config default of one thread (NoPara).
-        index_dir = tmp_path / "index"
-        code = main(
-            [
-                "build",
-                "--dataset",
-                str(dataset_file),
-                "--length",
-                "32",
-                "--output",
-                str(index_dir),
-                "--leaf-capacity",
-                "50",
-                "--threads",
-                "4",
-            ]
-        )
-        assert code == 0
-        with HerculesIndex.open(index_dir) as index:
-            assert index.config.num_build_threads == 4
-            assert index.config.num_query_threads == 1
-
     def test_verbose_build_prints_phase_breakdown(
         self, dataset_file, tmp_path, capsys
     ):
@@ -149,10 +120,6 @@ class TestBuildQueryInspect:
                 str(index_dir),
                 "--leaf-capacity",
                 "50",
-                "--threads",
-                "1",
-                "--claim-size",
-                "64",
             ]
         )
         assert code == 0
@@ -175,8 +142,6 @@ class TestBuildQueryInspect:
                 str(tmp_path / "per-row"),
                 "--leaf-capacity",
                 "50",
-                "--threads",
-                "1",
                 "--per-row",
             ]
         )
@@ -193,8 +158,6 @@ class TestBuildQueryInspect:
                 str(tmp_path / "batched"),
                 "--leaf-capacity",
                 "50",
-                "--threads",
-                "1",
             ]
         )
         assert code == 0
@@ -214,8 +177,6 @@ class TestBuildQueryInspect:
                     "32",
                     "--output",
                     str(index_dir),
-                    "--threads",
-                    "1",
                 ]
             )
             == 0
@@ -273,8 +234,6 @@ class TestVerifyIndex:
                 "32",
                 "--output",
                 str(index_dir),
-                "--threads",
-                "1",
             ]
         )
         assert code == 0
@@ -455,8 +414,6 @@ class TestTraceAndExplain:
                 "32",
                 "--output",
                 str(index_dir),
-                "--threads",
-                "2",
             ]
         )
         assert code == 0
@@ -475,8 +432,6 @@ class TestTraceAndExplain:
                 "32",
                 "--output",
                 str(tmp_path / "traced-index"),
-                "--threads",
-                "2",
                 "--trace",
                 str(trace_path),
             ]
@@ -564,8 +519,6 @@ class TestTraceAndExplain:
                 "32",
                 "--output",
                 str(tmp_path / "verbose-index"),
-                "--threads",
-                "1",
             ]
         )
         assert code == 0
@@ -583,8 +536,6 @@ class TestTraceAndExplain:
                 "32",
                 "--output",
                 str(tmp_path / "quiet-index"),
-                "--threads",
-                "1",
             ]
         )
         assert code == 0
@@ -601,7 +552,6 @@ class TestCacheFlag:
                 "--dataset", str(dataset_file),
                 "--length", "32",
                 "--output", str(index_dir),
-                "--threads", "1",
             ]
         )
         assert code == 0
@@ -700,7 +650,6 @@ class TestShardedCLI:
                 "--length", "32",
                 "--output", str(index_dir),
                 "--leaf-capacity", "50",
-                "--threads", "1",
                 "--shards", "2",
                 "--shard-workers", "1",
             ]
@@ -723,7 +672,6 @@ class TestShardedCLI:
                     "--length", "32",
                     "--output", str(tmp_path / name),
                     "--leaf-capacity", "50",
-                    "--threads", "1",
                     *extra,
                 ]
             )
@@ -917,7 +865,7 @@ class TestPrefilterCLI:
             assert main(
                 ["build", "--dataset", str(dataset_file), "--length", "32",
                  "--output", str(index_dir), "--leaf-capacity", "20",
-                 "--threads", "1", "--l-max", "1"] + extra
+                 "--l-max", "1"] + extra
             ) == 0
             # The SAX tier is lsd.bin, read at open: no file of its own.
             assert not (index_dir / "signatures.bin").exists()
@@ -975,8 +923,8 @@ class TestBatchCLI:
         # A short phase 1, so the batch reaches its refinement walk.
         assert main(
             ["build", "--dataset", str(dataset_file), "--length", "32",
-             "--output", str(index_dir), "--leaf-capacity", "20", "--threads",
-             "1", "--l-max", "1"] + build_flags
+             "--output", str(index_dir), "--leaf-capacity", "20",
+             "--l-max", "1"] + build_flags
         ) == 0
         capsys.readouterr()
         outputs = {}
@@ -1010,7 +958,7 @@ class TestQueryTelemetry:
         index_dir = tmp_path / "index"
         assert main(
             ["build", "--dataset", str(dataset_file), "--length", "32",
-             "--output", str(index_dir), "--threads", "1"]
+             "--output", str(index_dir)]
         ) == 0
         spool = tmp_path / "spool"
         assert main(
@@ -1029,7 +977,7 @@ class TestQueryTelemetry:
         index_dir = tmp_path / "sharded"
         assert main(
             ["build", "--dataset", str(dataset_file), "--length", "32",
-             "--output", str(index_dir), "--threads", "1", "--shards", "2",
+             "--output", str(index_dir), "--shards", "2",
              "--shard-workers", "1"]
         ) == 0
         spool = tmp_path / "spool"
@@ -1088,9 +1036,7 @@ _FLAG_TABLE = {
         "--output": (None, "Path", None, True),
         "--leaf-capacity": (100, "int", None, False),
         "--initial-segments": (4, "int", None, False),
-        "--threads": (4, "int", None, False),
         "--l-max": (8, "int", None, False),
-        "--claim-size": (None, "int", None, False),
         "--per-row": (False, None, None, False),
         "--shards": (1, "int", None, False),
         "--shard-workers": (None, "int", None, False),
@@ -1284,7 +1230,7 @@ def test_plain_output_is_pinned(dataset_file, tmp_path, capsys, monkeypatch):
          "--seed", "99", "--output", str(queries))
     _run(capsys, "build", "--dataset", str(dataset_file), "--length", "32",
          "--output", str(tmp_path / "idx"), "--leaf-capacity", "20",
-         "--l-max", "1", "--threads", "1")
+         "--l-max", "1")
     monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
     args = ("--index", str(tmp_path / "idx"), "--queries", str(queries), "--k", "3")
     assert _run(capsys, "query", *args) == _PINNED_QUERY
@@ -1322,7 +1268,7 @@ class TestOneRecorder:
         with Dataset.open(dataset_file, 32) as dataset:
             data = dataset.read_batch(0, 400)
         config = HerculesConfig(
-            leaf_capacity=50, num_build_threads=1, flush_threshold=1,
+            leaf_capacity=50,
             num_shards=2, shard_workers=1,
         )
         with ShardedIndex.build(data, config, directory=tmp_path / "sharded") as index:

@@ -1,8 +1,8 @@
 """Kitchen-sink integration test: the full production workflow.
 
-Generate → materialize dataset on disk → build under buffer pressure
-with threads → reopen from disk → every query mode → cross-method
-agreement → I/O accounting sanity.  One scenario, every moving part.
+Generate → materialize dataset on disk → build under buffer pressure →
+reopen from disk → every query mode → cross-method agreement → I/O
+accounting sanity.  One scenario, every moving part.
 """
 
 import numpy as np
@@ -29,10 +29,8 @@ def scenario(tmp_path_factory):
     build_stats = IOStats()
     config = HerculesConfig(
         leaf_capacity=80,
-        num_build_threads=4,
         db_size=128,
         buffer_capacity=512,  # force flushes
-        flush_threshold=2,
         num_query_threads=2,
         l_max=4,
         sax_segments=16,
