@@ -65,7 +65,6 @@ def test_threshold_sensitivity(benchmark):
     config = HerculesConfig(
         leaf_capacity=100,
         db_size=512,
-        num_query_threads=2,
         l_max=4,
     )
     index = HerculesIndex.build(indexable, config)
@@ -136,7 +135,6 @@ def test_split_policy_ablation(benchmark):
             config = HerculesConfig(
                 leaf_capacity=100,
                 db_size=512,
-                num_query_threads=1,
                 l_max=3,
                 **flags,
             )
@@ -183,7 +181,6 @@ def test_l_max_sensitivity(benchmark):
     config = HerculesConfig(
         leaf_capacity=100,
         db_size=512,
-        num_query_threads=2,
     )
     index = HerculesIndex.build(indexable, config)
     queries = query_sets["5%"].queries

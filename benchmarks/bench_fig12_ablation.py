@@ -12,8 +12,9 @@ compares DSTree*, DSTree*P and Hercules.
 Paper, 12b (query answering): removing the iSAX filter (NoSAX), the
 query parallelism (NoPara), or the adaptive thresholds (NoThresh) never
 helps and hurts on its target regime — NoSAX always, NoPara on easy and
-medium queries, NoThresh on hard (ood) ones.  The Hercules arm answers
-with four query threads (Para); the other arms with one.
+medium queries, NoThresh on hard (ood) ones.  Here the query threads
+answered slower than one thread and are retired, so the Hercules arm is
+the paper's NoPara: 12b compares Hercules, NoSAX and NoThresh.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ def _hercules_config(num_series: int) -> HerculesConfig:
     return HerculesConfig(
         leaf_capacity=100,
         db_size=512,
-        num_query_threads=4,
         l_max=4,
     )
 

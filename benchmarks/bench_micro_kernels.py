@@ -117,9 +117,9 @@ def test_lb_sax_rows(benchmark, corpus, query, num_rows):
     space = SaxSpace(16, 256)
     words = space.symbolize(paa(corpus, 16))
     tier = SignatureArray.from_full_symbols(words, space, 8)
-    q_paa = paa(query, 16)
+    tables = tier.gap_tables(paa(query, 16))
     rows = None if num_rows is None else np.arange(num_rows)
-    benchmark(tier.screen, q_paa, 40.0, 128, rows=rows)
+    benchmark(tier.screen, tables, 40.0, 128, rows=rows)
 
 
 def test_series_sketch_stats(benchmark, query):

@@ -45,7 +45,7 @@ def queries(data):
 @pytest.fixture(scope="module")
 def index(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("bench-obs") / "hercules"
-    config = hercules_config(data.shape[0], num_query_threads=1)
+    config = hercules_config(data.shape[0])
     built = HerculesIndex.build(data, config, directory=directory)
     yield built
     built.close()

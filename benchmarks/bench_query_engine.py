@@ -82,9 +82,8 @@ def hard_queries(data):
 @pytest.fixture(scope="module")
 def index_dir(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("bench-query") / "hercules"
-    # One query thread (the default) keeps the set of leaves each query
-    # reads deterministic (with racing CRWorkers the evolving BSF can
-    # admit a leaf in one run that was pruned in another), which is what
+    # The refinement walk runs on the calling thread, so the set of
+    # leaves each query reads is the same on every run, which is what
     # lets the warm-cache pass assert *zero* LRD reads.
     config = hercules_config(data.shape[0])
     HerculesIndex.build(data, config, directory=directory).close()

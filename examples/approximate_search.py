@@ -29,7 +29,6 @@ def main() -> None:
     config = HerculesConfig(
         leaf_capacity=150,
         db_size=1024,
-        num_query_threads=2,
         l_max=4,
     )
     index = HerculesIndex.build(data, config)

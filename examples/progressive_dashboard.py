@@ -26,7 +26,6 @@ def main() -> None:
     config = HerculesConfig(
         leaf_capacity=200,
         db_size=1024,
-        num_query_threads=2,
     )
     index = HerculesIndex.build(data, config)
 

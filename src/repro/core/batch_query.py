@@ -28,10 +28,9 @@ not grow with Q:
   re-check of every entry against its query's live BSF², one read of
   the survivors into one reused buffer, one scatter filling the
   per-query row masks and one screening kernel call under per-query
-  cutoffs; each query with a finite distance merges its own rows.  The walk fans out over
-  ``config.num_query_threads`` CRWorker threads only when the call
-  serves one query on a threaded path (``nosax-leaves``,
-  ``full-four-phase``); batches walk on the calling thread.
+  cutoffs; each query with a finite distance merges its own rows.  The
+  walk runs on the calling thread for every Q: the paper's CRWorker
+  threads lost to it on this runtime (EXPERIMENTS.md, Figure 12b).
 
 **Answers.**  Queries are independent search problems: each keeps its
 own :class:`~repro.core.results.ResultSet`, BSF² and profile, and meets
@@ -51,7 +50,7 @@ every Q and mode: a ``query`` span (``mode`` ``"exact"`` or
 ``query.phase1.approx``, and past phase 1 per query
 ``query.phase2.candidates``, one ``query.prefilter``, per query
 ``query.phase3.filter`` where phase 3 runs, and one ``query.refine``
-around the walk with its ``query.refine.worker`` children.
+around the walk.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from repro.core.config import HerculesConfig
 from repro.core.leaf_table import LeafTable
 from repro.core.prefilter import SignatureArray
 from repro.core.query import (
-    _THREADED_PATHS,
     QueryAnswer,
     _approx_knn,
     _charging_cache,
@@ -312,14 +310,10 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
         state.gap_tables = None
     if not walkers:
         return
-    # CRWorker threads serve one query on a threaded path only.
-    threaded = len(states) == 1 and walkers[0].profile.path in _THREADED_PATHS
-    # One snapshot pair stays exact under threads; the lookups are
-    # charged to the walk's first query.
+    # One snapshot pair around the whole walk: its reads are shared, so
+    # the lookups are charged to the walk's first query.
     with obs.span("query.refine"), _charging_cache(lrd, walkers[0].profile):
-        used, stats.kernel_rows = _refine_runs(
-            walkers, extents, config.num_query_threads if threaded else None
-        )
+        used, stats.kernel_rows = _refine_runs(walkers, extents)
     # ``used`` marks the leaves each query refined rows of.
     stats.unique_leaf_reads = int(np.count_nonzero(used.any(axis=0)))
     stats.leaf_uses = int(np.count_nonzero(used))

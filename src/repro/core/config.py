@@ -8,8 +8,8 @@ Defaults follow Section 4.2 ("Parameterization") scaled from the paper's
 thresholds and ``L_max`` are kept at the paper's values (they are ratios,
 not sizes); the capacity-like knobs default to values that produce trees
 of comparable depth on datasets three orders of magnitude smaller.  The
-build and write threads have no knobs: both phases run on one thread
-here (EXPERIMENTS.md, Figure 12a).
+build, write and query threads have no knobs: all three phases run on
+one thread here (EXPERIMENTS.md, Figures 12a and 12b).
 """
 
 from __future__ import annotations
@@ -19,23 +19,27 @@ from dataclasses import dataclass, fields, replace
 from repro.errors import ConfigError
 from repro.retry import RetryPolicy
 
+#: Fields a later release retired.  ``with_options`` accepts and ignores
+#: them, so callers written against the older configuration keep working;
+#: ``from_settings`` drops every unknown key anyway.
+RETIRED_FIELDS = ("num_query_threads",)
+
 
 @dataclass(frozen=True)
 class HerculesConfig:
     """All tunables of index construction and query answering.
 
     Ablation switches (Figure 12) are part of the configuration so the
-    NoSAX / NoPara / NoThresh variants are first-class:
+    NoSAX / NoThresh variants are first-class:
 
     * ``use_sax=False`` → NoSAX,
-    * ``num_query_threads=1`` → NoPara, the default: faster on this
-      runtime (EXPERIMENTS.md, Figure 12b); ``> 1`` is the "Para" arm,
     * ``adaptive_thresholds=False`` → NoThresh.
 
-    Index building and index writing each run on the calling thread (for
-    writing, the paper's NoWPara variant): the paper's InsertWorker
-    threads and its parallel writer were slower on this runtime
-    (EXPERIMENTS.md, Figure 12a), so neither has a switch.
+    Index building, index writing and query answering each run on the
+    calling thread (the paper's NoWPara and NoPara variants): its
+    InsertWorker threads, parallel writer and CRWorker threads were
+    slower on this runtime (EXPERIMENTS.md, Figures 12a and 12b), so
+    none has a switch.
     """
 
     # -- tree shape ---------------------------------------------------------
@@ -106,8 +110,6 @@ class HerculesConfig:
     #: SAX pruning-ratio threshold below which a skip-sequential scan of
     #: LRDFile replaces phase 4 (paper default 0.50).
     sax_th: float = 0.50
-    #: CRWorker threads of one query's refinement walk (1: NoPara).
-    num_query_threads: int = 1
     #: NoSAX ablation: prune with LB_EAPCA only when False.
     use_sax: bool = True
     #: NoThresh ablation: when False, phases 3-4 always run.
@@ -154,10 +156,6 @@ class HerculesConfig:
         for name, value in (("eapca_th", self.eapca_th), ("sax_th", self.sax_th)):
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.num_query_threads < 1:
-            raise ConfigError(
-                f"num_query_threads must be >= 1, got {self.num_query_threads}"
-            )
         if self.epsilon < 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 1 <= self.prefilter_bits <= 8:
@@ -214,5 +212,11 @@ class HerculesConfig:
         return cls(**{k: v for k, v in persisted.items() if k in known})
 
     def with_options(self, **changes) -> "HerculesConfig":
-        """A copy of this configuration with the given fields replaced."""
+        """A copy of this configuration with the given fields replaced.
+
+        Names in :data:`RETIRED_FIELDS` are accepted and ignored; any
+        other unknown name raises ``TypeError``.
+        """
+        for name in RETIRED_FIELDS:
+            changes.pop(name, None)
         return replace(self, **changes)

@@ -19,8 +19,10 @@ after every phase-1 visit, starts from it too.  The four phases:
 3. **FindCandidateSeries** (Algorithm 13) — one vectorised LB_SAX pass
    over the in-memory iSAX words of the candidate leaves' series,
    producing the candidate series list (SCList).
-4. **ComputeResults** (Algorithm 14) — multi-threaded refinement: load
-   surviving series from LRDFile and compute real distances.
+4. **ComputeResults** (Algorithm 14) — refinement on the calling
+   thread (the paper's CRWorker threads were slower on this runtime,
+   EXPERIMENTS.md, Figure 12b): load surviving series from LRDFile and
+   compute real distances.
 
 Phases 1-2 never walk the tree: one array pass over the index's flat
 synopsis table (:class:`~repro.core.leaf_table.LeafTable`) yields every
@@ -29,7 +31,7 @@ path, which is what a priority-queue descent enforces implicitly — so
 best-first order is an ``argsort`` and LCList an index array.
 
 Adaptive access-path selection: when EAPCA pruning is weak
-(``eapca_pr < EAPCA_TH``) phases 3-4 are replaced by a single-thread
+(``eapca_pr < EAPCA_TH``) phases 3-4 are replaced by a
 skip-sequential scan of LRDFile over LCList, and when SAX pruning is weak
 (``sax_pr < SAX_TH``) phase 4 is.  A skip-sequential scan pays one random
 seek per run of adjacent surviving *leaves* (contiguous in LRDFile)
@@ -65,7 +67,6 @@ I/O counts, plus leaf-cache hits, so harnesses can report the paper's
 
 from __future__ import annotations
 
-import threading
 import time
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -577,13 +578,9 @@ def _trim_to_candidates(
 
 # ---------------------------------------------------------------------------
 # The access-path decision, and refinement: the skip-sequential scans and
-# phase 4 (Algorithm 14: ComputeResults / CRWorker) are one routine, for
-# one query or a batch; phase 1 shares its reads
+# phase 4 (Algorithm 14: ComputeResults) are one routine, for one query
+# or a batch; phase 1 shares its reads
 # ---------------------------------------------------------------------------
-
-#: The refining paths whose walk may fan out over CRWorker threads (the
-#: skip-sequential scans are single-threaded).
-_THREADED_PATHS = frozenset({"nosax-leaves", "full-four-phase"})
 
 
 def _choose_path(
@@ -737,11 +734,7 @@ def _entry_table(extents: list, present: list) -> tuple:
     return query_ids, starts, sizes, bounds, cuts
 
 
-def _refine_runs(
-    states: list,
-    extents: list,
-    workers: Optional[int] = None,
-) -> tuple:
+def _refine_runs(states: list, extents: list) -> tuple:
     """Refine Q ≥ 1 queries' file-ordered candidates with real distances,
     chunk by chunk.
 
@@ -783,12 +776,13 @@ def _refine_runs(
     re-check cadence.  The ε factor is in the bounds only — it tightens
     lower-bound pruning, not real-distance refinement.
 
-    ``workers`` fans the chunk list of one query out over that many
-    CRWorker threads, a contiguous slice each; ``None`` refines on the
-    calling thread.  Returns ``(used, kernel_rows)``: a ``(queries,
-    leaves)`` matrix marking the leaves each query refined rows of (an
-    extent not pruned by a re-check), filled table by table, and the
-    rows the kernel evaluated, summed over queries.
+    The walk runs on the calling thread: the paper's CRWorker threads
+    (Algorithm 14) split the chunk list, and lost to one thread on this
+    runtime (EXPERIMENTS.md, Figure 12b).  Returns ``(used,
+    kernel_rows)``: a ``(queries, leaves)`` matrix marking the leaves
+    each query refined rows of (an extent not pruned by a re-check),
+    filled table by table, and the rows the kernel evaluated, summed
+    over queries.
     """
     leaf_table, lrd, length = states[0].table, states[0].lrd, states[0].query.shape[0]
     num_queries = len(states)
@@ -800,146 +794,85 @@ def _refine_runs(
         block = np.stack([state.query for state in states])
         tables = _entry_tables(extents, _window_edges(leaf_table))
     used = np.zeros((num_queries, leaf_table.num_leaves), dtype=bool)
-    kernel_rows = 0
-    profile_lock = threading.Lock()
-
-    def refine(tables, part: Optional[range] = None) -> None:
-        """Walk the chunks ``part`` of each table (all of them for
-        ``None``) and mark the leaves of the entries they refined."""
-        nonlocal kernel_rows
-        refined = np.zeros(num_queries)
-        points = np.zeros(num_queries, dtype=np.int64)
-        bsf = np.full(num_queries, np.inf)
-        buffer = None
-        for query_ids, starts, sizes, bounds, cuts in tables:
-            chunks = range(len(cuts) - 1) if part is None else part
-            first, last = cuts[chunks.start], cuts[chunks.stop]
-            refined_entries = np.zeros(last - first, dtype=bool)
-            for chunk in chunks:
-                lo, hi = cuts[chunk], cuts[chunk + 1]
-                ids = query_ids[lo:hi]
-                present = range(1) if num_queries == 1 else np.bincount(ids).nonzero()[0].tolist()
-                for i in present:
-                    states[i].results.refresh()
-                    bsf[i] = states[i].results.bsf_squared
-                alive = bounds[lo:hi] < (bsf[0] if num_queries == 1 else bsf[ids])
-                kept = np.count_nonzero(alive)
-                if not kept:
-                    continue
-                refined_entries[lo - first : hi - first] = alive
-                kept_ids, kept_starts, kept_sizes = ids, starts[lo:hi], sizes[lo:hi]
-                if kept < hi - lo:
-                    kept_ids, kept_starts, kept_sizes = (
-                        ids[alive], kept_starts[alive], kept_sizes[alive]
-                    )
-                active = range(1)
-                if num_queries > 1:
-                    # Rows each query refines here (float: bincount's weights).
-                    rows_of = np.bincount(kept_ids, weights=kept_sizes, minlength=num_queries)
-                    active = rows_of.nonzero()[0]
-                if len(active) == 1:  # one query's extents never overlap
-                    read_starts, read_sizes = kept_starts, kept_sizes
-                else:
-                    read_starts, read_sizes = _merge_sorted(kept_starts, kept_sizes)
-                if len(read_starts) == 1:
-                    # One extent (a leaf above the cap, a lone candidate): a
-                    # plain read, and none of the run bookkeeping.
-                    position, size = int(read_starts[0]), int(read_sizes[0])
-                    data = lrd.read_range(position, size)
-                    positions = np.arange(position, position + size)
-                else:
-                    positions = extent_rows(read_starts, read_sizes)
-                    if buffer is None or len(positions) > len(buffer):
-                        rows = max(len(positions), _CHUNK_ROWS)
-                        buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
-                    data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
-
-                # Abandoned rows report inf; the batch update's pre-filter drops
-                # them without ever taking the result-set lock.
-                if len(active) == 1:
-                    i = active[0]
-                    squared, compared = early_abandon_squared(states[i].query, data, bsf[i])
-                    states[i].results.update_batch_squared(squared, positions)
-                    refined[i] += len(positions)
-                    points[i] += compared
-                    continue
-                # The buffer row of each read extent's first series, then of
-                # each survivor's, and its rows in its query's mask row.
-                offsets = np.cumsum(read_sizes) - read_sizes
-                at = np.searchsorted(read_starts, kept_starts, side="right") - 1
-                rows = extent_rows(offsets[at] + kept_starts - read_starts[at], kept_sizes)
-                slot = np.cumsum(rows_of > 0) - 1  # query id -> row of the block
-                masks = np.zeros((len(active), len(positions)), dtype=bool)
-                masks[np.repeat(slot[kept_ids], kept_sizes), rows] = True
-                squared, compared = early_abandon_squared(
-                    block[active], data, bsf[active], row_masks=masks
+    refined = np.zeros(num_queries)
+    points = np.zeros(num_queries, dtype=np.int64)
+    bsf = np.full(num_queries, np.inf)
+    buffer = None
+    for query_ids, starts, sizes, bounds, cuts in tables:
+        refined_entries = np.zeros(len(starts), dtype=bool)
+        for chunk in range(len(cuts) - 1):
+            lo, hi = cuts[chunk], cuts[chunk + 1]
+            ids = query_ids[lo:hi]
+            present = range(1) if num_queries == 1 else np.bincount(ids).nonzero()[0].tolist()
+            for i in present:
+                states[i].results.refresh()
+                bsf[i] = states[i].results.bsf_squared
+            alive = bounds[lo:hi] < (bsf[0] if num_queries == 1 else bsf[ids])
+            kept = np.count_nonzero(alive)
+            if not kept:
+                continue
+            refined_entries[lo:hi] = alive
+            kept_ids, kept_starts, kept_sizes = ids, starts[lo:hi], sizes[lo:hi]
+            if kept < hi - lo:
+                kept_ids, kept_starts, kept_sizes = (
+                    ids[alive], kept_starts[alive], kept_sizes[alive]
                 )
-                refined += rows_of
-                points[active] += compared
-                # Each query's finite distances, query after query, rows in
-                # file order: one merge per query that has any.
-                hit_slots, hit_rows = np.nonzero(squared < np.inf)
-                values, hits = squared[hit_slots, hit_rows], positions[hit_rows]
-                firsts = np.diff(hit_slots, prepend=-1).nonzero()[0].tolist()
-                for a, b in zip(firsts, [*firsts[1:], len(hit_slots)]):
-                    states[active[hit_slots[a]]].results.update_batch_squared(values[a:b], hits[a:b])
-            marked = (
-                query_ids[first:last][refined_entries],
-                leaf_table.leaf_of(starts[first:last][refined_entries]),
+            active = range(1)
+            if num_queries > 1:
+                # Rows each query refines here (float: bincount's weights).
+                rows_of = np.bincount(kept_ids, weights=kept_sizes, minlength=num_queries)
+                active = rows_of.nonzero()[0]
+            if len(active) == 1:  # one query's extents never overlap
+                read_starts, read_sizes = kept_starts, kept_sizes
+            else:
+                read_starts, read_sizes = _merge_sorted(kept_starts, kept_sizes)
+            if len(read_starts) == 1:
+                # One extent (a leaf above the cap, a lone candidate): a
+                # plain read, and none of the run bookkeeping.
+                position, size = int(read_starts[0]), int(read_sizes[0])
+                data = lrd.read_range(position, size)
+                positions = np.arange(position, position + size)
+            else:
+                positions = extent_rows(read_starts, read_sizes)
+                if buffer is None or len(positions) > len(buffer):
+                    rows = max(len(positions), _CHUNK_ROWS)
+                    buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
+                data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
+
+            # Abandoned rows report inf; the batch update's pre-filter drops
+            # them without ever taking the result-set lock.
+            if len(active) == 1:
+                i = active[0]
+                squared, compared = early_abandon_squared(states[i].query, data, bsf[i])
+                states[i].results.update_batch_squared(squared, positions)
+                refined[i] += len(positions)
+                points[i] += compared
+                continue
+            # The buffer row of each read extent's first series, then of
+            # each survivor's, and its rows in its query's mask row.
+            offsets = np.cumsum(read_sizes) - read_sizes
+            at = np.searchsorted(read_starts, kept_starts, side="right") - 1
+            rows = extent_rows(offsets[at] + kept_starts - read_starts[at], kept_sizes)
+            slot = np.cumsum(rows_of > 0) - 1  # query id -> row of the block
+            masks = np.zeros((len(active), len(positions)), dtype=bool)
+            masks[np.repeat(slot[kept_ids], kept_sizes), rows] = True
+            squared, compared = early_abandon_squared(
+                block[active], data, bsf[active], row_masks=masks
             )
-            with profile_lock:
-                used[marked] = True
-        with profile_lock:
-            kernel_rows += int(refined.sum())
-            for state, rows, compared in zip(
-                states, refined.astype(np.int64).tolist(), points.tolist()
-            ):
-                state.profile.series_accessed += rows
-                state.profile.distance_computations += rows
-                state.profile.points_compared += compared
-                state.profile.points_total += rows * length
+            refined += rows_of
+            points[active] += compared
+            # Each query's finite distances, query after query, rows in
+            # file order: one merge per query that has any.
+            hit_slots, hit_rows = np.nonzero(squared < np.inf)
+            values, hits = squared[hit_slots, hit_rows], positions[hit_rows]
+            firsts = np.diff(hit_slots, prepend=-1).nonzero()[0].tolist()
+            for a, b in zip(firsts, [*firsts[1:], len(hit_slots)]):
+                states[active[hit_slots[a]]].results.update_batch_squared(values[a:b], hits[a:b])
+        used[query_ids[refined_entries], leaf_table.leaf_of(starts[refined_entries])] = True
+    for state, rows, compared in zip(states, refined.astype(np.int64).tolist(), points.tolist()):
+        state.profile.series_accessed += rows
+        state.profile.distance_computations += rows
+        state.profile.points_compared += compared
+        state.profile.points_total += rows * length
+    return used, int(refined.sum())
 
-    if workers is None:
-        refine(tables)
-    else:
-        chunks = len(tables[0][-1]) - 1
-        share = [chunks * worker // workers for worker in range(workers + 1)]
-        _run_workers(
-            lambda worker: refine(tables, range(share[worker], share[worker + 1])), workers
-        )
-    return used, kernel_rows
-
-
-def _run_workers(target, num_threads: int) -> None:
-    """Run ``target(thread_id)`` on N CRWorker threads (inline when
-    N == 1).
-
-    Each worker's run is recorded as a ``query.refine.worker`` span
-    parented to the walk's span that launched the fan-out — worker
-    threads have no ambient span stack of their own, so the parent is
-    captured here, on the calling thread, and attached explicitly.  The
-    first exception a worker raised is re-raised once all have finished.
-    """
-    parent = obs.current_span()
-    errors: list[BaseException] = []
-
-    def run(thread_id: int) -> None:
-        try:
-            with obs.span("query.refine.worker", parent=parent, worker=thread_id):
-                target(thread_id)
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    if num_threads == 1:
-        run(0)
-    else:
-        threads = [
-            threading.Thread(target=run, args=(i,), daemon=True)
-            for i in range(num_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]

@@ -1,10 +1,14 @@
-"""The k-best-so-far result set shared by query workers.
+"""The k-best-so-far result set of a search.
 
 The paper's ``Results`` array holds the k best answers at any time;
-``BSF_k``, the k-th best distance, drives every pruning decision.  Workers
-of Algorithm 14 update it under a readers-writers lock; distances are the
-hot read path, so reads of the cached bound are lock-free here (a stale
-bound can only make pruning more conservative, never incorrect).
+``BSF_k``, the k-th best distance, drives every pruning decision.
+Hercules refines on the calling thread, but the PSCAN and ParIS+
+baselines update one set from several threads, so updates take a lock;
+distances are the hot read path, so reads of the cached bound are
+lock-free (a stale bound can only make pruning more conservative, never
+incorrect).  Across the processes of a sharded index,
+:class:`LinkedResultSet` shares the bound through the worker pool's
+process-shared BSF² link.
 
 Distances are stored in *squared* space — the UCR-suite optimization the
 whole query pipeline operates in: candidates arrive as squared Euclidean

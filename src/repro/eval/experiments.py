@@ -479,22 +479,21 @@ def figure12_ablation_query(
     num_queries: int = 15,
     workloads: Sequence[str] = ("1%", "5%", "ood"),
     seed: int = 12,
-    num_threads: int = 4,
     verbose: bool = True,
 ) -> ExperimentResult:
-    """Figure 12b: query answering for NoSAX, NoPara, NoThresh, Hercules.
+    """Figure 12b: query answering for NoSAX, NoThresh and Hercules.
 
-    The Hercules arm answers with ``num_threads`` CRWorker threads (the
-    paper's Para); the others run the library default of one thread.
+    Hercules answers on the calling thread, so the Hercules arm is also
+    the paper's NoPara: its CRWorker threads were slower on this runtime
+    and are retired (EXPERIMENTS.md, Figure 12b).
     """
     from repro.core import HerculesIndex
 
     from repro.eval.methods import hercules_config
 
     variants = {
-        "Hercules": {"num_query_threads": num_threads},
+        "Hercules": {},
         "NoSAX": {"use_sax": False},
-        "NoPara": {"num_query_threads": 1},
         "NoThresh": {"adaptive_thresholds": False},
     }
     result = ExperimentResult(

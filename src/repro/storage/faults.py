@@ -157,8 +157,9 @@ class FaultPlan:
 class FaultInjector:
     """Counts BinaryFile operations and fires matching :class:`FaultPlan`s.
 
-    Thread-safe: index writing is multi-threaded, and the counters define
-    the crash matrix, so counting and triggering happen under one lock.
+    Thread-safe: the counters define the crash matrix, so counting and
+    triggering happen under one lock, whichever thread (PSCAN's reader
+    thread, say) performs the operation.
 
     ``allow_kill`` arms ``"kill"`` plans: only the worker-process channel
     (:func:`worker_injection`) sets it, so a kill plan reaching the

@@ -246,7 +246,6 @@ class TestCrossMethodAgreement:
             HerculesConfig(
                 leaf_capacity=50,
                 db_size=128,
-                num_query_threads=2,
                 l_max=5,
                 sax_segments=8,
             ),

@@ -20,7 +20,6 @@ def index_config(**overrides):
     return HerculesConfig(
         leaf_capacity=50,
         db_size=256,
-        num_query_threads=1,
         l_max=3,
         sax_segments=8,
         **overrides,

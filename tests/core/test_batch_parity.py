@@ -256,13 +256,11 @@ class TestEpsilonParity:
     @pytest.mark.parametrize("prefilter", [True, False])
     @pytest.mark.parametrize("k", [1, 10])
     def test_bit_for_bit(self, index, data, queries, prefilter, k):
-        config = index.config.with_options(
-            epsilon=0.15, prefilter=prefilter, num_query_threads=1
-        )
+        config = index.config.with_options(epsilon=0.15, prefilter=prefilter)
         _assert_epsilon_contract(index, data, queries[:16], k, config)
 
     def test_large_epsilon(self, index, data, queries):
-        config = index.config.with_options(epsilon=1.0, num_query_threads=1)
+        config = index.config.with_options(epsilon=1.0)
         _assert_epsilon_contract(index, data, queries[:8], 5, config)
 
 
@@ -282,7 +280,6 @@ class TestRefinementPaths:
     def test_bit_for_bit(self, index, data, queries, epsilon, prefilter, adaptive):
         config = index.config.with_options(
             l_max=2,
-            num_query_threads=1,
             epsilon=epsilon,
             prefilter=prefilter,
             adaptive_thresholds=adaptive,
@@ -413,7 +410,6 @@ class TestRefinementPaths:
         counts the rows its kernel evaluated as the rows it accessed."""
         config = wide_index.config.with_options(
             l_max=2,
-            num_query_threads=1,
             epsilon=0.15,
             prefilter=prefilter,
             adaptive_thresholds=adaptive,
@@ -470,9 +466,7 @@ class TestWindowedWalk:
     def test_epsilon_over_several_windows(
         self, wide_index, wide_data, small_windows, prefilter
     ):
-        config = wide_index.config.with_options(
-            l_max=2, num_query_threads=1, epsilon=0.15, prefilter=prefilter
-        )
+        config = wide_index.config.with_options(l_max=2, epsilon=0.15, prefilter=prefilter)
         rng = np.random.default_rng(9)
         noisy = wide_data[:8] + 0.5 * rng.standard_normal((8, _LENGTH))
         mixed = np.vstack([noisy, rng.standard_normal((8, _LENGTH))]).astype(np.float32)
@@ -561,8 +555,7 @@ class TestBatchSurface:
         """With a leaf cache, each answer reports its own phase 1's
         lookups plus the walk reads charged to it, so the answers sum to
         the cache's own count for the call: for a batch, and for one
-        query whose phase-4 walk spreads its chunks over four CRWorker
-        threads."""
+        query whose phase-4 walk spans many chunks."""
         from repro.core import query
 
         monkeypatch.setattr(query, "_CHUNK_ROWS", 8)
@@ -570,7 +563,7 @@ class TestBatchSurface:
             data, _config(l_max=2), directory=tmp_path / "cached", cache_bytes=1 << 20
         )
         built.close()
-        threaded = _config(l_max=2, num_query_threads=4, adaptive_thresholds=False)
+        four_phase = _config(l_max=2, adaptive_thresholds=False)
         for call in ("knn_batch", "knn"):
             cached = HerculesIndex.open(tmp_path / "cached", cache_bytes=1 << 20)
             try:
@@ -579,7 +572,7 @@ class TestBatchSurface:
                     if call == "knn_batch":
                         answers = cached.knn_batch(queries[:16], k=5)
                     else:
-                        answers = [cached.knn(queries[20], k=5, config=threaded)]
+                        answers = [cached.knn(queries[20], k=5, config=four_phase)]
                         assert answers[0].profile.path == "full-four-phase"
                         assert answers[0].profile.candidate_series > 4 * 8
                     delta = cached.leaf_cache.snapshot() - before

@@ -192,16 +192,12 @@ class TestQueryParity:
         queries = make_random_walks(10, 64, seed=206)
         ref = HerculesIndex.build(
             data,
-            HerculesConfig(
-                leaf_capacity=32, batched_inserts=False, num_query_threads=1
-            ),
+            HerculesConfig(leaf_capacity=32, batched_inserts=False),
             directory=tmp_path / "ref",
         )
         fast = HerculesIndex.build(
             data,
-            HerculesConfig(
-                leaf_capacity=32, batched_inserts=True, num_query_threads=1
-            ),
+            HerculesConfig(leaf_capacity=32, batched_inserts=True),
             directory=tmp_path / "fast",
         )
         try:

@@ -28,7 +28,6 @@ class TestValidation:
             ("eapca_th", -0.1),
             ("eapca_th", 1.5),
             ("sax_th", 2.0),
-            ("num_query_threads", 0),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -37,10 +36,17 @@ class TestValidation:
 
     def test_with_options_returns_modified_copy(self):
         base = HerculesConfig()
-        variant = base.with_options(use_sax=False, num_query_threads=1)
+        variant = base.with_options(use_sax=False)
         assert not variant.use_sax
-        assert variant.num_query_threads == 1
         assert base.use_sax  # original untouched
+
+    def test_with_options_ignores_retired_names_only(self):
+        base = HerculesConfig()
+        variant = base.with_options(num_query_threads=2, l_max=3)
+        assert variant == base.with_options(l_max=3)
+        assert not hasattr(variant, "num_query_threads")
+        with pytest.raises(TypeError):
+            base.with_options(num_query_thread=2)  # misspelt: not retired
 
     def test_with_options_validates(self):
         with pytest.raises(ConfigError):

@@ -139,7 +139,6 @@ class TestEndToEndWithPressure:
             leaf_capacity=40,
             db_size=32,
             buffer_capacity=80,
-            num_query_threads=2,
             l_max=3,
             sax_segments=8,
         )

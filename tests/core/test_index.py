@@ -32,7 +32,6 @@ def built_index(corpus, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=60,
         db_size=128,
-        num_query_threads=2,
         l_max=10,
         sax_segments=8,
     )
@@ -134,9 +133,8 @@ class TestExactness:
         base = built_index.knn(query, k=10)
         for overrides in (
             {"use_sax": False},
-            {"num_query_threads": 1},
             {"adaptive_thresholds": False},
-            {"num_query_threads": 1, "use_sax": False},
+            {"adaptive_thresholds": False, "use_sax": False},
         ):
             variant = built_index.knn(
                 query, k=10, config=built_index.config.with_options(**overrides)

@@ -69,7 +69,6 @@ def build(data, **options):
         leaf_capacity=12,
         initial_segments=4,
         sax_segments=8,
-        num_query_threads=1,
         **options,
     )
     return HerculesIndex.build(data, config)

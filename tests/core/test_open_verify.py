@@ -282,6 +282,7 @@ class TestRetiredShardKnobs:
         num_build_threads=4,
         flush_threshold=2,
         claim_size=64,
+        num_query_threads=2,
     )
 
     @pytest.mark.parametrize("level", ["quick", "full"])

@@ -24,7 +24,6 @@ _LENGTH = 64
 def _config(**overrides):
     base = dict(
         leaf_capacity=40,
-        num_query_threads=1,
         sax_segments=8,
     )
     base.update(overrides)

@@ -96,11 +96,7 @@ class TestExactParity:
     def test_bit_for_bit_through_refinement(self, index, queries, adaptive):
         # The default L_max covers this whole small tree; a short phase 1
         # leaves work for the LB_SAX pass, phase 4 and the scans.
-        # One thread: with more, how much phase 4 reads depends on how
-        # the CRWorkers' BSF updates interleave.
-        config = index.config.with_options(
-            l_max=2, adaptive_thresholds=adaptive, num_query_threads=1
-        )
+        config = index.config.with_options(l_max=2, adaptive_thresholds=adaptive)
         paths = set()
         for query in queries:
             filtered = index.knn(query, k=5, config=config)
@@ -160,7 +156,7 @@ class TestExactParity:
         """The NoSAX ablation prunes with LB_EAPCA alone, so there is no
         LB_SAX pass for ``prefilter`` to move: every profile is the same
         with it on and off."""
-        config = index.config.with_options(l_max=2, use_sax=False, num_query_threads=1)
+        config = index.config.with_options(l_max=2, use_sax=False)
         unmeasured = dict(
             time_total=0.0, time_approx=0.0, time_candidates=0.0, time_refine=0.0
         )

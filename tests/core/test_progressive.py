@@ -20,7 +20,6 @@ def index(corpus, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=50,
         db_size=256,
-        num_query_threads=2,
         l_max=3,
         sax_segments=8,
     )

@@ -75,7 +75,6 @@ def test_query_pipeline_is_exact(tmp_path_factory, shape, k):
         leaf_capacity=20,
         initial_segments=min(4, length),
         sax_segments=min(8, length),
-        num_query_threads=1,
         l_max=2,
     )
     index = HerculesIndex.build(data, config)
@@ -101,7 +100,6 @@ def test_htree_roundtrip_preserves_query_answers(tmp_path_factory, shape):
         leaf_capacity=25,
         initial_segments=min(4, length),
         sax_segments=min(8, length),
-        num_query_threads=1,
         l_max=2,
     )
     index = HerculesIndex.build(data, config, directory=tmp)

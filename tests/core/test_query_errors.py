@@ -1,7 +1,5 @@
 """Error propagation from the query phases."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ def index(tmp_path):
     data = make_random_walks(500, 32, seed=290)
     config = HerculesConfig(
         leaf_capacity=40,
-        num_query_threads=3,
         l_max=2,
         sax_segments=8,
         adaptive_thresholds=False,  # force phases 3-4 to always run
@@ -39,18 +36,26 @@ class TestQueryWorkerErrors:
             index.knn(query, k=1)
 
     def test_phase4_read_error_propagates(self, index, monkeypatch):
+        from repro.core import batch_query
         from repro.errors import StorageError
 
         read_range = index._lrd.read_range
+        refine_runs = batch_query._refine_runs
+        refining = []
 
         def broken(position, count, out=None):
-            # Every refinement read is a read_range; only the CRWorker
-            # threads of phase 4 fail, phase 1 (calling thread) reads on.
-            if threading.current_thread() is threading.main_thread():
-                return read_range(position, count, out=out)
-            raise StorageError("injected read failure")
+            # Every refinement read is a read_range; only the walk's reads
+            # fail, phase 1's read on.
+            if refining:
+                raise StorageError("injected read failure")
+            return read_range(position, count, out=out)
+
+        def walk(*args):
+            refining.append(True)
+            return refine_runs(*args)
 
         monkeypatch.setattr(index._lrd, "read_range", broken)
+        monkeypatch.setattr(batch_query, "_refine_runs", walk)
         query = make_random_walks(1, 32, seed=292)[0]
         with pytest.raises(StorageError, match="injected read failure"):
             index.knn(query, k=1)

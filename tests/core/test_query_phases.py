@@ -32,7 +32,6 @@ def corpus():
 def index(corpus, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=45,
-        num_query_threads=1,
         l_max=3,
         sax_segments=8,
     )
@@ -309,7 +308,7 @@ class TestGroupedPhaseOne:
         from repro.core import batch_query, query as query_module
 
         configs = [
-            index.config.with_options(l_max=l_max, epsilon=epsilon, num_query_threads=1)
+            index.config.with_options(l_max=l_max, epsilon=epsilon)
             for l_max in (1, 5)
             for epsilon in (0.0, 0.2)
         ]
@@ -484,7 +483,6 @@ class TestEdgeCases:
         data = make_random_walks(30, 16, seed=200)
         config = HerculesConfig(
             leaf_capacity=10,
-            num_query_threads=1,
             sax_segments=8,
             l_max=2,
         )
@@ -504,7 +502,6 @@ class TestEdgeCases:
                                make_random_walks(60, 16, seed=203)])
         config = HerculesConfig(
             leaf_capacity=20,
-            num_query_threads=1,
             sax_segments=8,
         )
         index = HerculesIndex.build(data, config, directory=tmp_path / "idx")
@@ -517,7 +514,6 @@ class TestEdgeCases:
         data = make_random_walks(1, 16, seed=204)
         config = HerculesConfig(
             leaf_capacity=10,
-            num_query_threads=1,
             sax_segments=8,
         )
         index = HerculesIndex.build(data, config, directory=tmp_path / "idx")
@@ -590,8 +586,7 @@ class TestDuplicateTies:
         k = self.K
         # eapca_th=1 sends every adaptive query down the leaf scan.
         options = dict(adaptive_thresholds=adaptive, eapca_th=1.0)
-        serial = plain.config.with_options(num_query_threads=1, **options)
-        threaded = plain.config.with_options(num_query_threads=2, **options)
+        config = plain.config.with_options(**options)
 
         merges = []
         update = ResultSet.update_batch_squared
@@ -601,7 +596,7 @@ class TestDuplicateTies:
             return update(self, distances_squared, positions)
 
         monkeypatch.setattr(ResultSet, "update_batch_squared", recording)
-        answers = [plain.knn(q, k=k, config=serial) for q in queries]
+        answers = [plain.knn(q, k=k, config=config) for q in queries]
         monkeypatch.setattr(ResultSet, "update_batch_squared", update)
         # The premise, where chunks can cut between rows (a leaf scan's
         # chunks are whole leaves and twins share a leaf): some twin pair
@@ -618,12 +613,11 @@ class TestDuplicateTies:
                 "eapca-skipseq" if adaptive else "full-four-phase"
             )
             self._check(plain, query, answer, twins, k)
-            self._check(plain, query, plain.knn(query, k=k, config=threaded), twins, k)
             sharded_config = sharded.config.with_options(**options)
             self._check(
                 sharded, query, sharded.knn(query, k=k, config=sharded_config), twins, k
             )
-        for query, answer in zip(queries, plain.knn_batch(queries, k=k, config=serial)):
+        for query, answer in zip(queries, plain.knn_batch(queries, k=k, config=config)):
             self._check(plain, query, answer, twins, k)
 
 
@@ -657,6 +651,34 @@ class TestRefineRuns:
         # not a byte more than the rows refined.
         assert profile.io.read_calls < profile.candidate_leaves + profile.approx_leaves
         assert profile.io.bytes_read == profile.series_accessed * 32 * 4
+
+    @pytest.mark.parametrize(
+        "path, options",
+        [
+            ("full-four-phase", {"adaptive_thresholds": False}),
+            ("nosax-leaves", {"eapca_th": 0.0, "use_sax": False}),
+        ],
+    )
+    def test_knn_starts_no_thread(self, index, monkeypatch, path, options):
+        """The walk runs on the calling thread: a ``knn`` on a refining
+        path leaves no thread behind and starts none, not even briefly."""
+        import threading
+
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        config = index.config.with_options(l_max=1, **options)
+        threads_before = set(threading.enumerate())
+        answer = index.knn(self._hard_query(), k=3, config=config)
+        assert answer.profile.path == path
+        assert answer.profile.distance_computations > 0
+        assert set(threading.enumerate()) <= threads_before
+        assert started == []
 
     def test_phase4_reads_each_sclist_run_once_in_one_call(self, index, monkeypatch):
         """The full four-phase path: SCList (one chunk here) is one

@@ -157,7 +157,7 @@ class TestLinkedResultSet:
         # 900 series fit one default chunk; the test is about chunk boundaries.
         monkeypatch.setattr(query_module, "_CHUNK_ROWS", 256)
         query = np.random.default_rng(12).standard_normal(32).astype(np.float32)
-        config = index.config.with_options(l_max=1, eapca_th=1.0, num_query_threads=1)
+        config = index.config.with_options(l_max=1, eapca_th=1.0)
         try:
             answer = batch_query.exact_knn_batch(
                 query[None], results.k, config, index._table, index._lrd,

@@ -95,7 +95,6 @@ class TestIndexLevelAblation:
         def mean_accessed(**flags):
             config = HerculesConfig(
                 leaf_capacity=60,
-                num_query_threads=1,
                 l_max=3,
                 sax_segments=8,
                 **flags,

@@ -44,7 +44,6 @@ def corpus():
 def index(corpus, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=40,
-        num_query_threads=1,
         l_max=3,
         sax_segments=8,
     )
@@ -104,14 +103,6 @@ class TestExactParity:
             assert answer.distances[0] >= np.sqrt(full.min()) or (
                 answer.distances[0] == np.sqrt(full.min())
             )
-
-    def test_multithreaded_matches_single_threaded(self, index, queries):
-        threaded = index.config.with_options(num_query_threads=4)
-        for query in queries:
-            single = index.knn(query, k=4)
-            multi = index.knn(query, k=4, config=threaded)
-            np.testing.assert_array_equal(single.distances, multi.distances)
-            np.testing.assert_array_equal(single.positions, multi.positions)
 
 
 class TestEpsilonParity:

@@ -50,7 +50,6 @@ class TestThresholdSensitivity:
         data = make_random_walks(600, 32, seed=173)
         config = HerculesConfig(
             leaf_capacity=40,
-            num_query_threads=1,
             l_max=2,
             sax_segments=8,
         )

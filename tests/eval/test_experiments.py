@@ -121,7 +121,7 @@ class TestExperimentsSmoke:
             size=400, num_queries=4, workloads=("1%", "ood"), verbose=False
         )
         variants = {row[1] for row in result.rows}
-        assert variants == {"Hercules", "NoSAX", "NoPara", "NoThresh"}
+        assert variants == {"Hercules", "NoSAX", "NoThresh"}
 
 
 class TestExperimentResultToJson:

@@ -84,7 +84,6 @@ class TestEvaluateApproximate:
         data = make_random_walks(800, 32, seed=220)
         config = HerculesConfig(
             leaf_capacity=40,
-            num_query_threads=1,
             l_max=2,
             sax_segments=8,
         )

@@ -19,7 +19,6 @@ def corpus():
 def index(corpus, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=40,
-        num_query_threads=1,
         l_max=2,
         sax_segments=8,
     )

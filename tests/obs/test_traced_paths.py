@@ -19,7 +19,6 @@ def traced_build(data, tmp_path_factory):
     trace = obs.Trace(name="build")
     config = HerculesConfig(
         leaf_capacity=50,
-        num_query_threads=2,
         # A small HBuffer forces flushes so the flush spans appear.
         db_size=50,
         buffer_capacity=200,
@@ -104,7 +103,7 @@ class TestQuerySpans:
         index = HerculesIndex.open(index_dir)
         # A tight leaf-visit budget leaves candidates after phase 1, and
         # disabling the adaptive skip-sequential fallback forces them
-        # through phases 3 and 4 with the parallel workers.
+        # through phases 3 and 4.
         config = index.config.with_options(
             l_max=2, adaptive_thresholds=False, prefilter=True
         )
@@ -115,20 +114,22 @@ class TestQuerySpans:
         assert all(a.profile.path == "full-four-phase" for a in answers)
         _assert_one_span_tree(trace, num_calls=3, queries_per_call=1)
 
-        refine = trace.find("query.refine")
-        workers = trace.find("query.refine.worker")
-        assert len(workers) == 3 * config.num_query_threads, "one knn walks on its CRWorkers"
-        refine_ids = {s.span_id for s in refine}
-        assert all(w.parent_id in refine_ids for w in workers)
+        # The walk runs on the calling thread: no worker spans, and
+        # nothing under ``query.refine``.
+        refine_ids = {s.span_id for s in trace.find("query.refine")}
+        assert not trace.find("query.refine.worker")
+        assert not any(s.parent_id in refine_ids for s in trace.spans)
 
-        # A batch has the same tree; its walk stays on the calling thread.
+        # A batch has the same tree.
         trace = obs.Trace(name="query")
         with obs.use_trace(trace):
             batch = index.knn_batch(queries, k=5, config=config)
         index.close()
         assert all(a.profile.path == "full-four-phase" for a in batch)
         _assert_one_span_tree(trace, num_calls=1, queries_per_call=3)
+        refine_ids = {s.span_id for s in trace.find("query.refine")}
         assert not trace.find("query.refine.worker")
+        assert not any(s.parent_id in refine_ids for s in trace.spans)
 
     def test_profile_io_filled_by_knn_itself(self, traced_build, data):
         _, index_dir = traced_build

@@ -31,7 +31,6 @@ def scenario(tmp_path_factory):
         leaf_capacity=80,
         db_size=128,
         buffer_capacity=512,  # force flushes
-        num_query_threads=2,
         l_max=4,
         sax_segments=16,
     )
