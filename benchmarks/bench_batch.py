@@ -63,7 +63,7 @@ def queries(data):
 @pytest.fixture(scope="module")
 def index_dir(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("bench-batch") / "hercules"
-    config = hercules_config(data.shape[0], prefilter=True, prefilter_bits=8)
+    config = hercules_config(data.shape[0])
     HerculesIndex.build(data, config, directory=directory).close()
     return directory
 

@@ -173,8 +173,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         batched_inserts=not args.per_row,
         num_shards=args.shards,
         shard_workers=args.shard_workers,
-        prefilter=args.prefilter,
-        prefilter_bits=args.prefilter_bits,
         **supervision_overrides,
     )
     with Dataset.open(args.dataset, args.length) as dataset:
@@ -596,7 +594,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             num_shards=args.shards,
             shard_workers=args.shard_workers,
             prefilter=args.prefilter,
-            prefilter_bits=args.prefilter_bits,
         )
         rows = []
         for name in ALL_METHODS:
@@ -739,17 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes that build the shards "
                              "(default: min(shards, cpu_count); 1 builds "
                              "every shard in order in one worker)")
-    layout.add_argument("--prefilter", action="store_true",
-                        help="run the LB_SAX pass over the candidate "
-                             "leaves' series ahead of the access-path "
-                             "decision (it then trims skip-sequential "
-                             "scans too) instead of after it; compare also "
-                             "turns on VA+file's fair-contender SAX filter")
-    layout.add_argument("--prefilter-bits", type=int, default=8,
-                        help="ablation: iSAX bits per segment the in-RAM "
-                             "words are reduced to under --prefilter (1-8, "
-                             "default 8 = full resolution; fewer bits "
-                             "prune less and save nothing)")
 
     noisy = argparse.ArgumentParser(add_help=False)
     noisy.add_argument("--num-queries", type=int, default=10)
@@ -890,6 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--k", type=int, default=1)
     compare.add_argument("--cache-mb", type=float, default=0.0,
                          help="leaf-block LRU cache budget in MiB (0: disabled)")
+    compare.add_argument("--prefilter", action="store_true",
+                         help="turn on VA+file's fair-contender SAX filter "
+                              "(the LB_SAX kernel at 8 bits per symbol)")
     compare.add_argument("--batch", action="store_true",
                          help="run each method's workload through its batched "
                               "engine where it has one (knn_batch); answers "

@@ -14,12 +14,14 @@ not grow with Q:
   (``SignatureArray.gap_tables`` on the block's PAA), which phase 1's
   screens and phase 3's pass share; phases 1-2 then run per query.
   ``phase1_only`` stops here, after phase 1.
-* **The LB_SAX pass.**  With ``prefilter`` (and ``use_sax``) it runs
-  for every query ahead of the access-path decision
-  (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`); otherwise
-  the decision (:func:`repro.core.query._choose_path`) runs it at the
-  paper's position.  Nothing refines in between, so both positions see
-  the same BSF² and keep the same rows.
+* **One LB_SAX pass.**  Phase 3 runs once per call, for every query
+  with candidate leaves (none under NoSAX), ahead of the access-path
+  decision (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`),
+  and each LCList loses the leaves that kept no row before
+  :func:`repro.core.query._choose_path` picks its path.  The paper runs
+  the pass after the decision; nothing refines in between, so it sees
+  the same BSF² and keeps the same rows here, and the skip-sequential
+  scans read the trimmed lists.
 * **One refinement walk.**  :func:`repro.core.query._refine_runs` sorts
   the extents of every query that has any into file-ordered entry
   tables (query id, extent, bound), one per leaf-aligned file window,
@@ -48,9 +50,8 @@ reads are shared, and ``io`` stays None).  The trace has one shape for
 every Q and mode: a ``query`` span (``mode`` ``"exact"`` or
 ``"approximate"``) with the :class:`BatchStats` counters, per query
 ``query.phase1.approx``, and past phase 1 per query
-``query.phase2.candidates``, one ``query.prefilter``, per query
-``query.phase3.filter`` where phase 3 runs, and one ``query.refine``
-around the walk.
+``query.phase2.candidates``, one ``query.prefilter`` around the LB_SAX
+pass, and one ``query.refine`` around the walk.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ class BatchStats:
     #: Candidate rows the refinement kernel evaluated, summed over
     #: queries.
     kernel_rows: int = 0
-    #: Wall seconds of the pre-decision LB_SAX pass (0 with ``prefilter``
-    #: off, where the pass runs inside the access-path decision).
+    #: Wall seconds of the LB_SAX pass (0 under NoSAX, which runs none).
     screen_seconds: float = 0.0
     #: Wall seconds of the whole call.
     total_seconds: float = 0.0
@@ -274,14 +274,14 @@ def exact_knn_batch(
 
 
 def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
-    """Phases 3-4 for queries past phase 2: the LB_SAX pass (ahead of the
-    access-path decision with ``prefilter``), each query's access path,
-    and one refinement walk over those with candidates; fills ``stats``."""
+    """Phases 3-4 for queries past phase 2: the LB_SAX pass, each query's
+    access path, and one refinement walk over those with candidates;
+    fills ``stats``."""
     first = states[0]
     config, table, lrd, sax = first.config, first.table, first.lrd, first.sax
     candidates: list = [None] * len(states)
-    # NoSAX prunes with LB_EAPCA alone: no LB_SAX pass, ahead or not.
-    if config.prefilter and config.use_sax:
+    # NoSAX prunes with LB_EAPCA alone: no LB_SAX pass.
+    if config.use_sax:
         screen_started = time.perf_counter()
         with obs.span("query.prefilter"):
             # Only the queries phase 2 left candidate leaves have rows.

@@ -22,7 +22,7 @@ from repro.retry import RetryPolicy
 #: Fields a later release retired.  ``with_options`` accepts and ignores
 #: them, so callers written against the older configuration keep working;
 #: ``from_settings`` drops every unknown key anyway.
-RETIRED_FIELDS = ("num_query_threads",)
+RETIRED_FIELDS = ("num_query_threads", "prefilter", "prefilter_bits")
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,6 @@ class HerculesConfig:
     #: exact answers.  0.0 (default) keeps search exact.
     epsilon: float = 0.0
 
-    # -- position of the LB_SAX pass -----------------------------------------
-    #: Run the phase-3 LB_SAX pass ahead of the access-path decision
-    #: instead of after it (the paper's position), so the leaves that
-    #: kept no row leave LCList before a skip-sequential scan too.
-    #: Answers stay bit-for-bit identical either way.
-    prefilter: bool = False
-    #: Ablation only: with ``prefilter``, the per-segment cardinality (in
-    #: bits) the in-RAM iSAX words are reduced to when the index is
-    #: opened.  Fewer bits prune less and save nothing — the default is
-    #: the full resolution of a 256-symbol alphabet.
-    prefilter_bits: int = 8
-
     def __post_init__(self) -> None:
         if self.leaf_capacity < 2:
             raise ConfigError(f"leaf_capacity must be >= 2, got {self.leaf_capacity}")
@@ -158,10 +146,6 @@ class HerculesConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.epsilon < 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not 1 <= self.prefilter_bits <= 8:
-            raise ConfigError(
-                f"prefilter_bits must be in [1, 8], got {self.prefilter_bits}"
-            )
         if self.num_shards < 1:
             raise ConfigError(
                 f"num_shards must be >= 1, got {self.num_shards}"

@@ -326,7 +326,7 @@ class HerculesIndex:
                     f"lrd.bin holds {lrd.num_series} series but the index "
                     f"records {num_series}"
                 )
-            sax = _load_sax(directory, sax_space, config, num_series)
+            sax = _load_sax(directory, sax_space, num_series)
             table = LeafTable(records, num_series)
         except BaseException:
             lrd.close()
@@ -527,20 +527,15 @@ def _make_cache(cache_bytes: int) -> Optional[LeafCache]:
     return LeafCache(cache_bytes) if cache_bytes else None
 
 
-def _load_sax(
-    directory: Path,
-    sax_space: SaxSpace,
-    config: HerculesConfig,
-    num_series: int,
-) -> SignatureArray:
+def _load_sax(directory: Path, sax_space: SaxSpace, num_series: int) -> SignatureArray:
     """Pre-load LSDFile into memory (kept there during query answering).
 
-    The words are the SAX tier (``>>``-reduced under a ``prefilter_bits``
-    ablation); it keeps them transposed, and the row-major array read
-    here is dropped.  Phase 3
-    indexes the array by LRDFile position, so a row count that disagrees
-    with the tree is rejected at every verify level — a short file would
-    otherwise drop a leaf's last series from SCList without an error.
+    The words are the SAX tier, at the space's full resolution; it keeps
+    them transposed, and the row-major array read here is dropped.  The
+    LB_SAX pass indexes the array by LRDFile position, so a row count
+    that disagrees with the tree is rejected at every verify level — a
+    short file would otherwise drop a leaf's last series from SCList
+    without an error.
     """
     with SymbolFile(
         directory / LSD_FILENAME, sax_space.segments, read_only=True
@@ -551,7 +546,4 @@ def _load_sax(
             f"{directory / LSD_FILENAME} holds {words.shape[0]} words but "
             f"the index records {num_series} series: mixed generations"
         )
-    bits = sax_space.bits_per_symbol
-    if config.prefilter:
-        bits = min(config.prefilter_bits, bits)
-    return SignatureArray.from_full_symbols(words, sax_space, bits)
+    return SignatureArray.from_full_symbols(words, sax_space, sax_space.bits_per_symbol)

@@ -5,7 +5,8 @@ queries run and filters the series of the candidate leaves against it
 (Algorithm 13).  ParIS+ shows that such a tier is one vectorised
 lower-bound kernel over a resident summary array, and this module is
 that: :class:`SignatureArray` holds the words once, segment-major (at
-full resolution, or ``>>``-reduced for a cardinality ablation), and
+full resolution for Hercules, ``>>``-reduced for VA+file's SAX filter
+at fewer bits), and
 evaluates LB_SAX with the VA-file lookup-table trick: per
 segment a ``2^bits``-entry table of squared gaps from the query's PAA
 value to each symbol region is built once per query (O(2^bits),

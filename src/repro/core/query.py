@@ -37,8 +37,12 @@ skip-sequential scan of LRDFile over LCList, and when SAX pruning is weak
 seek per run of adjacent surviving *leaves* (contiguous in LRDFile)
 instead of one per surviving *series*, which is exactly why it wins on
 hard queries.
-``config.prefilter`` moves the phase-3 pass in front of that decision,
-so the skip-sequential paths too only visit leaves that kept a row.
+Phase 3's pass runs ahead of that decision (ParIS+'s order: the in-RAM
+words are screened before any raw data is chosen), not after it as in
+the paper, so the skip-sequential paths too only visit leaves that kept
+a row.  Nothing refines between the pass and the decision, so the pass
+keeps the rows it would keep after it, and the decision keys off the
+untrimmed LCList.
 
 Refinement is written once (:func:`_refine_runs`, for Q ≥ 1 queries):
 both skip-sequential scans and phase 4 hand it file-ordered read
@@ -110,8 +114,8 @@ class QueryProfile:
     #: LCList size and the resulting EAPCA pruning ratio.
     candidate_leaves: int = 0
     eapca_pruning: float = 0.0
-    #: SCList size and the resulting SAX pruning ratio (None if phase 3
-    #: did not run).
+    #: SCList size and the resulting SAX pruning ratio (None where the
+    #: path was chosen without them: approx-only, eapca-skipseq, NoSAX).
     candidate_series: int = 0
     sax_pruning: Optional[float] = None
     #: Rows *refined*: series handed to a real-distance kernel.  A series
@@ -124,9 +128,9 @@ class QueryProfile:
     #: series reports fewer compared.
     points_compared: int = 0
     points_total: int = 0
-    #: The LB_SAX pass when ``prefilter`` runs it ahead of the access-
-    #: path decision (zero/zero otherwise): series of the LCList leaves
-    #: it examined, and how many of them it kept.
+    #: The LB_SAX pass ahead of the access-path decision (zero/zero under
+    #: NoSAX or for an empty LCList): series of the LCList leaves it
+    #: examined, and how many of them it kept.
     prefilter_screened: int = 0
     prefilter_survivors: int = 0
     #: Rows *read*: raw series fetched from LRDFile (drives "% of data
@@ -541,33 +545,14 @@ def _find_candidate_leaves(state: _SearchState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _find_candidate_series(
-    state: _SearchState, lclist: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """SCList: (positions, ε-scaled squared LB_SAX) in file order.
-
-    One vectorised pass over the series of the LCList leaves against
-    BSF² by value (Algorithm 13 without the CSWorkers: the kernel is a
-    handful of NumPy gathers, which threads under the GIL only slow
-    down).  The bounds come out ε-scaled and squared, so phase 4's
-    re-checks compare them straight against the live BSF².
-    """
-    return state.sax.screen(
-        state.gap_tables,
-        state.results.bsf_squared,
-        state.query.shape[0],
-        prune_factor=state.prune_factor,
-        rows=state.table.rows(lclist),
-    )
-
-
 def _trim_to_candidates(
     state: _SearchState, lclist: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
     """LCList without the leaves that kept no candidate series.
 
-    Used where the pass runs ahead of the access-path decision; records
-    what it examined and kept in the profile's ``prefilter_*`` counters.
+    Applied to the LB_SAX pass's SCList ahead of the access-path
+    decision; records what the pass examined and kept in the profile's
+    ``prefilter_*`` counters.
     """
     state.profile.prefilter_screened = int(state.table.sizes[lclist].sum())
     state.profile.prefilter_survivors = len(positions)
@@ -584,17 +569,18 @@ def _trim_to_candidates(
 
 
 def _choose_path(
-    state: _SearchState, lclist: np.ndarray, candidates: Optional[tuple] = None
+    state: _SearchState, lclist: np.ndarray, candidates: Optional[tuple]
 ) -> Optional[tuple]:
     """Adaptive access-path selection: record the path in the profile
     and return its refinement extents, ``(starts, sizes, bounds_sq)`` in
     file order — LCList's leaves, or SCList's single rows — or None when
     phase 1 already answered the query.
 
-    Weak EAPCA pruning, or the NoSAX ablation, refines LCList; otherwise
-    phase 3 runs (``candidates`` carries SCList where ``prefilter``
-    already computed it) and weak SAX pruning refines LCList, strong SAX
-    pruning SCList.
+    ``lclist`` is already trimmed by the LB_SAX pass and ``candidates``
+    is its SCList, ``(positions, bounds_sq)`` (None under NoSAX, or for
+    an empty LCList).  Weak EAPCA pruning, or the NoSAX ablation,
+    refines LCList; otherwise weak SAX pruning refines LCList, strong
+    SAX pruning SCList.
     """
     config, profile, table = state.config, state.profile, state.table
     profile.candidate_leaves = len(lclist)
@@ -608,11 +594,7 @@ def _choose_path(
     if not config.use_sax:
         profile.path = "nosax-leaves"
         return leaves
-    with obs.span("query.phase3.filter") as sp:
-        if candidates is None:
-            candidates = _find_candidate_series(state, lclist)
-        positions, bounds_sq = candidates
-        sp.set("candidate_series", len(positions))
+    positions, bounds_sq = candidates
     num_series = state.num_series
     profile.candidate_series = len(positions)
     profile.sax_pruning = 1.0 - (len(positions) / num_series if num_series else 0.0)

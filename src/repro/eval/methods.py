@@ -82,15 +82,16 @@ def hercules_config(
 
     Hercules builds on one thread, so it ignores ``num_threads``; the
     parameter stays for the callers that pass the same value to every
-    method (the DSTree*P and ParIS+ baselines use it).
+    method (the DSTree*P and ParIS+ baselines use it).  Names in
+    :data:`~repro.core.config.RETIRED_FIELDS` are accepted and ignored,
+    as :meth:`HerculesConfig.with_options` does; any other unknown name
+    raises ``TypeError``.
     """
-    options = dict(
+    return HerculesConfig(
         leaf_capacity=leaf_capacity,
         db_size=max(min(512, num_series // 4), 1),
         l_max=scaled_l_max(num_series, leaf_capacity),
-    )
-    options.update(overrides)
-    return HerculesConfig(**options)
+    ).with_options(**overrides)
 
 
 def build_method(
@@ -103,7 +104,6 @@ def build_method(
     num_shards: int = 1,
     shard_workers: Optional[int] = None,
     prefilter: bool = False,
-    prefilter_bits: int = 8,
     **overrides,
 ) -> BuiltMethod:
     """Build one method by display name with scaled defaults.
@@ -113,10 +113,9 @@ def build_method(
     (currently Hercules); 0 disables caching.  ``num_shards`` > 1 builds
     Hercules as a shard-parallel index (scatter-gather queries; other
     methods are unaffected), with ``shard_workers`` worker processes.
-    ``prefilter`` turns on the early SAX filter for the methods that
-    have one: Hercules' LB_SAX pass moved ahead of its access-path
-    decision, and VA+file's "fair contender" SAX filter (same LB_SAX
-    kernel, so the baseline comparison reflects equal kernel quality).
+    ``prefilter`` turns on VA+file's "fair contender" SAX filter: the
+    LB_SAX kernel Hercules runs, at the 8 bits per symbol Hercules uses,
+    so the baseline comparison reflects equal kernel quality.
     """
     num_series = (
         dataset.num_series if isinstance(dataset, Dataset) else dataset.shape[0]
@@ -128,8 +127,6 @@ def build_method(
             num_threads,
             num_shards=num_shards,
             shard_workers=shard_workers,
-            prefilter=prefilter,
-            prefilter_bits=prefilter_bits,
             **overrides,
         )
         index = ShardedIndex.build(
@@ -170,7 +167,7 @@ def build_method(
     if name == "VA+file":
         if prefilter:
             overrides.setdefault("filter_kind", "sax")
-            overrides.setdefault("sax_bits", prefilter_bits)
+            overrides.setdefault("sax_bits", 8)
         config = VAFileConfig(**overrides)
         index = VAFileIndex.build(dataset, config)
         return BuiltMethod(name, index, index.build_seconds)

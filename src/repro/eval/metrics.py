@@ -73,9 +73,9 @@ class WorkloadResult:
 
     @property
     def avg_prefilter_pruned_fraction(self) -> float | None:
-        """Mean fraction of the examined series the early LB_SAX pass
-        pruned, over queries where it examined any; ``None`` when it
-        never engaged (``prefilter`` off, or no query had candidate
+        """Mean fraction of the examined series the LB_SAX pass pruned,
+        over queries where it examined any; ``None`` when it never
+        engaged (a method without one, NoSAX, or no query had candidate
         leaves left after phase 2).
         """
         fractions = [

@@ -32,7 +32,6 @@ def index(data, tmp_path_factory):
     config = HerculesConfig(
         leaf_capacity=20,
         l_max=2,
-        prefilter=False,
         adaptive_thresholds=False,
     )
     built = HerculesIndex.build(

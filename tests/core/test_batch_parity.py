@@ -3,8 +3,8 @@
 At ε = 0 ``knn_batch`` must be value-identical, per query, to a loop of
 ``knn`` — its own Q = 1 call, so these gates check the walk's
 multi-query branch against its one-query branch — distances AND
-positions, bit for bit, across every execution mode: the signature
-pre-filter on and off, plain and sharded indexes (thread and
+positions, bit for bit, across every execution mode: with the LB_SAX
+pass and under NoSAX (no pass), plain and sharded indexes (thread and
 process-pool scatter), and degenerate batches (duplicated queries,
 identical-query batches).  At ε > 0 a batch query re-checks its bounds
 at the union's chunk cadence, not its own, so the gate is the ε
@@ -33,13 +33,13 @@ _NUM_SERIES = 500
 
 
 def _config(**overrides):
-    base = dict(
-        leaf_capacity=20,
-        prefilter=True,
-        prefilter_bits=5,
-    )
-    base.update(overrides)
-    return HerculesConfig(**base)
+    return HerculesConfig(leaf_capacity=20, **overrides)
+
+
+def _refined_path(use_sax):
+    """The path of a query whose SCList (or, under NoSAX, LCList) phase
+    4 refines."""
+    return "full-four-phase" if use_sax else "nosax-leaves"
 
 
 #: Two leaves of phase 1: on these small trees the default ``l_max``
@@ -231,15 +231,6 @@ class TestPlainExactParity:
     def test_bit_for_bit(self, index, queries, num_queries, k):
         _assert_batch_matches_serial(index, queries[:num_queries], k)
 
-    @pytest.mark.parametrize("k", [1, 10])
-    def test_prefilter_off(self, index, queries, k):
-        config = index.config.with_options(prefilter=False)
-        batch = _assert_batch_matches_serial(
-            index, queries[:16], k, config=config
-        )
-        for answer in batch:
-            assert answer.profile.prefilter_screened == 0
-
     def test_batch_path_matches_serial_path(self, index, queries):
         """The access-path decision itself must replicate serial."""
         batch = index.knn_batch(queries[:16], k=5)
@@ -253,10 +244,10 @@ class TestEpsilonParity:
     and the batch walk re-checks once per chunk of the union: answers
     may differ from ``knn``'s, but every one meets the ε guarantee."""
 
-    @pytest.mark.parametrize("prefilter", [True, False])
+    @pytest.mark.parametrize("use_sax", [True, False])
     @pytest.mark.parametrize("k", [1, 10])
-    def test_bit_for_bit(self, index, data, queries, prefilter, k):
-        config = index.config.with_options(epsilon=0.15, prefilter=prefilter)
+    def test_bit_for_bit(self, index, data, queries, use_sax, k):
+        config = index.config.with_options(epsilon=0.15, use_sax=use_sax)
         _assert_epsilon_contract(index, data, queries[:16], k, config)
 
     def test_large_epsilon(self, index, data, queries):
@@ -275,13 +266,13 @@ class TestRefinementPaths:
         return np.vstack([queries[:6], hard, data[100:104]]).astype(np.float32)
 
     @pytest.mark.parametrize("adaptive", [True, False])
-    @pytest.mark.parametrize("prefilter", [True, False])
+    @pytest.mark.parametrize("use_sax", [True, False])
     @pytest.mark.parametrize("epsilon", [0.0, 0.15])
-    def test_bit_for_bit(self, index, data, queries, epsilon, prefilter, adaptive):
+    def test_bit_for_bit(self, index, data, queries, epsilon, use_sax, adaptive):
         config = index.config.with_options(
             l_max=2,
             epsilon=epsilon,
-            prefilter=prefilter,
+            use_sax=use_sax,
             adaptive_thresholds=adaptive,
         )
         mixed = self._mixed(data, queries)
@@ -290,7 +281,7 @@ class TestRefinementPaths:
         else:
             batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
-        assert "full-four-phase" in paths
+        assert _refined_path(use_sax) in paths
         if adaptive:
             assert "eapca-skipseq" in paths
         for qi, answer in enumerate(batch):
@@ -301,55 +292,56 @@ class TestRefinementPaths:
             assert answer.profile.prefilter_survivors == serial.prefilter_survivors
 
     @pytest.mark.parametrize("adaptive", [True, False])
-    @pytest.mark.parametrize("prefilter", [True, False])
+    @pytest.mark.parametrize("use_sax", [True, False])
     def test_exact_small_chunks(
-        self, index, data, queries, small_chunks, monkeypatch, prefilter, adaptive
+        self, index, data, queries, small_chunks, monkeypatch, use_sax, adaptive
     ):
         config = index.config.with_options(
-            l_max=2, prefilter=prefilter, adaptive_thresholds=adaptive
+            l_max=2, use_sax=use_sax, adaptive_thresholds=adaptive
         )
         mixed = self._mixed(data, queries)
         batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
-        assert "full-four-phase" in paths
+        assert _refined_path(use_sax) in paths
         if adaptive:
             assert "eapca-skipseq" in paths
         _assert_read_once(index, mixed, 5, config, monkeypatch)
 
     @pytest.mark.parametrize("adaptive", [True, False])
-    @pytest.mark.parametrize("prefilter", [True, False])
+    @pytest.mark.parametrize("use_sax", [True, False])
     def test_exact_small_chunks_wide(
-        self, wide_index, wide_data, small_chunks, monkeypatch, prefilter, adaptive
+        self, wide_index, wide_data, small_chunks, monkeypatch, use_sax, adaptive
     ):
         """2 000 series in chunks of 32 rows: most chunks serve whole-leaf
         and per-row users together, and an easy batch leaves chunks in
         which every query is pruned (no kernel call)."""
         config = wide_index.config.with_options(
-            l_max=2, prefilter=prefilter, adaptive_thresholds=adaptive
+            l_max=2, use_sax=use_sax, adaptive_thresholds=adaptive
         )
         rng = np.random.default_rng(9)
         noisy = wide_data[:8] + 0.5 * rng.standard_normal((8, _LENGTH))
         mixed = np.vstack([noisy, rng.standard_normal((8, _LENGTH))]).astype(np.float32)
-        easy = (wide_data[[1593, 1788]] + 0.5 * rng.standard_normal((2, _LENGTH))).astype(
+        easy = (wide_data[[33, 150]] + 0.5 * rng.standard_normal((2, _LENGTH))).astype(
             np.float32
         )
 
         batch = _assert_batch_matches_serial(wide_index, mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
-        assert "full-four-phase" in paths
+        assert _refined_path(use_sax) in paths
         if adaptive:
             assert "eapca-skipseq" in paths
         stats, spy = _assert_read_once(wide_index, mixed, 5, config, monkeypatch)
         assert spy.chunks[0] > 60
         if adaptive:
             # Both kinds of user in one kernel call: a query that takes
-            # every row read (whole leaves) beside one masked to some.
+            # every row read (whole leaves) beside one masked to some
+            # (SCList rows, or under NoSAX other leaves).
             mixed_calls = [
                 masks
                 for masks in spy.kernel_calls
                 if masks is not None and 0 < masks.all(axis=1).sum() < len(masks)
             ]
-            assert len(mixed_calls) > 60
+            assert len(mixed_calls) > (60 if use_sax else 40)
         assert stats.leaf_share_factor > 1.0
 
         # An easy batch in which a chunk finds every query pruned, so it
@@ -399,9 +391,9 @@ class TestRefinementPaths:
         _assert_read_once(index, mixed, 5, config, monkeypatch)
 
     @pytest.mark.parametrize("adaptive", [True, False])
-    @pytest.mark.parametrize("prefilter", [True, False])
+    @pytest.mark.parametrize("use_sax", [True, False])
     def test_epsilon_counters_over_many_chunks(
-        self, wide_index, wide_data, prefilter, adaptive
+        self, wide_index, wide_data, use_sax, adaptive
     ):
         """On 2 000 series a skip-sequential scan covers runs of many
         20-row leaves in several refinement chunks and phase 4 several
@@ -411,7 +403,7 @@ class TestRefinementPaths:
         config = wide_index.config.with_options(
             l_max=2,
             epsilon=0.15,
-            prefilter=prefilter,
+            use_sax=use_sax,
             adaptive_thresholds=adaptive,
         )
         rng = np.random.default_rng(9)
@@ -420,7 +412,7 @@ class TestRefinementPaths:
         mixed = np.vstack([noisy, hard]).astype(np.float32)
         batch = _assert_epsilon_contract(wide_index, wide_data, mixed, 5, config)
         paths = {answer.profile.path for answer in batch}
-        assert "full-four-phase" in paths
+        assert _refined_path(use_sax) in paths
         if adaptive:
             assert "eapca-skipseq" in paths
         for answer in batch:
@@ -437,14 +429,14 @@ class TestWindowedWalk:
     answers, profiles and stats are those of a walk over one table."""
 
     @pytest.mark.parametrize("adaptive", [True, False])
-    @pytest.mark.parametrize("prefilter", [True, False])
+    @pytest.mark.parametrize("use_sax", [True, False])
     def test_exact_over_several_windows(
-        self, index, data, queries, small_windows, monkeypatch, prefilter, adaptive
+        self, index, data, queries, small_windows, monkeypatch, use_sax, adaptive
     ):
         from repro.core import query
 
         config = index.config.with_options(
-            l_max=2, prefilter=prefilter, adaptive_thresholds=adaptive
+            l_max=2, use_sax=use_sax, adaptive_thresholds=adaptive
         )
         mixed = TestRefinementPaths._mixed(data, queries)
         batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
@@ -462,11 +454,11 @@ class TestWindowedWalk:
             window = np.searchsorted(edges, first, side="right") - 1
             assert end <= edges[window + 1]
 
-    @pytest.mark.parametrize("prefilter", [True, False])
+    @pytest.mark.parametrize("use_sax", [True, False])
     def test_epsilon_over_several_windows(
-        self, wide_index, wide_data, small_windows, prefilter
+        self, wide_index, wide_data, small_windows, use_sax
     ):
-        config = wide_index.config.with_options(l_max=2, epsilon=0.15, prefilter=prefilter)
+        config = wide_index.config.with_options(l_max=2, epsilon=0.15, use_sax=use_sax)
         rng = np.random.default_rng(9)
         noisy = wide_data[:8] + 0.5 * rng.standard_normal((8, _LENGTH))
         mixed = np.vstack([noisy, rng.standard_normal((8, _LENGTH))]).astype(np.float32)

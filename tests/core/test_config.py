@@ -42,11 +42,16 @@ class TestValidation:
 
     def test_with_options_ignores_retired_names_only(self):
         base = HerculesConfig()
-        variant = base.with_options(num_query_threads=2, l_max=3)
+        variant = base.with_options(
+            num_query_threads=2, prefilter=True, prefilter_bits=4, l_max=3
+        )
         assert variant == base.with_options(l_max=3)
-        assert not hasattr(variant, "num_query_threads")
+        for name in ("num_query_threads", "prefilter", "prefilter_bits"):
+            assert not hasattr(variant, name)
         with pytest.raises(TypeError):
             base.with_options(num_query_thread=2)  # misspelt: not retired
+        with pytest.raises(TypeError):
+            base.with_options(prefilter_bit=8)  # misspelt: not retired
 
     def test_with_options_validates(self):
         with pytest.raises(ConfigError):

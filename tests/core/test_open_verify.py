@@ -170,22 +170,19 @@ def built_by_older_release(tmp_path_factory):
     """A ``--prefilter`` directory as releases before the single SAX tier
     wrote it: a ``signatures.bin`` beside the three artifacts, listed in
     the manifest (its content is junk on purpose — nothing may parse
-    it), and the since-retired ``prefilter_hamming`` and
-    ``shard_poll_seconds`` knobs among the persisted settings.
+    it), and the since-retired ``prefilter``, ``prefilter_bits``,
+    ``prefilter_hamming`` and ``shard_poll_seconds`` knobs among the
+    persisted settings.
     """
     data = make_random_walks(100, 32, seed=29)
     directory = tmp_path_factory.mktemp("verify-prefilter") / "index"
-    config = HerculesConfig(
-        leaf_capacity=20,
-        l_max=2,
-        prefilter=True,
-        prefilter_bits=4,
-    )
+    config = HerculesConfig(leaf_capacity=20, l_max=2)
     index = HerculesIndex.build(data, config, directory=directory)
     answers = [index.knn(query, k=2) for query in data[:5]]
     index.close()
     (directory / "signatures.bin").write_bytes(b"HSIG" + bytes(800))
     root, settings = htree.load_tree(directory / "htree.bin")
+    settings["config"].update(prefilter=True, prefilter_bits=4)
     settings["config"]["prefilter_hamming"] = True
     settings["config"]["shard_poll_seconds"] = 1.0
     htree.save_tree(directory / "htree.bin", root, settings)
@@ -209,7 +206,9 @@ class TestPrefilterDirectories:
     ):
         directory, data, _, ref = built_by_older_release
         with HerculesIndex.open(directory, verify=level) as index:
-            assert index.signatures.bits == 4
+            # The retired ``prefilter_bits=4`` is ignored: the tier is
+            # always at the words' full resolution.
+            assert index.signatures.bits == 8
             for query, expected in zip(data[:5], ref):
                 answer = index.knn(query, k=2)
                 np.testing.assert_array_equal(
@@ -283,6 +282,8 @@ class TestRetiredShardKnobs:
         flush_threshold=2,
         claim_size=64,
         num_query_threads=2,
+        prefilter=False,
+        prefilter_bits=4,
     )
 
     @pytest.mark.parametrize("level", ["quick", "full"])

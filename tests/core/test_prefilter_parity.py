@@ -1,12 +1,12 @@
-"""Parity gates for the position of the LB_SAX pass: answers never change.
+"""Gates for the LB_SAX pass ahead of the access-path decision.
 
-Every test queries the *same* materialized index with ``prefilter``
-toggled through the query-time config, so distances AND positions must
-match bit-for-bit (positions are LRD file positions — comparing across
-independent builds would be confounded by layout).
+The pass prunes with a valid lower bound against the live BSF², so every
+answer must equal a NumPy float64 scan of the stored rows: distances,
+and positions (LRDFile positions — the scan runs over the rows in file
+order, so it reports the same ones).  The pass's own bookkeeping — the
+LCList trim and the ``prefilter_*`` counters — is checked against the
+pipeline's own phases.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from repro.core import HerculesConfig, HerculesIndex, ShardedIndex
 from repro.core.query import (
     _approx_knn,
     _find_candidate_leaves,
-    _find_candidate_series,
     _search_states,
     _trim_to_candidates,
 )
@@ -27,13 +26,7 @@ _LENGTH = 64
 
 
 def _config(**overrides):
-    base = dict(
-        leaf_capacity=20,
-        prefilter=True,
-        prefilter_bits=5,
-    )
-    base.update(overrides)
-    return HerculesConfig(**base)
+    return HerculesConfig(leaf_capacity=20, **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +51,24 @@ def index(data, tmp_path_factory):
     built.close()
 
 
+def _stored(index):
+    """Every stored row, in LRDFile (answer-position) order, as float64."""
+    return np.stack(
+        [index.get_series(p) for p in range(index.num_series)]
+    ).astype(np.float64)
+
+
 @pytest.fixture(scope="module")
-def unfiltered(index):
-    return index.config.with_options(prefilter=False)
+def stored(index):
+    return _stored(index)
+
+
+def _assert_scan_answer(answer, stored, query, k):
+    """``answer`` is the k nearest stored rows of a float64 scan."""
+    squared = ((stored - query.astype(np.float64)) ** 2).sum(axis=1)
+    order = np.argsort(squared, kind="stable")[:k]
+    np.testing.assert_array_equal(answer.positions, order)
+    np.testing.assert_allclose(answer.distances, np.sqrt(squared[order]), rtol=1e-9)
 
 
 def _state(index, query, k, config):
@@ -73,7 +81,8 @@ def _state(index, query, k, config):
 
 
 def _lclist(index, query, k, config):
-    """Phase 2's LCList for one query, from the pipeline's own phases."""
+    """Phase 2's (untrimmed) LCList for one query, from the pipeline's
+    own phases."""
     state = _state(index, query, k, config)
     _approx_knn(state)
     return _find_candidate_leaves(state)
@@ -81,94 +90,59 @@ def _lclist(index, query, k, config):
 
 class TestExactParity:
     @pytest.mark.parametrize("k", [1, 5, 25])
-    def test_bit_for_bit(self, index, unfiltered, queries, k):
+    def test_bit_for_bit(self, index, stored, queries, k):
         for query in queries:
-            filtered = index.knn(query, k=k)
-            plain = index.knn(query, k=k, config=unfiltered)
-            np.testing.assert_array_equal(
-                filtered.distances, plain.distances
-            )
-            np.testing.assert_array_equal(
-                filtered.positions, plain.positions
-            )
+            _assert_scan_answer(index.knn(query, k=k), stored, query, k)
 
     @pytest.mark.parametrize("adaptive", [True, False])
-    def test_bit_for_bit_through_refinement(self, index, queries, adaptive):
+    def test_bit_for_bit_through_refinement(self, index, stored, queries, adaptive):
         # The default L_max covers this whole small tree; a short phase 1
         # leaves work for the LB_SAX pass, phase 4 and the scans.
         config = index.config.with_options(l_max=2, adaptive_thresholds=adaptive)
         paths = set()
         for query in queries:
-            filtered = index.knn(query, k=5, config=config)
-            plain = index.knn(
-                query, k=5, config=config.with_options(prefilter=False)
-            )
-            np.testing.assert_array_equal(
-                filtered.distances, plain.distances
-            )
-            np.testing.assert_array_equal(
-                filtered.positions, plain.positions
-            )
-            assert (
-                filtered.profile.series_accessed
-                <= plain.profile.series_accessed
-            )
-            paths.add(plain.profile.path)
+            answer = index.knn(query, k=5, config=config)
+            _assert_scan_answer(answer, stored, query, 5)
+            paths.add(answer.profile.path)
         assert "full-four-phase" in paths
         if adaptive:
             assert "eapca-skipseq" in paths
 
     def test_screen_engages_only_when_enabled(self, index, queries):
+        """The pass examines exactly the series of phase 2's LCList — so
+        it engages only for a query phase 2 left leaves — and keeps at
+        most all of them."""
         # A short phase 1, so that phase 2 leaves candidate leaves (the
         # default L_max covers this whole small tree).
         config = index.config.with_options(l_max=2)
         engaged = 0
         for query in queries:
-            filtered = index.knn(query, k=5, config=config).profile
-            plain = index.knn(
-                query, k=5, config=config.with_options(prefilter=False)
-            ).profile
-            # The early pass examines the series of the LCList leaves —
-            # exactly what phase 2 left, which `plain` reports untrimmed.
-            leaves = [
-                index.leaves[i] for i in _lclist(index, query, 5, config)
-            ]
-            assert len(leaves) == plain.candidate_leaves
-            assert filtered.prefilter_screened == sum(
-                leaf.size for leaf in leaves
-            )
-            assert (
-                0
-                <= filtered.prefilter_survivors
-                <= filtered.prefilter_screened
-            )
-            if filtered.prefilter_screened:
+            profile = index.knn(query, k=5, config=config).profile
+            lclist = _lclist(index, query, 5, config)
+            assert profile.prefilter_screened == int(index._table.sizes[lclist].sum())
+            assert 0 <= profile.prefilter_survivors <= profile.prefilter_screened
+            if profile.prefilter_screened:
                 engaged += 1
-                assert filtered.prefilter_pruned_fraction is not None
-            if plain.sax_pruning is not None:
-                # Same pass, same BSF², same rows: same survivors.
-                assert plain.candidate_series == filtered.prefilter_survivors
-            assert plain.prefilter_screened == 0
-            assert plain.prefilter_pruned_fraction is None
+                assert profile.prefilter_pruned_fraction is not None
+            else:
+                assert profile.prefilter_pruned_fraction is None
+            if profile.sax_pruning is not None:
+                # SCList is what the pass kept.
+                assert profile.candidate_series == profile.prefilter_survivors
         assert engaged
 
-    def test_nosax_runs_no_lb_sax_pass(self, index, queries):
-        """The NoSAX ablation prunes with LB_EAPCA alone, so there is no
-        LB_SAX pass for ``prefilter`` to move: every profile is the same
-        with it on and off."""
+    def test_nosax_runs_no_lb_sax_pass(self, index, stored, queries):
+        """The NoSAX ablation prunes with LB_EAPCA alone: no pass, no
+        counters, and the scan's answers."""
         config = index.config.with_options(l_max=2, use_sax=False)
-        unmeasured = dict(
-            time_total=0.0, time_approx=0.0, time_candidates=0.0, time_refine=0.0
-        )
         candidates = 0
         for query in queries:
-            on = index.knn(query, k=5, config=config)
-            off = index.knn(query, k=5, config=config.with_options(prefilter=False))
-            np.testing.assert_array_equal(on.distances, off.distances)
-            np.testing.assert_array_equal(on.positions, off.positions)
-            assert on.profile.prefilter_screened == 0
-            assert replace(on.profile, **unmeasured) == replace(off.profile, **unmeasured)
-            candidates += off.profile.candidate_leaves
+            answer = index.knn(query, k=5, config=config)
+            _assert_scan_answer(answer, stored, query, 5)
+            assert answer.profile.prefilter_screened == 0
+            assert answer.profile.prefilter_survivors == 0
+            assert answer.profile.sax_pruning is None
+            candidates += answer.profile.candidate_leaves
         assert candidates  # phase 2 left leaves a pass could have trimmed
 
     @pytest.mark.parametrize("l_max", [1, 2, 80])
@@ -182,7 +156,13 @@ class TestExactParity:
                 state = _state(index, query, k, config)
                 _approx_knn(state)
                 lclist = _find_candidate_leaves(state)
-                positions, _ = _find_candidate_series(state, lclist)
+                positions, _ = state.sax.screen(
+                    state.gap_tables,
+                    state.results.bsf_squared,
+                    _LENGTH,
+                    prune_factor=state.prune_factor,
+                    rows=index._table.rows(lclist),
+                )
                 trimmed = _trim_to_candidates(state, lclist, positions)
                 np.testing.assert_array_equal(
                     trimmed, np.unique(index._table.leaf_of(positions))
@@ -190,34 +170,33 @@ class TestExactParity:
                 longest = max(longest, len(trimmed))
         assert longest > 1 or l_max == 80  # the default covers the tree
 
-    def test_screen_only_subtracts_work(self, index, unfiltered, queries):
+    def test_screen_only_subtracts_work(self, index, queries):
+        """The trimmed LCList is a subset of phase 2's, so refinement
+        reads at most phase 2's leaves on top of phase 1's; the path is
+        decided on the untrimmed list's EAPCA pruning."""
+        config = index.config.with_options(l_max=2)
+        sizes = index._table.sizes
         for query in queries:
-            filtered = index.knn(query, k=5)
-            plain = index.knn(query, k=5, config=unfiltered)
-            # Same refine path (the decision is taken pre-screen), so a
-            # valid lower bound can only remove reads, never add them.
-            assert filtered.profile.path == plain.profile.path
-            assert (
-                filtered.profile.series_accessed
-                <= plain.profile.series_accessed
+            profile = index.knn(query, k=5, config=config).profile
+            state = _state(index, query, 5, config)
+            _approx_knn(state)
+            lclist = _find_candidate_leaves(state)
+            assert profile.candidate_leaves <= len(lclist)
+            assert profile.series_accessed <= int(
+                sizes[lclist].sum() + sizes[state.visited].sum()
             )
-            assert (
-                filtered.profile.candidate_leaves
-                <= plain.profile.candidate_leaves
+            assert profile.eapca_pruning == pytest.approx(
+                1.0 - len(lclist) / index.num_leaves
             )
 
 
 class TestOtherModes:
-    def test_progressive_converges_to_unfiltered_exact(
-        self, index, unfiltered, queries
-    ):
+    def test_progressive_converges_to_unfiltered_exact(self, index, stored, queries):
         for query in queries[:4]:
-            exact = index.knn(query, k=3, config=unfiltered)
             final = None
             for step in index.knn_progressive(query, k=3):
                 final = step
-            np.testing.assert_array_equal(final.distances, exact.distances)
-            np.testing.assert_array_equal(final.positions, exact.positions)
+            _assert_scan_answer(final, stored, query, 3)
 
     def test_approximate_unaffected(self, index, queries):
         # The approximate phase never consults the SAX tier; its answers
@@ -231,17 +210,18 @@ class TestOtherModes:
                 )
                 assert dist == pytest.approx(true, abs=1e-6)
 
-    def test_epsilon_guarantee_holds_filtered(self, index, unfiltered, queries):
-        # Under epsilon-approximate pruning the screen scales its bound
-        # by the same prune factor; answers must stay within (1+eps).
+    def test_epsilon_guarantee_holds_filtered(self, index, stored, queries):
+        # Under epsilon-approximate pruning the pass scales its bound by
+        # the same prune factor; every distance must stay within (1+eps)
+        # of the scan's, with the default phase 1 and a short one.
         eps = 0.1
-        approx_cfg = index.config.with_options(epsilon=eps)
-        for query in queries:
-            exact = index.knn(query, k=5, config=unfiltered)
-            loose = index.knn(query, k=5, config=approx_cfg)
-            assert (
-                loose.distances <= (1.0 + eps) * exact.distances + 1e-9
-            ).all()
+        for l_max in (index.config.l_max, 2):
+            config = index.config.with_options(epsilon=eps, l_max=l_max)
+            for query in queries:
+                loose = index.knn(query, k=5, config=config)
+                squared = ((stored - query.astype(np.float64)) ** 2).sum(axis=1)
+                exact = np.sqrt(np.sort(squared)[:5])
+                assert (loose.distances <= (1.0 + eps) * exact + 1e-9).all()
 
 
 class TestShardedParity:
@@ -259,17 +239,13 @@ class TestShardedParity:
         yield built
         built.close()
 
-    def test_bit_for_bit(self, sharded, data, queries):
-        plain_cfg = sharded.config.with_options(prefilter=False)
+    def test_bit_for_bit(self, sharded, queries):
+        # Global positions: the scan runs over the shards' rows in order.
+        stored = _stored(sharded)
+        config = sharded.config.with_options(l_max=2)
         for query in queries:
-            filtered = sharded.knn(query, k=5)
-            plain = sharded.knn(query, k=5, config=plain_cfg)
-            np.testing.assert_array_equal(
-                filtered.distances, plain.distances
-            )
-            np.testing.assert_array_equal(
-                filtered.positions, plain.positions
-            )
+            _assert_scan_answer(sharded.knn(query, k=5), stored, query, 5)
+            _assert_scan_answer(sharded.knn(query, k=5, config=config), stored, query, 5)
 
     def test_counters_merge_across_shards(self, sharded, data, queries):
         # A hard query after a short phase 1: phase 2 leaves candidate

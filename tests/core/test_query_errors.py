@@ -30,7 +30,7 @@ class TestQueryWorkerErrors:
         def broken_screen(self, *args, **kwargs):
             raise RuntimeError("injected LB_SAX failure")
 
-        monkeypatch.setattr(SignatureArray, "screen", broken_screen)
+        monkeypatch.setattr(SignatureArray, "screen_batch", broken_screen)
         query = make_random_walks(1, 32, seed=291)[0]
         with pytest.raises(RuntimeError, match="injected LB_SAX failure"):
             index.knn(query, k=1)

@@ -11,7 +11,6 @@ from repro.core.leaf_table import extent_rows
 from repro.core.query import (
     _approx_knn,
     _find_candidate_leaves,
-    _find_candidate_series,
     _search_states,
 )
 from repro.core.results import LinkedResultSet
@@ -690,7 +689,13 @@ class TestRefineRuns:
         options = dict(l_max=2, adaptive_thresholds=False)
         state = make_state(index, query, **options)
         _approx_knn(state)
-        sclist, _ = _find_candidate_series(state, _find_candidate_leaves(state))
+        sclist, _ = state.sax.screen(
+            state.gap_tables,
+            state.results.bsf_squared,
+            query.shape[0],
+            prune_factor=state.prune_factor,
+            rows=index._table.rows(_find_candidate_leaves(state)),
+        )
         assert 1 < len(sclist) <= query_module._CHUNK_ROWS
         calls = []
         read_range = index._lrd.read_range

@@ -46,6 +46,14 @@ class TestScaledDefaults:
         assert not config.use_sax
         assert config.l_max == 99
 
+    def test_hercules_config_ignores_retired_names_only(self):
+        """Callers that still pass the retired pass-position knobs get
+        the default configuration; a misspelt name still raises."""
+        legacy = hercules_config(5_000, prefilter=True, prefilter_bits=8)
+        assert legacy == hercules_config(5_000)
+        with pytest.raises(TypeError):
+            hercules_config(5_000, prefilter_bit=8)
+
     def test_scaled_l_max_tracks_four_percent_of_leaves(self):
         # Paper: 80 of ~2000 leaves at 100M/100K.
         assert scaled_l_max(2_000_000, 1_000) == 80

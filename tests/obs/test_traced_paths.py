@@ -69,8 +69,9 @@ class TestBuildSpans:
 def _assert_one_span_tree(trace, num_calls, queries_per_call, mode="exact"):
     """Every call, whatever its Q and mode, is one ``query`` span holding
     per-query ``query.phase1.approx`` spans.  An exact call adds per-query
-    phase 2-3 spans, one ``query.prefilter`` and one ``query.refine``
-    around the walk; an approximate or progressive call stops there."""
+    ``query.phase2.candidates`` spans, one ``query.prefilter`` around the
+    LB_SAX pass and one ``query.refine`` around the walk; an approximate
+    or progressive call stops there."""
     calls = trace.find("query")
     assert len(calls) == num_calls
     call_ids = {s.span_id for s in calls}
@@ -86,7 +87,6 @@ def _assert_one_span_tree(trace, num_calls, queries_per_call, mode="exact"):
     for name, per_call in (
         ("query.phase1.approx", queries_per_call),
         ("query.phase2.candidates", queries_per_call if exact else 0),
-        ("query.phase3.filter", queries_per_call if exact else 0),
         ("query.prefilter", int(exact)),
         ("query.refine", int(exact)),
     ):
@@ -104,9 +104,7 @@ class TestQuerySpans:
         # A tight leaf-visit budget leaves candidates after phase 1, and
         # disabling the adaptive skip-sequential fallback forces them
         # through phases 3 and 4.
-        config = index.config.with_options(
-            l_max=2, adaptive_thresholds=False, prefilter=True
-        )
+        config = index.config.with_options(l_max=2, adaptive_thresholds=False)
         queries = make_noise_queries(data, 3, noise_variance=2.0, seed=5)
         trace = obs.Trace(name="query")
         with obs.use_trace(trace):

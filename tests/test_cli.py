@@ -843,53 +843,49 @@ class TestShardedCLI:
 
 
 class TestPrefilterCLI:
-    """``--prefilter`` moves the LB_SAX pass, never the answers."""
+    """The LB_SAX pass runs ahead of the access-path decision on every
+    index: ``explain`` shows what it kept, and the answers are a scan's."""
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--prefilter"], ["--prefilter", "--prefilter-bits", "4"]],
-        ids=["full-resolution", "4-bits"],
-    )
-    def test_filtered_answers_match_plain_and_explain_shows_the_screen(
-        self, dataset_file, tmp_path, capsys, flags
+    def test_answers_match_a_scan_and_explain_shows_the_screen(
+        self, dataset_file, tmp_path, capsys
     ):
         queries = tmp_path / "queries.bin"
         assert main(
             ["generate", "--kind", "synth", "--count", "6", "--length", "32",
              "--seed", "42", "--output", str(queries)]
         ) == 0
-        outputs = {}
-        for name, extra in (("plain", []), ("filtered", flags)):
-            index_dir = tmp_path / name
-            # A short phase 1 leaves candidate leaves for the pass.
-            assert main(
-                ["build", "--dataset", str(dataset_file), "--length", "32",
-                 "--output", str(index_dir), "--leaf-capacity", "20",
-                 "--l-max", "1"] + extra
-            ) == 0
-            # The SAX tier is lsd.bin, read at open: no file of its own.
-            assert not (index_dir / "signatures.bin").exists()
-            capsys.readouterr()
-            assert main(
-                ["query", "--index", str(index_dir), "--queries", str(queries),
-                 "--k", "3"]
-            ) == 0
-            outputs[name] = capsys.readouterr().out
+        index_dir = tmp_path / "index"
+        # A short phase 1 leaves candidate leaves for the pass.
+        assert main(
+            ["build", "--dataset", str(dataset_file), "--length", "32",
+             "--output", str(index_dir), "--leaf-capacity", "20",
+             "--l-max", "1"]
+        ) == 0
+        # The SAX tier is lsd.bin, read at open: no file of its own.
+        assert not (index_dir / "signatures.bin").exists()
+        capsys.readouterr()
+        assert main(
+            ["query", "--index", str(index_dir), "--queries", str(queries),
+             "--k", "3"]
+        ) == 0
+        printed = [
+            line.split("d=[")[1].split("]")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if "d=[" in line
+        ]
 
-        # Distances only: positions are storage order, and the two
-        # builds are independent.
-        def distances(out):
-            return [
-                line.split("] pos")[0]
-                for line in out.splitlines()
-                if "d=[" in line
-            ]
-
-        assert len(distances(outputs["plain"])) == 6
-        assert distances(outputs["filtered"]) == distances(outputs["plain"])
+        with Dataset.open(dataset_file, 32) as ds:
+            data = ds.load_all()
+        with Dataset.open(queries, 32) as ds:
+            rows = ds.load_all()
+        expected = []
+        for query in rows.astype(np.float64):
+            squared = np.sort(((data.astype(np.float64) - query) ** 2).sum(axis=1))
+            expected.append(", ".join(f"{d:.4f}" for d in np.sqrt(squared[:3])))
+        assert printed == expected
 
         assert main(
-            ["explain", "--index", str(tmp_path / "filtered"), "--queries",
+            ["explain", "--index", str(index_dir), "--queries",
              str(queries), "--k", "3"]
         ) == 0
         out = capsys.readouterr().out
@@ -906,7 +902,7 @@ class TestBatchCLI:
     @pytest.mark.parametrize(
         "build_flags, query_flags",
         [
-            (["--prefilter", "--prefilter-bits", "8"], []),
+            ([], []),
             (["--shards", "2", "--shard-workers", "2"], ["--shard-workers", "2"]),
         ],
         ids=["plain", "sharded-pool"],
@@ -1040,8 +1036,6 @@ _FLAG_TABLE = {
         "--per-row": (False, None, None, False),
         "--shards": (1, "int", None, False),
         "--shard-workers": (None, "int", None, False),
-        "--prefilter": (False, None, None, False),
-        "--prefilter-bits": (8, "int", None, False),
         "--max-worker-restarts": (None, "int", None, False),
         "--stall-timeout": (None, "float", None, False),
         **_OBSERVED,
@@ -1087,7 +1081,6 @@ _FLAG_TABLE = {
         "--shards": (1, "int", None, False),
         "--shard-workers": (None, "int", None, False),
         "--prefilter": (False, None, None, False),
-        "--prefilter-bits": (8, "int", None, False),
         "--batch": (False, None, None, False),
         **_OBSERVED,
     },
@@ -1151,14 +1144,15 @@ _PINNED_QUERY = (
     "query 1: d=[2.2551, 2.5500, 2.8885] pos=[113, 130, 323] path=full-four-phase "
     "accessed=13.50% (0.0 ms)\n"
     "query 2: d=[3.9916, 4.5563, 4.5917] pos=[289, 287, 294] path=eapca-skipseq "
-    "accessed=85.25% (0.0 ms)\n"
+    "accessed=21.25% (0.0 ms)\n"
     "answered 3 queries in 0.000s\n"
 )
 
 _PINNED_EXPLAIN = (
     "query 0: path=full-four-phase\n"
     "  phase 1 approx          0.00 ms   (1 leaves visited)\n"
-    "  phase 2 candidates      0.00 ms   (13 candidate leaves, EAPCA pruning 55.17%)\n"
+    "  phase 2 candidates      0.00 ms   (6 candidate leaves, EAPCA pruning 55.17%)\n"
+    "  prefilter screen    28 of 167 candidate-leaf series survive (pruned 83.23%)\n"
     "  phase 3+4 refine        0.00 ms   (28 candidate series, SAX pruning 93.00%)\n"
     "  total                   0.00 ms   (41 distance computations, 41 series read "
     "= 10.25% of data)\n"
@@ -1169,7 +1163,8 @@ _PINNED_EXPLAIN = (
     "\n"
     "query 1: path=full-four-phase\n"
     "  phase 1 approx          0.00 ms   (1 leaves visited)\n"
-    "  phase 2 candidates      0.00 ms   (18 candidate leaves, EAPCA pruning 37.93%)\n"
+    "  phase 2 candidates      0.00 ms   (7 candidate leaves, EAPCA pruning 37.93%)\n"
+    "  prefilter screen    38 of 244 candidate-leaf series survive (pruned 84.43%)\n"
     "  phase 3+4 refine        0.00 ms   (38 candidate series, SAX pruning 90.50%)\n"
     "  total                   0.00 ms   (54 distance computations, 54 series read "
     "= 13.50% of data)\n"
@@ -1180,14 +1175,15 @@ _PINNED_EXPLAIN = (
     "\n"
     "query 2: path=eapca-skipseq\n"
     "  phase 1 approx          0.00 ms   (1 leaves visited)\n"
-    "  phase 2 candidates      0.00 ms   (24 candidate leaves, EAPCA pruning 17.24%)\n"
+    "  phase 2 candidates      0.00 ms   (5 candidate leaves, EAPCA pruning 17.24%)\n"
+    "  prefilter screen    9 of 333 candidate-leaf series survive (pruned 97.30%)\n"
     "  phase 3+4 refine        0.00 ms\n"
-    "  total                   0.00 ms   (341 distance computations, 341 series "
-    "read = 85.25% of data)\n"
-    "  early abandoning    10912 of 10912 points compared (abandoned 0.00%; the "
+    "  total                   0.00 ms   (85 distance computations, 85 series "
+    "read = 21.25% of data)\n"
+    "  early abandoning    2720 of 2720 points compared (abandoned 0.00%; the "
     "Euclidean screen drops whole rows, never points, so 0% is its normal)\n"
-    "  io                  5 random seeks, 0 sequential reads, 0.04 MB read, "
-    "modeled 25.03 ms on paper disks\n"
+    "  io                  5 random seeks, 0 sequential reads, 0.01 MB read, "
+    "modeled 25.01 ms on paper disks\n"
     "\n"
     "workload summary (3 queries):\n"
     "  query seconds          mean     0.000 ms  p50     0.000 ms  p95     0.000 "
@@ -1202,14 +1198,16 @@ _PINNED_EXPLAIN = (
     " 0.552\n"
     "  SAX pruning            mean     0.917  p50     0.917  p95     0.929  max    "
     " 0.930\n"
-    "  data accessed          mean     0.363  p50     0.135  p95     0.781  max    "
-    " 0.853\n"
+    "  prefilter pruning      mean     0.883  p50     0.844  p95     0.960  max    "
+    " 0.973\n"
+    "  data accessed          mean     0.150  p50     0.135  p95     0.205  max    "
+    " 0.212\n"
     "  abandoned fraction     mean     0.000  p50     0.000  p95     0.000  max    "
     " 0.000\n"
-    "  modeled io seconds     mean    66.681 ms  p50    65.005 ms  p95   105.504 "
+    "  modeled io seconds     mean    66.673 ms  p50    65.005 ms  p95   105.504 "
     "ms  max   110.004 ms\n"
-    "  totals: 436 distance computations, 436 series read\n"
-    "  points: 13952 of 13952 compared (abandoned 0.00%)\n"
+    "  totals: 180 distance computations, 180 series read\n"
+    "  points: 5760 of 5760 compared (abandoned 0.00%)\n"
     "  access paths: eapca-skipseq=1, full-four-phase=2\n"
 )
 
