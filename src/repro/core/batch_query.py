@@ -14,14 +14,23 @@ not grow with Q:
   (``SignatureArray.gap_tables`` on the block's PAA), which phase 1's
   screens and phase 3's pass share; phases 1-2 then run per query.
   ``phase1_only`` stops here, after phase 1.
-* **One LB_SAX pass.**  Phase 3 runs once per call, for every query
-  with candidate leaves (none under NoSAX), ahead of the access-path
-  decision (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`),
-  and each LCList loses the leaves that kept no row before
+* **One LB_SAX pass.**  Phase 3 runs once per call, ahead of the
+  access-path decision
+  (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`), for the
+  queries with candidate leaves (none under NoSAX), and each LCList
+  loses the leaves that kept no row before
   :func:`repro.core.query._choose_path` picks its path.  The paper runs
   the pass after the decision; nothing refines in between, so it sees
   the same BSF² and keeps the same rows here, and the skip-sequential
-  scans read the trimmed lists.
+  scans read the trimmed lists.  When two or more queries have
+  candidate leaves (a *shared walk*), the pass skips the queries whose
+  leaves the walk reads anyway: those weak EAPCA pruning decided
+  (``eapca-skipseq``), and those whose every LCList leaf is a decided
+  query's (``shared-leaves``).  Both refine their untrimmed LCList, and
+  the walk gates those rows in the same kernel calls as the decided
+  queries' (EXPERIMENTS.md, "LB_SAX pass in a shared walk").  A Q = 1
+  call, or one in which a single query has candidate leaves, keeps the
+  pass for it.
 * **One refinement walk.**  :func:`repro.core.query._refine_runs` sorts
   the extents of every query that has any into file-ordered entry
   tables (query id, extent, bound), one per leaf-aligned file window,
@@ -46,7 +55,11 @@ than alone and return a different (equally guaranteed) answer.
 **Accounting.**  Each query's :class:`~repro.core.query.QueryProfile`
 carries its path, pruning, work, per-phase time and leaf-cache
 counters; a one-query call also gets its I/O delta (in a batch the
-reads are shared, and ``io`` stays None).  The trace has one shape for
+reads are shared, and ``io`` stays None).  A query the pass skipped
+counts no ``prefilter_*`` rows and no ``candidate_series``, and is
+charged every row of its LCList leaves the walk refines for it, so its
+``series_accessed`` can exceed its Q = 1 call's though the walk reads
+no more bytes.  The trace has one shape for
 every Q and mode: a ``query`` span (``mode`` ``"exact"`` or
 ``"approximate"``) with the :class:`BatchStats` counters, per query
 ``query.phase1.approx``, and past phase 1 per query
@@ -72,6 +85,7 @@ from repro.core.query import (
     _approx_knn,
     _charging_cache,
     _choose_path,
+    _eapca_decided,
     _find_candidate_leaves,
     _refine_runs,
     _search_states,
@@ -107,7 +121,9 @@ class BatchStats:
     #: Candidate rows the refinement kernel evaluated, summed over
     #: queries.
     kernel_rows: int = 0
-    #: Wall seconds of the LB_SAX pass (0 under NoSAX, which runs none).
+    #: Wall seconds of the LB_SAX pass over the queries it runs for (0
+    #: under NoSAX, which runs none; near 0 when a shared walk covers
+    #: every query).
     screen_seconds: float = 0.0
     #: Wall seconds of the whole call.
     total_seconds: float = 0.0
@@ -284,8 +300,9 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
     if config.use_sax:
         screen_started = time.perf_counter()
         with obs.span("query.prefilter"):
-            # Only the queries phase 2 left candidate leaves have rows.
-            screened = [qi for qi, lclist in enumerate(lclists) if len(lclist)]
+            # Only the queries phase 2 left candidate leaves have rows,
+            # and a shared walk reads some of their leaves anyway.
+            screened = _screened_queries(states, lclists)
             found = sax.screen_batch(
                 [states[qi].gap_tables for qi in screened],
                 [states[qi].results.bsf_squared for qi in screened],
@@ -317,3 +334,20 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
     # ``used`` marks the leaves each query refined rows of.
     stats.unique_leaf_reads = int(np.count_nonzero(used.any(axis=0)))
     stats.leaf_uses = int(np.count_nonzero(used))
+
+
+def _screened_queries(states: list, lclists: list) -> list:
+    """The queries the LB_SAX pass runs for: those with candidate leaves,
+    less, when two or more have them (a shared walk), every query whose
+    LCList lies inside the decided queries' (module docstring).  A
+    decided query goes to ``eapca-skipseq`` whatever the pass keeps, so
+    the walk reads its whole LCList and gates those rows for every query
+    that has them; the pass would only cost time there."""
+    with_leaves = [qi for qi, lclist in enumerate(lclists) if len(lclist)]
+    decided = [qi for qi in with_leaves if _eapca_decided(states[qi])]
+    if len(with_leaves) < 2 or not decided:
+        return with_leaves
+    covered = np.zeros(states[0].table.num_leaves, dtype=bool)
+    for qi in decided:
+        covered[lclists[qi]] = True
+    return [qi for qi in with_leaves if not covered[lclists[qi]].all()]

@@ -42,7 +42,10 @@ words are screened before any raw data is chosen), not after it as in
 the paper, so the skip-sequential paths too only visit leaves that kept
 a row.  Nothing refines between the pass and the decision, so the pass
 keeps the rows it would keep after it, and the decision keys off the
-untrimmed LCList.
+untrimmed LCList.  In a batch whose refinement walk reads a query's
+candidate leaves anyway, the pass skips that query
+(:mod:`repro.core.batch_query`; path ``shared-leaves`` unless EAPCA
+pruning decided it).
 
 Refinement is written once (:func:`_refine_runs`, for Q ≥ 1 queries):
 both skip-sequential scans and phase 4 hand it file-ordered read
@@ -115,7 +118,8 @@ class QueryProfile:
     candidate_leaves: int = 0
     eapca_pruning: float = 0.0
     #: SCList size and the resulting SAX pruning ratio (None where the
-    #: path was chosen without them: approx-only, eapca-skipseq, NoSAX).
+    #: path was chosen without them: approx-only, eapca-skipseq,
+    #: shared-leaves, NoSAX).
     candidate_series: int = 0
     sax_pruning: Optional[float] = None
     #: Rows *refined*: series handed to a real-distance kernel.  A series
@@ -129,8 +133,9 @@ class QueryProfile:
     points_compared: int = 0
     points_total: int = 0
     #: The LB_SAX pass ahead of the access-path decision (zero/zero under
-    #: NoSAX or for an empty LCList): series of the LCList leaves it
-    #: examined, and how many of them it kept.
+    #: NoSAX, for an empty LCList, or where a shared batch walk skipped
+    #: the pass): series of the LCList leaves it examined, and how many
+    #: of them it kept.
     prefilter_screened: int = 0
     prefilter_survivors: int = 0
     #: Rows *read*: raw series fetched from LRDFile (drives "% of data
@@ -568,6 +573,14 @@ def _trim_to_candidates(
 # ---------------------------------------------------------------------------
 
 
+def _eapca_decided(state: _SearchState) -> bool:
+    """Whether weak EAPCA pruning alone sends the query to the
+    skip-sequential scan of its LCList (``eapca-skipseq``), whatever the
+    LB_SAX pass would keep."""
+    config = state.config
+    return config.adaptive_thresholds and state.profile.eapca_pruning < config.eapca_th
+
+
 def _choose_path(
     state: _SearchState, lclist: np.ndarray, candidates: Optional[tuple]
 ) -> Optional[tuple]:
@@ -576,11 +589,13 @@ def _choose_path(
     file order — LCList's leaves, or SCList's single rows — or None when
     phase 1 already answered the query.
 
-    ``lclist`` is already trimmed by the LB_SAX pass and ``candidates``
-    is its SCList, ``(positions, bounds_sq)`` (None under NoSAX, or for
-    an empty LCList).  Weak EAPCA pruning, or the NoSAX ablation,
-    refines LCList; otherwise weak SAX pruning refines LCList, strong
-    SAX pruning SCList.
+    ``lclist`` is already trimmed by the LB_SAX pass where it ran, and
+    ``candidates`` is its SCList, ``(positions, bounds_sq)`` (None under
+    NoSAX, for an empty LCList, or where a shared batch walk skipped the
+    pass).  Weak
+    EAPCA pruning, the NoSAX ablation, or a skipped pass refines LCList
+    (``shared-leaves`` for the last); otherwise weak SAX pruning refines
+    LCList, strong SAX pruning SCList.
     """
     config, profile, table = state.config, state.profile, state.table
     profile.candidate_leaves = len(lclist)
@@ -588,11 +603,14 @@ def _choose_path(
         profile.path = "approx-only"
         return None
     leaves = (table.positions[lclist], table.sizes[lclist], state.bounds[lclist])
-    if config.adaptive_thresholds and profile.eapca_pruning < config.eapca_th:
+    if _eapca_decided(state):
         profile.path = "eapca-skipseq"
         return leaves
     if not config.use_sax:
         profile.path = "nosax-leaves"
+        return leaves
+    if candidates is None:
+        profile.path = "shared-leaves"
         return leaves
     positions, bounds_sq = candidates
     num_series = state.num_series

@@ -10,9 +10,15 @@ identical-query batches).  At ε > 0 a batch query re-checks its bounds
 at the union's chunk cadence, not its own, so the gate is the ε
 contract: every k-th distance within (1 + ε) of the brute-force one.
 
+Paths and LB_SAX counters match the Q = 1 call's for every query the
+pass runs for; in a shared walk the pass skips the queries whose leaves
+the walk reads anyway (:func:`_assert_profiles_match_serial`).
+
 Positions are LRD file positions, so every comparison queries the same
 materialized index with only the execution strategy changing.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from repro.core import (
     BatchStats,
     HerculesConfig,
     HerculesIndex,
+    QueryProfile,
     ShardedIndex,
 )
 from repro.eval.verify import epsilon_failures
@@ -36,10 +43,14 @@ def _config(**overrides):
     return HerculesConfig(leaf_capacity=20, **overrides)
 
 
-def _refined_path(use_sax):
-    """The path of a query whose SCList (or, under NoSAX, LCList) phase
-    4 refines."""
-    return "full-four-phase" if use_sax else "nosax-leaves"
+def _refined_path(use_sax, adaptive):
+    """The path of the batches' medium queries: LCList under NoSAX,
+    SCList behind the LB_SAX pass, or — beside the hard queries that
+    EAPCA pruning sends to ``eapca-skipseq``, whose LCLists hold theirs
+    — LCList with no pass."""
+    if not use_sax:
+        return "nosax-leaves"
+    return "shared-leaves" if adaptive else "full-four-phase"
 
 
 #: Two leaves of phase 1: on these small trees the default ``l_max``
@@ -94,6 +105,54 @@ def _assert_batch_matches_serial(index, queries, k, config=None):
         serial = index.knn(queries[qi], k=k, config=config)
         np.testing.assert_array_equal(serial.distances, answer.distances)
         np.testing.assert_array_equal(serial.positions, answer.positions)
+    return batch
+
+
+def _assert_profiles_match_serial(index, queries, k, config, monkeypatch):
+    """One ``knn_batch`` call's access paths and LB_SAX counters against
+    each query's Q = 1 call.
+
+    A query the LB_SAX pass ran for reports its Q = 1 path and counters.
+    In a shared walk (two or more queries with candidate leaves) the
+    pass skips the queries EAPCA pruning decided (``eapca-skipseq``) and
+    those whose LCList lies inside the decided queries' LCLists
+    (``shared-leaves``): both refine their untrimmed LCList, which holds
+    the Q = 1 call's trimmed one, and count no pass.
+    """
+    from repro.core import batch_query
+
+    lclists, choose = [], batch_query._choose_path
+
+    def choosing(state, lclist, candidates):
+        lclists.append(lclist)
+        return choose(state, lclist, candidates)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_query, "_choose_path", choosing)
+        batch = index.knn_batch(queries, k=k, config=config)
+    profiles = [answer.profile for answer in batch]
+    shared = sum(p.eapca_pruning < 1.0 for p in profiles) >= 2
+    covered = np.zeros(index._table.num_leaves, dtype=bool)
+    for profile, lclist in zip(profiles, lclists):
+        if shared and profile.path == "eapca-skipseq":
+            covered[lclist] = True
+    for qi, profile in enumerate(profiles):
+        serial = index.knn(queries[qi], k=k, config=config).profile
+        assert profile.eapca_pruning == serial.eapca_pruning
+        if not shared or profile.path not in ("eapca-skipseq", "shared-leaves"):
+            assert profile.path == serial.path
+            assert profile.candidate_leaves == serial.candidate_leaves
+            assert profile.candidate_series == serial.candidate_series
+            assert profile.sax_pruning == serial.sax_pruning
+            assert profile.prefilter_screened == serial.prefilter_screened
+            assert profile.prefilter_survivors == serial.prefilter_survivors
+            continue
+        assert covered[lclists[qi]].all()
+        assert profile.prefilter_screened == profile.prefilter_survivors == 0
+        assert profile.candidate_series == 0
+        assert profile.sax_pruning is None
+        assert (profile.path == "eapca-skipseq") == (serial.path == "eapca-skipseq")
+        assert profile.candidate_leaves >= serial.candidate_leaves
     return batch
 
 
@@ -195,6 +254,16 @@ class _WalkSpy:
         monkeypatch.setattr(ResultSet, "update_batch_squared", merging)
 
 
+def _mixed_calls(spy) -> list:
+    """The walk's kernel calls in which a query that takes every row
+    read sits beside one masked to some of them."""
+    return [
+        masks
+        for masks in spy.kernel_calls
+        if masks is not None and 0 < masks.all(axis=1).sum() < len(masks)
+    ]
+
+
 def _assert_read_once(index, queries, k, config, monkeypatch):
     """One ``knn_batch`` call's walk reads no row twice, and its
     ``BatchStats`` count what it read and refined: the leaves read
@@ -268,7 +337,9 @@ class TestRefinementPaths:
     @pytest.mark.parametrize("adaptive", [True, False])
     @pytest.mark.parametrize("use_sax", [True, False])
     @pytest.mark.parametrize("epsilon", [0.0, 0.15])
-    def test_bit_for_bit(self, index, data, queries, epsilon, use_sax, adaptive):
+    def test_bit_for_bit(
+        self, index, data, queries, monkeypatch, epsilon, use_sax, adaptive
+    ):
         config = index.config.with_options(
             l_max=2,
             epsilon=epsilon,
@@ -281,15 +352,10 @@ class TestRefinementPaths:
         else:
             batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
-        assert _refined_path(use_sax) in paths
+        assert _refined_path(use_sax, adaptive) in paths
         if adaptive:
             assert "eapca-skipseq" in paths
-        for qi, answer in enumerate(batch):
-            serial = index.knn(mixed[qi], k=5, config=config).profile
-            assert answer.profile.path == serial.path
-            assert answer.profile.candidate_series == serial.candidate_series
-            assert answer.profile.prefilter_screened == serial.prefilter_screened
-            assert answer.profile.prefilter_survivors == serial.prefilter_survivors
+        _assert_profiles_match_serial(index, mixed, 5, config, monkeypatch)
 
     @pytest.mark.parametrize("adaptive", [True, False])
     @pytest.mark.parametrize("use_sax", [True, False])
@@ -302,7 +368,7 @@ class TestRefinementPaths:
         mixed = self._mixed(data, queries)
         batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
-        assert _refined_path(use_sax) in paths
+        assert _refined_path(use_sax, adaptive) in paths
         if adaptive:
             assert "eapca-skipseq" in paths
         _assert_read_once(index, mixed, 5, config, monkeypatch)
@@ -327,7 +393,7 @@ class TestRefinementPaths:
 
         batch = _assert_batch_matches_serial(wide_index, mixed, k=5, config=config)
         paths = {answer.profile.path for answer in batch}
-        assert _refined_path(use_sax) in paths
+        assert _refined_path(use_sax, adaptive) in paths
         if adaptive:
             assert "eapca-skipseq" in paths
         stats, spy = _assert_read_once(wide_index, mixed, 5, config, monkeypatch)
@@ -335,13 +401,11 @@ class TestRefinementPaths:
         if adaptive:
             # Both kinds of user in one kernel call: a query that takes
             # every row read (whole leaves) beside one masked to some
-            # (SCList rows, or under NoSAX other leaves).
-            mixed_calls = [
-                masks
-                for masks in spy.kernel_calls
-                if masks is not None and 0 < masks.all(axis=1).sum() < len(masks)
-            ]
-            assert len(mixed_calls) > (60 if use_sax else 40)
+            # (its own leaves).  The hard queries' LCLists hold the
+            # medium ones', so the pass skips those and the walk is the
+            # one NoSAX makes; SCList rows beside whole leaves are
+            # test_shared_walk_splits_the_pass's.
+            assert len(_mixed_calls(spy)) > 40
         assert stats.leaf_share_factor > 1.0
 
         # An easy batch in which a chunk finds every query pruned, so it
@@ -354,6 +418,65 @@ class TestRefinementPaths:
         stats, spy = _assert_read_once(wide_index, easy, 5, config, monkeypatch)
         assert 0 < len(spy.kernel_calls) < spy.chunks[0]
         assert 0 < stats.kernel_rows < spy.extent_rows
+
+    def test_shared_walk_splits_the_pass(
+        self, wide_index, wide_data, small_chunks, monkeypatch
+    ):
+        """One call holding all three kinds of query: a hard one EAPCA
+        pruning decided, a medium one whose LCList lies inside the hard
+        one's (no pass, ``shared-leaves``) and one with a leaf outside
+        it (the pass, its Q = 1 path).  Without the middle one, the
+        walk's kernel calls serve SCList rows beside whole leaves."""
+        config = wide_index.config.with_options(l_max=2)
+        rng = np.random.default_rng(9)
+        noisy = wide_data[:40] + 0.5 * rng.standard_normal((40, _LENGTH))
+        split = noisy[[37, 5, 0]].astype(np.float32)
+        batch = _assert_batch_matches_serial(wide_index, split, k=5, config=config)
+        paths = [answer.profile.path for answer in batch]
+        assert paths == ["eapca-skipseq", "shared-leaves", "full-four-phase"]
+        assert batch[2].profile.prefilter_screened > 0
+        _assert_profiles_match_serial(wide_index, split, 5, config, monkeypatch)
+        _assert_read_once(wide_index, split, 5, config, monkeypatch)
+        _, spy = _assert_read_once(wide_index, split[[0, 2]], 5, config, monkeypatch)
+        assert len(_mixed_calls(spy)) > 10
+
+    def test_walk_of_one_keeps_the_pass(self, index, data):
+        """A batch in which one query has candidate leaves — the others
+        are indexed series, which phase 1 answers at k = 1, leaving an
+        empty LCList — walks as that query's Q = 1 call: the decided
+        query keeps the LB_SAX pass, and its profile is the Q = 1
+        call's field for field."""
+        config = index.config.with_options(l_max=2)
+        hard = np.random.default_rng(8).standard_normal((1, _LENGTH))
+        block = np.vstack([hard, data[200:207]]).astype(np.float32)
+        batch = _assert_batch_matches_serial(index, block, k=1, config=config)
+        for answer in batch[1:]:
+            assert answer.profile.path == "approx-only"
+            assert answer.profile.eapca_pruning == 1.0
+        walker = batch[0].profile
+        serial = index.knn(block[0], k=1, config=config).profile
+        assert walker.path == "eapca-skipseq"
+        assert walker.prefilter_screened > 0
+        timings = {"time_total", "time_approx", "time_candidates", "time_refine", "io"}
+        for name in {f.name for f in fields(QueryProfile)} - timings:
+            assert getattr(walker, name) == getattr(serial, name), name
+
+    def test_no_decided_query_keeps_every_pass(self, index, queries, monkeypatch):
+        """A shared walk in which EAPCA pruning decided no query covers
+        no leaf: every query keeps the LB_SAX pass, and its Q = 1 path
+        and counters."""
+        config = index.config.with_options(l_max=2)
+        easy = np.stack([
+            query
+            for query in queries[:16]
+            if index.knn(query, k=5, config=config).profile.path == "full-four-phase"
+        ])
+        assert len(easy) >= 8
+        _assert_batch_matches_serial(index, easy, k=5, config=config)
+        batch = _assert_profiles_match_serial(index, easy, 5, config, monkeypatch)
+        for answer in batch:
+            assert answer.profile.path == "full-four-phase"
+            assert answer.profile.prefilter_screened > 0
 
     def test_abandoned_query_makes_no_merge(
         self, wide_index, wide_data, small_chunks, monkeypatch
@@ -412,7 +535,7 @@ class TestRefinementPaths:
         mixed = np.vstack([noisy, hard]).astype(np.float32)
         batch = _assert_epsilon_contract(wide_index, wide_data, mixed, 5, config)
         paths = {answer.profile.path for answer in batch}
-        assert _refined_path(use_sax) in paths
+        assert _refined_path(use_sax, adaptive) in paths
         if adaptive:
             assert "eapca-skipseq" in paths
         for answer in batch:
@@ -439,13 +562,8 @@ class TestWindowedWalk:
             l_max=2, use_sax=use_sax, adaptive_thresholds=adaptive
         )
         mixed = TestRefinementPaths._mixed(data, queries)
-        batch = _assert_batch_matches_serial(index, mixed, k=5, config=config)
-        for qi, answer in enumerate(batch):
-            serial = index.knn(mixed[qi], k=5, config=config).profile
-            assert answer.profile.path == serial.path
-            assert answer.profile.candidate_series == serial.candidate_series
-            assert answer.profile.prefilter_screened == serial.prefilter_screened
-            assert answer.profile.prefilter_survivors == serial.prefilter_survivors
+        _assert_batch_matches_serial(index, mixed, k=5, config=config)
+        _assert_profiles_match_serial(index, mixed, 5, config, monkeypatch)
         stats, spy = _assert_read_once(index, mixed, 5, config, monkeypatch)
         assert spy.tables[0] >= 3
         # A chunk never spans two windows, nor does any read of one.

@@ -939,6 +939,11 @@ class TestBatchCLI:
         assert answers(outputs["batch"]) == answers(outputs["serial"])
         assert "leaf-sharing" in outputs["batch"]
         assert "leaf-sharing" not in outputs["serial"]
+        if not build_flags:  # a sharded answer's path reads "sharded"
+            # Queries whose leaves the hard ones' walk reads skip the
+            # LB_SAX pass in the batch, not alone.
+            assert "path=shared-leaves" in outputs["batch"]
+            assert "path=shared-leaves" not in outputs["serial"]
 
 
 class TestQueryTelemetry:
