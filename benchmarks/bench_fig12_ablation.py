@@ -19,6 +19,8 @@ the paper's NoPara: 12b compares Hercules, NoSAX and NoThresh.
 
 from __future__ import annotations
 
+import statistics
+
 from repro.eval.experiments import (
     figure12_ablation_indexing,
     figure12_ablation_query,
@@ -28,16 +30,28 @@ from .conftest import record_table, scaled
 
 
 def test_figure12a_ablation_indexing(benchmark):
-    result = benchmark.pedantic(
-        lambda: figure12_ablation_indexing(size=scaled(6_000), verbose=False),
+    # At small scales one build wall is a few tens of ms, so one run per
+    # arm is noise-bound: run the figure three times, compare medians.
+    results = benchmark.pedantic(
+        lambda: [
+            figure12_ablation_indexing(size=scaled(6_000), verbose=False)
+            for _ in range(3)
+        ],
         rounds=1,
         iterations=1,
     )
-    record_table("Figure 12a: ablation - index construction (Deep analog)", result)
+    median = {
+        arm: statistics.median(result.raw[arm] for result in results)
+        for arm in ("Hercules", "DSTree*", "DSTree*P")
+    }
+    representative = sorted(results, key=lambda result: result.raw["Hercules"])[1]
+    record_table(
+        "Figure 12a: ablation - index construction (Deep analog)", representative
+    )
 
     # Hercules constructs faster than both DSTree variants (paper 12a).
-    assert result.raw["Hercules"] < result.raw["DSTree*"]
-    assert result.raw["Hercules"] < result.raw["DSTree*P"]
+    assert median["Hercules"] < median["DSTree*"]
+    assert median["Hercules"] < median["DSTree*P"]
 
 
 def test_figure12b_ablation_query(benchmark):

@@ -36,7 +36,6 @@ from repro.errors import (
     WorkerSupervisionError,
     WorkloadError,
 )
-from repro.retry import RetryPolicy
 from repro.storage.dataset import Dataset
 
 __version__ = "1.0.0"
@@ -51,7 +50,6 @@ __all__ = [
     "ShardedIndex",
     "open_index",
     "Dataset",
-    "RetryPolicy",
     "ReproError",
     "ConfigError",
     "ShardError",

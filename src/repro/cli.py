@@ -151,21 +151,12 @@ def _resilience_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     if args.partial_results:
         overrides["partial_results"] = True
-    if args.shard_retries is not None:
-        overrides["shard_retry_attempts"] = args.shard_retries
     if args.shard_timeout is not None:
         overrides["shard_timeout"] = args.shard_timeout
-    if args.query_deadline is not None:
-        overrides["query_deadline"] = args.query_deadline
     return overrides
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    supervision_overrides = {}
-    if args.max_worker_restarts is not None:
-        supervision_overrides["max_worker_restarts"] = args.max_worker_restarts
-    if args.stall_timeout is not None:
-        supervision_overrides["build_stall_timeout"] = args.stall_timeout
     config = HerculesConfig(
         leaf_capacity=args.leaf_capacity,
         initial_segments=args.initial_segments,
@@ -173,7 +164,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         batched_inserts=not args.per_row,
         num_shards=args.shards,
         shard_workers=args.shard_workers,
-        **supervision_overrides,
     )
     with Dataset.open(args.dataset, args.length) as dataset:
         # Delegates to the classic single-index build when --shards 1,
@@ -772,17 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
     queried.add_argument(
         "--partial-results", action="store_true",
         help="allow degraded answers: drop shards that still fail after "
-             "retries instead of erroring (coverage is reported)")
-    queried.add_argument(
-        "--shard-retries", type=int, default=None,
-        help="total tries per shard dispatch (default: index config, 3)")
+             "their one re-send instead of erroring (coverage is reported)")
     queried.add_argument(
         "--shard-timeout", type=float, default=None,
-        help="seconds one shard attempt may run before it counts as failed")
-    queried.add_argument(
-        "--query-deadline", type=float, default=None,
-        help="whole-query wall-clock budget in seconds across all "
-             "shards and retries")
+        help="seconds one shard attempt may run before it counts as failed "
+             "(a failed attempt is re-sent once)")
 
     gen = sub.add_parser("generate", parents=[made],
                          help="write a synthetic dataset file")
@@ -805,12 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--per-row", action="store_true",
                        help="use the per-row reference insertion path "
                             "instead of grouped batches")
-    build.add_argument("--max-worker-restarts", type=int, default=None,
-                       help="replacement build workers the supervisor may "
-                            "spawn after dead-worker detection (default: 2)")
-    build.add_argument("--stall-timeout", type=float, default=None,
-                       help="seconds without worker progress before a "
-                            "sharded build is declared dead (default: 600)")
     build.set_defaults(func=_cmd_build)
 
     query = sub.add_parser("query", parents=[queried],

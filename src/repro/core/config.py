@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigError
-from repro.retry import RetryPolicy
 
 #: Fields a later release retired.  ``with_options`` accepts and ignores
 #: them, so callers written against the older configuration keep working;
@@ -80,26 +79,14 @@ class HerculesConfig:
     #: worker serves every shard in order.
     shard_workers: int | None = None
 
-    # -- shard resilience (retries, supervision, degradation) -----------------
-    #: Replacement worker processes the worker supervisor may spawn
-    #: (per build, or per query pool) before giving a worker up.
-    max_worker_restarts: int = 2
-    #: Total tries per shard dispatch — a query's, or a build task's
-    #: after error replies (1 disables retries).
-    shard_retry_attempts: int = 3
+    # -- shard resilience (one re-send per failed shard, then degradation) --
     #: Seconds one shard attempt may run before it is declared failed
-    #: (``None``: unbounded).
+    #: (``None``: unbounded).  A failed attempt is re-sent once.
     shard_timeout: float | None = None
-    #: Whole-query wall-clock budget across all shards and retries
-    #: (``None``: unbounded).
-    query_deadline: float | None = None
-    #: Allow a query to drop shards that still fail after retries and
-    #: return a degraded answer (``coverage`` < 1) instead of raising.
+    #: Allow a query to drop shards that still fail after their re-send
+    #: and return a degraded answer (``coverage`` < 1) instead of raising.
     #: Exact-mode queries refuse to degrade unless this is set.
     partial_results: bool = False
-    #: Seconds without any worker progress before a build is declared
-    #: dead (the dead-build watchdog).
-    build_stall_timeout: float = 600.0
 
     # -- query answering -----------------------------------------------------
     #: Maximum leaves visited by the approximate search (paper default 80).
@@ -154,35 +141,10 @@ class HerculesConfig:
             raise ConfigError(
                 f"shard_workers must be >= 1, got {self.shard_workers}"
             )
-        if self.max_worker_restarts < 0:
+        if self.shard_timeout is not None and self.shard_timeout <= 0.0:
             raise ConfigError(
-                f"max_worker_restarts must be >= 0, got "
-                f"{self.max_worker_restarts}"
+                f"shard_timeout must be positive, got {self.shard_timeout}"
             )
-        if self.shard_retry_attempts < 1:
-            raise ConfigError(
-                f"shard_retry_attempts must be >= 1, got "
-                f"{self.shard_retry_attempts}"
-            )
-        for name in ("shard_timeout", "query_deadline"):
-            value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if self.build_stall_timeout <= 0.0:
-            raise ConfigError(
-                f"build_stall_timeout must be positive, got "
-                f"{self.build_stall_timeout}"
-            )
-
-    def retry_policy(self) -> RetryPolicy:
-        """The shard-dispatch :class:`~repro.retry.RetryPolicy` this
-        configuration describes (backoff and jitter: the policy's own
-        defaults)."""
-        return RetryPolicy(
-            attempts=self.shard_retry_attempts,
-            shard_timeout=self.shard_timeout,
-            deadline=self.query_deadline,
-        )
 
     @classmethod
     def from_settings(cls, persisted: dict) -> "HerculesConfig":

@@ -11,21 +11,20 @@ subset of the shards open and warm and answers ``(Q, n)`` query blocks
 through :func:`answer_shard`, each query pruning against its own cell of
 a :class:`ProcessBsfVector`.
 
-One :class:`WorkerSet` supervises both kinds (ParIS+/MESSI treat worker
-failure as a first-class concern, and so does this engine): start, send,
-wait while detecting death (pipe EOF or process exit) and timeouts,
-restart within ``config.max_worker_restarts``, and reap on close with
-``terminate()`` → ``kill()`` escalation, so shutdown never hangs.  Two
-short dispatch loops sit on top of it:
+One :class:`WorkerSet` supervises both kinds: start, send, wait while
+detecting death (pipe EOF or process exit) and timeouts, restart, and
+reap on close with ``terminate()`` → ``kill()`` escalation, so shutdown
+never hangs.  Both dispatch loops on top of it follow one rule: a
+shard task that fails — its worker dies, replies with an error, or (in
+a query) misses ``config.shard_timeout`` — is wiped where needed, its
+worker restarted if dead or hung, and the task re-sent once, with no
+backoff.  A second failure is final:
 
-* the sharded build (:func:`build_shards_in_processes`) hands each idle
-  worker the next shard, so it knows which shard a dead worker held:
-  that shard is wiped and requeued, and an error reply is wiped and
-  retried per the configuration's :class:`~repro.retry.RetryPolicy`;
-* the query pool (:class:`ShardQueryPool`) retries a failed dispatch per
-  its :class:`~repro.retry.RetryPolicy` and reports per-shard errors to
-  the caller — :class:`~repro.core.sharding.ShardedIndex` decides
-  whether to degrade or raise.
+* the sharded build (:func:`build_shards_in_processes`) raises
+  :class:`WorkerSupervisionError` or :class:`ShardError`;
+* the query pool (:class:`ShardQueryPool`) reports the shard to the
+  caller, and :class:`~repro.core.sharding.ShardedIndex` degrades
+  (flagged) or raises.
 
 Workers honour fault plans shipped through the
 :data:`repro.storage.faults.PLANS_ENV` channel (see
@@ -66,7 +65,6 @@ from repro.errors import (
     StorageError,
     WorkerSupervisionError,
 )
-from repro.retry import RetryPolicy
 from repro.storage import faults
 
 logger = logging.getLogger(__name__)
@@ -95,11 +93,15 @@ _ESCALATION_GRACE = 5.0
 _BUILD_JOIN_TIMEOUT = 30.0
 _QUERY_JOIN_TIMEOUT = 10.0
 
+#: Seconds without any build worker progress (a reply, a death, or a
+#: ``ready``) before a sharded build is declared dead: the stall watchdog.
+_BUILD_STALL_TIMEOUT = 600.0
+
 #: Cells in the pool's shared per-query BSF² vector; batches larger than
 #: this are chunked by the coordinator (one scatter per chunk).
 _BSF_VECTOR_CAPACITY = 256
 
-#: Shard faults a scatter retries (and may degrade past).  Any other
+#: Shard faults a scatter re-sends (and may degrade past).  Any other
 #: exception is a caller error: it propagates unretried and undegraded.
 RETRYABLE = (StorageError, ShardError, OSError)
 
@@ -261,8 +263,8 @@ class WorkerSet:
 
     It owns the process lifecycle and nothing else: start every worker
     and wait for its ``ready``, :meth:`send`, :meth:`wait` for a reply
-    while detecting death, :meth:`restart` within the ``max_restarts``
-    budget, and :meth:`close`.  ``worker_args`` holds one
+    while detecting death, :meth:`stop` or :meth:`restart` one worker,
+    and :meth:`close`.  ``worker_args`` holds one
     ``(make_handler, handler_args)`` pair per worker for ``target``
     (:func:`run_worker`, or a scripted stand-in with its signature);
     ``start_timeout`` bounds each wait for ``ready``.  If any start
@@ -274,7 +276,6 @@ class WorkerSet:
         self,
         kind: str,
         worker_args: list,
-        max_restarts: int,
         join_timeout: float,
         target=run_worker,
         start_timeout: Optional[float] = None,
@@ -285,7 +286,6 @@ class WorkerSet:
         self._worker_args = worker_args
         self._join_timeout = join_timeout
         self._start_timeout = start_timeout
-        self._restarts_left = max_restarts
         self.worker_restarts = 0
         self._conns: list = []
         self._procs: list = []
@@ -359,25 +359,24 @@ class WorkerSet:
                 return i, conn.recv()
         return i, None
 
-    def restart(self, i: int) -> bool:
-        """Replace worker ``i`` (dead, or no longer trusted); False when
-        the budget is spent.
-
-        The old process is terminated either way, so a late reply never
-        reaches a later task.  Each restart records one
-        ``shard.worker_restart`` span and one ``worker_restart`` event.
-        """
+    def stop(self, i: int):
+        """Terminate worker ``i`` (dead, or no longer trusted) so a late
+        reply never reaches a later task; returns the old process."""
         old = self._procs[i]
         if old.is_alive():
             old.terminate()
         reap_processes([old], timeout=1.0, label=self.kind)
-        if self._restarts_left <= 0:
-            logger.warning(
-                "%s worker %d (pid %s, exitcode %s) is gone; restart budget "
-                "spent", self.kind, i, old.pid, old.exitcode,
-            )
-            return False
-        self._restarts_left -= 1
+        return old
+
+    def restart(self, i: int, requeued: int) -> None:
+        """Replace worker ``i`` before ``requeued`` shard tasks are re-sent
+        to it.
+
+        Each restart records one ``shard.worker_restart`` span and one
+        ``worker_restart`` event; a replacement that fails to start
+        raises as in :meth:`__init__`.
+        """
+        old = self.stop(i)
         self.worker_restarts += 1
         self._conns[i].close()
         self._launch(i)
@@ -387,18 +386,17 @@ class WorkerSet:
             dead_pid=old.pid,
             new_pid=self._procs[i].pid,
             exitcode=old.exitcode,
-            restarts_left=self._restarts_left,
+            requeued=requeued,
         )
         logger.warning(
-            "%s worker %d (pid %s) died with exitcode %s; restarted as pid "
-            "%s, %d restarts left", self.kind, i, old.pid, old.exitcode,
-            attrs["new_pid"], self._restarts_left,
+            "%s worker %d (pid %s, exitcode %s) restarted as pid %s to "
+            "re-send %d shard task(s)", self.kind, i, old.pid, old.exitcode,
+            attrs["new_pid"], requeued,
         )
         with obs.span("shard.worker_restart", **attrs):
             pass
         obs.emit_event("worker_restart", **attrs)
         self._await_ready(i)
-        return True
 
     def close(self, kill: bool = False) -> None:
         """Send ``close`` to every worker and reap them; ``kill``
@@ -505,14 +503,14 @@ def build_shards_in_processes(
 
     The dataset is published once in SharedMemory and each idle worker
     is handed the next shard, so N shards spread over fewer workers and
-    the coordinator always knows which shard a worker holds:
+    the coordinator always knows which shard a worker holds.  A failed
+    shard is wiped and re-sent once, ahead of the shards not yet sent:
 
-    * a **dead worker**'s shard is wiped and requeued, and the worker is
-      restarted while ``config.max_worker_restarts`` lasts; losing every
-      worker with no budget left raises :class:`WorkerSupervisionError`;
-    * an **error reply** is wiped and retried per
-      ``config.retry_policy()``, then raised as :class:`ShardError`;
-    * no reply for ``config.build_stall_timeout`` seconds raises
+    * a **dead worker** is restarted and its shard re-sent; a shard
+      whose worker dies twice raises :class:`WorkerSupervisionError`;
+    * an **error reply** is re-sent as it is; a second one raises
+      :class:`ShardError` with the worker's traceback;
+    * no reply for :data:`_BUILD_STALL_TIMEOUT` seconds raises
       :class:`WorkerSupervisionError` (the dead-build watchdog); a
       malformed reply raises :class:`ShardError`.
 
@@ -526,6 +524,7 @@ def build_shards_in_processes(
     data = np.ascontiguousarray(data)
     shm = shared_memory.SharedMemory(create=True, size=data.nbytes)
     pool = None
+    stall_timeout = _BUILD_STALL_TIMEOUT
     try:
         np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)[:] = data
         handler_args = (
@@ -535,79 +534,71 @@ def build_shards_in_processes(
         pool = WorkerSet(
             "build",
             [(build_handler, handler_args)] * max(1, min(workers, len(ranges))),
-            config.max_worker_restarts,
             _BUILD_JOIN_TIMEOUT,
             target=worker_main or run_worker,
-            start_timeout=config.build_stall_timeout,
+            start_timeout=stall_timeout,
         )
-        policy = config.retry_policy()
         outcome = BuildOutcome()
         pending = list(range(len(ranges)))  # shard ids to send, next first
         assigned: dict = {}  # worker → the shard it holds
-        retired: set = set()  # dead workers the budget could not replace
-        failures = dict.fromkeys(pending, 0)
+        resent: set = set()  # shards already re-sent once
         replies: dict = {}
         while len(replies) < len(ranges):
             for i in range(pool.size):
-                if pending and i not in assigned and i not in retired:
+                if pending and i not in assigned:
                     shard_id = assigned[i] = pending.pop(0)
                     start, stop = ranges[shard_id]
                     pool.send(i, ("task", shard_id, start, stop, str(shard_dirs[shard_id])))
-            got = pool.wait(list(assigned), config.build_stall_timeout)
+            got = pool.wait(list(assigned), stall_timeout)
             if got is None:
                 obs.emit_event(
                     "stall_watchdog",
-                    timeout=config.build_stall_timeout,
+                    timeout=stall_timeout,
                     done=len(replies),
                     total=len(ranges),
                 )
                 raise WorkerSupervisionError(
                     f"shard build stalled: no worker progress for "
-                    f"{config.build_stall_timeout:.0f}s "
+                    f"{stall_timeout:.0f}s "
                     f"({len(replies)}/{len(ranges)} shards done)"
                 )
             i, reply = got
             shard_id = assigned.pop(i)
             if reply is None:
-                shutil.rmtree(shard_dirs[shard_id], ignore_errors=True)
-                pending.insert(0, shard_id)
-                outcome.requeued_tasks += 1
-                outcome.note(f"worker {i} died holding shard {shard_id}; requeued")
-                if pool.restart(i):
-                    outcome.worker_restarts += 1
-                    continue
-                retired.add(i)
-                if len(retired) == pool.size:
+                if shard_id in resent:
                     raise WorkerSupervisionError(
-                        "all shard build workers died and the restart "
-                        f"budget ({config.max_worker_restarts}) is spent "
+                        f"shard {shard_id}'s build worker died twice "
                         f"({len(replies)}/{len(ranges)} shards done)"
                     )
-                continue
-            if not (
-                isinstance(reply, tuple)
-                and len(reply) == 3
-                and reply[:2] in (("ok", shard_id), ("error", shard_id))
-                and (reply[0] == "error" or isinstance(reply[2], dict))
-            ):
-                raise ShardError(f"malformed reply from build worker: {reply!r}")
-            status, _, payload = reply
-            if status == "ok":
-                replies[shard_id] = payload
-                continue
-            failures[shard_id] += 1
-            if failures[shard_id] >= policy.attempts:
-                raise ShardError(
-                    f"shard {shard_id} build failed in worker after "
-                    f"{failures[shard_id]} attempts:\n{payload}"
+                shutil.rmtree(shard_dirs[shard_id], ignore_errors=True)
+                pool.restart(i, requeued=1)
+                outcome.worker_restarts += 1
+                outcome.requeued_tasks += 1
+                outcome.note(
+                    f"worker {i} died holding shard {shard_id}; restarted "
+                    "and re-sent"
                 )
-            outcome.task_retries += 1
-            outcome.note(
-                f"shard {shard_id} build failed (attempt {failures[shard_id]}/"
-                f"{policy.attempts}); wiped and requeued"
-            )
-            time.sleep(policy.delay(failures[shard_id], key=f"shard-{shard_id}"))
-            shutil.rmtree(shard_dirs[shard_id], ignore_errors=True)
+            else:
+                if not (
+                    isinstance(reply, tuple)
+                    and len(reply) == 3
+                    and reply[:2] in (("ok", shard_id), ("error", shard_id))
+                    and (reply[0] == "error" or isinstance(reply[2], dict))
+                ):
+                    raise ShardError(f"malformed reply from build worker: {reply!r}")
+                status, _, payload = reply
+                if status == "ok":
+                    replies[shard_id] = payload
+                    continue
+                if shard_id in resent:
+                    raise ShardError(
+                        f"shard {shard_id} build failed in worker after 2 "
+                        f"attempts:\n{payload}"
+                    )
+                shutil.rmtree(shard_dirs[shard_id], ignore_errors=True)
+                outcome.task_retries += 1
+                outcome.note(f"shard {shard_id} build failed; wiped and re-sent")
+            resent.add(shard_id)
             pending.insert(0, shard_id)
         pool.close()
         pool = None
@@ -715,8 +706,8 @@ class GatherOutcome:
 
     ``pairs`` holds the ``(shard_id, batch_answer)`` results that
     arrived, one answer per query in flight; ``shard_errors`` the
-    ``(shard_id, reason)`` of every shard that failed past its retries;
-    ``retries`` counts the re-sends the dispatch had to make.
+    ``(shard_id, reason)`` of every shard that failed again after its
+    re-send; ``retries`` counts the re-sends the dispatch had to make.
     :class:`~repro.core.sharding.ShardedIndex` turns this into a
     degraded answer or a :class:`ShardError`.
     """
@@ -737,14 +728,12 @@ class ShardQueryPool(WorkerSet):
     coordinator resets the cells of the queries in flight before each
     scatter.
 
-    Dispatch is fault-tolerant: per-shard errors reported by a live
-    worker are retried per the :class:`~repro.retry.RetryPolicy`; a
-    dead worker is restarted (its shards re-opened) within the
-    ``max_worker_restarts`` budget and the query re-sent; a worker that
-    misses its per-dispatch timeout is killed and restarted the same way
-    (a late reply would poison the next query on that pipe).  Shards
-    that still fail are reported in the :class:`GatherOutcome` instead
-    of raising — degradation policy lives in the caller.
+    Dispatch follows the module's failure rule: the shards a worker
+    failed to answer are re-sent to it once — after restarting it (its
+    shards re-opened) if it died or missed ``shard_timeout``, since a
+    late reply would poison the next query on that pipe.  Shards that
+    fail again are reported in the :class:`GatherOutcome` instead of
+    raising — degradation policy lives in the caller.
     """
 
     def __init__(
@@ -752,7 +741,6 @@ class ShardQueryPool(WorkerSet):
         shard_specs: list,
         workers: int,
         cache_bytes_per_shard: int,
-        max_worker_restarts: int = 2,
     ) -> None:
         self.bsf_vector = ProcessBsfVector()
         workers = max(1, min(workers, len(shard_specs)))
@@ -766,7 +754,6 @@ class ShardQueryPool(WorkerSet):
                 (query_handler, (group, cache_bytes_per_shard, self.bsf_vector))
                 for group in self._groups
             ],
-            max_worker_restarts,
             _QUERY_JOIN_TIMEOUT,
         )
 
@@ -781,7 +768,7 @@ class ShardQueryPool(WorkerSet):
         k: int,
         mode: str,
         config: Optional[HerculesConfig],
-        policy: RetryPolicy,
+        shard_timeout: Optional[float],
     ) -> GatherOutcome:
         """Scatter a ``(Q, n)`` query block: ONE round-trip per worker.
 
@@ -790,9 +777,10 @@ class ShardQueryPool(WorkerSet):
         (the coordinator chunks larger batches); per-query BSF² bounds
         broadcast through the shared :class:`ProcessBsfVector`, whose
         first Q cells are reset here.  Gathered pairs are ``(shard_id,
-        BatchAnswer)`` sorted by shard id, positions global.  Worker
-        failures are retried/restarted per ``policy``; whatever still
-        fails lands in ``outcome.shard_errors``.  A caller error a
+        BatchAnswer)`` sorted by shard id, positions global.  Each wait
+        for a reply is bounded by ``shard_timeout`` (``None``: unbounded);
+        a failed worker's shards are re-sent once, and whatever fails
+        again lands in ``outcome.shard_errors``.  A caller error a
         worker ships home is raised once every worker has replied.
         """
         queries = np.ascontiguousarray(queries)
@@ -810,13 +798,12 @@ class ShardQueryPool(WorkerSet):
             dataclasses.asdict(config) if config is not None else None,
             None,
         )
-        started = time.monotonic()
         outcome = GatherOutcome()
         for i in range(self.size):
             self.send(i, payload)
         caller_error = None
         for i in range(self.size):
-            exc = self._gather_worker(i, payload, policy, started, outcome)
+            exc = self._gather_worker(i, payload, shard_timeout, outcome)
             caller_error = caller_error or exc
         if caller_error is not None:
             raise caller_error
@@ -824,23 +811,22 @@ class ShardQueryPool(WorkerSet):
         return outcome
 
     def _gather_worker(
-        self, i: int, payload, policy: RetryPolicy, started: float, outcome
+        self, i: int, payload, shard_timeout: Optional[float], outcome
     ) -> Optional[Exception]:
-        """Collect worker ``i``'s reply, retrying/restarting on failure.
+        """Collect worker ``i``'s reply, re-sending its failed shards once.
 
         Returns the caller error the worker shipped home, if any; it is
-        not a shard fault, so it is neither retried nor degraded past.
+        not a shard fault, so it is neither re-sent nor degraded past.
         """
         pending = {sid for sid, _, _ in self._groups[i]}
-        attempt = 1
+        resent = False
         while True:
             try:
-                budget = self._wait_budget(policy, started)
-                got = self.wait([i], budget)
+                got = self.wait([i], shard_timeout)
                 if got is None:
                     raise ShardTimeoutError(
-                        f"query worker {i} missed its {budget:.2f}s dispatch "
-                        "timeout"
+                        f"query worker {i} missed its {shard_timeout:.2f}s "
+                        "dispatch timeout"
                     )
                 reply = got[1]
                 if reply is None:
@@ -861,34 +847,27 @@ class ShardQueryPool(WorkerSet):
                     )
                 )
             except ShardError as exc:
-                if isinstance(exc, ShardTimeoutError) or not self._procs[i].is_alive():
-                    # The pipe can no longer be trusted (late replies
-                    # would poison the next query): restart or give up.
-                    try:
-                        restarted = self.restart(i)
-                    except ShardError as restart_exc:
-                        restarted, exc = False, restart_exc
-                    if not restarted:
-                        outcome.shard_errors.extend(
-                            (sid, str(exc)) for sid in sorted(pending)
-                        )
-                        return None
-                if attempt >= policy.attempts or policy.past_deadline(started):
+                # A dead or hung worker's pipe can no longer be trusted
+                # (a late reply would poison the next query).
+                untrusted = (
+                    isinstance(exc, ShardTimeoutError)
+                    or not self._procs[i].is_alive()
+                )
+                if resent:
+                    if untrusted:
+                        self.stop(i)
                     outcome.shard_errors.extend(
                         (sid, str(exc)) for sid in sorted(pending)
                     )
                     return None
-                time.sleep(policy.delay(attempt, key=f"worker-{i}"))
-                attempt += 1
+                if untrusted:
+                    try:
+                        self.restart(i, requeued=len(pending))
+                    except ShardError as restart_exc:
+                        outcome.shard_errors.extend(
+                            (sid, str(restart_exc)) for sid in sorted(pending)
+                        )
+                        return None
+                resent = True
                 outcome.retries += 1
                 self.send(i, payload[:-1] + (sorted(pending),))
-
-    def _wait_budget(
-        self, policy: RetryPolicy, started: float
-    ) -> Optional[float]:
-        """How long one wait may block: per-dispatch timeout ∧ deadline."""
-        budget = policy.shard_timeout
-        if policy.deadline is not None:
-            remaining = max(policy.deadline - (time.monotonic() - started), 0.0)
-            budget = remaining if budget is None else min(budget, remaining)
-        return budget

@@ -561,9 +561,9 @@ class ShardedIndex:
         of the union.  This is the Q = 1 call of the scatter
         :meth:`knn_batch` uses.
 
-        Shard failures are retried per the configuration's
-        :meth:`~repro.core.config.HerculesConfig.retry_policy`.  A shard
-        that still fails raises :class:`ShardError` naming it — an exact
+        A shard that fails (its worker dies, reports a storage fault, or
+        misses ``config.shard_timeout``) is re-sent once.  A shard that
+        fails again raises :class:`ShardError` naming it — an exact
         query refuses to silently degrade — unless ``partial_results``
         (argument, else ``config.partial_results``) allows dropping it,
         in which case the answer comes back with ``degraded=True``,
@@ -675,7 +675,7 @@ class ShardedIndex:
             mode=mode,
             queries=queries.shape[0],
         ):
-            outcome = pool.query(queries, k, mode, config, effective.retry_policy())
+            outcome = pool.query(queries, k, mode, config, effective.shard_timeout)
         wall = time.perf_counter() - started
         return self._settle(queries.shape[0], k, outcome, allow_partial, wall)
 
@@ -693,7 +693,6 @@ class ShardedIndex:
                 specs,
                 self._workers,
                 self._cache_bytes // self.num_shards,
-                max_worker_restarts=self.config.max_worker_restarts,
             )
         return self._pool
 
@@ -762,8 +761,7 @@ class ShardedIndex:
                 exc_type = (
                     ShardTimeoutError
                     if all(
-                        "timeout" in reason or "deadline" in reason
-                        for _, reason in outcome.shard_errors
+                        "timeout" in reason for _, reason in outcome.shard_errors
                     )
                     else ShardError
                 )

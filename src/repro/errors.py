@@ -51,10 +51,11 @@ class ShardError(ReproError):
 
 
 class ShardTimeoutError(ShardError):
-    """A shard attempt exceeded its per-shard timeout, or the whole
-    scatter-gather ran past its query deadline."""
+    """A shard attempt, and then its re-send, exceeded the per-shard
+    timeout."""
 
 
 class WorkerSupervisionError(ShardError):
-    """Worker supervision gave up: the restart budget is exhausted, every
-    worker died, or a build made no progress for the stall timeout."""
+    """Worker supervision gave up: a shard's build worker died twice, a
+    worker failed to start, or a build made no progress for the stall
+    timeout."""

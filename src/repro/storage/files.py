@@ -24,7 +24,6 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import StorageError
-from repro.retry import deterministic_jitter
 from repro.storage import faults
 from repro.storage.cache import LeafCache
 from repro.storage.iostats import IOSnapshot, IOStats
@@ -36,13 +35,9 @@ PathLike = Union[str, Path]
 
 #: Bounded retry of transient read errors: attempts and base backoff.
 #: Exponential: 2ms, 4ms, 8ms — enough to absorb a flaky NFS/EIO blip
-#: without turning a genuinely dead disk into a hang.  Each delay is
-#: stretched by up to +50% of deterministic per-path jitter so the
-#: retries of concurrent shards (which hit distinct files) fan out
-#: instead of synchronizing — reproducibly, per (path, attempt).
+#: without turning a genuinely dead disk into a hang.
 READ_RETRIES = 4
 _RETRY_BACKOFF_SECONDS = 0.002
-_RETRY_JITTER_FRACTION = 0.5
 
 
 def adjacent_runs(values: np.ndarray, step=1) -> tuple[np.ndarray, np.ndarray]:
@@ -60,14 +55,6 @@ def adjacent_runs(values: np.ndarray, step=1) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(values[1:], values[:-1] + step, out=breaks[1:-1])
     edges = breaks.nonzero()[0]
     return edges[:-1], edges[1:]
-
-
-def _retry_delay(path, attempt: int) -> float:
-    """The jittered backoff before read retry ``attempt`` (0-based)."""
-    jitter = deterministic_jitter(str(path), attempt)
-    return _RETRY_BACKOFF_SECONDS * (2 ** attempt) * (
-        1.0 + _RETRY_JITTER_FRACTION * jitter
-    )
 
 
 class BinaryFile:
@@ -172,7 +159,7 @@ class BinaryFile:
                 except OSError as exc:
                     if attempt == READ_RETRIES - 1:
                         raise
-                    delay = _retry_delay(self.path, attempt)
+                    delay = _RETRY_BACKOFF_SECONDS * 2**attempt
                     logger.warning(
                         "transient read error on %s (attempt %d/%d), retrying "
                         "in %.0f ms: %s",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -34,23 +33,18 @@ def small_dataset() -> np.ndarray:
 
 @contextlib.contextmanager
 def quick_shard_timings(
-    backoff: Optional[float] = None, join_timeout: Optional[float] = None
+    stall_timeout: Optional[float] = None, join_timeout: Optional[float] = None
 ):
     """Shorten the shard engine's fixed timings while the block runs: the
-    retry backoff (through ``HerculesConfig.retry_policy``) and the
+    build stall watchdog (``shard_worker._BUILD_STALL_TIMEOUT``) and the
     seconds closing workers get before they are terminated (the
-    ``shard_worker`` join timeouts).  Both are read in the coordinator,
+    ``shard_worker`` join timeouts).  All are read in the coordinator,
     so the patch holds under either start method."""
-    from repro.core import HerculesConfig, shard_worker
+    from repro.core import shard_worker
 
     with pytest.MonkeyPatch.context() as patch:
-        if backoff is not None:
-            policy = HerculesConfig.retry_policy
-            patch.setattr(
-                HerculesConfig,
-                "retry_policy",
-                lambda self: dataclasses.replace(policy(self), backoff_seconds=backoff),
-            )
+        if stall_timeout is not None:
+            patch.setattr(shard_worker, "_BUILD_STALL_TIMEOUT", stall_timeout)
         if join_timeout is not None:
             patch.setattr(shard_worker, "_BUILD_JOIN_TIMEOUT", join_timeout)
             patch.setattr(shard_worker, "_QUERY_JOIN_TIMEOUT", join_timeout)

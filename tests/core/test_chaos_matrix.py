@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import HerculesConfig, ShardedIndex
 from repro.errors import ShardError
 from repro.storage import faults
@@ -30,7 +31,6 @@ def _config(**overrides):
         leaf_capacity=20,
         num_shards=N_SHARDS,
         shard_workers=2,
-        shard_retry_attempts=2,
     )
     base.update(overrides)
     return HerculesConfig(**base)
@@ -38,7 +38,7 @@ def _config(**overrides):
 
 @pytest.fixture(scope="module", autouse=True)
 def _quick_timings():
-    with quick_shard_timings(backoff=0.001, join_timeout=5.0):
+    with quick_shard_timings(join_timeout=5.0):
         yield
 
 
@@ -76,37 +76,42 @@ class TestBuildChaos:
         self, data, queries, fault_free, tmp_path
     ):
         """An OOM-shaped kill mid-build is absorbed: the supervisor wipes
-        and requeues the dead worker's shard, and the finished index is
-        value-identical to the fault-free one."""
+        the dead worker's shard, restarts the worker and re-sends the
+        shard, and the finished index is value-identical to the
+        fault-free one.  The restart's trace span names the task it
+        re-sent."""
         _, expected_answers = fault_free
         fence = tmp_path / "kill-once"
         plan = faults.FaultPlan(
             op="write", at=3, mode="kill", fence=str(fence)
         )
-        with faults.ship_plans({0: plan}):
+        trace = obs.Trace()
+        with faults.ship_plans({0: plan}), obs.use_trace(trace):
             index = ShardedIndex.build(
-                data,
-                _config(max_worker_restarts=2),
-                directory=tmp_path / "idx",
+                data, _config(), directory=tmp_path / "idx"
             )
         assert fence.exists(), "the kill plan never fired"
         assert index.build_report.worker_restarts >= 1
         assert index.build_report.requeued_tasks >= 1
+        restarts = [
+            event for event in trace.to_chrome_events()
+            if event["ph"] == "X" and event["name"] == "shard.worker_restart"
+        ]
+        assert len(restarts) == index.build_report.worker_restarts
+        assert all(event["args"]["requeued"] == 1 for event in restarts)
         for query, expected in zip(queries, expected_answers):
             _assert_identical_answers(index.knn(query, k=5), expected)
         index.close()
 
-    def test_kill_without_restart_budget_fails_loudly(self, data, tmp_path):
+    def test_a_shard_that_fails_twice_fails_loudly(self, data, tmp_path):
         # No fence: the kill re-fires in every worker incarnation, so
-        # with a zero restart budget every worker dies and the
+        # the re-sent shard kills its restarted worker too and the
         # supervisor must give up loudly.
         plan = faults.FaultPlan(op="write", at=3, mode="kill")
         with faults.ship_plans({"*": plan}):
             with pytest.raises(ShardError):
                 ShardedIndex.build(
-                    data,
-                    _config(max_worker_restarts=0),
-                    directory=tmp_path / "idx",
+                    data, _config(), directory=tmp_path / "idx"
                 )
 
     def test_transient_write_faults_are_absorbed_in_workers(

@@ -28,6 +28,7 @@ class TestValidation:
             ("eapca_th", -0.1),
             ("eapca_th", 1.5),
             ("sax_th", 2.0),
+            ("shard_timeout", 0.0),
         ],
     )
     def test_rejects_bad_values(self, field, value):

@@ -264,9 +264,9 @@ class TestPrefilterDirectories:
 
 
 class TestRetiredShardKnobs:
-    """Retired knobs are no longer configuration: the retry backoff and
-    jitter are :class:`~repro.retry.RetryPolicy`'s own defaults, the
-    worker join timeouts constants of the shard supervisor, and index
+    """Retired knobs are no longer configuration: a failed shard task is
+    re-sent once with no backoff, the worker join timeouts and the build
+    stall watchdog are constants of the shard supervisor, and index
     writing is one sequential pass with no thread count or switch.  A
     directory whose persisted settings still carry them opens
     unchanged."""
@@ -284,6 +284,10 @@ class TestRetiredShardKnobs:
         num_query_threads=2,
         prefilter=False,
         prefilter_bits=4,
+        max_worker_restarts=5,
+        shard_retry_attempts=4,
+        query_deadline=3.0,
+        build_stall_timeout=60.0,
     )
 
     @pytest.mark.parametrize("level", ["quick", "full"])

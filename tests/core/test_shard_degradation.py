@@ -1,11 +1,11 @@
-"""Query retry + graceful degradation semantics.
+"""Query re-send + graceful degradation semantics.
 
 Shard failures are real storage faults in the pool workers, injected by
 fault plans shipped to the workers as ``open`` starts them.  Each shard
 has its own worker, so a plan keyed by a shard id breaks exactly that
-shard.  The degradation *policy* (retry accounting, partial-results
-gating, coverage arithmetic, metrics visibility) is independent of how
-a shard fails.
+shard.  A failed shard is re-sent once; the degradation *policy*
+(re-send accounting, partial-results gating, coverage arithmetic,
+metrics visibility) is independent of how a shard fails.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ from repro.errors import ConfigError, ShardError, ShardTimeoutError
 from repro.obs import MetricsRegistry
 from repro.storage import faults
 
-from ..conftest import make_random_walks, quick_shard_timings
+from ..conftest import make_random_walks
 
 N_ROWS = 240
 LENGTH = 32
@@ -34,16 +34,9 @@ def _config(**overrides):
         leaf_capacity=20,
         num_shards=N_SHARDS,
         shard_workers=N_SHARDS,
-        shard_retry_attempts=1,
     )
     base.update(overrides)
     return HerculesConfig(**base)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _quick_backoff():
-    with quick_shard_timings(backoff=0.001):
-        yield
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +82,8 @@ FIRST_QUERY_READ = 3
 def _broken(directory, *shard_ids, once=False):
     """The index served with the listed shards' query reads failing.  By
     default every read fails, outlasting the file layer's own retries, so
-    every attempt fails; ``once`` crashes only the first query read, so a
-    shard-level retry succeeds."""
+    the attempt and its re-send fail; ``once`` crashes only the first
+    query read, so the shard's re-send succeeds."""
     if once:
         plan = faults.FaultPlan(op="read", at=FIRST_QUERY_READ, mode="crash")
     else:
@@ -229,11 +222,10 @@ class TestRetries:
         self, index, query, data
     ):
         fault_free = index.knn(query, k=5)
-        config = index.config.with_options(shard_retry_attempts=3)
         with _broken(index.directory, 1, once=True) as broken:
-            answer = broken.knn(query, k=5, config=config)
+            answer = broken.knn(query, k=5)
         assert not answer.degraded
-        assert answer.retries == 1  # two attempts: the failed one and its retry
+        assert answer.retries == 1  # two attempts: the failed one and its re-send
         np.testing.assert_array_equal(answer.positions, fault_free.positions)
         np.testing.assert_allclose(
             answer.distances, fault_free.distances, rtol=1e-6
@@ -241,10 +233,9 @@ class TestRetries:
 
     def test_retries_exhaust_then_degrade(self, directory, query):
         with _broken(directory, 1) as index:
-            config = index.config.with_options(shard_retry_attempts=3)
-            answer = index.knn(query, k=5, config=config, partial_results=True)
+            answer = index.knn(query, k=5, partial_results=True)
         assert answer.degraded
-        assert answer.retries == 2  # attempts 1→2 and 2→3
+        assert answer.retries == 1  # one re-send, then the shard is dropped
 
 
 def _stall_plan(seconds, fence=None):
@@ -256,13 +247,16 @@ def _stall_plan(seconds, fence=None):
 
 
 class TestDeadline:
-    """The pool enforces the deadline and ``shard_timeout`` preemptively:
-    a stalled worker is killed and restarted.  One worker per shard, so
-    a stall in shard 2's worker holds up no other shard."""
+    """The pool enforces ``shard_timeout`` preemptively: a stalled worker
+    is killed and restarted, and its shard re-sent once.  One worker per
+    shard, so a stall in shard 2's worker holds up no other shard.  The
+    stall plan stays shipped across the call, so the restarted worker
+    stalls on the re-sent task too."""
 
     def test_slow_shard_is_abandoned_at_the_deadline(self, directory, query):
-        with _served(directory, {2: _stall_plan(5.0)}) as pooled:
-            config = pooled.config.with_options(query_deadline=0.3)
+        plans = {2: _stall_plan(5.0)}
+        with _served(directory, plans) as pooled, faults.ship_plans(plans):
+            config = pooled.config.with_options(shard_timeout=0.3)
             started = time.monotonic()
             answer = pooled.knn(
                 query, k=5, config=config, partial_results=True
@@ -273,8 +267,9 @@ class TestDeadline:
         assert "timeout" in answer.shard_errors[0][1]
 
     def test_timeout_without_partial_raises_timeout_error(self, directory, query):
-        with _served(directory, {2: _stall_plan(5.0)}) as pooled:
-            config = pooled.config.with_options(query_deadline=0.3)
+        plans = {2: _stall_plan(5.0)}
+        with _served(directory, plans) as pooled, faults.ship_plans(plans):
+            config = pooled.config.with_options(shard_timeout=0.3)
             started = time.monotonic()
             with pytest.raises(ShardTimeoutError, match=r"shard\(s\) \[2\]"):
                 pooled.knn(query, k=5, config=config)
@@ -287,9 +282,7 @@ class TestDeadline:
         fence = tmp_path / "stall-fence"
         plans = {2: _stall_plan(3.0, fence=str(fence))}
         with _served(index.directory, plans) as pooled:
-            config = pooled.config.with_options(
-                shard_timeout=1.0, shard_retry_attempts=2
-            )
+            config = pooled.config.with_options(shard_timeout=1.0)
             answer = pooled.knn(query, k=5, config=config)
             assert fence.exists()
             assert pooled._pool.worker_restarts == 1
@@ -341,8 +334,7 @@ class TestMetricsVisibility:
     def test_retries_reach_the_registry(self, directory, query):
         registry = MetricsRegistry()
         with _broken(directory, 0, once=True) as index:
-            config = index.config.with_options(shard_retry_attempts=2)
-            answer = index.knn(query, k=5, config=config)
+            answer = index.knn(query, k=5)
         obs.record_answer(registry, answer, num_series=N_ROWS)
         summary = registry.summary()
         assert summary["counters"]["shard.retries"] == 1

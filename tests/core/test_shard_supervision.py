@@ -109,17 +109,14 @@ def _error_always_worker(conn, make_handler, handler_args) -> None:
 
 
 def _config(**overrides):
-    base = dict(
-        leaf_capacity=20,
-        build_stall_timeout=60.0,
-    )
+    base = dict(leaf_capacity=20)
     base.update(overrides)
     return HerculesConfig(**base)
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _quick_join():
-    with quick_shard_timings(join_timeout=5.0):
+def _quick_timings():
+    with quick_shard_timings(stall_timeout=60.0, join_timeout=5.0):
         yield
 
 
@@ -146,11 +143,11 @@ class TestDeadWorkerRecovery:
         notes = []
         monkeypatch.setattr(BuildOutcome, "note", lambda outcome, message: notes.append(message))
         data, ranges, shard_dirs, replies, supervision = _run(
-            tmp_path, _die_once_worker, _config(max_worker_restarts=2)
+            tmp_path, _die_once_worker, _config()
         )
         assert supervision.worker_restarts == 1
         assert supervision.requeued_tasks >= 1
-        assert any("requeued" in message for message in notes)
+        assert any("re-sent" in message for message in notes)
         assert sorted(replies) == [0, 1, 2]
         # The requeued shard rebuilt from clean ground into a valid index.
         for (start, stop), shard_dir in zip(ranges, shard_dirs):
@@ -164,24 +161,23 @@ class TestDeadWorkerRecovery:
         _, _, _, replies, supervision = _run(
             tmp_path,
             _die_on_first_task_worker,
-            _config(max_worker_restarts=2, build_stall_timeout=30.0),
+            _config(),
         )
         assert sorted(replies) == [0, 1, 2]
         assert supervision.worker_restarts == 1
         assert supervision.requeued_tasks == 1
         assert time.monotonic() - started < 10.0
 
-    def test_exhausted_restart_budget_fails_loudly(self, tmp_path):
-        config = _config(max_worker_restarts=0)
-        with pytest.raises(WorkerSupervisionError, match="restart budget"):
-            _run(tmp_path, _die_always_worker, config)
+    def test_a_shard_that_fails_twice_fails_loudly(self, tmp_path):
+        with pytest.raises(WorkerSupervisionError, match="died twice"):
+            _run(tmp_path, _die_always_worker, _config())
 
 
 class TestStallDetection:
     def test_stalled_build_hits_watchdog(self, tmp_path):
-        config = _config(build_stall_timeout=0.5)
-        with pytest.raises(WorkerSupervisionError, match="stalled"):
-            _run(tmp_path, _hang_worker, config)
+        with quick_shard_timings(stall_timeout=0.5):
+            with pytest.raises(WorkerSupervisionError, match="stalled"):
+                _run(tmp_path, _hang_worker, _config())
 
 
 class TestProtocolValidation:
@@ -193,16 +189,15 @@ class TestProtocolValidation:
 class TestInWorkerErrors:
     def test_error_reply_is_retried_then_succeeds(self, tmp_path, latch):
         data, ranges, shard_dirs, replies, supervision = _run(
-            tmp_path, _error_once_worker, _config(shard_retry_attempts=2)
+            tmp_path, _error_once_worker, _config()
         )
         assert supervision.task_retries == 1
         assert supervision.worker_restarts == 0
         assert sorted(replies) == [0, 1, 2]
 
     def test_error_reply_exhausts_attempts(self, tmp_path):
-        config = _config(shard_retry_attempts=2)
         with pytest.raises(ShardError, match="after 2 attempts"):
-            _run(tmp_path, _error_always_worker, config)
+            _run(tmp_path, _error_always_worker, _config())
 
 
 class TestReapEscalation:
@@ -249,7 +244,7 @@ class TestSupervisionSurfacing:
         ):
             index = ShardedIndex.build(
                 data,
-                _config(num_shards=3, shard_workers=2, max_worker_restarts=2),
+                _config(num_shards=3, shard_workers=2),
                 directory=tmp_path / "idx",
             )
         report = index.build_report

@@ -156,7 +156,7 @@ class TestChaosBuildTelemetry:
         with faults.ship_plans({0: plan}), obs.use_hub(hub):
             index = ShardedIndex.build(
                 data,
-                _config(max_worker_restarts=2),
+                _config(),
                 directory=tmp_path / "idx",
             )
             try:

@@ -88,19 +88,21 @@ class TestBinaryFile:
         assert snap.sequential_reads == 0
 
     def test_retry_backoff_sleeps_without_the_lock(self, tmp_path, monkeypatch):
-        """Another thread may use the file while a read backs off."""
+        """Another thread may use the file while a read backs off, for a
+        plain doubling delay: 2 ms, then 4 ms."""
         from repro.storage import files
 
-        locked_while_sleeping = []
+        slept = []
         with BinaryFile(tmp_path / "blob.bin") as f:
             f.append(b"0123456789")
             monkeypatch.setattr(
-                files.time, "sleep", lambda _: locked_while_sleeping.append(f._lock.locked())
+                files.time, "sleep",
+                lambda delay: slept.append((delay, f._lock.locked())),
             )
             plan = faults.FaultPlan(op="read", at=2, mode="transient", failures=2)
             with faults.inject(plan):
                 assert f.readv([0, 6], [4, 4], into=bytearray(8)) is None
-        assert locked_while_sleeping == [False, False]
+        assert slept == [(0.002, False), (0.004, False)]
 
     def test_sync_makes_bytes_visible_on_disk(self, tmp_path):
         path = tmp_path / "blob.bin"

@@ -778,14 +778,13 @@ class TestShardedCLI:
                     "--k", "2",
                     "--count", "1",
                     "--shard-workers", "2",
-                    "--shard-retries", "1",
                     "--partial-results",
                 ]
             )
         assert code == 0
         out = capsys.readouterr().out
         assert (
-            "  query 0: DEGRADED — coverage 50.00% after 0 retries; dropped shard 1"
+            "  query 0: DEGRADED — coverage 50.00% after 1 retries; dropped shard 1"
             in out
         )
         assert "WARNING: 1 of 1 answers were degraded" in out
@@ -997,9 +996,7 @@ class TestQueryTelemetry:
 #: how flags are declared cannot drop, rename or re-default one.
 _RESILIENCE = {
     "--partial-results": (False, None, None, False),
-    "--shard-retries": (None, "int", None, False),
     "--shard-timeout": (None, "float", None, False),
-    "--query-deadline": (None, "float", None, False),
 }
 _OBSERVED = {
     "--trace": (None, "Path", None, False),
@@ -1041,8 +1038,6 @@ _FLAG_TABLE = {
         "--per-row": (False, None, None, False),
         "--shards": (1, "int", None, False),
         "--shard-workers": (None, "int", None, False),
-        "--max-worker-restarts": (None, "int", None, False),
-        "--stall-timeout": (None, "float", None, False),
         **_OBSERVED,
     },
     "query": {
