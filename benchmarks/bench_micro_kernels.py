@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.distance.euclidean import (
+    _row_norms,
     batch_squared_euclidean,
     early_abandon_squared,
 )
@@ -53,6 +54,32 @@ def test_early_abandon_squared(benchmark, corpus, query, kernel, rows_per_call):
     ]
     benchmark.extra_info["points"] = int(corpus.size)
     benchmark(lambda: [early_abandon_squared(query, block, cutoff) for block in blocks])
+
+
+@pytest.mark.parametrize("rows_per_call", [256, 1024])
+@pytest.mark.parametrize("num_queries", [1, 64])
+@pytest.mark.parametrize("norms", ["stored", "computed"])
+def test_early_abandon_stored_norms(benchmark, corpus, norms, num_queries, rows_per_call):
+    """The refinement kernel as the index calls it: each call's row norms
+    sliced from a column computed once (an index's ``norms.bin``) against
+    computed in the call.  Q = 64 is the block form of a shared batch
+    chunk; every query's cutoff is its 1 % quantile over the corpus."""
+    queries = random_walks(num_queries, 128, seed=3)
+    cutoffs = np.array(
+        [np.quantile(batch_squared_euclidean(q, corpus), 0.01) for q in queries]
+    )
+    column = _row_norms(corpus)
+    starts = range(0, corpus.shape[0], rows_per_call)
+    blocks = [corpus[lo : lo + rows_per_call] for lo in starts]
+    stored = [column[lo : lo + rows_per_call] if norms == "stored" else None for lo in starts]
+    query, cutoff = (queries[0], cutoffs[0]) if num_queries == 1 else (queries, cutoffs)
+    benchmark.extra_info["points"] = int(corpus.size) * num_queries
+    benchmark(
+        lambda: [
+            early_abandon_squared(query, block, cutoff, norms=block_norms)
+            for block, block_norms in zip(blocks, stored)
+        ]
+    )
 
 
 def test_paa_16_segments(benchmark, corpus):

@@ -197,9 +197,10 @@ def exact_knn(
     lrd: SeriesFile,
     sax: SignatureArray,
     num_series: int,
+    norms: np.ndarray,
 ) -> QueryAnswer:
     """Algorithm 10 for one query: :func:`exact_knn_batch`'s Q = 1 call."""
-    return exact_knn_batch(query[None], k, config, table, lrd, sax, num_series)[0]
+    return exact_knn_batch(query[None], k, config, table, lrd, sax, num_series, norms)[0]
 
 
 def exact_knn_batch(
@@ -210,6 +211,7 @@ def exact_knn_batch(
     lrd: SeriesFile,
     sax: SignatureArray,
     num_series: int,
+    norms: np.ndarray,
     results: Optional[List[ResultSet]] = None,
     phase1_only: bool = False,
 ) -> BatchAnswer:
@@ -224,6 +226,10 @@ def exact_knn_batch(
     ``phase1_only`` stops after phase 1: approximate k-NN (Algorithm 11
     alone, the paper's §5 next step), at most ``config.l_max`` leaves
     per query, ``profile.path == "approximate"``.
+
+    ``norms`` is the index's stored row-norm column (each series'
+    float32 ``|x|²`` by LRDFile position), which every kernel call takes
+    its rows' norms from.
     """
     # In the stored dtype, as the index holds its series.
     arr = np.asarray(queries, dtype=SERIES_DTYPE)
@@ -243,7 +249,7 @@ def exact_knn_batch(
     lclists: list = []
     mode = "approximate" if phase1_only else "exact"
     with obs.span("query", k=k, queries=num_queries, mode=mode) as query_span:
-        states = _search_states(arr, k, config, table, lrd, sax, num_series, results)
+        states = _search_states(arr, k, config, table, lrd, sax, num_series, norms, results)
         shared = (time.perf_counter() - started) / num_queries
         for state in states:
             phase_started = time.perf_counter()

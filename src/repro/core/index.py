@@ -14,7 +14,7 @@ Typical usage::
 ``build`` runs the two construction stages of Section 3.3 (index building
 and index writing), then opens what it wrote, so the returned object is
 immediately queryable.  ``open`` reconstructs a queryable index from the
-three materialized files (HTree, LRDFile, LSDFile).
+materialized files (HTree, LRDFile, LSDFile, and the row-norm column).
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ from repro.core.writing import (
     HTREE_FILENAME,
     LRD_FILENAME,
     LSD_FILENAME,
+    NORMS_FILENAME,
     write_index,
 )
+from repro.distance.euclidean import _row_norms
 from repro.errors import (
     ConfigError,
     IndexStateError,
@@ -58,7 +60,7 @@ from repro.storage.dataset import Dataset
 from repro.storage.files import SeriesFile, SymbolFile
 from repro.storage.iostats import IOSnapshot, IOStats
 from repro.summarization.sax import SaxSpace
-from repro.types import as_series
+from repro.types import SERIES_DTYPE, as_series
 
 logger = logging.getLogger(__name__)
 
@@ -108,6 +110,7 @@ class HerculesIndex:
         lrd: SeriesFile,
         sax: SignatureArray,
         num_series: int,
+        norms: np.ndarray,
     ) -> None:
         # Every query path reads its LB_EAPCA bounds from this one table;
         # building it checks the leaf extents at every verify level.
@@ -119,6 +122,9 @@ class HerculesIndex:
         self.directory = directory
         self._lrd = lrd
         self._sax = sax
+        #: Each series' float32 |x|², by LRDFile position: the refinement
+        #: kernel's screen reads these instead of recomputing them.
+        self._norms = norms
         self.num_series = num_series
         #: Set by :meth:`build`; None for an opened index.
         self.build_report: Optional[BuildReport] = None
@@ -266,8 +272,8 @@ class HerculesIndex:
           with the tree's).
 
         What the query pipeline indexes by row is checked at every
-        level: the leaf extents tile LRDFile, and LSDFile holds one word
-        per series.
+        level: the leaf extents tile LRDFile, LSDFile holds one word per
+        series, and ``norms.bin`` one norm per series.
 
         Damage raises :class:`~repro.errors.ManifestError` or
         :class:`~repro.errors.ChecksumError` naming the broken artifact;
@@ -327,6 +333,7 @@ class HerculesIndex:
                     f"records {num_series}"
                 )
             sax = _load_sax(directory, sax_space, num_series)
+            norms = _load_norms(directory, manifest, series_length, num_series)
             table = LeafTable(records, num_series)
         except BaseException:
             lrd.close()
@@ -338,6 +345,7 @@ class HerculesIndex:
             lrd=lrd,
             sax=sax,
             num_series=num_series,
+            norms=norms,
         )
 
     # -- querying --------------------------------------------------------------
@@ -363,6 +371,7 @@ class HerculesIndex:
             self._lrd,
             self._sax,
             num_series=self.num_series,
+            norms=self._norms,
         )
 
     def knn_batch(
@@ -421,6 +430,7 @@ class HerculesIndex:
             num_series=self.num_series,
             results=results,
             phase1_only=phase1_only,
+            norms=self._norms,
         )
 
     def knn_progressive(
@@ -447,6 +457,7 @@ class HerculesIndex:
             self._lrd,
             self._sax,
             num_series=self.num_series,
+            norms=self._norms,
         )
 
     def get_series(self, position: int) -> np.ndarray:
@@ -547,3 +558,44 @@ def _load_sax(directory: Path, sax_space: SaxSpace, num_series: int) -> Signatur
             f"the index records {num_series} series: mixed generations"
         )
     return SignatureArray.from_full_symbols(words, sax_space, sax_space.bits_per_symbol)
+
+
+#: Rows per read of the one pass that computes an older directory's norms.
+_NORMS_PASS_ROWS = 4096
+
+
+def _load_norms(
+    directory: Path, manifest, series_length: int, num_series: int
+) -> np.ndarray:
+    """Each series' float32 ``|x|²`` in LRDFile order, kept in memory for
+    the refinement kernel's screen.
+
+    ``norms.bin`` is read whole with one plain file read, as
+    ``MANIFEST.json`` is, outside the counted file layer: a shard's open
+    still makes only its two counted reads (htree.bin, lsd.bin).  A
+    directory from a release before the column, whose manifest does not
+    list the file, gets it computed at open in one streamed pass over
+    LRDFile with :func:`~repro.distance.euclidean._row_norms` — the
+    values ``write_index`` would have stored.  The kernel takes the norms
+    by LRDFile position, so a row count that disagrees with the tree is
+    rejected at every verify level, as LSDFile's is.
+    """
+    path = directory / NORMS_FILENAME
+    if NORMS_FILENAME in manifest.artifacts:
+        norms = np.fromfile(path, dtype=SERIES_DTYPE)
+        held = path.stat().st_size / SERIES_DTYPE.itemsize
+    else:
+        with SeriesFile(directory / LRD_FILENAME, series_length, read_only=True) as lrd:
+            rows = lrd.num_series
+            chunks = [
+                _row_norms(lrd.read_range(lo, min(_NORMS_PASS_ROWS, rows - lo)))
+                for lo in range(0, rows, _NORMS_PASS_ROWS)
+            ]
+        norms = np.concatenate([np.empty(0, dtype=SERIES_DTYPE), *chunks])
+        held = norms.shape[0]
+    if held != num_series:
+        raise StorageError(
+            f"{path} holds {held:g} norms but the index records {num_series} "
+            "series: mixed generations"
+        )
+    return norms

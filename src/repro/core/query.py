@@ -64,8 +64,9 @@ pipeline runs end-to-end in *squared* distance space (the UCR-suite
 optimization): lower bounds are ε-scaled and squared once, every pruning
 comparison is against ``BSF²`` (:attr:`ResultSet.bsf_squared`),
 refinement runs the screening early-abandoning kernel (one float32 BLAS
-pass as a gate, exact float64 only for the rows it lets through) with
-the live ``BSF²`` cutoff, and the one square root per answer happens in
+pass and the rows' norms stored at build time, ``norms.bin``, as a gate,
+exact float64 only for the rows it lets through) with the live ``BSF²``
+cutoff, and the one square root per answer happens in
 ``ResultSet.items()``.  The per-query :class:`QueryProfile` records the
 path taken, pruning ratios, distance-computation / point-comparison and
 I/O counts, plus leaf-cache hits, so harnesses can report the paper's
@@ -257,6 +258,7 @@ class _SearchState:
         lrd: SeriesFile,
         sax: SignatureArray,
         num_series: int,
+        norms: np.ndarray,
         bounds: np.ndarray,
         gap_tables: np.ndarray,
         results: Optional[ResultSet] = None,
@@ -267,6 +269,9 @@ class _SearchState:
         self.table = table
         self.lrd = lrd
         self.sax = sax
+        #: Each series' stored |x|² by LRDFile position (the index's
+        #: ``norms.bin``); every kernel call passes its rows' slice.
+        self.norms = norms
         self.num_series = num_series
         # An externally supplied ResultSet lets a coordinator link this
         # search to others (shard scatter-gather shares the global BSF²
@@ -304,18 +309,18 @@ def _leaf_bounds(table: LeafTable, queries: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def _search_states(queries, k, config, table, lrd, sax, num_series, results=None) -> list:
+def _search_states(queries, k, config, table, lrd, sax, num_series, norms, results=None) -> list:
     """The front half every query mode starts from: the LB_EAPCA² of
     every leaf in query slices (:func:`_leaf_bounds`), one PAA block and
     its LB_SAX gap tables (one ``gap_tables`` call), and one
     :class:`_SearchState` per row of the ``(Q, n)`` block ``queries``
     (stored dtype).  ``results`` optionally supplies one result set per
-    query."""
+    query.  ``norms`` is the index's stored row-norm column."""
     bounds = _leaf_bounds(table, queries)
     tables = sax.gap_tables(paa(queries, sax.space.segments))
     return [
         _SearchState(
-            queries[qi], k, config, table, lrd, sax, num_series, bounds[qi], tables[qi],
+            queries[qi], k, config, table, lrd, sax, num_series, norms, bounds[qi], tables[qi],
             results=None if results is None else results[qi],
         )
         for qi in range(queries.shape[0])
@@ -341,6 +346,7 @@ def progressive_knn(
     lrd: SeriesFile,
     sax: SignatureArray,
     num_series: int,
+    norms: np.ndarray,
 ):
     """Progressive k-NN: yield improving answers until the exact result.
 
@@ -363,7 +369,7 @@ def progressive_knn(
     """
     started = time.perf_counter()
     io_before = lrd.io_checkpoint()
-    (state,) = _search_states(query[None], k, config, table, lrd, sax, num_series)
+    (state,) = _search_states(query[None], k, config, table, lrd, sax, num_series, norms)
     profile = state.profile
     try:
         with _charging_cache(lrd, profile):
@@ -448,8 +454,10 @@ def _best_first(state: _SearchState, limit: Optional[int]):
                 state, starts[visit:end], sizes[visit:end], bsf_squared
             )
         else:  # one leaf (every first visit): a plain read, nothing to screen against
-            data = state.lrd.read_range(start_list[visit], size_list[visit])
-            offsets, squared = [0], _evaluate(state, data, bsf_squared)
+            position, size = start_list[visit], size_list[visit]
+            data = state.lrd.read_range(position, size)
+            norms = state.norms[position : position + size]
+            offsets, squared = [0], _evaluate(state, data, norms, bsf_squared)
 
         for offset, i in zip(offsets, range(visit, end)):
             if bound_list[i] > results.bsf_squared:
@@ -499,18 +507,27 @@ def _evaluate_group(
         return offsets.tolist(), None
     offsets[in_file] = np.cumsum(packed) - packed
     if len(first) == 1:
-        data = state.lrd.read_range(int(first[0]), int(packed[0]))
+        position, size = int(first[0]), int(packed[0])
+        data = state.lrd.read_range(position, size)
+        norms = state.norms[position : position + size]
     else:
         buffer = np.empty((int(packed.sum()), length), dtype=SERIES_DTYPE)
         data = state.lrd.read_range(first, packed, out=buffer)
-    return offsets.tolist(), _evaluate(state, data, bsf_squared)
+        # A few leaves: joining their slices beats an index array.
+        norms = np.concatenate(
+            [state.norms[s : s + n] for s, n in zip(first.tolist(), packed.tolist())]
+        )
+    return offsets.tolist(), _evaluate(state, data, norms, bsf_squared)
 
 
-def _evaluate(state: _SearchState, data: np.ndarray, bsf_squared: float) -> np.ndarray:
-    """Phase 1's kernel call: squared distances of ``data``'s rows at
-    cutoff ``bsf_squared``, charged to the query's profile."""
+def _evaluate(
+    state: _SearchState, data: np.ndarray, norms: np.ndarray, bsf_squared: float
+) -> np.ndarray:
+    """Phase 1's kernel call: squared distances of ``data``'s rows, whose
+    stored norms are ``norms``, at cutoff ``bsf_squared``, charged to the
+    query's profile."""
     profile, length = state.profile, state.query.shape[0]
-    squared, compared = early_abandon_squared(state.query, data, bsf_squared)
+    squared, compared = early_abandon_squared(state.query, data, bsf_squared, norms=norms)
     profile.series_accessed += data.shape[0]
     profile.distance_computations += data.shape[0]
     profile.points_compared += compared
@@ -761,12 +778,14 @@ def _refine_runs(states: list, extents: list) -> tuple:
       ``(_CHUNK_ROWS, length)`` buffer that lives as long as the pass —
       or a plain read when one extent is left;
     * one screening kernel call evaluates them under each query's
-      cutoff; when several queries take part, a ``(queries, rows)``
+      cutoff, with the rows' stored norms (``norms.bin``) for its
+      screen; when several queries take part, a ``(queries, rows)``
       mask, filled by one scatter over the survivors' buffer rows, keeps
-      each query to its own rows;
+      each query to its own rows, and the kernel returns only the
+      (query, row) pairs its screen kept, grouped by query;
     * each query merges its rows into its result set once — in a shared
-      chunk only if it got a finite distance there — and the per-query
-      row counts come from one ``bincount``.
+      chunk only if the screen kept any of its rows there — and the
+      per-query row counts come from one ``bincount``.
 
     A candidate dropped by a re-check has bound ≥ that query's BSF² ≥
     its final BSF², and one abandoned by the kernel has distance > the
@@ -785,6 +804,7 @@ def _refine_runs(states: list, extents: list) -> tuple:
     over queries.
     """
     leaf_table, lrd, length = states[0].table, states[0].lrd, states[0].query.shape[0]
+    norms = states[0].norms
     num_queries = len(states)
     if num_queries == 1:  # the table and the union are the query's own list
         starts, sizes, bounds = extents[0]
@@ -832,18 +852,22 @@ def _refine_runs(states: list, extents: list) -> tuple:
                 position, size = int(read_starts[0]), int(read_sizes[0])
                 data = lrd.read_range(position, size)
                 positions = np.arange(position, position + size)
+                held = slice(position, position + size)
             else:
-                positions = extent_rows(read_starts, read_sizes)
+                positions = held = extent_rows(read_starts, read_sizes)
                 if buffer is None or len(positions) > len(buffer):
                     rows = max(len(positions), _CHUNK_ROWS)
                     buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
                 data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
+            data_norms = norms[held]
 
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.
             if len(active) == 1:
                 i = active[0]
-                squared, compared = early_abandon_squared(states[i].query, data, bsf[i])
+                squared, compared = early_abandon_squared(
+                    states[i].query, data, bsf[i], norms=data_norms
+                )
                 states[i].results.update_batch_squared(squared, positions)
                 refined[i] += len(positions)
                 points[i] += compared
@@ -856,18 +880,17 @@ def _refine_runs(states: list, extents: list) -> tuple:
             slot = np.cumsum(rows_of > 0) - 1  # query id -> row of the block
             masks = np.zeros((len(active), len(positions)), dtype=bool)
             masks[np.repeat(slot[kept_ids], kept_sizes), rows] = True
-            squared, compared = early_abandon_squared(
-                block[active], data, bsf[active], row_masks=masks
+            (pair_slots, pair_rows, values), compared = early_abandon_squared(
+                block[active], data, bsf[active], row_masks=masks, norms=data_norms
             )
             refined += rows_of
             points[active] += compared
-            # Each query's finite distances, query after query, rows in
-            # file order: one merge per query that has any.
-            hit_slots, hit_rows = np.nonzero(squared < np.inf)
-            values, hits = squared[hit_slots, hit_rows], positions[hit_rows]
-            firsts = np.diff(hit_slots, prepend=-1).nonzero()[0].tolist()
-            for a, b in zip(firsts, [*firsts[1:], len(hit_slots)]):
-                states[active[hit_slots[a]]].results.update_batch_squared(values[a:b], hits[a:b])
+            # The gate's pairs come query after query, rows in file order:
+            # one merge per query it kept any row of.
+            hits = positions[pair_rows]
+            firsts = np.diff(pair_slots, prepend=-1).nonzero()[0].tolist()
+            for a, b in zip(firsts, [*firsts[1:], len(pair_slots)]):
+                states[active[pair_slots[a]]].results.update_batch_squared(values[a:b], hits[a:b])
         used[query_ids[refined_entries], leaf_table.leaf_of(starts[refined_entries])] = True
     for state, rows, compared in zip(states, refined.astype(np.int64).tolist(), points.tolist()):
         state.profile.series_accessed += rows

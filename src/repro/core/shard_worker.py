@@ -315,12 +315,13 @@ class WorkerSet:
             self._conns[i], self._procs[i] = parent_conn, proc
         obs.watch_process(f"shard.{i}", proc.pid)
 
-    def _await_ready(self, i: int) -> None:
-        got = self.wait([i], self._start_timeout)
+    def _await_ready(self, i: int, timeout: Optional[float] = None) -> None:
+        timeout = self._start_timeout if timeout is None else timeout
+        got = self.wait([i], timeout)
         if got is None:
             raise WorkerSupervisionError(
-                f"{self.kind} worker {i} stalled: not ready after "
-                f"{self._start_timeout:.0f}s"
+                f"{self.kind} worker {i} stalled: not ready within its "
+                f"{timeout:g}s start timeout"
             )
         reply = got[1]
         if reply is None:
@@ -368,13 +369,16 @@ class WorkerSet:
         reap_processes([old], timeout=1.0, label=self.kind)
         return old
 
-    def restart(self, i: int, requeued: int) -> None:
+    def restart(self, i: int, requeued: int, timeout: Optional[float] = None) -> None:
         """Replace worker ``i`` before ``requeued`` shard tasks are re-sent
         to it.
 
         Each restart records one ``shard.worker_restart`` span and one
         ``worker_restart`` event; a replacement that fails to start
-        raises as in :meth:`__init__`.
+        raises as in :meth:`__init__`.  ``timeout`` bounds the wait for
+        its ``ready`` (None: ``start_timeout``); a query passes its
+        ``shard_timeout``, so a replacement that hangs while opening its
+        shards costs the call one more timeout, not the hang.
         """
         old = self.stop(i)
         self.worker_restarts += 1
@@ -396,7 +400,7 @@ class WorkerSet:
         with obs.span("shard.worker_restart", **attrs):
             pass
         obs.emit_event("worker_restart", **attrs)
-        self._await_ready(i)
+        self._await_ready(i, timeout)
 
     def close(self, kill: bool = False) -> None:
         """Send ``close`` to every worker and reap them; ``kill``
@@ -862,8 +866,11 @@ class ShardQueryPool(WorkerSet):
                     return None
                 if untrusted:
                     try:
-                        self.restart(i, requeued=len(pending))
+                        self.restart(i, requeued=len(pending), timeout=shard_timeout)
                     except ShardError as restart_exc:
+                        # A replacement that died or hung while starting is
+                        # not trusted either: the next call starts another.
+                        self.stop(i)
                         outcome.shard_errors.extend(
                             (sid, str(restart_exc)) for sid in sorted(pending)
                         )

@@ -12,7 +12,9 @@ shows exactly that cost).  The writing phase therefore:
    from raw data, ``HSplitSynopsis`` (Algorithm 9) merges every other
    segment child-into-parent; and
 2. materializes LRDFile (raw series in leaf-inorder), LSDFile (iSAX words
-   in the same order), and HTree.
+   in the same order), the row-norm column ``norms.bin`` (each series'
+   float32 ``|x|²``, same order, read by the refinement kernel's screen)
+   and HTree.
 
 One thread does both, in one in-order pass: each leaf is post-processed
 and then appended to LRDFile/LSDFile before the next one is read, so at
@@ -36,6 +38,7 @@ import numpy as np
 from repro import obs
 from repro.core.construction import BuildContext, leaf_data
 from repro.core.node import Node, segment_correspondence
+from repro.distance.euclidean import _row_norms
 from repro.errors import IndexStateError
 from repro.storage import htree
 from repro.storage import manifest as manifest_mod
@@ -48,6 +51,7 @@ logger = logging.getLogger(__name__)
 
 LRD_FILENAME = "lrd.bin"
 LSD_FILENAME = "lsd.bin"
+NORMS_FILENAME = "norms.bin"
 HTREE_FILENAME = "htree.bin"
 
 
@@ -62,12 +66,13 @@ class WriteResult:
 
 
 #: Artifact publication order; the manifest commits the generation last.
-ARTIFACT_NAMES = (LRD_FILENAME, LSD_FILENAME, HTREE_FILENAME)
+ARTIFACT_NAMES = (LRD_FILENAME, LSD_FILENAME, NORMS_FILENAME, HTREE_FILENAME)
 
 #: The format version each artifact is written with and checked against.
 ARTIFACT_VERSIONS = {
     LRD_FILENAME: manifest_mod.LRD_FORMAT_VERSION,
     LSD_FILENAME: manifest_mod.LSD_FORMAT_VERSION,
+    NORMS_FILENAME: manifest_mod.NORMS_FORMAT_VERSION,
     HTREE_FILENAME: htree.FORMAT_VERSION,
 }
 
@@ -97,10 +102,13 @@ def write_index(
     manifest_mod.clear_staging(directory, list(ARTIFACT_NAMES))
     lrd_staged = manifest_mod.staging_path(directory / LRD_FILENAME)
     lsd_staged = manifest_mod.staging_path(directory / LSD_FILENAME)
+    norms_staged = manifest_mod.staging_path(directory / NORMS_FILENAME)
     htree_staged = manifest_mod.staging_path(directory / HTREE_FILENAME)
 
     lrd = SeriesFile(lrd_staged, ctx.hbuffer.series_length, stats=stats)
     lsd = SymbolFile(lsd_staged, sax_space.segments, stats=stats)
+    # One float32 |x|² per record: a series file of length-1 records.
+    norms = SeriesFile(norms_staged, 1, stats=stats)
     try:
         with obs.io_span("build.write", stats, num_leaves=len(leaves)):
             for leaf in leaves:
@@ -108,13 +116,14 @@ def write_index(
                 if data.shape[0]:
                     leaf.file_position = lrd.append_batch(data)
                     lsd.append_batch(words)
+                    norms.append_batch(_row_norms(data)[:, None])
                 else:
                     leaf.file_position = lrd.num_series
-            lrd.sync()
-            lsd.sync()
+            for artifact in (lrd, lsd, norms):
+                artifact.sync()
     finally:
-        lrd.close()
-        lsd.close()
+        for artifact in (lrd, lsd, norms):
+            artifact.close()
 
     num_series = sum(leaf.size for leaf in leaves)
     htree.write_tree_file(htree_staged, ctx.root, settings, stats=stats)

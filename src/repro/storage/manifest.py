@@ -42,6 +42,7 @@ SHARDS_VERSION = 1
 #: lives here.  HTree carries its version in its header and mirrors it.
 LRD_FORMAT_VERSION = 1
 LSD_FORMAT_VERSION = 1
+NORMS_FORMAT_VERSION = 1
 
 _CRC_CHUNK = 1 << 20
 _STAGING_SUFFIX = ".tmp"

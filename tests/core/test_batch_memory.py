@@ -52,7 +52,8 @@ def _front_transient(index, queries) -> int:
     tracemalloc.start()
     try:
         states = query._search_states(
-            queries, 5, index.config, index._table, index._lrd, index._sax, index.num_series
+            queries, 5, index.config, index._table, index._lrd, index._sax, index.num_series,
+            index._norms,
         )
         current, peak = tracemalloc.get_traced_memory()
     finally:

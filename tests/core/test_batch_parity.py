@@ -224,14 +224,19 @@ class _WalkSpy:
                 self.tables[-1] += 1
             return cuts
 
-        def evaluating(queries, candidates, cutoffs, row_masks=None):
-            result = kernel(queries, candidates, cutoffs, row_masks=row_masks)
+        def evaluating(queries, candidates, cutoffs, row_masks=None, norms=None):
+            result = kernel(queries, candidates, cutoffs, row_masks=row_masks, norms=norms)
             if walking[0]:
                 self.kernel_calls.append(row_masks)
                 self.kernel_rows.append(
                     len(candidates) if row_masks is None else int(row_masks.sum())
                 )
-                self.kernel_out.append(result[0])
+                out = result[0]
+                if row_masks is not None:  # the block form's pairs, as a dense matrix
+                    query_ids, rows, squared = out
+                    out = np.full(row_masks.shape, np.inf)
+                    out[query_ids, rows] = squared
+                self.kernel_out.append(out)
                 self.merges.append(0)
             return result
 
@@ -699,7 +704,7 @@ class TestBatchSurface:
         with pytest.raises(ValueError, match="result sets"):
             exact_knn_batch(
                 queries[:4], 3, index.config, index._table, index._lrd,
-                index.signatures, index.num_series, results=[ResultSet(3)],
+                index.signatures, index.num_series, index._norms, results=[ResultSet(3)],
             )
 
 

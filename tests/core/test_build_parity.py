@@ -141,7 +141,7 @@ class TestSequentialParity:
         assert tree_fingerprint(batched) == tree_fingerprint(per_row)
 
 
-_INDEX_FILES = ("htree.bin", "lrd.bin", "lsd.bin")
+_INDEX_FILES = ("htree.bin", "lrd.bin", "lsd.bin", "norms.bin")
 
 
 def _build_with_library(data, directory):

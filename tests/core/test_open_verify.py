@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import HerculesConfig, HerculesIndex
+from repro.core import HerculesConfig, HerculesIndex, ShardedIndex
+from repro.distance.euclidean import _row_norms
 from repro.errors import ChecksumError, ManifestError, StorageError
 from repro.storage import htree
 from repro.storage import manifest as manifest_mod
@@ -32,7 +33,7 @@ class TestVerifyLevels:
     def test_build_commits_a_manifest(self, built):
         directory, _, _ = built
         manifest = manifest_mod.load_manifest(directory)
-        assert set(manifest.artifacts) == {"lrd.bin", "lsd.bin", "htree.bin"}
+        assert set(manifest.artifacts) == {"lrd.bin", "lsd.bin", "norms.bin", "htree.bin"}
         assert manifest.num_series == 100
 
     def test_full_open_matches_build_answers(self, built):
@@ -120,7 +121,7 @@ class TestLegacyDirectories:
 
 
 class TestDamageDetection:
-    @pytest.mark.parametrize("artifact", ["lrd.bin", "lsd.bin", "htree.bin"])
+    @pytest.mark.parametrize("artifact", ["lrd.bin", "lsd.bin", "norms.bin", "htree.bin"])
     def test_single_flipped_byte_detected_at_full(
         self, built, tmp_path, artifact
     ):
@@ -163,6 +164,103 @@ class TestDamageDetection:
         (copy / "lsd.bin").unlink()
         with pytest.raises(StorageError, match="lsd.bin"):
             HerculesIndex.open(copy)
+
+
+def _stored_norms(directory):
+    return np.fromfile(directory / "norms.bin", dtype=np.float32)
+
+
+def _lrd_norms(directory, length=32):
+    rows = np.fromfile(directory / "lrd.bin", dtype=np.float32).reshape(-1, length)
+    return _row_norms(rows)
+
+
+def _recommit(directory, name):
+    """Re-commit the manifest over the current bytes of ``name``, so only
+    the open's own checks can catch what was done to it."""
+    manifest = manifest_mod.load_manifest(directory)
+    manifest.artifacts[name] = manifest_mod.record_artifact(
+        directory / name, format_version=manifest.artifacts[name].format_version
+    )
+    manifest_mod.save_manifest(directory, manifest)
+
+
+class TestNormsColumn:
+    """``norms.bin``: every series' float32 |x|², in LRDFile order, which
+    the refinement kernel's screen reads instead of recomputing."""
+
+    def test_column_is_row_norms_of_lrd(self, built):
+        directory, _, _ = built
+        stored, expected = _stored_norms(directory), _lrd_norms(directory)
+        assert stored.shape == (100,)
+        # Bit for bit, not approximately.
+        np.testing.assert_array_equal(stored.view(np.uint32), expected.view(np.uint32))
+
+    def test_each_shard_holds_its_own_column(self, tmp_path):
+        data = make_random_walks(150, 32, seed=31)
+        config = HerculesConfig(leaf_capacity=20, num_shards=3, shard_workers=1)
+        directory = tmp_path / "sharded"
+        ShardedIndex.build(data, config, directory=directory).close()
+        shards = sorted(directory.glob("shard-*"))
+        assert len(shards) == 3
+        for shard in shards:
+            assert "norms.bin" in manifest_mod.load_manifest(shard).artifacts
+            np.testing.assert_array_equal(
+                _stored_norms(shard).view(np.uint32), _lrd_norms(shard).view(np.uint32)
+            )
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_manifested_but_missing_is_loud(self, built, tmp_path, level):
+        import shutil
+
+        directory, _, _ = built
+        copy = tmp_path / "no-norms"
+        shutil.copytree(directory, copy)
+        (copy / "norms.bin").unlink()
+        with pytest.raises(StorageError, match="norms.bin"):
+            HerculesIndex.open(copy, verify=level)
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_short_column_rejected(self, built, tmp_path, level):
+        """A short column would hand the kernel another row's norm; with
+        the manifest re-committed over it, the open's row count is what
+        rejects it."""
+        import shutil
+
+        directory, _, _ = built
+        torn = tmp_path / "short-norms"
+        shutil.copytree(directory, torn)
+        norms = torn / "norms.bin"
+        norms.write_bytes(norms.read_bytes()[:-4])
+        with pytest.raises(ChecksumError, match="norms.bin"):
+            HerculesIndex.open(torn, verify=level)
+        _recommit(torn, "norms.bin")
+        with pytest.raises(StorageError, match="norms.bin holds 99 norms.*mixed generations"):
+            HerculesIndex.open(torn, verify=level)
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_directory_without_the_column_computes_it(self, built, tmp_path, level):
+        """A directory from a release before the column: its manifest does
+        not list ``norms.bin``.  It opens at both levels, computes the
+        column from LRDFile at open — the values a build stores — and
+        answers identically."""
+        import shutil
+
+        directory, data, expected = built
+        older = tmp_path / "older"
+        shutil.copytree(directory, older)
+        (older / "norms.bin").unlink()
+        manifest = manifest_mod.load_manifest(older)
+        del manifest.artifacts["norms.bin"]
+        manifest_mod.save_manifest(older, manifest)
+        with HerculesIndex.open(older, verify=level) as index:
+            np.testing.assert_array_equal(
+                index._norms.view(np.uint32), _stored_norms(directory).view(np.uint32)
+            )
+            answer = index.knn(data[0], k=2)
+        np.testing.assert_array_equal(answer.distances, expected.distances)
+        np.testing.assert_array_equal(answer.positions, expected.positions)
+        assert not (older / "norms.bin").exists()
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +330,7 @@ class TestPrefilterDirectories:
         assert set(manifest_mod.load_manifest(copy).artifacts) == {
             "lrd.bin",
             "lsd.bin",
+            "norms.bin",
             "htree.bin",
         }
         HerculesIndex.open(copy, verify="full").close()

@@ -75,7 +75,7 @@ def _state(index, query, k, config):
     """One query's search state, from the pipeline's own front half."""
     (state,) = _search_states(
         as_series(query)[None], k, config, index._table, index._lrd,
-        index.signatures, index.num_series,
+        index.signatures, index.num_series, index._norms,
     )
     return state
 

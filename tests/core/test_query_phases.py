@@ -51,6 +51,7 @@ def make_state(index, query, k=3, **config_overrides):
         index._lrd,
         index.signatures,
         index.num_series,
+        index._norms,
     )
     return state
 
@@ -251,9 +252,9 @@ class TestGroupedPhaseOne:
         kernel = query_module.early_abandon_squared
         blocks = []
 
-        def recording(query, data, cutoff_squared):
+        def recording(query, data, cutoff_squared, norms=None):
             blocks.append(data.shape[0])
-            return kernel(query, data, cutoff_squared)
+            return kernel(query, data, cutoff_squared, norms=norms)
 
         monkeypatch.setattr(query_module, "early_abandon_squared", recording)
         reads = []
@@ -633,9 +634,9 @@ class TestRefineRuns:
         kernel = query_module.early_abandon_squared
         blocks = []
 
-        def recording(query, data, cutoff_squared):
+        def recording(query, data, cutoff_squared, norms=None):
             blocks.append(data.shape[0])
-            return kernel(query, data, cutoff_squared)
+            return kernel(query, data, cutoff_squared, norms=norms)
 
         monkeypatch.setattr(query_module, "early_abandon_squared", recording)
         config = index.config.with_options(l_max=1, eapca_th=1.0)

@@ -291,6 +291,31 @@ class TestDeadline:
         np.testing.assert_array_equal(answer.positions, fault_free.positions)
         np.testing.assert_array_equal(answer.distances, fault_free.distances)
 
+    @pytest.mark.parametrize("partial", [True, False])
+    def test_hung_replacement_costs_one_more_timeout(self, directory, query, partial):
+        """A replacement worker that hangs while re-opening its shards is
+        bounded by the call's ``shard_timeout``, not by the hang: worker 0
+        dies between calls, and the call's restart of it stalls 5 s on
+        its first read (opening shard 0).  The call ends flagged, or in
+        a named error, well within 2 × ``shard_timeout`` plus a restart."""
+        stall = {0: faults.FaultPlan(op="read", at=1, mode="stall", stall_seconds=5.0)}
+        with _served(directory) as pooled:
+            pooled._pool.stop(0)
+            config = pooled.config.with_options(shard_timeout=0.5)
+            with faults.ship_plans(stall):
+                started = time.monotonic()
+                if partial:
+                    answer = pooled.knn(query, k=5, config=config, partial_results=True)
+                else:
+                    with pytest.raises(ShardTimeoutError, match=r"shard\(s\) \[0\]"):
+                        pooled.knn(query, k=5, config=config)
+                elapsed = time.monotonic() - started
+            assert elapsed < 2.5
+        if partial:
+            assert answer.degraded
+            assert [sid for sid, _ in answer.shard_errors] == [0]
+            assert "not ready within its 0.5s start timeout" in answer.shard_errors[0][1]
+
 
 class TestPoolStartFailure:
     def test_failed_pool_start_leaks_nothing(self, directory, monkeypatch):

@@ -147,11 +147,11 @@ class TestLinkedResultSet:
         kernel = query_module.early_abandon_squared
         cutoffs, published = [], []
 
-        def publishing_kernel(query, data, cutoff_squared):
+        def publishing_kernel(query, data, cutoff_squared, norms=None):
             cutoffs.append(cutoff_squared)
             published.append(min(cutoff_squared, 1e9) * 0.999)
             link.publish(published[-1])  # "another shard" got closer
-            return kernel(query, data, cutoff_squared)
+            return kernel(query, data, cutoff_squared, norms=norms)
 
         monkeypatch.setattr(query_module, "early_abandon_squared", publishing_kernel)
         # 900 series fit one default chunk; the test is about chunk boundaries.
@@ -161,7 +161,7 @@ class TestLinkedResultSet:
         try:
             answer = batch_query.exact_knn_batch(
                 query[None], results.k, config, index._table, index._lrd,
-                index.signatures, index.num_series, results=[results],
+                index.signatures, index.num_series, index._norms, results=[results],
             )[0]
         finally:
             index.close()
@@ -375,7 +375,7 @@ class TestLayout:
         assert isinstance(delegated, HerculesIndex)
         delegated.close()
         assert not (delegated_dir / manifest_mod.SHARDS_FILENAME).exists()
-        for name in ("lrd.bin", "lsd.bin", "htree.bin"):
+        for name in ("lrd.bin", "lsd.bin", "norms.bin", "htree.bin"):
             assert (
                 (delegated_dir / name).read_bytes()
                 == (plain_dir / name).read_bytes()

@@ -149,6 +149,7 @@ class TestEpsilonParity:
                 index._lrd,
                 index.signatures,
                 index.num_series,
+                index._norms,
             )
             return state
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance.euclidean import (
+    _row_norms,
     batch_squared_euclidean,
     early_abandon_squared,
     euclidean,
@@ -13,6 +14,36 @@ from repro.distance.euclidean import (
 )
 
 from ..conftest import make_random_walks
+
+
+def _dense(pairs, shape):
+    """A block call's screened ``(query_ids, rows, squared)`` pairs as the
+    dense matrix they stand for: ``inf`` where no pair is listed."""
+    query_ids, rows, squared = pairs
+    dense = np.full(shape, np.inf)
+    dense[query_ids, rows] = squared
+    return dense
+
+
+def _assert_pairs_sound(pairs, truth, cutoffs, masks=None):
+    """The block form's contract against a float64 reference ``truth``
+    ``(Q, rows)``: pairs grouped by query with rows ascending and none
+    twice, each carrying the reference value bit for bit, and every
+    (masked-in) pair at or inside its query's cutoff listed."""
+    query_ids, rows, squared = pairs
+    assert len(query_ids) == len(rows) == len(squared)
+    order = np.lexsort((rows, query_ids))
+    np.testing.assert_array_equal(order, np.arange(len(rows)))
+    flat = query_ids * truth.shape[1] + rows
+    assert len(np.unique(flat)) == len(flat)
+    np.testing.assert_array_equal(squared, truth[query_ids, rows])
+    listed = np.zeros(truth.shape, dtype=bool)
+    listed[query_ids, rows] = True
+    within = truth <= np.asarray(cutoffs)[:, None]
+    if masks is not None:
+        within &= masks
+        assert not listed[~masks].any()
+    assert listed[within].all()
 
 
 class TestScalarKernels:
@@ -181,7 +212,8 @@ class TestEarlyAbandonEdges:
         plain = np.stack([batch_squared_euclidean(query, block) for query in queries])
         for k in (1, 5):
             cutoffs = np.sort(plain, axis=1)[:, k - 1]
-            many, _ = early_abandon_squared(queries, block, cutoffs)
+            pairs, _ = early_abandon_squared(queries, block, cutoffs)
+            many = _dense(pairs, plain.shape)
             for qi, query in enumerate(queries):
                 one, _ = early_abandon_squared(query, block, cutoffs[qi])
                 nearest = plain[qi] <= cutoffs[qi]
@@ -190,6 +222,85 @@ class TestEarlyAbandonEdges:
                     np.testing.assert_allclose(
                         np.sort(distances)[:k], np.sort(brute[qi])[:k], rtol=1e-12
                     )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "name", ["huge", "tiny", "constant", "duplicates", "mixed-scale"]
+    )
+    def test_stored_norms_keep_every_row_within_the_cutoff(self, name, dtype):
+        """The same blocks with their norms passed in (as an index passes
+        its stored column): every row at or inside the cutoff keeps its
+        exact value, in both forms, and the block's pairs are the finite
+        entries of the dense reference."""
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((40, 48))
+        if name == "huge":
+            block *= 1e20
+        elif name == "tiny":
+            block *= 1e-20
+        elif name == "constant":
+            block = np.repeat(rng.standard_normal((40, 1)) * 3.0, 48, axis=1)
+        elif name == "mixed-scale":
+            block[::2] *= 1e20
+        block = block.astype(dtype)
+        queries = block[:4].astype(np.float64)
+        if name == "duplicates":
+            block[10:20] = block[0]
+        norms = _row_norms(block)
+        plain = np.stack([batch_squared_euclidean(query, block) for query in queries])
+        for k in (1, 5):
+            cutoffs = np.sort(plain, axis=1)[:, k - 1]
+            pairs, points = early_abandon_squared(queries, block, cutoffs, norms=norms)
+            assert points.tolist() == [block.size] * len(queries)
+            _assert_pairs_sound(pairs, plain, cutoffs)
+            unstored, _ = early_abandon_squared(queries, block, cutoffs)
+            for got, want in zip(pairs, unstored):
+                np.testing.assert_array_equal(got, want)
+            for qi, query in enumerate(queries):
+                one, _ = early_abandon_squared(query, block, cutoffs[qi], norms=norms)
+                kept = np.isfinite(one)
+                assert kept[plain[qi] <= cutoffs[qi]].all()
+                np.testing.assert_array_equal(one[kept], plain[qi][kept])
+
+    def test_overflowing_norm_of_a_near_row_is_kept(self):
+        """A float32 row whose |c|² overflows to inf while its distance to
+        the query is tiny: the screen's threshold for it is unbounded, so
+        the row must reach the exact pass, not be dropped against an
+        infinite threshold."""
+        rng = np.random.default_rng(3)
+        unit = rng.standard_normal(64)
+        unit /= np.linalg.norm(unit)
+        scale = np.sqrt(0.9999 * float(np.finfo(np.float32).max))
+        query = unit * scale
+        block = np.stack([query * 1.0001, -query, query * 0.5]).astype(np.float32)
+        norms = _row_norms(block)
+        assert np.isinf(norms[0]) and np.isfinite(norms[1:]).all()
+        plain = batch_squared_euclidean(query, block)
+        cutoff = plain[0]  # the near row is the nearest
+        one, _ = early_abandon_squared(query, block, cutoff, norms=norms)
+        assert one[0] == plain[0]
+        pairs, _ = early_abandon_squared(
+            np.stack([query, -query]), block, np.array([cutoff, np.inf]), norms=norms
+        )
+        _assert_pairs_sound(pairs, np.stack([plain, batch_squared_euclidean(-query, block)]),
+                            [cutoff, np.inf])
+
+    def test_empty_block_returns_no_pairs(self):
+        pairs, points = early_abandon_squared(
+            np.zeros((3, 8)), np.empty((0, 8), dtype=np.float32), np.ones(3),
+            norms=np.empty(0, dtype=np.float32),
+        )
+        assert [len(column) for column in pairs] == [0, 0, 0]
+        assert pairs[2].dtype == np.float64
+        assert points.tolist() == [0, 0, 0]
+
+    def test_mismatched_norms_are_rejected(self):
+        block = np.ones((5, 8), dtype=np.float32)
+        for norms in (np.ones(4, dtype=np.float32), np.ones(5)):
+            with pytest.raises(ValueError, match="norms"):
+                early_abandon_squared(np.zeros(8), block, 1.0, norms=norms)
+            with pytest.raises(ValueError, match="norms"):
+                early_abandon_squared(np.zeros((2, 8)), block, np.ones(2), norms=norms)
 
 
 def _pairs(rng, kind, rows, length, num_queries, magnitude):
@@ -250,13 +361,17 @@ class TestEarlyAbandonProperty:
         # A cutoff that is one of the values: ties must survive.
         cutoffs[0] = truth[0, rng.integers(rows)] if quantile == quantile else cutoffs[0]
 
-        many, compared = early_abandon_squared(queries, block, cutoffs)
+        pairs, compared = early_abandon_squared(queries, block, cutoffs)
+        many = _dense(pairs, truth.shape)
         assert compared.tolist() == [block.size] * num_queries
         # Row masks: the first query takes every row, a second none.
         masks = rng.random((num_queries, rows)) < 0.5
         masks[0] = True
         masks[1:2] = False
-        masked, masked_points = early_abandon_squared(queries, block, cutoffs, row_masks=masks)
+        masked_pairs, masked_points = early_abandon_squared(
+            queries, block, cutoffs, row_masks=masks
+        )
+        masked = _dense(masked_pairs, truth.shape)
         assert masked_points.tolist() == (masks.sum(axis=1) * length).tolist()
         # Masked-out rows report inf, masked-in ones the unmasked block's.
         np.testing.assert_array_equal(masked, np.where(masks, many, np.inf))
@@ -278,4 +393,57 @@ class TestEarlyAbandonProperty:
         # A one-query block reports the single-query values.
         alone, _ = early_abandon_squared(queries[:1], block, cutoffs[:1])
         first, _ = early_abandon_squared(queries[0], block, cutoffs[0])
-        np.testing.assert_array_equal(first, alone[0])
+        np.testing.assert_array_equal(first, _dense(alone, (1, rows))[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 150),
+        length=st.one_of(st.integers(1, 512), st.sampled_from([1, 2, 256, 512])),
+        exponent=st.floats(-3.0, 15.0),
+        kind=st.sampled_from(["random", "near-duplicate", "offset", "cancelling"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        num_queries=st.integers(1, 4),
+        quantile=st.one_of(
+            st.floats(0.0, 1.0), st.sampled_from([np.inf, np.nan, -1.0])
+        ),
+    )
+    def test_stored_norms_and_pairs(
+        self, seed, rows, length, exponent, kind, dtype, num_queries, quantile
+    ):
+        """With the candidates' norms passed in, as refinement passes an
+        index's stored column: the same answers as computing them, every
+        row at or inside the cutoff kept with its exact value, and the
+        block's pairs exactly the finite entries of the dense reference,
+        grouped by query."""
+        rng = np.random.default_rng(seed)
+        queries, block = _pairs(rng, kind, rows, length, num_queries, 10.0**exponent)
+        block = block.astype(dtype)
+        block[rng.integers(rows)] = block[0]
+        norms = _row_norms(block)
+        truth = np.stack([batch_squared_euclidean(query, block) for query in queries])
+        cutoffs = (
+            np.quantile(truth, quantile, axis=1)
+            if 0.0 <= quantile <= 1.0
+            else np.full(num_queries, quantile)
+        )
+        cutoffs[0] = truth[0, rng.integers(rows)] if quantile == quantile else cutoffs[0]
+        masks = rng.random((num_queries, rows)) < 0.5
+        masks[0] = True
+
+        pairs, _ = early_abandon_squared(queries, block, cutoffs, norms=norms)
+        _assert_pairs_sound(pairs, truth, cutoffs)
+        computed, _ = early_abandon_squared(queries, block, cutoffs)
+        for got, want in zip(pairs, computed):
+            np.testing.assert_array_equal(got, want)
+        masked, points = early_abandon_squared(
+            queries, block, cutoffs, row_masks=masks, norms=norms
+        )
+        assert points.tolist() == (masks.sum(axis=1) * length).tolist()
+        _assert_pairs_sound(masked, truth, cutoffs, masks)
+        for qi in range(num_queries):
+            one, _ = early_abandon_squared(queries[qi], block, cutoffs[qi], norms=norms)
+            kept = np.isfinite(one)
+            np.testing.assert_array_equal(one[kept], truth[qi][kept])
+            assert kept[truth[qi] <= cutoffs[qi]].all()
+            assert np.all(truth[qi][~kept] > cutoffs[qi])

@@ -246,7 +246,7 @@ class TestVerifyIndex:
         out = capsys.readouterr().out
         assert "MANIFEST.json" in out
         assert "is healthy" in out
-        for artifact in ("lrd.bin", "lsd.bin", "htree.bin"):
+        for artifact in ("lrd.bin", "lsd.bin", "norms.bin", "htree.bin"):
             assert artifact in out
 
     def test_damaged_artifact_fails_and_is_named(self, index_dir, capsys):
