@@ -2,8 +2,9 @@
 
 Not a paper figure: this pins the perf properties of
 ``repro.core.batch_query`` — answering a Q-query workload with one
-(Q x nodes) bound pass and one refinement walk (one read and one
-multi-query kernel call per chunk) instead of Q independent searches —
+(Q x nodes) bound pass, one phase 1 in lockstep rounds and one
+refinement walk (one read and one multi-query kernel call per chunk)
+instead of Q independent searches —
 
 * at Q = 64 the batched workload completes at >= 1.65x the serial loop's
   throughput on the same index (1.67-2.08x measured),
@@ -189,12 +190,14 @@ def test_batched_workload(index_dir, data, queries):
         # 1.757, 1.768, 1.789, 1.795, 1.796, 1.796, 1.807, 1.812, 1.834,
         # 1.835, 1.836, 1.840, 1.842, 1.845, 1.859, 1.884, 1.916 and
         # 2.082x (median 1.80x).  The floor sits just under the lowest
-        # run.  Phase 1 reads per query, unshared, since the batch refines
-        # through the serial walk.  Since queries whose leaves the walk
-        # reads anyway skip the LB_SAX pass, with one BLAS thread (as CI
-        # runs it): 2.49-2.62x alone and 2.44-2.47x beside an
-        # end-to-end benchmark on the other vCPU (2.19-2.98x with
-        # threaded BLAS there).
+        # run.  Since queries whose leaves the walk reads anyway skip the
+        # LB_SAX pass, with one BLAS thread (as CI runs it): 2.49-2.62x
+        # alone and 2.44-2.47x beside an end-to-end benchmark on the
+        # other vCPU (2.19-2.98x with threaded BLAS there).  Phase 1 now
+        # runs in lockstep rounds too (one screen, one union read and
+        # masked kernel calls per round, shared by the block's queries):
+        # 2.46-2.70x in five runs, against 2.42-2.55x with phase 1 read
+        # and evaluated per query, on the same 2-vCPU container.
         assert speedup >= 1.65, (
             f"batched workload only {speedup:.2f}x the serial loop "
             f"at Q={_NUM_QUERIES}"

@@ -12,8 +12,19 @@ not grow with Q:
   :class:`~repro.core.leaf_table.LeafTable`, giving every query its row
   of effective per-leaf LB_EAPCA², and one call its LB_SAX gap tables
   (``SignatureArray.gap_tables`` on the block's PAA), which phase 1's
-  screens and phase 3's pass share; phases 1-2 then run per query.
-  ``phase1_only`` stops here, after phase 1.
+  screens and phase 3's pass share.
+* **One phase 1 in lockstep.**  A Q = 1 call walks its leaves group by
+  group (:func:`repro.core.query._approx_knn`); a block runs
+  :func:`repro.core.query._approx_knn_lockstep`, in rounds.  In a round
+  every live query takes its next group by the same rule, at its own
+  BSF² from the round's start; one ``screen_batch`` call screens the
+  round's (query, row) pairs, the leaves kept by any query are read
+  once, as one file-ordered union in chunks, and each chunk is one
+  kernel call masked to the queries with a leaf there.  Each query then
+  merges its group leaf by leaf in its own visit order, so its visits,
+  stop point, answer and phase-1 counters are its Q = 1 call's.
+  ``phase1_only`` stops here, after phase 1; phase 2 runs per query on
+  its bound row.
 * **One LB_SAX pass.**  Phase 3 runs once per call, ahead of the
   access-path decision
   (:meth:`~repro.core.prefilter.SignatureArray.screen_batch`), for the
@@ -59,10 +70,12 @@ reads are shared, and ``io`` stays None).  A query the pass skipped
 counts no ``prefilter_*`` rows and no ``candidate_series``, and is
 charged every row of its LCList leaves the walk refines for it, so its
 ``series_accessed`` can exceed its Q = 1 call's though the walk reads
-no more bytes.  The trace has one shape for
+no more bytes.  Phase 1's reads are shared too: its leaf-cache lookups
+are charged to the first query.  The trace has one shape for
 every Q and mode: a ``query`` span (``mode`` ``"exact"`` or
-``"approximate"``) with the :class:`BatchStats` counters, per query
-``query.phase1.approx``, and past phase 1 per query
+``"approximate"``) with the :class:`BatchStats` counters, one
+``query.phase1.approx`` (``leaves_visited`` summed over the queries,
+and its ``rounds``), and past phase 1 per query
 ``query.phase2.candidates``, one ``query.prefilter`` around the LB_SAX
 pass, and one ``query.refine`` around the walk.
 """
@@ -70,7 +83,6 @@ pass, and one ``query.refine`` around the walk.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -83,11 +95,13 @@ from repro.core.prefilter import SignatureArray
 from repro.core.query import (
     QueryAnswer,
     _approx_knn,
+    _approx_knn_lockstep,
     _charging_cache,
     _choose_path,
     _eapca_decided,
     _find_candidate_leaves,
     _refine_runs,
+    _RowsByQuery,
     _search_states,
     _trim_to_candidates,
 )
@@ -111,8 +125,8 @@ class BatchStats:
     """Call-level execution metrics of one :func:`exact_knn_batch` call."""
 
     num_queries: int = 0
-    #: Leaves the refinement walk read rows of (phase 1 reads per query
-    #: and is not counted).
+    #: Leaves the refinement walk read rows of (phase 1's reads are not
+    #: counted).
     unique_leaf_reads: int = 0
     #: (query, leaf) refinements: the leaves each query refined rows of,
     #: summed over queries.  ``leaf_share_factor`` > 1 means the walk's
@@ -170,25 +184,6 @@ class BatchAnswer:
         return iter(self.answers)
 
 
-class _LeafRows(Sequence):
-    """Each query's LCList rows (``LeafTable.rows``), built only when the
-    LB_SAX pass reaches that query, so one query's rows are alive at a
-    time rather than the whole batch's."""
-
-    def __init__(self, table: LeafTable, lclists: list) -> None:
-        self.table = table
-        self.lclists = lclists
-
-    def __len__(self) -> int:
-        return len(self.lclists)
-
-    def __getitem__(self, index):
-        return self.table.rows(self.lclists[index])
-
-    def __iter__(self):
-        return map(self.table.rows, self.lclists)
-
-
 def exact_knn(
     query: np.ndarray,
     k: int,
@@ -220,8 +215,8 @@ def exact_knn_batch(
     ``results`` optionally supplies one result set per query (shard
     workers pass linked sets broadcasting the per-query global BSF²
     vector).  Per-query wall time inside the shared steps is
-    amortized: the front half, the screen and the refinement walk are
-    split evenly across the queries.
+    amortized: the front half with phase 1, the screen and the
+    refinement walk are split evenly across the queries.
 
     ``phase1_only`` stops after phase 1: approximate k-NN (Algorithm 11
     alone, the paper's §5 next step), at most ``config.l_max`` leaves
@@ -250,17 +245,24 @@ def exact_knn_batch(
     mode = "approximate" if phase1_only else "exact"
     with obs.span("query", k=k, queries=num_queries, mode=mode) as query_span:
         states = _search_states(arr, k, config, table, lrd, sax, num_series, norms, results)
-        shared = (time.perf_counter() - started) / num_queries
+        # One snapshot pair around the whole phase: a block's reads are
+        # shared, so the lookups are charged to its first query.
+        with obs.span("query.phase1.approx") as sp, _charging_cache(lrd, states[0].profile):
+            rounds = (
+                _approx_knn(states[0]) if num_queries == 1 else _approx_knn_lockstep(states)
+            )
+            sp.set_attrs(
+                leaves_visited=sum(state.profile.approx_leaves for state in states),
+                rounds=rounds,
+            )
+        # The front half and phase 1 are shared: each query's share.
+        approx = (time.perf_counter() - started) / num_queries
         for state in states:
-            phase_started = time.perf_counter()
-            with obs.span("query.phase1.approx") as sp, _charging_cache(lrd, state.profile):
-                _approx_knn(state)
-                sp.set("leaves_visited", state.profile.approx_leaves)
-            phase_ended = time.perf_counter()
-            state.profile.time_approx = phase_ended - phase_started + shared
+            state.profile.time_approx = approx
             if phase1_only:
                 state.profile.path = "approximate"
                 continue
+            phase_ended = time.perf_counter()
             with obs.span("query.phase2.candidates") as sp:
                 lclists.append(_find_candidate_leaves(state))
                 sp.set("candidate_leaves", len(lclists[-1]))
@@ -309,16 +311,24 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
             # Only the queries phase 2 left candidate leaves have rows,
             # and a shared walk reads some of their leaves anyway.
             screened = _screened_queries(states, lclists)
-            found = sax.screen_batch(
-                [states[qi].gap_tables for qi in screened],
-                [states[qi].results.bsf_squared for qi in screened],
-                first.query.shape[0],
-                prune_factor=first.prune_factor,
-                rows=_LeafRows(table, [lclists[qi] for qi in screened]),
-            )
-            for qi, cands in zip(screened, found):
-                candidates[qi] = cands
-                lclists[qi] = _trim_to_candidates(states[qi], lclists[qi], cands[0])
+            wanted = set(screened)
+            empty = np.empty(0, dtype=np.int64)
+            found = []
+            if screened:  # most easy queries have no candidate leaf
+                found = sax.screen_batch(
+                    first.gap_block,
+                    [state.results.bsf_squared for state in states],
+                    first.query.shape[0],
+                    prune_factor=first.prune_factor,
+                    # Each query's LCList rows, built only when the pass
+                    # reaches that query.
+                    rows=_RowsByQuery(
+                        len(states), lambda qi: table.rows(lclists[qi]) if qi in wanted else empty
+                    ),
+                )
+            for qi in screened:
+                candidates[qi] = found[qi]
+                lclists[qi] = _trim_to_candidates(states[qi], lclists[qi], found[qi][0])
         stats.screen_seconds = time.perf_counter() - screen_started
 
     walkers, extents = [], []
@@ -330,7 +340,7 @@ def _phases_3_4(states: list, lclists: list, stats: BatchStats) -> None:
     # Every LB_SAX pass is done: free the block's gap tables, so they are
     # not resident while the walk allocates its buffers.
     for state in states:
-        state.gap_tables = None
+        state.gap_tables = state.gap_block = None
     if not walkers:
         return
     # One snapshot pair around the whole walk: its reads are shared, so

@@ -382,7 +382,9 @@ class HerculesIndex:
     ) -> BatchAnswer:
         """Exact k-NN for a whole query set: the one exact pipeline.
 
-        One (Q × nodes) bound pass, phases 1-2 per query, then one
+        One (Q × nodes) bound pass, phase 1 in lockstep rounds (one
+        screen, one read of the leaves the queries keep and masked
+        kernel calls per round), phase 2 per query, then one
         refinement walk over the union of every query's candidates: per
         chunk one read and one multi-query kernel call serve every query
         that still needs those rows.  :meth:`knn` is its Q = 1 call.  At

@@ -31,6 +31,10 @@ from repro.types import DISTANCE_DTYPE, SYMBOL_DTYPE
 
 __all__ = ["SignatureArray", "reduce_symbols"]
 
+#: (query, row) pairs per run of :meth:`SignatureArray.screen_batch`: the
+#: pass holds a few arrays of this many pairs (~0.2 MB), whatever Q is.
+_PASS_PAIRS = 4096
+
 
 def reduce_symbols(
     full_symbols: np.ndarray, space: SaxSpace, bits: int
@@ -221,22 +225,90 @@ class SignatureArray:
 
     def screen_batch(
         self,
-        tables: Sequence[np.ndarray],
-        bsf_squared: np.ndarray,
+        tables: np.ndarray,
+        bsf_squared: Sequence[float],
         series_length: int,
         prune_factor: float,
         rows: Sequence[np.ndarray],
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """:meth:`screen` for each query of a block — ``tables[i]`` its
-        gap tables, e.g. a row of one ``(Q, segments)`` :meth:`gap_tables`
-        call — against its own BSF² and its own ``rows[i]``: the same
-        kernel, so batch answers stay bit-identical to serial ones."""
-        if not len(tables) == len(bsf_squared) == len(rows):
+        gap tables, a row of one ``(Q, segments, 2^bits)``
+        :meth:`gap_tables` block — against its own BSF² and its own
+        ``rows[i]`` (empty for a query with nothing to screen).
+
+        One pass serves a run of queries: their rows are concatenated,
+        and per segment one gather into the block's tables, indexed by
+        each pair's query, adds that segment's squared gap to every
+        pair's sum.  The sums run in segment order, as :meth:`screen`'s
+        do, so every bound is bit for bit the one query's.  A run holds
+        up to :data:`_PASS_PAIRS` (query, row) pairs, so the pass keeps
+        a few arrays of that many pairs whatever Q is; a query with more
+        rows is its own run, screened as :meth:`screen` screens it.
+        ``rows`` is read in order, one run at a time, so a lazy sequence
+        keeps only one run's rows alive.
+        """
+        tables = np.ascontiguousarray(tables, dtype=DISTANCE_DTYPE)
+        if tables.shape[1:] != self._table_shape or not (
+            len(tables) == len(bsf_squared) == len(rows)
+        ):
             raise ValueError(
-                f"expected Q gap tables, Q BSF² values and Q row arrays, got "
-                f"{len(tables)}, {len(bsf_squared)} and {len(rows)}"
+                f"expected Q {self._table_shape} gap tables, Q BSF² values and "
+                f"Q row arrays, got tables of shape {tables.shape}, "
+                f"{len(bsf_squared)} BSF² values and {len(rows)} row arrays"
             )
-        return [
-            self._lb_sax_pass(t, b, series_length, prune_factor, r)
-            for t, b, r in zip(tables, bsf_squared, rows)
-        ]
+        cutoffs = np.asarray(bsf_squared, dtype=DISTANCE_DTYPE)
+        # A query without rows gets one shared pair of empty arrays.
+        found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=DISTANCE_DTYPE))] * len(rows)
+        run: list = []
+        pairs = 0
+        for query, query_rows in enumerate(rows):
+            if not len(query_rows):
+                continue
+            if pairs and pairs + len(query_rows) > _PASS_PAIRS:
+                self._pass_run(tables, cutoffs, series_length, prune_factor, run, found)
+                run, pairs = [], 0
+            run.append((query, query_rows))
+            pairs += len(query_rows)
+        if run:
+            self._pass_run(tables, cutoffs, series_length, prune_factor, run, found)
+        return found
+
+    def _pass_run(
+        self,
+        tables: np.ndarray,
+        cutoffs: np.ndarray,
+        series_length: int,
+        prune_factor: float,
+        run: list,
+        found: list,
+    ) -> None:
+        """:meth:`screen_batch` over one run of ``(query, rows)``, rows
+        never empty: fills ``found[query]``."""
+        if len(run) == 1:
+            (query, query_rows), = run
+            found[query] = self._lb_sax_pass(
+                tables[query], cutoffs[query], series_length, prune_factor, query_rows
+            )
+            return
+        counts = [len(query_rows) for _, query_rows in run]
+        queries = np.array([query for query, _ in run])
+        rows = np.concatenate([query_rows for _, query_rows in run])
+        segments, values = self._table_shape
+        # Each pair's query's tables in the flat block; segment j's table
+        # is then a view ``j * values`` further on.
+        base = np.repeat(queries * (segments * values), counts)
+        index = np.empty_like(base)
+        gaps = np.empty(len(rows), dtype=DISTANCE_DTYPE)
+        total = np.zeros(len(rows), dtype=DISTANCE_DTYPE)
+        flat = tables.reshape(-1)
+        for segment, symbols in enumerate(self._by_segment):
+            np.add(base, symbols.take(rows), out=index)
+            total += flat[segment * values :].take(index, out=gaps, mode="clip")
+        del base, index, gaps
+        scale = series_length / self.space.segments
+        total *= scale * prune_factor * prune_factor
+        keep = np.flatnonzero(total < np.repeat(cutoffs[queries], counts))
+        ends = np.searchsorted(keep, np.cumsum(counts)[:-1])
+        pieces = zip(np.split(rows[keep], ends), np.split(total[keep], ends))
+        for (query, _), piece in zip(run, pieces):
+            found[query] = piece

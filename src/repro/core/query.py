@@ -12,7 +12,11 @@ after every phase-1 visit, starts from it too.  The four phases:
 1. **Approx-kNN** (Algorithm 11) — a best-first visit of at most
    ``L_max`` leaves by LB_EAPCA, computing real distances in each, to
    seed ``BSF_k``; once ``BSF_k`` exists, a visited leaf whose series
-   the in-memory iSAX words all rule out is not read.
+   the in-memory iSAX words all rule out is not read.  One query walks
+   its leaves group by group (:func:`_best_first`); a block of queries
+   walks them in lockstep rounds (:func:`_approx_knn_lockstep`), each
+   query by the same group rule (:class:`_Walk`), sharing each round's
+   screen and the reads and kernel calls of the leaves they keep.
 2. **FindCandidateLeaves** (Algorithm 12) — without touching disk,
    collect the unvisited leaves that survive LB_EAPCA pruning into
    LCList, in LRDFile position order.
@@ -56,8 +60,12 @@ one result-set merge per chunk — because at a leaf's worth of rows per
 call the kernel is NumPy dispatch, not arithmetic; a batch builds its
 chunks one file window at a time.  Phase 1 evaluates
 its visits the same way, a group of leaves per LB_SAX screen, read and
-kernel call (:func:`_best_first`), but merges them one leaf at a time so
-its visits and stop test stay the paper's.
+kernel call (:func:`_best_first`) — for a block, every live query's
+group per round, in one two-stage screen and the chunks of one union read
+(:func:`_approx_knn_lockstep`; the per-chunk read and kernel call are
+one helper for both walks, :class:`_ChunkKernel`) — but merges them one
+leaf at a time, each query in its own order, so its visits and stop
+test stay the paper's.
 
 Distance kernels operate on whole row matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
@@ -77,6 +85,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -260,7 +269,8 @@ class _SearchState:
         num_series: int,
         norms: np.ndarray,
         bounds: np.ndarray,
-        gap_tables: np.ndarray,
+        gap_block: np.ndarray,
+        slot: int,
         results: Optional[ResultSet] = None,
     ) -> None:
         self.query = as_series(query).astype(DISTANCE_DTYPE)
@@ -288,10 +298,13 @@ class _SearchState:
         self.bounds = bounds * (self.prune_factor * self.prune_factor)
         #: Leaves (table indices) scanned by phase 1, in visit order.
         self.visited: list[int] = []
-        #: The query's LB_SAX lookup tables (``SignatureArray.gap_tables``),
-        #: shared by phase 1's screens and phase 3's pass; the pipeline
-        #: drops them once phase 3 is done.
-        self.gap_tables = gap_tables
+        #: The call's ``(Q, segments, 2^bits)`` LB_SAX lookup tables (one
+        #: ``SignatureArray.gap_tables`` call), which a block's screens
+        #: index by query, and this query's row of them, which its own
+        #: screens take; shared by phase 1's screens and phase 3's pass,
+        #: and dropped by the pipeline once phase 3 is done.
+        self.gap_block = gap_block
+        self.gap_tables = gap_block[slot]
 
 
 def _leaf_bounds(table: LeafTable, queries: np.ndarray) -> np.ndarray:
@@ -320,7 +333,7 @@ def _search_states(queries, k, config, table, lrd, sax, num_series, norms, resul
     tables = sax.gap_tables(paa(queries, sax.space.segments))
     return [
         _SearchState(
-            queries[qi], k, config, table, lrd, sax, num_series, norms, bounds[qi], tables[qi],
+            queries[qi], k, config, table, lrd, sax, num_series, norms, bounds[qi], tables, qi,
             results=None if results is None else results[qi],
         )
         for qi in range(queries.shape[0])
@@ -370,10 +383,10 @@ def progressive_knn(
     started = time.perf_counter()
     io_before = lrd.io_checkpoint()
     (state,) = _search_states(query[None], k, config, table, lrd, sax, num_series, norms)
-    profile = state.profile
+    profile, walk = state.profile, _Walk(state, limit=None)
     try:
         with _charging_cache(lrd, profile):
-            for _ in _best_first(state, limit=None):
+            for _ in _best_first(walk):
                 snapshot = replace(
                     profile, path="progressive-partial", time_total=time.perf_counter() - started
                 )
@@ -384,7 +397,7 @@ def progressive_knn(
         root = obs.record_span("query", started, ended, k=k, queries=1, mode="progressive")
         obs.record_span(
             "query.phase1.approx", started, ended, parent=root,
-            leaves_visited=profile.approx_leaves,
+            leaves_visited=profile.approx_leaves, rounds=walk.groups,
         )
     # The search above ran to pruning-exhaustion, which already makes
     # the current answers exact: the remaining phases would find nothing
@@ -400,72 +413,83 @@ def progressive_knn(
 # ---------------------------------------------------------------------------
 
 
-def _best_first(state: _SearchState, limit: Optional[int]):
-    """Scan leaves by ascending effective bound; yield the count so far.
+class _Walk:
+    """One query's phase-1 walk: its leaves in visit order, how far it
+    got, and the rule both walks take its next group by
+    (:func:`_best_first` for one query, :func:`_approx_knn_lockstep` for
+    a block).
 
-    This is the priority-queue descent's visit order: a leaf is reached
+    The visit order is the priority-queue descent's: a leaf is reached
     only after every node on its root path, i.e. at the largest bound on
     that path.  The stable sort sends ties to the leftmost leaf, as the
-    queue's left-child-first tie-break did.  Stops at ``limit`` leaves
-    or at the first bound the live BSF² prunes (a leaf tied with BSF² is
-    still visited) — every later one is at least as far.
-
-    Leaves are evaluated in groups but merged one at a time.  While BSF²
-    is infinite a group is one leaf, read and evaluated whole.  After
-    that it is every following leaf whose bound is ≤ the current BSF²,
-    up to :data:`_CHUNK_ROWS` rows of whole leaves, and it is screened
-    before anything is read (:func:`_evaluate_group`): a leaf none of
-    whose rows has an unscaled LB_SAX² below that BSF² is *skipped* —
-    neither read nor evaluated — and the others are read, one read per
-    run of file-adjacent leaves, and evaluated in one kernel call at
-    that BSF².  Each leaf, skipped or not, is then visited in visit
-    order after the same stop test and refresh as a leaf-at-a-time
-    walk, and its rows merged if it was read, so the visits, their
-    order and every merge are that walk's: BSF² only falls, so the
-    group's cutoff is ≥ the BSF² of each merge, and a row the kernel
-    abandoned, or the screen skipped (d² ≥ LB_SAX² ≥ the cutoff), could
-    not have entered a result set that admits only d² < BSF².  (A
-    shard's linked set admits rows below its own k-th best, but a row at
-    or above the global BSF² is not in the global top-k, up to ties at
-    the k-th distance, which are reported arbitrarily anyway.)  The
-    screen's bound is not ε-scaled, so it skips the same rows at every
-    ε.  When the stop test cuts a group's tail, the tail's leaves that
-    the screen kept were read and evaluated for nothing; their rows
-    count as accessed and computed, the leaves not as visited.
+    queue's left-child-first tie-break did.  The walk stops at ``limit``
+    leaves or at the first bound the live BSF² prunes (a leaf tied with
+    BSF² is still visited) — every later one is at least as far.
     """
-    results, profile = state.results, state.profile
-    order = np.argsort(state.bounds, kind="stable")[:limit]
-    bounds = state.bounds[order]
-    starts, sizes = state.table.positions[order], state.table.sizes[order]
-    leaves, bound_list = order.tolist(), bounds.tolist()
-    start_list, size_list = starts.tolist(), sizes.tolist()
-    # Rows of the visits before each one: where a group reaches the cap.
-    sized = list(accumulate(size_list, initial=0))
-    visit = 0
-    while visit < len(leaves):
-        bsf_squared = results.bsf_squared
-        if bound_list[visit] > bsf_squared:
-            return
+
+    def __init__(self, state: _SearchState, limit: Optional[int]) -> None:
+        self.state = state
+        # Arrays only (a block keeps every query's walk alive at once);
+        # a group's visits take Python lists of just their own slice.
+        self.leaves = np.argsort(state.bounds, kind="stable")[:limit].copy()
+        self.bounds = state.bounds[self.leaves]
+        self.starts = state.table.positions[self.leaves]
+        self.sizes = state.table.sizes[self.leaves]
+        # Rows up to each visit, itself included: where a group reaches
+        # the cap.
+        self.ends = self.sizes.cumsum()
+        #: The next visit; past the last leaf once the walk has stopped.
+        self.visit = 0
+        #: Groups taken so far.
+        self.groups = 0
+
+    def next_group(self) -> Optional[tuple]:
+        """The next group, ``(end, bsf_squared)`` — the visits
+        ``self.visit:end``, to be evaluated at the BSF² read here — or
+        None once the walk is over.
+
+        While BSF² is infinite a group is one leaf, read and evaluated
+        whole.  After that it is every following leaf whose bound is ≤
+        that BSF², up to :data:`_CHUNK_ROWS` rows of whole leaves (at
+        least one leaf).
+        """
+        visit = self.visit
+        if visit >= len(self.leaves):
+            return None
+        bsf_squared = self.state.results.bsf_squared
+        if self.bounds[visit] > bsf_squared:
+            self.visit = len(self.leaves)
+            return None
         end = visit + 1
         if bsf_squared < np.inf:
-            reachable = int(np.searchsorted(bounds, bsf_squared, side="right"))
-            end = max(min(_chunk_end(sized, visit), reachable), end)
-            offsets, squared = _evaluate_group(
-                state, starts[visit:end], sizes[visit:end], bsf_squared
-            )
-        else:  # one leaf (every first visit): a plain read, nothing to screen against
-            position, size = start_list[visit], size_list[visit]
-            data = state.lrd.read_range(position, size)
-            norms = state.norms[position : position + size]
-            offsets, squared = [0], _evaluate(state, data, norms, bsf_squared)
+            reachable = self.bounds.searchsorted(bsf_squared, side="right")
+            room = self.ends[visit] - self.sizes[visit] + _CHUNK_ROWS
+            end = max(int(min(self.ends.searchsorted(room, side="right"), reachable)), end)
+        self.groups += 1
+        return end, bsf_squared
 
-        for offset, i in zip(offsets, range(visit, end)):
-            if bound_list[i] > results.bsf_squared:
+    def visits(self, end: int, offsets: list, squared: Optional[np.ndarray]):
+        """Visit the group ``self.visit:end`` and merge its rows: leaf
+        ``self.visit + j``'s squared distances are ``squared[offsets[j]:
+        offsets[j] + size]``, or it was skipped (offset -1).  Each leaf,
+        skipped or not, is visited in visit order after the same stop
+        test and refresh as a leaf-at-a-time walk; yields the visit count
+        after each visit."""
+        state, group = self.state, slice(self.visit, end)
+        results, profile = state.results, state.profile
+        for offset, leaf, bound, position, size in zip(
+            offsets,
+            self.leaves[group].tolist(),
+            self.bounds[group].tolist(),
+            self.starts[group].tolist(),
+            self.sizes[group].tolist(),
+        ):
+            if bound > results.bsf_squared:
+                self.visit = len(self.leaves)
                 return
-            state.visited.append(leaves[i])
+            state.visited.append(leaf)
             results.refresh()
             if offset >= 0:  # a skipped leaf has no rows to merge
-                position, size = start_list[i], size_list[i]
                 # Abandoned rows report inf; the batch update's pre-filter
                 # drops them without ever taking the result-set lock.
                 results.update_batch_squared(
@@ -473,7 +497,48 @@ def _best_first(state: _SearchState, limit: Optional[int]):
                 )
             profile.approx_leaves = len(state.visited)
             yield profile.approx_leaves
-        visit = end
+        self.visit = end
+
+
+def _best_first(walk: _Walk):
+    """One query's phase 1: scan its leaves by ascending effective bound
+    (:class:`_Walk`); yield the count so far.
+
+    Leaves are evaluated in groups but merged one at a time.  A group
+    past the first visit is screened before anything is read
+    (:func:`_evaluate_group`): a leaf none of whose rows has an unscaled
+    LB_SAX² below the group's BSF² is *skipped* — neither read nor
+    evaluated — and the others are read, one read per run of
+    file-adjacent leaves, and evaluated in one kernel call at that BSF².
+    The visits, their order and every merge are then a leaf-at-a-time
+    walk's (:meth:`_Walk.visits`): BSF² only falls, so the group's
+    cutoff is ≥ the BSF² of each merge, and a row the kernel abandoned,
+    or the screen skipped (d² ≥ LB_SAX² ≥ the cutoff), could not have
+    entered a result set that admits only d² < BSF².  (A shard's linked
+    set admits rows below its own k-th best, but a row at or above the
+    global BSF² is not in the global top-k, up to ties at the k-th
+    distance, which are reported arbitrarily anyway.)  The screen's
+    bound is not ε-scaled, so it skips the same rows at every ε.  When
+    the stop test cuts a group's tail, the tail's leaves that the screen
+    kept were read and evaluated for nothing; their rows count as
+    accessed and computed, the leaves not as visited.
+    """
+    state = walk.state
+    group = walk.next_group()
+    while group is not None:
+        end, bsf_squared = group
+        visit = walk.visit
+        if bsf_squared < np.inf:
+            offsets, squared = _evaluate_group(
+                state, walk.starts[visit:end], walk.sizes[visit:end], bsf_squared
+            )
+        else:  # one leaf (every first visit): a plain read, nothing to screen against
+            position, size = int(walk.starts[visit]), int(walk.sizes[visit])
+            data = state.lrd.read_range(position, size)
+            norms = state.norms[position : position + size]
+            offsets, squared = [0], _evaluate(state, data, norms, bsf_squared)
+        yield from walk.visits(end, offsets, squared)
+        group = walk.next_group()
 
 
 def _evaluate_group(
@@ -535,9 +600,198 @@ def _evaluate(
     return squared
 
 
-def _approx_knn(state: _SearchState) -> None:
-    for _ in _best_first(state, limit=state.config.l_max):
+def _approx_knn(state: _SearchState) -> int:
+    """Phase 1 of one query, at most ``l_max`` leaves; returns its
+    groups (a block's walk takes one group per query per round)."""
+    walk = _Walk(state, state.config.l_max)
+    for _ in _best_first(walk):
         pass
+    return walk.groups
+
+
+def _approx_knn_lockstep(states: list) -> int:
+    """Phase 1 of a block of queries — the states of one
+    :func:`_search_states` call, in order — in rounds; returns the
+    rounds.
+
+    In each round every live query takes its next group by the one-query
+    rule (:meth:`_Walk.next_group`), at its own BSF² at the start of the
+    round, and the round evaluates all of them together:
+
+    1. one screen (:func:`_screen_round`: a ``screen_batch`` call over
+       each leaf's first row, then one over every row of the leaves it
+       did not keep) bounds the rows of the groups taken at a finite
+       BSF², each against its query's cutoff with no ε factor (nothing
+       is screened under NoSAX), and a leaf of such a group stays if any
+       of its rows has LB_SAX² below it;
+    2. the leaves that stay, over all queries, form one file-ordered
+       union (:func:`_merge_sorted`: a leaf two queries keep is one
+       extent), cut into chunks of up to :data:`_CHUNK_ROWS` rows and
+       :data:`_CHUNK_CELLS` (query, row) cells (:func:`_round_cuts`);
+    3. per chunk, one read and one kernel call, masked to the queries
+       with a leaf there, at their cutoffs from the start of the round
+       (:class:`_ChunkKernel`), whose distances land in one flat array
+       holding each query's group packed in file order;
+    4. each query visits its group and merges it leaf by leaf, in its own
+       visit order (:meth:`_Walk.visits`).
+
+    A query's groups, cutoffs, screened rows, kernel rows and merges are
+    those of its one-query walk (:func:`_best_first`), only evaluated
+    beside the other queries', so its visits, stop point, answer and
+    profile counters are that walk's too.  A query leaves the rounds
+    when its walk stops.
+    """
+    first = states[0]
+    num_queries, num_series = len(states), first.num_series
+    walks = [_Walk(state, state.config.l_max) for state in states]
+    kernel = _ChunkKernel(states)
+    rounds = 0
+    while True:
+        groups = []
+        for qi, walk in enumerate(walks):
+            visit = walk.visit
+            group = walk.next_group()
+            if group is not None:
+                groups.append((qi, visit, *group))
+        if not groups:
+            break
+        rounds += 1
+        counts = [end - visit for _, visit, end, _ in groups]
+        query_ids = np.repeat([qi for qi, _, _, _ in groups], counts)
+        cutoffs = np.full(num_queries, np.inf)
+        cutoffs[[qi for qi, _, _, _ in groups]] = [bsf for _, _, _, bsf in groups]
+        starts = np.concatenate([walks[qi].starts[visit:end] for qi, visit, end, _ in groups])
+        sizes = np.concatenate([walks[qi].sizes[visit:end] for qi, visit, end, _ in groups])
+        # Each query's group in file order, queries in turn: what the
+        # screen takes, and how a one-query group packs its rows.
+        order = np.lexsort((starts, query_ids))
+        query_ids, starts, sizes = query_ids[order], starts[order], sizes[order]
+        stay = _screen_round(first, cutoffs, query_ids, starts, sizes)
+        query_ids, starts, sizes = query_ids[stay], starts[stay], sizes[stay]
+        flat_at = np.cumsum(sizes) - sizes
+        offsets = np.full(len(order), -1)
+        offsets[order[stay]] = flat_at
+        squared = np.full(int(sizes.sum()), np.inf)
+        # A pair's slot in ``squared`` is its position plus its entry's shift.
+        keys, shift = query_ids * num_series + starts, flat_at - starts
+        by_file = np.argsort(starts, kind="stable")
+        union_ids, union_starts, union_sizes = query_ids[by_file], starts[by_file], sizes[by_file]
+        cuts = _round_cuts(union_ids, union_starts, union_sizes)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            pair_ids, positions, values = kernel(
+                union_ids[lo:hi], union_starts[lo:hi], union_sizes[lo:hi], cutoffs
+            )
+            entry = np.searchsorted(keys, positions + pair_ids * num_series, side="right")
+            entry -= 1
+            squared[positions + shift[entry]] = values
+        offsets = offsets.tolist()
+        for (qi, _, end, _), lo, count in zip(groups, accumulate(counts, initial=0), counts):
+            for _ in walks[qi].visits(end, offsets[lo : lo + count], squared):
+                pass
+    kernel.charge()
+    return rounds
+
+
+def _screen_round(
+    first: _SearchState,
+    cutoffs: np.ndarray,
+    query_ids: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+) -> np.ndarray:
+    """Which of a round's leaves stay: the leaves ``[starts, starts +
+    sizes)`` of each query's group, queries in turn and each in file
+    order.  A leaf of a group taken at a finite cutoff stays if any of
+    its rows has an unscaled LB_SAX² below its query's cutoff; every
+    other leaf stays.
+
+    The bounds are the one-query screen's, pair by pair, but not every
+    row needs one: a first ``screen_batch`` call bounds each leaf's
+    first row, and a second every row of the leaves it did not keep.  On
+    medium queries the first keeps most leaves, so the round bounds a
+    fraction of its rows and keeps the same leaves."""
+    stay = ~(cutoffs < np.inf)[query_ids]
+    if not first.config.use_sax or stay.all():
+        return np.ones(len(starts), dtype=bool)
+    empty = np.empty(0, dtype=np.int64)
+    for whole in (False, True):
+        left = np.flatnonzero(~stay)
+        if not len(left):
+            break
+        left_starts, left_sizes = starts[left], sizes[left]
+        edges = np.searchsorted(query_ids[left], np.arange(len(cutoffs) + 1)).tolist()
+
+        def rows(qi: int) -> np.ndarray:
+            lo, hi = edges[qi], edges[qi + 1]
+            if lo == hi:
+                return empty
+            if not whole:
+                return left_starts[lo:hi]
+            return extent_rows(left_starts[lo:hi], left_sizes[lo:hi])
+
+        found = first.sax.screen_batch(
+            first.gap_block, cutoffs, first.query.shape[0], 1.0, _RowsByQuery(len(cutoffs), rows)
+        )
+        for qi, (kept, _) in enumerate(found):
+            if len(kept):  # survivors come in file order: the leaves holding one stay
+                lo, hi = edges[qi], edges[qi + 1]
+                stay[left[lo - 1 + np.searchsorted(left_starts[lo:hi], kept, side="right")]] = True
+    return stay
+
+
+#: (query, row) cells per kernel call of phase 1 in lockstep.  The masked
+#: kernel screens every cell of its ``(queries, rows)`` block and holds
+#: about 10 bytes per cell, so the cap bounds both whatever Q is: 160 KB,
+#: 16 queries present in a full chunk.  (On the benchmark's medium
+#: batches a chunk holds 9-22 queries; 16 K, 32 K and no cap ran alike.)
+_CHUNK_CELLS = 16 * 1024
+
+
+def _round_cuts(query_ids: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> list:
+    """Where a lockstep round's start-sorted leaves are cut into chunks:
+    chunk ``c`` is the entries ``cuts[c]:cuts[c + 1]``, whole extents of
+    their union (:func:`_merge_sorted`) — at most :data:`_CHUNK_ROWS`
+    rows, as :func:`_union_cuts` cuts, and at most
+    :data:`_CHUNK_CELLS` cells (rows × queries with a leaf there), the
+    masked kernel's block, unless one extent alone holds more."""
+    if not len(starts):
+        return [0]
+    union_starts, union_sizes = _merge_sorted(starts, sizes)
+    firsts = np.searchsorted(starts, union_starts).tolist() + [len(starts)]
+    ids = query_ids.tolist()
+    cuts, rows, present = [0], 0, set()
+    for extent, size in enumerate(union_sizes.tolist()):
+        here = ids[firsts[extent] : firsts[extent + 1]]
+        grown = present.union(here)
+        if rows and (
+            rows + size > _CHUNK_ROWS or (rows + size) * len(grown) > _CHUNK_CELLS
+        ):
+            cuts.append(firsts[extent])
+            rows, grown = 0, set(here)
+        rows += size
+        present = grown
+    return cuts + [len(starts)]
+
+
+class _RowsByQuery(Sequence):
+    """Per-query row arrays, each built by ``rows(qi)`` only when a pass
+    reaches query ``qi``, so one pass run's rows are alive at a time
+    rather than the whole block's."""
+
+    def __init__(self, count: int, rows) -> None:
+        self.count = count
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, qi: int) -> np.ndarray:
+        if not 0 <= qi < self.count:
+            raise IndexError(qi)
+        return self.rows(qi)
+
+    def __iter__(self):
+        return map(self.rows, range(self.count))
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +917,7 @@ _SLICE_CELLS = 40_000
 _WINDOW_ROWS = 2048
 
 
-def _chunk_end(sized: list, first: int) -> int:
+def _chunk_end(sized, first: int) -> int:
     """Where a chunk starting at extent ``first`` ends: as many whole
     extents as hold at most :data:`_CHUNK_ROWS` rows — or that extent
     alone if it holds more.  ``sized[i]`` is the rows before extent
@@ -745,10 +999,17 @@ def _entry_table(extents: list, present: list) -> tuple:
     )[order]
     sizes = column(1, np.int32)[order]
     bounds = column(2)[order]
+    return query_ids, starts, sizes, bounds, _union_cuts(starts, sizes)
+
+
+def _union_cuts(starts: np.ndarray, sizes: np.ndarray) -> list:
+    """Where start-sorted extents of several queries are cut into
+    chunks: chunk ``c`` is the extents ``cuts[c]:cuts[c + 1]``, cut over
+    their union (:func:`_merge_sorted`, :func:`_chunk_cuts`), so an
+    extent two queries share falls in one chunk."""
     union_starts, union_sizes = _merge_sorted(starts, sizes)
     firsts = union_starts[_chunk_cuts(union_sizes)[:-1]]
-    cuts = np.searchsorted(starts, firsts).tolist() + [len(starts)]
-    return query_ids, starts, sizes, bounds, cuts
+    return np.searchsorted(starts, firsts).tolist() + [len(starts)]
 
 
 def _refine_runs(states: list, extents: list) -> tuple:
@@ -773,16 +1034,10 @@ def _refine_runs(states: list, extents: list) -> tuple:
     * each query with entries there refreshes its live BSF², and every
       entry is re-checked against its own query's in one comparison (an
       extent a query prunes is not read for it);
-    * the surviving entries, merged, are one ``read_range`` call (one
-      positional read per run of file-adjacent ones) into one
-      ``(_CHUNK_ROWS, length)`` buffer that lives as long as the pass —
-      or a plain read when one extent is left;
-    * one screening kernel call evaluates them under each query's
-      cutoff, with the rows' stored norms (``norms.bin``) for its
-      screen; when several queries take part, a ``(queries, rows)``
-      mask, filled by one scatter over the survivors' buffer rows, keeps
-      each query to its own rows, and the kernel returns only the
-      (query, row) pairs its screen kept, grouped by query;
+    * the surviving entries are one read and one screening kernel call
+      under each query's live cutoff (:class:`_ChunkKernel`, which a
+      block's phase 1 calls too), which returns the (query, row) pairs
+      its screen kept, grouped by query (for one query, every row);
     * each query merges its rows into its result set once — in a shared
       chunk only if the screen kept any of its rows there — and the
       per-query row counts come from one ``bincount``.
@@ -803,21 +1058,17 @@ def _refine_runs(states: list, extents: list) -> tuple:
     filled table by table, and the rows the kernel evaluated, summed
     over queries.
     """
-    leaf_table, lrd, length = states[0].table, states[0].lrd, states[0].query.shape[0]
-    norms = states[0].norms
+    leaf_table = states[0].table
     num_queries = len(states)
     if num_queries == 1:  # the table and the union are the query's own list
         starts, sizes, bounds = extents[0]
         query_ids = np.zeros(len(starts), dtype=np.intp)
         tables = [(query_ids, starts, sizes, bounds, _chunk_cuts(sizes))]
     else:
-        block = np.stack([state.query for state in states])
         tables = _entry_tables(extents, _window_edges(leaf_table))
+    kernel = _ChunkKernel(states)
     used = np.zeros((num_queries, leaf_table.num_leaves), dtype=bool)
-    refined = np.zeros(num_queries)
-    points = np.zeros(num_queries, dtype=np.int64)
     bsf = np.full(num_queries, np.inf)
-    buffer = None
     for query_ids, starts, sizes, bounds, cuts in tables:
         refined_entries = np.zeros(len(starts), dtype=bool)
         for chunk in range(len(cuts) - 1):
@@ -837,65 +1088,160 @@ def _refine_runs(states: list, extents: list) -> tuple:
                 kept_ids, kept_starts, kept_sizes = (
                     ids[alive], kept_starts[alive], kept_sizes[alive]
                 )
-            active = range(1)
-            if num_queries > 1:
-                # Rows each query refines here (float: bincount's weights).
-                rows_of = np.bincount(kept_ids, weights=kept_sizes, minlength=num_queries)
-                active = rows_of.nonzero()[0]
-            if len(active) == 1:  # one query's extents never overlap
-                read_starts, read_sizes = kept_starts, kept_sizes
-            else:
-                read_starts, read_sizes = _merge_sorted(kept_starts, kept_sizes)
-            if len(read_starts) == 1:
-                # One extent (a leaf above the cap, a lone candidate): a
-                # plain read, and none of the run bookkeeping.
-                position, size = int(read_starts[0]), int(read_sizes[0])
-                data = lrd.read_range(position, size)
-                positions = np.arange(position, position + size)
-                held = slice(position, position + size)
-            else:
-                positions = held = extent_rows(read_starts, read_sizes)
-                if buffer is None or len(positions) > len(buffer):
-                    rows = max(len(positions), _CHUNK_ROWS)
-                    buffer = np.empty((rows, length), dtype=SERIES_DTYPE)
-                data = lrd.read_range(read_starts, read_sizes, out=buffer[: len(positions)])
-            data_norms = norms[held]
-
+            pair_ids, positions, squared = kernel(kept_ids, kept_starts, kept_sizes, bsf)
             # Abandoned rows report inf; the batch update's pre-filter drops
             # them without ever taking the result-set lock.
-            if len(active) == 1:
-                i = active[0]
-                squared, compared = early_abandon_squared(
-                    states[i].query, data, bsf[i], norms=data_norms
-                )
-                states[i].results.update_batch_squared(squared, positions)
-                refined[i] += len(positions)
-                points[i] += compared
+            if np.ndim(pair_ids) == 0:  # one query's dense result
+                states[pair_ids].results.update_batch_squared(squared, positions)
                 continue
-            # The buffer row of each read extent's first series, then of
-            # each survivor's, and its rows in its query's mask row.
-            offsets = np.cumsum(read_sizes) - read_sizes
-            at = np.searchsorted(read_starts, kept_starts, side="right") - 1
-            rows = extent_rows(offsets[at] + kept_starts - read_starts[at], kept_sizes)
-            slot = np.cumsum(rows_of > 0) - 1  # query id -> row of the block
-            masks = np.zeros((len(active), len(positions)), dtype=bool)
-            masks[np.repeat(slot[kept_ids], kept_sizes), rows] = True
-            (pair_slots, pair_rows, values), compared = early_abandon_squared(
-                block[active], data, bsf[active], row_masks=masks, norms=data_norms
-            )
-            refined += rows_of
-            points[active] += compared
-            # The gate's pairs come query after query, rows in file order:
-            # one merge per query it kept any row of.
-            hits = positions[pair_rows]
-            firsts = np.diff(pair_slots, prepend=-1).nonzero()[0].tolist()
-            for a, b in zip(firsts, [*firsts[1:], len(pair_slots)]):
-                states[active[pair_slots[a]]].results.update_batch_squared(values[a:b], hits[a:b])
+            # The pairs come query after query, rows in file order: one
+            # merge per query the kernel kept any row of.
+            firsts = np.diff(pair_ids, prepend=-1).nonzero()[0].tolist()
+            for a, b in zip(firsts, [*firsts[1:], len(pair_ids)]):
+                states[pair_ids[a]].results.update_batch_squared(squared[a:b], positions[a:b])
         used[query_ids[refined_entries], leaf_table.leaf_of(starts[refined_entries])] = True
-    for state, rows, compared in zip(states, refined.astype(np.int64).tolist(), points.tolist()):
-        state.profile.series_accessed += rows
-        state.profile.distance_computations += rows
-        state.profile.points_compared += compared
-        state.profile.points_total += rows * length
-    return used, int(refined.sum())
+    return used, kernel.charge()
 
+
+#: Read runs up to which a chunk of several queries joins its runs' norm
+#: slices and finds its pairs' file positions from the runs, rather than
+#: building every row's position (cheaper below it; CHANGES.md has the
+#: timings).
+_FEW_RUNS = 16
+
+
+class _ChunkKernel:
+    """The per-chunk body of both walks over a block's states — phase 1
+    in lockstep (:func:`_approx_knn_lockstep`) and refinement
+    (:func:`_refine_runs`): one read of a chunk's extents and one
+    screening kernel call under per-query cutoffs, with the rows' stored
+    norms (``norms.bin``).
+
+    Called with a chunk's file-ordered extents — ``(ids, starts,
+    sizes)``, extent ``i`` to be evaluated for query ``ids[i]`` — and the
+    block's cutoff vector, in a fixed number of array operations
+    whatever Q is:
+
+    * the extents, merged where two queries share one
+      (:func:`_merge_sorted`), are one ``read_range`` call (one
+      positional read per run of file-adjacent ones) into one buffer of
+      at least :data:`_CHUNK_ROWS` rows that lives as long as the kernel
+      — or a plain read when one extent is left;
+    * one kernel call evaluates them: the one-query form when one query
+      takes part, else the block form over just the queries with an
+      extent there, with a ``(queries, rows)`` mask filled by one
+      scatter over the extents' buffer rows, which keeps each query to
+      its own rows;
+    * with several queries each pair's file position comes from its read
+      run (:func:`_run_positions`), and the norms are the runs' slices
+      joined — unless the runs are more than :data:`_FEW_RUNS`, when
+      every row's position is built once and serves both, as it does for
+      one query's dense result.
+
+    Returns ``(pair_ids, positions, squared)``, the evaluated (query,
+    series) pairs grouped by query, each query's in file order: for
+    several queries the pairs the screen kept; for one (``pair_ids`` is
+    then its id, a scalar) every row, ``inf`` where the screen abandoned
+    it.  The rows and points each query had evaluated add up in the
+    kernel until :meth:`charge`.
+    """
+
+    def __init__(self, states: list) -> None:
+        first = states[0]
+        self.states = states
+        self.lrd, self.norms, self.length = first.lrd, first.norms, first.query.shape[0]
+        self.queries = [state.query for state in states]
+        self.block = np.stack(self.queries) if len(states) > 1 else None
+        self.buffer = None
+        self.refined = np.zeros(len(states), dtype=np.int64)
+        self.points = np.zeros(len(states), dtype=np.int64)
+
+    def charge(self) -> int:
+        """Charge each query the rows evaluated for it and their points;
+        returns the rows summed over queries."""
+        for state, rows, compared in zip(self.states, self.refined.tolist(), self.points.tolist()):
+            state.profile.series_accessed += rows
+            state.profile.distance_computations += rows
+            state.profile.points_compared += compared
+            state.profile.points_total += rows * self.length
+        return int(self.refined.sum())
+
+    def __call__(self, ids, starts, sizes, cutoffs) -> tuple:
+        if self.block is None:
+            active = [0]
+        else:
+            # Rows each query evaluates here (float: bincount's weights).
+            rows_of = np.bincount(ids, weights=sizes, minlength=len(self.queries))
+            active = rows_of.nonzero()[0]
+        if len(active) == 1:  # one query's extents never overlap
+            read_starts, read_sizes = starts, sizes
+        else:
+            read_starts, read_sizes = _merge_sorted(starts, sizes)
+        data = self._read(read_starts, read_sizes)
+        # Every row's file position, where one query's dense result needs
+        # them or the runs are too many to join their norm slices; a
+        # block's pairs otherwise find theirs by run.
+        held = None
+        if len(read_starts) > 1 and (len(active) == 1 or len(read_starts) > _FEW_RUNS):
+            held = extent_rows(read_starts, read_sizes)
+        norms = self._norms(read_starts, read_sizes, held)
+        if len(active) == 1:
+            i = int(active[0])
+            squared, compared = early_abandon_squared(
+                self.queries[i], data, cutoffs[i], norms=norms
+            )
+            if held is None:  # one run
+                held = np.arange(read_starts[0], read_starts[0] + read_sizes[0])
+            self.refined[i] += data.shape[0]
+            self.points[i] += compared
+            return i, held, squared
+        # The buffer row of each read run's first series, then of each
+        # extent's, and its rows in its query's mask row.
+        offsets = np.cumsum(read_sizes) - read_sizes
+        at = np.searchsorted(read_starts, starts, side="right") - 1
+        rows = extent_rows(offsets[at] + starts - read_starts[at], sizes)
+        slot = np.cumsum(rows_of > 0) - 1  # query id -> row of the block
+        masks = np.zeros((len(active), data.shape[0]), dtype=bool)
+        masks[np.repeat(slot[ids], sizes), rows] = True
+        (pair_slots, pair_rows, squared), compared = early_abandon_squared(
+            self.block[active], data, cutoffs[active], row_masks=masks, norms=norms
+        )
+        self.refined[active] += rows_of[active].astype(np.int64)
+        self.points[active] += compared
+        positions = _run_positions(read_starts, read_sizes, pair_rows, held)
+        return active[pair_slots], positions, squared
+
+    def _read(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The rows of file-ordered extents."""
+        if len(starts) == 1:
+            # One extent (a leaf above the cap, a lone candidate): a plain
+            # read, and none of the run bookkeeping.
+            return self.lrd.read_range(int(starts[0]), int(sizes[0]))
+        count = int(sizes.sum())
+        if self.buffer is None or count > len(self.buffer):
+            self.buffer = np.empty((max(count, _CHUNK_ROWS), self.length), dtype=SERIES_DTYPE)
+        return self.lrd.read_range(starts, sizes, out=self.buffer[:count])
+
+    def _norms(self, starts: np.ndarray, sizes: np.ndarray, held) -> np.ndarray:
+        """The stored norms of the rows of file-ordered extents, whose
+        file positions are ``held`` if the caller has them."""
+        if len(starts) == 1:
+            return self.norms[starts[0] : starts[0] + sizes[0]]
+        if held is not None:
+            return self.norms[held]
+        # A few runs: joining their slices beats an index array.
+        return np.concatenate(
+            [self.norms[s : s + n] for s, n in zip(starts.tolist(), sizes.tolist())]
+        )
+
+
+def _run_positions(starts: np.ndarray, sizes: np.ndarray, rows: np.ndarray, held) -> np.ndarray:
+    """The file positions of the buffer rows ``rows`` of the file-ordered
+    read runs ``[starts, starts + sizes)`` packed in turn; ``held`` is
+    every row's position if the caller built it."""
+    if held is not None:
+        return held[rows]
+    if len(starts) == 1:
+        return rows + starts[0]
+    offsets = np.cumsum(sizes) - sizes
+    return rows + (starts - offsets)[np.searchsorted(offsets, rows, side="right") - 1]

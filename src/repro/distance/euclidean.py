@@ -206,11 +206,12 @@ def early_abandon_squared(
     ``(Q, n)`` block with a ``(Q,)`` cutoff vector: one BLAS screen then
     serves every query, and each query's survivors get the same
     whole-row pass a single query's would — bit for bit the values of
-    the one-query call.  ``row_masks`` (block form only, ``(Q, count)``)
-    restricts each query to its True rows.  ``norms``, the candidates'
-    ``|c|²`` as :func:`_row_norms` computes them (an index stores them
-    for its rows), saves the screen that pass; without it they are
-    computed here.
+    the one-query call (a block whose cutoffs all abandon nothing — inf
+    or NaN — skips the screen, as one query does).  ``row_masks`` (block
+    form only, ``(Q, count)``) restricts each query to its True rows.
+    ``norms``, the candidates' ``|c|²`` as :func:`_row_norms` computes
+    them (an index stores them for its rows), saves the screen that
+    pass; without it they are computed here.
 
     Nothing is copied on the way in: a float32 block is used as read.
 
@@ -262,9 +263,12 @@ def early_abandon_squared(
     if count == 0 or num_queries == 0:
         none = np.empty(0, dtype=np.intp)
         return (none, none, np.empty(0, dtype=DISTANCE_DTYPE)), points_compared
-    keep = _screen(q, cands, cutoffs, _check_norms(norms, cands))
-    if row_masks is not None:
-        keep &= row_masks
+    if (cutoffs < np.inf).any():
+        keep = _screen(q, cands, cutoffs, _check_norms(norms, cands))
+        if row_masks is not None:
+            keep &= row_masks
+    else:  # no cutoff abandons anything (as for one query): no screen
+        keep = np.ones((num_queries, count), dtype=bool) if row_masks is None else row_masks
     # C order: the pairs come grouped by query, rows ascending.  One flat
     # scan and a divmod: a 2-D ``nonzero`` costs ~9x as much.
     query_ids, rows = np.divmod(np.flatnonzero(keep), count)

@@ -3,8 +3,10 @@
 A Q-query batch must hold what it answers with — each query's bounds,
 gap tables, SCList and result set — plus a transient that does not grow
 with Q: the front half's LB_EAPCA² pass runs in slices of
-``_SLICE_QUERIES`` queries, and the refinement walk builds its entry
-table one file window of ``_WINDOW_ROWS`` rows at a time.
+``_SLICE_QUERIES`` queries, the refinement walk builds its entry
+table one file window of ``_WINDOW_ROWS`` rows at a time, and phase 1's
+lockstep rounds share one read buffer and a bounded kernel block, adding
+only one group's worth per query.
 """
 
 import tracemalloc
@@ -68,6 +70,61 @@ def test_front_half_transient_does_not_grow_with_q(index, queries):
     eight = _front_transient(index, queries[:8])
     sixty_four = _front_transient(index, queries)
     assert sixty_four <= 1.25 * eight, (sixty_four, eight)
+
+
+def _phase1_transient(index, queries, config, monkeypatch) -> int:
+    """Bytes phase 1 of one ``phase1_only`` call over ``queries`` (Q ≥
+    2: the lockstep rounds) held at its peak beyond what it kept."""
+    lockstep = batch_query._approx_knn_lockstep
+    transients = []
+
+    def measured(states):
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        try:
+            return lockstep(states)
+        finally:
+            current, peak = tracemalloc.get_traced_memory()
+            transients.append(peak - max(start, current))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_query, "_approx_knn_lockstep", measured)
+        tracemalloc.start()
+        try:
+            batch_query.exact_knn_batch(
+                queries, 5, config, index._table, index._lrd, index._sax,
+                index.num_series, index._norms, phase1_only=True,
+            )
+        finally:
+            tracemalloc.stop()
+    (transient,) = transients
+    return transient
+
+
+@pytest.mark.parametrize("long_phase", [False, True], ids=["fixture", "long-shared"])
+def test_phase1_transient_grows_by_one_group_per_query(index, queries, long_phase, monkeypatch):
+    """Phase 1 in lockstep holds one read buffer and one kernel block
+    (at most ``_CHUNK_CELLS`` cells) whatever Q is; per query it adds
+    one group's distances — ``_CHUNK_ROWS`` float64 — and no buffer.
+
+    That is the bound at the fixture's two-leaf phase 1.  The long case
+    runs phase 1 to exhaustion on eight queries repeated eight times
+    with a little noise, so the copies share their leaves and a chunk
+    holds many queries: there each query also has its whole visit order
+    alive (5 words per leaf), and one screen per round keeps every
+    group's survivors (position and bound, 16 bytes each) until the
+    round's reads start, so the allowance per query is a group of 24
+    bytes per row plus its visit order."""
+    config, block = index.config, queries
+    per_query = query._CHUNK_ROWS * 8
+    if long_phase:
+        config = config.with_options(l_max=1000)
+        noise = np.random.default_rng(9).standard_normal(queries.shape).astype(np.float32)
+        block = np.repeat(queries[:8], 8, axis=0) + 0.01 * noise
+        per_query = query._CHUNK_ROWS * 24 + index.num_leaves * 5 * 8
+    eight = _phase1_transient(index, block[::8], config, monkeypatch)
+    sixty_four = _phase1_transient(index, block, config, monkeypatch)
+    assert sixty_four <= eight + 56 * per_query, (sixty_four, eight)
 
 
 def _walk(index, queries, monkeypatch) -> tuple:

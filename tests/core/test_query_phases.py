@@ -319,8 +319,14 @@ class TestGroupedPhaseOne:
         def reference(state):
             leaf_at_a_time(state, state.config.l_max)
 
+        def reference_block(states):
+            for state in states:
+                reference(state)
+
         monkeypatch.setattr(query_module, "_approx_knn", reference)
         monkeypatch.setattr(batch_query, "_approx_knn", reference)
+        monkeypatch.setattr(query_module, "_approx_knn_lockstep", reference_block)
+        monkeypatch.setattr(batch_query, "_approx_knn_lockstep", reference_block)
         expected = [
             [index.knn(q, k=5, config=c) for q in queries] for c in configs
         ] + [list(index.knn_batch(queries, k=5, config=c)) for c in configs]
@@ -333,6 +339,156 @@ class TestGroupedPhaseOne:
                     "eapca_pruning", "sax_pruning",
                 ):
                     assert getattr(got.profile, name) == getattr(want.profile, name)
+
+
+#: The phase-1 counters a lockstep round must leave as the query's own
+#: walk leaves them.
+_PHASE1_COUNTERS = (
+    "approx_leaves", "series_accessed", "distance_computations", "points_compared",
+)
+
+
+def _phase1_spy(monkeypatch) -> list:
+    """Record, per call, what phase 1 left in each query's state: its
+    visits, BSF², result items and phase-1 counters (one list of dicts
+    per call, whichever walk ran it), and each block call's rounds."""
+    from repro.core import batch_query
+
+    calls = []
+    single, lockstep = batch_query._approx_knn, batch_query._approx_knn_lockstep
+
+    def snapshot(states, rounds):
+        calls.append([
+            dict(
+                visited=list(state.visited),
+                bsf_squared=state.results.bsf_squared,
+                items=state.results.items(),
+                rounds=rounds,
+                **{name: getattr(state.profile, name) for name in _PHASE1_COUNTERS},
+            )
+            for state in states
+        ])
+        return rounds
+
+    monkeypatch.setattr(batch_query, "_approx_knn", lambda state: snapshot([state], single(state)))
+    monkeypatch.setattr(
+        batch_query, "_approx_knn_lockstep", lambda states: snapshot(states, lockstep(states))
+    )
+    return calls
+
+
+def _assert_same_phase1(got: dict, want: dict) -> None:
+    assert got["visited"] == want["visited"]
+    assert got["bsf_squared"] == want["bsf_squared"]
+    for got_part, want_part in zip(got["items"], want["items"]):
+        np.testing.assert_array_equal(got_part, want_part)
+    for name in _PHASE1_COUNTERS:
+        assert got[name] == want[name], name
+
+
+class TestLockstepPhaseOne:
+    """Phase 1 of a block runs in lockstep rounds (one screen, one union
+    read and masked kernel calls per round), but each query must visit,
+    stop, merge and count exactly as its own Q = 1 call and the
+    leaf-at-a-time walk do."""
+
+    @pytest.fixture(scope="class")
+    def block(self, corpus):
+        """64 queries: a dataset member, noisy members, random walks, and
+        rows 2 and 3 identical."""
+        rng = np.random.default_rng(208)
+        picked = rng.choice(len(corpus), 40, replace=False)
+        near = corpus[picked] + 0.3 * rng.standard_normal((40, 32))
+        queries = np.vstack([corpus[7:8], near, make_random_walks(22, 32, seed=209)])
+        return np.vstack([queries[:3], queries[2:3], queries[3:]]).astype(np.float32)
+
+    @staticmethod
+    def _run(index, queries, k, config, phase1_only=True):
+        from repro.core.batch_query import exact_knn_batch
+
+        return exact_knn_batch(
+            queries, k, config, index._table, index._lrd, index.signatures,
+            index.num_series, index._norms, phase1_only=phase1_only,
+        )
+
+    @pytest.mark.parametrize("use_sax", [True, False], ids=["sax", "nosax"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    @pytest.mark.parametrize("k", [1, 5, 60], ids=["k1", "k5", "k-above-leaf"])
+    @pytest.mark.parametrize("l_max", [1, 2, 5, 1000])
+    def test_each_query_walks_as_alone(
+        self, index, block, l_max, k, epsilon, use_sax, monkeypatch
+    ):
+        monkeypatch.setattr(query_module, "_CHUNK_ROWS", 200)
+        cuts = query_module._round_cuts
+        chunks = []
+        monkeypatch.setattr(
+            query_module, "_round_cuts",
+            lambda *args: chunks.append(len(cuts(*args)) - 1) or cuts(*args),
+        )
+        calls = _phase1_spy(monkeypatch)
+        config = index.config.with_options(l_max=l_max, epsilon=epsilon, use_sax=use_sax)
+        alone = []
+        for query in block:
+            calls.clear()
+            answer = self._run(index, query[None], k, config)[0]
+            ((mine,),) = calls
+            reference = make_state(
+                index, query, k=k, l_max=l_max, epsilon=epsilon, use_sax=use_sax
+            )
+            leaf_at_a_time(reference, l_max)
+            assert mine["visited"] == reference.visited
+            assert mine["approx_leaves"] == reference.profile.approx_leaves
+            assert mine["bsf_squared"] == reference.results.bsf_squared
+            for got, want in zip(mine["items"], reference.results.items()):
+                np.testing.assert_array_equal(got, want)
+            alone.append((mine, answer))
+        for size in (2, 7, 64):
+            for phase1_only in (True, False):
+                calls.clear()
+                chunks.clear()
+                answers = self._run(index, block[:size], k, config, phase1_only)
+                (walked,) = calls
+                assert len(walked) == size
+                for got, (want, answer) in zip(walked, alone[:size]):
+                    _assert_same_phase1(got, want)
+                    if phase1_only:
+                        np.testing.assert_array_equal(got["items"][0], answer.distances)
+                if size == 64 and l_max > 1:
+                    # Several rounds, and a round cut into several chunks.
+                    assert walked[0]["rounds"] >= 2 and max(chunks) >= 2
+        for got, want in zip(answers, (self._run(index, q[None], k, config, False)[0] for q in block)):
+            if epsilon == 0.0:
+                np.testing.assert_array_equal(got.distances, want.distances)
+                np.testing.assert_array_equal(got.positions, want.positions)
+
+    def test_block_reads_no_more_than_its_queries_alone(self, index, block):
+        """A block's phase 1 reads each leaf that several queries keep
+        in a round once: no more LRDFile bytes than its queries' Q = 1
+        calls together, and here fewer."""
+        config = index.config.with_options(l_max=1000)
+        lrd = index._lrd
+        before = lrd.stats.snapshot()
+        for query in block:
+            self._run(index, query[None], 5, config)
+        alone = (lrd.stats.snapshot() - before).bytes_read
+        before = lrd.stats.snapshot()
+        self._run(index, block, 5, config)
+        together = (lrd.stats.snapshot() - before).bytes_read
+        assert together < alone, (together, alone)
+
+    def test_identical_queries_read_each_leaf_once(self, index, block, monkeypatch):
+        """Two identical queries in one block read each of their phase-1
+        leaves once: the rows one of them reads alone."""
+        monkeypatch.setattr(query_module, "_CHUNK_ROWS", 200)
+        config = index.config.with_options(l_max=1000)
+        reads = {}
+        for name, queries in (("alone", block[2:3]), ("twice", block[2:4])):
+            with monkeypatch.context() as patch:
+                positions = record_reads(patch, index._lrd)
+                self._run(index, queries, 5, config)
+            reads[name] = np.concatenate(positions)
+        assert len(np.unique(reads["twice"])) == len(reads["twice"])
+        np.testing.assert_array_equal(np.sort(reads["twice"]), np.sort(reads["alone"]))
 
 
 class TestCandidateLeafPhase:

@@ -294,6 +294,21 @@ class TestEarlyAbandonEdges:
         assert pairs[2].dtype == np.float64
         assert points.tolist() == [0, 0, 0]
 
+    def test_infinite_cutoffs_list_every_masked_in_pair(self, small_dataset):
+        """A block whose every cutoff abandons nothing (a lockstep round's
+        first leaves) lists every masked-in pair with the plain kernel's
+        value, as the one-query call does at an infinite cutoff."""
+        block = small_dataset[:40].astype(np.float32)
+        queries = small_dataset[40:43]
+        masks = np.random.default_rng(3).random((3, 40)) < 0.5
+        truth = np.stack([batch_squared_euclidean(query, block) for query in queries])
+        for cutoffs in (np.full(3, np.inf), np.full(3, np.nan)):
+            pairs, points = early_abandon_squared(queries, block, cutoffs, row_masks=masks)
+            np.testing.assert_array_equal(_dense(pairs, truth.shape), np.where(masks, truth, np.inf))
+            assert points.tolist() == (masks.sum(axis=1) * block.shape[1]).tolist()
+            pairs, _ = early_abandon_squared(queries, block, cutoffs)
+            np.testing.assert_array_equal(_dense(pairs, truth.shape), truth)
+
     def test_mismatched_norms_are_rejected(self):
         block = np.ones((5, 8), dtype=np.float32)
         for norms in (np.ones(4, dtype=np.float32), np.ones(5)):

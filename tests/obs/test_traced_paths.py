@@ -68,7 +68,8 @@ class TestBuildSpans:
 
 def _assert_one_span_tree(trace, num_calls, queries_per_call, mode="exact"):
     """Every call, whatever its Q and mode, is one ``query`` span holding
-    per-query ``query.phase1.approx`` spans.  An exact call adds per-query
+    one ``query.phase1.approx`` span (the phase for the whole block, with
+    its ``rounds``).  An exact call adds per-query
     ``query.phase2.candidates`` spans, one ``query.prefilter`` around the
     LB_SAX pass and one ``query.refine`` around the walk; an approximate
     or progressive call stops there."""
@@ -85,7 +86,7 @@ def _assert_one_span_tree(trace, num_calls, queries_per_call, mode="exact"):
             assert call.attributes["leaf_uses"] >= call.attributes["unique_leaf_reads"] > 0
             assert call.attributes["kernel_rows"] > 0
     for name, per_call in (
-        ("query.phase1.approx", queries_per_call),
+        ("query.phase1.approx", 1),
         ("query.phase2.candidates", queries_per_call if exact else 0),
         ("query.prefilter", int(exact)),
         ("query.refine", int(exact)),
@@ -94,6 +95,7 @@ def _assert_one_span_tree(trace, num_calls, queries_per_call, mode="exact"):
         assert len(spans) == num_calls * per_call, name
         assert all(s.parent_id in call_ids for s in spans), name
     assert {s.parent_id for s in trace.find("query.phase1.approx")} == call_ids
+    assert all(s.attributes["rounds"] >= 1 for s in trace.find("query.phase1.approx"))
     assert not any(s.name.startswith("query.batch") for s in trace.spans)
 
 
@@ -118,13 +120,19 @@ class TestQuerySpans:
         assert not trace.find("query.refine.worker")
         assert not any(s.parent_id in refine_ids for s in trace.spans)
 
-        # A batch has the same tree.
+        # A batch has the same tree; its one phase-1 span counts every
+        # query's visits, and each query visits as it did alone.
         trace = obs.Trace(name="query")
         with obs.use_trace(trace):
             batch = index.knn_batch(queries, k=5, config=config)
         index.close()
         assert all(a.profile.path == "full-four-phase" for a in batch)
         _assert_one_span_tree(trace, num_calls=1, queries_per_call=3)
+        (phase1,) = trace.find("query.phase1.approx")
+        assert phase1.attributes["leaves_visited"] == sum(a.profile.approx_leaves for a in batch)
+        assert [a.profile.approx_leaves for a in batch] == [
+            a.profile.approx_leaves for a in answers
+        ]
         refine_ids = {s.span_id for s in trace.find("query.refine")}
         assert not trace.find("query.refine.worker")
         assert not any(s.parent_id in refine_ids for s in trace.spans)
