@@ -62,10 +62,10 @@ chunks one file window at a time.  Phase 1 evaluates
 its visits the same way, a group of leaves per LB_SAX screen, read and
 kernel call (:func:`_best_first`) — for a block, every live query's
 group per round, in one two-stage screen and the chunks of one union read
-(:func:`_approx_knn_lockstep`; the per-chunk read and kernel call are
-one helper for both walks, :class:`_ChunkKernel`) — but merges them one
-leaf at a time, each query in its own order, so its visits and stop
-test stay the paper's.
+(:func:`_approx_knn_lockstep`) — but merges them one leaf at a time,
+each query in its own order, so its visits and stop test stay the
+paper's.  Every walk's per-chunk read and kernel call are one helper,
+:class:`_ChunkKernel`.
 
 Distance kernels operate on whole row matrices (the SIMD analog) and the
 pipeline runs end-to-end in *squared* distance space (the UCR-suite
@@ -509,7 +509,9 @@ def _best_first(walk: _Walk):
     (:func:`_evaluate_group`): a leaf none of whose rows has an unscaled
     LB_SAX² below the group's BSF² is *skipped* — neither read nor
     evaluated — and the others are read, one read per run of
-    file-adjacent leaves, and evaluated in one kernel call at that BSF².
+    file-adjacent leaves, and evaluated in one kernel call at that BSF²
+    (:class:`_ChunkKernel`, whose rows are charged to the profile before
+    the group's visits, so a progressive snapshot counts them).
     The visits, their order and every merge are then a leaf-at-a-time
     walk's (:meth:`_Walk.visits`): BSF² only falls, so the group's
     cutoff is ≥ the BSF² of each merge, and a row the kernel abandoned,
@@ -524,25 +526,26 @@ def _best_first(walk: _Walk):
     accessed and computed, the leaves not as visited.
     """
     state = walk.state
+    kernel = _ChunkKernel([state])
     group = walk.next_group()
     while group is not None:
         end, bsf_squared = group
-        visit = walk.visit
+        starts, sizes = walk.starts[walk.visit : end], walk.sizes[walk.visit : end]
         if bsf_squared < np.inf:
-            offsets, squared = _evaluate_group(
-                state, walk.starts[visit:end], walk.sizes[visit:end], bsf_squared
-            )
-        else:  # one leaf (every first visit): a plain read, nothing to screen against
-            position, size = int(walk.starts[visit]), int(walk.sizes[visit])
-            data = state.lrd.read_range(position, size)
-            norms = state.norms[position : position + size]
-            offsets, squared = [0], _evaluate(state, data, norms, bsf_squared)
+            offsets, squared = _evaluate_group(state, kernel, starts, sizes, bsf_squared)
+        else:  # one leaf (every first visit): nothing to screen against
+            offsets, (_, _, squared) = [0], kernel(None, starts, sizes, (bsf_squared,))
+        kernel.charge()
         yield from walk.visits(end, offsets, squared)
         group = walk.next_group()
 
 
 def _evaluate_group(
-    state: _SearchState, starts: np.ndarray, sizes: np.ndarray, bsf_squared: float
+    state: _SearchState,
+    kernel: _ChunkKernel,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    bsf_squared: float,
 ) -> tuple:
     """Read and evaluate the leaves of one phase-1 group (extents in
     visit order) that the LB_SAX screen keeps at ``bsf_squared``.
@@ -551,18 +554,16 @@ def _evaluate_group(
     rows with the query's gap tables and no ε factor; a leaf stays if
     any of its rows has LB_SAX² < ``bsf_squared``.  Under the NoSAX
     ablation (``use_sax`` off) every leaf stays.  The leaves that stay
-    are packed in file order into one buffer — a plain read when only
-    one does — and evaluated in one kernel call.  Returns each visit's
-    first row in that block (-1 for a skipped leaf) and the squared
-    distances (None when every leaf was skipped).
+    are evaluated in file order by one call of the query's ``kernel``.
+    Returns each visit's first row in that block (-1 for a skipped leaf)
+    and the squared distances (None when every leaf was skipped).
     """
     in_file = np.argsort(starts)
     first, packed = starts[in_file], sizes[in_file]
-    length = state.query.shape[0]
     offsets = np.full(len(first), -1)
     if state.config.use_sax:
         kept, _ = state.sax.screen(
-            state.gap_tables, bsf_squared, length, rows=extent_rows(first, packed)
+            state.gap_tables, bsf_squared, state.query.shape[0], rows=extent_rows(first, packed)
         )
         # Survivors come in file order: the leaves holding one stay.
         stay = np.zeros(len(first), dtype=bool)
@@ -571,33 +572,8 @@ def _evaluate_group(
     if not len(first):
         return offsets.tolist(), None
     offsets[in_file] = np.cumsum(packed) - packed
-    if len(first) == 1:
-        position, size = int(first[0]), int(packed[0])
-        data = state.lrd.read_range(position, size)
-        norms = state.norms[position : position + size]
-    else:
-        buffer = np.empty((int(packed.sum()), length), dtype=SERIES_DTYPE)
-        data = state.lrd.read_range(first, packed, out=buffer)
-        # A few leaves: joining their slices beats an index array.
-        norms = np.concatenate(
-            [state.norms[s : s + n] for s, n in zip(first.tolist(), packed.tolist())]
-        )
-    return offsets.tolist(), _evaluate(state, data, norms, bsf_squared)
-
-
-def _evaluate(
-    state: _SearchState, data: np.ndarray, norms: np.ndarray, bsf_squared: float
-) -> np.ndarray:
-    """Phase 1's kernel call: squared distances of ``data``'s rows, whose
-    stored norms are ``norms``, at cutoff ``bsf_squared``, charged to the
-    query's profile."""
-    profile, length = state.profile, state.query.shape[0]
-    squared, compared = early_abandon_squared(state.query, data, bsf_squared, norms=norms)
-    profile.series_accessed += data.shape[0]
-    profile.distance_computations += data.shape[0]
-    profile.points_compared += compared
-    profile.points_total += data.shape[0] * length
-    return squared
+    _, _, squared = kernel(None, first, packed, (bsf_squared,))
+    return offsets.tolist(), squared
 
 
 def _approx_knn(state: _SearchState) -> int:
@@ -626,8 +602,8 @@ def _approx_knn_lockstep(states: list) -> int:
        of its rows has LB_SAX² below it;
     2. the leaves that stay, over all queries, form one file-ordered
        union (:func:`_merge_sorted`: a leaf two queries keep is one
-       extent), cut into chunks of up to :data:`_CHUNK_ROWS` rows and
-       :data:`_CHUNK_CELLS` (query, row) cells (:func:`_round_cuts`);
+       extent), cut into chunks of up to :data:`_CHUNK_ROWS` rows by the
+       refinement walk's rule (:func:`_union_cuts`);
     3. per chunk, one read and one kernel call, masked to the queries
        with a leaf there, at their cutoffs from the start of the round
        (:class:`_ChunkKernel`), whose distances land in one flat array
@@ -676,7 +652,7 @@ def _approx_knn_lockstep(states: list) -> int:
         keys, shift = query_ids * num_series + starts, flat_at - starts
         by_file = np.argsort(starts, kind="stable")
         union_ids, union_starts, union_sizes = query_ids[by_file], starts[by_file], sizes[by_file]
-        cuts = _round_cuts(union_ids, union_starts, union_sizes)
+        cuts = _union_cuts(union_starts, union_sizes)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             pair_ids, positions, values = kernel(
                 union_ids[lo:hi], union_starts[lo:hi], union_sizes[lo:hi], cutoffs
@@ -737,40 +713,6 @@ def _screen_round(
                 lo, hi = edges[qi], edges[qi + 1]
                 stay[left[lo - 1 + np.searchsorted(left_starts[lo:hi], kept, side="right")]] = True
     return stay
-
-
-#: (query, row) cells per kernel call of phase 1 in lockstep.  The masked
-#: kernel screens every cell of its ``(queries, rows)`` block and holds
-#: about 10 bytes per cell, so the cap bounds both whatever Q is: 160 KB,
-#: 16 queries present in a full chunk.  (On the benchmark's medium
-#: batches a chunk holds 9-22 queries; 16 K, 32 K and no cap ran alike.)
-_CHUNK_CELLS = 16 * 1024
-
-
-def _round_cuts(query_ids: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> list:
-    """Where a lockstep round's start-sorted leaves are cut into chunks:
-    chunk ``c`` is the entries ``cuts[c]:cuts[c + 1]``, whole extents of
-    their union (:func:`_merge_sorted`) — at most :data:`_CHUNK_ROWS`
-    rows, as :func:`_union_cuts` cuts, and at most
-    :data:`_CHUNK_CELLS` cells (rows × queries with a leaf there), the
-    masked kernel's block, unless one extent alone holds more."""
-    if not len(starts):
-        return [0]
-    union_starts, union_sizes = _merge_sorted(starts, sizes)
-    firsts = np.searchsorted(starts, union_starts).tolist() + [len(starts)]
-    ids = query_ids.tolist()
-    cuts, rows, present = [0], 0, set()
-    for extent, size in enumerate(union_sizes.tolist()):
-        here = ids[firsts[extent] : firsts[extent + 1]]
-        grown = present.union(here)
-        if rows and (
-            rows + size > _CHUNK_ROWS or (rows + size) * len(grown) > _CHUNK_CELLS
-        ):
-            cuts.append(firsts[extent])
-            rows, grown = 0, set(here)
-        rows += size
-        present = grown
-    return cuts + [len(starts)]
 
 
 class _RowsByQuery(Sequence):
@@ -1035,8 +977,8 @@ def _refine_runs(states: list, extents: list) -> tuple:
       entry is re-checked against its own query's in one comparison (an
       extent a query prunes is not read for it);
     * the surviving entries are one read and one screening kernel call
-      under each query's live cutoff (:class:`_ChunkKernel`, which a
-      block's phase 1 calls too), which returns the (query, row) pairs
+      under each query's live cutoff (:class:`_ChunkKernel`, which
+      phase 1 calls too), which returns the (query, row) pairs
       its screen kept, grouped by query (for one query, every row);
     * each query merges its rows into its result set once — in a shared
       chunk only if the screen kept any of its rows there — and the
@@ -1103,40 +1045,30 @@ def _refine_runs(states: list, extents: list) -> tuple:
     return used, kernel.charge()
 
 
-#: Read runs up to which a chunk of several queries joins its runs' norm
-#: slices and finds its pairs' file positions from the runs, rather than
-#: building every row's position (cheaper below it; CHANGES.md has the
-#: timings).
-_FEW_RUNS = 16
-
-
 class _ChunkKernel:
-    """The per-chunk body of both walks over a block's states — phase 1
-    in lockstep (:func:`_approx_knn_lockstep`) and refinement
+    """The per-chunk body of every walk over a block's states — phase 1
+    of one query (:func:`_best_first`) and of a block in lockstep
+    (:func:`_approx_knn_lockstep`), and refinement
     (:func:`_refine_runs`): one read of a chunk's extents and one
     screening kernel call under per-query cutoffs, with the rows' stored
     norms (``norms.bin``).
 
     Called with a chunk's file-ordered extents — ``(ids, starts,
-    sizes)``, extent ``i`` to be evaluated for query ``ids[i]`` — and the
-    block's cutoff vector, in a fixed number of array operations
-    whatever Q is:
+    sizes)``, extent ``i`` to be evaluated for query ``ids[i]`` (a
+    one-query kernel takes ``ids`` None) — and the block's cutoffs, in a
+    fixed number of array operations whatever Q is:
 
     * the extents, merged where two queries share one
       (:func:`_merge_sorted`), are one ``read_range`` call (one
       positional read per run of file-adjacent ones) into one buffer of
       at least :data:`_CHUNK_ROWS` rows that lives as long as the kernel
-      — or a plain read when one extent is left;
+      — or a plain read when one extent is left; every row's file
+      position is built once and takes the rows' norms;
     * one kernel call evaluates them: the one-query form when one query
       takes part, else the block form over just the queries with an
       extent there, with a ``(queries, rows)`` mask filled by one
       scatter over the extents' buffer rows, which keeps each query to
-      its own rows;
-    * with several queries each pair's file position comes from its read
-      run (:func:`_run_positions`), and the norms are the runs' slices
-      joined — unless the runs are more than :data:`_FEW_RUNS`, when
-      every row's position is built once and serves both, as it does for
-      one query's dense result.
+      its own rows.
 
     Returns ``(pair_ids, positions, squared)``, the evaluated (query,
     series) pairs grouped by query, each query's in file order: for
@@ -1157,14 +1089,17 @@ class _ChunkKernel:
         self.points = np.zeros(len(states), dtype=np.int64)
 
     def charge(self) -> int:
-        """Charge each query the rows evaluated for it and their points;
-        returns the rows summed over queries."""
-        for state, rows, compared in zip(self.states, self.refined.tolist(), self.points.tolist()):
+        """Charge each query the rows evaluated for it since the last
+        charge and their points; returns the rows summed over queries."""
+        refined, points = self.refined.tolist(), self.points.tolist()
+        self.refined.fill(0)
+        self.points.fill(0)
+        for state, rows, compared in zip(self.states, refined, points):
             state.profile.series_accessed += rows
             state.profile.distance_computations += rows
             state.profile.points_compared += compared
             state.profile.points_total += rows * self.length
-        return int(self.refined.sum())
+        return sum(refined)
 
     def __call__(self, ids, starts, sizes, cutoffs) -> tuple:
         if self.block is None:
@@ -1177,24 +1112,15 @@ class _ChunkKernel:
             read_starts, read_sizes = starts, sizes
         else:
             read_starts, read_sizes = _merge_sorted(starts, sizes)
-        data = self._read(read_starts, read_sizes)
-        # Every row's file position, where one query's dense result needs
-        # them or the runs are too many to join their norm slices; a
-        # block's pairs otherwise find theirs by run.
-        held = None
-        if len(read_starts) > 1 and (len(active) == 1 or len(read_starts) > _FEW_RUNS):
-            held = extent_rows(read_starts, read_sizes)
-        norms = self._norms(read_starts, read_sizes, held)
+        data, positions, norms = self._read(read_starts, read_sizes)
         if len(active) == 1:
             i = int(active[0])
             squared, compared = early_abandon_squared(
                 self.queries[i], data, cutoffs[i], norms=norms
             )
-            if held is None:  # one run
-                held = np.arange(read_starts[0], read_starts[0] + read_sizes[0])
             self.refined[i] += data.shape[0]
             self.points[i] += compared
-            return i, held, squared
+            return i, positions, squared
         # The buffer row of each read run's first series, then of each
         # extent's, and its rows in its query's mask row.
         offsets = np.cumsum(read_sizes) - read_sizes
@@ -1208,40 +1134,23 @@ class _ChunkKernel:
         )
         self.refined[active] += rows_of[active].astype(np.int64)
         self.points[active] += compared
-        positions = _run_positions(read_starts, read_sizes, pair_rows, held)
-        return active[pair_slots], positions, squared
+        return active[pair_slots], positions[pair_rows], squared
 
-    def _read(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """The rows of file-ordered extents."""
+    def _read(self, starts: np.ndarray, sizes: np.ndarray) -> tuple:
+        """The rows of file-ordered extents, their file positions and
+        their stored norms."""
         if len(starts) == 1:
             # One extent (a leaf above the cap, a lone candidate): a plain
             # read, and none of the run bookkeeping.
-            return self.lrd.read_range(int(starts[0]), int(sizes[0]))
-        count = int(sizes.sum())
-        if self.buffer is None or count > len(self.buffer):
-            self.buffer = np.empty((max(count, _CHUNK_ROWS), self.length), dtype=SERIES_DTYPE)
-        return self.lrd.read_range(starts, sizes, out=self.buffer[:count])
-
-    def _norms(self, starts: np.ndarray, sizes: np.ndarray, held) -> np.ndarray:
-        """The stored norms of the rows of file-ordered extents, whose
-        file positions are ``held`` if the caller has them."""
-        if len(starts) == 1:
-            return self.norms[starts[0] : starts[0] + sizes[0]]
-        if held is not None:
-            return self.norms[held]
-        # A few runs: joining their slices beats an index array.
-        return np.concatenate(
-            [self.norms[s : s + n] for s, n in zip(starts.tolist(), sizes.tolist())]
-        )
-
-
-def _run_positions(starts: np.ndarray, sizes: np.ndarray, rows: np.ndarray, held) -> np.ndarray:
-    """The file positions of the buffer rows ``rows`` of the file-ordered
-    read runs ``[starts, starts + sizes)`` packed in turn; ``held`` is
-    every row's position if the caller built it."""
-    if held is not None:
-        return held[rows]
-    if len(starts) == 1:
-        return rows + starts[0]
-    offsets = np.cumsum(sizes) - sizes
-    return rows + (starts - offsets)[np.searchsorted(offsets, rows, side="right") - 1]
+            position, size = int(starts[0]), int(sizes[0])
+            return (
+                self.lrd.read_range(position, size),
+                np.arange(position, position + size),
+                self.norms[position : position + size],
+            )
+        positions = extent_rows(starts, sizes)
+        if self.buffer is None or len(positions) > len(self.buffer):
+            rows = max(len(positions), _CHUNK_ROWS)
+            self.buffer = np.empty((rows, self.length), dtype=SERIES_DTYPE)
+        data = self.lrd.read_range(starts, sizes, out=self.buffer[: len(positions)])
+        return data, positions, self.norms[positions]

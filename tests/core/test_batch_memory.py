@@ -5,8 +5,8 @@ gap tables, SCList and result set — plus a transient that does not grow
 with Q: the front half's LB_EAPCA² pass runs in slices of
 ``_SLICE_QUERIES`` queries, the refinement walk builds its entry
 table one file window of ``_WINDOW_ROWS`` rows at a time, and phase 1's
-lockstep rounds share one read buffer and a bounded kernel block, adding
-only one group's worth per query.
+lockstep rounds share one read buffer, adding only one group's worth
+per query.
 """
 
 import tracemalloc
@@ -103,25 +103,28 @@ def _phase1_transient(index, queries, config, monkeypatch) -> int:
 
 @pytest.mark.parametrize("long_phase", [False, True], ids=["fixture", "long-shared"])
 def test_phase1_transient_grows_by_one_group_per_query(index, queries, long_phase, monkeypatch):
-    """Phase 1 in lockstep holds one read buffer and one kernel block
-    (at most ``_CHUNK_CELLS`` cells) whatever Q is; per query it adds
-    one group's distances — ``_CHUNK_ROWS`` float64 — and no buffer.
+    """Phase 1 in lockstep holds one read buffer whatever Q is; per
+    query it adds one group's distances — ``_CHUNK_ROWS`` float64 — and
+    no buffer.
 
     That is the bound at the fixture's two-leaf phase 1.  The long case
     runs phase 1 to exhaustion on eight queries repeated eight times
     with a little noise, so the copies share their leaves and a chunk
     holds many queries: there each query also has its whole visit order
-    alive (5 words per leaf), and one screen per round keeps every
-    group's survivors (position and bound, 16 bytes each) until the
-    round's reads start, so the allowance per query is a group of 24
-    bytes per row plus its visit order."""
+    alive (5 words per leaf), one screen per round keeps every group's
+    survivors (position and bound, 16 bytes each) until the round's
+    reads start, and a chunk's masked kernel block holds about 10 bytes
+    per row for each query present (the refinement walk's bound, O(Q ×
+    ``_CHUNK_ROWS``)), so the allowance per query is a group of 34 bytes
+    per row plus its visit order.  A read buffer per query (256 bytes a
+    row here) would exceed either allowance."""
     config, block = index.config, queries
     per_query = query._CHUNK_ROWS * 8
     if long_phase:
         config = config.with_options(l_max=1000)
         noise = np.random.default_rng(9).standard_normal(queries.shape).astype(np.float32)
         block = np.repeat(queries[:8], 8, axis=0) + 0.01 * noise
-        per_query = query._CHUNK_ROWS * 24 + index.num_leaves * 5 * 8
+        per_query = query._CHUNK_ROWS * 34 + index.num_leaves * 5 * 8
     eight = _phase1_transient(index, block[::8], config, monkeypatch)
     sixty_four = _phase1_transient(index, block, config, monkeypatch)
     assert sixty_four <= eight + 56 * per_query, (sixty_four, eight)
@@ -132,18 +135,21 @@ def _walk(index, queries, monkeypatch) -> tuple:
     (its peak above the memory it started with), the entry tables it
     built and the answers."""
     walk, cut = batch_query._refine_runs, query._chunk_cuts
-    transients, tables = [], []
+    transients, tables, walking = [], [], []
 
     def measured(*args, **kwargs):
         start, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
+        walking.append(True)
         try:
             return walk(*args, **kwargs)
         finally:
+            walking.pop()
             transients.append(tracemalloc.get_traced_memory()[1] - start)
 
     def counting(sizes):
-        tables.append(len(sizes))
+        if walking:  # phase 1's rounds cut their chunks by the same rule
+            tables.append(len(sizes))
         return cut(sizes)
 
     with monkeypatch.context() as patch:

@@ -667,10 +667,10 @@ class TestBatchSurface:
     def test_cache_counters_partition_the_cache_lookups(
         self, data, queries, tmp_path, monkeypatch
     ):
-        """With a leaf cache, each answer reports its own phase 1's
-        lookups plus the walk reads charged to it, so the answers sum to
-        the cache's own count for the call: for a batch, and for one
-        query whose phase-4 walk spans many chunks."""
+        """With a leaf cache, the answers' lookups sum to the cache's own
+        count for the call (a batch charges its shared phase-1 and walk
+        reads to its first query): for a batch, and for one query whose
+        phase-4 walk spans many chunks."""
         from repro.core import query
 
         monkeypatch.setattr(query, "_CHUNK_ROWS", 8)

@@ -419,10 +419,10 @@ class TestLockstepPhaseOne:
         self, index, block, l_max, k, epsilon, use_sax, monkeypatch
     ):
         monkeypatch.setattr(query_module, "_CHUNK_ROWS", 200)
-        cuts = query_module._round_cuts
+        cuts = query_module._union_cuts
         chunks = []
         monkeypatch.setattr(
-            query_module, "_round_cuts",
+            query_module, "_union_cuts",
             lambda *args: chunks.append(len(cuts(*args)) - 1) or cuts(*args),
         )
         calls = _phase1_spy(monkeypatch)
@@ -454,9 +454,12 @@ class TestLockstepPhaseOne:
                     if phase1_only:
                         np.testing.assert_array_equal(got["items"][0], answer.distances)
                 if size == 64 and l_max > 1:
-                    # Several rounds, and a round cut into several chunks.
-                    assert walked[0]["rounds"] >= 2 and max(chunks) >= 2
-        for got, want in zip(answers, (self._run(index, q[None], k, config, False)[0] for q in block)):
+                    # Several rounds, and a round cut into several chunks
+                    # (counted where phase 1 alone cuts chunks).
+                    assert walked[0]["rounds"] >= 2
+                    assert max(chunks) >= 2 or not phase1_only
+        singles = (self._run(index, q[None], k, config, False)[0] for q in block)
+        for got, want in zip(answers, singles):
             if epsilon == 0.0:
                 np.testing.assert_array_equal(got.distances, want.distances)
                 np.testing.assert_array_equal(got.positions, want.positions)
@@ -489,6 +492,32 @@ class TestLockstepPhaseOne:
             reads[name] = np.concatenate(positions)
         assert len(np.unique(reads["twice"])) == len(reads["twice"])
         np.testing.assert_array_equal(np.sort(reads["twice"]), np.sort(reads["alone"]))
+
+    def test_cache_lookups_are_charged_to_the_first_query(self, index, block):
+        """With a leaf cache, a block's phase 1 shares its reads, so its
+        lookups all go to the block's first query (as the refinement
+        walk's do) and the other profiles count none; a Q = 1 call
+        counts its own."""
+        config = index.config.with_options(l_max=5)
+        cached = HerculesIndex.open(index.directory, cache_bytes=1 << 20)
+        try:
+            for _ in range(2):  # cold, then warm
+                before = cached.leaf_cache.snapshot()
+                answers = self._run(cached, block[:7], 5, config)
+                delta = cached.leaf_cache.snapshot() - before
+                first, *others = [a.profile for a in answers]
+                assert (first.cache_hits, first.cache_misses) == (delta.hits, delta.misses)
+                assert all(p.cache_hits == p.cache_misses == 0 for p in others)
+            assert delta.hits > 0
+            before = cached.leaf_cache.snapshot()
+            (alone,) = self._run(cached, block[3:4], 5, config)
+            delta = cached.leaf_cache.snapshot() - before
+            assert (alone.profile.cache_hits, alone.profile.cache_misses) == (
+                delta.hits, delta.misses,
+            )
+            assert delta.hits > 0
+        finally:
+            cached.close()
 
 
 class TestCandidateLeafPhase:
